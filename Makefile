@@ -16,7 +16,7 @@ export PYTHONPATH := src
 # tests/test_longitudinal.py, tests/test_paths.py and
 # tests/test_fleet.py; deep fuzzing runs via `pytest -m slow_fuzz`).
 test: docs-check chaos-smoke fuzz-smoke conform-smoke bench-smoke warehouse-smoke longitudinal-smoke matrix-smoke fleet-smoke
-	$(PYTHON) -m pytest -x -q
+	$(PYTHON) -m pytest -x -q --durations=20
 
 # Validates intra-repo markdown links + module docstring presence.
 docs-check:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Optional
 
@@ -12,6 +13,7 @@ _SMALL_PRIMES = [
     71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149,
     151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199, 211, 223, 227, 229,
 ]
+_SMALL_PRIME_PRODUCT = math.prod(_SMALL_PRIMES)
 
 
 def is_probable_prime(n: int, rounds: int = 24, rng: Optional[random.Random] = None) -> bool:
@@ -44,11 +46,19 @@ def is_probable_prime(n: int, rounds: int = 24, rng: Optional[random.Random] = N
 
 
 def generate_prime(bits: int, rng: random.Random) -> int:
-    """Generate a random probable prime with exactly ``bits`` bits."""
+    """Generate a random probable prime with exactly ``bits`` bits.
+
+    The top two bits are set, so the product of two such primes of
+    ``a`` and ``b`` bits always has exactly ``a + b`` bits.  Candidates
+    sharing a factor with a small prime are rejected with one ``gcd``
+    before the Miller-Rabin rounds, which then run in full.
+    """
     if bits < 8:
         raise ValueError("prime size too small")
     while True:
         candidate = rng.getrandbits(bits)
-        candidate |= (1 << (bits - 1)) | 1  # correct size, odd
+        candidate |= (3 << (bits - 2)) | 1  # correct size, odd
+        if math.gcd(candidate, _SMALL_PRIME_PRODUCT) != 1:
+            continue
         if is_probable_prime(candidate, rng=rng):
             return candidate

@@ -12,12 +12,19 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional, Tuple
 
 from repro.crypto.primes import generate_prime
+from repro.crypto.rand import DeterministicRandom
 
-__all__ = ["RsaPublicKey", "RsaPrivateKey", "generate_rsa_key", "SignatureError"]
+__all__ = [
+    "RsaPublicKey",
+    "RsaPrivateKey",
+    "generate_rsa_key",
+    "derived_rsa_key",
+    "SignatureError",
+]
 
 # DigestInfo prefix for SHA-256 (RFC 8017 §9.2 note 1).
 _SHA256_DIGEST_INFO = bytes.fromhex("3031300d060960864801650304020105000420")
@@ -113,16 +120,27 @@ def generate_rsa_key(
     rng = rng or random.Random()
     half = bits // 2
     while True:
+        # Both primes carry their top two bits, so p * q is exactly
+        # ``bits`` long and no pair is discarded for its size.
         p = generate_prime(half, rng)
         q = generate_prime(bits - half, rng)
         if p == q:
-            continue
-        n = p * q
-        if n.bit_length() != bits:
             continue
         phi = (p - 1) * (q - 1)
         try:
             d = pow(e, -1, phi)
         except ValueError:
             continue
-        return RsaPrivateKey(n=n, e=e, d=d, p=p, q=q)
+        return RsaPrivateKey(n=p * q, e=e, d=d, p=p, q=q)
+
+
+@lru_cache(maxsize=256)
+def derived_rsa_key(bits: int, label: str) -> RsaPrivateKey:
+    """The ``bits``-bit key that is a pure function of its seed label.
+
+    The simulated PKI names every key by a label that does not depend
+    on the calendar week (``ca-<seed>``, ``key-<group>``), so a process
+    that builds several worlds generates each key once; forked workers
+    inherit the memo.  Keys are immutable, so sharing one is safe.
+    """
+    return generate_rsa_key(bits, DeterministicRandom(label))

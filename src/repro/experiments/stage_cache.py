@@ -37,7 +37,10 @@ __all__ = ["CampaignStageCache", "CACHE_VERSION", "default_cache_root"]
 # entries are then invalidated automatically.
 # v2: QScanRecord gained wire-cost fields (retry_seen, datagrams_*).
 # v3: QScanRecord/GoscannerRecord gained the retry `attempts` field.
-CACHE_VERSION = 3
+# v4: every PKI key changed (sieved, top-two-bits primes) and each
+#     group's TCP no-SNI path now serves its own self-signed pair, so
+#     certificate fingerprints in TLS records differ from v3's.
+CACHE_VERSION = 4
 
 # Everything that makes a cache entry unreadable rather than absent.
 _CORRUPT_ERRORS = (

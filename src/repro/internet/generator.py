@@ -311,8 +311,14 @@ def build_world(
             not_before=cert_week,
             not_after=cert_week + 1 if group.cert_roll_weekly else 10_000,
         )
-        self_signed_cert, self_signed_key = make_self_signed(
-            "invalid2.invalid (missing SNI)", seed=f"selfsigned-{group.key}"
+        # Only profiles that answer a TCP handshake without SNI with the
+        # "missing SNI" error certificate ever serve this pair.
+        tcp_no_sni_pair = (
+            make_self_signed(
+                "invalid2.invalid (missing SNI)", seed=f"selfsigned-{group.key}"
+            )
+            if profile.tcp_no_sni_self_signed
+            else None
         )
 
         def make_cert_selector(
@@ -320,17 +326,18 @@ def build_world(
             key,
             policy: str,
             alert_reason: str,
-            tcp_self_signed: bool = False,
-            is_tcp: bool = False,
+            no_sni_pair: Optional[Tuple[Certificate, object]] = None,
             alert_rate: float = 0.0,
             other_rate: float = 0.0,
         ) -> Callable:
+            # Bound per group: ``select`` runs long after this loop has
+            # moved on to (and finished with) later groups.
             group_key = group.key
 
             def select(sni: Optional[str]):
                 if sni is None:
-                    if is_tcp and tcp_self_signed:
-                        return [self_signed_cert], self_signed_key
+                    if no_sni_pair is not None:
+                        return [no_sni_pair[0]], no_sni_pair[1]
                     if policy == "require":
                         raise AlertError(AlertDescription.HANDSHAKE_FAILURE, alert_reason)
                 elif alert_rate or other_rate:
@@ -376,7 +383,7 @@ def build_world(
                 cert, cert_key = ca.issue(
                     hosted[0] if hosted else f"{group.key}-{index}.example",
                     hosted[:24] or [f"{group.key}-{index}.example"],
-                    key_seed=f"key-{group.key}",
+                    key=shared_key,
                 )
 
             info = DeploymentInfo(
@@ -404,8 +411,7 @@ def build_world(
                 cert_key,
                 tcp_sni_policy,
                 profile.alert_reason,
-                tcp_self_signed=profile.tcp_no_sni_self_signed,
-                is_tcp=True,
+                no_sni_pair=tcp_no_sni_pair,
             )
 
             def http_handler(

@@ -52,7 +52,11 @@ __all__ = [
     "ClientUdpSocket",
     "TcpSession",
     "TrafficStats",
+    "SYN_BYTES",
 ]
+
+# Size a TCP SYN is accounted (and path-shaped) at.
+SYN_BYTES = 40
 
 
 @dataclass
@@ -389,6 +393,35 @@ class Network:
     def tcp_bound(self, address: Address, port: int) -> bool:
         return (address, port) in self._tcp
 
+    def syn_live_values(self, port: int, version: int) -> Optional[frozenset]:
+        """Integer address values whose SYN probe does more than count itself.
+
+        :meth:`syn_probe` evaluates conditions *before* the listener
+        check, so that is every TCP listener on ``port`` plus every host
+        with explicit conditions.  ``None`` when the set cannot be
+        bounded — prefix conditions, or default conditions that are not
+        quiet — because then any address may draw from the network RNG
+        or hold fault/path state.
+        """
+        default = self._default_conditions
+        if (
+            self._prefix_conditions
+            or default.silent
+            or default.loss
+            or default.faults
+            or default.path is not None
+        ):
+            return None
+        values = {
+            address.value
+            for address, bound_port in self._tcp
+            if bound_port == port and address.version == version
+        }
+        values.update(
+            address.value for address in self._conditions if address.version == version
+        )
+        return frozenset(values)
+
     # -- clock -----------------------------------------------------------------
     def advance_to(self, time: float) -> None:
         if time > self.now:
@@ -466,7 +499,7 @@ class Network:
     def syn_probe(self, destination: Address, port: int) -> bool:
         """ZMap-style TCP SYN probe: is the port open?"""
         self.stats.syn_sent += 1
-        self.stats.record_send(40)
+        self.stats.record_send(SYN_BYTES)
         conditions = self.conditions_for(destination)
         if conditions.silent:
             return False
@@ -477,7 +510,7 @@ class Network:
                 self._fault_injected(fault.kind, "syn-drop")
                 return False
         path = self._active_path(destination, conditions)
-        if path is not None and path.admit_segment(self.now, 40, "up") is None:
+        if path is not None and path.admit_segment(self.now, SYN_BYTES, "up") is None:
             self._path_drop("up", "tcp")
             return False
         return (destination, port) in self._tcp

@@ -2,6 +2,8 @@
 
 - :mod:`repro.scanners.permutation` — ZMap's multiplicative-group
   address permutation,
+- :mod:`repro.scanners.sweep` — the integer-space sweep loop both ZMap
+  modules share,
 - :mod:`repro.scanners.zmapquic` — the stateless ZMap QUIC module
   (IPv4 full-space and IPv6 hitlist scans, forced version negotiation),
 - :mod:`repro.scanners.zmaptcp` — TCP SYN scans on :443,

@@ -27,9 +27,9 @@ from repro.netsim.topology import Network
 from repro.observability.metrics import get_metrics
 from repro.quic.packet import PacketDecodeError, decode_version_negotiation
 from repro.quic.versions import force_negotiation_version
-from repro.scanners.permutation import CyclicGroupPermutation
 from repro.scanners.results import ZmapQuicRecord
 from repro.scanners.retry import RetryPolicy
+from repro.scanners.sweep import sweep_live, sweep_permutation
 
 __all__ = ["ZmapQuicScanner", "build_probe"]
 
@@ -57,6 +57,18 @@ def build_probe(
     if len(header) < target_size:
         header += bytes(target_size - len(header))
     return bytes(header)
+
+
+def _vn_record(
+    received: Tuple[Tuple[Address, int], bytes]
+) -> Optional[ZmapQuicRecord]:
+    """The record for a reply, ``None`` unless it is a Version Negotiation."""
+    source, datagram = received
+    try:
+        vn = decode_version_negotiation(datagram)
+    except PacketDecodeError:
+        return None
+    return ZmapQuicRecord(address=source[0], versions=tuple(vn.supported_versions))
 
 
 @dataclass
@@ -91,16 +103,12 @@ class ZmapQuicScanner:
         permutation, so concatenating all shards and sorting by
         position reproduces the serial sweep record-for-record.
         """
-        rng = DeterministicRandom(self.seed)
-        permutation = CyclicGroupPermutation(space.num_addresses, rng.child("perm"))
-        return self._sweep(space, permutation.iter_shard(shard, of), rng)
+        permutation = sweep_permutation(self.seed, space)
+        return self._sweep(space, permutation.iter_shard(shard, of))
 
     def sweep_cycle_length(self, space: Prefix) -> int:
         """Walk positions in this scanner's permutation of ``space``."""
-        rng = DeterministicRandom(self.seed)
-        return CyclicGroupPermutation(
-            space.num_addresses, rng.child("perm")
-        ).cycle_length
+        return sweep_permutation(self.seed, space).cycle_length
 
     def scan_ipv4_range(
         self, space: Prefix, lo: int, hi: int
@@ -113,96 +121,66 @@ class ZmapQuicScanner:
         are still sweeping (see :mod:`repro.parallel.stream`).  Bounds
         index walk positions in ``[0, sweep_cycle_length(space)]``.
         """
-        rng = DeterministicRandom(self.seed)
-        permutation = CyclicGroupPermutation(space.num_addresses, rng.child("perm"))
-        return self._sweep(space, permutation.iter_range(lo, hi), rng)
+        permutation = sweep_permutation(self.seed, space)
+        return self._sweep(space, permutation.iter_range(lo, hi))
 
     def _sweep(
-        self, space: Prefix, walk: Iterable[Tuple[int, int]], rng: DeterministicRandom
+        self, space: Prefix, walk: Iterable[Tuple[int, int]]
     ) -> List[Tuple[int, ZmapQuicRecord]]:
+        rng = DeterministicRandom(self.seed)
         if self.pps is None and not self.retry.enabled:
             return self._sweep_fast(space, walk, rng)
-        targets = (
-            (position, space.address_at(index)) for position, index in walk
+        return self._probe_all(
+            ((position, space.address_at(index)) for position, index in walk), rng
         )
-        return self._probe_all(targets, rng)
 
     def _sweep_fast(
-        self,
-        space: Prefix,
-        walk: Iterable[Tuple[int, int]],
-        rng: DeterministicRandom,
+        self, space: Prefix, walk: Iterable[Tuple[int, int]], rng: DeterministicRandom
     ) -> List[Tuple[int, ZmapQuicRecord]]:
         """Space sweep specialised for the no-pacing, no-retry case.
 
         The simulated network drops datagrams to unbound destinations
         before conditions, loss or faults apply — only the traffic
-        counters move — so the sweep can stay in integer space for the
-        unbound majority and only construct addresses / run full
-        delivery for targets that actually host a UDP endpoint.  Output
-        (records, traffic stats, metrics, clock) is bit-identical to
-        :meth:`_probe_all` over the same walk; a test replays both paths
-        against one world to hold the fast path to that contract.
+        counters move — so full delivery runs only for targets that
+        host a UDP endpoint, or while a reply is still queued.
+        :func:`~repro.scanners.sweep.sweep_live` holds the output to
+        :meth:`_probe_all` over the same walk, bit for bit.
         """
         socket = self.network.client_socket(self.source_address)
         dcid = rng.token(8)
         scid = rng.token(8)
-        probe = build_probe(dcid, scid, padded=self.padded)
-        records: List[Tuple[int, ZmapQuicRecord]] = []
+        packet = build_probe(dcid, scid, padded=self.padded)
         start = self.network.now
         family = space.network.version
-        address_cls = type(space.network)
-        base = space.network.value
-        block_masks = self.blocklist.match_masks(family)
-        bound = self.network.udp_bound_values(self.port, family)
         inbox = socket._inbox
-        probes = blocked = malformed = 0
-        fast_sent = 0
-        saw_target = False
-        for position, index in walk:
-            saw_target = True
-            value = base + index
-            if block_masks and any(
-                value & mask == network for mask, network in block_masks
-            ):
-                blocked += 1
-                continue
-            probes += 1
-            if value not in bound and not inbox:
-                # Unbound and nothing queued: delivery would only count
-                # the datagram as sent and dropped.
-                fast_sent += 1
-                continue
-            target = address_cls(value)
-            socket.send(target, self.port, probe)
+        malformed = 0
+
+        def probe(target: Address) -> Optional[ZmapQuicRecord]:
+            nonlocal malformed
+            socket.send(target, self.port, packet)
             received = socket.receive(self.timeout) if inbox else None
             if received is None:
-                continue
-            source, datagram = received
-            try:
-                vn = decode_version_negotiation(datagram)
-            except PacketDecodeError:
+                return None
+            record = _vn_record(received)
+            if record is None:
                 malformed += 1
-                continue
-            records.append(
-                (
-                    position,
-                    ZmapQuicRecord(
-                        address=source[0], versions=tuple(vn.supported_versions)
-                    ),
-                )
-            )
-        stats = self.network.stats
-        stats.datagrams_sent += fast_sent
-        stats.bytes_sent += fast_sent * len(probe)
+            return record
+
+        records = sweep_live(
+            self.network,
+            self.blocklist,
+            space,
+            walk,
+            self.network.udp_bound_values(self.port, family),
+            probe,
+            probe_bytes=len(packet),
+            metric="zmap.quic",
+            answered="responses",
+            pending=inbox,
+        )
         self.last_scan_duration = self.network.now - start
-        if saw_target:
-            metrics = get_metrics()
-            metrics.counter("zmap.quic.probes", family=family).inc(probes)
-            metrics.counter("zmap.quic.blocked", family=family).inc(blocked)
-            metrics.counter("zmap.quic.responses", family=family).inc(len(records))
-            if malformed:
-                metrics.counter("zmap.quic.malformed", family=family).inc(malformed)
+        if malformed:
+            get_metrics().counter("zmap.quic.malformed", family=family).inc(malformed)
         return records
 
     def scan_targets(self, targets: Iterable[Address]) -> List[ZmapQuicRecord]:
@@ -269,20 +247,11 @@ class ZmapQuicScanner:
                     giveups += 1
             if received is None:
                 continue
-            source, datagram = received
-            try:
-                vn = decode_version_negotiation(datagram)
-            except PacketDecodeError:
+            record = _vn_record(received)
+            if record is None:
                 malformed += 1
                 continue
-            records.append(
-                (
-                    position,
-                    ZmapQuicRecord(
-                        address=source[0], versions=tuple(vn.supported_versions)
-                    ),
-                )
-            )
+            records.append((position, record))
         self.last_scan_duration = self.network.now - start
         if family is not None:
             metrics = get_metrics()

@@ -3,16 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.netsim.addresses import Address, Prefix
 from repro.netsim.blocklist import Blocklist
-from repro.netsim.topology import Network
+from repro.netsim.topology import SYN_BYTES, Network
 from repro.observability.metrics import get_metrics
 from repro.crypto.rand import DeterministicRandom
-from repro.scanners.permutation import CyclicGroupPermutation
 from repro.scanners.results import SynRecord
 from repro.scanners.retry import RetryPolicy
+from repro.scanners.sweep import sweep_live, sweep_permutation
 
 __all__ = ["ZmapTcpScanner"]
 
@@ -35,19 +35,12 @@ class ZmapTcpScanner:
         self, space: Prefix, shard: int, of: int
     ) -> List[Tuple[int, SynRecord]]:
         """Sweep one permutation shard; returns (position, record) pairs."""
-        rng = DeterministicRandom(self.seed)
-        permutation = CyclicGroupPermutation(space.num_addresses, rng.child("perm"))
-        return self._probe_all(
-            (position, space.address_at(index))
-            for position, index in permutation.iter_shard(shard, of)
-        )
+        permutation = sweep_permutation(self.seed, space)
+        return self._sweep(space, permutation.iter_shard(shard, of))
 
     def sweep_cycle_length(self, space: Prefix) -> int:
         """Walk positions in this scanner's permutation of ``space``."""
-        rng = DeterministicRandom(self.seed)
-        return CyclicGroupPermutation(
-            space.num_addresses, rng.child("perm")
-        ).cycle_length
+        return sweep_permutation(self.seed, space).cycle_length
 
     def scan_ipv4_range(
         self, space: Prefix, lo: int, hi: int
@@ -58,11 +51,42 @@ class ZmapTcpScanner:
         streaming engine's sweep partition (see
         :mod:`repro.parallel.stream`).
         """
-        rng = DeterministicRandom(self.seed)
-        permutation = CyclicGroupPermutation(space.num_addresses, rng.child("perm"))
-        return self._probe_all(
-            (position, space.address_at(index))
-            for position, index in permutation.iter_range(lo, hi)
+        permutation = sweep_permutation(self.seed, space)
+        return self._sweep(space, permutation.iter_range(lo, hi))
+
+    def _sweep(
+        self, space: Prefix, walk: Iterable[Tuple[int, int]]
+    ) -> List[Tuple[int, SynRecord]]:
+        """Sweep in integer space when that is exact, else per target.
+
+        A SYN to a host that neither listens nor carries explicit
+        conditions only moves the sent counters — unless a retry would
+        re-probe it, or the network cannot bound that set.  Then every
+        target takes :meth:`_probe_all`, to which
+        :func:`~repro.scanners.sweep.sweep_live` is bit-identical.
+        """
+        live = self.network.syn_live_values(self.port, space.network.version)
+        if live is None or self.retry.enabled:
+            return self._probe_all(
+                (position, space.address_at(index)) for position, index in walk
+            )
+
+        def probe(target: Address) -> Optional[SynRecord]:
+            if self.network.syn_probe(target, self.port):
+                return SynRecord(address=target, port=self.port, open=True)
+            return None
+
+        return sweep_live(
+            self.network,
+            self.blocklist,
+            space,
+            walk,
+            live,
+            probe,
+            probe_bytes=SYN_BYTES,
+            syn=True,
+            metric="zmap.tcp",
+            answered="open",
         )
 
     def scan_targets(self, targets: Iterable[Address]) -> List[SynRecord]:

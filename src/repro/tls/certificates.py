@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 from repro.crypto.rand import DeterministicRandom
-from repro.crypto.rsa import RsaPrivateKey, RsaPublicKey, SignatureError, generate_rsa_key
+from repro.crypto.rsa import RsaPrivateKey, RsaPublicKey, SignatureError, derived_rsa_key
 
 __all__ = [
     "Certificate",
@@ -150,9 +150,8 @@ class CertificateAuthority:
     """A root CA that issues leaf certificates for the simulated PKI."""
 
     def __init__(self, name: str = "Repro Root CA", seed: str = "root-ca", key_bits: int = 1024):
-        rng = DeterministicRandom(seed)
-        self.key = generate_rsa_key(key_bits, rng)
-        self._serials = rng.child("serials")
+        self.key = derived_rsa_key(key_bits, seed)
+        self._serials = DeterministicRandom(seed).child("serials")
         root = Certificate(
             subject=name,
             issuer=name,
@@ -179,7 +178,7 @@ class CertificateAuthority:
     ) -> Tuple[Certificate, RsaPrivateKey]:
         """Issue a leaf certificate; generates a key if none is given."""
         if key is None:
-            key = generate_rsa_key(key_bits, DeterministicRandom(key_seed or f"leaf:{subject}"))
+            key = derived_rsa_key(key_bits, key_seed or f"leaf:{subject}")
         cert = Certificate(
             subject=subject,
             issuer=self.root.subject,
@@ -201,7 +200,7 @@ def make_self_signed(
     seed: Optional[str] = None,
 ) -> Tuple[Certificate, RsaPrivateKey]:
     """A self-signed certificate (Google's no-SNI error cert on TCP)."""
-    key = generate_rsa_key(key_bits, DeterministicRandom(seed or f"selfsigned:{subject}"))
+    key = derived_rsa_key(key_bits, seed or f"selfsigned:{subject}")
     cert = Certificate(
         subject=subject,
         issuer=subject,

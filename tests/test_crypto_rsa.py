@@ -4,7 +4,7 @@ import pytest
 
 from repro.crypto.primes import generate_prime, is_probable_prime
 from repro.crypto.rand import DeterministicRandom
-from repro.crypto.rsa import SignatureError, generate_rsa_key
+from repro.crypto.rsa import SignatureError, derived_rsa_key, generate_rsa_key
 
 
 def test_small_primes_recognised():
@@ -63,3 +63,61 @@ def test_rsa_deterministic_from_seed():
     key_a = generate_rsa_key(512, DeterministicRandom("same-seed"))
     key_b = generate_rsa_key(512, DeterministicRandom("same-seed"))
     assert key_a.n == key_b.n
+
+
+# -- key generation cost and derived keys ------------------------------------------
+
+
+@pytest.mark.parametrize("bits", [512, 768, 1024])
+def test_rsa_key_takes_exactly_two_primes(bits, monkeypatch):
+    """No pair is discarded for its size: one key, two primes."""
+    from repro.crypto import rsa
+
+    calls = []
+
+    def counting_generate_prime(prime_bits, rng):
+        calls.append(prime_bits)
+        return generate_prime(prime_bits, rng)
+
+    monkeypatch.setattr(rsa, "generate_prime", counting_generate_prime)
+    for seed in range(4):
+        calls.clear()
+        key = generate_rsa_key(bits, DeterministicRandom(("two-primes", bits, seed)))
+        assert key.n.bit_length() == bits
+        assert calls == [bits // 2, bits - bits // 2]
+
+
+def test_generated_primes_pass_the_full_test(monkeypatch):
+    """The sieve only pre-filters: every result passed 24 MR rounds."""
+    import inspect
+
+    from repro.crypto import primes
+
+    assert inspect.signature(is_probable_prime).parameters["rounds"].default == 24
+    verdicts = []
+
+    def recording_test(n, *args, **kwargs):
+        assert not args and "rounds" not in kwargs, "round count overridden"
+        verdict = is_probable_prime(n, **kwargs)
+        verdicts.append((n, verdict))
+        return verdict
+
+    monkeypatch.setattr(primes, "is_probable_prime", recording_test)
+    rng = DeterministicRandom("sieved-primes")
+    for bits in (8, 16, 64, 256, 512):
+        for _ in range(3):
+            p = generate_prime(bits, rng)
+            assert verdicts[-1] == (p, True)
+            assert p >> (bits - 2) == 3, "top two bits must be set"
+            assert is_probable_prime(p, rounds=24, rng=DeterministicRandom(p))
+    # The gcd sieve kept every small-factor candidate away from MR.
+    for n, _ in verdicts:
+        assert all(n % q for q in (3, 5, 7, 11, 13, 229))
+
+
+def test_derived_key_is_one_object_per_label():
+    key = derived_rsa_key(512, "derived-key-test")
+    assert derived_rsa_key(512, "derived-key-test") is key
+    assert key == generate_rsa_key(512, DeterministicRandom("derived-key-test"))
+    assert derived_rsa_key(512, "derived-key-test-2").n != key.n
+    assert derived_rsa_key(768, "derived-key-test").n != key.n

@@ -190,3 +190,108 @@ def test_dead_pool_has_tcp_but_no_udp(tiny_world):
     for deployment in dead[:5]:
         assert tiny_world.network.tcp_bound(deployment.address, 443)
         assert not tiny_world.network.udp_bound(deployment.address, 443)
+
+
+# -- PKI keys and served certificates --------------------------------------------
+
+
+def _served_certificates(world):
+    """address -> hex encodings of what TCP :443 serves with and without SNI."""
+    from repro.tls.alerts import AlertError
+
+    served = {}
+    for deployment in world.deployments:
+        select = world.network._tcp[(deployment.address, 443)]._config.tls.select_certificate
+        chains = [select("probe.example")[0]]
+        try:
+            chains.append(select(None)[0])
+        except AlertError:
+            pass
+        served[str(deployment.address)] = [
+            cert.encode().hex() for chain in chains for cert in chain
+        ]
+    return served
+
+
+def _world_digest(world):
+    from repro.longitudinal import world_signature
+
+    return {
+        "signature": world_signature(world, world.week),
+        "served": _served_certificates(world),
+    }
+
+
+def test_no_sni_self_signed_pair_is_per_group(tiny_world):
+    """Regression: every group used to serve the *last* group's pair."""
+    from repro.server.profiles import PROFILES
+    from repro.tls.certificates import make_self_signed
+
+    seen = {}
+    for deployment in tiny_world.deployments:
+        group = next(g for g in GROUPS if g.key == deployment.group)
+        if not PROFILES[group.profile].tcp_no_sni_self_signed:
+            continue
+        listener = tiny_world.network._tcp[(deployment.address, 443)]
+        chain, key = listener._config.tls.select_certificate(None)
+        expected_cert, expected_key = make_self_signed(
+            "invalid2.invalid (missing SNI)", seed=f"selfsigned-{group.key}"
+        )
+        assert chain == [expected_cert]
+        assert key == expected_key
+        seen[group.key] = key.n
+    assert len(seen) >= 2, "need two self-signed groups to tell them apart"
+    assert len(set(seen.values())) == len(seen)
+
+
+def test_world_is_the_same_warm_and_cold():
+    """Memoised keys change nothing: warm build == cold build, bytes and all."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    from repro.crypto.rsa import derived_rsa_key
+    from tests.conftest import TINY_SCALE
+
+    first = _world_digest(build_world(week=17, scale=TINY_SCALE, seed=3))
+    hits = derived_rsa_key.cache_info().hits
+    second = _world_digest(build_world(week=17, scale=TINY_SCALE, seed=3))
+    assert derived_rsa_key.cache_info().hits > hits, "second build missed the memo"
+    assert first == second
+
+    script = (
+        "import json, sys\n"
+        "from repro.internet.generator import build_world\n"
+        "from tests.conftest import TINY_SCALE\n"
+        "from tests.test_internet import _world_digest\n"
+        "world = build_world(week=17, scale=TINY_SCALE, seed=3)\n"
+        "json.dump(_world_digest(world), sys.stdout)\n"
+    )
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(root, "src"), root, env.get("PYTHONPATH", "")]
+    )
+    cold = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert json.loads(cold.stdout) == first
+
+
+def test_ca_key_follows_world_seed_and_memo_stays_bounded():
+    from repro.crypto.rsa import derived_rsa_key
+    from tests.conftest import TINY_SCALE
+
+    worlds = [build_world(week=18, scale=TINY_SCALE, seed=seed) for seed in (1, 2)]
+    assert worlds[0].ca.key.n != worlds[1].ca.key.n
+    assert worlds[0].ca.key is derived_rsa_key(1024, "ca-1")
+    info = derived_rsa_key.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+    # One W20k world needs well under the bound, so a series of weeks
+    # never evicts what the next week reuses.
+    labels = {f"key-{group.key}" for group in GROUPS} | {
+        f"selfsigned-{group.key}" for group in GROUPS
+    }
+    assert len(labels) + 1 <= info.maxsize // 2

@@ -28,10 +28,13 @@ from repro.experiments.campaign import (
 from repro.experiments import stage_cache
 from repro.experiments.stage_cache import CampaignStageCache
 from repro.internet.providers import Scale
-from repro.observability.metrics import MetricsRegistry
+from repro.netsim.addresses import Prefix
+from repro.netsim.topology import NetworkConditions
+from repro.observability.metrics import MetricsRegistry, use_metrics
 from repro.observability.report import render_metrics_json
 from repro.parallel import ScanEngine, engine as engine_module
 from repro.scanners.permutation import CyclicGroupPermutation
+from repro.scanners.retry import RetryPolicy
 
 from tests.conftest import TINY_SCALE
 
@@ -212,41 +215,159 @@ def test_bad_repro_workers_value_warns(monkeypatch, capsys):
     assert "REPRO_WORKERS" in err and "three" in err
 
 
-def test_fast_sweep_matches_slow_probe_path():
-    """The specialised sweep is bit-identical to the generic probe loop.
+def _prefix_conditions(world):
+    world.network.set_prefix_conditions(
+        Prefix.parse("100.64.0.0/16"), NetworkConditions(loss=0.3)
+    )
+
+
+def _lossy_default(world):
+    world.network._default_conditions = NetworkConditions(loss=0.3)
+
+
+def _lossy_unbound_hosts(world):
+    """Explicit conditions on hosts nobody listens on: no record can
+    come of them, but each probe still draws from the network RNG."""
+    for address in Prefix.parse("100.67.128.0/26").hosts():
+        assert not world.network.tcp_bound(address, 443)
+        world.network.set_conditions(address, NetworkConditions(loss=0.5))
+
+
+# name -> (config overrides, world mutation, can the SYN sweep stay in
+# integer space?)
+_SWEEP_WORLDS = {
+    "baseline": ({}, None, True),
+    "conditioned-unbound": ({}, _lossy_unbound_hosts, True),
+    "fault-profile": ({"fault_profile": "flaky-edge"}, None, True),
+    "path-profile": ({"path_profile": "lossy-edge"}, None, True),
+    "prefix-conditions": ({}, _prefix_conditions, False),
+    "lossy-default": ({}, _lossy_default, False),
+    "retry": ({"retry": RetryPolicy(attempts=2)}, None, False),
+}
+
+# name -> (the walk over a bare permutation, the same walk through the
+# scanner's public entry point)
+_SWEEP_WALKS = {
+    "full": (
+        lambda permutation: permutation.iter_shard(0, 1),
+        lambda scanner, space: scanner.scan_ipv4_space_shard(space, 0, 1),
+    ),
+    "shard": (
+        lambda permutation: permutation.iter_shard(1, 3),
+        lambda scanner, space: scanner.scan_ipv4_space_shard(space, 1, 3),
+    ),
+    "range": (
+        lambda permutation: permutation.iter_range(
+            permutation.cycle_length // 3, permutation.cycle_length // 2
+        ),
+        lambda scanner, space: scanner.scan_ipv4_range(
+            space,
+            scanner.sweep_cycle_length(space) // 3,
+            scanner.sweep_cycle_length(space) // 2,
+        ),
+    ),
+}
+
+
+def _observe_sweep(campaign, sweep):
+    """Run ``sweep`` and return everything a sweep may legitimately move."""
+    network = campaign.world.network
+    before = dataclasses.asdict(network.stats)
+    with use_metrics(MetricsRegistry()) as registry:
+        records = sweep()
+    after = dataclasses.asdict(network.stats)
+    return {
+        "records": records,
+        "stats": {name: after[name] - before[name] for name in after},
+        "metrics": registry.snapshot(),
+        "now": network.now,
+        "next_draw": network._rng.random(),
+    }
+
+
+@pytest.mark.parametrize(
+    "module,world_kind,walk",
+    [
+        (module, world_kind, walk)
+        for module in ("quic", "tcp")
+        for world_kind in sorted(_SWEEP_WORLDS)
+        for walk in sorted(_SWEEP_WALKS)
+        # Retries re-probe the silent majority with a derived rng each:
+        # one walk is enough to show the wholesale fallback.
+        if world_kind != "retry" or walk == "range"
+    ],
+)
+def test_fast_sweep_matches_slow_probe_path(module, world_kind, walk):
+    """The integer-space sweep is bit-identical to the generic probe loop.
 
     Two campaigns over the same configuration: one sweeps the IPv4
-    space through the routed fast path, the other replays the generic
-    paced/retry loop over the identical permutation walk.  Records and
-    traffic-counter deltas must match exactly.
+    space through the public entry points (which route to the shared
+    fast walk when it is exact), the other replays the generic
+    per-target loop over the identical permutation walk.  Records,
+    traffic-counter deltas, metrics, the virtual clock and the network
+    RNG's next draw must match exactly — under fault and path profiles
+    (conditioned hosts take the full path) and under conditions the
+    SYN sweep cannot bound (it must fall back wholesale).
     """
-    config = CampaignConfig(week=18, scale=TINY_SCALE, seed=7)
-    fast_campaign = Campaign(config)
-    slow_campaign = Campaign(config)
-    fast_scanner = fast_campaign._zmap_scanner(4)
-    slow_scanner = slow_campaign._zmap_scanner(4)
-    assert fast_scanner.pps is None and not fast_scanner.retry.enabled
-
+    overrides, mutate, syn_fast = _SWEEP_WORLDS[world_kind]
+    config = CampaignConfig(week=18, scale=TINY_SCALE, seed=7, **overrides)
+    fast_campaign, slow_campaign = Campaign(config), Campaign(config)
+    for campaign in (fast_campaign, slow_campaign):
+        if mutate is not None:
+            mutate(campaign.world)
+    make = Campaign._zmap_scanner if module == "quic" else Campaign._syn_scanner
+    fast_scanner, slow_scanner = make(fast_campaign, 4), make(slow_campaign, 4)
     space = fast_campaign.world.ipv4_space
-    fast_before = dataclasses.astuple(fast_campaign.world.network.stats)
-    fast_records = fast_scanner.scan_ipv4_space_shard(space, 0, 1)
-    fast_after = dataclasses.astuple(fast_campaign.world.network.stats)
 
-    slow_space = slow_campaign.world.ipv4_space
+    syn_probes = []
+    if module == "tcp":
+        network = fast_campaign.world.network
+        assert (network.syn_live_values(443, 4) is not None) == (
+            syn_fast or world_kind == "retry"
+        )
+        real_syn_probe = network.syn_probe
+        network.syn_probe = lambda *args: (
+            syn_probes.append(args),
+            real_syn_probe(*args),
+        )[1]
+
+    bare_walk, scanner_walk = _SWEEP_WALKS[walk]
+    fast = _observe_sweep(fast_campaign, lambda: scanner_walk(fast_scanner, space))
+
     rng = DeterministicRandom(slow_scanner.seed)
-    permutation = CyclicGroupPermutation(slow_space.num_addresses, rng.child("perm"))
+    permutation = CyclicGroupPermutation(space.num_addresses, rng.child("perm"))
     targets = (
-        (position, slow_space.address_at(index))
-        for position, index in permutation.iter_shard(0, 1)
+        (position, space.address_at(index))
+        for position, index in bare_walk(permutation)
     )
-    slow_before = dataclasses.astuple(slow_campaign.world.network.stats)
-    slow_records = slow_scanner._probe_all(targets, rng)
-    slow_after = dataclasses.astuple(slow_campaign.world.network.stats)
+    slow = _observe_sweep(
+        slow_campaign,
+        lambda: slow_scanner._probe_all(targets, rng)
+        if module == "quic"
+        else slow_scanner._probe_all(targets),
+    )
 
-    assert fast_records == slow_records
-    fast_delta = [a - b for a, b in zip(fast_after, fast_before)]
-    slow_delta = [a - b for a, b in zip(slow_after, slow_before)]
-    assert fast_delta == slow_delta
+    assert fast == slow
+    assert fast["records"], "vacuous walk: nothing answered"
+    prefix = "zmap.quic" if module == "quic" else "zmap.tcp"
+    counters = fast["metrics"]["counters"]
+    probes = counters[f"{prefix}.probes{{family=4}}"]
+    assert probes > 10_000
+    if module == "tcp":
+        # Off the fast path every probe is a syn_probe call; on it only
+        # listeners and explicitly conditioned hosts are.
+        if syn_fast:
+            assert 0 < len(syn_probes) < 1_000
+        else:
+            assert len(syn_probes) == probes
+        if world_kind == "fault-profile" and walk == "full":
+            assert fast["stats"]["faults_injected"] > 0
+            assert any(key.startswith("faults.injected") for key in counters)
+    elif world_kind == "path-profile" and walk == "full":
+        # Path loss hits datagrams, not SYNs, so only the QUIC sweep
+        # can show shaped hosts were not skipped.
+        assert fast["stats"]["path_drops"] > 0
+        assert any(key.startswith("path.dropped") for key in counters)
 
 
 # -- stage cache --------------------------------------------------------------
