@@ -15,7 +15,11 @@ from repro.dns.records import AaaaRecord, ARecord, HttpsRecord, SvcbRecord
 from repro.dns.zones import ZoneStore
 from repro.netsim.addresses import IPv4Address, IPv6Address
 
-__all__ = ["Resolver", "ResolutionResult"]
+__all__ = ["Resolver", "ResolutionResult", "ResolverError"]
+
+
+class ResolverError(Exception):
+    """A resolution attempt failed (timeout, SERVFAIL): worth a retry."""
 
 
 @dataclass
@@ -59,7 +63,7 @@ class Resolver:
         for _hop in range(self._max_alias_depth + 1):
             records = [
                 HttpsRecord.decode_rdata(record.name, record.encode_rdata())
-                for record in self._zones.lookup_https(current)
+                for record in self._zones.lookup(current)[2]
             ]
             aliases = [record for record in records if record.is_alias]
             if not aliases:
@@ -72,21 +76,28 @@ class Resolver:
         self, domain: str, record_types: Sequence[str] = ("A", "AAAA", "HTTPS", "SVCB")
     ) -> ResolutionResult:
         result = ResolutionResult(domain=domain)
+        # Most listed names hold nothing: answers are copied, and the
+        # HTTPS/SVCB wire round-trips entered, only where records exist.
+        a, aaaa, https, svcb = self._zones.lookup(domain)
         for record_type in record_types:
             self.queries += 1
             if record_type == "A":
-                result.a = self._zones.lookup_a(domain)
+                if a:
+                    result.a = list(a)
             elif record_type == "AAAA":
-                result.aaaa = self._zones.lookup_aaaa(domain)
+                if aaaa:
+                    result.aaaa = list(aaaa)
             elif record_type == "HTTPS":
                 # Round-trip through the wire format, as a real scanner
                 # parses RDATA off the wire; follow AliasMode chains.
-                result.https = self._resolve_https_chain(domain)
+                if https:
+                    result.https = self._resolve_https_chain(domain)
             elif record_type == "SVCB":
-                result.svcb = [
-                    SvcbRecord.decode_rdata(record.name, record.encode_rdata())
-                    for record in self._zones.lookup_svcb(domain)
-                ]
+                if svcb:
+                    result.svcb = [
+                        SvcbRecord.decode_rdata(record.name, record.encode_rdata())
+                        for record in svcb
+                    ]
             else:
                 raise ValueError(f"unsupported record type {record_type}")
         return result

@@ -9,11 +9,15 @@ ALPN values and address hints.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from repro.dns.records import AaaaRecord, ARecord, HttpsRecord, SvcbRecord
 
 __all__ = ["ZoneStore"]
+
+RecordSets = Tuple[
+    Sequence[ARecord], Sequence[AaaaRecord], Sequence[HttpsRecord], Sequence[SvcbRecord]
+]
 
 
 class ZoneStore:
@@ -41,17 +45,32 @@ class ZoneStore:
     def add_svcb(self, record: SvcbRecord) -> None:
         self._svcb[self._key(record.name)].append(record)
 
+    def lookup(self, name: str) -> RecordSets:
+        """The ``(a, aaaa, https, svcb)`` sequences stored for ``name``.
+
+        One key normalisation for all four types, nothing copied — most
+        listed names hold nothing.  The sequences are the store's own:
+        read them, copy before keeping or changing one.
+        """
+        key = self._key(name)
+        return (
+            self._a.get(key, ()),
+            self._aaaa.get(key, ()),
+            self._https.get(key, ()),
+            self._svcb.get(key, ()),
+        )
+
     def lookup_a(self, name: str) -> List[ARecord]:
-        return list(self._a.get(self._key(name), ()))
+        return list(self.lookup(name)[0])
 
     def lookup_aaaa(self, name: str) -> List[AaaaRecord]:
-        return list(self._aaaa.get(self._key(name), ()))
+        return list(self.lookup(name)[1])
 
     def lookup_https(self, name: str) -> List[HttpsRecord]:
-        return list(self._https.get(self._key(name), ()))
+        return list(self.lookup(name)[2])
 
     def lookup_svcb(self, name: str) -> List[SvcbRecord]:
-        return list(self._svcb.get(self._key(name), ()))
+        return list(self.lookup(name)[3])
 
     def domains(self) -> List[str]:
         names = set(self._a) | set(self._aaaa) | set(self._https) | set(self._svcb)

@@ -8,11 +8,13 @@ reaches a blocked address.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from repro.netsim.addresses import Address, Prefix
 
 __all__ = ["Blocklist"]
+
+MaskGroups = Tuple[Tuple[int, FrozenSet[int]], ...]
 
 
 class Blocklist:
@@ -20,35 +22,38 @@ class Blocklist:
 
     def __init__(self, prefixes: Iterable[Prefix] = ()):
         self._prefixes: List[Prefix] = list(prefixes)
-        self._masks: Dict[int, Tuple[Tuple[int, int], ...]] = {}
+        self._groups: Dict[int, MaskGroups] = {}
 
     def add(self, prefix: Prefix) -> None:
         self._prefixes.append(prefix)
-        self._masks.clear()
+        self._groups.clear()
 
-    def match_masks(self, version: int) -> Tuple[Tuple[int, int], ...]:
-        """Per-family ``(net_mask, network_value)`` pairs for fast checks.
+    def mask_groups(self, version: int) -> MaskGroups:
+        """Per-family ``(net_mask, networks)``, one per distinct length.
 
-        Membership reduces to ``value & mask == network``; the pairs are
-        cached because sweep loops consult the blocklist once per probed
-        address and ``Prefix.net_mask`` recomputes masks on every call.
+        Membership reduces to ``value & mask in networks`` for any
+        group, so a test costs one ``&`` and one set lookup per prefix
+        *length*, however many prefixes are listed.  Cached because
+        sweep loops consult the blocklist once per probed address.
         """
-        cached = self._masks.get(version)
+        cached = self._groups.get(version)
         if cached is None:
+            by_mask: Dict[int, Set[int]] = {}
+            for prefix in self._prefixes:
+                if prefix.network.version == version:
+                    by_mask.setdefault(prefix.net_mask(), set()).add(prefix.network.value)
             cached = tuple(
-                (prefix.net_mask(), prefix.network.value)
-                for prefix in self._prefixes
-                if prefix.network.version == version
+                (mask, frozenset(networks)) for mask, networks in by_mask.items()
             )
-            self._masks[version] = cached
+            self._groups[version] = cached
         return cached
 
     def is_blocked(self, address: Address) -> bool:
         value = address.value
-        return any(
-            value & mask == network
-            for mask, network in self.match_masks(address.version)
-        )
+        for mask, networks in self.mask_groups(address.version):
+            if value & mask in networks:
+                return True
+        return False
 
     def __len__(self) -> int:
         return len(self._prefixes)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.dns.resolver import Resolver
+from repro.dns.resolver import ResolutionResult, Resolver, ResolverError
 from repro.observability.metrics import get_metrics
 from repro.scanners.results import DnsScanRecord
 from repro.scanners.retry import RetryPolicy
@@ -25,14 +25,17 @@ class DnsScanner:
     # Resolver-failure retry policy (default: no retries).
     retry: RetryPolicy = field(default_factory=RetryPolicy)
 
-    def _resolve(self, domain: str, record_types) -> Optional[object]:
-        """Resolve with retries; None when every attempt failed."""
-        metrics = get_metrics()
+    def _resolve(self, domain: str, record_types, metrics) -> Optional[ResolutionResult]:
+        """Resolve with retries; None when every attempt failed.
+
+        Only :class:`ResolverError` is a failed attempt; anything else
+        (an unsupported record type, a bug) propagates.
+        """
         attempt = 1
         while True:
             try:
                 return self.resolver.resolve(domain, record_types)
-            except Exception:
+            except ResolverError:
                 if not (self.retry.enabled and attempt < self.retry.attempts):
                     metrics.counter("dns.giveups").inc()
                     return None
@@ -40,16 +43,16 @@ class DnsScanner:
                 metrics.counter("dns.retries").inc()
 
     def scan_list(self, list_name: str, domains: Iterable[str]) -> List[DnsScanRecord]:
+        metrics = get_metrics()
         records: List[DnsScanRecord] = []
         with_a = with_aaaa = with_https = 0
         for domain in domains:
-            result = self._resolve(domain, ("A", "AAAA", "HTTPS", "SVCB"))
-            if result is None:
-                # Degraded record: the domain stays in the output with
-                # no resolutions (downstream joins simply skip it).
-                records.append(
-                    DnsScanRecord(domain=domain, source_list=list_name)
-                )
+            result = self._resolve(domain, ("A", "AAAA", "HTTPS", "SVCB"), metrics)
+            if result is None or not (result.a or result.aaaa or result.https):
+                # Nothing resolved, or (degraded) every attempt failed:
+                # the domain stays in the output with no resolutions
+                # (downstream joins simply skip it).
+                records.append(DnsScanRecord(domain, list_name))
                 continue
             alpn: List[str] = []
             v4hints = []
@@ -73,7 +76,6 @@ class DnsScanner:
             with_a += bool(result.ipv4_addresses)
             with_aaaa += bool(result.ipv6_addresses)
             with_https += bool(result.has_https_rr)
-        metrics = get_metrics()
         metrics.counter("dns.domains_resolved", list=list_name).inc(len(records))
         metrics.counter("dns.with_a", list=list_name).inc(with_a)
         metrics.counter("dns.with_aaaa", list=list_name).inc(with_aaaa)

@@ -76,31 +76,30 @@ def sweep_live(
     family = space.network.version
     address_cls = type(space.network)
     base = space.network.value
-    block_masks = blocklist.match_masks(family)
+    groups = blocklist.mask_groups(family)
     records: List[Tuple[int, Record]] = []
-    probes = blocked = skipped = 0
-    saw_target = False
+    visited = blocked = probed = 0
     for position, index in walk:
-        saw_target = True
+        visited += 1
         value = base + index
-        if block_masks and any(
-            value & mask == prefix for mask, prefix in block_masks
-        ):
-            blocked += 1
-            continue
-        probes += 1
-        if value not in live and not pending:
-            skipped += 1
-            continue
-        record = probe(address_cls(value))
-        if record is not None:
-            records.append((position, record))
+        for mask, networks in groups:
+            if value & mask in networks:
+                blocked += 1
+                break
+        else:
+            if value in live or pending:
+                probed += 1
+                record = probe(address_cls(value))
+                if record is not None:
+                    records.append((position, record))
+    probes = visited - blocked
+    skipped = probes - probed  # sent, never delivered: counters only
     stats = network.stats
     stats.datagrams_sent += skipped
     stats.bytes_sent += skipped * probe_bytes
     if syn:
         stats.syn_sent += skipped
-    if saw_target:
+    if visited:
         metrics = get_metrics()
         metrics.counter(f"{metric}.probes", family=family).inc(probes)
         metrics.counter(f"{metric}.blocked", family=family).inc(blocked)

@@ -87,6 +87,35 @@ def _family(address) -> int:
     return address.version
 
 
+class _AddressText(dict):
+    """Per-load ``address -> str(address)`` memo.
+
+    A campaign stages tens of thousands of address cells over a few
+    hundred distinct addresses, and each ``str`` goes through
+    :mod:`ipaddress`.  Built inside :func:`load_campaign`, dropped on
+    return.
+    """
+
+    def __missing__(self, address) -> str:
+        text = self[address] = str(address)
+        return text
+
+
+_NO_DNS_LISTS = ("[]",) * 5
+
+
+def _address_list(addresses: Sequence, text: _AddressText) -> str:
+    """``json.dumps([str(a) for a in addresses])`` without the encoder.
+
+    Address text is digits, hex, ``.`` and ``:`` — nothing JSON
+    escapes.  Server-controlled strings (ALPN tokens, extension names,
+    headers) are never written this way; they stay on ``json.dumps``.
+    """
+    if not addresses:
+        return "[]"
+    return '["' + '", "'.join([text[a] for a in addresses]) + '"]'
+
+
 def _extensions_set(extensions: Sequence[str]) -> str:
     return json.dumps(sorted(set(extensions)))
 
@@ -97,9 +126,14 @@ def _fingerprint_json(fingerprint) -> object:
     return json.dumps([[name, value] for name, value in fingerprint])
 
 
-def _dns_rows(campaign: Campaign, campaign_id: str) -> List[Tuple]:
+def _dns_rows(campaign: Campaign, campaign_id: str, text: _AddressText) -> List[Tuple]:
     rows = []
     for position, record in enumerate(campaign.all_dns_records):
+        answers = (record.a, record.aaaa, record.https_ipv4hints, record.https_ipv6hints)
+        lists = _NO_DNS_LISTS  # most listed names resolved to nothing
+        if record.https_alpn or any(answers):
+            a, aaaa, v4hints, v6hints = (_address_list(found, text) for found in answers)
+            lists = (a, aaaa, json.dumps(list(record.https_alpn)), v4hints, v6hints)
         rows.append(
             (
                 campaign_id,
@@ -107,18 +141,14 @@ def _dns_rows(campaign: Campaign, campaign_id: str) -> List[Tuple]:
                 position,
                 record.domain,
                 record.source_list,
-                json.dumps([str(a) for a in record.a]),
-                json.dumps([str(a) for a in record.aaaa]),
-                json.dumps(list(record.https_alpn)),
-                json.dumps([str(a) for a in record.https_ipv4hints]),
-                json.dumps([str(a) for a in record.https_ipv6hints]),
+                *lists,
                 int(record.has_https_rr),
             )
         )
     return rows
 
 
-def _dns_address_rows(campaign: Campaign, campaign_id: str) -> List[Tuple]:
+def _dns_address_rows(campaign: Campaign, campaign_id: str, text: _AddressText) -> List[Tuple]:
     """The deduplicated (domain, address) pairs, in first-seen order.
 
     Walks the records exactly like
@@ -136,13 +166,13 @@ def _dns_address_rows(campaign: Campaign, campaign_id: str) -> List[Tuple]:
                     continue
                 seen.add(key)
                 rows.append(
-                    (campaign_id, position, record.domain, str(address), _family(address))
+                    (campaign_id, position, record.domain, text[address], _family(address))
                 )
                 position += 1
     return rows
 
 
-def _https_hint_rows(campaign: Campaign, campaign_id: str) -> List[Tuple]:
+def _https_hint_rows(campaign: Campaign, campaign_id: str, text: _AddressText) -> List[Tuple]:
     rows = []
     position = 0
     for record in campaign.all_dns_records:
@@ -151,13 +181,13 @@ def _https_hint_rows(campaign: Campaign, campaign_id: str) -> List[Tuple]:
         for hints in (record.https_ipv4hints, record.https_ipv6hints):
             for address in hints:
                 rows.append(
-                    (campaign_id, position, record.domain, str(address), _family(address))
+                    (campaign_id, position, record.domain, text[address], _family(address))
                 )
                 position += 1
     return rows
 
 
-def _zmap_rows(campaign: Campaign, campaign_id: str) -> List[Tuple]:
+def _zmap_rows(campaign: Campaign, campaign_id: str, text: _AddressText) -> List[Tuple]:
     rows = []
     for stage in _ZMAP_STAGES:
         for position, record in enumerate(getattr(campaign, stage)):
@@ -166,7 +196,7 @@ def _zmap_rows(campaign: Campaign, campaign_id: str) -> List[Tuple]:
                     campaign_id,
                     stage,
                     position,
-                    str(record.address),
+                    text[record.address],
                     _family(record.address),
                     json.dumps([f"0x{v:08x}" for v in record.versions]),
                     int(bool(set(record.versions) & QSCANNER_SUPPORTED)),
@@ -175,7 +205,7 @@ def _zmap_rows(campaign: Campaign, campaign_id: str) -> List[Tuple]:
     return rows
 
 
-def _syn_rows(campaign: Campaign, campaign_id: str) -> List[Tuple]:
+def _syn_rows(campaign: Campaign, campaign_id: str, text: _AddressText) -> List[Tuple]:
     rows = []
     for stage in _SYN_STAGES:
         for position, record in enumerate(getattr(campaign, stage)):
@@ -184,7 +214,7 @@ def _syn_rows(campaign: Campaign, campaign_id: str) -> List[Tuple]:
                     campaign_id,
                     stage,
                     position,
-                    str(record.address),
+                    text[record.address],
                     _family(record.address),
                     record.port,
                     int(record.open),
@@ -193,7 +223,7 @@ def _syn_rows(campaign: Campaign, campaign_id: str) -> List[Tuple]:
     return rows
 
 
-def _goscanner_rows(campaign: Campaign, campaign_id: str) -> List[Tuple]:
+def _goscanner_rows(campaign: Campaign, campaign_id: str, text: _AddressText) -> List[Tuple]:
     from repro.experiments.campaign import COMPATIBLE_ALPN_TOKENS
 
     rows = []
@@ -205,7 +235,7 @@ def _goscanner_rows(campaign: Campaign, campaign_id: str) -> List[Tuple]:
                     campaign_id,
                     stage,
                     position,
-                    str(record.address),
+                    text[record.address],
                     _family(record.address),
                     record.sni,
                     int(record.success),
@@ -232,7 +262,7 @@ def _goscanner_rows(campaign: Campaign, campaign_id: str) -> List[Tuple]:
     return rows
 
 
-def _qscan_rows(campaign: Campaign, campaign_id: str) -> List[Tuple]:
+def _qscan_rows(campaign: Campaign, campaign_id: str, text: _AddressText) -> List[Tuple]:
     rows = []
     for stage in _QSCAN_STAGES:
         for position, record in enumerate(getattr(campaign, stage)):
@@ -241,7 +271,7 @@ def _qscan_rows(campaign: Campaign, campaign_id: str) -> List[Tuple]:
                     campaign_id,
                     stage,
                     position,
-                    str(record.address),
+                    text[record.address],
                     _family(record.address),
                     record.sni,
                     record.source.value,
@@ -263,7 +293,7 @@ def _qscan_rows(campaign: Campaign, campaign_id: str) -> List[Tuple]:
     return rows
 
 
-def _sni_target_rows(campaign: Campaign, campaign_id: str) -> List[Tuple]:
+def _sni_target_rows(campaign: Campaign, campaign_id: str, text: _AddressText) -> List[Tuple]:
     rows = []
     for family in (4, 6):
         targets = campaign.sni_targets_v4 if family == 4 else campaign.sni_targets_v6
@@ -271,36 +301,45 @@ def _sni_target_rows(campaign: Campaign, campaign_id: str) -> List[Tuple]:
         for (address, domain), sources in targets.items():
             for source in sorted(sources, key=lambda s: s.value):
                 rows.append(
-                    (campaign_id, family, position, str(address), domain, source.value)
+                    (campaign_id, family, position, text[address], domain, source.value)
                 )
                 position += 1
     return rows
 
 
-def _address_rows(campaign: Campaign, campaign_id: str) -> List[Tuple]:
+def _address_rows(campaign: Campaign, campaign_id: str, text: _AddressText) -> List[Tuple]:
     """The address → AS dimension over every address staged anywhere."""
     registry = campaign.world.as_registry
-    addresses: Dict[str, object] = {}
-
-    def note(address) -> None:
-        addresses.setdefault(str(address), address)
-
+    addresses: Set[object] = set()
     for stage in _ZMAP_STAGES + _SYN_STAGES + _GOSCANNER_STAGES + _QSCAN_STAGES:
-        for record in getattr(campaign, stage):
-            note(record.address)
+        addresses.update(record.address for record in getattr(campaign, stage))
     for record in campaign.all_dns_records:
-        for answers in (record.a, record.aaaa, record.https_ipv4hints, record.https_ipv6hints):
-            for address in answers:
-                note(address)
+        addresses.update(
+            record.a, record.aaaa, record.https_ipv4hints, record.https_ipv6hints
+        )
     for targets in (campaign.sni_targets_v4, campaign.sni_targets_v6):
-        for address, _domain in targets:
-            note(address)
+        addresses.update(address for address, _domain in targets)
     rows = []
-    for text in sorted(addresses):
-        address = addresses[text]
+    for address in sorted(addresses, key=text.__getitem__):
         asn = registry.origin(address)
-        rows.append((campaign_id, text, _family(address), asn, registry.name_of(asn)))
+        rows.append(
+            (campaign_id, text[address], _family(address), asn, registry.name_of(asn))
+        )
     return rows
+
+
+# Staging table -> its row builder, in load order.
+_STAGING_ROWS = (
+    ("stg_dns", _dns_rows),
+    ("stg_dns_address", _dns_address_rows),
+    ("stg_https_hints", _https_hint_rows),
+    ("stg_zmap", _zmap_rows),
+    ("stg_syn", _syn_rows),
+    ("stg_goscanner", _goscanner_rows),
+    ("stg_qscan", _qscan_rows),
+    ("stg_sni_targets", _sni_target_rows),
+    ("stg_addresses", _address_rows),
+)
 
 
 def _insert(conn: sqlite3.Connection, table: str, rows: List[Tuple]) -> int:
@@ -341,11 +380,14 @@ def load_campaign(
     """
     ensure_schema(conn)
     campaign_id = campaign_warehouse_id(campaign.config)
-    start = time.perf_counter()
     stage_counts = campaign.run_all_stages()
+    # The clock starts after the count pass: for a campaign that has
+    # not run yet that pass *is* the scan, which is not load time.
+    start = time.perf_counter()
 
     result = LoadResult(campaign_id=campaign_id)
     config = campaign.config
+    text = _AddressText()
     with conn:  # one transaction: delete + stage + marts + QA
         # Only campaign-scoped tables are replaced; ledger/timeline rows
         # are keyed by run_id and accumulate across weekly loads.
@@ -368,27 +410,8 @@ def load_campaign(
             ),
         )
         result.rows["campaigns"] = 1
-        result.rows["stg_dns"] = _insert(conn, "stg_dns", _dns_rows(campaign, campaign_id))
-        result.rows["stg_dns_address"] = _insert(
-            conn, "stg_dns_address", _dns_address_rows(campaign, campaign_id)
-        )
-        result.rows["stg_https_hints"] = _insert(
-            conn, "stg_https_hints", _https_hint_rows(campaign, campaign_id)
-        )
-        result.rows["stg_zmap"] = _insert(conn, "stg_zmap", _zmap_rows(campaign, campaign_id))
-        result.rows["stg_syn"] = _insert(conn, "stg_syn", _syn_rows(campaign, campaign_id))
-        result.rows["stg_goscanner"] = _insert(
-            conn, "stg_goscanner", _goscanner_rows(campaign, campaign_id)
-        )
-        result.rows["stg_qscan"] = _insert(
-            conn, "stg_qscan", _qscan_rows(campaign, campaign_id)
-        )
-        result.rows["stg_sni_targets"] = _insert(
-            conn, "stg_sni_targets", _sni_target_rows(campaign, campaign_id)
-        )
-        result.rows["stg_addresses"] = _insert(
-            conn, "stg_addresses", _address_rows(campaign, campaign_id)
-        )
+        for table, build_rows in _STAGING_ROWS:  # no name for the rows: freed per table
+            result.rows[table] = _insert(conn, table, build_rows(campaign, campaign_id, text))
         result.rows.update(marts_module.build_marts(conn, campaign_id))
         result.qa = qa_module.run_qa(conn, campaign_id, campaign=campaign, strict=False)
         if on_commit is not None and not (strict and result.qa_failures):

@@ -12,9 +12,13 @@ from repro.dns.records import (
     decode_dns_name,
     encode_dns_name,
 )
-from repro.dns.resolver import Resolver
+from repro.dns.resolver import ResolutionResult, Resolver, ResolverError
 from repro.dns.zones import ZoneStore
 from repro.netsim.addresses import IPv4Address, IPv6Address
+from repro.observability.metrics import MetricsRegistry, use_metrics
+from repro.scanners.dnsscan import DnsScanner
+from repro.scanners.results import DnsScanRecord
+from repro.scanners.retry import RetryPolicy
 
 
 def test_dns_name_roundtrip():
@@ -111,6 +115,190 @@ def test_resolver_case_insensitive():
 def test_resolver_unknown_type():
     with pytest.raises(ValueError):
         Resolver(ZoneStore()).resolve("x.example", ("MX",))
+
+
+def _service(name, **params):
+    return HttpsRecord(name=name, priority=1, target=".", params=SvcParams(**params))
+
+
+def _alias(name, target):
+    return HttpsRecord(name=name, priority=0, target=target)
+
+
+@pytest.fixture
+def mixed_zones():
+    """Hosted, alias-chain and SVCB-bearing names beside nothing at all."""
+    zones = ZoneStore()
+    zones.add_a(ARecord(name="Hosted.Example.", address=IPv4Address.parse("192.0.2.1")))
+    zones.add_a(ARecord(name="hosted.example", address=IPv4Address.parse("192.0.2.2")))
+    zones.add_aaaa(AaaaRecord(name="hosted.example", address=IPv6Address.parse("2001:db8::1")))
+    zones.add_https(
+        _service("hosted.example", alpn=("h3", "h3-29"), ipv4hint=(IPv4Address(7),))
+    )
+    zones.add_a(ARecord(name="v4only.example", address=IPv4Address.parse("192.0.2.3")))
+    zones.add_https(_alias("alias1.example", "hosted.example"))
+    for hop in range(6):  # deep0 -> deep1 -> ... -> deep6: past max_alias_depth
+        zones.add_https(_alias(f"deep{hop}.example", f"deep{hop + 1}.example"))
+    zones.add_https(_service("deep6.example", alpn=("h3",)))
+    zones.add_https(_alias("loop-a.example", "loop-b.example"))
+    zones.add_https(_alias("loop-b.example", "loop-a.example"))
+    zones.add_svcb(
+        SvcbRecord(name="svc.example", priority=1, target=".", params=SvcParams(port=8443))
+    )
+    return zones
+
+
+_NAMES = (
+    "hosted.example",
+    "HOSTED.example",
+    "hosted.example.",
+    "v4only.example",
+    "unhosted.example",
+    "alias1.example",
+    "deep0.example",
+    "deep2.example",  # four hops from the service record: just resolves
+    "loop-a.example",
+    "svc.example",
+)
+
+
+def _reference_resolve(zones, domain, record_types, max_alias_depth=4):
+    """``Resolver.resolve`` spelt with one ``lookup_*`` call per type and
+    hop, every time — what ``ZoneStore.lookup`` must stay equal to."""
+    result, queries = ResolutionResult(domain=domain), 0
+    for record_type in record_types:
+        queries += 1
+        if record_type == "A":
+            result.a = zones.lookup_a(domain)
+        elif record_type == "AAAA":
+            result.aaaa = zones.lookup_aaaa(domain)
+        elif record_type == "SVCB":
+            result.svcb = [
+                SvcbRecord.decode_rdata(record.name, record.encode_rdata())
+                for record in zones.lookup_svcb(domain)
+            ]
+        else:
+            current = domain
+            for _hop in range(max_alias_depth + 1):
+                records = [
+                    HttpsRecord.decode_rdata(record.name, record.encode_rdata())
+                    for record in zones.lookup_https(current)
+                ]
+                if not any(record.is_alias for record in records):
+                    result.https = records
+                    break
+                queries += 1
+                current = next(r for r in records if r.is_alias).target
+    return result, queries
+
+
+@pytest.mark.parametrize(
+    "record_types",
+    [("A", "AAAA", "HTTPS", "SVCB"), ("HTTPS",), ("SVCB", "A"), ("AAAA", "AAAA"), ()],
+)
+def test_resolve_equals_the_four_lookups(mixed_zones, record_types):
+    resolver = Resolver(mixed_zones)
+    for name in _NAMES:
+        before = resolver.queries
+        result = resolver.resolve(name, record_types)
+        expected, queries = _reference_resolve(mixed_zones, name, record_types)
+        for part in ("domain", "a", "aaaa", "https", "svcb"):
+            assert getattr(result, part) == getattr(expected, part), (name, part)
+        assert resolver.queries - before == queries, name
+
+
+def test_resolve_fixture_covers_every_shape(mixed_zones):
+    resolver = Resolver(mixed_zones)
+    resolve = resolver.resolve
+    assert len(resolve("HOSTED.example.").a) == 2 and resolve("hosted.example").aaaa
+    assert resolve("alias1.example").https[0].params.alpn == ("h3", "h3-29")
+    assert resolve("deep2.example").https and not resolve("deep0.example").https
+    assert not resolve("loop-a.example").https
+    assert resolve("svc.example").svcb[0].params.port == 8443
+    before = resolver.queries
+    assert resolve("unhosted.example") == ResolutionResult("unhosted.example")
+    assert resolver.queries - before == 4
+
+
+def test_resolver_answers_are_copies(mixed_zones):
+    resolver = Resolver(mixed_zones)
+    pristine = resolver.resolve("hosted.example")
+    for name in ("hosted.example", "unhosted.example", "svc.example"):
+        result = resolver.resolve(name)
+        for answers in (result.a, result.aaaa, result.https, result.svcb):
+            answers.append("scribble")
+            answers.clear()
+        for view in ("lookup_a", "lookup_aaaa", "lookup_https", "lookup_svcb"):
+            getattr(mixed_zones, view)(name).append("scribble")
+    again = resolver.resolve("hosted.example")
+    assert again == pristine and len(again.a) == 2 and again.https
+    assert resolver.resolve("unhosted.example") == ResolutionResult("unhosted.example")
+    assert mixed_zones.lookup("unhosted.example") == ((), (), (), ())
+    assert len(mixed_zones.lookup("svc.example")[3]) == 1
+
+
+# -- bulk list scans ------------------------------------------------------------
+
+
+class _FlakyResolver(Resolver):
+    """Fails the first ``failures[name]`` attempts at a name."""
+
+    def __init__(self, zones, failures):
+        super().__init__(zones)
+        self.failures = dict(failures)
+
+    def resolve(self, domain, record_types=("A", "AAAA", "HTTPS", "SVCB")):
+        if self.failures.get(domain, 0) > 0:
+            self.failures[domain] -= 1
+            raise ResolverError(f"SERVFAIL for {domain}")
+        return super().resolve(domain, record_types)
+
+
+def test_scan_list_retries_then_degrades_in_position(mixed_zones):
+    names = ["hosted.example", "v4only.example", "unhosted.example", "alias1.example"]
+    clean = DnsScanner(Resolver(mixed_zones)).scan_list("toplist", names)
+    assert [record.domain for record in clean] == names
+    assert clean[0].a and clean[0].aaaa and clean[0].https_alpn == ("h3", "h3-29")
+    assert clean[1].a and not clean[1].has_https_rr
+    assert clean[2] == DnsScanRecord("unhosted.example", "toplist")
+    assert clean[3].has_https_rr and clean[3].https_ipv4hints == (IPv4Address(7),)
+
+    # hosted.example fails once (one retry, then answers); v4only.example
+    # fails on both attempts of the 2-attempt budget (one retry, give up).
+    scanner = DnsScanner(
+        _FlakyResolver(mixed_zones, {"hosted.example": 1, "v4only.example": 2}),
+        retry=RetryPolicy(attempts=2),
+    )
+    with use_metrics(MetricsRegistry()) as registry:
+        flaky = scanner.scan_list("toplist", names)
+    assert flaky[1] == DnsScanRecord("v4only.example", "toplist")  # degraded, kept
+    assert [flaky[0], flaky[2], flaky[3]] == [clean[0], clean[2], clean[3]]
+    assert registry.counter_value("dns.retries") == 2
+    assert registry.counter_value("dns.giveups") == 1
+    assert registry.counter_value("dns.domains_resolved", list="toplist") == 4
+    assert registry.counter_value("dns.with_a", list="toplist") == 1
+
+    # Without a retry budget the first failure is final.
+    scanner = DnsScanner(_FlakyResolver(mixed_zones, {"hosted.example": 1}))
+    with use_metrics(MetricsRegistry()) as registry:
+        assert scanner.scan_list("toplist", names)[0] == DnsScanRecord(
+            "hosted.example", "toplist"
+        )
+    assert registry.counter_value("dns.retries") == 0
+    assert registry.counter_value("dns.giveups") == 1
+
+
+def test_scan_list_does_not_swallow_programming_errors(mixed_zones):
+    class MxResolver(Resolver):
+        def resolve(self, domain, record_types=()):
+            return super().resolve(domain, ("MX",))
+
+    scanner = DnsScanner(MxResolver(mixed_zones), retry=RetryPolicy(attempts=3))
+    with use_metrics(MetricsRegistry()) as registry:
+        with pytest.raises(ValueError, match="unsupported record type MX"):
+            scanner.scan_list("toplist", ["hosted.example", "unhosted.example"])
+    assert registry.counter_value("dns.retries") == 0
+    assert registry.counter_value("dns.giveups") == 0
 
 
 def test_zone_domain_listing():

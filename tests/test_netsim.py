@@ -106,6 +106,72 @@ def test_blocklist_membership():
     assert len(blocklist) == 2
 
 
+def _prefixes(address_cls):
+    """Prefixes of any length (/0 included) with the host bits cleared."""
+    bits = address_cls(0).bits
+
+    def build(value, length):
+        mask = ((1 << bits) - 1) ^ ((1 << (bits - length)) - 1)
+        return Prefix(address_cls(value & mask), length)
+
+    return st.builds(
+        build, st.integers(0, address_cls.MAX), st.integers(0, bits)
+    )
+
+
+def _naive_blocked(prefixes, address):
+    """The per-prefix test the grouped representation replaced."""
+    return any(
+        address.value & prefix.net_mask() == prefix.network.value
+        for prefix in prefixes
+        if prefix.network.version == address.version
+    )
+
+
+@given(
+    prefixes=st.lists(
+        st.one_of(_prefixes(IPv4Address), _prefixes(IPv6Address)), max_size=8
+    ),
+    data=st.data(),
+)
+def test_blocklist_grouped_test_matches_naive_scan(prefixes, data):
+    # Nest a /24 under the first /16-or-shorter prefix and repeat one
+    # entry, so containment and duplicates occur in every larger draw.
+    for prefix in list(prefixes):
+        if prefix.length <= 16 and prefix.network.version == 4:
+            prefixes.append(Prefix(prefix.network, 24))
+            break
+    prefixes.extend(prefixes[:1])
+    blocklist = Blocklist(prefixes)
+    probes = [data.draw(st.builds(IPv4Address, st.integers(0, IPv4Address.MAX)))]
+    probes.append(data.draw(st.builds(IPv6Address, st.integers(0, IPv6Address.MAX))))
+    for prefix in prefixes:  # inside, first, last and just past each prefix
+        cls = type(prefix.network)
+        last = prefix.network.value + prefix.num_addresses - 1
+        probes += [prefix.network, cls(last), cls(min(last + 1, cls.MAX))]
+    for address in probes:
+        assert blocklist.is_blocked(address) == _naive_blocked(prefixes, address)
+    for version in (4, 6):
+        lengths = {p.length for p in prefixes if p.network.version == version}
+        assert len(blocklist.mask_groups(version)) == len(lengths)
+
+
+def test_blocklist_add_invalidates_the_grouped_cache():
+    blocklist = Blocklist([Prefix.parse("10.0.0.0/16")])
+    inner, outer = IPv4Address.parse("10.0.3.9"), IPv4Address.parse("10.1.3.9")
+    v6 = IPv6Address.parse("2001:db8::7")
+    assert blocklist.is_blocked(inner)
+    assert not blocklist.is_blocked(outer) and not blocklist.is_blocked(v6)
+    blocklist.add(Prefix.parse("10.1.3.0/24"))  # a new length
+    blocklist.add(Prefix.parse("10.2.0.0/16"))  # a known length
+    blocklist.add(Prefix.parse("2001:db8::/32"))  # the other family
+    assert blocklist.is_blocked(outer) and blocklist.is_blocked(v6)
+    assert blocklist.is_blocked(IPv4Address.parse("10.2.200.1"))
+    assert len(blocklist.mask_groups(4)) == 2
+    blocklist.add(Prefix.parse("0.0.0.0/0"))
+    assert blocklist.is_blocked(IPv4Address.parse("203.0.113.1"))
+
+
 # -- topology ---------------------------------------------------------------------
 
 

@@ -233,10 +233,21 @@ def _lossy_unbound_hosts(world):
         world.network.set_conditions(address, NetworkConditions(loss=0.5))
 
 
+# A /16 with a /24 nested inside it and a /28 elsewhere, beside the /24
+# the generator lists: three prefix lengths, one entry shadowed.
+_EXTRA_BLOCKED = ("100.65.0.0/16", "100.65.9.0/24", "100.66.1.16/28")
+
+
+def _three_length_blocklist(world):
+    for text in _EXTRA_BLOCKED:
+        world.blocklist.add(Prefix.parse(text))
+
+
 # name -> (config overrides, world mutation, can the SYN sweep stay in
 # integer space?)
 _SWEEP_WORLDS = {
     "baseline": ({}, None, True),
+    "blocklist-lengths": ({}, _three_length_blocklist, True),
     "conditioned-unbound": ({}, _lossy_unbound_hosts, True),
     "fault-profile": ({"fault_profile": "flaky-edge"}, None, True),
     "path-profile": ({"path_profile": "lossy-edge"}, None, True),
@@ -353,6 +364,25 @@ def test_fast_sweep_matches_slow_probe_path(module, world_kind, walk):
     counters = fast["metrics"]["counters"]
     probes = counters[f"{prefix}.probes{{family=4}}"]
     assert probes > 10_000
+    if world_kind in ("baseline", "blocklist-lengths"):
+        # Blocked is a count over the walk, whatever the list looks like.
+        listed = [
+            (p.net_mask(), p.network.value)
+            for p in fast_campaign.world.blocklist.prefixes()
+        ]
+        walked = [space.network.value + index for _, index in bare_walk(permutation)]
+        blocked = sum(
+            any(value & mask == net for mask, net in listed) for value in walked
+        )
+        assert counters[f"{prefix}.blocked{{family=4}}"] == blocked
+        assert probes == len(walked) - blocked
+        groups = fast_campaign.world.blocklist.mask_groups(4)
+        if world_kind == "baseline":
+            assert len(groups) == 1
+        else:
+            assert len(groups) == 3
+            if walk == "full":
+                assert blocked == 256 + (1 << 16) + 16
     if module == "tcp":
         # Off the fast path every probe is a syn_probe call; on it only
         # listeners and explicitly conditioned hosts are.

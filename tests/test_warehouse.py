@@ -13,13 +13,18 @@ The contract under test (docs/WAREHOUSE.md):
   Tables 1-6, in every output format, through the shared renderer.
 """
 
+import json
 import sqlite3
+import types
 
 import pytest
 
 from repro.experiments import get_campaign
 from repro.experiments.tables import table1, table2, table3, table4, table5, table6
 from repro.internet.providers import Scale
+from repro.netsim.addresses import IPv4Address, IPv6Address
+from repro.scanners.results import DnsScanRecord
+from repro.warehouse import loader as loader_module
 from repro.warehouse import (
     SCHEMA_VERSION,
     TABLES,
@@ -126,6 +131,106 @@ def test_reload_is_idempotent(loaded):
     second = load_campaign(campaign, conn)
     assert not second.qa_failures
     assert list(conn.iterdump()) == before
+
+
+def test_load_clock_starts_after_the_scan(loaded, monkeypatch):
+    """``LoadResult.seconds`` times the load, not the stages before it."""
+    _conn, _result, campaign = loaded
+    events = []
+
+    def clock():
+        events.append("clock")
+        return float(events.count("clock"))
+
+    def run_all_stages():
+        counts = type(campaign).run_all_stages(campaign)
+        events.append("stages-done")
+        return counts
+
+    monkeypatch.setattr(loader_module, "time", types.SimpleNamespace(perf_counter=clock))
+    monkeypatch.setattr(campaign, "run_all_stages", run_all_stages)
+    conn = sqlite3.connect(":memory:")
+    try:
+        result = load_campaign(campaign, conn)
+    finally:
+        conn.close()
+    assert events == ["stages-done", "clock", "clock"]
+    assert result.seconds == 1.0
+
+
+_V4 = (IPv4Address.parse("192.0.2.1"), IPv4Address.parse("198.51.100.77"))
+_V6 = (IPv6Address.parse("2001:db8::1"), IPv6Address.parse("::ffff:c000:201"))
+
+
+@pytest.mark.parametrize(
+    "addresses", [(), _V4[:1], _V4, _V6[:1], _V6, _V4 + _V6 + _V4], ids=repr
+)
+def test_address_list_text_equals_json_dumps(addresses):
+    text = loader_module._AddressText()
+    for _again in range(2):  # cold memo, then warm
+        written = loader_module._address_list(addresses, text)
+        assert written == json.dumps([str(a) for a in addresses])
+    assert set(text) == set(addresses)
+
+
+def test_dns_rows_keep_server_strings_on_json_dumps():
+    hostile = 'h3"\\\u00e9\x00'  # a quote, a backslash, a non-ASCII byte, a NUL
+    records = [
+        DnsScanRecord("none.example", "toplist"),
+        DnsScanRecord(
+            "odd.example",
+            "toplist",
+            a=_V4,
+            https_alpn=(hostile, "h3"),
+            https_ipv6hints=_V6[:1],
+            has_https_rr=True,
+        ),
+        # Not something the scanner emits, but a row must never lose it.
+        DnsScanRecord("alpn-only.example", "toplist", https_alpn=(hostile,)),
+    ]
+    rows = loader_module._dns_rows(
+        types.SimpleNamespace(all_dns_records=records), "cid", loader_module._AddressText()
+    )
+    assert rows[0] == ("cid", "dns_records", 0, "none.example", "toplist", *["[]"] * 5, 0)
+    for row, record in zip(rows, records):
+        assert [json.loads(cell) for cell in row[5:10]] == [
+            [str(a) for a in record.a],
+            [str(a) for a in record.aaaa],
+            list(record.https_alpn),
+            [str(a) for a in record.https_ipv4hints],
+            [str(a) for a in record.https_ipv6hints],
+        ]
+        assert row[10] == int(record.has_https_rr)
+
+
+def test_two_loads_write_identical_files(tmp_path, wh_campaign):
+    paths = [tmp_path / "first.sqlite", tmp_path / "second.sqlite"]
+    for path in paths:
+        conn = sqlite3.connect(path)
+        try:
+            load_campaign(wh_campaign, conn)
+        finally:
+            conn.close()
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    conn = sqlite3.connect(paths[0])
+    try:
+        staged = conn.execute(
+            "SELECT a_json, aaaa_json, https_alpn_json, https_ipv4hints_json,"
+            " https_ipv6hints_json FROM stg_dns ORDER BY position"
+        ).fetchall()
+    finally:
+        conn.close()
+    records = wh_campaign.all_dns_records
+    assert len(staged) == len(records) > 0
+    for row, record in zip(staged, records):
+        assert [json.loads(cell) for cell in row] == [
+            [str(a) for a in record.a],
+            [str(a) for a in record.aaaa],
+            list(record.https_alpn),
+            [str(a) for a in record.https_ipv4hints],
+            [str(a) for a in record.https_ipv6hints],
+        ]
+    assert any(record.https_ipv4hints for record in records)
 
 
 def test_qa_fails_on_deleted_staging_row(loaded):
