@@ -420,6 +420,11 @@ def _cmd_bench(args) -> int:
         "  handshakes/sec:    "
         f"{results['qscanner_handshake_rate']['handshakes_per_sec']:,.1f}"
     )
+    crypto = results["crypto"]
+    print(
+        f"  real crypto:       {crypto['real_handshakes_per_sec']:,.1f} handshakes/sec,"
+        f" AES-128-GCM seal {crypto['aes128gcm_seal_mb_per_sec']} MB/s"
+    )
     print(f"  serial cold:       {campaign['serial_cold_seconds']}s")
     print(
         f"  parallel cold:     {campaign['parallel_cold_seconds']}s "

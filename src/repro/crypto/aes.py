@@ -6,9 +6,9 @@ protection (RFC 9001 §5.4.3) applies the forward cipher to a sample of
 ciphertext.  Decryption of single blocks is provided for completeness
 and for tests.
 
-The implementation is table based (T-tables folded into the S-box and
-the MixColumns matrix) which keeps pure-Python performance acceptable
-for handshake-scale workloads.
+Single blocks go through T-tables (S-box and MixColumns folded into
+four 256-entry word tables); ``encrypt_blocks`` runs a whole buffer at
+once as four row planes of big ints, one ``bytes.translate`` per S-box.
 """
 
 from __future__ import annotations
@@ -94,6 +94,11 @@ def _build_tables() -> Tuple[List[int], List[int], List[int], List[int]]:
 
 
 _T0, _T1, _T2, _T3 = _build_tables()
+
+# ``bytes.translate`` tables for the batched cipher: SubBytes, and
+# SubBytes followed by multiplication by two (xtime).
+_SBOX_BYTES = bytes(_SBOX)
+_SBOX2_BYTES = bytes(_gf_mul(value, 2) for value in _SBOX)
 
 
 def _build_inverse_tables() -> Tuple[List[int], List[int], List[int], List[int]]:
@@ -241,83 +246,58 @@ class AES:
     def encrypt_blocks(self, data: bytes) -> bytes:
         """ECB-encrypt a whole multiple of 16 bytes in one call.
 
-        Batching keeps the tables and round keys in locals across
-        blocks and assembles one output buffer, which is measurably
-        cheaper than per-block ``encrypt_block`` calls on the CTR-mode
-        and packet-protection hot paths.
+        The state is held as four *row planes*: ``data[r::4]`` is row
+        ``r`` of every column of every block, one big int per row with
+        a 32-bit lane per block.  A round then costs the same handful
+        of big-int and ``bytes.translate`` operations whatever the
+        number of blocks: ShiftRows rotates each lane of row ``r`` by
+        ``r`` bytes, SubBytes (and SubBytes times two) is a 256-byte
+        table translate, and MixColumns needs no rotation at all
+        because it only ever combines the same byte of different rows.
         """
         if len(data) % 16:
             raise ValueError("AES batch length must be a multiple of 16 bytes")
-        rk = self._round_keys
-        rounds = self._rounds
-        t0, t1, t2, t3 = _T0, _T1, _T2, _T3
-        sbox = _SBOX
-        rk0, rk1, rk2, rk3 = rk[0], rk[1], rk[2], rk[3]
-        klast = 4 * rounds
+        size = len(data) // 4
+        ones, hi1, lo1, hi2, lo2, hi3, lo3 = _lane_masks(size // 4)
+        keys = _row_keys_cached(self._key)
+        frm = int.from_bytes
+        sbox, sbox2 = _SBOX_BYTES, _SBOX2_BYTES
+        s0 = frm(data[0::4], "big") ^ keys[0] * ones
+        s1 = frm(data[1::4], "big") ^ keys[1] * ones
+        s2 = frm(data[2::4], "big") ^ keys[2] * ones
+        s3 = frm(data[3::4], "big") ^ keys[3] * ones
+        last = 4 * self._rounds
+        for k in range(4, last + 4, 4):
+            b0 = s0.to_bytes(size, "big")
+            b1 = (((s1 << 8) & hi1) | ((s1 >> 24) & lo1)).to_bytes(size, "big")
+            b2 = (((s2 << 16) & hi2) | ((s2 >> 16) & lo2)).to_bytes(size, "big")
+            b3 = (((s3 << 24) & hi3) | ((s3 >> 8) & lo3)).to_bytes(size, "big")
+            t0 = frm(b0.translate(sbox), "big")
+            t1 = frm(b1.translate(sbox), "big")
+            t2 = frm(b2.translate(sbox), "big")
+            t3 = frm(b3.translate(sbox), "big")
+            if k == last:  # final round: no MixColumns
+                s0 = t0 ^ keys[k] * ones
+                s1 = t1 ^ keys[k + 1] * ones
+                s2 = t2 ^ keys[k + 2] * ones
+                s3 = t3 ^ keys[k + 3] * ones
+                break
+            d0 = frm(b0.translate(sbox2), "big")
+            d1 = frm(b1.translate(sbox2), "big")
+            d2 = frm(b2.translate(sbox2), "big")
+            d3 = frm(b3.translate(sbox2), "big")
+            # Column c of the output is 2*S_r + 3*S_{r+1} + S_{r+2} + S_{r+3}
+            # = (S_0^S_1^S_2^S_3) ^ S_r ^ D_r ^ D_{r+1} with D = 2*S.
+            a = t0 ^ t1 ^ t2 ^ t3
+            s0 = a ^ t0 ^ d0 ^ d1 ^ keys[k] * ones
+            s1 = a ^ t1 ^ d1 ^ d2 ^ keys[k + 1] * ones
+            s2 = a ^ t2 ^ d2 ^ d3 ^ keys[k + 2] * ones
+            s3 = a ^ t3 ^ d3 ^ d0 ^ keys[k + 3] * ones
         out = bytearray(len(data))
-        for offset in range(0, len(data), 16):
-            s0 = int.from_bytes(data[offset : offset + 4], "big") ^ rk0
-            s1 = int.from_bytes(data[offset + 4 : offset + 8], "big") ^ rk1
-            s2 = int.from_bytes(data[offset + 8 : offset + 12], "big") ^ rk2
-            s3 = int.from_bytes(data[offset + 12 : offset + 16], "big") ^ rk3
-            for rnd in range(1, rounds):
-                k = 4 * rnd
-                u0 = (
-                    t0[(s0 >> 24) & 0xFF]
-                    ^ t1[(s1 >> 16) & 0xFF]
-                    ^ t2[(s2 >> 8) & 0xFF]
-                    ^ t3[s3 & 0xFF]
-                    ^ rk[k]
-                )
-                u1 = (
-                    t0[(s1 >> 24) & 0xFF]
-                    ^ t1[(s2 >> 16) & 0xFF]
-                    ^ t2[(s3 >> 8) & 0xFF]
-                    ^ t3[s0 & 0xFF]
-                    ^ rk[k + 1]
-                )
-                u2 = (
-                    t0[(s2 >> 24) & 0xFF]
-                    ^ t1[(s3 >> 16) & 0xFF]
-                    ^ t2[(s0 >> 8) & 0xFF]
-                    ^ t3[s1 & 0xFF]
-                    ^ rk[k + 2]
-                )
-                u3 = (
-                    t0[(s3 >> 24) & 0xFF]
-                    ^ t1[(s0 >> 16) & 0xFF]
-                    ^ t2[(s1 >> 8) & 0xFF]
-                    ^ t3[s2 & 0xFF]
-                    ^ rk[k + 3]
-                )
-                s0, s1, s2, s3 = u0, u1, u2, u3
-            out0 = (
-                (sbox[(s0 >> 24) & 0xFF] << 24)
-                | (sbox[(s1 >> 16) & 0xFF] << 16)
-                | (sbox[(s2 >> 8) & 0xFF] << 8)
-                | sbox[s3 & 0xFF]
-            ) ^ rk[klast]
-            out1 = (
-                (sbox[(s1 >> 24) & 0xFF] << 24)
-                | (sbox[(s2 >> 16) & 0xFF] << 16)
-                | (sbox[(s3 >> 8) & 0xFF] << 8)
-                | sbox[s0 & 0xFF]
-            ) ^ rk[klast + 1]
-            out2 = (
-                (sbox[(s2 >> 24) & 0xFF] << 24)
-                | (sbox[(s3 >> 16) & 0xFF] << 16)
-                | (sbox[(s0 >> 8) & 0xFF] << 8)
-                | sbox[s1 & 0xFF]
-            ) ^ rk[klast + 2]
-            out3 = (
-                (sbox[(s3 >> 24) & 0xFF] << 24)
-                | (sbox[(s0 >> 16) & 0xFF] << 16)
-                | (sbox[(s1 >> 8) & 0xFF] << 8)
-                | sbox[s2 & 0xFF]
-            ) ^ rk[klast + 3]
-            out[offset : offset + 16] = (
-                (out0 << 96) | (out1 << 64) | (out2 << 32) | out3
-            ).to_bytes(16, "big")
+        out[0::4] = s0.to_bytes(size, "big")
+        out[1::4] = s1.to_bytes(size, "big")
+        out[2::4] = s2.to_bytes(size, "big")
+        out[3::4] = s3.to_bytes(size, "big")
         return bytes(out)
 
     def decrypt_block(self, block: bytes) -> bytes:
@@ -394,6 +374,33 @@ class AES:
 @lru_cache(maxsize=4096)
 def _expand_key_cached(key: bytes) -> Tuple[int, ...]:
     return tuple(AES._expand_key(key))
+
+
+@lru_cache(maxsize=4096)
+def _row_keys_cached(key: bytes) -> Tuple[int, ...]:
+    """Round keys as row patterns: entry ``4 * round + r`` is row ``r``.
+
+    Each is the 32-bit lane (one byte per column) that
+    ``encrypt_blocks`` multiplies out over its row plane.
+    """
+    schedule = b"".join(word.to_bytes(4, "big") for word in _expand_key_cached(key))
+    return tuple(
+        int.from_bytes(schedule[start + r : start + 16 : 4], "big")
+        for start in range(0, len(schedule), 16)
+        for r in range(4)
+    )
+
+
+@lru_cache(maxsize=256)
+def _lane_masks(blocks: int) -> Tuple[int, ...]:
+    """Per-batch-size constants: a one in every 32-bit lane, and the
+    (kept-high, kept-low) byte masks of a lane rotation by 1, 2, 3 bytes."""
+    ones = int.from_bytes(b"\x00\x00\x00\x01" * blocks, "big")
+    return (ones,) + tuple(
+        mask * ones
+        for shift in (8, 16, 24)
+        for mask in ((0xFFFFFFFF << shift) & 0xFFFFFFFF, 0xFFFFFFFF >> (32 - shift))
+    )
 
 
 @lru_cache(maxsize=1024)

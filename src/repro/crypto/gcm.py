@@ -1,15 +1,16 @@
 """AES-GCM authenticated encryption (NIST SP 800-38D), from scratch.
 
-GHASH is implemented with a per-key 8-bit table (256 precomputed
-multiples of the hash subkey per byte position folded via the classic
-shift-based method), which keeps authentication cost at pure-Python
-scale acceptable for handshake workloads.
+GHASH multiplies in GF(2^128) with ordinary big-int multiplication:
+each polynomial coefficient sits in its own 8-bit slot, so the slots
+of a product count the ones they would XOR and never carry into each
+other.  There is no per-key table; setting up a key spreads the hash
+subkey once.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import List, Optional, Tuple
+import hmac
+from typing import Optional, Tuple
 
 from repro.crypto.aes import AES
 
@@ -31,7 +32,11 @@ _R = 0xE1000000000000000000000000000000
 
 
 def _gcm_mult(x: int, y: int) -> int:
-    """Carry-less multiply of two 128-bit elements in the GCM field."""
+    """Carry-less multiply of two 128-bit elements in the GCM field.
+
+    Bit-serial reference (SP 800-38D algorithm 1); :class:`_Ghash` is
+    tested against it.
+    """
     z = 0
     v = y
     for i in range(127, -1, -1):
@@ -44,61 +49,56 @@ def _gcm_mult(x: int, y: int) -> int:
     return z
 
 
-@lru_cache(maxsize=1024)
-def _build_table(h: int) -> Tuple[Tuple[int, ...], ...]:
-    """Precompute tables[i][n] = (n << (4 * i)) * H for fast GHASH.
+# Spread form: coefficient i of a field element in byte slot i of an
+# int.  A slot of a 128x128 product sums at most 128 ones, so 8 bits
+# are enough, and its parity is the carry-less product's coefficient.
+_ASCII_TO_BIT = bytes(value & 1 for value in range(256))
+_SLOTS_128 = int.from_bytes(b"\x01" * 128, "little")
+_SLOTS_255 = int.from_bytes(b"\x01" * 255, "little")
+_LOW_1024 = (1 << 1024) - 1
+_ASCII_ZEROS = int.from_bytes(b"0" * 128, "little")
+# x^128 = x^7 + x^2 + x + 1 modulo the field polynomial.
+_FOLD = 1 | 1 << 8 | 1 << 16 | 1 << 56
 
-    The 128 single-bit products form a "divide by x" chain starting at
-    H (mirroring the shift step of :func:`_gcm_mult`), so table
-    construction needs only cheap shifts plus a subset-XOR fill over 32
-    nibble positions — no full field multiplications.  Nibble (4-bit)
-    tables trade a little per-block speed for an 8x cheaper setup,
-    which matters because QUIC derives fresh AEAD instances for every
-    connection.  Tables are additionally memoised per subkey: Initial
-    secrets are a pure function of the client DCID, so scans revisit
-    the same subkeys constantly.
+
+def _spread(data: bytes) -> bytes:
+    """One 0/1 byte per bit of ``data``, most significant bit first.
+
+    GHASH's reflected bit order makes a block's first bit the
+    coefficient of x^0, so reading 128 of these bytes little-endian
+    puts coefficient i in slot i.  (Binary formatting is exempt from
+    the int/str digit limit.)
     """
-    products = [0] * 128
-    v = h
-    for bit_index in range(127, -1, -1):
-        products[bit_index] = v
-        v = (v >> 1) ^ _R if v & 1 else v >> 1
-    tables: List[Tuple[int, ...]] = []
-    for nibble_pos in range(32):
-        row = [0] * 16
-        for bit in range(4):
-            product = products[4 * nibble_pos + bit]
-            stride = 1 << bit
-            for base in range(0, 16, 2 * stride):
-                for offset in range(stride):
-                    row[base + stride + offset] = row[base + offset] ^ product
-        tables.append(tuple(row))
-    return tuple(tables)
+    bits = format(int.from_bytes(data, "big"), "0%db" % (8 * len(data)))
+    return bits.encode().translate(_ASCII_TO_BIT)
 
 
 class _Ghash:
     """Incremental GHASH over the hash subkey ``h``."""
 
     def __init__(self, h: bytes):
-        self._tables = _build_table(int.from_bytes(h, "big"))
+        self._h = int.from_bytes(_spread(h), "little")
         self._state = 0
 
     def update(self, data: bytes) -> None:
-        tables = self._tables
+        if not data:
+            return
+        bits = _spread(data + bytes(-len(data) % 16))
+        h = self._h
         state = self._state
-        for block_start in range(0, len(data), 16):
-            block = data[block_start : block_start + 16]
-            if len(block) < 16:
-                block = block + bytes(16 - len(block))
-            state ^= int.from_bytes(block, "big")
-            acc = 0
-            for i in range(32):
-                acc ^= tables[i][(state >> (4 * i)) & 0xF]
-            state = acc
+        frm = int.from_bytes
+        for start in range(0, len(bits), 128):
+            z = ((state ^ frm(bits[start : start + 128], "little")) * h) & _SLOTS_255
+            # Fold degrees 128..254 down twice (254 -> 133 -> 12); slots
+            # stay below 1 + 4 + 16, then keep each slot's parity.
+            z = (z & _LOW_1024) + (z >> 1024) * _FOLD
+            z = (z & _LOW_1024) + (z >> 1024) * _FOLD
+            state = z & _SLOTS_128
         self._state = state
 
     def digest(self) -> bytes:
-        return self._state.to_bytes(16, "big")
+        bits = (self._state | _ASCII_ZEROS).to_bytes(128, "little")
+        return int(bits, 2).to_bytes(16, "big")
 
     def reset(self) -> None:
         self._state = 0
@@ -116,36 +116,31 @@ class AesGcm:
         self._aes = AES(key)
         self._ghash = _Ghash(self._aes.encrypt_block(bytes(16)))
 
-    def _ctr_keystream(self, nonce: bytes, length: int) -> bytes:
-        # Counter 1 is reserved for the tag mask; all counter blocks for
-        # one message are assembled up front and encrypted in a single
-        # batched ECB call.
+    def _keystream(self, nonce: bytes, length: int) -> Tuple[bytes, bytes]:
+        """The tag mask (counter 1) and ``length`` bytes of CTR keystream
+        (counters 2...), all encrypted in a single batched ECB call."""
         counter_blocks = b"".join(
             nonce + counter.to_bytes(4, "big")
-            for counter in range(2, 2 + (length + 15) // 16)
+            for counter in range(1, 2 + (length + 15) // 16)
         )
-        return self._aes.encrypt_blocks(counter_blocks)[:length]
+        stream = self._aes.encrypt_blocks(counter_blocks)
+        return stream[:16], stream[16 : 16 + length]
 
-    def _tag(self, nonce: bytes, aad: bytes, ciphertext: bytes) -> bytes:
+    def _tag(self, mask: bytes, aad: bytes, ciphertext: bytes) -> bytes:
         ghash = self._ghash
         ghash.reset()
         ghash.update(aad)
         ghash.update(ciphertext)
-        lengths = (len(aad) * 8).to_bytes(8, "big") + (len(ciphertext) * 8).to_bytes(
-            8, "big"
-        )
-        ghash.update(lengths)
-        digest = ghash.digest()
-        mask = self._aes.encrypt_block(nonce + b"\x00\x00\x00\x01")
-        return xor_bytes(digest, mask)
+        ghash.update((len(aad) * 8 << 64 | len(ciphertext) * 8).to_bytes(16, "big"))
+        return xor_bytes(ghash.digest(), mask)
 
     def encrypt(self, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
         """Encrypt and authenticate; returns ciphertext || 16-byte tag."""
         if len(nonce) != 12:
             raise ValueError("GCM nonce must be 12 bytes")
-        keystream = self._ctr_keystream(nonce, len(plaintext))
+        mask, keystream = self._keystream(nonce, len(plaintext))
         ciphertext = xor_bytes(plaintext, keystream)
-        return ciphertext + self._tag(nonce, aad, ciphertext)
+        return ciphertext + self._tag(mask, aad, ciphertext)
 
     def decrypt(
         self, nonce: bytes, data: bytes, aad: bytes = b""
@@ -156,17 +151,7 @@ class AesGcm:
         if len(data) < self.tag_length:
             raise GcmAuthenticationError("ciphertext shorter than tag")
         ciphertext, tag = data[: -self.tag_length], data[-self.tag_length :]
-        expected = self._tag(nonce, aad, ciphertext)
-        if not _constant_time_equal(tag, expected):
+        mask, keystream = self._keystream(nonce, len(ciphertext))
+        if not hmac.compare_digest(tag, self._tag(mask, aad, ciphertext)):
             raise GcmAuthenticationError("GCM tag mismatch")
-        keystream = self._ctr_keystream(nonce, len(ciphertext))
         return xor_bytes(ciphertext, keystream)
-
-
-def _constant_time_equal(a: bytes, b: bytes) -> bool:
-    if len(a) != len(b):
-        return False
-    result = 0
-    for x, y in zip(a, b):
-        result |= x ^ y
-    return result == 0

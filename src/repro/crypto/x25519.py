@@ -34,7 +34,12 @@ def _decode_u(u: bytes) -> int:
 
 
 def x25519(scalar: bytes, u: bytes) -> bytes:
-    """The X25519 function: scalar multiplication on Curve25519."""
+    """The X25519 function: scalar multiplication on Curve25519.
+
+    A low-order ``u`` (RFC 7748 section 6.1) yields 32 zero bytes, as
+    section 5 defines; callers that need contributory behaviour check
+    for that.
+    """
     k = _decode_scalar(scalar)
     x1 = _decode_u(u)
     x2, z2 = 1, 0
@@ -42,30 +47,31 @@ def x25519(scalar: bytes, u: bytes) -> bytes:
     swap = 0
     for t in range(254, -1, -1):
         k_t = (k >> t) & 1
-        swap ^= k_t
-        if swap:
+        if swap ^ k_t:
             x2, x3 = x3, x2
             z2, z3 = z3, z2
         swap = k_t
-        # Montgomery ladder step.
-        a = (x2 + z2) % _P
+        # Montgomery ladder step.  Only products are reduced: sums and
+        # differences of reduced values go into the next product as
+        # they are (Python's % returns the non-negative residue).
+        a = x2 + z2
+        b = x2 - z2
         aa = (a * a) % _P
-        b = (x2 - z2) % _P
         bb = (b * b) % _P
-        e = (aa - bb) % _P
-        c = (x3 + z3) % _P
-        d = (x3 - z3) % _P
-        da = (d * a) % _P
-        cb = (c * b) % _P
-        x3 = (da + cb) % _P
+        e = aa - bb
+        da = ((x3 - z3) * a) % _P
+        cb = ((x3 + z3) * b) % _P
+        x3 = da + cb
         x3 = (x3 * x3) % _P
-        z3 = (da - cb) % _P
+        z3 = da - cb
         z3 = (x1 * z3 * z3) % _P
         x2 = (aa * bb) % _P
         z2 = (e * (aa + _A24 * e)) % _P
     if swap:
         x2, x3 = x3, x2
         z2, z3 = z3, z2
+    if z2 == 0:
+        return bytes(32)
     # pow(z, -1, p) uses extended-gcd inversion, ~20x faster than the
     # Fermat exponentiation for this one-off final inversion.
     result = (x2 * pow(z2, -1, _P)) % _P

@@ -32,6 +32,7 @@ __all__ = [
     "overlap_analysis",
     "ablation_rollout",
     "ablation_crypto",
+    "crypto_mode_scanner",
     "ablation_traffic",
     "ablation_fingerprint",
     "centralization_analysis",
@@ -383,33 +384,35 @@ def extension_resumption(campaign: Campaign, sample_size: int = 150) -> Experime
     )
 
 
+def crypto_mode_scanner(campaign: Campaign, fast: bool) -> QScanner:
+    """The A4 scanner: simulated AEAD/DH offered first, or real crypto only."""
+    suites = (
+        (SUITE_SIM_SHA256, SUITE_AES_128_GCM_SHA256)
+        if fast
+        else (SUITE_AES_128_GCM_SHA256,)
+    )
+    groups = (GROUP_SIM, GROUP_X25519) if fast else (GROUP_X25519,)
+    return QScanner(
+        campaign.world.network,
+        campaign.world.scanner_v4,
+        QScannerConfig(
+            versions=campaign.config.qscanner_versions,
+            cipher_suites=suites,
+            groups=groups,
+            fast_initial_protection=fast,
+            seed=("crypto-ablation", fast),
+        ),
+    )
+
+
 def ablation_crypto(sample_size: int = 40, seed: int = 0) -> ExperimentResult:
     """A4: handshake wall-clock with real vs simulated crypto."""
     rows = []
     timings: Dict[str, float] = {}
     for fast in (True, False):
         campaign = get_campaign(week=18, seed=seed, fast_crypto=fast)
-        targets = [
-            r
-            for r in campaign._zmap_compatible(campaign.zmap_v4)
-        ][:sample_size]
-        suites = (
-            (SUITE_SIM_SHA256, SUITE_AES_128_GCM_SHA256)
-            if fast
-            else (SUITE_AES_128_GCM_SHA256,)
-        )
-        groups = (GROUP_SIM, GROUP_X25519) if fast else (GROUP_X25519,)
-        scanner = QScanner(
-            campaign.world.network,
-            campaign.world.scanner_v4,
-            QScannerConfig(
-                versions=campaign.config.qscanner_versions,
-                cipher_suites=suites,
-                groups=groups,
-                fast_initial_protection=fast,
-                seed=("crypto-ablation", fast),
-            ),
-        )
+        targets = campaign._zmap_compatible(campaign.zmap_v4)[:sample_size]
+        scanner = crypto_mode_scanner(campaign, fast)
         start = time.perf_counter()
         for record in targets:
             scanner.scan(record.address, None)

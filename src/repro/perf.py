@@ -6,6 +6,10 @@ and the end-to-end campaign wall-clock under each acceleration:
 - **probes/sec** — stateless ZMap QUIC probes over the IPv4 space,
 - **handshakes/sec** — stateful QScanner handshakes against
   QUIC-capable targets,
+- **real crypto** — the same scanner restricted to AES-128-GCM and
+  X25519 against a ``fast_crypto=False`` world (handshakes/sec), and
+  AES-128-GCM seal MB/s on a 1,200-byte payload — the kernels no
+  campaign stage runs,
 - **campaign wall-clock** — every scan stage of a weekly campaign,
   serial vs. sharded-parallel (cold) and cold vs. warm persistent
   stage cache,
@@ -402,6 +406,44 @@ def _bench_handshake_rate(campaign: Campaign) -> Dict[str, float]:
     }
 
 
+REAL_CRYPTO_SAMPLE = 40
+
+
+def _bench_crypto(config: CampaignConfig) -> Dict[str, object]:
+    """The real-crypto path no campaign stage exercises.
+
+    AES-128-GCM seal throughput on a QUIC-Initial-sized payload, and
+    the A4 ablation's real-crypto QScanner (AES-128-GCM + X25519 only,
+    real Initial protection) over the first compatible targets of a
+    ``fast_crypto=False`` world.
+    """
+    import dataclasses
+
+    from repro.crypto.aead import AeadAes128Gcm
+    from repro.experiments.ablations import crypto_mode_scanner
+
+    aead = AeadAes128Gcm(bytes(range(16)))
+    nonce, payload, header = bytes(12), bytes(1200), bytes(20)
+    rounds = 200
+    _, seal_seconds = _time(
+        lambda: [aead.seal(nonce, payload, header) for _ in range(rounds)]
+    )
+    campaign = Campaign(dataclasses.replace(config, fast_crypto=False))
+    targets = campaign._zmap_compatible(campaign.zmap_v4)[:REAL_CRYPTO_SAMPLE]
+    scanner = crypto_mode_scanner(campaign, fast=False)
+    records, seconds = _time(
+        lambda: [scanner.scan(record.address, None) for record in targets]
+    )
+    return {
+        "aes128gcm_seal_mb_per_sec": round(
+            rounds * len(payload) / seal_seconds / 1e6, 3
+        ),
+        "real_handshakes": len(records),
+        "real_handshake_seconds": round(seconds, 3),
+        "real_handshakes_per_sec": round(len(records) / seconds, 1) if seconds else 0.0,
+    }
+
+
 def run_benchmarks(
     week: int = 18,
     seed: int = 0,
@@ -432,6 +474,7 @@ def run_benchmarks(
     probe = _bench_probe_rate(serial)
     handshake = _bench_handshake_rate(serial)
     warehouse = _bench_warehouse(serial)
+    crypto = _bench_crypto(config)
     longitudinal = _bench_longitudinal(seed=seed)
     matrix = _bench_matrix(seed=seed)
     fleet = _bench_fleet(seed=seed, sequential_seconds=matrix["matrix_seconds"])
@@ -483,6 +526,7 @@ def run_benchmarks(
         "seed": seed,
         "zmap_probe_rate": probe,
         "qscanner_handshake_rate": handshake,
+        "crypto": crypto,
         "warehouse": warehouse,
         "longitudinal": longitudinal,
         "matrix": matrix,
@@ -661,7 +705,8 @@ def check_benchmarks(
       when there is a core per concurrent cell, by the amortisation
       floor (1.1x) on a starved runner,
     - against a ``baseline`` document (the committed
-      ``BENCH_scan.json``), the probe and handshake rates and the
+      ``BENCH_scan.json``), the probe and handshake rates, the
+      real-crypto rates (where the baseline recorded them) and the
       pipeline speedup / overlap ratio must not drop below
       ``min_rate_factor`` of their previous values.
     """
@@ -812,13 +857,16 @@ def check_benchmarks(
         for metric, key in (
             ("zmap_probe_rate", "probes_per_sec"),
             ("qscanner_handshake_rate", "handshakes_per_sec"),
+            # Absent from baselines recorded before PR 15, which pass.
+            ("crypto", "aes128gcm_seal_mb_per_sec"),
+            ("crypto", "real_handshakes_per_sec"),
         ):
             ours = results.get(metric, {}).get(key)
             theirs = baseline.get(metric, {}).get(key)
             if ours is not None and theirs and ours < min_rate_factor * theirs:
                 failures.append(
-                    f"{metric}: {ours:.0f}/s is below {min_rate_factor} x"
-                    f" baseline {theirs:.0f}/s"
+                    f"{metric}.{key}: {ours:,.1f} is below {min_rate_factor} x"
+                    f" baseline {theirs:,.1f}"
                 )
         for label, ours, theirs in (
             (

@@ -92,7 +92,14 @@ def _group_shared_secret(
     group: int, own_private: bytes, own_public: bytes, peer_public: bytes, is_client: bool
 ) -> bytes:
     if group == GROUP_X25519:
-        return x25519(own_private, peer_public)
+        # RFC 8446 section 7.4.2: a share of the wrong length is malformed,
+        # and an all-zero result means the peer sent a low-order point.
+        if len(peer_public) != 32:
+            raise AlertError(AlertDescription.ILLEGAL_PARAMETER, "bad X25519 share length")
+        shared = x25519(own_private, peer_public)
+        if not any(shared):
+            raise AlertError(AlertDescription.ILLEGAL_PARAMETER, "low-order X25519 share")
+        return shared
     # Simulated non-X25519 group: both sides hash the two public values
     # in client/server order.  Not secure — models the handful of
     # deployments choosing other curves (paper §5.1, 206 targets).

@@ -1,5 +1,6 @@
 """X25519 tests against RFC 7748 vectors and DH properties."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.x25519 import X25519_BASEPOINT, x25519, x25519_base
@@ -50,3 +51,64 @@ def test_dh_symmetry(a, b):
 def test_basepoint_constant():
     assert X25519_BASEPOINT[0] == 9
     assert all(byte == 0 for byte in X25519_BASEPOINT[1:])
+
+
+@settings(max_examples=10, deadline=None)
+@given(k=st.binary(min_size=32, max_size=32))
+def test_fixed_base_comb_equals_ladder(k):
+    assert x25519_base(k) == x25519(k, X25519_BASEPOINT)
+
+
+# RFC 7748 section 5.2: k, u = X25519(k, u), k starting from k = u = 9.  The
+# RFC pins iterations 1 and 1,000; the (k, u) pair after 500 splits the
+# second vector into two halves that chain to it.
+ITERATED = {
+    0: (X25519_BASEPOINT.hex(), X25519_BASEPOINT.hex()),
+    1: (
+        "422c8e7a6227d7bca1350b3e2bb7279f7897b87bb6854b783c60e80311ae3079",
+        X25519_BASEPOINT.hex(),
+    ),
+    500: (
+        "ee02e4dc8b2e74d8d3f639ff1dd40333160acdeaa30c0ea294c8bc42af097956",
+        "d9213fd1a4768a016038936bae5e7ef970ae9be0ed7a84416ab9e86d39b04e21",
+    ),
+    1000: ("684cf59ba83309552800ef566f2f4d3c1c3887c49360e3875f2eb94d99532c51", None),
+}
+
+
+@pytest.mark.parametrize("start,stop", [(0, 1), (0, 500), (500, 1000)])
+def test_rfc7748_iterated(start, stop):
+    k, u = (bytes.fromhex(value) for value in ITERATED[start])
+    for _ in range(stop - start):
+        k, u = x25519(k, u), k
+    expected_k, expected_u = ITERATED[stop]
+    assert k.hex() == expected_k
+    assert expected_u is None or u.hex() == expected_u
+
+
+_P = 2**255 - 19
+LOW_ORDER_U = [
+    0,
+    1,
+    325606250916557431795983626356110631294008115727848805560023387167927233504,
+    39382357235489614581723060781553021112529911719440698176882885853963445705823,
+    _P - 1,
+    _P,
+    _P + 1,
+]
+
+
+@pytest.mark.parametrize("u", LOW_ORDER_U)
+def test_low_order_points_give_zero(u):
+    """RFC 7748 section 6.1: a clamped scalar (a multiple of 8) sends every
+    small-order point to the all-zero output instead of failing."""
+    scalar = bytes.fromhex("a546e36bf0527c9d3b16154b82465edd62144c0ac1fc5a18506a2244ba449ac4")
+    assert x25519(scalar, u.to_bytes(32, "little")) == bytes(32)
+
+
+@pytest.mark.parametrize("length", [0, 31, 33])
+def test_wrong_length_inputs_rejected(length):
+    with pytest.raises(ValueError):
+        x25519(bytes(32), bytes(length))
+    with pytest.raises(ValueError):
+        x25519(bytes(length), X25519_BASEPOINT)

@@ -18,7 +18,8 @@ from repro.tls.engine import (
     TlsServerConfig,
     TlsServerSession,
 )
-from repro.tls.extensions import GROUP_SIM, GROUP_X25519
+from repro.tls.extensions import GROUP_SIM, GROUP_X25519, ExtensionType, encode_key_share
+from repro.tls.messages import ServerHello, iter_messages
 
 
 @pytest.fixture(scope="module")
@@ -188,6 +189,43 @@ def test_tampered_certificate_verify_rejected(pki):
     with pytest.raises(AlertError) as excinfo:
         client.process_server_flight(flight.encrypted_flight)
     assert excinfo.value.description == AlertDescription.DECRYPT_ERROR
+
+
+# A hostile X25519 key share: all-zero and order-8 points make the shared
+# secret zero (RFC 7748 section 6.1), a 31-byte share is malformed.  Either end
+# must answer with illegal_parameter (RFC 8446 section 7.4.2), nothing untyped.
+HOSTILE_SHARES = [
+    bytes(32),
+    bytes.fromhex("e0eb7a7c3b41b8ae1656e3faf19fc46ada098deb9c32b1fd866205165f49b800"),
+    bytes(31),
+]
+
+
+@pytest.mark.parametrize("share", HOSTILE_SHARES, ids=["zero", "order-8", "31-bytes"])
+def test_server_rejects_hostile_client_share(pki, share):
+    client, server = make_pair(
+        pki, client_kwargs={"static_key_shares": ((GROUP_X25519, bytes(32), share),)}
+    )
+    with pytest.raises(AlertError) as excinfo:
+        server.process_client_hello(client.client_hello())
+    assert excinfo.value.description == AlertDescription.ILLEGAL_PARAMETER
+
+
+@pytest.mark.parametrize("share", HOSTILE_SHARES, ids=["zero", "order-8", "31-bytes"])
+def test_client_rejects_hostile_server_share(pki, share):
+    client, server = make_pair(pki)
+    flight = server.process_client_hello(client.client_hello())
+    [(_type, body, _raw)] = iter_messages(flight.server_hello)
+    hello = ServerHello.decode(body)
+    hello.extensions = [
+        (etype, encode_key_share([(GROUP_X25519, share)], False))
+        if etype == ExtensionType.KEY_SHARE
+        else (etype, data)
+        for etype, data in hello.extensions
+    ]
+    with pytest.raises(AlertError) as excinfo:
+        client.process_server_hello(hello.encode())
+    assert excinfo.value.description == AlertDescription.ILLEGAL_PARAMETER
 
 
 def test_suite_registry():
