@@ -12,8 +12,10 @@ from functools import lru_cache
 __all__ = ["hkdf_extract", "hkdf_expand", "hkdf_expand_label", "hmac_digest"]
 
 
-# Hash block sizes for the HMAC key schedule (RFC 2104).
+# Hash block sizes for the HMAC key schedule (RFC 2104) and digest
+# sizes for HKDF-Expand's length bound.
 _BLOCK_SIZES = {"sha256": 64, "sha224": 64, "sha1": 64, "md5": 64, "sha384": 128, "sha512": 128}
+_DIGEST_SIZES = {"sha256": 32, "sha224": 28, "sha1": 20, "md5": 16, "sha384": 48, "sha512": 64}
 
 # XOR-with-constant as 256-byte translation tables (bytes.translate runs
 # the pad derivation at C speed).
@@ -71,7 +73,8 @@ def hkdf_expand(
     prk: bytes, info: bytes, length: int, hash_name: str = "sha256"
 ) -> bytes:
     """HKDF-Expand: derive ``length`` bytes of output keying material."""
-    hash_len = hashlib.new(hash_name).digest_size
+    # Names outside the table still go through hashlib (and raise there).
+    hash_len = _DIGEST_SIZES.get(hash_name) or hashlib.new(hash_name).digest_size
     if length > 255 * hash_len:
         raise ValueError("HKDF-Expand output too long")
     blocks = []

@@ -80,16 +80,19 @@ def x25519(scalar: bytes, u: bytes) -> bytes:
 
 # --- Fixed-base scalar multiplication ---------------------------------
 #
-# Public-key generation (``x25519_base``) runs once per ClientHello and
-# dominated the handshake hot path when done with the generic Montgomery
-# ladder (255 ladder steps).  Because the base point is fixed we can use
-# a comb over the birationally-equivalent twisted Edwards curve
-# (Ed25519): precompute j * 2^(w*i) * B for all 256/w w-bit windows i
-# and digits j in 1..2^w-1, then any clamped scalar costs at most 256/w
-# cached point additions (w = 8 below: 32 additions, ~2 MB of table
-# built lazily on first use).  The Montgomery u-coordinate of the
-# result is recovered as u = (Z + Y) / (Z - Y); negating a point leaves
-# u unchanged, so the comb output matches the ladder bit-for-bit.
+# Public-key generation (``x25519_base``) runs once per scanner and once
+# per real-crypto server connection, and dominated the handshake hot
+# path when done with the generic Montgomery ladder (255 ladder steps).
+# Because the base point is fixed we can use a comb over the
+# birationally-equivalent twisted Edwards curve (Ed25519): recode the
+# scalar into 256/w signed w-bit digits in [-(2^(w-1) - 1), 2^(w-1)],
+# precompute j * 2^(w*i) * B for every window i and j in 1..2^(w-1),
+# and any clamped scalar costs at most 256/w cached point additions —
+# a negative digit adds the negated table point, which is a swap and a
+# sign (w = 8 below: 32 additions, 4,096 points, ~1 MB of table built
+# lazily on first use).  The Montgomery u-coordinate of the result is
+# recovered as u = (Z + Y) / (Z - Y); negating a point leaves u
+# unchanged, so the comb output matches the ladder bit-for-bit.
 #
 # The a = -1 extended-coordinate formulas below are complete on
 # Ed25519 (d is a non-square), so no special-casing is needed while
@@ -101,7 +104,7 @@ _ED_BY = 46316835694926478169428394003475163141307993866256225615783033603165251
 
 _COMB_WINDOW_BITS = 8
 _COMB_WINDOWS = 256 // _COMB_WINDOW_BITS
-_COMB_DIGITS = (1 << _COMB_WINDOW_BITS) - 1
+_COMB_DIGITS = 1 << (_COMB_WINDOW_BITS - 1)
 _COMB_TABLE = None
 
 
@@ -134,7 +137,7 @@ def _ed_double(p):
 
 
 def _comb_table():
-    """Lazily build the (256/w) x (2^w - 1) niels-form fixed-base table."""
+    """Lazily build the (256/w) x 2^(w-1) niels-form fixed-base table."""
     global _COMB_TABLE
     if _COMB_TABLE is not None:
         return _COMB_TABLE
@@ -193,12 +196,22 @@ def _ed_add_niels(p1, niels):
 def x25519_base(scalar: bytes) -> bytes:
     """Scalar multiplication with the curve base point (public key)."""
     k = _decode_scalar(scalar)
-    table = _comb_table()
     point = (0, 1, 1, 0)  # neutral element
-    for window in range(_COMB_WINDOWS):
-        digit = (k >> (_COMB_WINDOW_BITS * window)) & _COMB_DIGITS
-        if digit:
-            point = _ed_add_niels(point, table[window][digit - 1])
+    # Signed digits, one per scalar byte (w = 8): a byte above 128
+    # becomes byte - 256 and carries one into the next window.  The top
+    # byte of a clamped scalar is at most 127, so no carry leaves the
+    # last window.
+    carry = 0
+    for row, digit in zip(_comb_table(), k.to_bytes(_COMB_WINDOWS, "little")):
+        digit += carry
+        carry = digit > _COMB_DIGITS
+        if carry:
+            digit -= 1 << _COMB_WINDOW_BITS
+        if digit > 0:
+            point = _ed_add_niels(point, row[digit - 1])
+        elif digit < 0:
+            ypx, ymx, xy2d = row[-digit - 1]
+            point = _ed_add_niels(point, (ymx, ypx, -xy2d))
     _x, y, z, _t = point
     # Montgomery u = (1 + y) / (1 - y) with projective y = Y/Z.  A
     # clamped scalar is a multiple of 8 in [2^254, 2^255), so the result

@@ -285,10 +285,13 @@ class StreamEngine:
         for node in preset:
             self._feed_records(node.name, node.records)
             self._upstream_finished(node)
-        for name in ("zmap_v4", "syn_v4"):
-            self._plan_sweep(name)
+        # List sources first: a whole v6 list scans in milliseconds and
+        # feeds a quarter of the week's handshakes, and at depth 0 it
+        # would otherwise queue behind every v4 sweep chunk.
         for name in ("zmap_v6", "syn_v6"):
             self._plan_targets(name)
+        for name in ("zmap_v4", "syn_v4"):
+            self._plan_sweep(name)
 
     def _plan_sweep(self, name: str) -> None:
         campaign = self.campaign
@@ -317,7 +320,10 @@ class StreamEngine:
             return
         node.started = time.perf_counter()
         targets = campaign.ipv6_scan_input
-        chunks = self._source_chunk_count(len(targets), _MIN_TARGET_CHUNK)
+        # One chunk per worker: list probes cost microseconds each.
+        chunks = min(
+            self.workers, self._source_chunk_count(len(targets), _MIN_TARGET_CHUNK)
+        )
         from repro.experiments.campaign import shard_block_bounds
 
         for seq in range(chunks):

@@ -24,7 +24,7 @@ from repro.scanners.results import GoscannerRecord
 from repro.scanners.retry import RetryPolicy
 from repro.server.tcp443 import LEGACY_TLS12_CIPHER
 from repro.tls.alerts import AlertError
-from repro.tls.engine import TlsClientConfig, TlsClientSession
+from repro.tls.engine import TlsClientConfig, TlsClientSession, scanner_tls_kwargs
 from repro.tls.messages import HandshakeType, ServerHello, iter_messages
 from repro.tls.record import ContentType, RecordLayer, RecordProtection
 
@@ -58,6 +58,12 @@ class Goscanner:
         # (the campaign installs its own around each stage).
         self._metrics = get_metrics()
         self._time_histogram = self._metrics.histogram("tls.handshake_time_seconds")
+        # As in QScanner: the key shares come from a labelled child
+        # generator, once per scanner, so the per-target streams
+        # (child(counter)) are those of a serial scan of the full list.
+        self._tls_kwargs = scanner_tls_kwargs(
+            config.cipher_suites, config.groups, self._rng.child("batch")
+        )
 
     def seek(self, counter: int) -> None:
         """Position the per-target rng counter.
@@ -134,13 +140,10 @@ class Goscanner:
             record.error = "connect-timeout"
             return record
 
-        tls_kwargs = {}
-        if self._config.cipher_suites:
-            tls_kwargs["cipher_suites"] = tuple(self._config.cipher_suites)
-        if self._config.groups:
-            tls_kwargs["groups"] = tuple(self._config.groups)
         tls = TlsClientSession(
-            TlsClientConfig(server_name=sni, alpn=tuple(self._config.alpn), **tls_kwargs),
+            TlsClientConfig(
+                server_name=sni, alpn=tuple(self._config.alpn), **self._tls_kwargs
+            ),
             rng,
         )
         records = RecordLayer()

@@ -38,8 +38,7 @@ from repro.quic.versions import QSCANNER_SUPPORTED, QUIC_V1, alpn_for_version
 from repro.scanners.results import QScanOutcome, QScanRecord, TargetSource, table3_bucket
 from repro.scanners.retry import RetryPolicy
 from repro.tls.certificates import Certificate
-from repro.tls.engine import TlsClientConfig, generate_key_shares
-from repro.tls.extensions import GROUP_X25519
+from repro.tls.engine import TlsClientConfig, scanner_tls_kwargs
 
 __all__ = ["QScanner", "QScannerConfig"]
 
@@ -105,9 +104,8 @@ class QScanner:
         # per-target rng streams (child(counter)) are unaffected and
         # shard workers derive the identical batch context.
         batch_rng = self._rng.child("batch")
-        self._client_groups = tuple(config.groups) or None
-        self._static_shares = generate_key_shares(
-            self._client_groups or (GROUP_X25519,), batch_rng
+        self._tls_kwargs = scanner_tls_kwargs(
+            config.cipher_suites, config.groups, batch_rng
         )
         self._initial_cids = (batch_rng.token(8), batch_rng.token(8))
         self._control_stream_bytes = (
@@ -115,11 +113,6 @@ class QScanner:
             if config.http3_head_request
             else b""
         )
-        self._tls_kwargs: Dict[str, object] = {}
-        if config.cipher_suites:
-            self._tls_kwargs["cipher_suites"] = tuple(config.cipher_suites)
-        if self._client_groups:
-            self._tls_kwargs["groups"] = self._client_groups
         self._trusted_roots = tuple(config.trusted_roots)
         self._alpn = tuple(config.alpn)
         self._versions = tuple(config.versions)
@@ -231,7 +224,6 @@ class QScanner:
                 alpn=self._alpn,
                 transport_params=self._config.transport_params,
                 trusted_roots=self._trusted_roots,
-                static_key_shares=self._static_shares,
                 **self._tls_kwargs,
             ),
             timeout=self._config.timeout,

@@ -226,26 +226,16 @@ def verify_chain(
     An empty list means the chain verifies.  The QScanner records but
     does not enforce validation results, like the paper's tooling.
 
-    Results are memoised: a campaign validates the same per-deployment
-    chain for every domain pointing at that deployment, and the RSA
-    signature walk is by far the most expensive part of a successful
-    scan once the handshake itself is cached-key fast.
+    The name and validity-week checks depend on the caller and are a
+    few string compares; the RSA signature walk depends only on the
+    chain and the roots and is by far the most expensive part of a
+    successful scan, so it alone is memoised: a campaign validates the
+    same per-deployment chain for every domain pointing at that
+    deployment.
     """
-    return list(
-        _verify_chain_cached(tuple(chain), tuple(trusted_roots), server_name, week)
-    )
-
-
-@lru_cache(maxsize=4096)
-def _verify_chain_cached(
-    chain: Tuple[Certificate, ...],
-    trusted_roots: Tuple[Certificate, ...],
-    server_name: Optional[str],
-    week: Optional[int],
-) -> Tuple[str, ...]:
-    errors: List[str] = []
     if not chain:
-        return ("empty certificate chain",)
+        return ["empty certificate chain"]
+    errors: List[str] = []
     leaf = chain[0]
     if server_name is not None:
         names = leaf.san or (leaf.subject,)
@@ -253,6 +243,16 @@ def _verify_chain_cached(
             errors.append(f"hostname {server_name!r} not covered by certificate")
     if week is not None and not (leaf.not_before <= week <= leaf.not_after):
         errors.append("certificate expired or not yet valid")
+    errors.extend(_signature_walk(tuple(chain), tuple(trusted_roots)))
+    return errors
+
+
+@lru_cache(maxsize=4096)
+def _signature_walk(
+    chain: Tuple[Certificate, ...], trusted_roots: Tuple[Certificate, ...]
+) -> Tuple[str, ...]:
+    """The chain's signature errors, one RSA walk per (chain, roots)."""
+    errors: List[str] = []
     # Walk the chain: each certificate must be signed by the next one,
     # the last by a trusted root (or be a trusted root / self-signed).
     for index, cert in enumerate(chain):

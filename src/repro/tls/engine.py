@@ -79,6 +79,7 @@ __all__ = [
     "ServerFlight",
     "GROUP_NAMES",
     "generate_key_shares",
+    "scanner_tls_kwargs",
 ]
 
 GROUP_NAMES = {
@@ -143,6 +144,27 @@ def generate_key_shares(
     return tuple(shares)
 
 
+def scanner_tls_kwargs(
+    cipher_suites: Sequence[CipherSuite], groups: Sequence[int], rng: DeterministicRandom
+) -> Dict[str, object]:
+    """The ``TlsClientConfig`` fields one scanner repeats on every connection.
+
+    Empty ``cipher_suites`` / ``groups`` keep the config defaults.  The
+    key shares are derived here, once, from the scanner's labelled
+    child generator — its per-target streams are unaffected, so shard
+    workers and serial runs derive the same shares.
+    """
+    kwargs: Dict[str, object] = {}
+    if cipher_suites:
+        kwargs["cipher_suites"] = tuple(cipher_suites)
+    if groups:
+        kwargs["groups"] = tuple(groups)
+    kwargs["static_key_shares"] = generate_key_shares(
+        kwargs.get("groups", TlsClientConfig.groups), rng
+    )
+    return kwargs
+
+
 @dataclass
 class NegotiatedSession:
     """Everything a scanner records about a completed TLS handshake."""
@@ -179,8 +201,9 @@ class TlsClientConfig:
     # Resumption (RFC 8446 §4.2.11): present this ticket as a PSK.
     session_ticket: Optional[SessionTicket] = None
     offer_early_data: bool = False
-    # Batched-scan accelerator: (group -> (private, public)) key shares
-    # generated once per scan batch instead of per connection — the
+    # Batched-scan accelerator: (group, private, public) key shares
+    # generated once per scanner (QScanner and Goscanner both, via
+    # scanner_tls_kwargs) instead of per connection — the
     # ephemeral-key reuse real scanners apply at campaign rates.  The
     # handshake secrets still differ per connection (fresh randoms and
     # server shares enter the transcript and key schedule).

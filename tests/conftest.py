@@ -6,6 +6,7 @@ code path; benchmarks use the default (paper-shape) scale.
 
 import pytest
 
+from repro.crypto.rsa import RsaPublicKey
 from repro.experiments import get_campaign
 from repro.internet.providers import Scale
 
@@ -21,3 +22,17 @@ def tiny_campaign():
 @pytest.fixture(scope="session")
 def tiny_world(tiny_campaign):
     return tiny_campaign.world
+
+
+@pytest.fixture()
+def signature_checks(monkeypatch):
+    """One entry per ``RsaPublicKey.verify`` call while the test runs."""
+    calls = []
+    real = RsaPublicKey.verify
+
+    def counting(key, message, signature):
+        calls.append(key)
+        return real(key, message, signature)
+
+    monkeypatch.setattr(RsaPublicKey, "verify", counting)
+    return calls

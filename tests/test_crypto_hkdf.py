@@ -45,6 +45,21 @@ def test_expand_length_limit():
         hkdf_expand(b"\x00" * 32, b"", 256 * 32)
 
 
+def test_digest_size_table_matches_hashlib_and_unknown_names_still_raise():
+    import hashlib
+
+    from repro.crypto.hkdf import _DIGEST_SIZES
+
+    for name, size in _DIGEST_SIZES.items():
+        assert hashlib.new(name).digest_size == size
+    # a hash outside the table takes the hashlib path: same bound, same error
+    assert len(hkdf_expand(b"\x00" * 32, b"", 255 * 28, "sha3_224")) == 255 * 28
+    with pytest.raises(ValueError):
+        hkdf_expand(b"\x00" * 32, b"", 255 * 28 + 1, "sha3_224")
+    with pytest.raises(ValueError):
+        hkdf_expand(b"\x00" * 32, b"", 16, "no-such-hash")
+
+
 def test_expand_label_quic_initial_keys():
     """RFC 9001 Appendix A.1 derivation chain."""
     salt = bytes.fromhex("38762cf7f55934b34d179ae6a4c80cadccbb7f0a")

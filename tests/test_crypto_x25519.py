@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.x25519 import X25519_BASEPOINT, x25519, x25519_base
+from repro.crypto.x25519 import X25519_BASEPOINT, _comb_table, x25519, x25519_base
 
 
 def test_rfc7748_vector_1():
@@ -57,6 +57,36 @@ def test_basepoint_constant():
 @given(k=st.binary(min_size=32, max_size=32))
 def test_fixed_base_comb_equals_ladder(k):
     assert x25519_base(k) == x25519(k, X25519_BASEPOINT)
+
+
+# Scalars whose signed base-256 recoding hits the carry edges a random
+# draw rarely does (after clamping: byte 0 &= 248, byte 31 = 64..127).
+SIGNED_DIGIT_EDGES = {
+    "all-ff": b"\xff" * 32,  # 255 + carry = 256: digit 0, carry again
+    "all-80": b"\x80" * 32,  # every digit exactly 128, no carry
+    "all-81": b"\x81" * 32,  # 129 -> -127 with a carry
+    "7f-80": b"\x7f\x80" * 16,
+    "80-7f": b"\x80\x7f" * 16,
+    "top-127-carry-in": bytes(30) + b"\xff\x7f",  # last digit 127 + 1 = 128
+    "rfc7748-alice": bytes.fromhex(
+        "77076d0a7318a57d3c16c17251b26645df4c2f87ebc0992ab177fba51db92c2a"
+    ),
+    "rfc7748-bob": bytes.fromhex(
+        "5dab087e624a8a4b79e17f8b83800ee66f3bb1292618b6fd1c2f8b27ff88e0eb"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIGNED_DIGIT_EDGES))
+def test_fixed_base_comb_signed_digit_edges(name):
+    k = SIGNED_DIGIT_EDGES[name]
+    assert x25519_base(k) == x25519(k, X25519_BASEPOINT)
+
+
+def test_comb_table_keeps_half_the_multiples():
+    table = _comb_table()
+    assert len(table) == 32
+    assert {len(row) for row in table} == {128}
 
 
 # RFC 7748 section 5.2: k, u = X25519(k, u), k starting from k = u = 9.  The

@@ -1,4 +1,5 @@
-"""The legacy bench's real-crypto section and the gate that holds it."""
+"""The legacy bench's real-crypto section and the gate that holds it, and
+the count gate on per-scanner / per-chain handshake work."""
 
 from repro.experiments.campaign import CampaignConfig
 from repro.internet.providers import Scale
@@ -28,3 +29,43 @@ def test_baseline_without_a_crypto_section_passes():
     results = {"crypto": {"aes128gcm_seal_mb_per_sec": 0.1, "real_handshakes_per_sec": 1.0}}
     assert check_benchmarks(results, baseline={"zmap_probe_rate": {}}) == []
     assert check_benchmarks(results, baseline=None) == []
+
+
+def test_handshake_fixed_costs_are_paid_per_scanner_and_per_chain(monkeypatch, signature_checks):
+    """Counts, not timings: a per-connection base multiplication or a
+    per-name signature walk fails here on any host."""
+    from repro.experiments.campaign import _STAGE_ORDER, Campaign
+    from repro.tls import certificates, engine
+
+    config = CampaignConfig(week=18, scale=Scale(addresses=200_000, ases=4_000, domains=200_000))
+    campaign = Campaign(config)
+    campaign.world
+    # Count this campaign's work only: not the world build's, and not
+    # less because an earlier test validated the same chains.
+    certificates._signature_walk.cache_clear()
+    signature_checks.clear()
+
+    base_multiplications = []
+    real_base = engine.x25519_base
+
+    def counting_base(scalar):
+        base_multiplications.append(scalar)
+        return real_base(scalar)
+
+    chains = set()
+    real_verify_chain = engine.verify_chain
+
+    def recording_chains(chain, roots, **kwargs):
+        chains.add(tuple(chain))
+        return real_verify_chain(chain, roots, **kwargs)
+
+    monkeypatch.setattr(engine, "x25519_base", counting_base)
+    monkeypatch.setattr(engine, "verify_chain", recording_chains)
+    try:
+        campaign.run_all_stages()
+    finally:
+        campaign.close()
+
+    stateful_stages = [name for name in _STAGE_ORDER if name.startswith(("goscanner", "qscan"))]
+    assert 0 < len(base_multiplications) <= len(stateful_stages) == 8
+    assert 0 < len(signature_checks) <= sum(len(chain) for chain in chains)

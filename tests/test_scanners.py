@@ -18,8 +18,11 @@ from repro.scanners.zmapquic import ZmapQuicScanner, build_probe
 from repro.scanners.zmaptcp import ZmapTcpScanner
 from repro.server.tcp443 import Tcp443Config, Tcp443Server
 from repro.tls.alerts import AlertDescription, AlertError
+from repro.tls import engine as tls_engine
 from repro.tls.certificates import CertificateAuthority
-from repro.tls.engine import TlsServerConfig
+from repro.tls.engine import TlsClientSession, TlsServerConfig
+from repro.tls.extensions import ExtensionType
+from repro.tls.messages import ClientHello
 from repro.http.h1 import HttpResponse
 
 
@@ -295,3 +298,98 @@ def test_goscanner_connect_timeout(scan_world):
     record = scanner.scan(scan_world["space"].address_at(77), None)
     assert not record.success
     assert record.error == "connect-timeout"
+
+
+# -- per-scanner key shares ------------------------------------------------------
+
+
+def _listener_world(count=20):
+    """A fresh network with ``count`` TLS-over-TCP + QUIC listeners."""
+    ca = CertificateAuthority(seed="scan-tests", key_bits=512)
+    cert, key = ca.issue("scan.example", ["scan.example", "*.example"], key_bits=512)
+    net = Network(seed=3)
+    space = Prefix.parse("10.0.0.0/24")
+
+    def select(sni):
+        return [cert, ca.root], key
+
+    tcp = Tcp443Config(
+        tls=TlsServerConfig(select_certificate=select, alpn_protocols=("h2", "http/1.1")),
+        http_handler=lambda request, sni: HttpResponse(
+            status=200, headers=[("Server", "unit-test")]
+        ),
+    )
+    quic = QuicServerBehaviour(
+        tls=TlsServerConfig(
+            select_certificate=select,
+            alpn_protocols=("h3",),
+            transport_params=TransportParameters(initial_max_data=4096),
+        ),
+        advertised_versions=(QUIC_V1,),
+        app_handler=lambda alpn, sid, data: b"OK",
+    )
+    targets = []
+    for index in range(count):
+        address = space.address_at(20 + index)
+        net.bind_tcp(address, 443, Tcp443Server(tcp))
+        net.bind_udp(address, 443, QuicServerEndpoint(quic))
+        targets.append((address, f"host{index}.example"))
+    return net, targets
+
+
+_SCAN_SOURCE = IPv4Address.parse("198.51.100.9")
+
+
+@pytest.fixture()
+def client_hellos(monkeypatch):
+    """Every ClientHello a TLS client session produces, decoded."""
+    hellos = []
+    real = TlsClientSession.client_hello
+
+    def recording(session):
+        framed = real(session)
+        hellos.append(ClientHello.decode(framed[4:]))
+        return framed
+
+    monkeypatch.setattr(TlsClientSession, "client_hello", recording)
+    return hellos
+
+
+def test_key_shares_are_generated_once_per_scanner(monkeypatch):
+    calls = []
+    real = tls_engine.generate_key_shares
+
+    def counting(groups, rng):
+        calls.append(tuple(groups))
+        return real(groups, rng)
+
+    monkeypatch.setattr(tls_engine, "generate_key_shares", counting)
+    net, targets = _listener_world(20)
+    goscanner = Goscanner(net, _SCAN_SOURCE, GoscannerConfig())
+    assert all(goscanner.scan(address, sni).success for address, sni in targets)
+    assert len(calls) == 1
+    qscanner = QScanner(net, _SCAN_SOURCE, QScannerConfig(versions=(QUIC_V1,)))
+    assert all(qscanner.scan(address, sni).is_success for address, sni in targets)
+    assert len(calls) == 2
+
+
+def test_goscanner_seek_replays_the_full_scan_slice(client_hellos):
+    """Static shares come from their own child generator: a chunk worker
+    that seeks to its offset sends the ClientHellos of a serial scan."""
+    net, targets = _listener_world(20)
+    full = Goscanner(net, _SCAN_SOURCE, GoscannerConfig())
+    full_records = [full.scan(address, sni) for address, sni in targets]
+    full_hellos = list(client_hellos)
+    assert all(record.success for record in full_records)
+
+    net, targets = _listener_world(20)
+    chunk = Goscanner(net, _SCAN_SOURCE, GoscannerConfig())
+    chunk.seek(7)
+    chunk_records = [chunk.scan(address, sni) for address, sni in targets[7:14]]
+    assert chunk_records == full_records[7:14]
+    assert client_hellos[20:] == full_hellos[7:14]
+
+    # Two scanners, one seed: one key_share on every connection, while
+    # the randoms (and so the handshake secrets) differ per connection.
+    assert len({hello.extension(ExtensionType.KEY_SHARE) for hello in client_hellos}) == 1
+    assert len({hello.random for hello in full_hellos}) == 20

@@ -56,6 +56,34 @@ def test_expiry_window(ca):
     assert any("expired" in e for e in errors)
 
 
+def test_one_signature_walk_per_chain_whatever_the_name(ca, signature_checks):
+    cert, _key = ca.issue("many.example", ["*.many.example"], key_bits=512)
+    chain = [cert, ca.root]
+    for index in range(50):
+        assert verify_chain(chain, [ca.root], server_name=f"h{index}.many.example") == []
+    assert len(signature_checks) == len(chain)
+    errors = verify_chain(chain, [ca.root], server_name="elsewhere.example")
+    assert errors == ["hostname 'elsewhere.example' not covered by certificate"]
+    assert verify_chain(chain, [ca.root], server_name="again.many.example") == []
+    assert len(signature_checks) == len(chain)
+
+
+def test_error_order_and_no_leak_between_names(ca):
+    cert, _key = ca.issue("o.example", ["o.example"], not_before=10, not_after=12, key_bits=512)
+    tampered = Certificate(**{**cert.__dict__, "serial": cert.serial + 1})
+    chain = [tampered, ca.root]
+    bad_signature = "bad signature on certificate 'o.example'"
+    assert verify_chain(chain, [ca.root], server_name="x.example", week=20) == [
+        "hostname 'x.example' not covered by certificate",
+        "certificate expired or not yet valid",
+        bad_signature,
+    ]
+    # The memoised walk carries neither the name nor the week of the
+    # call that filled it.
+    assert verify_chain(chain, [ca.root], server_name="o.example", week=11) == [bad_signature]
+    assert verify_chain([], [ca.root], server_name="o.example") == ["empty certificate chain"]
+
+
 def test_encode_decode_roundtrip(ca):
     cert, _key = ca.issue("rt.example", ["rt.example", "alt.example"], key_bits=512)
     decoded = Certificate.decode(cert.encode())
