@@ -71,6 +71,7 @@ from repro.experiments.ablations import (
 )
 from repro.experiments.figures import fig3, fig4, fig5, fig6, fig7, fig8, fig9
 from repro.experiments.tables import table1, table2, table3, table4, table5, table6
+from repro.internet.generator import AddressSpaceExhausted
 from repro.internet.providers import Scale
 
 __all__ = ["main", "EXPERIMENTS"]
@@ -1041,7 +1042,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     longitudinal_parser.set_defaults(func=_cmd_longitudinal)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except AddressSpaceExhausted as error:
+        print(f"{parser.prog}: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

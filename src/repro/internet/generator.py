@@ -50,7 +50,11 @@ from repro.tls.ciphersuites import SUITE_AES_128_GCM_SHA256, SUITE_SIM_SHA256
 from repro.tls.engine import TlsServerConfig
 from repro.tls.extensions import GROUP_SIM, GROUP_X25519
 
-__all__ = ["World", "DeploymentInfo", "build_world"]
+__all__ = ["AddressSpaceExhausted", "World", "DeploymentInfo", "build_world"]
+
+
+class AddressSpaceExhausted(RuntimeError):
+    """The world being generated does not fit the simulated IPv4 space."""
 
 _WILDCARD_SANS = (
     "*.com", "*.net", "*.org", "*.xyz", "*.online", "*.shop",
@@ -118,7 +122,10 @@ class _AddressAllocator:
         self._next_v4_block += span_blocks
         space_end = self._space.network.value + self._space.num_addresses
         if base + span_blocks * (1 << self._v4_block_bits) > space_end:
-            raise RuntimeError("simulated IPv4 space exhausted; increase the space size")
+            raise AddressSpaceExhausted(
+                f"simulated IPv4 space {self._space} exhausted with {addresses_needed}"
+                " more addresses to place; use a coarser scale or a larger space"
+            )
         span_bits = self._v4_block_bits + (span_blocks - 1).bit_length()
         return Prefix(IPv4Address(base), 32 - span_bits)
 

@@ -48,6 +48,27 @@ class Blocklist:
             self._groups[version] = cached
         return cached
 
+    def blocked_ranges(self, space: Prefix) -> Tuple[Tuple[int, int], ...]:
+        """The blocked part of ``space`` as disjoint, ascending, half-open
+        ``(lo, hi)`` ranges of address values: nested and repeated
+        prefixes merge, so the lengths sum to the blocked addresses."""
+        first = space.network.value
+        end = first + space.num_addresses
+        spans = sorted(
+            (max(first, prefix.network.value), min(end, prefix.network.value + prefix.num_addresses))
+            for prefix in self._prefixes
+            if prefix.network.version == space.network.version
+        )
+        merged: List[Tuple[int, int]] = []
+        for lo, hi in spans:
+            if lo >= hi:
+                continue  # outside the space
+            if merged and lo <= merged[-1][1]:
+                merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
+            else:
+                merged.append((lo, hi))
+        return tuple(merged)
+
     def is_blocked(self, address: Address) -> bool:
         value = address.value
         for mask, networks in self.mask_groups(address.version):

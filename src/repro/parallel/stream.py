@@ -8,10 +8,12 @@ slowest shard.  This module replaces the stage barrier with record
 streaming:
 
 - **prefix-ordered sweep chunks** — IPv4 sweeps are partitioned into
-  contiguous walk segments (:meth:`CyclicGroupPermutation.iter_range`)
-  instead of interleaved sub-cycles, so completed chunks form a
-  *prefix* of the serial visit order and their responders can feed
-  downstream stages while later segments are still sweeping,
+  contiguous blocks of walk positions (``scan_ipv4_range``) instead of
+  interleaved sub-cycles, so completed chunks form a *prefix* of the
+  serial visit order and their responders can feed downstream stages
+  while later segments are still sweeping; a sweep that probes by
+  position (:mod:`repro.scanners.sweep`) costs its responders, not its
+  positions, and is one block per worker,
 - **records as dataflow** — a completed upstream chunk's surviving
   records are transformed parent-side into the consumer stage's
   target items and shipped inside the consumer's chunk task; workers
@@ -55,13 +57,14 @@ from repro.observability.tracing import EventTracer, use_tracer
 from repro.parallel import engine as engine_module
 from repro.parallel.engine import OVERSHARD_FACTOR, _env_int, _init_worker, _replica
 from repro.quic.versions import QSCANNER_SUPPORTED
+from repro.scanners.sweep import sweep_permutation
 
 __all__ = ["StreamEngine", "run_streaming", "stream_queue_limit"]
 
-# How many chunks per worker a source sweep is cut into.  Finer than
-# the barrier engine's oversharding: early chunks must complete early
-# for downstream overlap, and sweep chunks are cheap to ship (two
-# integers).
+# How many chunks per worker a source sweep that walks is cut into.
+# Finer than the barrier engine's oversharding: early chunks must
+# complete early for downstream overlap, and sweep chunks are cheap to
+# ship (two integers).
 _STREAM_CHUNKS_PER_WORKER = _env_int("REPRO_STREAM_CHUNKS", 8)
 
 # Floor sizes keeping chunks worth their IPC round-trip.
@@ -302,8 +305,16 @@ class StreamEngine:
         scanner = (
             campaign._zmap_scanner(4) if name == "zmap_v4" else campaign._syn_scanner(4)
         )
-        cycle = scanner.sweep_cycle_length(campaign.world.ipv4_space)
+        space = campaign.world.ipv4_space
+        permutation = sweep_permutation(scanner.seed, space)
+        cycle = permutation.cycle_length
         chunks = self._source_chunk_count(cycle, _MIN_SWEEP_CHUNK)
+        if scanner.sweeps_by_position(space):
+            # A block costs its responders, not its positions: one per
+            # worker, as for lists.  The table the blocks read is built
+            # here, before the pool forks, so its workers inherit it.
+            chunks = min(self.workers, chunks)
+            permutation.warm()
         from repro.experiments.campaign import shard_block_bounds
 
         for seq in range(chunks):

@@ -1,9 +1,9 @@
 """The paper's measurement tool set.
 
 - :mod:`repro.scanners.permutation` — ZMap's multiplicative-group
-  address permutation,
-- :mod:`repro.scanners.sweep` — the integer-space sweep loop both ZMap
-  modules share,
+  address permutation and its inverse (address to walk position),
+- :mod:`repro.scanners.sweep` — the IPv4 sweep both ZMap modules
+  share: probes the live addresses by position, counts the rest,
 - :mod:`repro.scanners.zmapquic` — the stateless ZMap QUIC module
   (IPv4 full-space and IPv6 hitlist scans, forced version negotiation),
 - :mod:`repro.scanners.zmaptcp` — TCP SYN scans on :443,

@@ -7,15 +7,38 @@ element exactly once, needs constant memory and is cheap per step —
 the properties that let ZMap randomise a full IPv4 sweep.  We
 implement the same construction over the (configurable) simulated
 address space.
+
+The walk also runs backwards.  With ``log`` the discrete logarithm to
+any fixed primitive root of ``p``, the element at walk position ``k``
+is ``start * g^k``, so an element ``x`` sits at position
+
+    ``k = (log x - log start) * (log g)^-1  mod (p - 1)``
+
+(``log g`` is invertible because ``g`` generates the group).  One table
+of ``log`` per prime, shared by every permutation over that prime in
+the process, lets a sweep ask where its few responders sit
+(:meth:`CyclicGroupPermutation.positions_of`) instead of visiting the
+whole space to find them.  ``-1 = r^((p-1)/2)`` gives
+``log(p - x) = log x + (p-1)/2``, so the table holds the lower half
+only: ``2 B * p`` and half a walk to fill — about 0.5 MB and 13 ms for
+the /14.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from array import array
+from bisect import bisect_left
+from functools import lru_cache
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.crypto.rand import DeterministicRandom
 
-__all__ = ["CyclicGroupPermutation", "smallest_prime_above"]
+__all__ = ["CyclicGroupPermutation", "Walk", "count_in_walk", "smallest_prime_above"]
+
+# A selection of walk positions: ``lo, lo + step, ...`` below ``hi``.
+# The full cycle is ``(0, p - 1, 1)``, shard ``s`` of ``n`` is
+# ``(s, p - 1, n)`` and a contiguous block is ``(lo, hi, 1)``.
+Walk = Tuple[int, int, int]
 
 
 def _is_prime(n: int) -> bool:
@@ -39,6 +62,54 @@ def smallest_prime_above(n: int) -> int:
     return candidate
 
 
+def _prime_factors(n: int) -> set:
+    factors = set()
+    f = 2
+    while f * f <= n:
+        while n % f == 0:
+            factors.add(f)
+            n //= f
+        f += 1
+    if n > 1:
+        factors.add(n)
+    return factors
+
+
+def _generates(candidate: int, p: int, factors: Iterable[int]) -> bool:
+    """Whether ``candidate`` has order ``p - 1`` (``factors`` of ``p - 1``)."""
+    return all(pow(candidate, (p - 1) // q, p) != 1 for q in factors)
+
+
+@lru_cache(maxsize=4)
+def _discrete_logs(p: int) -> array:
+    """``table[x] = log_r x`` for ``x`` in ``[1, (p-1)/2]``, ``r`` the
+    smallest primitive root of the odd prime ``p``; the upper half is
+    ``log(p - x) = log x + (p-1)/2``.  Half a walk of the group fills
+    it — ``r^k`` and ``r^(k + (p-1)/2) = -r^k`` are the two members of
+    one pair — so O(p) time and ``2 B * p``: kept per prime, not per sweep."""
+    factors = _prime_factors(p - 1)
+    root = next(r for r in range(1, p) if _generates(r, p, factors))
+    half = (p - 1) // 2
+    table = array("I", [0]) * (half + 1)
+    x = 1
+    for k in range(half):
+        if x <= half:
+            table[x] = k
+        else:
+            table[p - x] = k + half
+        x = x * root % p
+    return table
+
+
+def count_in_walk(positions: Sequence[int], walk: Walk) -> int:
+    """How many of the ascending ``positions`` the ``walk`` selects."""
+    lo, hi, step = walk
+    first, last = bisect_left(positions, lo), bisect_left(positions, hi)
+    if step == 1:
+        return last - first
+    return sum((positions[k] - lo) % step == 0 for k in range(first, last))
+
+
 class CyclicGroupPermutation:
     """A full-cycle permutation of ``range(size)``.
 
@@ -58,26 +129,11 @@ class CyclicGroupPermutation:
         self._start = rng.randrange(1, self._p)
 
     def _find_generator(self, rng: DeterministicRandom) -> int:
-        factors = self._factorize(self._p - 1)
+        factors = _prime_factors(self._p - 1)
         while True:
             candidate = rng.randrange(2, self._p)
-            if all(
-                pow(candidate, (self._p - 1) // q, self._p) != 1 for q in factors
-            ):
+            if _generates(candidate, self._p, factors):
                 return candidate
-
-    @staticmethod
-    def _factorize(n: int) -> set:
-        factors = set()
-        f = 2
-        while f * f <= n:
-            while n % f == 0:
-                factors.add(f)
-                n //= f
-            f += 1
-        if n > 1:
-            factors.add(n)
-        return factors
 
     def __iter__(self) -> Iterator[int]:
         """Yield every index in ``range(size)`` exactly once."""
@@ -98,8 +154,7 @@ class CyclicGroupPermutation:
         output can be re-ordered into the serial visit order; the union
         of all shards partitions ``range(size)`` exactly.
         """
-        if not 0 <= shard < of:
-            raise ValueError(f"shard {shard} out of range for {of} shards")
+        self.shard_walk(shard, of)
         p, g = self._p, self._generator
         current = (self._start * pow(g, shard, p)) % p
         step = pow(g, of, p)
@@ -125,14 +180,94 @@ class CyclicGroupPermutation:
         downstream stages start on early responders while later blocks
         are still sweeping.  Yields ``(position, index)`` pairs.
         """
-        if not 0 <= lo <= hi <= self._p - 1:
-            raise ValueError(f"range [{lo}, {hi}) outside cycle of {self._p - 1}")
+        self.range_walk(lo, hi)
         p, g = self._p, self._generator
         current = (self._start * pow(g, lo, p)) % p
         for position in range(lo, hi):
             if current <= self.size:
                 yield position, current - 1
             current = (current * g) % p
+
+    def shard_walk(self, shard: int, of: int) -> Walk:
+        """The positions :meth:`iter_shard` visits, as a selection."""
+        if not 0 <= shard < of:
+            raise ValueError(f"shard {shard} out of range for {of} shards")
+        return shard, self._p - 1, of
+
+    def range_walk(self, lo: int, hi: int) -> Walk:
+        """The positions :meth:`iter_range` visits, as a selection."""
+        if not 0 <= lo <= hi <= self._p - 1:
+            raise ValueError(f"range [{lo}, {hi}) outside cycle of {self._p - 1}")
+        return lo, hi, 1
+
+    def warm(self) -> None:
+        """Build this prime's discrete-log table now — before forking
+        workers that should inherit it rather than each build their own."""
+        _discrete_logs(self._p)
+
+    def index_at(self, position: int) -> Optional[int]:
+        """The index visited at walk ``position``; ``None`` for the few
+        positions whose element lies beyond the space."""
+        element = self._start * pow(self._generator, position, self._p) % self._p
+        return element - 1 if element <= self.size else None
+
+    def _position_of(self) -> Callable[[int], int]:
+        """Element of ``[1, p)`` -> walk position (the module docstring's formula)."""
+        p = self._p
+        logs = _discrete_logs(p)
+        half = (p - 1) // 2
+
+        def log(element: int) -> int:
+            return logs[element] if element <= half else logs[p - element] + half
+
+        origin = log(self._start)
+        scale = pow(log(self._generator), -1, p - 1)
+        return lambda element: (log(element) - origin) * scale % (p - 1)
+
+    def positions_of(
+        self, indexes: Iterable[int], walk: Optional[Walk] = None
+    ) -> List[Tuple[int, int]]:
+        """``(position, index)`` of each index the ``walk`` visits, ascending.
+
+        What :meth:`iter_shard` / :meth:`iter_range` would yield for the
+        same selection, filtered to ``indexes``, at a cost of one table
+        lookup per index instead of one group step per position.
+        ``walk`` defaults to the full cycle; duplicate indexes count
+        once; an index outside ``range(size)`` raises ``ValueError``.
+        """
+        lo, hi, step = walk or self.shard_walk(0, 1)
+        position_of = self._position_of()
+        pairs = []
+        for index in set(indexes):
+            if not 0 <= index < self.size:
+                raise ValueError(f"index {index} outside permutation of {self.size}")
+            position = position_of(index + 1)
+            if lo <= position < hi and (position - lo) % step == 0:
+                pairs.append((position, index))
+        pairs.sort()
+        return pairs
+
+    def visited_in(self, walk: Walk) -> int:
+        """How many positions of ``walk`` land inside the space.
+
+        Every position but those of the ``p - 1 - size`` elements beyond
+        it (two for a /14), which the walk steps over.
+        """
+        lo, hi, step = walk
+        position_of = self._position_of()
+        beyond = sorted(position_of(x) for x in range(self.size + 1, self._p))
+        return len(range(lo, hi, step)) - count_in_walk(beyond, walk)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CyclicGroupPermutation):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def _key(self) -> Tuple[int, int, int]:
+        return self.size, self._generator, self._start
 
     def __len__(self) -> int:
         return self.size

@@ -29,7 +29,8 @@ from repro.quic.packet import PacketDecodeError, decode_version_negotiation
 from repro.quic.versions import force_negotiation_version
 from repro.scanners.results import ZmapQuicRecord
 from repro.scanners.retry import RetryPolicy
-from repro.scanners.sweep import sweep_live, sweep_permutation
+from repro.scanners.permutation import CyclicGroupPermutation, Walk
+from repro.scanners.sweep import sweep_live, sweep_permutation, walk_targets
 
 __all__ = ["ZmapQuicScanner", "build_probe"]
 
@@ -104,11 +105,17 @@ class ZmapQuicScanner:
         position reproduces the serial sweep record-for-record.
         """
         permutation = sweep_permutation(self.seed, space)
-        return self._sweep(space, permutation.iter_shard(shard, of))
+        return self._sweep(space, permutation, permutation.shard_walk(shard, of))
 
     def sweep_cycle_length(self, space: Prefix) -> int:
         """Walk positions in this scanner's permutation of ``space``."""
         return sweep_permutation(self.seed, space).cycle_length
+
+    def sweeps_by_position(self, space: Prefix) -> bool:
+        """Whether a sweep of ``space`` costs its responders, not its
+        positions (:func:`~repro.scanners.sweep.sweep_live`): no pacing,
+        no retry."""
+        return self.pps is None and not self.retry.enabled
 
     def scan_ipv4_range(
         self, space: Prefix, lo: int, hi: int
@@ -122,20 +129,22 @@ class ZmapQuicScanner:
         index walk positions in ``[0, sweep_cycle_length(space)]``.
         """
         permutation = sweep_permutation(self.seed, space)
-        return self._sweep(space, permutation.iter_range(lo, hi))
+        return self._sweep(space, permutation, permutation.range_walk(lo, hi))
 
     def _sweep(
-        self, space: Prefix, walk: Iterable[Tuple[int, int]]
+        self, space: Prefix, permutation: CyclicGroupPermutation, walk: Walk
     ) -> List[Tuple[int, ZmapQuicRecord]]:
         rng = DeterministicRandom(self.seed)
-        if self.pps is None and not self.retry.enabled:
-            return self._sweep_fast(space, walk, rng)
-        return self._probe_all(
-            ((position, space.address_at(index)) for position, index in walk), rng
-        )
+        if self.sweeps_by_position(space):
+            return self._sweep_fast(space, permutation, walk, rng)
+        return self._probe_all(walk_targets(space, permutation, walk), rng)
 
     def _sweep_fast(
-        self, space: Prefix, walk: Iterable[Tuple[int, int]], rng: DeterministicRandom
+        self,
+        space: Prefix,
+        permutation: CyclicGroupPermutation,
+        walk: Walk,
+        rng: DeterministicRandom,
     ) -> List[Tuple[int, ZmapQuicRecord]]:
         """Space sweep specialised for the no-pacing, no-retry case.
 
@@ -170,6 +179,7 @@ class ZmapQuicScanner:
             self.network,
             self.blocklist,
             space,
+            permutation,
             walk,
             self.network.udp_bound_values(self.port, family),
             probe,

@@ -12,7 +12,8 @@ from repro.observability.metrics import get_metrics
 from repro.crypto.rand import DeterministicRandom
 from repro.scanners.results import SynRecord
 from repro.scanners.retry import RetryPolicy
-from repro.scanners.sweep import sweep_live, sweep_permutation
+from repro.scanners.permutation import CyclicGroupPermutation, Walk
+from repro.scanners.sweep import sweep_live, sweep_permutation, walk_targets
 
 __all__ = ["ZmapTcpScanner"]
 
@@ -36,11 +37,24 @@ class ZmapTcpScanner:
     ) -> List[Tuple[int, SynRecord]]:
         """Sweep one permutation shard; returns (position, record) pairs."""
         permutation = sweep_permutation(self.seed, space)
-        return self._sweep(space, permutation.iter_shard(shard, of))
+        return self._sweep(space, permutation, permutation.shard_walk(shard, of))
 
     def sweep_cycle_length(self, space: Prefix) -> int:
         """Walk positions in this scanner's permutation of ``space``."""
         return sweep_permutation(self.seed, space).cycle_length
+
+    def sweeps_by_position(self, space: Prefix) -> bool:
+        """Whether a sweep of ``space`` costs its responders, not its
+        positions (:func:`~repro.scanners.sweep.sweep_live`): no retry,
+        and a network that can bound which SYNs do more than count."""
+        return self._live_values(space) is not None
+
+    def _live_values(self, space: Prefix) -> Optional[frozenset]:
+        """The values a sweep by position probes; ``None`` when every
+        target must take :meth:`_probe_all`."""
+        if self.retry.enabled:
+            return None
+        return self.network.syn_live_values(self.port, space.network.version)
 
     def scan_ipv4_range(
         self, space: Prefix, lo: int, hi: int
@@ -52,12 +66,12 @@ class ZmapTcpScanner:
         :mod:`repro.parallel.stream`).
         """
         permutation = sweep_permutation(self.seed, space)
-        return self._sweep(space, permutation.iter_range(lo, hi))
+        return self._sweep(space, permutation, permutation.range_walk(lo, hi))
 
     def _sweep(
-        self, space: Prefix, walk: Iterable[Tuple[int, int]]
+        self, space: Prefix, permutation: CyclicGroupPermutation, walk: Walk
     ) -> List[Tuple[int, SynRecord]]:
-        """Sweep in integer space when that is exact, else per target.
+        """Sweep by position when that is exact, else per target.
 
         A SYN to a host that neither listens nor carries explicit
         conditions only moves the sent counters — unless a retry would
@@ -65,11 +79,9 @@ class ZmapTcpScanner:
         target takes :meth:`_probe_all`, to which
         :func:`~repro.scanners.sweep.sweep_live` is bit-identical.
         """
-        live = self.network.syn_live_values(self.port, space.network.version)
-        if live is None or self.retry.enabled:
-            return self._probe_all(
-                (position, space.address_at(index)) for position, index in walk
-            )
+        live = self._live_values(space)
+        if live is None:
+            return self._probe_all(walk_targets(space, permutation, walk))
 
         def probe(target: Address) -> Optional[SynRecord]:
             if self.network.syn_probe(target, self.port):
@@ -80,6 +92,7 @@ class ZmapTcpScanner:
             self.network,
             self.blocklist,
             space,
+            permutation,
             walk,
             live,
             probe,

@@ -45,6 +45,26 @@ def test_scan_prints_core_tables(capsys):
         assert marker in out
 
 
+def test_exhausted_address_space_is_one_line_and_exit_2(monkeypatch, capsys):
+    """What `repro scan --scale 500` runs into, on a space shrunk to a /24."""
+    from repro.internet import generator
+    from repro.netsim.addresses import Prefix
+
+    real_init = generator._AddressAllocator.__init__
+    monkeypatch.setattr(
+        generator._AddressAllocator,
+        "__init__",
+        lambda self, space: real_init(self, Prefix.parse("100.64.0.0/24")),
+    )
+    with pytest.raises(generator.AddressSpaceExhausted):
+        generator._AddressAllocator(None).alloc_v4_prefix(257)
+    assert main(["scan", "--scale", "20000", "--seed", "4242"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("quicrepro: simulated IPv4 space 100.64.0.0/24 exhausted")
+
+
 def test_requires_subcommand():
     with pytest.raises(SystemExit):
         main([])

@@ -1,5 +1,8 @@
 """The legacy bench's real-crypto section and the gate that holds it, and
-the count gate on per-scanner / per-chain handshake work."""
+the count gates on per-scanner / per-chain handshake work and on what
+an IPv4 sweep visits."""
+
+import pytest
 
 from repro.experiments.campaign import CampaignConfig
 from repro.internet.providers import Scale
@@ -69,3 +72,58 @@ def test_handshake_fixed_costs_are_paid_per_scanner_and_per_chain(monkeypatch, s
     stateful_stages = [name for name in _STAGE_ORDER if name.startswith(("goscanner", "qscan"))]
     assert 0 < len(base_multiplications) <= len(stateful_stages) == 8
     assert 0 < len(signature_checks) <= sum(len(chain) for chain in chains)
+
+
+def test_v4_sweeps_probe_responders_and_walk_nothing(monkeypatch):
+    """Counts, not timings: a sweep that steps the permutation, or probes
+    an address nobody listens on, fails here on any host.
+
+    With every walker of ``CyclicGroupPermutation`` raising, a baseline
+    campaign's two IPv4 sweeps still complete, on one full-delivery
+    probe per live address (no reply is left queued in a baseline
+    world, so none is drained by a further probe).  A retry policy
+    re-probes the silent majority, so it still walks — ROADMAP item 4.
+    """
+    from repro.experiments.campaign import Campaign
+    from repro.netsim.topology import ClientUdpSocket, Network
+    from repro.scanners.permutation import CyclicGroupPermutation
+    from repro.scanners.retry import RetryPolicy
+
+    def no_walking(*args, **kwargs):
+        raise AssertionError("a sweep walked the permutation")
+
+    for walker in ("__iter__", "iter_shard", "iter_range"):
+        monkeypatch.setattr(CyclicGroupPermutation, walker, no_walking)
+    probes = {"udp": 0, "syn": 0}
+    real_send, real_syn = ClientUdpSocket.send, Network.syn_probe
+
+    def counting_send(self, *args):
+        probes["udp"] += 1
+        return real_send(self, *args)
+
+    def counting_syn(self, *args):
+        probes["syn"] += 1
+        return real_syn(self, *args)
+
+    monkeypatch.setattr(ClientUdpSocket, "send", counting_send)
+    monkeypatch.setattr(Network, "syn_probe", counting_syn)
+
+    scale = Scale(addresses=200_000, ases=4_000, domains=200_000)
+    campaign = Campaign(CampaignConfig(week=18, scale=scale))
+    network = campaign.world.network
+    try:
+        assert campaign.zmap_v4 and campaign.syn_v4
+        for stage in ("zmap_v4", "syn_v4"):
+            assert campaign.stage_health[stage].status == "success"
+    finally:
+        campaign.close()
+    assert len(campaign.zmap_v4) <= probes["udp"] <= len(network.udp_bound_values(443, 4))
+    assert len(campaign.syn_v4) <= probes["syn"] <= len(network.syn_live_values(443, 4))
+
+    retrying = Campaign(CampaignConfig(week=18, scale=scale, retry=RetryPolicy(attempts=2)))
+    try:
+        for scanner in (retrying._zmap_scanner(4), retrying._syn_scanner(4)):
+            with pytest.raises(AssertionError, match="walked"):
+                scanner.scan_ipv4_space(retrying.world.ipv4_space)
+    finally:
+        retrying.close()

@@ -1,5 +1,7 @@
 """Scanner tests: permutation, ZMap modules, Goscanner, QScanner."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,13 +9,16 @@ from repro.crypto.rand import DeterministicRandom
 from repro.netsim.addresses import IPv4Address, Prefix
 from repro.netsim.blocklist import Blocklist
 from repro.netsim.topology import Network, UdpEndpoint
+from repro.observability.metrics import MetricsRegistry, use_metrics
 from repro.quic.connection import QuicServerBehaviour, QuicServerEndpoint
+from repro.quic.packet import encode_version_negotiation
 from repro.quic.transport_params import TransportParameters
 from repro.quic.versions import DRAFT_29, QUIC_V1, is_forcing_negotiation
 from repro.scanners.goscanner import Goscanner, GoscannerConfig
 from repro.scanners.permutation import CyclicGroupPermutation, smallest_prime_above
 from repro.scanners.qscanner import QScanner, QScannerConfig
 from repro.scanners.results import QScanOutcome
+from repro.scanners.sweep import sweep_permutation, walk_targets
 from repro.scanners.zmapquic import ZmapQuicScanner, build_probe
 from repro.scanners.zmaptcp import ZmapTcpScanner
 from repro.server.tcp443 import Tcp443Config, Tcp443Server
@@ -61,6 +66,100 @@ def test_permutation_different_seeds_differ():
 def test_permutation_complete_property(size):
     permutation = CyclicGroupPermutation(size, DeterministicRandom(("h", size)))
     assert sorted(permutation) == list(range(size))
+
+
+# -- the walk's inverse ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("size", [2, 3, 10, 255, 256, 1000, 4096, 1 << 16])
+def test_positions_of_inverts_the_walk(size):
+    for seed in range(3):
+        permutation = CyclicGroupPermutation(size, DeterministicRandom(("inv", seed)))
+        assert permutation.positions_of(range(size)) == list(permutation.iter_shard(0, 1))
+
+
+@pytest.mark.parametrize("size", [3, 10, 255, 256, 1000, 4096])
+def test_positions_of_filters_like_the_shard_and_range_walks(size):
+    for seed in range(3):
+        permutation = CyclicGroupPermutation(size, DeterministicRandom(("inv", seed)))
+        cycle = permutation.cycle_length
+        serial = list(permutation.iter_shard(0, 1))
+        # Positions the walk steps over: their element lies beyond the space.
+        beyond = sorted(set(range(cycle)) - {position for position, _ in serial})
+        assert len(beyond) == cycle - size
+        walks = [(permutation.shard_walk(s, of), permutation.iter_shard(s, of))
+                 for of in (1, 2, 3, 7) for s in range(of)]
+        blocks = [(0, 0), (0, cycle), (cycle // 3, cycle // 2), (cycle // 2, cycle // 2),
+                  (cycle - 1, cycle), (cycle, cycle)]
+        blocks += [(position, position + 1) for position in beyond]  # empty: nothing visited
+        blocks += [(max(0, position - 1), min(cycle, position + 2)) for position in beyond]
+        walks += [(permutation.range_walk(lo, hi), permutation.iter_range(lo, hi))
+                  for lo, hi in blocks]
+        for walk, reference in walks:
+            expected = list(reference)
+            assert permutation.positions_of(range(size), walk) == expected, walk
+            assert permutation.visited_in(walk) == len(expected), walk
+            # A subset comes back filtered, still in walk order.
+            assert permutation.positions_of(range(0, size, 3), walk) == [
+                pair for pair in expected if pair[1] % 3 == 0
+            ]
+            for position, index in expected[:5] + expected[-5:]:
+                assert permutation.index_at(position) == index
+        for position in beyond:
+            assert permutation.index_at(position) is None
+
+
+def test_the_slash_14_walk_steps_over_two_elements():
+    permutation = CyclicGroupPermutation(1 << 18, DeterministicRandom("inv"))
+    full = permutation.shard_walk(0, 1)
+    assert permutation.cycle_length - permutation.visited_in(full) == 2
+    thirds = [permutation.visited_in(permutation.shard_walk(s, 3)) for s in range(3)]
+    assert sum(thirds) == 1 << 18
+
+
+def test_positions_of_rejects_out_of_space_and_ignores_duplicates():
+    permutation = CyclicGroupPermutation(100, DeterministicRandom("inv"))
+    assert permutation.positions_of([7, 7, 7]) == permutation.positions_of([7])
+    assert len(permutation.positions_of([7, 8, 7, 8])) == 2
+    for index in (-1, 100, 101):
+        with pytest.raises(ValueError):
+            permutation.positions_of([5, index])
+    with pytest.raises(ValueError):
+        permutation.shard_walk(3, 3)
+    with pytest.raises(ValueError):
+        permutation.range_walk(5, permutation.cycle_length + 1)
+
+
+def test_permutations_compare_by_their_parameters():
+    a = CyclicGroupPermutation(100, DeterministicRandom("same"))
+    b = CyclicGroupPermutation(100, DeterministicRandom("same"))
+    assert a == b and hash(a) == hash(b)
+    assert a != CyclicGroupPermutation(100, DeterministicRandom("other"))
+
+
+def test_blocked_ranges_merge_and_clip():
+    space = Prefix.parse("10.0.0.0/24")
+    first = space.network.value
+    blocklist = Blocklist(
+        Prefix.parse(text)
+        for text in (
+            "10.0.0.64/26",  # .64 - .127
+            "10.0.0.96/28",  # nested
+            "10.0.0.128/30",  # adjacent: merges
+            "10.0.0.200/32",
+            "10.0.0.200/32",  # repeated
+            "10.0.1.0/24",  # outside the space
+            "2001:db8::/32",  # other family
+        )
+    )
+    assert blocklist.blocked_ranges(space) == (
+        (first + 64, first + 132),
+        (first + 200, first + 201),
+    )
+    assert Blocklist([Prefix.parse("10.0.0.0/8")]).blocked_ranges(space) == (
+        (first, first + 256),
+    )
+    assert Blocklist().blocked_ranges(space) == ()
 
 
 # -- probe format ------------------------------------------------------------------
@@ -147,6 +246,109 @@ def test_zmap_quic_probes_everything_without_blocklist(scan_world):
     scanner = ZmapQuicScanner(scan_world["net"], scan_world["source"])
     scanner.scan_ipv4_space(scan_world["space"])
     assert scan_world["trap"].hits == 1
+
+
+class _VnEndpoint(UdpEndpoint):
+    """Answers every probe with ``copies`` identical Version Negotiations."""
+
+    def __init__(self, copies):
+        self.copies = copies
+
+    def datagram_received(self, network, source, data, reply):
+        for _ in range(self.copies):
+            reply(encode_version_negotiation(b"", b"", [QUIC_V1]))
+
+
+# next position the walk visits after the doubled reply -> positions (in
+# walk steps past the doubling endpoint's) that must carry a record
+_QUEUED_REPLY_CASES = {
+    "dark": (0, 1),
+    "blocked": (0, 2),
+    "beyond-the-space": (0, 2),
+    "live": (0, 1, 2),
+    "past-the-block": (0,),
+}
+
+
+@pytest.mark.parametrize(
+    "case,of",
+    [
+        (case, of)
+        for case in sorted(_QUEUED_REPLY_CASES)
+        for of in (1, 3)
+        if case != "past-the-block" or of == 1  # a block is contiguous
+    ],
+)
+def test_queued_reply_is_drained_by_the_next_probe_sent(case, of):
+    """A reply still queued when its probe returns belongs to the next
+    address the walk sends to, whatever that address is.
+
+    An endpoint that answers one probe twice leaves a datagram in the
+    inbox; the sweep by position must hand it to the probe at the next
+    visited, unblocked position exactly as the per-target loop does —
+    records and their position tags, ``TrafficStats``, metrics, virtual
+    clock and the network RNG's next draw.  None of the 44
+    ``test_fast_sweep_matches_slow_probe_path`` cases reaches this
+    branch (no generated endpoint, fault or path profile leaves a reply
+    queued), so this synthetic /25 — a /24 has no element beyond the
+    space, 257 being prime — is its only cover.
+    """
+    space = Prefix.parse("10.0.0.0/25")
+    source = IPv4Address.parse("198.51.100.9")
+    seed = ("queued-reply", of)
+    permutation = sweep_permutation(seed, space)
+    cycle = permutation.cycle_length
+    inside = [permutation.index_at(position) is not None for position in range(cycle)]
+    assert inside.count(False) == 2
+    want_gap = case == "beyond-the-space"
+    k = next(
+        k
+        for k in range(cycle - 3 * of)
+        if inside[k] and inside[k + of] != want_gap and inside[k + 2 * of] and inside[k + 3 * of]
+    )
+    if case == "past-the-block":
+        walk = permutation.range_walk(0, k + 1)
+        sweep = lambda scanner: scanner.scan_ipv4_range(space, 0, k + 1)
+    else:
+        walk = permutation.shard_walk(k % of, of)
+        sweep = lambda scanner: scanner.scan_ipv4_space_shard(space, k % of, of)
+
+    def at(steps):
+        return space.address_at(permutation.index_at(k + steps * of))
+
+    def observe(run):
+        network = Network(seed=5)
+        network.bind_udp(at(0), 443, _VnEndpoint(copies=2))
+        blocklist = Blocklist()
+        if case == "blocked":
+            blocklist.add(Prefix(at(1), 32))
+        if case == "live":
+            network.bind_udp(at(1), 443, _VnEndpoint(copies=1))
+        scanner = ZmapQuicScanner(network, source, blocklist=blocklist, seed=seed)
+        with use_metrics(MetricsRegistry()) as registry:
+            records = run(scanner)
+        return {
+            "records": records,
+            "stats": dataclasses.asdict(network.stats),
+            "metrics": registry.snapshot(),
+            "now": network.now,
+            "next_draw": network._rng.random(),
+        }
+
+    fast = observe(sweep)
+    slow = observe(
+        lambda scanner: scanner._probe_all(
+            walk_targets(space, permutation, walk), DeterministicRandom(seed)
+        )
+    )
+    assert fast == slow
+    assert [position for position, _ in fast["records"]] == [
+        k + steps * of for steps in _QUEUED_REPLY_CASES[case]
+    ]
+    # The doubled reply keeps its sender's address under the later tag.
+    assert [record.address for _, record in fast["records"][:2]] == [at(0)] * min(
+        2, len(fast["records"])
+    )
 
 
 def test_zmap_tcp_syn(scan_world):

@@ -149,8 +149,17 @@ def test_streaming_respects_env_kill_switch(monkeypatch):
 
 
 def test_backpressure_stalls_sources(monkeypatch):
-    """A tiny queue limit forces sweep dispatch to stall measurably."""
+    """A tiny queue limit forces sweep dispatch to stall measurably.
+
+    Sweeps by position are one block per worker, each returning enough
+    responders to ship at once: at two workers all eight source chunks
+    fit the default in-flight cap and nothing is ever left buffered
+    beside a waiting source.  So the cap is narrowed with the queue, and
+    consumers batch until a stall flushes them.
+    """
     monkeypatch.setattr(stream_module, "stream_queue_limit", lambda: 1)
+    monkeypatch.setattr(stream_module, "OVERSHARD_FACTOR", 1)
+    monkeypatch.setattr(stream_module, "_MIN_BATCH", 1_000)
     campaign = Campaign(CampaignConfig(week=18, scale=STREAM_SCALE, seed=7), workers=2)
     try:
         campaign.run_all_stages(streaming=True)
