@@ -2,8 +2,9 @@
 
 - :mod:`repro.scanners.permutation` — ZMap's multiplicative-group
   address permutation and its inverse (address to walk position),
-- :mod:`repro.scanners.sweep` — the IPv4 sweep both ZMap modules
-  share: probes the live addresses by position, counts the rest,
+- :mod:`repro.scanners.sweep` — the sweep both ZMap modules share,
+  over a prefix or a list: probes the live targets by position,
+  counts the rest,
 - :mod:`repro.scanners.zmapquic` — the stateless ZMap QUIC module
   (IPv4 full-space and IPv6 hitlist scans, forced version negotiation),
 - :mod:`repro.scanners.zmaptcp` — TCP SYN scans on :443,

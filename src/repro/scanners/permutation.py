@@ -144,6 +144,18 @@ class CyclicGroupPermutation:
                 yield current - 1  # map [1, size] onto [0, size)
             current = (current * g) % p
 
+    def iter_walk(self, walk: Walk) -> Iterator[Tuple[int, int]]:
+        """``(position, index)`` at every position of ``walk`` that lands
+        inside the space, by one group step per position."""
+        lo, hi, step = walk
+        p = self._p
+        current = self._start * pow(self._generator, lo, p) % p
+        factor = pow(self._generator, step, p)
+        for position in range(lo, hi, step):
+            if current <= self.size:
+                yield position, current - 1
+            current = current * factor % p
+
     def iter_shard(self, shard: int, of: int) -> Iterator[Tuple[int, int]]:
         """Walk one of ``of`` interleaved sub-cycles (ZMap's sharding).
 
@@ -154,14 +166,7 @@ class CyclicGroupPermutation:
         output can be re-ordered into the serial visit order; the union
         of all shards partitions ``range(size)`` exactly.
         """
-        self.shard_walk(shard, of)
-        p, g = self._p, self._generator
-        current = (self._start * pow(g, shard, p)) % p
-        step = pow(g, of, p)
-        for position in range(shard, p - 1, of):
-            if current <= self.size:
-                yield position, current - 1
-            current = (current * step) % p
+        return self.iter_walk(self.shard_walk(shard, of))
 
     @property
     def cycle_length(self) -> int:
@@ -180,13 +185,7 @@ class CyclicGroupPermutation:
         downstream stages start on early responders while later blocks
         are still sweeping.  Yields ``(position, index)`` pairs.
         """
-        self.range_walk(lo, hi)
-        p, g = self._p, self._generator
-        current = (self._start * pow(g, lo, p)) % p
-        for position in range(lo, hi):
-            if current <= self.size:
-                yield position, current - 1
-            current = (current * g) % p
+        return self.iter_walk(self.range_walk(lo, hi))
 
     def shard_walk(self, shard: int, of: int) -> Walk:
         """The positions :meth:`iter_shard` visits, as a selection."""

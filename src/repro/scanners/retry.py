@@ -22,7 +22,8 @@ opts in (e.g. ``repro chaos --retries N``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import Optional, Tuple
 
 __all__ = ["RetryPolicy"]
@@ -48,6 +49,13 @@ class RetryPolicy:
     @property
     def enabled(self) -> bool:
         return self.attempts > 1
+
+    def nominal_retries(self) -> int:
+        """Retries owed to a target that never answers and never makes
+        the scanner wait: ``attempts - 1``, or as many as the
+        jitter-free schedule fits inside ``deadline``."""
+        schedule = replace(self, jitter=0.0).schedule(None)
+        return sum(self.within_deadline(elapsed) for elapsed in accumulate(schedule))
 
     def backoff(self, retry_index: int, rng) -> float:
         """Delay before retry number ``retry_index`` (1-based).

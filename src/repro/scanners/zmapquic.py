@@ -18,10 +18,10 @@ Faithful to the paper's §3.1 design:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.crypto.rand import DeterministicRandom
-from repro.netsim.addresses import Address, IPv4Address, IPv6Address, Prefix
+from repro.netsim.addresses import Address, Prefix
 from repro.netsim.blocklist import Blocklist
 from repro.netsim.topology import Network
 from repro.observability.metrics import get_metrics
@@ -29,8 +29,7 @@ from repro.quic.packet import PacketDecodeError, decode_version_negotiation
 from repro.quic.versions import force_negotiation_version
 from repro.scanners.results import ZmapQuicRecord
 from repro.scanners.retry import RetryPolicy
-from repro.scanners.permutation import CyclicGroupPermutation, Walk
-from repro.scanners.sweep import sweep_live, sweep_permutation, walk_targets
+from repro.scanners.sweep import PrefixWalk, TargetList, sweep_live, sweep_permutation
 
 __all__ = ["ZmapQuicScanner", "build_probe"]
 
@@ -105,7 +104,8 @@ class ZmapQuicScanner:
         position reproduces the serial sweep record-for-record.
         """
         permutation = sweep_permutation(self.seed, space)
-        return self._sweep(space, permutation, permutation.shard_walk(shard, of))
+        walk = permutation.shard_walk(shard, of)
+        return self._sweep(PrefixWalk(space, permutation, walk))
 
     def sweep_cycle_length(self, space: Prefix) -> int:
         """Walk positions in this scanner's permutation of ``space``."""
@@ -113,9 +113,8 @@ class ZmapQuicScanner:
 
     def sweeps_by_position(self, space: Prefix) -> bool:
         """Whether a sweep of ``space`` costs its responders, not its
-        positions (:func:`~repro.scanners.sweep.sweep_live`): no pacing,
-        no retry."""
-        return self.pps is None and not self.retry.enabled
+        positions (:func:`~repro.scanners.sweep.sweep_live`): no pacing."""
+        return self.pps is None
 
     def scan_ipv4_range(
         self, space: Prefix, lo: int, hi: int
@@ -129,64 +128,52 @@ class ZmapQuicScanner:
         index walk positions in ``[0, sweep_cycle_length(space)]``.
         """
         permutation = sweep_permutation(self.seed, space)
-        return self._sweep(space, permutation, permutation.range_walk(lo, hi))
+        walk = permutation.range_walk(lo, hi)
+        return self._sweep(PrefixWalk(space, permutation, walk))
 
-    def _sweep(
-        self, space: Prefix, permutation: CyclicGroupPermutation, walk: Walk
-    ) -> List[Tuple[int, ZmapQuicRecord]]:
-        rng = DeterministicRandom(self.seed)
-        if self.sweeps_by_position(space):
-            return self._sweep_fast(space, permutation, walk, rng)
-        return self._probe_all(walk_targets(space, permutation, walk), rng)
+    def _sweep(self, sequence: PrefixWalk | TargetList) -> List[Tuple[int, ZmapQuicRecord]]:
+        """One probe packet to every target of ``sequence``.
 
-    def _sweep_fast(
-        self,
-        space: Prefix,
-        permutation: CyclicGroupPermutation,
-        walk: Walk,
-        rng: DeterministicRandom,
-    ) -> List[Tuple[int, ZmapQuicRecord]]:
-        """Space sweep specialised for the no-pacing, no-retry case.
-
-        The simulated network drops datagrams to unbound destinations
-        before conditions, loss or faults apply — only the traffic
-        counters move — so full delivery runs only for targets that
-        host a UDP endpoint, or while a reply is still queued.
-        :func:`~repro.scanners.sweep.sweep_live` holds the output to
-        :meth:`_probe_all` over the same walk, bit for bit.
+        The network drops datagrams to unbound destinations before
+        conditions, loss or faults apply — only traffic counters move —
+        so :func:`~repro.scanners.sweep.sweep_live` delivers to targets
+        hosting a UDP endpoint only, or while a reply is still queued.
         """
+        rng = DeterministicRandom(self.seed)
         socket = self.network.client_socket(self.source_address)
         dcid = rng.token(8)
         scid = rng.token(8)
         packet = build_probe(dcid, scid, padded=self.padded)
         start = self.network.now
-        family = space.network.version
+        family = sequence.family
         inbox = socket._inbox
         malformed = 0
 
-        def probe(target: Address) -> Optional[ZmapQuicRecord]:
-            nonlocal malformed
+        def send(target: Address):
             socket.send(target, self.port, packet)
-            received = socket.receive(self.timeout) if inbox else None
-            if received is None:
-                return None
-            record = _vn_record(received)
-            if record is None:
+            return socket.receive(self.timeout) if inbox else None
+
+        def record(received) -> Optional[ZmapQuicRecord]:
+            nonlocal malformed
+            found = _vn_record(received)
+            if found is None:
                 malformed += 1
-            return record
+            return found
 
         records = sweep_live(
             self.network,
             self.blocklist,
-            space,
-            permutation,
-            walk,
+            sequence,
             self.network.udp_bound_values(self.port, family),
-            probe,
+            send,
+            record,
+            retry=self.retry,
+            seed=self.seed,
             probe_bytes=len(packet),
             metric="zmap.quic",
             answered="responses",
             pending=inbox,
+            pps=self.pps,
         )
         self.last_scan_duration = self.network.now - start
         if malformed:
@@ -201,77 +188,4 @@ class ZmapQuicScanner:
         self, targets: Iterable[Address], base_position: int
     ) -> List[Tuple[int, ZmapQuicRecord]]:
         """Scan a contiguous slice of a target list, tagging positions."""
-        rng = DeterministicRandom(self.seed)
-        return self._probe_all(
-            ((base_position + i, target) for i, target in enumerate(targets)), rng
-        )
-
-    def _probe_all(
-        self, targets: Iterable[Tuple[int, Address]], rng: DeterministicRandom
-    ) -> List[Tuple[int, ZmapQuicRecord]]:
-        socket = self.network.client_socket(self.source_address)
-        dcid = rng.token(8)
-        scid = rng.token(8)
-        probe = build_probe(dcid, scid, padded=self.padded)
-        records: List[Tuple[int, ZmapQuicRecord]] = []
-        start = self.network.now
-        inter_probe_gap = 1.0 / self.pps if self.pps else 0.0
-        policy = self.retry
-        # The probe loop is the hottest path in the pipeline: tally into
-        # locals and flush to the metrics registry once at the end.
-        probes = blocked = malformed = retries = giveups = 0
-        family: Optional[int] = None
-        for position, target in targets:
-            if family is None:
-                family = target.version
-            if self.blocklist.is_blocked(target):
-                blocked += 1
-                continue
-            probes += 1
-            if inter_probe_gap:
-                self.network.advance_to(self.network.now + inter_probe_gap)
-            target_start = self.network.now
-            socket.send(target, self.port, probe)
-            received = socket.receive(self.timeout) if socket.pending() else None
-            if received is None and policy.enabled:
-                # Re-probe with deterministic backoff; the jitter rng is
-                # keyed by absolute walk position, so shard workers
-                # replay the serial schedule exactly.
-                jitter_rng = rng.child("retry", position)
-                for retry_index in range(1, policy.attempts):
-                    delay = policy.backoff(retry_index, jitter_rng)
-                    if not policy.within_deadline(
-                        self.network.now - target_start + delay
-                    ):
-                        break
-                    self.network.advance_to(self.network.now + delay)
-                    probes += 1
-                    retries += 1
-                    socket.send(target, self.port, probe)
-                    received = (
-                        socket.receive(self.timeout) if socket.pending() else None
-                    )
-                    if received is not None:
-                        break
-                if received is None:
-                    giveups += 1
-            if received is None:
-                continue
-            record = _vn_record(received)
-            if record is None:
-                malformed += 1
-                continue
-            records.append((position, record))
-        self.last_scan_duration = self.network.now - start
-        if family is not None:
-            metrics = get_metrics()
-            metrics.counter("zmap.quic.probes", family=family).inc(probes)
-            metrics.counter("zmap.quic.blocked", family=family).inc(blocked)
-            metrics.counter("zmap.quic.responses", family=family).inc(len(records))
-            if malformed:
-                metrics.counter("zmap.quic.malformed", family=family).inc(malformed)
-            if retries:
-                metrics.counter("zmap.quic.retries", family=family).inc(retries)
-            if giveups:
-                metrics.counter("zmap.quic.giveups", family=family).inc(giveups)
-        return records
+        return self._sweep(TargetList(targets, base_position))

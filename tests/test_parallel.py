@@ -12,6 +12,7 @@ Covers the three guarantees the engine is built on:
 """
 
 import dataclasses
+import math
 import os
 import pickle
 
@@ -28,15 +29,25 @@ from repro.experiments.campaign import (
 from repro.experiments import stage_cache
 from repro.experiments.stage_cache import CampaignStageCache
 from repro.internet.providers import Scale
-from repro.netsim.addresses import Prefix
-from repro.netsim.topology import NetworkConditions
+from repro.netsim.addresses import IPv4Address, IPv6Address, Prefix
+from repro.netsim.blocklist import Blocklist
+from repro.netsim.topology import (
+    SYN_BYTES,
+    ClientUdpSocket,
+    Network,
+    NetworkConditions,
+    TcpListener,
+)
 from repro.observability.metrics import MetricsRegistry, use_metrics
 from repro.observability.report import render_metrics_json
 from repro.parallel import ScanEngine, engine as engine_module
+from repro.scanners import sweep as sweep_module, zmapquic, zmaptcp
 from repro.scanners.permutation import CyclicGroupPermutation
 from repro.scanners.retry import RetryPolicy
+from repro.scanners.sweep import sweep_permutation
 
 from tests.conftest import TINY_SCALE
+from tests.test_scanners import _VnEndpoint
 
 
 # -- permutation sharding ------------------------------------------------------
@@ -243,8 +254,8 @@ def _three_length_blocklist(world):
         world.blocklist.add(Prefix.parse(text))
 
 
-# name -> (config overrides, world mutation, can the SYN sweep stay in
-# integer space?)
+# name -> (config overrides, world mutation, can the network bound which
+# SYNs do more than count?)
 _SWEEP_WORLDS = {
     "baseline": ({}, None, True),
     "blocklist-lengths": ({}, _three_length_blocklist, True),
@@ -253,7 +264,7 @@ _SWEEP_WORLDS = {
     "path-profile": ({"path_profile": "lossy-edge"}, None, True),
     "prefix-conditions": ({}, _prefix_conditions, False),
     "lossy-default": ({}, _lossy_default, False),
-    "retry": ({"retry": RetryPolicy(attempts=2)}, None, False),
+    "retry": ({"retry": RetryPolicy(attempts=2)}, None, True),
 }
 
 # name -> (the walk over a bare permutation, the same walk through the
@@ -280,9 +291,8 @@ _SWEEP_WALKS = {
 }
 
 
-def _observe_sweep(campaign, sweep):
+def _observe_sweep(network, sweep):
     """Run ``sweep`` and return everything a sweep may legitimately move."""
-    network = campaign.world.network
     before = dataclasses.asdict(network.stats)
     with use_metrics(MetricsRegistry()) as registry:
         records = sweep()
@@ -296,6 +306,44 @@ def _observe_sweep(campaign, sweep):
     }
 
 
+def _recording(calls, real):
+    """``real``, appending each call's arguments to ``calls`` first."""
+    return lambda *args: (calls.append(args), real(*args))[1]
+
+
+def _count_loops(monkeypatch):
+    """A list that grows by one per sweep taking ``sweep.py``'s loop
+    over every target."""
+    taken = []
+    monkeypatch.setattr(
+        sweep_module, "_each_target", _recording(taken, sweep_module._each_target)
+    )
+    return taken
+
+
+def _force_loop(monkeypatch):
+    """From here on both ZMap modules sweep by the loop over every
+    target, reached the way a product reaches it — pacing — at an
+    infinite rate, which leaves the clock alone."""
+
+    def paced(*args, **kwargs):
+        return sweep_module.sweep_live(*args, **{**kwargs, "pps": math.inf})
+
+    monkeypatch.setattr(zmapquic, "sweep_live", paced)
+    monkeypatch.setattr(zmaptcp, "sweep_live", paced)
+
+
+def _scanner_pair(module, family, mutate=None, **overrides):
+    """Two scanners of one configuration, each over a world of its own."""
+    config = CampaignConfig(week=18, scale=TINY_SCALE, seed=7, **overrides)
+    make = Campaign._zmap_scanner if module == "quic" else Campaign._syn_scanner
+    campaigns = Campaign(config), Campaign(config)
+    for campaign in campaigns:
+        if mutate is not None:
+            mutate(campaign.world)
+    return [(campaign.world, make(campaign, family)) for campaign in campaigns]
+
+
 @pytest.mark.parametrize(
     "module,world_kind,walk",
     [
@@ -303,62 +351,48 @@ def _observe_sweep(campaign, sweep):
         for module in ("quic", "tcp")
         for world_kind in sorted(_SWEEP_WORLDS)
         for walk in sorted(_SWEEP_WALKS)
-        # Retries re-probe the silent majority with a derived rng each:
-        # one walk is enough to show the wholesale fallback.
+        # One walk shows that dark addresses cost a retry policy nothing.
         if world_kind != "retry" or walk == "range"
     ],
 )
-def test_fast_sweep_matches_slow_probe_path(module, world_kind, walk):
-    """The integer-space sweep is bit-identical to the generic probe loop.
+def test_fast_sweep_matches_slow_probe_path(module, world_kind, walk, monkeypatch):
+    """The sweep by position is bit-identical to the loop over every target.
 
-    Two campaigns over the same configuration: one sweeps the IPv4
-    space through the public entry points (which route to the shared
-    fast walk when it is exact), the other replays the generic
-    per-target loop over the identical permutation walk.  Records,
+    Two worlds of one configuration, swept through the public entry
+    points: one as shipped (only live targets are probed), the other
+    forced onto ``sweep.py``'s loop over every target.  Records,
     traffic-counter deltas, metrics, the virtual clock and the network
     RNG's next draw must match exactly — under fault and path profiles
-    (conditioned hosts take the full path) and under conditions the
-    SYN sweep cannot bound (it must fall back wholesale).
+    (conditioned hosts take full delivery), under a retry policy (a dark
+    address is a counter on both sides) and under conditions the SYN
+    sweep cannot bound (it takes the loop by itself).
     """
-    overrides, mutate, syn_fast = _SWEEP_WORLDS[world_kind]
-    config = CampaignConfig(week=18, scale=TINY_SCALE, seed=7, **overrides)
-    fast_campaign, slow_campaign = Campaign(config), Campaign(config)
-    for campaign in (fast_campaign, slow_campaign):
-        if mutate is not None:
-            mutate(campaign.world)
-    make = Campaign._zmap_scanner if module == "quic" else Campaign._syn_scanner
-    fast_scanner, slow_scanner = make(fast_campaign, 4), make(slow_campaign, 4)
-    space = fast_campaign.world.ipv4_space
+    overrides, mutate, syn_bounded = _SWEEP_WORLDS[world_kind]
+    (fast_world, fast_scanner), (slow_world, slow_scanner) = _scanner_pair(
+        module, 4, mutate, **overrides
+    )
+    space = fast_world.ipv4_space
+    by_position = module == "quic" or syn_bounded
 
     syn_probes = []
     if module == "tcp":
-        network = fast_campaign.world.network
-        assert (network.syn_live_values(443, 4) is not None) == (
-            syn_fast or world_kind == "retry"
-        )
-        real_syn_probe = network.syn_probe
-        network.syn_probe = lambda *args: (
-            syn_probes.append(args),
-            real_syn_probe(*args),
-        )[1]
+        network = fast_world.network
+        assert (network.syn_live_values(443, 4) is not None) == syn_bounded
+        network.syn_probe = _recording(syn_probes, network.syn_probe)
 
     bare_walk, scanner_walk = _SWEEP_WALKS[walk]
-    fast = _observe_sweep(fast_campaign, lambda: scanner_walk(fast_scanner, space))
-
-    rng = DeterministicRandom(slow_scanner.seed)
-    permutation = CyclicGroupPermutation(space.num_addresses, rng.child("perm"))
-    targets = (
-        (position, space.address_at(index))
-        for position, index in bare_walk(permutation)
-    )
-    slow = _observe_sweep(
-        slow_campaign,
-        lambda: slow_scanner._probe_all(targets, rng)
-        if module == "quic"
-        else slow_scanner._probe_all(targets),
-    )
-
-    assert fast == slow
+    loops = _count_loops(monkeypatch)
+    fast = _observe_sweep(fast_world.network, lambda: scanner_walk(fast_scanner, space))
+    if by_position:
+        assert not loops
+        _force_loop(monkeypatch)
+        slow = _observe_sweep(
+            slow_world.network, lambda: scanner_walk(slow_scanner, space)
+        )
+        assert fast == slow
+    # else the sweep as shipped already is the loop: nothing to hold it to
+    # but the counts below.
+    assert len(loops) == 1
     assert fast["records"], "vacuous walk: nothing answered"
     prefix = "zmap.quic" if module == "quic" else "zmap.tcp"
     counters = fast["metrics"]["counters"]
@@ -367,16 +401,16 @@ def test_fast_sweep_matches_slow_probe_path(module, world_kind, walk):
     if world_kind in ("baseline", "blocklist-lengths"):
         # Blocked is a count over the walk, whatever the list looks like.
         listed = [
-            (p.net_mask(), p.network.value)
-            for p in fast_campaign.world.blocklist.prefixes()
+            (p.net_mask(), p.network.value) for p in fast_world.blocklist.prefixes()
         ]
+        permutation = sweep_permutation(fast_scanner.seed, space)
         walked = [space.network.value + index for _, index in bare_walk(permutation)]
         blocked = sum(
             any(value & mask == net for mask, net in listed) for value in walked
         )
         assert counters[f"{prefix}.blocked{{family=4}}"] == blocked
         assert probes == len(walked) - blocked
-        groups = fast_campaign.world.blocklist.mask_groups(4)
+        groups = fast_world.blocklist.mask_groups(4)
         if world_kind == "baseline":
             assert len(groups) == 1
         else:
@@ -384,9 +418,10 @@ def test_fast_sweep_matches_slow_probe_path(module, world_kind, walk):
             if walk == "full":
                 assert blocked == 256 + (1 << 16) + 16
     if module == "tcp":
-        # Off the fast path every probe is a syn_probe call; on it only
-        # listeners and explicitly conditioned hosts are.
-        if syn_fast:
+        # On the loop with an unbounded live set every probe is a
+        # syn_probe call; by position only listeners and explicitly
+        # conditioned hosts are.
+        if syn_bounded:
             assert 0 < len(syn_probes) < 1_000
         else:
             assert len(syn_probes) == probes
@@ -398,6 +433,197 @@ def test_fast_sweep_matches_slow_probe_path(module, world_kind, walk):
         # can show shaped hosts were not skipped.
         assert fast["stats"]["path_drops"] > 0
         assert any(key.startswith("path.dropped") for key in counters)
+
+
+def _block_some_listed(world):
+    """Two listed IPv6 targets opted out: the first that answers QUIC
+    and a dark one, each as a /128."""
+    bound = world.network.udp_bound_values(443, 6)
+    answering = next(t for t in world.ipv6_hitlist if t.value in bound)
+    dark = next(t for t in world.ipv6_hitlist if t.value not in bound)
+    for target in (answering, dark):
+        world.blocklist.add(Prefix(target, 128))
+
+
+@pytest.mark.parametrize("cut", ["list", "slice"])
+@pytest.mark.parametrize("world_kind", ["baseline", "fault-profile", "retry"])
+@pytest.mark.parametrize("module", ["quic", "tcp"])
+def test_list_sweep_matches_the_loop_over_every_target(
+    module, world_kind, cut, monkeypatch
+):
+    """List mode, by position against the loop: the IPv6 hitlist whole,
+    and a slice of it at its base offset.  The list names two live
+    targets (and some dark ones) twice — each listing is a probe — and
+    two listed targets are blocked."""
+    overrides, _, _ = _SWEEP_WORLDS[world_kind]
+    (fast_world, fast_scanner), (slow_world, slow_scanner) = _scanner_pair(
+        module, 6, _block_some_listed, **overrides
+    )
+    # The generator lists its 19 live targets first; spread them out.
+    hitlist = fast_world.ipv6_hitlist
+    targets = hitlist[10:] + hitlist[:12]
+    assert hitlist == slow_world.ipv6_hitlist
+    lo, hi = (0, len(targets)) if cut == "list" else (1000, len(targets) - 4)
+    network, blocklist = fast_world.network, fast_world.blocklist
+    live = (
+        network.udp_bound_values(443, 6)
+        if module == "quic"
+        else network.syn_live_values(443, 6)
+    )
+    live_listed = [
+        target
+        for target in targets[lo:hi]
+        if target.value in live and not blocklist.is_blocked(target)
+    ]
+    assert 0 < len(live_listed) < 25
+    assert (len(set(live_listed)) < len(live_listed)) == (cut == "list")
+
+    sends, syns = [], []
+    monkeypatch.setattr(ClientUdpSocket, "send", _recording(sends, ClientUdpSocket.send))
+    network.syn_probe = _recording(syns, network.syn_probe)
+    loops = _count_loops(monkeypatch)
+    fast = _observe_sweep(
+        network, lambda: fast_scanner.scan_targets_shard(iter(targets[lo:hi]), lo)
+    )
+    assert not loops
+    # Full delivery reached the live listed targets and nothing else.
+    probed = [target for _socket, target, *_ in sends] + [target for target, _ in syns]
+    assert set(probed) == set(live_listed)
+    if world_kind != "retry":
+        assert probed == live_listed
+    _force_loop(monkeypatch)
+    slow = _observe_sweep(
+        slow_world.network, lambda: slow_scanner.scan_targets_shard(targets[lo:hi], lo)
+    )
+    assert len(loops) == 1
+
+    assert fast == slow
+    assert fast["records"], "vacuous list: nothing answered"
+    assert all(
+        lo <= position < hi and targets[position] == record.address
+        for position, record in fast["records"]
+    )
+    prefix = "zmap.quic" if module == "quic" else "zmap.tcp"
+    counters = fast["metrics"]["counters"]
+    blocked = sum(map(blocklist.is_blocked, targets[lo:hi]))
+    assert blocked >= 1
+    assert counters[f"{prefix}.blocked{{family=6}}"] == blocked
+    sent = hi - lo - blocked
+    retries = counters.get(f"{prefix}.retries{{family=6}}", 0)
+    assert counters[f"{prefix}.probes{{family=6}}"] == sent + retries
+    assert fast["stats"]["datagrams_sent"] == sent + retries
+    # attempts=2: one retry per dark listing, plus the live ones' own.
+    dark = sent - len(live_listed)
+    live_retries = len(probed) - len(live_listed)
+    assert retries == (dark + live_retries if world_kind == "retry" else 0)
+
+
+def _listed(count):
+    return [IPv6Address((0x20010DB8 << 96) + 0x100 + i) for i in range(count)]
+
+
+# what sits after the endpoint that answers twice -> offsets (past that
+# endpoint) of the listings that must carry a record
+_QUEUED_ON_A_LIST = {
+    "dark": (0, 1),
+    "blocked": (0, 2),
+    "live": (0, 1, 2),
+    "end-of-list": (0,),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_QUEUED_ON_A_LIST))
+def test_queued_reply_on_a_list_is_drained_by_the_next_probe_sent(case):
+    """The list-mode twin of ``test_scanners``' queued-reply test: a
+    reply still in the inbox belongs to the next listing sent to, dark
+    ones included, and to nobody past the end of the slice."""
+    targets = _listed(8)
+    doubled = 7 if case == "end-of-list" else 3
+    base = 40
+
+    def observe(pps):
+        network = Network(seed=5)
+        network.bind_udp(targets[doubled], 443, _VnEndpoint(copies=2))
+        blocklist = Blocklist()
+        if case == "blocked":
+            blocklist.add(Prefix(targets[doubled + 1], 128))
+        if case == "live":
+            network.bind_udp(targets[doubled + 1], 443, _VnEndpoint(copies=1))
+        scanner = zmapquic.ZmapQuicScanner(
+            network, _listed(9)[8], blocklist=blocklist, seed="queued-list", pps=pps
+        )
+        return _observe_sweep(network, lambda: scanner.scan_targets_shard(targets, base))
+
+    fast, slow = observe(pps=None), observe(pps=math.inf)
+    assert fast == slow
+    assert [position for position, _ in fast["records"]] == [
+        base + doubled + offset for offset in _QUEUED_ON_A_LIST[case]
+    ]
+    assert fast["stats"]["datagrams_sent"] == 8 - (case == "blocked")
+
+
+@pytest.mark.parametrize(
+    "policy,nominal",
+    [
+        (RetryPolicy(attempts=3), 2),
+        # 0.2 s, then 0.2 + 0.4 > 0.5: the deadline cuts the schedule.
+        (RetryPolicy(attempts=4, deadline=0.5), 1),
+        (RetryPolicy(attempts=4, deadline=0.1), 0),
+    ],
+)
+# The SYN module has no pacing.
+@pytest.mark.parametrize("module,pps", [("quic", None), ("quic", 1000.0), ("tcp", None)])
+def test_dark_addresses_under_retry_are_counters_by_hand(
+    module, pps, policy, nominal, monkeypatch
+):
+    """A /24 with a /28 blocked and one host that answers at once: 239
+    dark addresses cost ``1 + k`` probes, ``k`` retries and a give-up
+    each, the same bytes on the wire, no RNG child and no virtual time —
+    paced (the loop over every target) or not (by position)."""
+    assert policy.nominal_retries() == nominal
+    space = Prefix.parse("10.9.0.0/24")
+    network = Network(seed=3)
+    host = space.address_at(77)
+    network.bind_udp(host, 443, _VnEndpoint(copies=1))
+    network.bind_tcp(host, 443, TcpListener())
+    blocklist = Blocklist([Prefix.parse("10.9.0.16/28")])
+    if module == "quic":
+        scanner = zmapquic.ZmapQuicScanner(
+            network,
+            IPv4Address.parse("198.51.100.9"),
+            blocklist=blocklist,
+            retry=policy,
+            pps=pps,
+        )
+        size = 1200
+    else:
+        scanner = zmaptcp.ZmapTcpScanner(network, blocklist=blocklist, retry=policy)
+        size = SYN_BYTES
+    children = []
+    monkeypatch.setattr(
+        DeterministicRandom, "child", _recording(children, DeterministicRandom.child)
+    )
+    observed = _observe_sweep(network, lambda: scanner.scan_ipv4_space(space))
+
+    assert [record.address for record in observed["records"]] == [host]
+    dark, sent = 239, 240
+    prefix = "zmap.quic" if module == "quic" else "zmap.tcp"
+    expected = {
+        f"{prefix}.probes{{family=4}}": sent + dark * nominal,
+        f"{prefix}.blocked{{family=4}}": 16,
+        f"{prefix}.{'responses' if module == 'quic' else 'open'}{{family=4}}": 1,
+        f"{prefix}.giveups{{family=4}}": dark,
+    }
+    if nominal:
+        expected[f"{prefix}.retries{{family=4}}"] = dark * nominal
+    assert observed["metrics"]["counters"] == expected
+    assert observed["stats"]["datagrams_sent"] == sent + dark * nominal
+    assert observed["stats"]["bytes_sent"] == (sent + dark * nominal) * size
+    assert observed["stats"]["syn_sent"] == (0 if module == "quic" else sent + dark * nominal)
+    assert [labels for _rng, *labels in children if labels[0] == "retry"] == []
+    # Only pacing and the one answer's round trip move the clock.
+    rtt = network.conditions_for(host).rtt if module == "quic" else 0.0
+    assert observed["now"] == pytest.approx(rtt + (sent / pps if pps else 0.0))
 
 
 # -- stage cache --------------------------------------------------------------

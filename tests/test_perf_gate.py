@@ -1,8 +1,6 @@
 """The legacy bench's real-crypto section and the gate that holds it, and
 the count gates on per-scanner / per-chain handshake work and on what
-an IPv4 sweep visits."""
-
-import pytest
+a stateless sweep visits."""
 
 from repro.experiments.campaign import CampaignConfig
 from repro.internet.providers import Scale
@@ -81,9 +79,13 @@ def test_v4_sweeps_probe_responders_and_walk_nothing(monkeypatch):
     With every walker of ``CyclicGroupPermutation`` raising, a baseline
     campaign's two IPv4 sweeps still complete, on one full-delivery
     probe per live address (no reply is left queued in a baseline
-    world, so none is drained by a further probe).  A retry policy
-    re-probes the silent majority, so it still walks — ROADMAP item 4.
+    world, so none is drained by a further probe) — and the two IPv6
+    list scans on one per live listed target.  A retry policy changes
+    none of that: a re-probe to a dark address is a counter, so the four
+    sweep stages derive RNG children for live targets only (one per
+    dark address was 533,086 a week).
     """
+    from repro.crypto.rand import DeterministicRandom
     from repro.experiments.campaign import Campaign
     from repro.netsim.topology import ClientUdpSocket, Network
     from repro.scanners.permutation import CyclicGroupPermutation
@@ -92,10 +94,11 @@ def test_v4_sweeps_probe_responders_and_walk_nothing(monkeypatch):
     def no_walking(*args, **kwargs):
         raise AssertionError("a sweep walked the permutation")
 
-    for walker in ("__iter__", "iter_shard", "iter_range"):
+    for walker in ("__iter__", "iter_walk", "iter_shard", "iter_range"):
         monkeypatch.setattr(CyclicGroupPermutation, walker, no_walking)
-    probes = {"udp": 0, "syn": 0}
+    probes = {"udp": 0, "syn": 0, "children": 0}
     real_send, real_syn = ClientUdpSocket.send, Network.syn_probe
+    real_child = DeterministicRandom.child
 
     def counting_send(self, *args):
         probes["udp"] += 1
@@ -105,25 +108,67 @@ def test_v4_sweeps_probe_responders_and_walk_nothing(monkeypatch):
         probes["syn"] += 1
         return real_syn(self, *args)
 
+    def counting_child(self, *labels):
+        probes["children"] += 1
+        return real_child(self, *labels)
+
     monkeypatch.setattr(ClientUdpSocket, "send", counting_send)
     monkeypatch.setattr(Network, "syn_probe", counting_syn)
 
+    def live_targets(campaign, family):
+        """Unblocked targets of the family's sweep that full delivery
+        may reach, per module, each listing counted."""
+        world = campaign.world
+        network, blocked = world.network, world.blocklist.is_blocked
+        udp = network.udp_bound_values(443, family)
+        syn = network.syn_live_values(443, family)
+        if family == 4:
+            cls = type(world.ipv4_space.network)
+            return (
+                sum(not blocked(cls(value)) for value in udp),
+                sum(not blocked(cls(value)) for value in syn),
+            )
+        listed = [t for t in campaign.ipv6_scan_input if not blocked(t)]
+        return (
+            sum(t.value in udp for t in listed),
+            sum(t.value in syn for t in listed),
+        )
+
     scale = Scale(addresses=200_000, ases=4_000, domains=200_000)
     campaign = Campaign(CampaignConfig(week=18, scale=scale))
-    network = campaign.world.network
     try:
         assert campaign.zmap_v4 and campaign.syn_v4
-        for stage in ("zmap_v4", "syn_v4"):
+        live_udp, live_syn = live_targets(campaign, 4)
+        assert len(campaign.zmap_v4) <= probes["udp"] <= live_udp
+        assert len(campaign.syn_v4) <= probes["syn"] <= live_syn
+        campaign.ipv6_scan_input  # resolves names: not a sweep's sends
+        probes.update(udp=0, syn=0)
+        assert campaign.zmap_v6 and campaign.syn_v6
+        live_udp, live_syn = live_targets(campaign, 6)
+        assert len(campaign.zmap_v6) <= probes["udp"] <= live_udp
+        assert len(campaign.syn_v6) <= probes["syn"] <= live_syn
+        for stage in ("zmap_v4", "syn_v4", "zmap_v6", "syn_v6"):
             assert campaign.stage_health[stage].status == "success"
     finally:
         campaign.close()
-    assert len(campaign.zmap_v4) <= probes["udp"] <= len(network.udp_bound_values(443, 4))
-    assert len(campaign.syn_v4) <= probes["syn"] <= len(network.syn_live_values(443, 4))
 
-    retrying = Campaign(CampaignConfig(week=18, scale=scale, retry=RetryPolicy(attempts=2)))
-    try:
-        for scanner in (retrying._zmap_scanner(4), retrying._syn_scanner(4)):
-            with pytest.raises(AssertionError, match="walked"):
-                scanner.scan_ipv4_space(retrying.world.ipv4_space)
-    finally:
-        retrying.close()
+    for attempts in (2, 3):
+        retrying = Campaign(
+            CampaignConfig(week=18, scale=scale, retry=RetryPolicy(attempts=attempts))
+        )
+        try:
+            retrying.ipv6_scan_input
+            live = sum(live_targets(retrying, 4) + live_targets(retrying, 6))
+            monkeypatch.setattr(DeterministicRandom, "child", counting_child)
+            probes.update(udp=0, syn=0, children=0)
+            stages = [
+                retrying.zmap_v4, retrying.syn_v4, retrying.zmap_v6, retrying.syn_v6
+            ]
+            monkeypatch.setattr(DeterministicRandom, "child", real_child)
+            assert all(stages)
+            # Per sweep: the permutation's child; per live target at most
+            # one jitter generator.
+            assert probes["children"] <= 4 + live
+            assert probes["udp"] + probes["syn"] <= attempts * live
+        finally:
+            retrying.close()

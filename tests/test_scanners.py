@@ -1,6 +1,7 @@
 """Scanner tests: permutation, ZMap modules, Goscanner, QScanner."""
 
 import dataclasses
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +19,7 @@ from repro.scanners.goscanner import Goscanner, GoscannerConfig
 from repro.scanners.permutation import CyclicGroupPermutation, smallest_prime_above
 from repro.scanners.qscanner import QScanner, QScannerConfig
 from repro.scanners.results import QScanOutcome
-from repro.scanners.sweep import sweep_permutation, walk_targets
+from repro.scanners.sweep import sweep_permutation
 from repro.scanners.zmapquic import ZmapQuicScanner, build_probe
 from repro.scanners.zmaptcp import ZmapTcpScanner
 from repro.server.tcp443 import Tcp443Config, Tcp443Server
@@ -285,13 +286,14 @@ def test_queued_reply_is_drained_by_the_next_probe_sent(case, of):
 
     An endpoint that answers one probe twice leaves a datagram in the
     inbox; the sweep by position must hand it to the probe at the next
-    visited, unblocked position exactly as the per-target loop does —
-    records and their position tags, ``TrafficStats``, metrics, virtual
-    clock and the network RNG's next draw.  None of the 44
-    ``test_fast_sweep_matches_slow_probe_path`` cases reaches this
-    branch (no generated endpoint, fault or path profile leaves a reply
-    queued), so this synthetic /25 — a /24 has no element beyond the
-    space, 257 being prime — is its only cover.
+    visited, unblocked position exactly as the loop over every target
+    does — records and their position tags, ``TrafficStats``, metrics,
+    virtual clock and the network RNG's next draw.  None of the
+    generated-world ``test_sweep_by_position_matches_the_loop_over_every_target``
+    cases reaches this branch (no generated endpoint, fault or path
+    profile leaves a reply queued), so this synthetic /25 — a /24 has
+    no element beyond the space, 257 being prime — and the list case
+    below are its only cover.
     """
     space = Prefix.parse("10.0.0.0/25")
     source = IPv4Address.parse("198.51.100.9")
@@ -307,16 +309,14 @@ def test_queued_reply_is_drained_by_the_next_probe_sent(case, of):
         if inside[k] and inside[k + of] != want_gap and inside[k + 2 * of] and inside[k + 3 * of]
     )
     if case == "past-the-block":
-        walk = permutation.range_walk(0, k + 1)
         sweep = lambda scanner: scanner.scan_ipv4_range(space, 0, k + 1)
     else:
-        walk = permutation.shard_walk(k % of, of)
         sweep = lambda scanner: scanner.scan_ipv4_space_shard(space, k % of, of)
 
     def at(steps):
         return space.address_at(permutation.index_at(k + steps * of))
 
-    def observe(run):
+    def observe(pps):
         network = Network(seed=5)
         network.bind_udp(at(0), 443, _VnEndpoint(copies=2))
         blocklist = Blocklist()
@@ -324,9 +324,11 @@ def test_queued_reply_is_drained_by_the_next_probe_sent(case, of):
             blocklist.add(Prefix(at(1), 32))
         if case == "live":
             network.bind_udp(at(1), 443, _VnEndpoint(copies=1))
-        scanner = ZmapQuicScanner(network, source, blocklist=blocklist, seed=seed)
+        scanner = ZmapQuicScanner(
+            network, source, blocklist=blocklist, seed=seed, pps=pps
+        )
         with use_metrics(MetricsRegistry()) as registry:
-            records = run(scanner)
+            records = sweep(scanner)
         return {
             "records": records,
             "stats": dataclasses.asdict(network.stats),
@@ -335,12 +337,10 @@ def test_queued_reply_is_drained_by_the_next_probe_sent(case, of):
             "next_draw": network._rng.random(),
         }
 
-    fast = observe(sweep)
-    slow = observe(
-        lambda scanner: scanner._probe_all(
-            walk_targets(space, permutation, walk), DeterministicRandom(seed)
-        )
-    )
+    fast = observe(pps=None)
+    # Pacing takes the loop over every target; at an infinite rate it
+    # leaves the clock alone.
+    slow = observe(pps=math.inf)
     assert fast == slow
     assert [position for position, _ in fast["records"]] == [
         k + steps * of for steps in _QUEUED_REPLY_CASES[case]
@@ -349,6 +349,15 @@ def test_queued_reply_is_drained_by_the_next_probe_sent(case, of):
     assert [record.address for _, record in fast["records"][:2]] == [at(0)] * min(
         2, len(fast["records"])
     )
+
+
+def test_empty_target_list_sends_and_counts_nothing(scan_world):
+    net = scan_world["net"]
+    with use_metrics(MetricsRegistry()) as registry:
+        assert ZmapQuicScanner(net, scan_world["source"]).scan_targets([]) == []
+        assert ZmapTcpScanner(net).scan_targets(iter(())) == []
+    assert registry.snapshot()["counters"] == {}
+    assert net.stats.datagrams_sent == 0
 
 
 def test_zmap_tcp_syn(scan_world):
