@@ -16,6 +16,7 @@ from functools import cached_property, lru_cache
 from typing import Optional, Tuple
 
 from repro.crypto.primes import generate_prime
+from repro.crypto.provider_keys import PROVIDER_KEY_PRIMES
 from repro.crypto.rand import DeterministicRandom
 
 __all__ = [
@@ -113,6 +114,11 @@ def _pkcs1_v15_encode(message: bytes, em_len: int) -> bytes:
     return b"\x00\x01" + padding + b"\x00" + t
 
 
+def _key_from_primes(p: int, q: int, e: int = 65537) -> RsaPrivateKey:
+    """The key with factors ``p`` and ``q``; ValueError if ``e`` divides phi."""
+    return RsaPrivateKey(n=p * q, e=e, d=pow(e, -1, (p - 1) * (q - 1)), p=p, q=q)
+
+
 def generate_rsa_key(
     bits: int = 1024, rng: Optional[random.Random] = None, e: int = 65537
 ) -> RsaPrivateKey:
@@ -126,21 +132,27 @@ def generate_rsa_key(
         q = generate_prime(bits - half, rng)
         if p == q:
             continue
-        phi = (p - 1) * (q - 1)
         try:
-            d = pow(e, -1, phi)
+            return _key_from_primes(p, q, e)
         except ValueError:
             continue
-        return RsaPrivateKey(n=p * q, e=e, d=d, p=p, q=q)
 
 
 @lru_cache(maxsize=256)
 def derived_rsa_key(bits: int, label: str) -> RsaPrivateKey:
     """The ``bits``-bit key that is a pure function of its seed label.
 
-    The simulated PKI names every key by a label that does not depend
-    on the calendar week (``ca-<seed>``, ``key-<group>``), so a process
-    that builds several worlds generates each key once; forked workers
-    inherit the memo.  Keys are immutable, so sharing one is safe.
+    Defined as ``generate_rsa_key(bits, DeterministicRandom(label))``.
+    The provider keys every world shares (``key-<group>``,
+    ``selfsigned-<group>``) are answered from the fixture table in
+    :mod:`repro.crypto.provider_keys`, which a test pins to that
+    definition; every other label (``ca-<seed>``, ``leaf:<subject>``,
+    interop and test labels) is generated.  A cold world therefore
+    generates one key, its CA's, and the memo saves later worlds of the
+    same seed that one key; forked workers inherit it.  Keys are
+    immutable, so sharing one is safe.
     """
-    return generate_rsa_key(bits, DeterministicRandom(label))
+    primes = PROVIDER_KEY_PRIMES.get((bits, label))
+    if primes is None:
+        return generate_rsa_key(bits, DeterministicRandom(label))
+    return _key_from_primes(*primes)

@@ -610,7 +610,9 @@ def run_smoke(
         serial = Campaign(config)
         _, build_seconds = _time(lambda: serial.world)
         if world_seconds is None:
-            world_seconds = build_seconds  # later builds reuse the PKI keys
+            # The cold build: later rounds find the CA key, the one key
+            # a world generates, in the memo.
+            world_seconds = build_seconds
         serial_counts, seconds = _time(serial.run_all_stages)
         serial_runs.append((seconds, serial))
         parallel = Campaign(config, workers=workers)

@@ -121,3 +121,40 @@ def test_derived_key_is_one_object_per_label():
     assert key == generate_rsa_key(512, DeterministicRandom("derived-key-test"))
     assert derived_rsa_key(512, "derived-key-test-2").n != key.n
     assert derived_rsa_key(768, "derived-key-test").n != key.n
+
+
+def test_provider_key_table_equals_its_definition(monkeypatch):
+    """The fixture table holds what generation finds, for exactly the
+    labels a world build requests: no drifted entry, no dead one."""
+    from repro.crypto.provider_keys import PROVIDER_KEY_PRIMES
+    from repro.internet.generator import build_world
+    from repro.tls import certificates
+    from tests.conftest import TINY_SCALE
+
+    def entry(bits, label):
+        key = generate_rsa_key(bits, DeterministicRandom(label))
+        return f'    ({bits}, "{label}"): ({key.p:#x}, {key.q:#x}),'
+
+    requested = set()
+
+    def recording(bits, label):
+        if not label.startswith("ca-"):
+            requested.add((bits, label))
+        return derived_rsa_key(bits, label)
+
+    monkeypatch.setattr(certificates, "derived_rsa_key", recording)
+    build_world(week=18, scale=TINY_SCALE, seed=0)
+    missing = sorted(requested - set(PROVIDER_KEY_PRIMES))
+    dead = sorted(set(PROVIDER_KEY_PRIMES) - requested)
+    assert not missing, "add to crypto/provider_keys.py:\n" + "\n".join(
+        entry(*key) for key in missing
+    )
+    assert not dead, "no world build requests these; remove from crypto/provider_keys.py:\n" + (
+        "\n".join(f'    ({bits}, "{label}"): ...' for bits, label in dead)
+    )
+
+    for bits, label in PROVIDER_KEY_PRIMES:
+        # Dataclass equality: n, e, d, p and q, field for field.
+        assert derived_rsa_key(bits, label) == generate_rsa_key(
+            bits, DeterministicRandom(label)
+        ), f"crypto/provider_keys.py drifted from its derivation; the line is\n{entry(bits, label)}"

@@ -281,6 +281,7 @@ def test_world_is_the_same_warm_and_cold():
 
 
 def test_ca_key_follows_world_seed_and_memo_stays_bounded():
+    from repro.crypto.provider_keys import PROVIDER_KEY_PRIMES
     from repro.crypto.rsa import derived_rsa_key
     from tests.conftest import TINY_SCALE
 
@@ -289,9 +290,7 @@ def test_ca_key_follows_world_seed_and_memo_stays_bounded():
     assert worlds[0].ca.key is derived_rsa_key(1024, "ca-1")
     info = derived_rsa_key.cache_info()
     assert info.maxsize is not None and info.currsize <= info.maxsize
-    # One W20k world needs well under the bound, so a series of weeks
-    # never evicts what the next week reuses.
-    labels = {f"key-{group.key}" for group in GROUPS} | {
-        f"selfsigned-{group.key}" for group in GROUPS
-    }
-    assert len(labels) + 1 <= info.maxsize // 2
+    # One world asks for the provider keys of the fixture table and its
+    # CA key: well under the bound, so a series of weeks never evicts
+    # what the next week reuses.
+    assert len(PROVIDER_KEY_PRIMES) + 1 <= info.maxsize // 2

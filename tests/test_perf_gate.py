@@ -1,6 +1,6 @@
 """The legacy bench's real-crypto section and the gate that holds it, and
-the count gates on per-scanner / per-chain handshake work and on what
-a stateless sweep visits."""
+the count gates on per-scanner / per-chain handshake work, on what a
+stateless sweep visits and on the keys a world build generates."""
 
 from repro.experiments.campaign import CampaignConfig
 from repro.internet.providers import Scale
@@ -172,3 +172,27 @@ def test_v4_sweeps_probe_responders_and_walk_nothing(monkeypatch):
             assert probes["udp"] + probes["syn"] <= attempts * live
         finally:
             retrying.close()
+
+
+def test_cold_world_generates_its_ca_key_and_nothing_else(monkeypatch):
+    """Counts, not timings: a world that mints a provider key instead of
+    reading it from ``crypto/provider_keys.py`` fails here on any host."""
+    from repro.crypto import rsa
+    from repro.internet.generator import build_world
+
+    generated = []
+    real_generate = rsa.generate_rsa_key
+
+    def counting_generate(bits, rng=None, e=65537):
+        generated.append(bits)
+        return real_generate(bits, rng, e)
+
+    monkeypatch.setattr(rsa, "generate_rsa_key", counting_generate)
+    scale = Scale(addresses=200_000, ases=4_000, domains=200_000)
+    for fast_crypto in (True, False):
+        rsa.derived_rsa_key.cache_clear()
+        generated.clear()
+        build_world(week=18, scale=scale, seed=5, fast_crypto=fast_crypto)
+        assert generated == [1024], "a cold world generates its CA key only"
+    build_world(week=17, scale=scale, seed=6)
+    assert generated == [1024, 1024], "another seed costs one more CA key"
