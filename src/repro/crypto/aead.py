@@ -100,13 +100,15 @@ class AeadSim:
         return xor_bytes(ciphertext, keystream)
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=64)
 def _hp_cipher(hp_key: bytes):
     """One AES instance per header-protection key.
 
     Header protection runs once per packet in both directions, always
     with the same few keys per connection; constructing a fresh cipher
-    per mask dominated the hot path.
+    per mask dominated the hot path.  The keys of the connections in
+    flight are the working set: 64 entries keep every hit of a
+    real-crypto week (32 lose a few).
     """
     from repro.crypto.aes import AES
 

@@ -80,9 +80,12 @@ def x25519(scalar: bytes, u: bytes) -> bytes:
 
 # --- Fixed-base scalar multiplication ---------------------------------
 #
-# Public-key generation (``x25519_base``) runs once per scanner and once
-# per real-crypto server connection, and dominated the handshake hot
-# path when done with the generic Montgomery ladder (255 ladder steps).
+# Public-key generation (``x25519_base``) runs once per real-crypto
+# server connection (and per connection of a client without static key
+# shares), and dominated the handshake hot path when done with the
+# generic Montgomery ladder (255 ladder steps).  A scanner's one share
+# per stage takes the ladder instead: a single key does not repay the
+# table.
 # Because the base point is fixed we can use a comb over the
 # birationally-equivalent twisted Edwards curve (Ed25519): recode the
 # scalar into 256/w signed w-bit digits in [-(2^(w-1) - 1), 2^(w-1)],

@@ -108,6 +108,9 @@ class UdpEndpoint:
     ) -> None:
         raise NotImplementedError
 
+    def forget(self, source: Tuple[Address, int]) -> None:
+        """Drop whatever is kept for ``source``: its socket has closed."""
+
 
 class TcpListener:
     """Base class for simulated TCP services (session-level)."""
@@ -123,18 +126,43 @@ class TcpListener:
 
 
 class ClientUdpSocket:
-    """Client-side UDP socket bound to an ephemeral port."""
+    """Client-side UDP socket bound to an ephemeral port.
+
+    Per-connection state on the far side lives as long as the socket:
+    ``close(*peers)`` unregisters the port and has the endpoints at
+    ``peers`` :meth:`~UdpEndpoint.forget` it.  Nothing can reach
+    forgotten state — delivery runs the endpoint synchronously inside
+    :meth:`send`, and a closed socket sends nothing more.  The socket
+    does not track whom it sent to: a connection names its one peer, and
+    a sweep, whose probes leave no state behind, names none.
+    """
 
     def __init__(self, network: "Network", address: Address, port: int):
         self._network = network
         self.address = address
         self.port = port
+        self.closed = False
         self._inbox: List[Tuple[float, int, Tuple[Address, int], bytes]] = []
 
     def send(self, destination: Address, port: int, data: bytes) -> None:
+        if self.closed:
+            raise ConnectionError("send on a closed socket")
         self._network.deliver_datagram(
             (self.address, self.port), (destination, port), data
         )
+
+    def close(self, *peers: Tuple[Address, int]) -> None:
+        """Release the port; the endpoints at ``peers`` forget it."""
+        if self.closed:
+            return
+        self.closed = True
+        source = (self.address, self.port)
+        network = self._network
+        del network._client_sockets[source]
+        for peer in peers:
+            endpoint = network._udp.get(peer)
+            if endpoint is not None:
+                endpoint.forget(source)
 
     def receive(
         self, timeout: float

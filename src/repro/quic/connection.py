@@ -248,7 +248,15 @@ class QuicClientConnection:
 
         Raises :class:`VersionMismatchError`, :class:`HandshakeTimeout`
         or :class:`QuicError` (carrying e.g. the 0x128 crypto error).
+        Returning or raising closes the socket, so the server forgets
+        the connection; a second call raises :class:`ConnectionError`.
         """
+        try:
+            return self._connect()
+        finally:
+            self._socket.close(self._remote)
+
+    def _connect(self) -> QuicHandshakeResult:
         versions = list(self._config.versions)
         version = versions[0]
         vn_seen = False
@@ -698,14 +706,28 @@ class QuicServerEndpoint(UdpEndpoint):
     def __init__(self, behaviour: QuicServerBehaviour, seed="quic-server"):
         self._behaviour = behaviour
         self._rng = DeterministicRandom(seed)
-        # Connection state keyed by (source address, source port, dcid).
-        self._connections: Dict[Tuple, "_ServerConnection"] = {}
+        # Connection state per client source, by original DCID in
+        # creation order; dropped when the client's socket closes.
+        self._connections: Dict[Tuple, Dict[bytes, "_ServerConnection"]] = {}
+        # Connections accepted so far: each one's RNG child.
+        self._accepted = 0
+
+    def forget(self, source) -> None:
+        self._connections.pop(source, None)
+
+    def _latest_connection(self, source) -> Optional["_ServerConnection"]:
+        """The source's newest connection: Handshake and short-header
+        packets carry no original DCID to look it up by."""
+        connections = self._connections.get(source)
+        if not connections:
+            return None
+        return next(reversed(connections.values()))
 
     def datagram_received(self, network, source, data: bytes, reply) -> None:
         if not is_long_header(data):
-            key = self._find_connection(source)
-            if key is not None:
-                self._connections[key].handle_short(data, reply)
+            connection = self._latest_connection(source)
+            if connection is not None:
+                connection.handle_short(data, reply)
             elif self._behaviour.stateless_reset_secret is not None and len(data) >= 21:
                 reply(
                     stateless_reset_packet(
@@ -790,24 +812,18 @@ class QuicServerEndpoint(UdpEndpoint):
                     return
                 if validate_token(behaviour.retry_secret, client_tag, header.token) is None:
                     return  # invalid token: drop (RFC 9000 §8.1.3)
-            key = (source, dcid)
-            if key not in self._connections:
-                self._connections[key] = _ServerConnection(
-                    behaviour, version, dcid, self._rng.child(len(self._connections))
+            connections = self._connections.setdefault(source, {})
+            connection = connections.get(dcid)
+            if connection is None:
+                connection = connections[dcid] = _ServerConnection(
+                    behaviour, version, dcid, self._rng.child(self._accepted)
                 )
-                self._register_alias(source, key)
-            self._connections[key].handle_initial(data, reply)
+                self._accepted += 1
+            connection.handle_initial(data, reply)
         elif packet_type == PacketType.HANDSHAKE:
-            key = self._find_connection(source)
-            if key is not None:
-                self._connections[key].handle_handshake(data, reply)
-
-    def _register_alias(self, source, key) -> None:
-        self._source_index = getattr(self, "_source_index", {})
-        self._source_index[source] = key
-
-    def _find_connection(self, source):
-        return getattr(self, "_source_index", {}).get(source)
+            connection = self._latest_connection(source)
+            if connection is not None:
+                connection.handle_handshake(data, reply)
 
 
 class _ServerConnection:

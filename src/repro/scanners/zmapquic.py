@@ -160,21 +160,25 @@ class ZmapQuicScanner:
                 malformed += 1
             return found
 
-        records = sweep_live(
-            self.network,
-            self.blocklist,
-            sequence,
-            self.network.udp_bound_values(self.port, family),
-            send,
-            record,
-            retry=self.retry,
-            seed=self.seed,
-            probe_bytes=len(packet),
-            metric="zmap.quic",
-            answered="responses",
-            pending=inbox,
-            pps=self.pps,
-        )
+        try:
+            records = sweep_live(
+                self.network,
+                self.blocklist,
+                sequence,
+                self.network.udp_bound_values(self.port, family),
+                send,
+                record,
+                retry=self.retry,
+                seed=self.seed,
+                probe_bytes=len(packet),
+                metric="zmap.quic",
+                answered="responses",
+                pending=inbox,
+                pps=self.pps,
+            )
+        finally:
+            # Forced-negotiation probes leave no server state to forget.
+            socket.close()
         self.last_scan_duration = self.network.now - start
         if malformed:
             get_metrics().counter("zmap.quic.malformed", family=family).inc(malformed)

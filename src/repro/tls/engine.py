@@ -20,7 +20,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto.rand import DeterministicRandom
 from repro.crypto.rsa import RsaPrivateKey, SignatureError
-from repro.crypto.x25519 import x25519, x25519_base
+from repro.crypto.x25519 import X25519_BASEPOINT, x25519, x25519_base
 from repro.quic.transport_params import TransportParameters
 from repro.tls.alerts import AlertDescription, AlertError
 from repro.tls.certificates import Certificate, verify_chain
@@ -118,7 +118,8 @@ def _group_shared_secret(
 _SIG_SCHEME_SIM = 0xFF01
 
 
-@lru_cache(maxsize=4096)
+# One entry per certificate key a world serves: 38 in a week.
+@lru_cache(maxsize=64)
 def _pubkey_bytes(n: int, e: int) -> bytes:
     return n.to_bytes((n.bit_length() + 7) // 8, "big") + e.to_bytes(4, "big")
 
@@ -130,14 +131,24 @@ def _sim_certificate_signature(public_key, content: bytes) -> bytes:
 
 
 def generate_key_shares(
-    groups: Sequence[int], rng: DeterministicRandom
+    groups: Sequence[int], rng: DeterministicRandom, once: bool = False
 ) -> Tuple[Tuple[int, bytes, bytes], ...]:
-    """(group, private, public) key shares for the offered groups."""
+    """(group, private, public) key shares for the offered groups.
+
+    ``once`` marks a scanner's shares, made once per stage: one ladder
+    is cheaper than building the ~1 MB table of ``x25519_base``'s comb.
+    A client without static shares makes a key per connection, which
+    repays the table: ``repro interop`` makes 396 and runs 15 % faster
+    on the comb than on the ladder.
+    """
     shares = []
     for group in groups:
         private = rng.token(32)
         if group == GROUP_X25519:
-            public = x25519_base(private)
+            if once:
+                public = x25519(private, X25519_BASEPOINT)
+            else:
+                public = x25519_base(private)
         else:
             public = hashlib.sha256(b"sim-pub" + private).digest() + private[:1]
         shares.append((group, private, public))
@@ -160,7 +171,7 @@ def scanner_tls_kwargs(
     if groups:
         kwargs["groups"] = tuple(groups)
     kwargs["static_key_shares"] = generate_key_shares(
-        kwargs.get("groups", TlsClientConfig.groups), rng
+        kwargs.get("groups", TlsClientConfig.groups), rng, once=True
     )
     return kwargs
 

@@ -1,6 +1,7 @@
 """The legacy bench's real-crypto section and the gate that holds it, and
-the count gates on per-scanner / per-chain handshake work, on what a
-stateless sweep visits and on the keys a world build generates."""
+the count gates on per-scanner / per-chain handshake work, on state left
+behind by closed connections, on what a stateless sweep visits and on
+the keys a world build generates."""
 
 from repro.experiments.campaign import CampaignConfig
 from repro.internet.providers import Scale
@@ -33,12 +34,17 @@ def test_baseline_without_a_crypto_section_passes():
 
 
 def test_handshake_fixed_costs_are_paid_per_scanner_and_per_chain(monkeypatch, signature_checks):
-    """Counts, not timings: a per-connection base multiplication or a
-    per-name signature walk fails here on any host."""
+    """Counts, not timings: a per-connection base multiplication, a
+    per-name signature walk, or connection state that outlives its
+    client socket fails here on any host."""
+    from repro.crypto import hkdf
+    from repro.crypto.x25519 import X25519_BASEPOINT
     from repro.experiments.campaign import _STAGE_ORDER, Campaign
+    from repro.quic.connection import QuicServerEndpoint
     from repro.tls import certificates, engine
 
     config = CampaignConfig(week=18, scale=Scale(addresses=200_000, ases=4_000, domains=200_000))
+    assert config.fast_crypto
     campaign = Campaign(config)
     campaign.world
     # Count this campaign's work only: not the world build's, and not
@@ -46,12 +52,17 @@ def test_handshake_fixed_costs_are_paid_per_scanner_and_per_chain(monkeypatch, s
     certificates._signature_walk.cache_clear()
     signature_checks.clear()
 
-    base_multiplications = []
-    real_base = engine.x25519_base
+    comb_multiplications, ladder_multiplications = [], []
+    real_base, real_x25519 = engine.x25519_base, engine.x25519
 
     def counting_base(scalar):
-        base_multiplications.append(scalar)
+        comb_multiplications.append(scalar)
         return real_base(scalar)
+
+    def counting_x25519(scalar, u):
+        if u == X25519_BASEPOINT:
+            ladder_multiplications.append(scalar)
+        return real_x25519(scalar, u)
 
     chains = set()
     real_verify_chain = engine.verify_chain
@@ -61,15 +72,48 @@ def test_handshake_fixed_costs_are_paid_per_scanner_and_per_chain(monkeypatch, s
         return real_verify_chain(chain, roots, **kwargs)
 
     monkeypatch.setattr(engine, "x25519_base", counting_base)
+    monkeypatch.setattr(engine, "x25519", counting_x25519)
     monkeypatch.setattr(engine, "verify_chain", recording_chains)
     try:
         campaign.run_all_stages()
+        network = campaign.world.network
+        endpoints = [e for e in network._udp.values() if isinstance(e, QuicServerEndpoint)]
     finally:
         campaign.close()
 
     stateful_stages = [name for name in _STAGE_ORDER if name.startswith(("goscanner", "qscan"))]
-    assert 0 < len(base_multiplications) <= len(stateful_stages) == 8
+    # One share per scanner, by the ladder: no process of a simulated-
+    # crypto campaign builds the fixed-base comb.
+    assert comb_multiplications == []
+    assert 0 < len(ladder_multiplications) <= len(stateful_stages) == 8
     assert 0 < len(signature_checks) <= sum(len(chain) for chain in chains)
+    # Connection state dies with the connection.
+    assert endpoints and all(endpoint._connections == {} for endpoint in endpoints)
+    assert network._client_sockets == {}
+    for memo in (hkdf._hmac_contexts, hkdf.hkdf_extract, hkdf.hkdf_expand_label):
+        assert memo.cache_info().currsize <= 256
+
+
+def test_a_client_without_static_shares_takes_the_comb(monkeypatch):
+    """The other side of the gate above: a key per connection repays the
+    comb's table (``repro interop``), one per scanner does not."""
+    from repro.crypto.rand import DeterministicRandom
+    from repro.tls import engine
+
+    comb_multiplications = []
+    real_base = engine.x25519_base
+
+    def counting_base(scalar):
+        comb_multiplications.append(scalar)
+        return real_base(scalar)
+
+    monkeypatch.setattr(engine, "x25519_base", counting_base)
+    rng = DeterministicRandom("shares")
+    static = engine.scanner_tls_kwargs((), (), rng)["static_key_shares"]
+    for key_shares in (static, None):
+        config = engine.TlsClientConfig(static_key_shares=key_shares)
+        engine.TlsClientSession(config, rng).client_hello()
+    assert len(comb_multiplications) == 1
 
 
 def test_v4_sweeps_probe_responders_and_walk_nothing(monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.crypto.rand import DeterministicRandom
 from repro.netsim.addresses import IPv4Address
-from repro.netsim.topology import Network
+from repro.netsim.topology import Network, UdpEndpoint
 from repro.quic.connection import (
     HandshakeTimeout,
     QuicClientConfig,
@@ -209,3 +209,81 @@ def test_handshake_without_application_streams(pki):
     result = connect(net, client_config(pki, application_streams={}))
     assert result.streams == {}
     assert result.tls.alpn == "h3"
+
+
+# -- connection state lifetime --------------------------------------------------
+
+# outcome -> (server behaviour, client config, what connect() raises)
+LIFETIME_CASES = {
+    "success": ({}, {}, None),
+    "version-negotiation": (
+        {}, {"versions": (label_to_version("draft-32"), QUIC_V1)}, None
+    ),
+    "retry": ({"stateless_retry": True}, {}, None),
+    "timeout": ({"drop_predicate": lambda sni: True}, {"timeout": 1.0}, HandshakeTimeout),
+    "connection-close": ({"close_with": (0x01, "internal error")}, {}, QuicError),
+}
+
+
+@pytest.mark.parametrize("outcome", sorted(LIFETIME_CASES))
+def test_server_forgets_a_connection_when_connect_ends(pki, outcome):
+    behaviour, config_kwargs, raises = LIFETIME_CASES[outcome]
+    net = make_network(pki, **behaviour)
+    endpoint = net._udp[(SERVER, 443)]
+    connection = QuicClientConnection(
+        net, CLIENT, SERVER, 443, client_config(pki, **config_kwargs), DeterministicRandom("c")
+    )
+    if raises is None:
+        assert connection.connect().streams[0] == b"resp:request"
+    else:
+        with pytest.raises(raises):
+            connection.connect()
+    assert endpoint._accepted == 1  # the server did hold a connection
+    assert endpoint._connections == {}
+    assert net._client_sockets == {}
+    with pytest.raises(ConnectionError):
+        connection.connect()  # not a silent timeout on a dead socket
+
+
+class _Recorder(UdpEndpoint):
+    def __init__(self):
+        self.datagrams = []
+
+    def datagram_received(self, network, source, data, reply):
+        self.datagrams.append(data)
+
+
+def client_initial(pki):
+    """The first datagram a client connection sends."""
+    net = Network(seed=11)
+    recorder = _Recorder()
+    net.bind_udp(SERVER, 443, recorder)
+    with pytest.raises(HandshakeTimeout):
+        connect(net, client_config(pki, timeout=0.5), seed="first")
+    return recorder.datagrams[0]
+
+
+@pytest.mark.parametrize("forget_first", [True, False])
+def test_server_rng_children_count_accepted_connections(pki, monkeypatch, forget_first):
+    """Forgetting a connection does not renumber the next one: every
+    server RNG child, so every wire byte, is what it was before."""
+    from repro.quic import connection as quic_connection
+
+    children = []
+    real_init = quic_connection._ServerConnection.__init__
+
+    def recording_init(self, behaviour, version, odcid, rng):
+        children.append(rng.getstate())
+        real_init(self, behaviour, version, odcid, rng)
+
+    monkeypatch.setattr(quic_connection._ServerConnection, "__init__", recording_init)
+    net = make_network(pki)
+    if forget_first:
+        connect(net, client_config(pki), seed="first")
+    else:
+        # The same Initial from a socket left open: the server keeps it.
+        net.client_socket(CLIENT).send(SERVER, 443, client_initial(pki))
+    assert len(net._udp[(SERVER, 443)]._connections) == (0 if forget_first else 1)
+    connect(net, client_config(pki), seed="second")
+    server_rng = DeterministicRandom("quic-server")
+    assert children == [server_rng.child(0).getstate(), server_rng.child(1).getstate()]

@@ -570,9 +570,9 @@ def test_key_shares_are_generated_once_per_scanner(monkeypatch):
     calls = []
     real = tls_engine.generate_key_shares
 
-    def counting(groups, rng):
+    def counting(groups, rng, **kwargs):
         calls.append(tuple(groups))
-        return real(groups, rng)
+        return real(groups, rng, **kwargs)
 
     monkeypatch.setattr(tls_engine, "generate_key_shares", counting)
     net, targets = _listener_world(20)
