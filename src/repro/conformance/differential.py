@@ -29,6 +29,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List
 
+from repro.experiments.stages import STAGE_NAMES
+
 __all__ = [
     "DifferentialResult",
     "DIFF_STAGES",
@@ -38,21 +40,7 @@ __all__ = [
 ]
 
 # Stage attributes compared record-for-record, in pipeline order.
-DIFF_STAGES = (
-    "all_dns_records",
-    "zmap_v4",
-    "zmap_v6",
-    "syn_v4",
-    "syn_v6",
-    "goscanner_nosni_v4",
-    "goscanner_nosni_v6",
-    "goscanner_sni_v4",
-    "goscanner_sni_v6",
-    "qscan_nosni_v4",
-    "qscan_nosni_v6",
-    "qscan_sni_v4",
-    "qscan_sni_v6",
-)
+DIFF_STAGES = ("all_dns_records",) + STAGE_NAMES
 
 
 @dataclass

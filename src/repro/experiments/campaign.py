@@ -10,8 +10,10 @@ Orchestrates the paper's §3 scan pipeline for one calendar week:
    responders, SNI over the union of all three target sources.
 
 All stages are lazy cached properties, so an experiment touching only
-Figure 5 never pays for stateful scans.  Campaigns themselves are
-memoised per configuration.
+Figure 5 never pays for stateful scans; the twelve scan stages are
+generated from the stage table (:mod:`repro.experiments.stages`) and
+share one compute path.  Campaigns themselves are memoised per
+configuration.
 
 Two optional accelerations sit underneath the lazy properties:
 
@@ -36,7 +38,6 @@ result (see :mod:`repro.observability.report`).
 from __future__ import annotations
 
 import dataclasses
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -45,6 +46,20 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.joins import DnsJoin, join_dns_addresses
 from repro.crypto.rand import derive_seed
+from repro.experiments.stages import (
+    BY_NAME,
+    DNS_RECORDS,
+    GOSCANNER,
+    IPV6_SCAN_INPUT,
+    QSCAN,
+    STAGE_NAMES,
+    STAGES,
+    SYN,
+    ZMAP,
+    Stage,
+    find,
+    stage_inputs,
+)
 from repro.internet.generator import World, build_world
 from repro.internet.providers import Scale
 from repro.netsim.addresses import Address, IPv6Address
@@ -56,9 +71,7 @@ from repro.scanners.goscanner import Goscanner, GoscannerConfig
 from repro.scanners.qscanner import QScanner, QScannerConfig
 from repro.scanners.results import (
     DnsScanRecord,
-    GoscannerRecord,
     QScanRecord,
-    SynRecord,
     TargetSource,
     ZmapQuicRecord,
 )
@@ -119,14 +132,6 @@ class CampaignConfig:
                 value = dataclasses.astuple(value)
             parts.append((spec.name, value))
         return tuple(parts)
-
-
-def _stream_default() -> bool:
-    """Whether full-campaign parallel runs stream by default.
-
-    ``REPRO_STREAM=0`` pins the barrier-synchronised engine (used by
-    tests that assert barrier internals and as an escape hatch)."""
-    return os.environ.get("REPRO_STREAM", "1") != "0"
 
 
 def shard_block_bounds(count: int, shard: int, of: int) -> Tuple[int, int]:
@@ -285,81 +290,21 @@ class Campaign:
 
     # -- stage execution ---------------------------------------------------------
     #
-    # Every scan stage is expressed as a shard-aware compute function
-    # returning (position, record) pairs; serial execution is simply
-    # shard 0 of 1.  The wrapper below layers the persistent cache and
-    # the parallel engine on top without changing the serial record
-    # stream in any way.
+    # Every scan stage is one row of the stage table, computed by one
+    # shard-aware path returning (position, record) pairs; serial
+    # execution is simply shard 0 of 1.  The wrappers below layer the
+    # persistent cache and the parallel engine on top without changing
+    # the serial record stream in any way.
 
     def _stage(self, name: str) -> List:
-        start = time.perf_counter()
-        cache_state = "off" if self._cache is None else "miss"
-        records: Optional[List] = None
-        health: Optional[StageHealth] = None
-        if self._cache is not None:
-            cached = self._cache.load(name)
-            if cached is not None:
-                records, cache_state = cached, "hit"
-        if records is None:
-            if self._workers > 1 and name in _STAGE_COMPUTE:
-                records, health = self._engine_run(name)
-            else:
-                records, health = self._serial_compute(name)
-            # Partial or empty results must never poison future runs:
-            # only fully successful stages with healthy dependencies are
-            # persisted — a stage downstream of a degraded one can be
-            # silently short even when its own compute succeeded.
-            if (
-                self._cache is not None
-                and health.status == "success"
-                and not self._tainted(name)
-            ):
-                self._cache.store(name, records)
-        if health is None:
-            health = StageHealth(stage=name)
-        health.records = len(records)
-        self.stage_health[name] = health
-        self._account_stage(name, len(records), cache_state, start, health)
-        return records
+        """A table stage: cached, sharded on the engine, or computed here."""
 
-    def _tainted(self, name: str) -> bool:
-        """Whether any transitive input of ``name`` finished non-``success``.
+        def compute() -> Tuple[List, StageHealth]:
+            if self._workers > 1:
+                return self._engine_run(name)
+            return self._serial_compute(name)
 
-        Inputs always execute before their dependents, so at store time
-        their health is final: a stage computed over a degraded or
-        failed input may be silently short and must not be cached as
-        authoritative.  Stages independent of the failure still cache
-        normally.
-        """
-        seen: Set[str] = set()
-        stack = list(_STAGE_INPUTS.get(name, ()))
-        while stack:
-            dep = stack.pop()
-            if dep in seen:
-                continue
-            seen.add(dep)
-            entry = self.stage_health.get(dep)
-            if entry is not None and entry.status != "success":
-                return True
-            stack.extend(_STAGE_INPUTS.get(dep, ()))
-        return False
-
-    def _serial_compute(self, name: str) -> Tuple[List, StageHealth]:
-        """Compute a stage in-process, degrading gracefully on failure."""
-        with use_metrics(self.metrics), use_tracer(self.tracer):
-            try:
-                records = [
-                    record for _, record in self.compute_stage_shard(name, 0, 1)
-                ]
-            except Exception as exc:
-                return [], StageHealth(
-                    stage=name,
-                    status="failed",
-                    error=f"{type(exc).__name__}: {exc}",
-                    shards=1,
-                    shards_failed=1,
-                )
-        return records, StageHealth(stage=name)
+        return self._materialise(name, compute)
 
     def _plain_stage(
         self,
@@ -368,51 +313,30 @@ class Campaign:
         empty: Callable[[], object] = list,
     ):
         """A cacheable but unsharded stage (DNS, derived target lists)."""
+        return self._materialise(name, lambda: self._guarded(name, compute, empty))
+
+    def _materialise(self, name: str, compute: Callable[[], Tuple[object, StageHealth]]):
+        """Load a stage from the cache, else compute it; then install it."""
         start = time.perf_counter()
         cache_state = "off" if self._cache is None else "miss"
-        value = None
-        health: Optional[StageHealth] = None
-        if self._cache is not None:
-            cached = self._cache.load(name)
-            if cached is not None:
-                value, cache_state = cached, "hit"
-        if value is None:
-            with use_metrics(self.metrics), use_tracer(self.tracer):
-                try:
-                    value = compute()
-                    health = StageHealth(stage=name)
-                except Exception as exc:
-                    value = empty()
-                    health = StageHealth(
-                        stage=name,
-                        status="failed",
-                        error=f"{type(exc).__name__}: {exc}",
-                        shards=1,
-                        shards_failed=1,
-                    )
-            if (
-                self._cache is not None
-                and health.status == "success"
-                and not self._tainted(name)
-            ):
-                self._cache.store(name, value)
-        if health is None:
-            health = StageHealth(stage=name)
-        count = len(value) if hasattr(value, "__len__") else None
-        health.records = count or 0
-        self.stage_health[name] = health
-        self._account_stage(name, count, cache_state, start, health)
+        value = self._cache.load(name) if self._cache is not None else None
+        if value is not None:
+            cache_state, health = "hit", StageHealth(stage=name)
+        else:
+            value, health = compute()
+        self.install_stage(name, value, health, cache_state, start)
         return value
 
-    def _account_stage(
-        self,
-        name: str,
-        records: Optional[int],
-        cache_state: str,
-        start: float,
-        health: Optional[StageHealth] = None,
+    def install_stage(
+        self, name: str, value, health: StageHealth, cache_state: str, start: float
     ) -> None:
-        """Per-stage bookkeeping: record counts, cache result, wall time.
+        """Install a finished stage: its health, the cache store, the accounting.
+
+        Every engine ends a stage here, cache hits included.  Partial or
+        empty results must never poison future runs: only a freshly
+        computed stage that succeeded over healthy inputs is stored — a
+        stage downstream of a degraded one can be silently short even
+        when its own compute succeeded.
 
         Record and cache counters are deterministic for a given cache
         state; wall times are volatile (excluded from ``metrics.json``).
@@ -420,19 +344,21 @@ class Campaign:
         counter and a stderr warning; healthy runs' metrics stay
         byte-identical to pre-degradation builds.
         """
-        status = health.status if health is not None else "success"
-        if records is not None:
-            self.metrics.counter("campaign.stage_records", stage=name).inc(records)
+        if cache_state == "miss" and health.status == "success" and not self._tainted(name):
+            self._cache.store(name, value)
+        health.records = len(value)
+        self.stage_health[name] = health
+        self.metrics.counter("campaign.stage_records", stage=name).inc(health.records)
         if cache_state != "off":
             self.metrics.counter(
                 "campaign.stage_cache", result=cache_state, stage=name
             ).inc()
-        if status != "success":
+        if health.status != "success":
             self.metrics.counter(
-                "campaign.stage_status", stage=name, status=status
+                "campaign.stage_status", stage=name, status=health.status
             ).inc()
             print(
-                f"warning: stage {name} {status}"
+                f"warning: stage {name} {health.status}"
                 f" ({health.shards_failed}/{health.shards} shards failed):"
                 f" {health.error}",
                 file=sys.stderr,
@@ -444,35 +370,63 @@ class Campaign:
         self.tracer.event(
             "scan.stage",
             stage=name,
-            records=records,
+            records=health.records,
             cache=cache_state,
             seconds=elapsed,
-            status=status,
+            status=health.status,
         )
 
-    def _stage_items(self, name: str) -> int:
-        """How many work items a stage will walk (resolves its deps)."""
-        if name in ("zmap_v4", "syn_v4"):
-            return self.world.ipv4_space.num_addresses
-        if name in ("zmap_v6", "syn_v6"):
-            return len(self.ipv6_scan_input)
-        family = 6 if name.endswith("v6") else 4
-        if name.startswith("goscanner_nosni"):
-            return len(self._syn_records(family))
-        if name.startswith("goscanner_sni"):
-            return len(self._sni_scan_items(family))
-        if name.startswith("qscan_nosni"):
-            zmap = self.zmap_v4 if family == 4 else self.zmap_v6
-            return len(self._zmap_compatible(zmap))
-        if name.startswith("qscan_sni"):
-            return len(self.sni_targets_v4 if family == 4 else self.sni_targets_v6)
-        raise KeyError(f"unknown stage: {name}")
+    def _tainted(self, name: str) -> bool:
+        """Whether any transitive input of ``name`` finished non-``success``.
+
+        Inputs always execute before their dependents, so at store time
+        their health is final: a stage computed over a degraded or
+        failed input may be silently short and must not be cached as
+        authoritative.  Stages independent of the failure still cache
+        normally.
+        """
+        seen: Set[str] = set()
+        stack = list(stage_inputs(name))
+        while stack:
+            dep = stack.pop()
+            if dep in seen:
+                continue
+            seen.add(dep)
+            entry = self.stage_health.get(dep)
+            if entry is not None and entry.status != "success":
+                return True
+            stack.extend(stage_inputs(dep))
+        return False
+
+    def _guarded(
+        self, name: str, compute: Callable[[], object], empty: Callable[[], object]
+    ) -> Tuple[object, StageHealth]:
+        """Compute a stage in-process, degrading gracefully on failure."""
+        with use_metrics(self.metrics), use_tracer(self.tracer):
+            try:
+                return compute(), StageHealth(stage=name)
+            except Exception as exc:  # a failed stage degrades, it does not abort the campaign
+                return empty(), StageHealth(
+                    stage=name,
+                    status="failed",
+                    error=f"{type(exc).__name__}: {exc}",
+                    shards=1,
+                    shards_failed=1,
+                )
+
+    def _serial_compute(self, name: str) -> Tuple[List, StageHealth]:
+        return self._guarded(
+            name,
+            lambda: [record for _, record in self.compute_stage_shard(name, 0, 1)],
+            list,
+        )
 
     def _engine_run(self, name: str) -> Tuple[List, StageHealth]:
         from repro.parallel import ScanEngine, engine as engine_module
 
-        items = self._stage_items(name)
-        cost = items * _STAGE_COST_WEIGHT[name]
+        stage = BY_NAME[name]
+        items = self.stage_size(stage)
+        cost = items * stage.cost_weight
         if cost <= engine_module.INLINE_COST_THRESHOLD:
             # The stage is cheaper than shipping it: run it inline in
             # the parent, exactly like a serial campaign would.
@@ -488,7 +442,7 @@ class Campaign:
                 # Passing the built world lets the pool's fork inherit
                 # it copy-on-write instead of each worker rebuilding one.
                 self._engine = ScanEngine(self.config, self._workers, world=self.world)
-        deps = {dep: getattr(self, dep) for dep in _STAGE_DEPS[name]}
+        deps = {dep: getattr(self, dep) for dep in stage.deps}
         records, errors, shards = self._engine.run_stage(
             name,
             deps,
@@ -519,16 +473,32 @@ class Campaign:
         return [n for n, h in self.stage_health.items() if h.status == "degraded"]
 
     def compute_stage_shard(self, name: str, shard: int, of: int) -> List[Tuple[int, object]]:
-        """Compute one shard of a stage (the engine's worker entry point)."""
+        """Compute one shard of a stage (the barrier engine's worker entry point).
+
+        An IPv4 sweep takes every ``of``-th position of the walk; a list
+        stage takes one contiguous block of its target list, cut on
+        address runs for SNI stages so each server sees its connection
+        sequence in serial order.
+        """
+        stage = BY_NAME[name]
         # Resolve dependencies *before* opening this stage's fault
         # epoch: in serial runs a dependency may itself compute here
         # (under its own epoch), so the order guarantees this stage's
         # traffic always starts on a freshly keyed epoch — exactly as
         # a shard worker (whose deps arrive precomputed) sees it.
-        for dep in _STAGE_DEPS.get(name, ()):
+        for dep in stage.deps:
             getattr(self, dep)
         self.world.network.begin_fault_epoch(name)
-        return _STAGE_COMPUTE[name](self, shard, of)
+        if stage.walks_space:
+            scanner = self._scanner(stage)
+            return scanner.scan_ipv4_space_shard(self.world.ipv4_space, shard, of)
+        items = self.stage_items(stage)
+        if stage.sni:
+            addresses = [stage.address(item) for item in items]
+            lo, hi = aligned_block_bounds(addresses, shard, of)
+        else:
+            lo, hi = shard_block_bounds(len(items), shard, of)
+        return self._scan_chunk(stage, lo, items[lo:hi])
 
     # -- streaming entry points (see repro.parallel.stream) ----------------
     #
@@ -543,97 +513,98 @@ class Campaign:
     def compute_stage_range(self, name: str, lo: int, hi: int) -> List[Tuple[int, object]]:
         """Sweep the contiguous walk segment ``[lo, hi)`` of an IPv4 sweep."""
         self.world.network.begin_fault_epoch(name)
-        if name == "zmap_v4":
-            return self._zmap_scanner(4).scan_ipv4_range(self.world.ipv4_space, lo, hi)
-        if name == "syn_v4":
-            return self._syn_scanner(4).scan_ipv4_range(self.world.ipv4_space, lo, hi)
-        raise KeyError(f"not a range-sweep stage: {name}")
-
-    def compute_stage_targets(
-        self, name: str, lo: int, targets: Sequence[Address]
-    ) -> List[Tuple[int, object]]:
-        """Probe a contiguous slice of an explicit target list (v6 sweeps)."""
-        self.world.network.begin_fault_epoch(name)
-        if name == "zmap_v6":
-            return self._zmap_scanner(6).scan_targets_shard(targets, lo)
-        if name == "syn_v6":
-            return self._syn_scanner(6).scan_targets_shard(targets, lo)
-        raise KeyError(f"not a target-sweep stage: {name}")
+        scanner = self._scanner(BY_NAME[name])
+        return scanner.scan_ipv4_range(self.world.ipv4_space, lo, hi)
 
     def compute_stage_chunk(
         self, name: str, lo: int, items: Sequence
     ) -> List[Tuple[int, object]]:
-        """Run a stateful scanner over one contiguous chunk of targets.
+        """Scan one contiguous chunk of a stage's target list.
 
         ``lo`` is the chunk's offset in the stage's serial target list;
         ``seek(lo)`` gives every target the same rng child it would get
         in a serial scan of the full list.
         """
         self.world.network.begin_fault_epoch(name)
-        family = 6 if name.endswith("v6") else 4
-        if name.startswith("goscanner_nosni"):
-            scanner = self._goscanner(f"nosni{family}")
-            scanner.seek(lo)
-            return [
-                (lo + i, scanner.scan(address, None))
-                for i, address in enumerate(items)
-            ]
-        if name.startswith("goscanner_sni"):
-            scanner = self._goscanner(f"sni{family}")
-            scanner.seek(lo)
-            return [
-                (lo + i, scanner.scan(address, domain))
-                for i, (address, domain) in enumerate(items)
-            ]
-        if name.startswith("qscan_nosni"):
-            scanner = self._qscanner(f"nosni{family}", source_v6=family == 6)
-            scanner.seek(lo)
-            return [
-                (lo + i, scanner.scan(address, None, TargetSource.ZMAP_DNS))
-                for i, address in enumerate(items)
-            ]
-        if name.startswith("qscan_sni"):
-            scanner = self._qscanner(f"sni{family}", source_v6=family == 6)
-            scanner.seek(lo)
-            return [
-                (lo + i, scanner.scan(address, domain, source))
-                for i, (address, domain, source) in enumerate(items)
-            ]
-        raise KeyError(f"not a chunkable stage: {name}")
+        return self._scan_chunk(BY_NAME[name], lo, items)
 
-    def run_all_stages(self, streaming: Optional[bool] = None) -> Dict[str, int]:
+    def _scan_chunk(self, stage: Stage, lo: int, items: Sequence) -> List[Tuple[int, object]]:
+        scanner = self._scanner(stage)
+        if stage.sweep:
+            return scanner.scan_targets_shard(items, lo)
+        scanner.seek(lo)
+        return [
+            (lo + i, self._scan_item(stage, scanner, item))
+            for i, item in enumerate(items)
+        ]
+
+    @staticmethod
+    def _scan_item(stage: Stage, scanner, item):
+        """One stateful scan of one target item."""
+        if stage.sni:
+            return scanner.scan(*item)
+        if stage.kind == QSCAN:
+            return scanner.scan(item, None, TargetSource.ZMAP_DNS)
+        return scanner.scan(item, None)
+
+    def stage_items(self, stage: Stage, upstream: Optional[Sequence] = None) -> List:
+        """A list stage's target items, in serial order.
+
+        ``upstream`` is any prefix of :attr:`Stage.upstream`'s records
+        (default: all of them); the derivation preserves order, so a
+        prefix's items are a prefix of the full list — the streaming
+        engine feeds consumers this way, chunk by chunk.
+        """
+        if stage.walks_space:
+            raise ValueError(f"{stage.name} walks the address space, not a list")
+        if stage.sweep:
+            return self.ipv6_scan_input
+        if stage.barrier:
+            return self._sorted_sni_targets(stage.family)
+        records = getattr(self, stage.upstream.name) if upstream is None else upstream
+        if stage.kind == QSCAN:
+            return [record.address for record in self._zmap_compatible(records)]
+        if not stage.sni:
+            return [record.address for record in records]
+        cap = self.config.max_domains_per_address
+        join = self.dns_join
+        return [
+            (record.address, domain)
+            for record in records
+            for domain in join.domains_for(record.address)[:cap]
+        ]
+
+    def stage_size(self, stage: Stage) -> int:
+        """How many work items a stage walks (resolves its inputs)."""
+        if stage.walks_space:
+            return self.world.ipv4_space.num_addresses
+        return len(self.stage_items(stage))
+
+    def run_all_stages(self, streaming: bool = True) -> Dict[str, int]:
         """Execute every stage in canonical order; returns record counts.
 
         With ``workers > 1`` the stages run through the streaming
-        dataflow engine by default: upstream sweep chunks feed stateful
-        scanner chunks while the sweeps are still running, killing the
+        dataflow engine: upstream sweep chunks feed stateful scanner
+        chunks while the sweeps are still running, killing the
         per-stage barrier (records and ``metrics.json`` stay
-        byte-identical to a serial run).  ``streaming=False`` — or
-        ``REPRO_STREAM=0`` — falls back to barrier-synchronised
-        per-stage sharding.
+        byte-identical to a serial run).  ``streaming=False`` falls back
+        to barrier-synchronised per-stage sharding.
         """
         counts: Dict[str, int] = {}
         counts["dns"] = len(self.all_dns_records)
-        if streaming is None:
-            streaming = _stream_default()
-        pending = any(name not in self.__dict__ for name in _STAGE_ORDER)
-        if pending:
-            # The pending gate makes re-invocation (e.g. load_campaign
-            # calling run_all_stages on an already-executed fleet cell)
-            # a pure count pass — no engine dispatch, no re-accounting.
-            if self._fleet is not None:
-                from repro.parallel.stream import run_streaming
+        # The pending gate makes re-invocation (e.g. load_campaign
+        # calling run_all_stages on an already-executed fleet cell) a
+        # pure count pass — no engine dispatch, no re-accounting.
+        pending = any(name not in self.__dict__ for name in STAGE_NAMES)
+        if pending and (self._fleet is not None or (streaming and self._workers > 1)):
+            from repro.parallel.stream import run_streaming
 
-                run_streaming(self, fleet=self._fleet)
-            elif streaming and self._workers > 1:
-                from repro.parallel.stream import run_streaming
-
-                run_streaming(self)
-        for name in _STAGE_ORDER:
+            run_streaming(self, fleet=self._fleet)
+        for name in STAGE_NAMES:
             counts[name] = len(getattr(self, name))
         return counts
 
-    # -- shared scanner configs ------------------------------------------------
+    # -- scanners -------------------------------------------------------------------
     def _crypto_kwargs(self) -> Dict:
         if self.config.fast_crypto:
             return {
@@ -645,27 +616,15 @@ class Campaign:
             "groups": (GROUP_X25519,),
         }
 
-    # -- stage 1: DNS ------------------------------------------------------------
-    @cached_property
-    def dns_records(self) -> Dict[str, List[DnsScanRecord]]:
-        def compute():
-            scanner = DnsScanner(Resolver(self.world.zones), retry=self.config.retry)
-            return scanner.scan_lists(self.world.input_lists.lists)
-
-        return self._plain_stage("dns_records", compute, empty=dict)
-
-    @cached_property
-    def all_dns_records(self) -> List[DnsScanRecord]:
-        return [record for records in self.dns_records.values() for record in records]
-
-    @cached_property
-    def dns_join(self) -> DnsJoin:
-        return join_dns_addresses(self.all_dns_records)
-
-    # -- stage 2: ZMap QUIC ---------------------------------------------------
-    @cached_property
-    def zmap_v4(self) -> List[ZmapQuicRecord]:
-        return self._stage("zmap_v4")
+    def _scanner(self, stage: Stage):
+        """A fresh scanner for one stage (one per serial stage or chunk)."""
+        if stage.kind == ZMAP:
+            return self._zmap_scanner(stage.family)
+        if stage.kind == SYN:
+            return self._syn_scanner(stage.family)
+        if stage.kind == GOSCANNER:
+            return self._goscanner(stage.label)
+        return self._qscanner(stage.label, source_v6=stage.family == 6)
 
     def _zmap_scanner(self, family: int) -> ZmapQuicScanner:
         label = "zmapquic" if family == 4 else "zmapquic6"
@@ -677,33 +636,6 @@ class Campaign:
             retry=self.config.retry,
         )
 
-    def _compute_zmap_v4(self, shard: int, of: int) -> List[Tuple[int, ZmapQuicRecord]]:
-        return self._zmap_scanner(4).scan_ipv4_space_shard(
-            self.world.ipv4_space, shard, of
-        )
-
-    @cached_property
-    def ipv6_scan_input(self) -> List[IPv6Address]:
-        """AAAA resolutions joined with the IPv6 hitlist (§3.1)."""
-
-        def compute():
-            addresses: Set[IPv6Address] = set(self.world.ipv6_hitlist)
-            for record in self.all_dns_records:
-                addresses.update(record.aaaa)
-            return sorted(addresses)
-
-        return self._plain_stage("ipv6_scan_input", compute)
-
-    @cached_property
-    def zmap_v6(self) -> List[ZmapQuicRecord]:
-        return self._stage("zmap_v6")
-
-    def _compute_zmap_v6(self, shard: int, of: int) -> List[Tuple[int, ZmapQuicRecord]]:
-        targets = self.ipv6_scan_input
-        lo, hi = shard_block_bounds(len(targets), shard, of)
-        return self._zmap_scanner(6).scan_targets_shard(targets[lo:hi], lo)
-
-    # -- stage 3: TCP SYN ---------------------------------------------------------
     def _syn_scanner(self, family: int) -> ZmapTcpScanner:
         label = "zmaptcp" if family == 4 else "zmaptcp6"
         return ZmapTcpScanner(
@@ -713,25 +645,6 @@ class Campaign:
             retry=self.config.retry,
         )
 
-    @cached_property
-    def syn_v4(self) -> List[SynRecord]:
-        return self._stage("syn_v4")
-
-    def _compute_syn_v4(self, shard: int, of: int) -> List[Tuple[int, SynRecord]]:
-        return self._syn_scanner(4).scan_ipv4_space_shard(
-            self.world.ipv4_space, shard, of
-        )
-
-    @cached_property
-    def syn_v6(self) -> List[SynRecord]:
-        return self._stage("syn_v6")
-
-    def _compute_syn_v6(self, shard: int, of: int) -> List[Tuple[int, SynRecord]]:
-        targets = self.ipv6_scan_input
-        lo, hi = shard_block_bounds(len(targets), shard, of)
-        return self._syn_scanner(6).scan_targets_shard(targets[lo:hi], lo)
-
-    # -- stage 4: stateful TLS over TCP -----------------------------------------
     def _goscanner(self, label: str) -> Goscanner:
         return Goscanner(
             self.world.network,
@@ -744,72 +657,67 @@ class Campaign:
             ),
         )
 
-    def _syn_records(self, family: int) -> List[SynRecord]:
-        return self.syn_v4 if family == 4 else self.syn_v6
+    def _qscanner(self, label: str, source_v6: bool = False) -> QScanner:
+        return QScanner(
+            self.world.network,
+            self.world.scanner_v6 if source_v6 else self.world.scanner_v4,
+            QScannerConfig(
+                versions=self.config.qscanner_versions,
+                trusted_roots=(self.world.ca.root,),
+                timeout=self.config.scan_timeout,
+                fast_initial_protection=self.config.fast_crypto,
+                seed=("qscanner", label, self.config.seed, self.config.week),
+                retry=self.config.retry,
+                **self._crypto_kwargs(),
+            ),
+        )
 
-    def _compute_goscanner_nosni(
-        self, family: int, shard: int, of: int
-    ) -> List[Tuple[int, GoscannerRecord]]:
-        syn = self._syn_records(family)
-        lo, hi = shard_block_bounds(len(syn), shard, of)
-        scanner = self._goscanner(f"nosni{family}")
-        scanner.seek(lo)
-        return [
-            (lo + i, scanner.scan(record.address, None))
-            for i, record in enumerate(syn[lo:hi])
-        ]
-
-    def _sni_scan_items(self, family: int) -> List[Tuple[Address, str]]:
-        """The flat (address, domain) list the SNI TLS scan walks."""
-        cap = self.config.max_domains_per_address
-        items: List[Tuple[Address, str]] = []
-        for syn in self._syn_records(family):
-            for domain in self.dns_join.domains_for(syn.address)[:cap]:
-                items.append((syn.address, domain))
-        return items
-
-    def _compute_goscanner_sni(
-        self, family: int, shard: int, of: int
-    ) -> List[Tuple[int, GoscannerRecord]]:
-        items = self._sni_scan_items(family)
-        lo, hi = aligned_block_bounds([a for a, _ in items], shard, of)
-        scanner = self._goscanner(f"sni{family}")
-        scanner.seek(lo)
-        return [
-            (lo + i, scanner.scan(address, domain))
-            for i, (address, domain) in enumerate(items[lo:hi])
-        ]
+    # -- unsharded stages and derived target lists --------------------------------
+    #
+    # The twelve scan stages themselves (zmap, syn, goscanner and qscan
+    # records per family and SNI mode) are cached properties generated
+    # from the stage table below the class.
 
     @cached_property
-    def goscanner_nosni_v4(self) -> List[GoscannerRecord]:
-        return self._stage("goscanner_nosni_v4")
+    def dns_records(self) -> Dict[str, List[DnsScanRecord]]:
+        def compute():
+            scanner = DnsScanner(Resolver(self.world.zones), retry=self.config.retry)
+            return scanner.scan_lists(self.world.input_lists.lists)
+
+        return self._plain_stage(DNS_RECORDS, compute, empty=dict)
 
     @cached_property
-    def goscanner_sni_v4(self) -> List[GoscannerRecord]:
-        return self._stage("goscanner_sni_v4")
+    def all_dns_records(self) -> List[DnsScanRecord]:
+        return [record for records in self.dns_records.values() for record in records]
 
     @cached_property
-    def goscanner_nosni_v6(self) -> List[GoscannerRecord]:
-        return self._stage("goscanner_nosni_v6")
+    def dns_join(self) -> DnsJoin:
+        return join_dns_addresses(self.all_dns_records)
 
     @cached_property
-    def goscanner_sni_v6(self) -> List[GoscannerRecord]:
-        return self._stage("goscanner_sni_v6")
+    def ipv6_scan_input(self) -> List[IPv6Address]:
+        """AAAA resolutions joined with the IPv6 hitlist (§3.1)."""
 
-    # -- target assembly --------------------------------------------------------
+        def compute():
+            addresses: Set[IPv6Address] = set(self.world.ipv6_hitlist)
+            for record in self.all_dns_records:
+                addresses.update(record.aaaa)
+            return sorted(addresses)
+
+        return self._plain_stage(IPV6_SCAN_INPUT, compute)
+
+    def _records(self, kind: str, family: int, sni: bool = False) -> List:
+        """The records of one scan stage."""
+        return getattr(self, find(kind, family, sni).name)
+
     @staticmethod
     def _zmap_compatible(records: Sequence[ZmapQuicRecord]) -> List[ZmapQuicRecord]:
         return [r for r in records if set(r.versions) & QSCANNER_SUPPORTED]
 
-    def _goscanner_records(self, family: int, sni: bool) -> List[GoscannerRecord]:
-        if family == 4:
-            return self.goscanner_sni_v4 if sni else self.goscanner_nosni_v4
-        return self.goscanner_sni_v6 if sni else self.goscanner_nosni_v6
-
     def _altsvc_targets(self, family: int) -> List[Tuple[Address, str]]:
         """(address, domain) pairs advertising a compatible HTTP/3 token."""
         targets = []
-        for record in self._goscanner_records(family, sni=True):
+        for record in self._records(GOSCANNER, family, sni=True):
             tokens = {e.alpn for e in record.alt_svc if e.indicates_http3}
             if tokens & COMPATIBLE_ALPN_TOKENS:
                 targets.append((record.address, record.sni))
@@ -818,8 +726,8 @@ class Campaign:
     def _altsvc_discovered(self, family: int) -> List[Tuple[Address, str, frozenset]]:
         """All Alt-Svc discoveries (including incompatible tokens)."""
         discovered = []
-        records = self._goscanner_records(family, sni=True) + self._goscanner_records(
-            family, sni=False
+        records = self._records(GOSCANNER, family, sni=True) + self._records(
+            GOSCANNER, family
         )
         for record in records:
             tokens = frozenset(e.alpn for e in record.alt_svc if e.indicates_http3)
@@ -869,8 +777,7 @@ class Campaign:
         """Union of SNI targets with their source memberships."""
         cap = self.config.max_domains_per_address
         targets: Dict[Tuple[Address, str], Set[TargetSource]] = {}
-        zmap = self.zmap_v4 if family == 4 else self.zmap_v6
-        for record in self._zmap_compatible(zmap):
+        for record in self._zmap_compatible(self._records(ZMAP, family)):
             for domain in self.dns_join.domains_for(record.address)[:cap]:
                 targets.setdefault((record.address, domain), set()).add(
                     TargetSource.ZMAP_DNS
@@ -890,38 +797,10 @@ class Campaign:
     def sni_targets_v6(self) -> Dict[Tuple[Address, str], Set[TargetSource]]:
         return self._sni_targets(6)
 
-    # -- stage 5: QScanner ---------------------------------------------------------
-    def _qscanner(self, label: str, source_v6: bool = False) -> QScanner:
-        return QScanner(
-            self.world.network,
-            self.world.scanner_v6 if source_v6 else self.world.scanner_v4,
-            QScannerConfig(
-                versions=self.config.qscanner_versions,
-                trusted_roots=(self.world.ca.root,),
-                timeout=self.config.scan_timeout,
-                fast_initial_protection=self.config.fast_crypto,
-                seed=("qscanner", label, self.config.seed, self.config.week),
-                retry=self.config.retry,
-                **self._crypto_kwargs(),
-            ),
-        )
-
-    def _compute_qscan_nosni(
-        self, family: int, shard: int, of: int
-    ) -> List[Tuple[int, QScanRecord]]:
-        zmap = self.zmap_v4 if family == 4 else self.zmap_v6
-        targets = self._zmap_compatible(zmap)
-        lo, hi = shard_block_bounds(len(targets), shard, of)
-        scanner = self._qscanner(f"nosni{family}", source_v6=family == 6)
-        scanner.seek(lo)
-        return [
-            (lo + i, scanner.scan(record.address, None, TargetSource.ZMAP_DNS))
-            for i, record in enumerate(targets[lo:hi])
-        ]
-
     def _sorted_sni_targets(
         self, family: int
     ) -> List[Tuple[Address, str, TargetSource]]:
+        """The SNI QScanner's target list: one (address, domain, source) each."""
         targets = self.sni_targets_v4 if family == 4 else self.sni_targets_v6
         ordered = []
         for (address, domain), sources in sorted(
@@ -931,40 +810,12 @@ class Campaign:
             ordered.append((address, domain, source))
         return ordered
 
-    def _compute_qscan_sni(
-        self, family: int, shard: int, of: int
-    ) -> List[Tuple[int, QScanRecord]]:
-        targets = self._sorted_sni_targets(family)
-        lo, hi = aligned_block_bounds([a for a, _, _ in targets], shard, of)
-        scanner = self._qscanner(f"sni{family}", source_v6=family == 6)
-        scanner.seek(lo)
-        return [
-            (lo + i, scanner.scan(address, domain, source))
-            for i, (address, domain, source) in enumerate(targets[lo:hi])
-        ]
-
-    @cached_property
-    def qscan_nosni_v4(self) -> List[QScanRecord]:
-        return self._stage("qscan_nosni_v4")
-
-    @cached_property
-    def qscan_nosni_v6(self) -> List[QScanRecord]:
-        return self._stage("qscan_nosni_v6")
-
-    @cached_property
-    def qscan_sni_v4(self) -> List[QScanRecord]:
-        return self._stage("qscan_sni_v4")
-
-    @cached_property
-    def qscan_sni_v6(self) -> List[QScanRecord]:
-        return self._stage("qscan_sni_v6")
-
     def sni_records_for_source(
         self, family: int, source: TargetSource
     ) -> List[QScanRecord]:
         """Scan records restricted to one discovery source (Table 4)."""
         targets = self.sni_targets_v4 if family == 4 else self.sni_targets_v6
-        records = self.qscan_sni_v4 if family == 4 else self.qscan_sni_v6
+        records = self._records(QSCAN, family, sni=True)
         wanted = {
             (address, domain)
             for (address, domain), sources in targets.items()
@@ -973,95 +824,16 @@ class Campaign:
         return [r for r in records if (r.address, r.sni) in wanted]
 
 
-# Shard-aware compute functions, keyed by stage name.  The engine's
-# worker processes resolve these against their local world replica.
-_STAGE_COMPUTE: Dict[str, Callable[[Campaign, int, int], List]] = {
-    "zmap_v4": Campaign._compute_zmap_v4,
-    "zmap_v6": Campaign._compute_zmap_v6,
-    "syn_v4": Campaign._compute_syn_v4,
-    "syn_v6": Campaign._compute_syn_v6,
-    "goscanner_nosni_v4": lambda c, s, n: c._compute_goscanner_nosni(4, s, n),
-    "goscanner_nosni_v6": lambda c, s, n: c._compute_goscanner_nosni(6, s, n),
-    "goscanner_sni_v4": lambda c, s, n: c._compute_goscanner_sni(4, s, n),
-    "goscanner_sni_v6": lambda c, s, n: c._compute_goscanner_sni(6, s, n),
-    "qscan_nosni_v4": lambda c, s, n: c._compute_qscan_nosni(4, s, n),
-    "qscan_nosni_v6": lambda c, s, n: c._compute_qscan_nosni(6, s, n),
-    "qscan_sni_v4": lambda c, s, n: c._compute_qscan_sni(4, s, n),
-    "qscan_sni_v6": lambda c, s, n: c._compute_qscan_sni(6, s, n),
-}
+def _stage_accessor(name: str) -> cached_property:
+    accessor = cached_property(lambda self: self._stage(name))
+    accessor.__doc__ = f"The {name} stage's records, in serial scan order."
+    accessor.__set_name__(Campaign, name)
+    return accessor
 
-# Relative per-item cost of each stage, used with the item count to
-# decide whether a stage is worth sharding at all (see
-# repro.parallel.engine.INLINE_COST_THRESHOLD).  Stateless sweep probes
-# cost microseconds; a stateful handshake costs milliseconds.
-_STAGE_COST_WEIGHT: Dict[str, int] = {
-    "zmap_v4": 1,
-    "syn_v4": 1,
-    "zmap_v6": 2,
-    "syn_v6": 2,
-    "goscanner_nosni_v4": 1000,
-    "goscanner_nosni_v6": 1000,
-    "goscanner_sni_v4": 1000,
-    "goscanner_sni_v6": 1000,
-    "qscan_nosni_v4": 1000,
-    "qscan_nosni_v6": 1000,
-    "qscan_sni_v4": 1000,
-    "qscan_sni_v6": 1000,
-}
 
-# Parent-computed values shipped to shard workers so dependencies are
-# computed once, not once per worker.
-_STAGE_DEPS: Dict[str, Tuple[str, ...]] = {
-    "zmap_v4": (),
-    "zmap_v6": ("ipv6_scan_input",),
-    "syn_v4": (),
-    "syn_v6": ("ipv6_scan_input",),
-    "goscanner_nosni_v4": ("syn_v4",),
-    "goscanner_nosni_v6": ("syn_v6",),
-    "goscanner_sni_v4": ("syn_v4", "dns_join"),
-    "goscanner_sni_v6": ("syn_v6", "dns_join"),
-    "qscan_nosni_v4": ("zmap_v4",),
-    "qscan_nosni_v6": ("zmap_v6",),
-    "qscan_sni_v4": ("sni_targets_v4",),
-    "qscan_sni_v6": ("sni_targets_v6",),
-}
-
-# Health-tracked stages each stage's compute reads, including through
-# the derived target lists (dns_join, Alt-Svc/HTTPS-RR/SNI targets)
-# that sit between them.  Used for cache-taint propagation: a stage is
-# only cached when every transitive input completed ``success``.
-_STAGE_INPUTS: Dict[str, Tuple[str, ...]] = {
-    "dns_records": (),
-    "ipv6_scan_input": ("dns_records",),
-    "zmap_v4": (),
-    "zmap_v6": ("ipv6_scan_input",),
-    "syn_v4": (),
-    "syn_v6": ("ipv6_scan_input",),
-    "goscanner_nosni_v4": ("syn_v4",),
-    "goscanner_nosni_v6": ("syn_v6",),
-    "goscanner_sni_v4": ("syn_v4", "dns_records"),
-    "goscanner_sni_v6": ("syn_v6", "dns_records"),
-    "qscan_nosni_v4": ("zmap_v4",),
-    "qscan_nosni_v6": ("zmap_v6",),
-    "qscan_sni_v4": ("zmap_v4", "dns_records", "goscanner_sni_v4"),
-    "qscan_sni_v6": ("zmap_v6", "dns_records", "goscanner_sni_v6"),
-}
-
-# Canonical execution order for full-campaign runs (dependencies first).
-_STAGE_ORDER: Tuple[str, ...] = (
-    "zmap_v4",
-    "zmap_v6",
-    "syn_v4",
-    "syn_v6",
-    "goscanner_nosni_v4",
-    "goscanner_sni_v4",
-    "goscanner_nosni_v6",
-    "goscanner_sni_v6",
-    "qscan_nosni_v4",
-    "qscan_nosni_v6",
-    "qscan_sni_v4",
-    "qscan_sni_v6",
-)
+for _row in STAGES:
+    setattr(Campaign, _row.name, _stage_accessor(_row.name))
+del _row
 
 
 _CAMPAIGNS: Dict[Tuple, Campaign] = {}

@@ -31,7 +31,7 @@ they are also what *detects* new deployments and HTTPS-RR changes.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.crypto.rand import derive_seed
 from repro.experiments.campaign import Campaign, CampaignConfig
@@ -154,7 +154,7 @@ def build_week_campaign(
 class DeltaCampaign(Campaign):
     """A weekly campaign that merges unchanged records from week N-1.
 
-    Only the four stateful compute paths are overridden; sweeps, DNS
+    Only the stateful stages' chunk scan is overridden; sweeps, DNS
     and all derived target lists run exactly as in :class:`Campaign`.
     Delta campaigns always execute serially (``workers=1``): the
     engine's shard workers build plain ``Campaign`` replicas, which
@@ -219,120 +219,32 @@ class DeltaCampaign(Campaign):
         return changed
 
     # -- merged stateful stages --------------------------------------------------
-    #
-    # Each override mirrors the parent's serial walk exactly; a target
-    # is merged only when its address signature is unchanged AND the
-    # previous week produced a record under the identical key, so
-    # target-list churn (new domains, source changes) always rescans.
 
-    def _compute_goscanner_nosni(self, family, shard, of):
-        name = f"goscanner_nosni_v{family}"
-        previous = (
-            self._previous.stage_records(name) if (shard, of) == (0, 1) else None
-        )
+    def _scan_chunk(self, stage, lo, items):
+        """Mirror the serial walk, merging unchanged targets from week N-1.
+
+        A target is merged only when its address signature is unchanged
+        AND the previous week produced a record under the identical key
+        (the row's item key against its record key), so target-list
+        churn (new domains, source changes) always rescans.
+        """
+        previous = None if stage.sweep else self._previous.stage_records(stage.name)
         if previous is None:
-            return super()._compute_goscanner_nosni(family, shard, of)
-        by_key = {str(record.address): record for record in previous}
+            return super()._scan_chunk(stage, lo, items)
+        by_key = {stage.record_key(record): record for record in previous}
         scanner = None
         hits = misses = 0
         out = []
-        for index, syn in enumerate(self._syn_records(family)):
-            cached = by_key.get(str(syn.address))
-            if cached is not None and not self._address_changed(syn.address):
+        for index, item in enumerate(items, start=lo):
+            cached = by_key.get(stage.item_key(item))
+            if cached is not None and not self._address_changed(stage.address(item)):
                 out.append((index, cached))
                 hits += 1
                 continue
             if scanner is None:
-                scanner = self._goscanner(f"nosni{family}")
+                scanner = self._scanner(stage)
             scanner.seek(index)
-            out.append((index, scanner.scan(syn.address, None)))
+            out.append((index, self._scan_item(stage, scanner, item)))
             misses += 1
-        self._note_delta(name, hits, misses)
-        return out
-
-    def _compute_goscanner_sni(self, family, shard, of):
-        name = f"goscanner_sni_v{family}"
-        previous = (
-            self._previous.stage_records(name) if (shard, of) == (0, 1) else None
-        )
-        if previous is None:
-            return super()._compute_goscanner_sni(family, shard, of)
-        by_key = {
-            (str(record.address), record.sni): record for record in previous
-        }
-        scanner = None
-        hits = misses = 0
-        out = []
-        for index, (address, domain) in enumerate(self._sni_scan_items(family)):
-            cached = by_key.get((str(address), domain))
-            if cached is not None and not self._address_changed(address):
-                out.append((index, cached))
-                hits += 1
-                continue
-            if scanner is None:
-                scanner = self._goscanner(f"sni{family}")
-            scanner.seek(index)
-            out.append((index, scanner.scan(address, domain)))
-            misses += 1
-        self._note_delta(name, hits, misses)
-        return out
-
-    def _compute_qscan_nosni(self, family, shard, of):
-        name = f"qscan_nosni_v{family}"
-        previous = (
-            self._previous.stage_records(name) if (shard, of) == (0, 1) else None
-        )
-        if previous is None:
-            return super()._compute_qscan_nosni(family, shard, of)
-        from repro.scanners.results import TargetSource
-
-        by_key = {str(record.address): record for record in previous}
-        zmap = self.zmap_v4 if family == 4 else self.zmap_v6
-        scanner = None
-        hits = misses = 0
-        out = []
-        for index, record in enumerate(self._zmap_compatible(zmap)):
-            cached = by_key.get(str(record.address))
-            if cached is not None and not self._address_changed(record.address):
-                out.append((index, cached))
-                hits += 1
-                continue
-            if scanner is None:
-                scanner = self._qscanner(f"nosni{family}", source_v6=family == 6)
-            scanner.seek(index)
-            out.append(
-                (index, scanner.scan(record.address, None, TargetSource.ZMAP_DNS))
-            )
-            misses += 1
-        self._note_delta(name, hits, misses)
-        return out
-
-    def _compute_qscan_sni(self, family, shard, of):
-        name = f"qscan_sni_v{family}"
-        previous = (
-            self._previous.stage_records(name) if (shard, of) == (0, 1) else None
-        )
-        if previous is None:
-            return super()._compute_qscan_sni(family, shard, of)
-        by_key = {
-            (str(record.address), record.sni, record.source): record
-            for record in previous
-        }
-        scanner = None
-        hits = misses = 0
-        out = []
-        for index, (address, domain, source) in enumerate(
-            self._sorted_sni_targets(family)
-        ):
-            cached = by_key.get((str(address), domain, source))
-            if cached is not None and not self._address_changed(address):
-                out.append((index, cached))
-                hits += 1
-                continue
-            if scanner is None:
-                scanner = self._qscanner(f"sni{family}", source_v6=family == 6)
-            scanner.seek(index)
-            out.append((index, scanner.scan(address, domain, source)))
-            misses += 1
-        self._note_delta(name, hits, misses)
+        self._note_delta(stage.name, hits, misses)
         return out

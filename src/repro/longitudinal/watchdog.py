@@ -22,7 +22,7 @@ from __future__ import annotations
 import multiprocessing
 from typing import Dict, Optional
 
-from repro.experiments.campaign import _STAGE_ORDER
+from repro.experiments.stages import DNS_RECORDS, IPV6_SCAN_INPUT, STAGE_NAMES
 from repro.longitudinal.delta import build_week_campaign
 from repro.netsim.faults import maybe_inject_service_fault
 
@@ -60,11 +60,11 @@ def execute_week_scans(campaign) -> Dict[str, int]:
     # dependents load from cache without ever materialising them, and
     # the counts document must be identical either way.
     counts: Dict[str, int] = {
-        "dns_records": len(campaign.all_dns_records),
-        "ipv6_scan_input": len(campaign.ipv6_scan_input),
+        DNS_RECORDS: len(campaign.all_dns_records),
+        IPV6_SCAN_INPUT: len(campaign.ipv6_scan_input),
     }
-    for index, name in enumerate(_STAGE_ORDER):
-        if index == len(_STAGE_ORDER) // 2:
+    for index, name in enumerate(STAGE_NAMES):
+        if index == len(STAGE_NAMES) // 2:
             maybe_inject_service_fault("mid-week", week)
         counts[name] = len(getattr(campaign, name))
     degraded = sorted(

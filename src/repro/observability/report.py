@@ -37,6 +37,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.tables import render_table
+from repro.experiments.stages import DNS_RECORDS, QSCAN, STAGE_NAMES, STAGES, paper_order
 from repro.observability.metrics import parse_metric_key
 from repro.scanners.results import QScanOutcome
 
@@ -62,42 +63,23 @@ _T3_OUTCOMES = (
     QScanOutcome.OTHER,
 )
 
-_QSCAN_STAGES = (
-    ("qscan_nosni_v4", "no SNI", "IPv4"),
-    ("qscan_sni_v4", "SNI", "IPv4"),
-    ("qscan_nosni_v6", "no SNI", "IPv6"),
-    ("qscan_sni_v6", "SNI", "IPv6"),
-)
-
 
 def stage_targets(campaign) -> Dict[str, int]:
     """Targets attempted per stage (identical in serial/parallel runs)."""
     targets = {
-        "dns_records": sum(
+        DNS_RECORDS: sum(
             len(domains) for domains in campaign.world.input_lists.lists.values()
-        ),
-        "zmap_v4": campaign.world.ipv4_space.num_addresses,
-        "zmap_v6": len(campaign.ipv6_scan_input),
-        "syn_v4": campaign.world.ipv4_space.num_addresses,
-        "syn_v6": len(campaign.ipv6_scan_input),
-        "goscanner_nosni_v4": len(campaign.syn_v4),
-        "goscanner_nosni_v6": len(campaign.syn_v6),
-        "goscanner_sni_v4": len(campaign._sni_scan_items(4)),
-        "goscanner_sni_v6": len(campaign._sni_scan_items(6)),
-        "qscan_nosni_v4": len(campaign._zmap_compatible(campaign.zmap_v4)),
-        "qscan_nosni_v6": len(campaign._zmap_compatible(campaign.zmap_v6)),
-        "qscan_sni_v4": len(campaign._sorted_sni_targets(4)),
-        "qscan_sni_v6": len(campaign._sorted_sni_targets(6)),
+        )
     }
+    for stage in STAGES:
+        targets[stage.name] = campaign.stage_size(stage)
     return targets
 
 
 def _stage_rows(campaign) -> List[Tuple]:
-    from repro.experiments.campaign import _STAGE_ORDER
-
     targets = stage_targets(campaign)
     rows = []
-    for stage in ("dns_records",) + _STAGE_ORDER:
+    for stage in (DNS_RECORDS,) + STAGE_NAMES:
         records = campaign.metrics.counter_value("campaign.stage_records", stage=stage)
         gauge = campaign.metrics.get(f"campaign.stage_seconds{{stage={stage}}}")
         seconds = gauge.value if gauge is not None else None
@@ -126,13 +108,14 @@ def _stage_rows(campaign) -> List[Tuple]:
 def _qscan_outcome_rows(campaign) -> List[Tuple]:
     """Table-3-shaped outcome percentages, computed from the records."""
     rows = []
-    for stage, mode, family in _QSCAN_STAGES:
-        records = getattr(campaign, stage)
+    for stage in paper_order(QSCAN):
+        records = getattr(campaign, stage.name)
         total = len(records)
         counts = {outcome: 0 for outcome in _T3_OUTCOMES}
         for record in records:
             counts[record.outcome] += 1
-        row: List[object] = [mode, family, total]
+        mode = "SNI" if stage.sni else "no SNI"
+        row: List[object] = [mode, f"IPv{stage.family}", total]
         for outcome in _T3_OUTCOMES:
             share = 100.0 * counts[outcome] / total if total else 0.0
             row.append(f"{counts[outcome]} ({share:.1f}%)")

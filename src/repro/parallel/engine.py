@@ -83,9 +83,10 @@ def _env_int(name: str, default: int) -> int:
 
 
 # Stages whose weighted cost (items x per-item weight, see
-# campaign._stage_cost) falls at or below this threshold are run inline
-# in the parent: the work is cheaper than shipping it.  Roughly the
-# cost of sweeping 25k addresses or ~25 stateful handshakes.
+# repro.experiments.stages.Stage.cost_weight) falls at or below this
+# threshold are run inline in the parent: the work is cheaper than
+# shipping it.  Roughly the cost of sweeping 25k addresses or ~25
+# stateful handshakes.
 INLINE_COST_THRESHOLD = _env_int("REPRO_INLINE_THRESHOLD", 25_000)
 
 # Sharded stages are split into OVERSHARD_FACTOR x workers tasks pulled
@@ -242,7 +243,7 @@ def _run_shard_on(campaign, task) -> Tuple[int, List, Dict, List[Dict], Optional
     with use_metrics(registry), use_tracer(tracer):
         try:
             pairs = campaign.compute_stage_shard(stage, shard, of)
-        except Exception as exc:
+        except Exception as exc:  # a failed shard degrades its stage, not the pool
             pairs = []
             error = f"shard {shard}/{of}: {type(exc).__name__}: {exc}"
     return shard, pairs, registry.snapshot(), tracer.drain(), error
@@ -321,7 +322,7 @@ class ScanEngine:
     def __del__(self):  # best effort; explicit close() is preferred
         try:
             self.close(timeout=0.0)
-        except Exception:
+        except Exception:  # at interpreter teardown any call may fail
             pass
 
     # -- dep broadcast --------------------------------------------------------
@@ -444,7 +445,7 @@ class ScanEngine:
                 self._submit_shards(pool, tasks),
                 key=lambda item: item[0],
             )
-        except Exception as exc:
+        except Exception as exc:  # the pool died under the merge: the whole stage failed
             abort = (
                 f"shards aborted: engine closed with tasks in flight"
                 f" ({type(exc).__name__}: {exc})"

@@ -52,11 +52,11 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.experiments.stages import STAGES, Stage
 from repro.observability.metrics import MetricsRegistry, use_metrics
 from repro.observability.tracing import EventTracer, use_tracer
 from repro.parallel import engine as engine_module
 from repro.parallel.engine import OVERSHARD_FACTOR, _env_int, _init_worker, _replica
-from repro.quic.versions import QSCANNER_SUPPORTED
 from repro.scanners.sweep import sweep_permutation
 
 __all__ = ["StreamEngine", "run_streaming", "stream_queue_limit"]
@@ -89,39 +89,6 @@ def stream_queue_limit() -> int:
     return _env_int("REPRO_STREAM_QUEUE", 2048)
 
 
-# Dataflow edges: upstream stage -> consumer stages fed per completed
-# prefix chunk.  qscan_sni_* are barrier consumers (their target union
-# needs the *complete* zmap + goscanner_sni output) and are planned
-# when their requirements finalize.
-_CONSUMERS: Dict[str, Tuple[str, ...]] = {
-    "syn_v4": ("goscanner_nosni_v4", "goscanner_sni_v4"),
-    "syn_v6": ("goscanner_nosni_v6", "goscanner_sni_v6"),
-    "zmap_v4": ("qscan_nosni_v4",),
-    "zmap_v6": ("qscan_nosni_v6",),
-}
-
-_BARRIER_STAGES: Dict[str, Tuple[str, ...]] = {
-    "qscan_sni_v4": ("zmap_v4", "goscanner_sni_v4"),
-    "qscan_sni_v6": ("zmap_v6", "goscanner_sni_v6"),
-}
-
-# Pipeline depth drives dispatch priority: deeper stages drain first.
-_DEPTH: Dict[str, int] = {
-    "zmap_v4": 0,
-    "zmap_v6": 0,
-    "syn_v4": 0,
-    "syn_v6": 0,
-    "goscanner_nosni_v4": 1,
-    "goscanner_sni_v4": 1,
-    "goscanner_nosni_v6": 1,
-    "goscanner_sni_v6": 1,
-    "qscan_nosni_v4": 1,
-    "qscan_nosni_v6": 1,
-    "qscan_sni_v4": 2,
-    "qscan_sni_v6": 2,
-}
-
-
 def _compute_chunk_on(campaign, task):
     """Compute one streaming chunk on ``campaign`` (shared task body).
 
@@ -139,11 +106,9 @@ def _compute_chunk_on(campaign, task):
         try:
             if kind == "range":
                 pairs = campaign.compute_stage_range(stage, lo, payload)
-            elif kind == "targets":
-                pairs = campaign.compute_stage_targets(stage, lo, payload)
             else:
                 pairs = campaign.compute_stage_chunk(stage, lo, payload)
-        except Exception as exc:
+        except Exception as exc:  # a failed chunk degrades its stage, not the pool
             pairs = []
             error = f"chunk {seq} @{lo}: {type(exc).__name__}: {exc}"
     return stage, seq, pairs, registry.snapshot(), tracer.drain(), error
@@ -154,38 +119,11 @@ def _stream_chunk(task):
     return _compute_chunk_on(_replica(), task)
 
 
-def _derive_items(campaign, consumer: str, records: List) -> List:
-    """Transform upstream records into a consumer stage's target items.
-
-    Item order — and therefore every item's global index — matches the
-    serial target-list construction exactly: records arrive in serial
-    prefix order and each transformation is order-preserving.
-    """
-    if consumer.startswith("goscanner_nosni"):
-        return [record.address for record in records]
-    if consumer.startswith("goscanner_sni"):
-        cap = campaign.config.max_domains_per_address
-        join = campaign.dns_join
-        return [
-            (record.address, domain)
-            for record in records
-            for domain in join.domains_for(record.address)[:cap]
-        ]
-    if consumer.startswith("qscan_nosni"):
-        return [
-            record.address
-            for record in records
-            if set(record.versions) & QSCANNER_SUPPORTED
-        ]
-    raise KeyError(f"unknown consumer stage: {consumer}")
-
-
 @dataclass
 class _StageNode:
     """Parent-side scheduling state for one streaming stage."""
 
-    name: str
-    depth: int
+    stage: Stage
     cache_state: str = "off"
     started: Optional[float] = None
     finished: Optional[float] = None
@@ -203,6 +141,14 @@ class _StageNode:
     upstream_done: bool = False
     finalized: bool = False
     records: List = field(default_factory=list)
+
+    @property
+    def name(self) -> str:
+        return self.stage.name
+
+    @property
+    def depth(self) -> int:
+        return self.stage.depth
 
 
 class StreamEngine:
@@ -230,7 +176,7 @@ class StreamEngine:
 
     # -- public entry ------------------------------------------------------
     def run(self) -> None:
-        """Stream every stage of :data:`_STAGE_ORDER` to completion."""
+        """Stream every stage of the stage table to completion."""
         campaign = self.campaign
         start = time.perf_counter()
         with use_metrics(campaign.metrics), use_tracer(campaign.tracer):
@@ -251,15 +197,13 @@ class StreamEngine:
 
     # -- planning ----------------------------------------------------------
     def _plan(self) -> None:
-        from repro.experiments.campaign import _STAGE_ORDER, StageHealth
+        from repro.experiments.campaign import StageHealth
 
         campaign = self.campaign
         cache = campaign.stage_cache
-        for name in _STAGE_ORDER:
-            self._nodes[name] = _StageNode(
-                name=name,
-                depth=_DEPTH[name],
-                cache_state="off" if cache is None else "miss",
+        for stage in STAGES:
+            self._nodes[stage.name] = _StageNode(
+                stage, cache_state="off" if cache is None else "miss"
             )
         # Adopt stages in one pass, in stage order, *before* feeding
         # anything: a consumer that is itself settled must never receive
@@ -268,8 +212,8 @@ class StreamEngine:
         # counters were recorded then, so re-accounting here would
         # double them) and cache hits (accounted via ``_complete``).
         preset: List[_StageNode] = []
-        for name in _STAGE_ORDER:
-            node = self._nodes[name]
+        for node in self._nodes.values():
+            name = node.name
             if name in campaign.__dict__:
                 node.finalized = True
                 node.started = node.finished = time.perf_counter()
@@ -286,71 +230,53 @@ class StreamEngine:
                     self._complete(node, cached, StageHealth(stage=name))
                     preset.append(node)
         for node in preset:
-            self._feed_records(node.name, node.records)
+            self._feed_records(node, node.records)
             self._upstream_finished(node)
         # List sources first: a whole v6 list scans in milliseconds and
         # feeds a quarter of the week's handshakes, and at depth 0 it
         # would otherwise queue behind every v4 sweep chunk.
-        for name in ("zmap_v6", "syn_v6"):
-            self._plan_targets(name)
-        for name in ("zmap_v4", "syn_v4"):
-            self._plan_sweep(name)
+        sources = [node for node in self._nodes.values() if node.stage.sweep]
+        for node in sorted(sources, key=lambda node: node.stage.walks_space):
+            if not node.finalized:
+                self._plan_source(node)
 
-    def _plan_sweep(self, name: str) -> None:
-        campaign = self.campaign
-        node = self._nodes[name]
-        if node.finalized:
-            return
-        node.started = time.perf_counter()
-        scanner = (
-            campaign._zmap_scanner(4) if name == "zmap_v4" else campaign._syn_scanner(4)
-        )
-        space = campaign.world.ipv4_space
-        permutation = sweep_permutation(scanner.seed, space)
-        cycle = permutation.cycle_length
-        chunks = self._source_chunk_count(cycle, _MIN_SWEEP_CHUNK)
-        if scanner.sweeps_by_position(space):
-            # A block costs its responders, not its positions: one per
-            # worker, as for lists.  The table the blocks read is built
-            # here, before the pool forks, so its workers inherit it.
-            chunks = min(self.workers, chunks)
-            permutation.warm()
+    def _plan_source(self, node: _StageNode) -> None:
         from repro.experiments.campaign import shard_block_bounds
 
+        campaign = self.campaign
+        node.started = time.perf_counter()
+        if node.stage.walks_space:
+            scanner = campaign._scanner(node.stage)
+            space = campaign.world.ipv4_space
+            permutation = sweep_permutation(scanner.seed, space)
+            size = permutation.cycle_length
+            chunks = self._source_chunk_count(size, _MIN_SWEEP_CHUNK)
+            if scanner.sweeps_by_position(space):
+                # A block costs its responders, not its positions: one
+                # per worker, as for lists.  The table the blocks read
+                # is built here, before the pool forks, so its workers
+                # inherit it.
+                chunks = min(self.workers, chunks)
+                permutation.warm()
+        else:
+            targets = campaign.stage_items(node.stage)
+            size = len(targets)
+            # One chunk per worker: list probes cost microseconds each.
+            chunks = min(self.workers, self._source_chunk_count(size, _MIN_TARGET_CHUNK))
         for seq in range(chunks):
-            lo, hi = shard_block_bounds(cycle, seq, chunks)
-            self._ready[0].append(("range", name, seq, lo, hi))
+            lo, hi = shard_block_bounds(size, seq, chunks)
+            if node.stage.walks_space:
+                self._ready[0].append(("range", node.name, seq, lo, hi))
+            else:
+                self._ready[0].append(("chunk", node.name, seq, lo, targets[lo:hi]))
         node.total = node.planned = chunks
         if chunks == 0:
             self._finalize(node)
 
-    def _plan_targets(self, name: str) -> None:
-        campaign = self.campaign
-        node = self._nodes[name]
-        if node.finalized:
-            return
-        node.started = time.perf_counter()
-        targets = campaign.ipv6_scan_input
-        # One chunk per worker: list probes cost microseconds each.
-        chunks = min(
-            self.workers, self._source_chunk_count(len(targets), _MIN_TARGET_CHUNK)
-        )
-        from repro.experiments.campaign import shard_block_bounds
-
-        for seq in range(chunks):
-            lo, hi = shard_block_bounds(len(targets), seq, chunks)
-            self._ready[0].append(("targets", name, seq, lo, targets[lo:hi]))
-        node.total = node.planned = chunks
-        if chunks == 0:
-            self._finalize(node)
-
-    def _plan_sni(self, name: str) -> None:
+    def _plan_barrier(self, node: _StageNode) -> None:
         """Plan a barrier consumer once its requirements finalized."""
-        campaign = self.campaign
-        node = self._nodes[name]
         node.started = time.perf_counter()
-        family = 6 if name.endswith("v6") else 4
-        node.pending_items = list(campaign._sorted_sni_targets(family))
+        node.pending_items = list(self.campaign.stage_items(node.stage))
         node.upstream_done = True
         self._flush(node, force=True)
         node.total = node.planned
@@ -358,12 +284,12 @@ class StreamEngine:
             self._finalize(node)
 
     def _maybe_plan_barriers(self) -> None:
-        for name, requirements in _BARRIER_STAGES.items():
-            node = self._nodes[name]
-            if node.finalized or node.started is not None:
+        for node in self._nodes.values():
+            requirements = node.stage.barrier
+            if not requirements or node.finalized or node.started is not None:
                 continue
             if all(self._nodes[req].finalized for req in requirements):
-                self._plan_sni(name)
+                self._plan_barrier(node)
 
     def _source_chunk_count(self, items: int, min_chunk: int) -> int:
         if items <= 0:
@@ -372,12 +298,12 @@ class StreamEngine:
         return max(1, min(cap, max(1, items // min_chunk)))
 
     # -- dataflow ----------------------------------------------------------
-    def _feed_records(self, name: str, records: List) -> None:
-        for consumer in _CONSUMERS.get(name, ()):
-            cnode = self._nodes[consumer]
+    def _feed_records(self, node: _StageNode, records: List) -> None:
+        for consumer in node.stage.consumers:
+            cnode = self._nodes[consumer.name]
             if cnode.finalized or cnode.cache_state == "hit":
                 continue
-            items = _derive_items(self.campaign, consumer, records)
+            items = self.campaign.stage_items(consumer, records)
             if items:
                 cnode.pending_items.extend(items)
                 self._flush(cnode, force=cnode.upstream_done)
@@ -408,18 +334,16 @@ class StreamEngine:
             return [(0, len(items))]
         from repro.experiments.campaign import aligned_block_bounds, shard_block_bounds
 
-        if node.name.startswith(("goscanner_sni", "qscan_sni")):
-            bounds = [
-                aligned_block_bounds([item[0] for item in items], k, count)
-                for k in range(count)
-            ]
+        if node.stage.sni:
+            addresses = [node.stage.address(item) for item in items]
+            bounds = [aligned_block_bounds(addresses, k, count) for k in range(count)]
         else:
             bounds = [shard_block_bounds(len(items), k, count) for k in range(count)]
         return [(lo, hi) for lo, hi in bounds if hi > lo]
 
     def _upstream_finished(self, node: _StageNode) -> None:
-        for consumer in _CONSUMERS.get(node.name, ()):
-            cnode = self._nodes[consumer]
+        for consumer in node.stage.consumers:
+            cnode = self._nodes[consumer.name]
             if cnode.finalized or cnode.cache_state == "hit":
                 continue
             cnode.upstream_done = True
@@ -556,7 +480,7 @@ class StreamEngine:
             pairs, _, _, error = node.results[node.next_seq]
             node.next_seq += 1
             if error is None and pairs:
-                self._feed_records(node.name, [record for _, record in pairs])
+                self._feed_records(node, [record for _, record in pairs])
         if (
             node.total is not None
             and node.completed == node.total
@@ -600,23 +524,14 @@ class StreamEngine:
 
     def _complete(self, node: _StageNode, records: List, health) -> None:
         """Install a finished stage on the campaign (shared with hits)."""
-        campaign = self.campaign
         node.finalized = True
         node.finished = time.perf_counter()
         if node.started is None:
             node.started = node.finished
         node.records = records
-        campaign.__dict__[node.name] = records
-        if (
-            campaign.stage_cache is not None
-            and node.cache_state == "miss"
-            and health.status == "success"
-        ):
-            campaign.stage_cache.store(node.name, records)
-        health.records = len(records)
-        campaign.stage_health[node.name] = health
-        campaign._account_stage(
-            node.name, len(records), node.cache_state, node.started, health
+        self.campaign.__dict__[node.name] = records
+        self.campaign.install_stage(
+            node.name, records, health, node.cache_state, node.started
         )
 
     def _all_finalized(self) -> bool:

@@ -920,14 +920,14 @@ def run_profile(
     import io
     import pstats
 
-    from repro.experiments.campaign import _STAGE_ORDER
+    from repro.experiments.stages import STAGE_NAMES
 
     scale = scale or DEFAULT_BENCH_SCALE
     campaign = Campaign(CampaignConfig(week=week, scale=scale, seed=seed))
     _ = campaign.world
     _ = campaign.all_dns_records  # shared input, not a stage
     sections: List[Dict[str, object]] = []
-    for name in _STAGE_ORDER:
+    for name in STAGE_NAMES:
         profiler = cProfile.Profile()
         profiler.enable()
         try:

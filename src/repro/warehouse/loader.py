@@ -29,6 +29,15 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.experiments.campaign import Campaign
+from repro.experiments.stages import (
+    DNS_RECORDS,
+    GOSCANNER,
+    QSCAN,
+    STAGE_NAMES,
+    SYN,
+    ZMAP,
+    names,
+)
 from repro.quic.versions import QSCANNER_SUPPORTED
 from repro.warehouse import marts as marts_module
 from repro.warehouse import qa as qa_module
@@ -40,17 +49,6 @@ from repro.warehouse.schema import (
 )
 
 __all__ = ["LoadResult", "campaign_warehouse_id", "load_campaign"]
-
-# Stages staged per record-holding table, in canonical order.
-_ZMAP_STAGES = ("zmap_v4", "zmap_v6")
-_SYN_STAGES = ("syn_v4", "syn_v6")
-_GOSCANNER_STAGES = (
-    "goscanner_nosni_v4",
-    "goscanner_sni_v4",
-    "goscanner_nosni_v6",
-    "goscanner_sni_v6",
-)
-_QSCAN_STAGES = ("qscan_nosni_v4", "qscan_nosni_v6", "qscan_sni_v4", "qscan_sni_v6")
 
 
 def campaign_warehouse_id(config) -> str:
@@ -137,7 +135,7 @@ def _dns_rows(campaign: Campaign, campaign_id: str, text: _AddressText) -> List[
         rows.append(
             (
                 campaign_id,
-                "dns_records",
+                DNS_RECORDS,
                 position,
                 record.domain,
                 record.source_list,
@@ -189,7 +187,7 @@ def _https_hint_rows(campaign: Campaign, campaign_id: str, text: _AddressText) -
 
 def _zmap_rows(campaign: Campaign, campaign_id: str, text: _AddressText) -> List[Tuple]:
     rows = []
-    for stage in _ZMAP_STAGES:
+    for stage in names(ZMAP):
         for position, record in enumerate(getattr(campaign, stage)):
             rows.append(
                 (
@@ -207,7 +205,7 @@ def _zmap_rows(campaign: Campaign, campaign_id: str, text: _AddressText) -> List
 
 def _syn_rows(campaign: Campaign, campaign_id: str, text: _AddressText) -> List[Tuple]:
     rows = []
-    for stage in _SYN_STAGES:
+    for stage in names(SYN):
         for position, record in enumerate(getattr(campaign, stage)):
             rows.append(
                 (
@@ -227,7 +225,7 @@ def _goscanner_rows(campaign: Campaign, campaign_id: str, text: _AddressText) ->
     from repro.experiments.campaign import COMPATIBLE_ALPN_TOKENS
 
     rows = []
-    for stage in _GOSCANNER_STAGES:
+    for stage in names(GOSCANNER):
         for position, record in enumerate(getattr(campaign, stage)):
             tokens = sorted({e.alpn for e in record.alt_svc if e.indicates_http3})
             rows.append(
@@ -264,7 +262,7 @@ def _goscanner_rows(campaign: Campaign, campaign_id: str, text: _AddressText) ->
 
 def _qscan_rows(campaign: Campaign, campaign_id: str, text: _AddressText) -> List[Tuple]:
     rows = []
-    for stage in _QSCAN_STAGES:
+    for stage in names(QSCAN):
         for position, record in enumerate(getattr(campaign, stage)):
             rows.append(
                 (
@@ -311,7 +309,7 @@ def _address_rows(campaign: Campaign, campaign_id: str, text: _AddressText) -> L
     """The address → AS dimension over every address staged anywhere."""
     registry = campaign.world.as_registry
     addresses: Set[object] = set()
-    for stage in _ZMAP_STAGES + _SYN_STAGES + _GOSCANNER_STAGES + _QSCAN_STAGES:
+    for stage in STAGE_NAMES:
         addresses.update(record.address for record in getattr(campaign, stage))
     for record in campaign.all_dns_records:
         addresses.update(

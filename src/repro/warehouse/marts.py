@@ -25,6 +25,7 @@ from __future__ import annotations
 import sqlite3
 from typing import Dict, List, Tuple
 
+from repro.experiments.stages import BY_NAME, GOSCANNER, QSCAN, ZMAP, find, paper_order
 from repro.warehouse.schema import MART_TABLES, TABLES
 
 __all__ = ["MART_FOR_TABLE", "build_marts", "mart_rows"]
@@ -40,7 +41,7 @@ MART_FOR_TABLE: Dict[str, str] = {
 }
 
 # Table 3 / outcome-mix fixed orders (mirrors repro.experiments.tables).
-_QSCAN_COLUMNS = ("qscan_nosni_v4", "qscan_sni_v4", "qscan_nosni_v6", "qscan_sni_v6")
+_QSCAN_COLUMNS = tuple(stage.name for stage in paper_order(QSCAN))
 _OUTCOME_ROWS = (
     ("Success", "success"),
     ("Timeout", "timeout"),
@@ -50,15 +51,14 @@ _OUTCOME_ROWS = (
 )
 _T4_SOURCES = ("zmap+dns", "alt-svc", "https-rr")
 # Table 5/6 stage order: nosni_v4, sni_v4, nosni_v6, sni_v6.
-_PAIR_STAGES = (
-    ("qscan_nosni_v4", "goscanner_nosni_v4"),
-    ("qscan_sni_v4", "goscanner_sni_v4"),
-    ("qscan_nosni_v6", "goscanner_nosni_v6"),
-    ("qscan_sni_v6", "goscanner_sni_v6"),
+_PAIR_STAGES = tuple(
+    (stage.name, find(GOSCANNER, stage.family, stage.sni).name)
+    for stage in paper_order(QSCAN)
 )
 _STAGE_ORD = (
-    "CASE q.stage WHEN 'qscan_nosni_v4' THEN 0 WHEN 'qscan_sni_v4' THEN 1"
-    " WHEN 'qscan_nosni_v6' THEN 2 ELSE 3 END"
+    "CASE q.stage "
+    + "".join(f"WHEN '{name}' THEN {i} " for i, name in enumerate(_QSCAN_COLUMNS[:-1]))
+    + f"ELSE {len(_QSCAN_COLUMNS) - 1} END"
 )
 
 
@@ -68,14 +68,14 @@ def _one(conn, sql: str, params) -> Tuple:
 
 def _table1_rows(conn, cid: str) -> List[Tuple]:
     rows: List[Tuple] = []
-    for stage, family in (("zmap_v4", "IPv4"), ("zmap_v6", "IPv6")):
+    for stage in paper_order(ZMAP):
         addresses, ases = _one(
             conn,
             "SELECT COUNT(*), COUNT(DISTINCT COALESCE(a.asn, -1))"
             " FROM stg_zmap z JOIN stg_addresses a"
             "   ON a.campaign_id = z.campaign_id AND a.address = z.address"
             " WHERE z.campaign_id = ? AND z.stage = ?",
-            (cid, stage),
+            (cid, stage.name),
         )
         (domains,) = _one(
             conn,
@@ -83,9 +83,9 @@ def _table1_rows(conn, cid: str) -> List[Tuple]:
             " JOIN stg_dns_address d"
             "   ON d.campaign_id = z.campaign_id AND d.address = z.address"
             " WHERE z.campaign_id = ? AND z.stage = ?",
-            (cid, stage),
+            (cid, stage.name),
         )
-        rows.append(("ZMap", family, addresses, ases, domains))
+        rows.append(("ZMap", f"IPv{stage.family}", addresses, ases, domains))
     for family_int, family in ((4, "IPv4"), (6, "IPv6")):
         addresses, domains = _one(
             conn,
@@ -135,9 +135,9 @@ def _table2_rows(conn, cid: str, limit: int = 5) -> List[Tuple]:
         "   ON a.campaign_id = z.campaign_id AND a.address = z.address"
         " LEFT JOIN stg_dns_address d"
         "   ON d.campaign_id = z.campaign_id AND d.address = z.address"
-        " WHERE z.campaign_id = ? AND z.stage = 'zmap_v4'"
+        " WHERE z.campaign_id = ? AND z.stage = ?"
         " GROUP BY 1 ORDER BY 3 DESC, 5 ASC LIMIT ?",
-        (cid, limit),
+        (cid, find(ZMAP, 4).name, limit),
     ).fetchall()
     return [
         (rank, name, addresses, domains)
@@ -191,7 +191,7 @@ def _table4_rows(conn, cid: str) -> List[Tuple]:
                 "       WHERE campaign_id = ? AND family = ? AND source = ?) t"
                 "   ON q.address = t.address AND q.sni = t.domain"
                 " WHERE q.campaign_id = ? AND q.stage = ?",
-                (cid, family, source, cid, f"qscan_sni_v{family}"),
+                (cid, family, source, cid, find(QSCAN, family, sni=True).name),
             )
             rate = 100.0 * successes / targets if targets else 0.0
             rows.append((source, f"IPv{family}", targets, round(rate, 2)))
@@ -272,7 +272,7 @@ def _table6_rows(conn, cid: str, limit: int = 5) -> List[Tuple]:
 
 def _version_rows(conn, cid: str) -> List[Tuple]:
     return [
-        ("IPv4" if stage == "zmap_v4" else "IPv6", version, addresses)
+        (f"IPv{BY_NAME[stage].family}", version, addresses)
         for stage, version, addresses in conn.execute(
             "SELECT z.stage, j.value, COUNT(*) AS addresses"
             " FROM stg_zmap z, json_each(z.versions_json) j"

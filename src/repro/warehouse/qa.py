@@ -38,6 +38,8 @@ import sqlite3
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from repro.experiments.stages import DNS_RECORDS, STAGES
+
 __all__ = [
     "QaResult",
     "WarehouseQaError",
@@ -46,21 +48,11 @@ __all__ = [
     "run_qa",
 ]
 
-# stage-counts key (as reported by Campaign.run_all_stages) → staging table
+# stage-counts key (as reported by Campaign.run_all_stages) → staging
+# table (one per scanner kind) → staged stage name
 _STAGE_TABLES: Tuple[Tuple[str, str, str], ...] = (
-    ("dns", "stg_dns", "dns_records"),
-    ("zmap_v4", "stg_zmap", "zmap_v4"),
-    ("zmap_v6", "stg_zmap", "zmap_v6"),
-    ("syn_v4", "stg_syn", "syn_v4"),
-    ("syn_v6", "stg_syn", "syn_v6"),
-    ("goscanner_nosni_v4", "stg_goscanner", "goscanner_nosni_v4"),
-    ("goscanner_sni_v4", "stg_goscanner", "goscanner_sni_v4"),
-    ("goscanner_nosni_v6", "stg_goscanner", "goscanner_nosni_v6"),
-    ("goscanner_sni_v6", "stg_goscanner", "goscanner_sni_v6"),
-    ("qscan_nosni_v4", "stg_qscan", "qscan_nosni_v4"),
-    ("qscan_nosni_v6", "stg_qscan", "qscan_nosni_v6"),
-    ("qscan_sni_v4", "stg_qscan", "qscan_sni_v4"),
-    ("qscan_sni_v6", "stg_qscan", "qscan_sni_v6"),
+    ("dns", "stg_dns", DNS_RECORDS),
+    *((stage.name, f"stg_{stage.kind}", stage.name) for stage in STAGES),
 )
 
 _ADDRESS_TABLES = ("stg_zmap", "stg_syn", "stg_goscanner", "stg_qscan", "stg_sni_targets")

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.versions import fold_rare, version_set_shares, version_support
+from repro.experiments.stages import GOSCANNER, ZMAP, find
 
 __all__ = [
     "append_week_timelines",
@@ -88,8 +89,8 @@ def _zmap_v4_records(conn, campaign_id: str) -> List[_VersionsOnly]:
         _VersionsOnly(tuple(int(text, 16) for text in json.loads(versions_json)))
         for (versions_json,) in conn.execute(
             "SELECT versions_json FROM stg_zmap"
-            " WHERE campaign_id = ? AND stage = 'zmap_v4' ORDER BY position",
-            (campaign_id,),
+            " WHERE campaign_id = ? AND stage = ? ORDER BY position",
+            (campaign_id, find(ZMAP, 4).name),
         )
     ]
 
@@ -116,8 +117,8 @@ def _version_rows(conn, campaign_id: str, week: int) -> List[Tuple]:
     advertisers = 0
     for sni, tokens_json, alt_svc_json in conn.execute(
         "SELECT sni, http3_tokens_json, alt_svc_json FROM stg_goscanner"
-        " WHERE campaign_id = ? AND stage = 'goscanner_sni_v4' ORDER BY position",
-        (campaign_id,),
+        " WHERE campaign_id = ? AND stage = ? ORDER BY position",
+        (campaign_id, find(GOSCANNER, 4, sni=True).name),
     ):
         if alt_svc_json != "[]":
             advertisers += 1

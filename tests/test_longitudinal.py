@@ -396,13 +396,21 @@ def test_cli_week_spec_parsing():
 # -- satellite guards: degraded campaigns must not leak -----------------------
 
 
-def _failing_compute(family, shard, of):
-    raise RuntimeError("injected shard failure")
+def _failing_qscan_sni(campaign):
+    """Make ``campaign``'s SNI QScanner stages raise, leaving the rest alone."""
+    compute = campaign.compute_stage_shard
+
+    def failing(name, shard, of):
+        if name.startswith("qscan_sni"):
+            raise RuntimeError("injected shard failure")
+        return compute(name, shard, of)
+
+    campaign.compute_stage_shard = failing
 
 
 def test_strict_loader_refuses_a_degraded_campaign(world):
     campaign = Campaign(CampaignConfig(week=18, scale=_SCALE, seed=_SEED), world=world)
-    campaign._compute_qscan_sni = _failing_compute
+    _failing_qscan_sni(campaign)
     conn = sqlite3.connect(":memory:")
     committed = []
     try:
@@ -421,12 +429,14 @@ def test_strict_loader_refuses_a_degraded_campaign(world):
 
 
 def test_degraded_input_taints_dependent_stage_caching(world, tmp_path, monkeypatch):
-    from repro.experiments.campaign import _STAGE_COMPUTE
+    compute = Campaign.compute_stage_shard
 
-    def _boom(campaign, shard, of):
-        raise RuntimeError("injected stage failure")
+    def _boom(campaign, name, shard, of):
+        if name == "syn_v4":
+            raise RuntimeError("injected stage failure")
+        return compute(campaign, name, shard, of)
 
-    monkeypatch.setitem(_STAGE_COMPUTE, "syn_v4", _boom)
+    monkeypatch.setattr(Campaign, "compute_stage_shard", _boom)
     config = CampaignConfig(week=18, scale=_SCALE, seed=_SEED)
     campaign = Campaign(config, world=world, cache_dir=tmp_path)
     try:

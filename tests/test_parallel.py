@@ -20,12 +20,12 @@ import pytest
 
 from repro.crypto.rand import DeterministicRandom
 from repro.experiments.campaign import (
-    _STAGE_ORDER,
     Campaign,
     CampaignConfig,
     aligned_block_bounds,
     shard_block_bounds,
 )
+from repro.experiments.stages import STAGE_NAMES
 from repro.experiments import stage_cache
 from repro.experiments.stage_cache import CampaignStageCache
 from repro.internet.providers import Scale
@@ -157,7 +157,7 @@ def test_parallel_campaign_byte_identical_under_dep_broadcast(
     The parallel run really exercised the dep-broadcast path (volatile
     counters moved), yet the deterministic artefact is byte-identical.
     """
-    for stage in _STAGE_ORDER:
+    for stage in STAGE_NAMES:
         assert getattr(full_parallel, stage) == getattr(full_serial, stage), stage
     assert render_metrics_json(full_parallel) == render_metrics_json(full_serial)
     assert full_parallel.metrics.counter_value("engine.dep_broadcasts") > 0

@@ -25,7 +25,8 @@ from functools import lru_cache
 
 import pytest
 
-from repro.experiments.campaign import _STAGE_ORDER, Campaign, CampaignConfig
+from repro.experiments.campaign import Campaign, CampaignConfig
+from repro.experiments.stages import STAGE_NAMES
 from repro.experiments.matrix import (
     DEFAULT_RATES_MBPS,
     MatrixConfig,
@@ -378,7 +379,7 @@ def _campaign_fingerprint(path_profile, fault_profile, workers):
     campaign = Campaign(config, workers=workers)
     try:
         campaign.run_all_stages()
-        records = {name: list(getattr(campaign, name)) for name in _STAGE_ORDER}
+        records = {name: list(getattr(campaign, name)) for name in STAGE_NAMES}
         return records, render_metrics_json(campaign)
     finally:
         campaign.close()

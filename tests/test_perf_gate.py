@@ -39,7 +39,8 @@ def test_handshake_fixed_costs_are_paid_per_scanner_and_per_chain(monkeypatch, s
     client socket fails here on any host."""
     from repro.crypto import hkdf
     from repro.crypto.x25519 import X25519_BASEPOINT
-    from repro.experiments.campaign import _STAGE_ORDER, Campaign
+    from repro.experiments.campaign import Campaign
+    from repro.experiments.stages import STAGES
     from repro.quic.connection import QuicServerEndpoint
     from repro.tls import certificates, engine
 
@@ -81,7 +82,7 @@ def test_handshake_fixed_costs_are_paid_per_scanner_and_per_chain(monkeypatch, s
     finally:
         campaign.close()
 
-    stateful_stages = [name for name in _STAGE_ORDER if name.startswith(("goscanner", "qscan"))]
+    stateful_stages = [stage for stage in STAGES if not stage.sweep]
     # One share per scanner, by the ladder: no process of a simulated-
     # crypto campaign builds the fixed-base comb.
     assert comb_multiplications == []

@@ -6,12 +6,7 @@ import pickle
 import pytest
 
 from repro.crypto.rand import DeterministicRandom
-from repro.experiments.campaign import (
-    Campaign,
-    CampaignConfig,
-    StageHealth,
-    _STAGE_COMPUTE,
-)
+from repro.experiments.campaign import Campaign, CampaignConfig
 from repro.experiments.stage_cache import CACHE_VERSION, CampaignStageCache
 from repro.internet.providers import Scale
 from repro.netsim.addresses import IPv4Address
@@ -279,12 +274,17 @@ def test_metrics_document_records_resilience_config(chaos_serial):
 # -- graceful degradation ------------------------------------------------------
 
 
-def _boom(campaign, shard, of):
-    raise RuntimeError("injected stage failure")
+_ORIGINAL_SHARD = Campaign.compute_stage_shard
+
+
+def _boom(campaign, name, shard, of):
+    if name == "syn_v4":
+        raise RuntimeError("injected stage failure")
+    return _ORIGINAL_SHARD(campaign, name, shard, of)
 
 
 def test_serial_stage_failure_degrades_gracefully(monkeypatch):
-    monkeypatch.setitem(_STAGE_COMPUTE, "syn_v4", _boom)
+    monkeypatch.setattr(Campaign, "compute_stage_shard", _boom)
     campaign = Campaign(CampaignConfig(scale=FAULT_SCALE, seed=31))
     counts = campaign.run_all_stages()  # must not raise
     assert campaign.syn_v4 == []
@@ -306,17 +306,17 @@ def test_serial_stage_failure_degrades_gracefully(monkeypatch):
 
 
 def test_parallel_shard_failure_marks_stage_degraded(monkeypatch):
-    def boom_on_shard_one(campaign, shard, of):
-        if shard == 1:
+    def boom_on_shard_one(campaign, name, shard, of):
+        if name == "syn_v4" and shard == 1:
             raise RuntimeError("shard down")
-        return _ORIGINAL_SYN_V4(campaign, shard, of)
+        return _ORIGINAL_SHARD(campaign, name, shard, of)
 
     from repro.parallel import engine as engine_module
 
     # Pin one task per worker so the stage splits into exactly 2 shards
     # and the failure story below stays exact.
     monkeypatch.setattr(engine_module, "OVERSHARD_FACTOR", 1)
-    monkeypatch.setitem(_STAGE_COMPUTE, "syn_v4", boom_on_shard_one)
+    monkeypatch.setattr(Campaign, "compute_stage_shard", boom_on_shard_one)
     campaign = Campaign(CampaignConfig(scale=FAULT_SCALE, seed=31), workers=2)
     try:
         # Barrier engine pinned: this test asserts its exact 2-shard
@@ -332,15 +332,12 @@ def test_parallel_shard_failure_marks_stage_degraded(monkeypatch):
     assert campaign.degraded_stages() == ["syn_v4"]
     # The surviving shard's records are exactly shard 0 of a serial run.
     reference = Campaign(CampaignConfig(scale=FAULT_SCALE, seed=31))
-    expected = [record for _, record in _ORIGINAL_SYN_V4(reference, 0, 2)]
+    expected = [record for _, record in _ORIGINAL_SHARD(reference, "syn_v4", 0, 2)]
     assert campaign.syn_v4 == expected
 
 
-_ORIGINAL_SYN_V4 = _STAGE_COMPUTE["syn_v4"]
-
-
 def test_degraded_stage_is_not_cached(monkeypatch, tmp_path):
-    monkeypatch.setitem(_STAGE_COMPUTE, "syn_v4", _boom)
+    monkeypatch.setattr(Campaign, "compute_stage_shard", _boom)
     campaign = Campaign(
         CampaignConfig(scale=FAULT_SCALE, seed=31), cache_dir=tmp_path
     )

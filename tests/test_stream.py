@@ -11,18 +11,13 @@ backpressure accounting and graceful degradation.
 import pytest
 
 from repro.crypto.rand import DeterministicRandom
-from repro.experiments.campaign import (
-    _STAGE_ORDER,
-    Campaign,
-    CampaignConfig,
-)
+from repro.experiments.campaign import Campaign, CampaignConfig
+from repro.experiments.stages import STAGE_NAMES
 from repro.internet.providers import Scale
 from repro.observability.report import render_metrics_json
 from repro.parallel import stream as stream_module
 from repro.scanners.permutation import CyclicGroupPermutation
 from repro.scanners.retry import RetryPolicy
-
-from tests.conftest import TINY_SCALE
 
 STREAM_SCALE = Scale(addresses=20_000, ases=200, domains=20_000)
 
@@ -104,7 +99,7 @@ def stream_parallel(chaos_stream_config):
 
 
 def test_streaming_byte_identical_under_faults(stream_serial, stream_parallel):
-    for stage in _STAGE_ORDER:
+    for stage in STAGE_NAMES:
         assert getattr(stream_parallel, stage) == getattr(stream_serial, stage), stage
     assert render_metrics_json(stream_parallel) == render_metrics_json(stream_serial)
 
@@ -129,20 +124,8 @@ def test_streaming_populates_volatile_telemetry(stream_parallel):
 
 
 def test_streaming_stage_health_success(stream_parallel):
-    for stage in _STAGE_ORDER:
+    for stage in STAGE_NAMES:
         assert stream_parallel.stage_health[stage].status == "success", stage
-
-
-def test_streaming_respects_env_kill_switch(monkeypatch):
-    monkeypatch.setenv("REPRO_STREAM", "0")
-    campaign = Campaign(CampaignConfig(week=18, scale=TINY_SCALE, seed=7), workers=2)
-    try:
-        campaign.run_all_stages()
-        counters = campaign.metrics.snapshot(include_volatile=True)["counters"]
-        assert "stream.tasks" not in counters
-        assert counters.get("engine.tasks", 0) > 0
-    finally:
-        campaign.close()
 
 
 # -- backpressure --------------------------------------------------------------
@@ -226,3 +209,32 @@ def test_degraded_streaming_stage_is_not_cached(monkeypatch, tmp_path):
     # The sweeps succeeded and cached normally.
     assert (directory / "zmap_v4.pkl").exists()
     assert (directory / "syn_v4.pkl").exists()
+
+
+def test_streamed_stage_over_a_degraded_input_is_not_cached(monkeypatch, tmp_path):
+    """A stage computed over a degraded input may be short: never cached."""
+    original = Campaign.compute_stage_chunk
+
+    def boom_on_first_chunk(self, name, lo, items):
+        if name == "goscanner_sni_v4" and lo == 0:
+            raise RuntimeError("chunk down")
+        return original(self, name, lo, items)
+
+    monkeypatch.setattr(Campaign, "compute_stage_chunk", boom_on_first_chunk)
+    campaign = Campaign(
+        CampaignConfig(week=18, scale=STREAM_SCALE, seed=31),
+        workers=2,
+        cache_dir=tmp_path,
+    )
+    try:
+        campaign.run_all_stages(streaming=True)
+    finally:
+        campaign.close()
+    assert campaign.stage_health["goscanner_sni_v4"].status == "degraded"
+    assert campaign.stage_health["qscan_sni_v4"].status == "success"
+    directory = campaign.stage_cache.directory
+    assert not (directory / "goscanner_sni_v4.pkl").exists()
+    # qscan_sni_v4's targets include goscanner_sni_v4's Alt-Svc harvest.
+    assert not (directory / "qscan_sni_v4.pkl").exists()
+    # Its IPv6 twin read nothing degraded and caches normally.
+    assert (directory / "qscan_sni_v6.pkl").exists()
