@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test docs-check bench bench-smoke bench-check bench-profile report artefacts interop chaos chaos-smoke conform conform-smoke fuzz-smoke warehouse-smoke longitudinal-smoke matrix-smoke fleet-smoke clean
+.PHONY: test docs-check shapes bench bench-smoke bench-check bench-profile report artefacts interop chaos chaos-smoke conform conform-smoke fuzz-smoke warehouse-smoke longitudinal-smoke matrix-smoke fleet-smoke clean
 
 # chaos-smoke keeps the fault-injection/degradation path exercised,
 # fuzz-smoke the wire-format conformance suite, conform-smoke the
@@ -15,8 +15,20 @@ export PYTHONPATH := src
 # tests/test_conformance.py, tests/test_warehouse.py,
 # tests/test_longitudinal.py, tests/test_paths.py and
 # tests/test_fleet.py; deep fuzzing runs via `pytest -m slow_fuzz`).
-test: docs-check chaos-smoke fuzz-smoke conform-smoke bench-smoke warehouse-smoke longitudinal-smoke matrix-smoke fleet-smoke
+test: docs-check shapes chaos-smoke fuzz-smoke conform-smoke bench-smoke warehouse-smoke longitudinal-smoke matrix-smoke fleet-smoke
 	$(PYTHON) -m pytest -x -q --durations=20
+
+# Paper-shape gate: regenerate benchmarks/output/ and require every
+# artefact to equal its committed copy; A4's ms/handshake column is
+# wall-clock timing, the one thing allowed to move.  An intentional
+# change is re-recorded by committing the regenerated files.
+shapes:
+	$(PYTHON) -m pytest -x -q benchmarks/test_tables.py benchmarks/test_figures.py \
+		benchmarks/test_ablations.py --benchmark-disable
+	git diff --exit-code HEAD -- benchmarks/output ':!benchmarks/output/A4.txt'
+	mkdir -p .cache
+	git show HEAD:benchmarks/output/A4.txt | sed -E 's/[0-9.]+ *$$//' > .cache/A4.committed
+	sed -E 's/[0-9.]+ *$$//' benchmarks/output/A4.txt | diff .cache/A4.committed -
 
 # Validates intra-repo markdown links + module docstring presence.
 docs-check:

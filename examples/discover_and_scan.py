@@ -29,7 +29,7 @@ def main() -> None:
 
     print("== discovery ==")
     print(f"DNS: resolved {len(campaign.all_dns_records)} domains "
-          f"({sum(1 for r in campaign.all_dns_records if r.has_https_rr)} HTTPS RRs)")
+          f"({sum(1 for r in campaign.dns_answers if r.has_https_rr)} HTTPS RRs)")
     print(f"ZMap IPv4: {len(campaign.zmap_v4)} responders "
           f"in a /{campaign.world.ipv4_space.length} sweep")
     print(f"ZMap IPv6: {len(campaign.zmap_v6)} responders "

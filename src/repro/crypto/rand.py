@@ -11,7 +11,7 @@ import hashlib
 import random
 from typing import Union
 
-__all__ = ["DeterministicRandom", "derive_seed"]
+__all__ = ["DeterministicRandom", "derive_seed", "seed_value"]
 
 
 def derive_seed(*parts: Union[str, int, bytes]) -> int:
@@ -29,14 +29,18 @@ def derive_seed(*parts: Union[str, int, bytes]) -> int:
     return int.from_bytes(hasher.digest()[:8], "big")
 
 
+def seed_value(seed: Union[str, int, bytes, tuple]) -> int:
+    """The integer seed a :class:`DeterministicRandom` made from ``seed`` uses."""
+    if isinstance(seed, tuple):
+        return derive_seed(*seed)
+    return seed if isinstance(seed, int) else derive_seed(seed)
+
+
 class DeterministicRandom(random.Random):
     """A :class:`random.Random` with labelled child-generator support."""
 
     def __init__(self, seed: Union[str, int, bytes, tuple] = 0):
-        if isinstance(seed, tuple):
-            seed = derive_seed(*seed)
-        elif not isinstance(seed, int):
-            seed = derive_seed(seed)
+        seed = seed_value(seed)
         super().__init__(seed)
         self._seed_value = seed
 

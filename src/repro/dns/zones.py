@@ -31,7 +31,9 @@ class ZoneStore:
 
     @staticmethod
     def _key(name: str) -> str:
-        return name.rstrip(".").lower()
+        # A lower-case name is its own key: no copy per stored record.
+        name = name.rstrip(".")
+        return name if name.islower() else name.lower()
 
     def add_a(self, record: ARecord) -> None:
         self._a[self._key(record.name)].append(record)

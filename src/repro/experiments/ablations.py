@@ -84,13 +84,13 @@ def overlap_analysis(campaign: Campaign) -> ExperimentResult:
             zmap = {r.address for r in campaign.zmap_v4}
             alt = {a for a, _d, _t in campaign.altsvc_discovered_v4}
             https = set()
-            for record in campaign.all_dns_records:
+            for record in campaign.dns_answers:
                 https.update(record.https_ipv4hints)
         else:
             zmap = {r.address for r in campaign.zmap_v6}
             alt = {a for a, _d, _t in campaign.altsvc_discovered_v6}
             https = set()
-            for record in campaign.all_dns_records:
+            for record in campaign.dns_answers:
                 https.update(record.https_ipv6hints)
         matrix = overlap_matrix({"zmap": zmap, "alt-svc": alt, "https": https})
         for key in sorted(matrix):

@@ -70,6 +70,8 @@ from repro.scanners.dnsscan import DnsScanner
 from repro.scanners.goscanner import Goscanner, GoscannerConfig
 from repro.scanners.qscanner import QScanner, QScannerConfig
 from repro.scanners.results import (
+    DnsListRecords,
+    DnsRecordsView,
     DnsScanRecord,
     QScanRecord,
     TargetSource,
@@ -679,20 +681,26 @@ class Campaign:
     # from the stage table below the class.
 
     @cached_property
-    def dns_records(self) -> Dict[str, List[DnsScanRecord]]:
+    def dns_records(self) -> Dict[str, DnsListRecords]:
         def compute():
             scanner = DnsScanner(Resolver(self.world.zones), retry=self.config.retry)
             return scanner.scan_lists(self.world.input_lists.lists)
 
         return self._plain_stage(DNS_RECORDS, compute, empty=dict)
 
-    @cached_property
-    def all_dns_records(self) -> List[DnsScanRecord]:
-        return [record for records in self.dns_records.values() for record in records]
+    @property
+    def all_dns_records(self) -> DnsRecordsView:
+        """Every listed name's record, list after list: a view that keeps nothing."""
+        return DnsRecordsView(self.dns_records.values())
+
+    @property
+    def dns_answers(self) -> List[DnsScanRecord]:
+        """The answered DNS records, in list order: all a join can use."""
+        return [r for records in self.dns_records.values() for r in records.answered.values()]
 
     @cached_property
     def dns_join(self) -> DnsJoin:
-        return join_dns_addresses(self.all_dns_records)
+        return join_dns_addresses(self.dns_answers)
 
     @cached_property
     def ipv6_scan_input(self) -> List[IPv6Address]:
@@ -700,7 +708,7 @@ class Campaign:
 
         def compute():
             addresses: Set[IPv6Address] = set(self.world.ipv6_hitlist)
-            for record in self.all_dns_records:
+            for record in self.dns_answers:
                 addresses.update(record.aaaa)
             return sorted(addresses)
 
@@ -756,7 +764,7 @@ class Campaign:
         """HTTPS-RR derived targets per address family."""
         targets: Dict[int, List[Tuple[Address, str]]] = {4: [], 6: []}
         seen = set()
-        for record in self.all_dns_records:
+        for record in self.dns_answers:
             if not record.has_https_rr:
                 continue
             if not set(record.https_alpn) & COMPATIBLE_ALPN_TOKENS:

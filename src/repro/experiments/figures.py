@@ -42,7 +42,7 @@ def fig3(campaign: Campaign, weeks: Sequence[int] = DEFAULT_TLS_WEEKS) -> Experi
     rows = []
     for weekly in _weekly_campaigns(weeks, campaign):
         for list_name, records in sorted(weekly.dns_records.items()):
-            hits = sum(1 for record in records if record.has_https_rr)
+            hits = sum(1 for record in records.answered.values() if record.has_https_rr)
             rate = 100.0 * hits / len(records) if records else 0.0
             rows.append((weekly.config.week, list_name, len(records), hits, round(rate, 2)))
     return ExperimentResult(
@@ -64,7 +64,7 @@ def fig4(campaign: Campaign) -> ExperimentResult:
         "[IPv6] ALT": [a for a, _d, _t in campaign.altsvc_discovered_v6],
     }
     https4, https6 = set(), set()
-    for record in campaign.all_dns_records:
+    for record in campaign.dns_answers:
         https4.update(record.https_ipv4hints)
         https6.update(record.https_ipv6hints)
     series["[IPv4] SVCB"] = sorted(https4)

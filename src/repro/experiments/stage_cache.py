@@ -40,7 +40,9 @@ __all__ = ["CampaignStageCache", "CACHE_VERSION", "default_cache_root"]
 # v4: every PKI key changed (sieved, top-two-bits primes) and each
 #     group's TCP no-SNI path now serves its own self-signed pair, so
 #     certificate fingerprints in TLS records differ from v3's.
-CACHE_VERSION = 4
+# v5: the DNS stage pickles per list as listed names plus answered
+#     records by position (DnsListRecords), not one record per name.
+CACHE_VERSION = 5
 
 # Everything that makes a cache entry unreadable rather than absent.
 _CORRUPT_ERRORS = (

@@ -110,7 +110,7 @@ def table1(campaign: Campaign) -> ExperimentResult:
     https6_addresses: Set = set()
     https4_domains: Set[str] = set()
     https6_domains: Set[str] = set()
-    for record in campaign.all_dns_records:
+    for record in campaign.dns_answers:
         if not record.has_https_rr:
             continue
         if record.https_ipv4hints:
@@ -148,7 +148,7 @@ def table2(
         domains_of = {a: sorted(d) for a, d in domains_map.items()}
     elif source == "https":
         domains_map = {}
-        for record in campaign.all_dns_records:
+        for record in campaign.dns_answers:
             if not record.has_https_rr:
                 continue
             hints = record.https_ipv4hints if family == 4 else record.https_ipv6hints

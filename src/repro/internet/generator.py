@@ -168,6 +168,21 @@ def _scaled_pool_sizes(group: DeploymentGroup, scale: Scale, week: int) -> Dict[
     return sizes
 
 
+def _ipv4_space_bits(scale: Scale, week: int) -> int:
+    """The /14, or what a finer scale needs: a dry run of the allocator over
+    the IPv4 prefixes :func:`build_world` places, in its order."""
+    allocator = _AddressAllocator(Prefix.parse("0.0.0.0/0"))
+    for group in GROUPS:
+        sizes = _scaled_pool_sizes(group, scale, week)
+        total_v4 = sizes["v4_active"] + sizes["v4_parked"] + sizes["v4_vm"]
+        ases = max(1, scale.ases_of(group.spread_paper_ases)) if group.spread_paper_ases else 1
+        for _ in range(ases if total_v4 else 0):
+            allocator.alloc_v4_prefix(-(-total_v4 // ases))
+    allocator.alloc_v4_prefix(256)  # the blocklist's
+    used = allocator._next_v4_block << allocator._v4_block_bits
+    return max(18, (used - 1).bit_length())
+
+
 def _alt_svc_header(tokens: Sequence[str]) -> str:
     return format_alt_svc([AltSvcEntry(alpn=token, port=443) for token in tokens])
 
@@ -177,16 +192,19 @@ def build_world(
     scale: Optional[Scale] = None,
     seed: int = 0,
     fast_crypto: bool = True,
-    ipv4_space_bits: int = 18,
+    ipv4_space_bits: Optional[int] = None,
 ) -> World:
     """Build the simulated Internet as it looks in calendar week ``week``.
 
     ``fast_crypto`` selects the documented campaign-scale accelerators
     (simulated AEAD cipher suite, simulated DH group, simulated Initial
     AEAD with RFC 9001 key material); with ``False`` everything runs
-    over real AES-GCM and X25519.
+    over real AES-GCM and X25519.  A pinned ``ipv4_space_bits`` the world
+    outgrows raises :class:`AddressSpaceExhausted`.
     """
     scale = scale or Scale()
+    if ipv4_space_bits is None:
+        ipv4_space_bits = _ipv4_space_bits(scale, week)
     rng = DeterministicRandom(derive_seed("world", week if week <= 18 else 18, seed))
     network = Network(seed=derive_seed("network", seed))
     as_registry = AsRegistry()

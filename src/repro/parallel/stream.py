@@ -183,7 +183,7 @@ class StreamEngine:
             # Parent-side plain stages: cheap, and every streaming
             # stage's item derivation depends on them.  Building the
             # world here also lets the pool fork inherit it.
-            campaign.all_dns_records
+            campaign.dns_records
             campaign.dns_join
             campaign.ipv6_scan_input
             self._plan()

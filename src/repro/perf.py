@@ -925,7 +925,7 @@ def run_profile(
     scale = scale or DEFAULT_BENCH_SCALE
     campaign = Campaign(CampaignConfig(week=week, scale=scale, seed=seed))
     _ = campaign.world
-    _ = campaign.all_dns_records  # shared input, not a stage
+    _ = campaign.dns_records  # shared input, not a stage
     sections: List[Dict[str, object]] = []
     for name in STAGE_NAMES:
         profiler = cProfile.Profile()

@@ -705,6 +705,8 @@ class QuicServerEndpoint(UdpEndpoint):
 
     def __init__(self, behaviour: QuicServerBehaviour, seed="quic-server"):
         self._behaviour = behaviour
+        # A generator of its own, unlike Tcp443Server's bare seed: Version
+        # Negotiation and Retry draw their first-byte entropy from it.
         self._rng = DeterministicRandom(seed)
         # Connection state per client source, by original DCID in
         # creation order; dropped when the client's socket closes.

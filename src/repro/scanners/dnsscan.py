@@ -9,11 +9,11 @@ deployment publishes SVCB).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.dns.resolver import ResolutionResult, Resolver, ResolverError
 from repro.observability.metrics import get_metrics
-from repro.scanners.results import DnsScanRecord
+from repro.scanners.results import DnsListRecords, DnsScanRecord
 from repro.scanners.retry import RetryPolicy
 
 __all__ = ["DnsScanner"]
@@ -42,17 +42,17 @@ class DnsScanner:
                 attempt += 1
                 metrics.counter("dns.retries").inc()
 
-    def scan_list(self, list_name: str, domains: Iterable[str]) -> List[DnsScanRecord]:
+    def scan_list(self, list_name: str, domains: Sequence[str]) -> DnsListRecords:
+        """Resolve every listed name; only a name that resolved keeps a record."""
         metrics = get_metrics()
-        records: List[DnsScanRecord] = []
+        answered: Dict[int, DnsScanRecord] = {}
         with_a = with_aaaa = with_https = 0
-        for domain in domains:
+        for position, domain in enumerate(domains):
             result = self._resolve(domain, ("A", "AAAA", "HTTPS", "SVCB"), metrics)
             if result is None or not (result.a or result.aaaa or result.https):
                 # Nothing resolved, or (degraded) every attempt failed:
-                # the domain stays in the output with no resolutions
-                # (downstream joins simply skip it).
-                records.append(DnsScanRecord(domain, list_name))
+                # the name stays listed with no record (downstream joins
+                # simply skip it).
                 continue
             alpn: List[str] = []
             v4hints = []
@@ -61,28 +61,24 @@ class DnsScanner:
                 alpn.extend(a for a in https.params.alpn if a not in alpn)
                 v4hints.extend(https.params.ipv4hint)
                 v6hints.extend(https.params.ipv6hint)
-            records.append(
-                DnsScanRecord(
-                    domain=domain,
-                    source_list=list_name,
-                    a=tuple(result.ipv4_addresses),
-                    aaaa=tuple(result.ipv6_addresses),
-                    https_alpn=tuple(alpn),
-                    https_ipv4hints=tuple(v4hints),
-                    https_ipv6hints=tuple(v6hints),
-                    has_https_rr=result.has_https_rr,
-                )
+            answered[position] = DnsScanRecord(
+                domain=domain,
+                source_list=list_name,
+                a=tuple(result.ipv4_addresses),
+                aaaa=tuple(result.ipv6_addresses),
+                https_alpn=tuple(alpn),
+                https_ipv4hints=tuple(v4hints),
+                https_ipv6hints=tuple(v6hints),
+                has_https_rr=result.has_https_rr,
             )
             with_a += bool(result.ipv4_addresses)
             with_aaaa += bool(result.ipv6_addresses)
             with_https += bool(result.has_https_rr)
-        metrics.counter("dns.domains_resolved", list=list_name).inc(len(records))
+        metrics.counter("dns.domains_resolved", list=list_name).inc(len(domains))
         metrics.counter("dns.with_a", list=list_name).inc(with_a)
         metrics.counter("dns.with_aaaa", list=list_name).inc(with_aaaa)
         metrics.counter("dns.with_https_rr", list=list_name).inc(with_https)
-        return records
+        return DnsListRecords(list_name, domains, answered)
 
-    def scan_lists(
-        self, lists: Dict[str, Sequence[str]]
-    ) -> Dict[str, List[DnsScanRecord]]:
+    def scan_lists(self, lists: Dict[str, Sequence[str]]) -> Dict[str, DnsListRecords]:
         return {name: self.scan_list(name, domains) for name, domains in lists.items()}

@@ -7,9 +7,12 @@ dicts) gives the pipeline a checked schema and makes tests precise.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from itertools import chain
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.http.altsvc import AltSvcEntry
 from repro.netsim.addresses import Address, IPv4Address, IPv6Address
@@ -18,6 +21,8 @@ __all__ = [
     "ZmapQuicRecord",
     "SynRecord",
     "DnsScanRecord",
+    "DnsListRecords",
+    "DnsRecordsView",
     "GoscannerRecord",
     "QScanOutcome",
     "QScanRecord",
@@ -61,6 +66,68 @@ class DnsScanRecord:
     https_ipv4hints: Tuple[IPv4Address, ...] = ()
     https_ipv6hints: Tuple[IPv6Address, ...] = ()
     has_https_rr: bool = False
+
+
+class _RecordSequence(Sequence):
+    """List behaviour from ``__len__`` and ``_at``: slices are lists, ``==`` takes a list."""
+
+    def __getitem__(self, index):
+        positions = range(len(self))[index]
+        if isinstance(index, slice):
+            return [self._at(position) for position in positions]
+        return self._at(positions)
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, _RecordSequence)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+
+class DnsListRecords(_RecordSequence):
+    """One input list's DNS scan: a record per listed name, in list order.
+
+    Most listed names answer nothing (§3.2, Fig. 3), so only an answered
+    name keeps its record, by position; any other reads back as the
+    two-field ``DnsScanRecord(name, source_list)``.  ``names`` is not copied.
+    """
+
+    def __init__(
+        self, source_list: str, names: Sequence[str], answered: Dict[int, DnsScanRecord]
+    ):
+        self.source_list = source_list
+        self.names = names
+        self.answered = answered  # position -> record, in position order
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def __iter__(self):
+        return map(self._at, range(len(self.names)))
+
+    def _at(self, position: int) -> DnsScanRecord:
+        record = self.answered.get(position)
+        if record is None:
+            return DnsScanRecord(self.names[position], self.source_list)
+        return record
+
+
+class DnsRecordsView(_RecordSequence):
+    """Several lists' records end to end; it holds the lists, nothing else."""
+
+    def __init__(self, lists: Iterable[DnsListRecords]):
+        self.lists = tuple(lists)
+
+    def __len__(self) -> int:
+        return sum(map(len, self.lists))
+
+    def __iter__(self):
+        return chain.from_iterable(self.lists)
+
+    def _at(self, position: int) -> DnsScanRecord:
+        for records in self.lists:
+            if position < len(records):
+                return records[position]
+            position -= len(records)
 
 
 @dataclass

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
-from repro.crypto.rand import DeterministicRandom
+from repro.crypto.rand import DeterministicRandom, seed_value
 from repro.http.h1 import HttpParseError, HttpRequest, HttpResponse
 from repro.netsim.topology import TcpListener, TcpSession
 from repro.tls.alerts import AlertDescription, AlertError
@@ -54,7 +54,7 @@ class Tcp443Server(TcpListener):
 
     def __init__(self, config: Tcp443Config):
         self._config = config
-        self._rng = DeterministicRandom(config.seed)
+        self._seed = seed_value(config.seed)  # a 2.5 KB generator only to derive children
         self._counter = 0
 
     # -- TcpListener interface ------------------------------------------------
@@ -62,7 +62,8 @@ class Tcp443Server(TcpListener):
         self._counter += 1
         session.context["tls"] = None
         session.context["records"] = RecordLayer()
-        session.context["rng"] = self._rng.child(self._counter)
+        # What ``DeterministicRandom(seed).child(counter)`` returns.
+        session.context["rng"] = DeterministicRandom((self._seed, self._counter))
 
     def session_closed(self, session: TcpSession) -> None:
         session.context.clear()

@@ -26,14 +26,14 @@ import json
 import sqlite3
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.experiments.campaign import Campaign
 from repro.experiments.stages import (
     DNS_RECORDS,
     GOSCANNER,
     QSCAN,
-    STAGE_NAMES,
     SYN,
     ZMAP,
     names,
@@ -124,209 +124,168 @@ def _fingerprint_json(fingerprint) -> object:
     return json.dumps([[name, value] for name, value in fingerprint])
 
 
-def _dns_rows(campaign: Campaign, campaign_id: str, text: _AddressText) -> List[Tuple]:
-    rows = []
-    for position, record in enumerate(campaign.all_dns_records):
-        answers = (record.a, record.aaaa, record.https_ipv4hints, record.https_ipv6hints)
-        lists = _NO_DNS_LISTS  # most listed names resolved to nothing
-        if record.https_alpn or any(answers):
-            a, aaaa, v4hints, v6hints = (_address_list(found, text) for found in answers)
-            lists = (a, aaaa, json.dumps(list(record.https_alpn)), v4hints, v6hints)
-        rows.append(
-            (
-                campaign_id,
-                DNS_RECORDS,
-                position,
-                record.domain,
-                record.source_list,
-                *lists,
-                int(record.has_https_rr),
-            )
-        )
-    return rows
+def _dns_rows(campaign: Campaign, campaign_id: str, text: _AddressText) -> Iterator[Tuple]:
+    position = 0
+    for records in campaign.dns_records.values():
+        for index, domain in enumerate(records.names):
+            record = records.answered.get(index)
+            lists, has_https_rr = _NO_DNS_LISTS, 0  # most listed names answered nothing
+            if record is not None:
+                answers = (record.a, record.aaaa, record.https_ipv4hints, record.https_ipv6hints)
+                if record.https_alpn or any(answers):
+                    a, aaaa, v4hints, v6hints = (_address_list(found, text) for found in answers)
+                    lists = (a, aaaa, json.dumps(list(record.https_alpn)), v4hints, v6hints)
+                has_https_rr = int(record.has_https_rr)
+            row = (campaign_id, DNS_RECORDS, position, domain, records.source_list)
+            yield (*row, *lists, has_https_rr)
+            position += 1
 
 
-def _dns_address_rows(campaign: Campaign, campaign_id: str, text: _AddressText) -> List[Tuple]:
+def _dns_address_rows(campaign: Campaign, campaign_id: str, text: _AddressText) -> Iterator[Tuple]:
     """The deduplicated (domain, address) pairs, in first-seen order.
 
     Walks the records exactly like
     :func:`repro.analysis.joins.join_dns_addresses` so positions mirror
     the in-memory join's insertion order.
     """
-    rows = []
     seen: Set[Tuple[str, object]] = set()
     position = 0
-    for record in campaign.all_dns_records:
+    for record in campaign.dns_answers:
         for answers in (record.a, record.aaaa):
             for address in answers:
                 key = (record.domain, address)
                 if key in seen:
                     continue
                 seen.add(key)
-                rows.append(
-                    (campaign_id, position, record.domain, text[address], _family(address))
-                )
+                yield (campaign_id, position, record.domain, text[address], _family(address))
                 position += 1
-    return rows
 
 
-def _https_hint_rows(campaign: Campaign, campaign_id: str, text: _AddressText) -> List[Tuple]:
-    rows = []
+def _https_hint_rows(campaign: Campaign, campaign_id: str, text: _AddressText) -> Iterator[Tuple]:
     position = 0
-    for record in campaign.all_dns_records:
+    for record in campaign.dns_answers:
         if not record.has_https_rr:
             continue
         for hints in (record.https_ipv4hints, record.https_ipv6hints):
             for address in hints:
-                rows.append(
-                    (campaign_id, position, record.domain, text[address], _family(address))
-                )
+                yield (campaign_id, position, record.domain, text[address], _family(address))
                 position += 1
-    return rows
 
 
-def _zmap_rows(campaign: Campaign, campaign_id: str, text: _AddressText) -> List[Tuple]:
-    rows = []
+def _zmap_rows(campaign: Campaign, campaign_id: str, text: _AddressText) -> Iterator[Tuple]:
     for stage in names(ZMAP):
         for position, record in enumerate(getattr(campaign, stage)):
-            rows.append(
-                (
-                    campaign_id,
-                    stage,
-                    position,
-                    text[record.address],
-                    _family(record.address),
-                    json.dumps([f"0x{v:08x}" for v in record.versions]),
-                    int(bool(set(record.versions) & QSCANNER_SUPPORTED)),
-                )
+            yield (
+                campaign_id,
+                stage,
+                position,
+                text[record.address],
+                _family(record.address),
+                json.dumps([f"0x{v:08x}" for v in record.versions]),
+                int(bool(set(record.versions) & QSCANNER_SUPPORTED)),
             )
-    return rows
 
 
-def _syn_rows(campaign: Campaign, campaign_id: str, text: _AddressText) -> List[Tuple]:
-    rows = []
+def _syn_rows(campaign: Campaign, campaign_id: str, text: _AddressText) -> Iterator[Tuple]:
     for stage in names(SYN):
         for position, record in enumerate(getattr(campaign, stage)):
-            rows.append(
-                (
-                    campaign_id,
-                    stage,
-                    position,
-                    text[record.address],
-                    _family(record.address),
-                    record.port,
-                    int(record.open),
-                )
+            yield (
+                campaign_id,
+                stage,
+                position,
+                text[record.address],
+                _family(record.address),
+                record.port,
+                int(record.open),
             )
-    return rows
 
 
-def _goscanner_rows(campaign: Campaign, campaign_id: str, text: _AddressText) -> List[Tuple]:
+def _goscanner_rows(campaign: Campaign, campaign_id: str, text: _AddressText) -> Iterator[Tuple]:
     from repro.experiments.campaign import COMPATIBLE_ALPN_TOKENS
 
-    rows = []
     for stage in names(GOSCANNER):
         for position, record in enumerate(getattr(campaign, stage)):
             tokens = sorted({e.alpn for e in record.alt_svc if e.indicates_http3})
-            rows.append(
-                (
-                    campaign_id,
-                    stage,
-                    position,
-                    text[record.address],
-                    _family(record.address),
-                    record.sni,
-                    int(record.success),
-                    record.tls_version,
-                    record.cipher_suite,
-                    record.key_exchange_group,
-                    record.certificate_fingerprint,
-                    json.dumps(list(record.server_extensions)),
-                    _extensions_set(record.server_extensions),
-                    record.server_header,
-                    json.dumps(
-                        [
-                            {"alpn": e.alpn, "host": e.host, "port": e.port, "ma": e.max_age}
-                            for e in record.alt_svc
-                        ]
-                    ),
-                    json.dumps(tokens),
-                    int(bool(tokens)),
-                    int(bool(set(tokens) & COMPATIBLE_ALPN_TOKENS)),
-                    record.error,
-                    record.attempts,
-                )
+            yield (
+                campaign_id,
+                stage,
+                position,
+                text[record.address],
+                _family(record.address),
+                record.sni,
+                int(record.success),
+                record.tls_version,
+                record.cipher_suite,
+                record.key_exchange_group,
+                record.certificate_fingerprint,
+                json.dumps(list(record.server_extensions)),
+                _extensions_set(record.server_extensions),
+                record.server_header,
+                json.dumps(
+                    [
+                        {"alpn": e.alpn, "host": e.host, "port": e.port, "ma": e.max_age}
+                        for e in record.alt_svc
+                    ]
+                ),
+                json.dumps(tokens),
+                int(bool(tokens)),
+                int(bool(set(tokens) & COMPATIBLE_ALPN_TOKENS)),
+                record.error,
+                record.attempts,
             )
-    return rows
 
 
-def _qscan_rows(campaign: Campaign, campaign_id: str, text: _AddressText) -> List[Tuple]:
-    rows = []
+def _qscan_rows(campaign: Campaign, campaign_id: str, text: _AddressText) -> Iterator[Tuple]:
     for stage in names(QSCAN):
         for position, record in enumerate(getattr(campaign, stage)):
-            rows.append(
-                (
-                    campaign_id,
-                    stage,
-                    position,
-                    text[record.address],
-                    _family(record.address),
-                    record.sni,
-                    record.source.value,
-                    record.outcome.value,
-                    int(record.is_success),
-                    f"0x{record.quic_version:08x}" if record.quic_version else None,
-                    record.tls_version,
-                    record.cipher_suite,
-                    record.key_exchange_group,
-                    record.certificate_fingerprint,
-                    json.dumps(list(record.server_extensions)),
-                    _extensions_set(record.server_extensions),
-                    _fingerprint_json(record.transport_params_fingerprint),
-                    record.server_header,
-                    record.http_status,
-                    record.attempts,
-                )
+            yield (
+                campaign_id,
+                stage,
+                position,
+                text[record.address],
+                _family(record.address),
+                record.sni,
+                record.source.value,
+                record.outcome.value,
+                int(record.is_success),
+                f"0x{record.quic_version:08x}" if record.quic_version else None,
+                record.tls_version,
+                record.cipher_suite,
+                record.key_exchange_group,
+                record.certificate_fingerprint,
+                json.dumps(list(record.server_extensions)),
+                _extensions_set(record.server_extensions),
+                _fingerprint_json(record.transport_params_fingerprint),
+                record.server_header,
+                record.http_status,
+                record.attempts,
             )
-    return rows
 
 
-def _sni_target_rows(campaign: Campaign, campaign_id: str, text: _AddressText) -> List[Tuple]:
-    rows = []
+def _sni_target_rows(campaign: Campaign, campaign_id: str, text: _AddressText) -> Iterator[Tuple]:
     for family in (4, 6):
         targets = campaign.sni_targets_v4 if family == 4 else campaign.sni_targets_v6
         position = 0
         for (address, domain), sources in targets.items():
             for source in sorted(sources, key=lambda s: s.value):
-                rows.append(
-                    (campaign_id, family, position, text[address], domain, source.value)
-                )
+                yield (campaign_id, family, position, text[address], domain, source.value)
                 position += 1
-    return rows
 
 
-def _address_rows(campaign: Campaign, campaign_id: str, text: _AddressText) -> List[Tuple]:
-    """The address → AS dimension over every address staged anywhere."""
+def _address_rows(campaign: Campaign, campaign_id: str, text: _AddressText) -> Iterator[Tuple]:
+    """The address → AS dimension over every address staged anywhere.
+
+    Every builder before this one writes each address it stages
+    through ``text``, so the memo's keys are exactly that set.
+    """
     registry = campaign.world.as_registry
-    addresses: Set[object] = set()
-    for stage in STAGE_NAMES:
-        addresses.update(record.address for record in getattr(campaign, stage))
-    for record in campaign.all_dns_records:
-        addresses.update(
-            record.a, record.aaaa, record.https_ipv4hints, record.https_ipv6hints
-        )
-    for targets in (campaign.sni_targets_v4, campaign.sni_targets_v6):
-        addresses.update(address for address, _domain in targets)
-    rows = []
-    for address in sorted(addresses, key=text.__getitem__):
+    for address, address_text in sorted(text.items(), key=itemgetter(1)):
         asn = registry.origin(address)
-        rows.append(
-            (campaign_id, text[address], _family(address), asn, registry.name_of(asn))
-        )
-    return rows
+        yield (campaign_id, address_text, _family(address), asn, registry.name_of(asn))
 
 
-# Staging table -> its row builder, in load order.
+# Staging table -> its row builder, in load order (the address
+# dimension last: it reads the memo the others fill).
 _STAGING_ROWS = (
     ("stg_dns", _dns_rows),
     ("stg_dns_address", _dns_address_rows),
@@ -340,11 +299,9 @@ _STAGING_ROWS = (
 )
 
 
-def _insert(conn: sqlite3.Connection, table: str, rows: List[Tuple]) -> int:
-    if rows:
-        placeholders = ", ".join("?" * len(TABLES[table].columns))
-        conn.executemany(f"INSERT INTO {table} VALUES ({placeholders})", rows)
-    return len(rows)
+def _insert(conn: sqlite3.Connection, table: str, rows: Iterable[Tuple]) -> int:
+    placeholders = ", ".join("?" * len(TABLES[table].columns))
+    return conn.executemany(f"INSERT INTO {table} VALUES ({placeholders})", rows).rowcount
 
 
 def load_campaign(

@@ -45,8 +45,20 @@ def test_scan_prints_core_tables(capsys):
         assert marker in out
 
 
+def test_scan_output_dns_jsonl_keeps_every_listed_name(tmp_path, capsys):
+    import json
+
+    from repro.internet.domains import LIST_SIZES
+
+    assert main(["scan", *SMALL, "--output", str(tmp_path)]) == 0
+    lines = (tmp_path / "dns.jsonl").read_text().splitlines()
+    assert len(lines) == sum(LIST_SIZES.values())
+    domains = [json.loads(line)["domain"] for line in lines]
+    assert len(set(domains)) > len(domains) // 2  # names, not one repeated record
+
+
 def test_exhausted_address_space_is_one_line_and_exit_2(monkeypatch, capsys):
-    """What `repro scan --scale 500` runs into, on a space shrunk to a /24."""
+    """A world that outgrows its space, here every space shrunk to a /24."""
     from repro.internet import generator
     from repro.netsim.addresses import Prefix
 

@@ -302,8 +302,10 @@ class TestDifferential:
         assert result.ok, result.mismatches[:5]
         assert result.metrics_identical
         assert result.records_compared > 0
-        # Every pipeline stage produced records at the test scale.
+        # Every pipeline stage produced records at the test scale, and
+        # the DNS entry still counts every listed name.
         assert all(count > 0 for count in result.stage_records.values())
+        assert result.stage_records["all_dns_records"] == 26_500
 
 
 # -- report -------------------------------------------------------------------

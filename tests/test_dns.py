@@ -1,7 +1,9 @@
 """DNS substrate tests: records, zones, resolver."""
 
+import pickle
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.dns.records import (
     AaaaRecord,
@@ -17,7 +19,7 @@ from repro.dns.zones import ZoneStore
 from repro.netsim.addresses import IPv4Address, IPv6Address
 from repro.observability.metrics import MetricsRegistry, use_metrics
 from repro.scanners.dnsscan import DnsScanner
-from repro.scanners.results import DnsScanRecord
+from repro.scanners.results import DnsListRecords, DnsRecordsView, DnsScanRecord
 from repro.scanners.retry import RetryPolicy
 
 
@@ -299,6 +301,43 @@ def test_scan_list_does_not_swallow_programming_errors(mixed_zones):
             scanner.scan_list("toplist", ["hosted.example", "unhosted.example"])
     assert registry.counter_value("dns.retries") == 0
     assert registry.counter_value("dns.giveups") == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(answered_flags=st.lists(st.booleans(), max_size=24), index=st.integers(-30, 30))
+def test_dns_list_records_behave_as_the_list_they_replace(answered_flags, index):
+    names = [f"n{position}.example" for position in range(len(answered_flags))]
+    answered = {
+        position: DnsScanRecord(name, "toplist", a=(IPv4Address(position + 1),))
+        for position, (name, flag) in enumerate(zip(names, answered_flags))
+        if flag
+    }
+    expected = [answered.get(p, DnsScanRecord(n, "toplist")) for p, n in enumerate(names)]
+    records = DnsListRecords("toplist", names, answered)
+    assert len(records) == len(expected) and list(records) == expected
+    assert records == expected and expected == records and not records != expected
+    assert records != expected + [DnsScanRecord("extra.example", "toplist")]
+    if -len(expected) <= index < len(expected):
+        assert records[index] == expected[index]
+    else:
+        with pytest.raises(IndexError):
+            records[index]
+    assert records[index:] == expected[index:] and records[::-2] == expected[::-2]
+    copy = pickle.loads(pickle.dumps(records))
+    assert type(copy) is DnsListRecords and copy == records
+    both = DnsRecordsView([records, copy])
+    assert len(both) == 2 * len(expected) and both == expected + expected
+    assert [both[i] for i in range(-len(both), len(both))] == 2 * (expected + expected)
+
+
+def test_zone_keys_reuse_lower_case_names():
+    zones = ZoneStore()
+    name = "".join(["shared", ".example"])  # a string no literal interns
+    zones.add_a(ARecord(name=name, address=IPv4Address(1)))
+    zones.add_a(ARecord(name="Mixed.Example.", address=IPv4Address(2)))
+    first, second = zones._a
+    assert first is name and second == "mixed.example"
+    assert zones.lookup_a("SHARED.example.")[0].address == IPv4Address(1)
 
 
 def test_zone_domain_listing():

@@ -174,6 +174,20 @@ def test_growth_shrinks_early_weeks():
     assert early_v4 < late_v4
 
 
+def test_ipv4_space_is_the_slash14_until_a_scale_outgrows_it():
+    """Sized by a dry run of the allocator: every scale that fitted the
+    /14 keeps it (and its bytes); finer ones grow it by what they need."""
+    from repro.internet.generator import _ipv4_space_bits
+
+    def bits(addresses):
+        scale = Scale(addresses=addresses, ases=max(1, addresses // 50), domains=addresses)
+        return _ipv4_space_bits(scale, 18)
+
+    assert [bits(a) for a in (200_000, 20_000, 2_000, 1_000)] == [18] * 4
+    assert [bits(500), bits(200), bits(100)] == [19, 20, 21]
+    assert _ipv4_space_bits(Scale(addresses=1_000, ases=20, domains=1_000), 5) == 18
+
+
 def test_scanner_addresses_not_blocked(tiny_world):
     assert not tiny_world.blocklist.is_blocked(tiny_world.scanner_v4)
 

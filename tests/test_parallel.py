@@ -666,6 +666,26 @@ def test_cache_rejects_version_skew(tmp_path, monkeypatch):
     assert not (cache.directory / "syn_v4.pkl").exists(), "stale entry not dropped"
 
 
+def test_version_4_dns_entry_is_a_miss_not_a_crash(tmp_path):
+    """A DNS stage pickled before CACHE_VERSION 5 (one record per listed
+    name) is dropped and recomputed into the per-list sequences."""
+    from repro.experiments.campaign import Campaign
+    from repro.scanners.results import DnsListRecords, DnsScanRecord
+
+    config = _config()
+    cache = CampaignStageCache(tmp_path, config)
+    cache.store("dns_records", {"alexa": [DnsScanRecord("old.example", "alexa")]})
+    path = cache.directory / "dns_records.pkl"
+    payload = pickle.loads(path.read_bytes())
+    payload["version"] = 4
+    path.write_bytes(pickle.dumps(payload))
+    campaign = Campaign(config, cache_dir=tmp_path)
+    records = campaign.dns_records
+    assert campaign.stage_cache.misses == 1 and campaign.stage_cache.corrupt_discarded == 1
+    assert all(type(lists) is DnsListRecords for lists in records.values())
+    assert sum(map(len, records.values())) == 26_500
+
+
 def test_cache_rejects_corrupt_file(tmp_path):
     cache = CampaignStageCache(tmp_path, _config())
     cache.store("syn_v4", [1, 2, 3])

@@ -219,6 +219,49 @@ def test_v4_sweeps_probe_responders_and_walk_nothing(monkeypatch):
             retrying.close()
 
 
+def test_dns_stage_keeps_a_record_per_answered_name_only():
+    """Counts, not timings: a DNS stage that keeps a record per listed
+    name, or a campaign that keeps the concatenated list, fails here."""
+    import gc
+
+    from repro.experiments.campaign import Campaign
+    from repro.scanners.results import DnsScanRecord
+
+    def live_records():
+        gc.collect()
+        return sum(isinstance(obj, DnsScanRecord) for obj in gc.get_objects())
+
+    scale = Scale(addresses=200_000, ases=4_000, domains=200_000)
+    campaign = Campaign(CampaignConfig(week=18, scale=scale))
+    campaign.world
+    before = live_records()
+    lists = campaign.dns_records
+    answered = sum(len(records.answered) for records in lists.values())
+    listed = sum(len(records) for records in lists.values())
+    assert 0 < answered < listed == len(campaign.all_dns_records) == 26_500
+    assert live_records() - before == answered
+    assert "all_dns_records" not in campaign.__dict__
+
+
+def test_world_keeps_no_generator_per_tcp_server_and_one_per_quic_endpoint():
+    """Counts: a 2.5 KB Mersenne Twister per TLS-over-TCP deployment
+    (only ever used to derive children) fails here."""
+    import random
+
+    from repro.internet.generator import build_world
+    from repro.quic.connection import QuicServerEndpoint
+    from repro.server.tcp443 import Tcp443Server
+
+    def generators(server):
+        return sum(isinstance(value, random.Random) for value in vars(server).values())
+
+    network = build_world(week=18, scale=Scale(addresses=200_000, ases=4_000, domains=200_000), seed=5).network
+    tcp = [listener for listener in network._tcp.values() if isinstance(listener, Tcp443Server)]
+    quic = [endpoint for endpoint in network._udp.values() if isinstance(endpoint, QuicServerEndpoint)]
+    assert tcp and {generators(server) for server in tcp} == {0}
+    assert quic and {generators(endpoint) for endpoint in quic} == {1}
+
+
 def test_cold_world_generates_its_ca_key_and_nothing_else(monkeypatch):
     """Counts, not timings: a world that mints a provider key instead of
     reading it from ``crypto/provider_keys.py`` fails here on any host."""

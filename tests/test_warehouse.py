@@ -23,7 +23,7 @@ from repro.experiments import get_campaign
 from repro.experiments.tables import table1, table2, table3, table4, table5, table6
 from repro.internet.providers import Scale
 from repro.netsim.addresses import IPv4Address, IPv6Address
-from repro.scanners.results import DnsScanRecord
+from repro.scanners.results import DnsListRecords, DnsScanRecord
 from repro.warehouse import loader as loader_module
 from repro.warehouse import (
     SCHEMA_VERSION,
@@ -188,8 +188,15 @@ def test_dns_rows_keep_server_strings_on_json_dumps():
         # Not something the scanner emits, but a row must never lose it.
         DnsScanRecord("alpn-only.example", "toplist", https_alpn=(hostile,)),
     ]
-    rows = loader_module._dns_rows(
-        types.SimpleNamespace(all_dns_records=records), "cid", loader_module._AddressText()
+    listed = DnsListRecords(
+        "toplist", [r.domain for r in records], {1: records[1], 2: records[2]}
+    )
+    rows = list(
+        loader_module._dns_rows(
+            types.SimpleNamespace(dns_records={"toplist": listed}),
+            "cid",
+            loader_module._AddressText(),
+        )
     )
     assert rows[0] == ("cid", "dns_records", 0, "none.example", "toplist", *["[]"] * 5, 0)
     for row, record in zip(rows, records):
