@@ -598,6 +598,7 @@ def _cmd_matrix(args) -> int:
                 f"fleet: {telemetry['cells_executed']} cells,"
                 f" {telemetry['world_reuse_hits']} world reuse hits"
                 f" ({telemetry['world_builds']} builds),"
+                f" {telemetry['resident_cells_max']} cells resident at most,"
                 f" {telemetry['pool_respawns']} pool respawns,"
                 f" overlap {telemetry['overlap_ratio']}x"
             )

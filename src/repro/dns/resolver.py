@@ -1,9 +1,8 @@
 """A resolver over the simulated authoritative store.
 
 Stands in for the paper's MassDNS + local Unbound setup (§3.2): bulk
-resolution of domain lists with query accounting.  SVCB/HTTPS answers
-round-trip through the draft wire encoding so the scanner exercises
-real encode/decode paths.
+resolution of domain lists.  SVCB/HTTPS answers round-trip through the
+draft wire encoding so the scanner exercises real encode/decode paths.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ class ResolutionResult:
 
 
 class Resolver:
-    """Recursive-resolver stand-in with query accounting.
+    """Recursive-resolver stand-in.
 
     AliasMode SVCB/HTTPS records (priority 0) are followed up to
     ``max_alias_depth`` targets, as a recursive resolver supporting the
@@ -56,7 +55,11 @@ class Resolver:
     def __init__(self, zones: ZoneStore, max_alias_depth: int = 4):
         self._zones = zones
         self._max_alias_depth = max_alias_depth
-        self.queries = 0
+
+    def holds(self, domain: str) -> bool:
+        """Whether the zones hold any record for ``domain``: a name they do
+        not hold resolves to nothing, whatever the record types."""
+        return self._zones.holds(domain)
 
     def _resolve_https_chain(self, domain: str) -> List[HttpsRecord]:
         current = domain
@@ -68,7 +71,6 @@ class Resolver:
             aliases = [record for record in records if record.is_alias]
             if not aliases:
                 return records
-            self.queries += 1  # the follow-up query for the alias target
             current = aliases[0].target
         return []  # chain too deep (or a loop): treat as unresolved
 
@@ -80,7 +82,6 @@ class Resolver:
         # HTTPS/SVCB wire round-trips entered, only where records exist.
         a, aaaa, https, svcb = self._zones.lookup(domain)
         for record_type in record_types:
-            self.queries += 1
             if record_type == "A":
                 if a:
                     result.a = list(a)

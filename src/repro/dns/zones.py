@@ -62,6 +62,11 @@ class ZoneStore:
             self._svcb.get(key, ()),
         )
 
+    def holds(self, name: str) -> bool:
+        """Whether any record of any type is stored for ``name``."""
+        key = self._key(name)
+        return key in self._a or key in self._aaaa or key in self._https or key in self._svcb
+
     def lookup_a(self, name: str) -> List[ARecord]:
         return list(self.lookup(name)[0])
 

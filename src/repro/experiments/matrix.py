@@ -379,9 +379,11 @@ def _run_cells_fleet(
 ) -> Tuple[List[MatrixCellResult], dict]:
     """Run the cells on a fleet scheduler; commits stay in cell order.
 
-    All cell campaigns are created up front so the shared world is
-    built (once) before the fleet's pool forks — that is what lets the
-    workers inherit it copy-on-write instead of rebuilding.
+    The fleet creates each cell's campaign as it enters the in-flight
+    window and releases it once committed, so the parent holds
+    ``jobs + 1`` cells, not all of them.  It creates the first cell
+    before its pool forks, and that cell builds the shared world, so
+    the workers inherit it copy-on-write instead of rebuilding.
     """
     from repro.parallel.fleet import FleetScheduler
 
@@ -389,27 +391,23 @@ def _run_cells_fleet(
         jobs=fleet_jobs,
         campaign_workers=matrix.workers if matrix.workers is not None else 1,
     )
-    campaigns = [
-        fleet.cell_campaign(_cell_config(matrix, cell), cache_dir=matrix.cache_dir)
-        for cell in matrix.cells
-    ]
+
+    def commit(order, campaign):
+        return _commit_cell(
+            matrix,
+            conn,
+            mid,
+            order,
+            matrix.cells[order],
+            campaign,
+            strict,
+            metrics_dir,
+            log,
+        )
+
     try:
-
-        def commit(order, campaign):
-            return _commit_cell(
-                matrix,
-                conn,
-                mid,
-                order,
-                matrix.cells[order],
-                campaign,
-                strict,
-                metrics_dir,
-                log,
-            )
-
-        return fleet.execute(campaigns, commit), fleet.telemetry()
+        configs = [_cell_config(matrix, cell) for cell in matrix.cells]
+        results = fleet.execute(configs, commit, cache_dir=matrix.cache_dir)
+        return results, fleet.telemetry()
     finally:
-        for campaign in campaigns:
-            campaign.close()
         fleet.close()

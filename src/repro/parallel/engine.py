@@ -69,30 +69,17 @@ __all__ = [
 ]
 
 
-def _env_int(name: str, default: int) -> int:
-    env = os.environ.get(name)
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            print(
-                f"warning: ignoring invalid {name} value {env!r}",
-                file=sys.stderr,
-            )
-    return default
-
-
 # Stages whose weighted cost (items x per-item weight, see
 # repro.experiments.stages.Stage.cost_weight) falls at or below this
 # threshold are run inline in the parent: the work is cheaper than
 # shipping it.  Roughly the cost of sweeping 25k addresses or ~25
 # stateful handshakes.
-INLINE_COST_THRESHOLD = _env_int("REPRO_INLINE_THRESHOLD", 25_000)
+INLINE_COST_THRESHOLD = 25_000
 
 # Sharded stages are split into OVERSHARD_FACTOR x workers tasks pulled
 # from an unordered queue, so an unlucky expensive shard cannot leave
 # the remaining workers idle behind a barrier.
-OVERSHARD_FACTOR = _env_int("REPRO_OVERSHARD", 4)
+OVERSHARD_FACTOR = 4
 
 # How long a worker waits at the broadcast barrier before giving up
 # (the broadcast still succeeded for this worker; the barrier only
@@ -394,7 +381,7 @@ class ScanEngine:
 
     def task_count(self, size_hint: Optional[int] = None) -> int:
         """How many shard tasks a stage of ``size_hint`` items gets."""
-        tasks = self.workers * max(1, OVERSHARD_FACTOR)
+        tasks = self.workers * OVERSHARD_FACTOR
         if size_hint is not None:
             tasks = max(min(tasks, size_hint), self.workers)
         return tasks

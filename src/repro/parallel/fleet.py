@@ -29,7 +29,9 @@ fleet scheduler amortises both:
   runs up to ``jobs`` cells' scans concurrently but commits results on
   the calling thread in submission order — a single sqlite writer, so
   warehouse rows and ledger entries are byte-identical to sequential
-  runs while cell *k*'s load overlaps cell *k+1*'s scans.
+  runs while cell *k*'s load overlaps cell *k+1*'s scans.  A cell's
+  campaign exists only from its submission to its commit, so the
+  parent holds ``jobs + 1`` cells however many the matrix has.
 
 Determinism relies on two existing engine invariants: chunk/shard
 boundaries never split one host's traffic, and per-host fault/path
@@ -334,6 +336,10 @@ class FleetScheduler:
         self.load_seconds = 0.0
         self.execute_seconds = 0.0
         self.cells_executed = 0
+        # Most cell campaigns alive at once (jobs + 1 pooled, 1
+        # in-process); volatile, never in metrics.json.
+        self.resident_cells_max = 0
+        self._resident = 0
 
     # -- worlds ---------------------------------------------------------------
     def world_for(self, config):
@@ -447,30 +453,47 @@ class FleetScheduler:
     # -- execution ------------------------------------------------------------
     def execute(
         self,
-        campaigns: Sequence,
+        configs: Sequence,
         commit: Callable[[int, object], object],
+        cache_dir=None,
     ) -> List[object]:
-        """Scan every campaign; commit each in submission order.
+        """Scan every cell configuration; commit each in submission order.
 
-        ``commit(index, campaign)`` runs on the calling thread — the
-        single writer — strictly in list order, so databases, ledgers
-        and logs are ordered exactly as a sequential driver's.  In
-        pooled mode up to ``jobs`` campaigns scan concurrently and
-        commit *k* overlaps scans *k+1 … k+jobs*; in-process mode
-        activates the shared world per cell and runs serially.
+        A cell's campaign lives from submission to commit: it is created
+        (:meth:`cell_campaign`) when it enters the in-flight window, and
+        closed and dropped as soon as ``commit(index, campaign)``
+        returns, so the parent holds O(jobs) campaigns, not O(cells);
+        commit's return value is all that is kept.  ``commit`` runs on
+        the calling thread — the single writer — strictly in list
+        order, so databases, ledgers and logs are ordered exactly as a
+        sequential driver's.  In pooled mode up to ``jobs`` cells scan
+        while commit *k* is written (``jobs + 1`` in flight);
+        in-process mode activates the shared world per cell and runs
+        one at a time.
         """
         start = time.perf_counter()
         try:
             if not self.pooled:
-                return self._execute_serial(campaigns, commit)
-            return self._execute_pooled(campaigns, commit)
+                return self._execute_serial(configs, commit, cache_dir)
+            return self._execute_pooled(configs, commit, cache_dir)
         finally:
             self.execute_seconds += time.perf_counter() - start
-            self.cells_executed += len(campaigns)
 
-    def _execute_serial(self, campaigns, commit):
+    def _admit(self, config, cache_dir):
+        campaign = self.cell_campaign(config, cache_dir=cache_dir)
+        self._resident += 1
+        self.resident_cells_max = max(self.resident_cells_max, self._resident)
+        return campaign
+
+    def _release(self, campaign) -> None:
+        campaign.close()
+        self._resident -= 1
+        self.cells_executed += 1
+
+    def _execute_serial(self, configs, commit, cache_dir):
         results = []
-        for index, campaign in enumerate(campaigns):
+        for index, config in enumerate(configs):
+            campaign = self._admit(config, cache_dir)
             scan_start = time.perf_counter()
             _activate_world(campaign.config, campaign._world)
             campaign.run_all_stages()
@@ -478,13 +501,14 @@ class FleetScheduler:
             load_start = time.perf_counter()
             results.append(commit(index, campaign))
             self.load_seconds += time.perf_counter() - load_start
+            self._release(campaign)
+            del campaign
         return results
 
-    def _execute_pooled(self, campaigns, commit):
-        self._ensure_pool()
+    def _execute_pooled(self, configs, commit, cache_dir):
         results = []
         pending = deque()
-        iterator = iter(enumerate(campaigns))
+        cells = enumerate(configs)
 
         def scan(campaign):
             scan_start = time.perf_counter()
@@ -494,12 +518,15 @@ class FleetScheduler:
         with ThreadPoolExecutor(max_workers=self.jobs) as executor:
 
             def submit_next() -> bool:
-                try:
-                    index, campaign = next(iterator)
-                except StopIteration:
-                    return False
-                pending.append((index, campaign, executor.submit(scan, campaign)))
-                return True
+                for index, config in cells:
+                    campaign = self._admit(config, cache_dir)
+                    # The first cell has built the shared world by now,
+                    # so the pool forks with it published: no worker
+                    # rebuilds it.  Later calls find the pool running.
+                    self._ensure_pool()
+                    pending.append((index, campaign, executor.submit(scan, campaign)))
+                    return True
+                return False
 
             # Keep jobs+1 cells in flight: jobs scanning plus the one
             # whose commit the main thread is writing.
@@ -512,6 +539,8 @@ class FleetScheduler:
                 load_start = time.perf_counter()
                 results.append(commit(index, campaign))
                 self.load_seconds += time.perf_counter() - load_start
+                self._release(campaign)
+                del campaign, future
                 submit_next()
         return results
 
@@ -529,6 +558,7 @@ class FleetScheduler:
             "cells_executed": self.cells_executed,
             "world_builds": self.world_builds,
             "world_reuse_hits": self.world_reuse_hits,
+            "resident_cells_max": self.resident_cells_max,
             "pool_respawns": self.pool_respawns,
             "scan_seconds": round(self.scan_seconds, 6),
             "load_seconds": round(self.load_seconds, 6),

@@ -20,7 +20,7 @@ streaming:
   never resolve stage dependencies, so the dep broadcast (and its
   barrier) disappears entirely,
 - **bounded queues with backpressure** — buffered consumer items are
-  capped (``REPRO_STREAM_QUEUE``); when handshake stages fall behind,
+  capped (``_QUEUE_LIMIT``); when handshake stages fall behind,
   sweep dispatch stalls instead of buffering unboundedly, and stalls
   are counted (``stream.backpressure_stalls``),
 - **deterministic merge** — every chunk computes under a fresh metrics
@@ -56,16 +56,16 @@ from repro.experiments.stages import STAGES, Stage
 from repro.observability.metrics import MetricsRegistry, use_metrics
 from repro.observability.tracing import EventTracer, use_tracer
 from repro.parallel import engine as engine_module
-from repro.parallel.engine import OVERSHARD_FACTOR, _env_int, _init_worker, _replica
+from repro.parallel.engine import OVERSHARD_FACTOR, _init_worker, _replica
 from repro.scanners.sweep import sweep_permutation
 
-__all__ = ["StreamEngine", "run_streaming", "stream_queue_limit"]
+__all__ = ["StreamEngine", "run_streaming"]
 
 # How many chunks per worker a source sweep that walks is cut into.
 # Finer than the barrier engine's oversharding: early chunks must
 # complete early for downstream overlap, and sweep chunks are cheap to
 # ship (two integers).
-_STREAM_CHUNKS_PER_WORKER = _env_int("REPRO_STREAM_CHUNKS", 8)
+_STREAM_CHUNKS_PER_WORKER = 8
 
 # Floor sizes keeping chunks worth their IPC round-trip.
 _MIN_SWEEP_CHUNK = 2048  # walk positions (~microseconds each)
@@ -74,19 +74,17 @@ _MIN_TARGET_CHUNK = 64  # explicit-list probes
 # Consumer batching: accumulate at least this many targets before
 # shipping a handshake chunk (flushed regardless when upstream ends),
 # and split floods (e.g. a cache-hit upstream arriving whole) into
-# chunks of at most REPRO_STREAM_MAX_BATCH so one consumer stage still
-# spreads across workers.
-_MIN_BATCH = _env_int("REPRO_STREAM_BATCH", 16)
-_MAX_BATCH = _env_int("REPRO_STREAM_MAX_BATCH", 256)
+# chunks of at most _MAX_BATCH so one consumer stage still spreads
+# across workers.
+_MIN_BATCH = 16
+_MAX_BATCH = 256
+
+# Max buffered consumer items before sweep dispatch stalls.
+_QUEUE_LIMIT = 2048
 
 # A chunk that produces no completion within this window means the
 # pool died or the scheduler wedged; fail loudly instead of hanging.
 _COMPLETION_TIMEOUT = 300.0
-
-
-def stream_queue_limit() -> int:
-    """Max buffered consumer items before sweep dispatch stalls."""
-    return _env_int("REPRO_STREAM_QUEUE", 2048)
 
 
 def _compute_chunk_on(campaign, task):
@@ -164,10 +162,10 @@ class StreamEngine:
         self._completions: queue.Queue = queue.Queue()
         self._inflight = 0
         self._inflight_depth: Dict[int, int] = {0: 0, 1: 0, 2: 0}
-        self._cap = self.workers * max(1, OVERSHARD_FACTOR)
-        self._min_batch = max(1, _MIN_BATCH)
+        self._cap = self.workers * OVERSHARD_FACTOR
+        self._min_batch = _MIN_BATCH
         self._max_batch = max(self._min_batch, _MAX_BATCH)
-        self._queue_limit = max(1, stream_queue_limit())
+        self._queue_limit = _QUEUE_LIMIT
         # Volatile telemetry.
         self._tasks_total = 0
         self._stalls = 0

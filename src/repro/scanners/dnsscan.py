@@ -43,11 +43,18 @@ class DnsScanner:
                 metrics.counter("dns.retries").inc()
 
     def scan_list(self, list_name: str, domains: Sequence[str]) -> DnsListRecords:
-        """Resolve every listed name; only a name that resolved keeps a record."""
+        """Resolve the listed names; only a name that resolved keeps a record.
+
+        A name no zone holds resolves to nothing, so it is not resolved
+        at all: most listed names are in no zone.
+        """
         metrics = get_metrics()
         answered: Dict[int, DnsScanRecord] = {}
         with_a = with_aaaa = with_https = 0
+        holds = self.resolver.holds
         for position, domain in enumerate(domains):
+            if not holds(domain):
+                continue
             result = self._resolve(domain, ("A", "AAAA", "HTTPS", "SVCB"), metrics)
             if result is None or not (result.a or result.aaaa or result.https):
                 # Nothing resolved, or (degraded) every attempt failed:

@@ -98,7 +98,7 @@ def test_zone_store_and_resolver():
     assert result.ipv6_addresses == [aaaa.address]
     assert result.has_https_rr
     assert result.https[0].params.alpn == ("h3",)
-    assert resolver.queries == 4  # A, AAAA, HTTPS, SVCB
+    assert resolver.holds("WWW.example.com.") and not resolver.holds("example.com")
 
 
 def test_resolver_nxdomain():
@@ -167,9 +167,8 @@ _NAMES = (
 def _reference_resolve(zones, domain, record_types, max_alias_depth=4):
     """``Resolver.resolve`` spelt with one ``lookup_*`` call per type and
     hop, every time — what ``ZoneStore.lookup`` must stay equal to."""
-    result, queries = ResolutionResult(domain=domain), 0
+    result = ResolutionResult(domain=domain)
     for record_type in record_types:
-        queries += 1
         if record_type == "A":
             result.a = zones.lookup_a(domain)
         elif record_type == "AAAA":
@@ -189,9 +188,8 @@ def _reference_resolve(zones, domain, record_types, max_alias_depth=4):
                 if not any(record.is_alias for record in records):
                     result.https = records
                     break
-                queries += 1
                 current = next(r for r in records if r.is_alias).target
-    return result, queries
+    return result
 
 
 @pytest.mark.parametrize(
@@ -201,12 +199,10 @@ def _reference_resolve(zones, domain, record_types, max_alias_depth=4):
 def test_resolve_equals_the_four_lookups(mixed_zones, record_types):
     resolver = Resolver(mixed_zones)
     for name in _NAMES:
-        before = resolver.queries
         result = resolver.resolve(name, record_types)
-        expected, queries = _reference_resolve(mixed_zones, name, record_types)
+        expected = _reference_resolve(mixed_zones, name, record_types)
         for part in ("domain", "a", "aaaa", "https", "svcb"):
             assert getattr(result, part) == getattr(expected, part), (name, part)
-        assert resolver.queries - before == queries, name
 
 
 def test_resolve_fixture_covers_every_shape(mixed_zones):
@@ -217,9 +213,8 @@ def test_resolve_fixture_covers_every_shape(mixed_zones):
     assert resolve("deep2.example").https and not resolve("deep0.example").https
     assert not resolve("loop-a.example").https
     assert resolve("svc.example").svcb[0].params.port == 8443
-    before = resolver.queries
     assert resolve("unhosted.example") == ResolutionResult("unhosted.example")
-    assert resolver.queries - before == 4
+    assert [name for name in _NAMES if not resolver.holds(name)] == ["unhosted.example"]
 
 
 def test_resolver_answers_are_copies(mixed_zones):
@@ -301,6 +296,55 @@ def test_scan_list_does_not_swallow_programming_errors(mixed_zones):
             scanner.scan_list("toplist", ["hosted.example", "unhosted.example"])
     assert registry.counter_value("dns.retries") == 0
     assert registry.counter_value("dns.giveups") == 0
+
+
+class _ResolvesEveryName(Resolver):
+    """A resolver claiming every name: ``scan_list`` without the skip."""
+
+    def holds(self, domain):
+        return True
+
+
+_OWNERS = ("a.example", "B.example.", "c.example", "d.example", "e.example")
+_RECORD = st.tuples(
+    st.sampled_from(("A", "AAAA", "SERVICE", "ALIAS", "SVCB")),
+    st.sampled_from(_OWNERS),
+    st.integers(1, 4),
+    st.sampled_from(_OWNERS),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    records=st.lists(_RECORD, max_size=10),
+    listed=st.lists(
+        st.sampled_from(_OWNERS + ("A.EXAMPLE", "f.example", "c.example.")), max_size=12
+    ),
+)
+def test_names_no_zone_holds_resolve_to_nothing_and_are_skipped(records, listed):
+    zones = ZoneStore()
+    for kind, owner, number, target in records:
+        if kind == "A":
+            zones.add_a(ARecord(name=owner, address=IPv4Address(number)))
+        elif kind == "AAAA":
+            zones.add_aaaa(AaaaRecord(name=owner, address=IPv6Address(number)))
+        elif kind == "SERVICE":
+            zones.add_https(_service(owner, alpn=("h3",), ipv4hint=(IPv4Address(number),)))
+        elif kind == "ALIAS":
+            zones.add_https(_alias(owner, target))
+        else:
+            zones.add_svcb(SvcbRecord(name=owner, priority=number, target="."))
+    resolver = Resolver(zones)
+    for name in set(listed):
+        if not zones.holds(name):
+            result = resolver.resolve(name)
+            assert not (result.a or result.aaaa or result.https), name
+    with use_metrics(MetricsRegistry()) as skipping:
+        skipped = DnsScanner(resolver).scan_list("toplist", listed)
+    with use_metrics(MetricsRegistry()) as resolving:
+        every = DnsScanner(_ResolvesEveryName(zones)).scan_list("toplist", listed)
+    assert list(skipped) == list(every) and skipped.answered == every.answered
+    assert skipping.snapshot() == resolving.snapshot()
 
 
 @settings(max_examples=60, deadline=None)

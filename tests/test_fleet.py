@@ -186,12 +186,17 @@ class TestActivation:
         fleet = FleetScheduler()
         # Dirty the shared snapshot with a different cell first, so the
         # second activation really exercises the pristine restore.
-        first = fleet.cell_campaign(_config(path_profile="bufferbloat"))
-        cell = fleet.cell_campaign(config)
-        fleet.execute([first, cell], lambda index, campaign: None)
+        # A cell is released once committed: read it inside the commit.
+        _, (lines, metrics) = fleet.execute(
+            [_config(path_profile="bufferbloat"), config],
+            lambda index, cell: (
+                {stage: _record_lines(cell, stage) for stage in DIFF_STAGES},
+                render_metrics_json(cell),
+            ),
+        )
         for stage in DIFF_STAGES:
-            assert _record_lines(cell, stage) == _record_lines(baseline, stage), stage
-        assert render_metrics_json(cell) == render_metrics_json(baseline)
+            assert lines[stage] == _record_lines(baseline, stage), stage
+        assert metrics == render_metrics_json(baseline)
 
 
 class TestLongitudinalByteIdentity:

@@ -284,3 +284,84 @@ def test_cold_world_generates_its_ca_key_and_nothing_else(monkeypatch):
         assert generated == [1024], "a cold world generates its CA key only"
     build_world(week=17, scale=scale, seed=6)
     assert generated == [1024, 1024], "another seed costs one more CA key"
+
+
+def test_dns_stage_resolves_only_names_a_zone_holds(monkeypatch):
+    """Counts: a DNS stage that resolves a listed name no zone holds (or
+    skips one a zone holds) fails here."""
+    from collections import Counter
+
+    from repro.dns.resolver import Resolver
+    from repro.experiments.campaign import Campaign
+
+    resolved = Counter()
+    real_resolve = Resolver.resolve
+
+    def counting_resolve(self, domain, record_types=("A", "AAAA", "HTTPS", "SVCB")):
+        resolved[domain] += 1
+        return real_resolve(self, domain, record_types)
+
+    scale = Scale(addresses=200_000, ases=4_000, domains=200_000)
+    campaign = Campaign(CampaignConfig(week=18, scale=scale))
+    zones = campaign.world.zones
+    monkeypatch.setattr(Resolver, "resolve", counting_resolve)
+    lists = campaign.dns_records
+    held = Counter(
+        name for records in lists.values() for name in records.names if zones.holds(name)
+    )
+    listed = sum(len(records) for records in lists.values())
+    assert resolved == held and 0 < sum(held.values()) < listed
+
+
+def _fleet_residency(monkeypatch, jobs, cells):
+    """Run ``cells`` profile cells on a fleet of ``jobs``; at each commit,
+    count the cell campaigns still alive with a stage computed."""
+    import gc
+    import weakref
+
+    from repro.experiments.stages import STAGE_NAMES
+    from repro.parallel.fleet import FleetScheduler
+
+    profiles = ("baseline", "geo-satellite", "lossy-edge", "rate=2mbps,rtt=100ms", "bufferbloat")
+    scale = Scale(addresses=200_000, ases=4_000, domains=200_000)
+    configs = [
+        CampaignConfig(week=18, scale=scale, seed=23, path_profile=profiles[i % len(profiles)])
+        for i in range(cells)
+    ]
+    created = []
+    real_cell_campaign = FleetScheduler.cell_campaign
+
+    def tracking_cell_campaign(self, config, cache_dir=None):
+        campaign = real_cell_campaign(self, config, cache_dir=cache_dir)
+        created.append(weakref.ref(campaign))
+        return campaign
+
+    def resident():
+        gc.collect()
+        return sum(
+            1
+            for ref in created
+            if ref() is not None and any(name in vars(ref()) for name in STAGE_NAMES)
+        )
+
+    monkeypatch.setattr(FleetScheduler, "cell_campaign", tracking_cell_campaign)
+    with FleetScheduler(jobs=jobs) as fleet:
+        at_commit = fleet.execute(configs, lambda index, campaign: resident())
+        telemetry = fleet.telemetry()
+    return at_commit, resident(), len(created), telemetry
+
+
+def test_pooled_fleet_holds_a_cell_from_submit_to_commit(monkeypatch):
+    """Counts: a fleet that keeps committed cells (or builds them all up
+    front) holds more than ``jobs + 1`` campaigns at a commit."""
+    at_commit, after, created, telemetry = _fleet_residency(monkeypatch, jobs=2, cells=6)
+    assert created == 6 and max(at_commit) <= 3 and after == 0
+    assert telemetry["resident_cells_max"] == 3
+    assert telemetry["world_builds"] == 1 and telemetry["world_reuse_hits"] == 5
+    assert telemetry["pool_respawns"] == 0
+
+
+def test_in_process_fleet_holds_one_cell_at_a_time(monkeypatch):
+    at_commit, after, created, telemetry = _fleet_residency(monkeypatch, jobs=1, cells=5)
+    assert created == 5 and at_commit == [1] * 5 and after == 0
+    assert telemetry["resident_cells_max"] == 1 and telemetry["world_builds"] == 1

@@ -140,7 +140,7 @@ def test_backpressure_stalls_sources(monkeypatch):
     beside a waiting source.  So the cap is narrowed with the queue, and
     consumers batch until a stall flushes them.
     """
-    monkeypatch.setattr(stream_module, "stream_queue_limit", lambda: 1)
+    monkeypatch.setattr(stream_module, "_QUEUE_LIMIT", 1)
     monkeypatch.setattr(stream_module, "OVERSHARD_FACTOR", 1)
     monkeypatch.setattr(stream_module, "_MIN_BATCH", 1_000)
     campaign = Campaign(CampaignConfig(week=18, scale=STREAM_SCALE, seed=7), workers=2)
