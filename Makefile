@@ -65,10 +65,10 @@ bench:
 
 # Fast cold serial-vs-parallel overhead gate on a small world; fails
 # when parallel cold exceeds 1.25x serial, the streaming pipeline
-# stops overlapping stages (pipeline_speedup collapse, overlap_ratio
-# at/below 1, missing queue-depth/backpressure counters), any
-# StageHealth is not "success", or the dep-broadcast reduction
-# collapses. Wired into `make test`.
+# stops overlapping stages (pipeline_speedup over a stage-at-a-time
+# run collapses, overlap_ratio at/below 1, missing
+# queue-depth/backpressure counters), or any StageHealth is not
+# "success". Wired into `make test`.
 bench-smoke:
 	$(PYTHON) -m repro bench --smoke --workers 2
 

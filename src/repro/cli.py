@@ -46,9 +46,9 @@ Subcommands:
   — see ``docs/LONGITUDINAL.md``; exits nonzero only when *no* week
   completed.
 
-``--workers N`` shards scan stages across a process pool (ZMap-style
-permutation sharding; identical output — records *and* merged metrics
-— to a serial run) and ``--cache-dir DIR`` persists completed stages
+``--workers N`` streams scan stages in chunks across a process pool
+(identical output — records *and* merged metrics — to a serial run;
+a stage read on its own streams with the inputs it lacks) and ``--cache-dir DIR`` persists completed stages
 on disk for reuse.
 """
 
@@ -115,7 +115,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--workers",
         type=int,
         default=1,
-        help="shard scan stages across N worker processes (default 1: serial)",
+        help="stream scan stages across N worker processes (default 1: serial)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -319,21 +319,6 @@ def _cmd_conform(args) -> int:
     return 0 if conformance_ok(vectors, fuzz, differential, fleet) else 1
 
 
-def _print_data_movement(movement) -> None:
-    shipped = movement.get("dep_bytes_shipped", 0)
-    naive = movement.get("dep_bytes_naive", 0)
-    factor = movement.get("dep_reduction_factor")
-    print(
-        f"  dep bytes shipped: {shipped:,} (naive per-task baseline"
-        f" {naive:,}, {factor}x reduction)"
-    )
-    print(
-        f"  broadcasts/hits:   {movement.get('dep_broadcasts', 0)}"
-        f" rounds, {movement.get('dep_cache_hits', 0)} cache hits,"
-        f" {movement.get('inline_stages', 0)} stages inline"
-    )
-
-
 def _print_streaming(results) -> None:
     campaign = results.get("campaign", {})
     streaming = results.get("streaming")
@@ -341,7 +326,7 @@ def _print_streaming(results) -> None:
         return
     print(
         f"  pipeline:          {campaign.get('pipeline_speedup')}x over the"
-        f" barrier stage sum ({campaign.get('barrier_stage_sum_seconds')}s)"
+        f" staged stage sum ({campaign.get('staged_stage_sum_seconds')}s)"
     )
     print(
         f"  stream sched:      {streaming.get('tasks', 0)} tasks, overlap"
@@ -390,7 +375,6 @@ def _cmd_bench(args) -> int:
         print(f"  serial cold:       {serial}s")
         print(f"  parallel cold:     {parallel}s ({ratio}x serial)")
         _print_streaming(results)
-        _print_data_movement(results["data_movement"])
         failures = check_benchmarks(results)
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)
@@ -460,7 +444,6 @@ def _cmd_bench(args) -> int:
             f" overlap {fleet['overlap_ratio']}x)"
         )
     _print_streaming(results)
-    _print_data_movement(results["data_movement"])
     if args.check:
         failures = check_benchmarks(results, baseline=baseline)
         for failure in failures:
@@ -980,7 +963,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--workers",
         type=int,
         default=1,
-        help="worker processes for full (non-delta) weeks (default 1)",
+        help="worker processes streaming full (non-delta) weeks (default 1)",
     )
     longitudinal_parser.add_argument(
         "--cache-dir",

@@ -1,6 +1,6 @@
-"""Differential oracle: serial vs sharded campaign byte-equality.
+"""Differential oracle: serial vs parallel campaign byte-equality.
 
-The parallel scan engine promises that ``--workers N`` changes nothing
+The parallel scheduler promises that ``--workers N`` changes nothing
 but wall time: records come back in serial order and merged metrics
 serialise byte-identically.  This module *replays* one campaign
 configuration through both paths and diffs the serialized artefacts —
@@ -8,7 +8,7 @@ every stage's records (through the same
 :func:`repro.scanners.io.dump_record` JSONL serializer the ``scan
 --output`` path uses) and the deterministic ``metrics.json`` bytes.
 Any divergence is reported with the first differing stage, index and
-line, which is what makes a sharding regression debuggable rather than
+line, which is what makes a chunking regression debuggable rather than
 a silent ordering flake.
 
 :func:`run_fleet_differential` extends the oracle to the fleet
@@ -79,7 +79,7 @@ def run_differential(
     scale_addresses: int = 100_000,
     workers: int = 2,
 ) -> DifferentialResult:
-    """Run one campaign serially and with ``workers`` shards, then diff.
+    """Run one campaign serially and on ``workers`` processes, then diff.
 
     ``scale_addresses`` is the world-scale divisor (larger = smaller
     world); the default matches the observability test scale so every

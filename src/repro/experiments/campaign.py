@@ -17,10 +17,12 @@ configuration.
 
 Two optional accelerations sit underneath the lazy properties:
 
-- a :class:`~repro.parallel.ScanEngine` (``workers > 1``) shards each
-  stage across a process pool — ZMap sweeps by cyclic-permutation
-  sub-iteration, stateful loops by contiguous target blocks — and
-  merges the results back into serial order, record for record,
+- with ``workers > 1`` (or a fleet), stages stream through
+  :class:`~repro.parallel.stream.StreamEngine` on a process pool that
+  lives until :meth:`Campaign.close` (or is the fleet's): accessing one
+  stage streams it together with the table inputs it still lacks, and
+  ``run_all_stages`` streams every stage at once; chunks merge back
+  into serial order, record for record,
 - a :class:`~repro.experiments.stage_cache.CampaignStageCache`
   (``cache_dir``) persists completed stages on disk so repeated runs
   skip them entirely (warm runs never even build the world).
@@ -30,7 +32,7 @@ Observability: every campaign owns a
 :class:`~repro.observability.tracing.EventTracer`.  The stage wrappers
 install them as *current* while a stage computes (so the scanners and
 engines record into them), account per-stage record counts, cache
-hits/misses and wall times, and — in parallel runs — merge the shard
+hits/misses and wall times, and — in parallel runs — merge the chunk
 workers' metric snapshots back in.  ``repro report`` renders the
 result (see :mod:`repro.observability.report`).
 """
@@ -195,15 +197,15 @@ class Campaign:
         self.config = config
         self._world = world
         self._workers = max(1, workers or 1)
-        self._engine = None
+        self._pool = None
         self._cache = None
-        # When attached to a fleet scheduler, parallel stages run on the
+        # When attached to a fleet scheduler, stages stream on the
         # fleet's shared pool instead of a per-campaign one.
         self._fleet = fleet
         # Every campaign owns its metrics so concurrent campaigns in
         # one process (tests, benchmarks) never mix telemetry.  The
         # registry is installed as *current* around each stage, so the
-        # scanners pick it up without constructor plumbing; shard
+        # scanners pick it up without constructor plumbing; chunk
         # workers record into fresh registries that merge back here.
         self.metrics = MetricsRegistry()
         self.tracer = tracer if tracer is not None else EventTracer(0.0)
@@ -285,28 +287,80 @@ class Campaign:
         return self._cache
 
     def close(self) -> None:
-        """Shut down the parallel engine's worker pool, if any."""
-        if self._engine is not None:
-            self._engine.close()
-            self._engine = None
+        """Shut down this campaign's own worker pool, if it has one."""
+        if self._pool is not None:
+            self._pool.close()
+            self._pool = None
+
+    def worker_pool(self):
+        """The pool this campaign's stages stream on: the fleet's, or its own."""
+        if self._fleet is not None:
+            return self._fleet.acquire_pool()
+        from repro.parallel.pool import WorkerPool, world_digest
+
+        if self._pool is None:
+            self._pool = WorkerPool(self._workers)
+        return self._pool.ensure({world_digest(self.config): (self.config, self.world)})
 
     # -- stage execution ---------------------------------------------------------
     #
-    # Every scan stage is one row of the stage table, computed by one
-    # shard-aware path returning (position, record) pairs; serial
-    # execution is simply shard 0 of 1.  The wrappers below layer the
-    # persistent cache and the parallel engine on top without changing
+    # Every scan stage is one row of the stage table.  A serial
+    # campaign computes it here as shard 0 of 1; a parallel one streams
+    # it in chunks.  Both return (position, record) pairs, and the
+    # wrappers below layer the persistent cache on top without changing
     # the serial record stream in any way.
 
     def _stage(self, name: str) -> List:
-        """A table stage: cached, sharded on the engine, or computed here."""
+        """A table stage: cached, streamed on the pool, or computed here."""
+        if self._workers > 1 or self._fleet is not None:
+            self._stream([name])
+            return self.__dict__[name]
+        return self._materialise(name, lambda: self._serial_compute(name))
 
-        def compute() -> Tuple[List, StageHealth]:
-            if self._workers > 1:
-                return self._engine_run(name)
-            return self._serial_compute(name)
+    def _stream(self, names: Sequence[str]):
+        """Stream ``names`` and the table inputs they still lack; the engine run.
 
-        return self._materialise(name, compute)
+        The walk up the inputs stops at stages already on the campaign
+        or in the stage cache, so a stage streams only when a serial
+        access would compute it.  None when nothing is left to compute.
+        """
+        from repro.parallel.stream import StreamEngine
+
+        pending = self._upstream(names, lambda name: name in BY_NAME and self._lacks(name))
+        if not pending:
+            return None
+        engine = StreamEngine(self, pending)
+        engine.run()
+        return engine
+
+    def _lacks(self, name: str) -> bool:
+        """Whether a stage is neither on the campaign nor served by the cache.
+
+        A cache hit is installed on the spot.
+        """
+        if name in self.__dict__:
+            return False
+        start = time.perf_counter()
+        value = self._cache.load(name) if self._cache is not None else None
+        if value is None:
+            return True
+        self.install_stage(name, value, StageHealth(stage=name), "hit", start)
+        self.__dict__[name] = value
+        return False
+
+    def _upstream(self, names: Sequence[str], keep: Callable[[str], bool]) -> List[str]:
+        """``names`` and their transitive :func:`stage_inputs` that ``keep`` holds for.
+
+        The walk does not continue past a stage ``keep`` rejects.
+        """
+        kept: List[str] = []
+        stack = list(reversed(names))
+        while stack:
+            name = stack.pop()
+            if name not in kept and keep(name):
+                kept.append(name)
+                stack.extend(stage_inputs(name))
+        return kept
 
     def _plain_stage(
         self,
@@ -320,12 +374,10 @@ class Campaign:
     def _materialise(self, name: str, compute: Callable[[], Tuple[object, StageHealth]]):
         """Load a stage from the cache, else compute it; then install it."""
         start = time.perf_counter()
+        if not self._lacks(name):
+            return self.__dict__[name]
+        value, health = compute()
         cache_state = "off" if self._cache is None else "miss"
-        value = self._cache.load(name) if self._cache is not None else None
-        if value is not None:
-            cache_state, health = "hit", StageHealth(stage=name)
-        else:
-            value, health = compute()
         self.install_stage(name, value, health, cache_state, start)
         return value
 
@@ -387,18 +439,11 @@ class Campaign:
         authoritative.  Stages independent of the failure still cache
         normally.
         """
-        seen: Set[str] = set()
-        stack = list(stage_inputs(name))
-        while stack:
-            dep = stack.pop()
-            if dep in seen:
-                continue
-            seen.add(dep)
-            entry = self.stage_health.get(dep)
-            if entry is not None and entry.status != "success":
-                return True
-            stack.extend(stage_inputs(dep))
-        return False
+        return any(
+            self.stage_health[dep].status != "success"
+            for dep in self._upstream(stage_inputs(name), lambda dep: True)
+            if dep in self.stage_health
+        )
 
     def _guarded(
         self, name: str, compute: Callable[[], object], empty: Callable[[], object]
@@ -423,49 +468,6 @@ class Campaign:
             list,
         )
 
-    def _engine_run(self, name: str) -> Tuple[List, StageHealth]:
-        from repro.parallel import ScanEngine, engine as engine_module
-
-        stage = BY_NAME[name]
-        items = self.stage_size(stage)
-        cost = items * stage.cost_weight
-        if cost <= engine_module.INLINE_COST_THRESHOLD:
-            # The stage is cheaper than shipping it: run it inline in
-            # the parent, exactly like a serial campaign would.
-            records, health = self._serial_compute(name)
-            self.metrics.counter("engine.inline_stages", volatile=True).inc()
-            return records, health
-        if self._engine is None:
-            if self._fleet is not None:
-                # Fleet campaigns share one persistent pool; the fleet
-                # hands out an engine facade bound to it.
-                self._engine = self._fleet.scan_engine(self)
-            else:
-                # Passing the built world lets the pool's fork inherit
-                # it copy-on-write instead of each worker rebuilding one.
-                self._engine = ScanEngine(self.config, self._workers, world=self.world)
-        deps = {dep: getattr(self, dep) for dep in stage.deps}
-        records, errors, shards = self._engine.run_stage(
-            name,
-            deps,
-            metrics=self.metrics,
-            tracer=self.tracer,
-            size_hint=items,
-        )
-        if not errors:
-            status = "success"
-        elif len(errors) >= shards:
-            status = "failed"
-        else:
-            status = "degraded"
-        return records, StageHealth(
-            stage=name,
-            status=status,
-            error="; ".join(errors) or None,
-            shards=shards,
-            shards_failed=len(errors),
-        )
-
     def failed_stages(self) -> List[str]:
         """Stages that produced nothing at all (total failure)."""
         return [n for n, h in self.stage_health.items() if h.status == "failed"]
@@ -475,7 +477,7 @@ class Campaign:
         return [n for n, h in self.stage_health.items() if h.status == "degraded"]
 
     def compute_stage_shard(self, name: str, shard: int, of: int) -> List[Tuple[int, object]]:
-        """Compute one shard of a stage (the barrier engine's worker entry point).
+        """Compute one shard of a stage; a serial campaign computes shard 0 of 1.
 
         An IPv4 sweep takes every ``of``-th position of the walk; a list
         stage takes one contiguous block of its target list, cut on
@@ -484,10 +486,10 @@ class Campaign:
         """
         stage = BY_NAME[name]
         # Resolve dependencies *before* opening this stage's fault
-        # epoch: in serial runs a dependency may itself compute here
-        # (under its own epoch), so the order guarantees this stage's
-        # traffic always starts on a freshly keyed epoch — exactly as
-        # a shard worker (whose deps arrive precomputed) sees it.
+        # epoch: a dependency may itself compute here (under its own
+        # epoch), so the order guarantees this stage's traffic always
+        # starts on a freshly keyed epoch — exactly as a chunk worker
+        # (whose targets arrive precomputed) sees it.
         for dep in stage.deps:
             getattr(self, dep)
         self.world.network.begin_fault_epoch(name)
@@ -505,12 +507,11 @@ class Campaign:
     # -- streaming entry points (see repro.parallel.stream) ----------------
     #
     # The streaming engine partitions work by *contiguous serial-order
-    # segments* instead of interleaved permutation shards, and ships
-    # each chunk's targets in the task itself (they are the upstream
-    # chunk's freshly produced records, not a broadcastable stage
-    # dependency).  Each entry point opens the stage's fault epoch and
-    # seeks scanner rng state to the chunk's global offset, so records
-    # and merged metrics stay byte-identical to a serial run.
+    # segments* and ships each chunk's targets in the task itself (they
+    # are the upstream chunk's freshly produced records).  Each entry
+    # point opens the stage's fault epoch and seeks scanner rng state
+    # to the chunk's global offset, so records and merged metrics stay
+    # byte-identical to a serial run.
 
     def compute_stage_range(self, name: str, lo: int, hi: int) -> List[Tuple[int, object]]:
         """Sweep the contiguous walk segment ``[lo, hi)`` of an IPv4 sweep."""
@@ -583,25 +584,24 @@ class Campaign:
         return len(self.stage_items(stage))
 
     def run_all_stages(self, streaming: bool = True) -> Dict[str, int]:
-        """Execute every stage in canonical order; returns record counts.
+        """Execute every stage; returns record counts.
 
-        With ``workers > 1`` the stages run through the streaming
-        dataflow engine: upstream sweep chunks feed stateful scanner
-        chunks while the sweeps are still running, killing the
-        per-stage barrier (records and ``metrics.json`` stay
-        byte-identical to a serial run).  ``streaming=False`` falls back
-        to barrier-synchronised per-stage sharding.
+        With ``workers > 1`` (or a fleet) every stage still missing
+        streams in one run: upstream sweep chunks feed stateful scanner
+        chunks while the sweeps are still running (records and
+        ``metrics.json`` stay byte-identical to a serial run).  A
+        serial campaign computes the stages in canonical order.
+        ``streaming`` must be True: there is no other parallel path.
         """
+        if not streaming:
+            raise ValueError("run_all_stages: every parallel run streams; streaming=False is refused")
         counts: Dict[str, int] = {}
         counts["dns"] = len(self.all_dns_records)
-        # The pending gate makes re-invocation (e.g. load_campaign
-        # calling run_all_stages on an already-executed fleet cell) a
-        # pure count pass — no engine dispatch, no re-accounting.
-        pending = any(name not in self.__dict__ for name in STAGE_NAMES)
-        if pending and (self._fleet is not None or (streaming and self._workers > 1)):
-            from repro.parallel.stream import run_streaming
-
-            run_streaming(self, fleet=self._fleet)
+        # Stages already on the campaign are not recomputed, so
+        # re-invocation (e.g. load_campaign on an executed fleet cell)
+        # is a pure count pass.
+        if self._workers > 1 or self._fleet is not None:
+            self._stream(STAGE_NAMES)
         for name in STAGE_NAMES:
             counts[name] = len(getattr(self, name))
         return counts

@@ -6,10 +6,10 @@ families and, for the two stateful scanners, with and without SNI.
 Each stage is one :class:`Stage` row of :data:`STAGES`, in canonical
 execution order (dependencies first), and everything that knows about
 stages derives from these rows: the campaign's stage accessors, the
-values shipped to shard workers, the inputs that gate the stage cache,
-the streaming engine's consumers, barrier stages and dispatch depths,
-the inline-cost weights, the delta merge keys, and the stage lists of
-the report, the warehouse loader, QA and marts.
+values a stage reads, the inputs that gate the stage cache and decide
+what a lazily accessed stage streams with, the streaming engine's
+consumers, barrier stages and dispatch depths, the delta merge keys,
+and the stage lists of the report, the warehouse loader, QA and marts.
 
 This module is the only place in ``repro`` that spells a stage name.
 """
@@ -108,7 +108,12 @@ class Stage:
 
     @property
     def deps(self) -> Tuple[str, ...]:
-        """Campaign values a shard worker reads: shipped once by the parent."""
+        """Campaign values the stage's targets derive from.
+
+        A serial compute resolves them before it opens the stage's
+        fault epoch; a stream derives each chunk's targets from them in
+        the parent, so workers never read them.
+        """
         if self.sweep:
             return (IPV6_SCAN_INPUT,) if self.family == 6 else ()
         if self.barrier:
@@ -120,7 +125,9 @@ class Stage:
         """Health-tracked stages this stage reads, through derived lists too.
 
         A stage is cached only when every transitive input completed
-        ``success`` (:meth:`repro.experiments.campaign.Campaign._tainted`).
+        ``success`` (:meth:`repro.experiments.campaign.Campaign._tainted`),
+        and a lazily accessed stage streams together with the inputs
+        the campaign still lacks.
         """
         if self.sweep:
             return self.deps
@@ -128,18 +135,6 @@ class Stage:
             zmap, goscanner = self.barrier
             return (zmap, DNS_RECORDS, goscanner)
         return (self.upstream.name,) + ((DNS_RECORDS,) if self.sni else ())
-
-    @property
-    def cost_weight(self) -> int:
-        """Relative per-item cost, weighed against the inline threshold.
-
-        A stateless probe costs microseconds (a listed target about two
-        walked addresses), a stateful handshake milliseconds; see
-        :data:`repro.parallel.engine.INLINE_COST_THRESHOLD`.
-        """
-        if self.sweep:
-            return 1 if self.walks_space else 2
-        return 1000
 
     def address(self, item):
         """The target address of one of this stage's target items."""

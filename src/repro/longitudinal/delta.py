@@ -141,7 +141,7 @@ def build_week_campaign(
 
     ``fleet`` (a :class:`~repro.parallel.fleet.FleetScheduler` in
     pooled mode) attaches only to full-week campaigns: delta campaigns
-    are hard-serial by design — engine replicas would bypass their
+    are hard-serial by design — worker replicas would bypass their
     merge overrides — so they never touch a pool, shared or otherwise.
     """
     if previous_config is not None:
@@ -156,9 +156,9 @@ class DeltaCampaign(Campaign):
 
     Only the stateful stages' chunk scan is overridden; sweeps, DNS
     and all derived target lists run exactly as in :class:`Campaign`.
-    Delta campaigns always execute serially (``workers=1``): the
-    engine's shard workers build plain ``Campaign`` replicas, which
-    would silently bypass the overrides.
+    Delta campaigns always execute serially (``workers=1``): pool
+    workers build plain ``Campaign`` replicas, which would silently
+    bypass the overrides.
     """
 
     def __init__(self, config, previous: PreviousWeek, cache_dir=None, tracer=None):

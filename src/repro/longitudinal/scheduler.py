@@ -178,7 +178,7 @@ class LongitudinalScheduler:
 
             # One scheduler for the whole series: full-week scans share
             # its persistent pool (and the workers' warm caches) across
-            # weeks instead of respawning an engine per week.
+            # weeks instead of forking a pool per week.
             fleet = FleetScheduler(
                 jobs=config.fleet_jobs, campaign_workers=config.workers
             )

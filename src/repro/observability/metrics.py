@@ -18,9 +18,9 @@ Two design constraints shape the implementation:
    a pre-resolved handle; scanners resolve their handles once per
    stage (or batch per-loop tallies locally and flush at the end), so
    the stateless sweeps pay near zero per probe.
-2. **Mergeable snapshots.**  The sharded parallel engine runs scan
-   stages in worker processes; each worker snapshots its local
-   registry and the parent merges the snapshots in shard order.
+2. **Mergeable snapshots.**  The parallel scheduler runs scan stages
+   in worker processes; each chunk task snapshots its local registry
+   and the parent merges the snapshots in chunk order.
    Merging is associative and commutative for every kind — counters
    and histogram buckets are integer sums, histogram value sums are
    accumulated in integer nanos (float addition order would otherwise
@@ -253,7 +253,7 @@ class MetricsRegistry:
         """Fold a snapshot into this registry (associative, commutative).
 
         Counters and histogram state add; gauges keep the maximum of
-        both sides (shard workers are expected to leave gauges to the
+        both sides (chunk workers are expected to leave gauges to the
         parent, so this only matters for ties).
         """
         volatile = set(snapshot.get("volatile", ()))

@@ -17,9 +17,9 @@ no-op span, keeping disabled tracing free on the hot path.
 
 Traces dump as JSONL (one event object per line) via
 :func:`EventTracer.dump_jsonl`; the ``repro report --trace`` flag
-wires this up end to end.  In sharded parallel runs each worker
-traces into a fresh tracer and the parent appends the drained events
-in shard order.
+wires this up end to end.  In parallel runs each chunk task traces
+into a fresh tracer and the parent appends the drained events in
+chunk order.
 """
 
 from __future__ import annotations

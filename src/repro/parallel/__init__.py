@@ -1,15 +1,16 @@
 """Parallel execution of campaign scan stages.
 
-Two engines share the worker plumbing: the barrier-synchronised
-:class:`ScanEngine` (one stage at a time, interleaved permutation
-shards) and the streaming :class:`StreamEngine` (record dataflow over
-prefix-ordered chunks; see :mod:`repro.parallel.stream`).  Both plan
-from the stage table (:mod:`repro.experiments.stages`): its rows give
-each stage's shipped dependencies, inline-cost weight, consumers,
-barrier requirements and dispatch depth.
+One scheduler, :class:`StreamEngine` (:mod:`repro.parallel.stream`),
+runs every parallel stage: a record dataflow over prefix-ordered
+chunks, planned from the stage table (:mod:`repro.experiments.stages`),
+whose rows give each stage's consumers, barrier requirements and
+dispatch depth.  It runs on a :class:`~repro.parallel.pool.WorkerPool`
+(:mod:`repro.parallel.pool`): a campaign's own, or the fleet's shared
+one (:mod:`repro.parallel.fleet`).  :class:`ScanEngine` is a one-stage
+entry into the same scheduler for ``benchmarks/scanbench``.
 """
 
 from repro.parallel.engine import ScanEngine
-from repro.parallel.stream import StreamEngine, run_streaming
+from repro.parallel.stream import StreamEngine
 
-__all__ = ["ScanEngine", "StreamEngine", "run_streaming"]
+__all__ = ["ScanEngine", "StreamEngine"]

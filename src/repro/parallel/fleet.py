@@ -8,9 +8,9 @@ yet the sequential drivers rebuild the simulated Internet (~2.2 s of a
 fleet scheduler amortises both:
 
 - **Shared world snapshots.**  The world-shaping configuration subset
-  (:func:`repro.parallel.engine.world_key`) excludes fault/path
+  (:func:`repro.parallel.pool.world_key`) excludes fault/path
   profiles, so every matrix cell maps to one
-  :func:`~repro.parallel.engine.world_digest`.  The fleet builds that
+  :func:`~repro.parallel.pool.world_digest`.  The fleet builds that
   world once, *pristine* (no profiles applied), publishes it in
   ``_FORK_SHARED`` under the :data:`PRISTINE` tag for pool forks to
   inherit copy-on-write, and **activates** it per cell: restore the
@@ -20,11 +20,11 @@ fleet scheduler amortises both:
   configuration, so records and ``metrics.json`` stay byte-identical
   to sequential runs (proven by ``repro conform --fleet``).
 - **One persistent pool.**  All cells (and all longitudinal weeks)
-  share a single fork pool.  Tasks are wrapped with the owning cell's
-  configuration; each worker keeps an LRU of world replicas keyed by
-  digest plus campaign replicas keyed by the full configuration, so
-  dep-broadcast caches and warm crypto caches survive across cells and
-  weeks while stale worlds are evicted.
+  share a single fork pool, and their stages stream on it.  Every
+  chunk task carries its cell's configuration; each worker keeps an
+  LRU of world replicas keyed by digest plus campaign replicas keyed
+  by the full configuration, so warm crypto caches survive across
+  cells and weeks while stale worlds are evicted.
 - **Ordered commits, overlapped loads.**  :meth:`FleetScheduler.execute`
   runs up to ``jobs`` cells' scans concurrently but commits results on
   the calling thread in submission order — a single sqlite writer, so
@@ -33,7 +33,7 @@ fleet scheduler amortises both:
   campaign exists only from its submission to its commit, so the
   parent holds ``jobs + 1`` cells however many the matrix has.
 
-Determinism relies on two existing engine invariants: chunk/shard
+Determinism relies on two existing engine invariants: chunk
 boundaries never split one host's traffic, and per-host fault/path
 state is a pure function of ``(seed, stage epoch, host traffic)`` —
 so re-activating a world between tasks is invisible to the records.
@@ -41,33 +41,29 @@ so re-activating a world between tasks is invisible to the records.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import sys
 import threading
 import time
 from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.crypto.rand import derive_seed
-from repro.parallel import engine as engine_module
-from repro.parallel import stream as stream_module
-from repro.parallel.engine import ScanEngine
+from repro.parallel.pool import _FORK_SHARED, WorkerPool, world_digest
 
 __all__ = [
     "PRISTINE",
-    "FleetScanEngine",
     "FleetScheduler",
     "fleet_pool_size",
 ]
 
 # Tag marking a profile-free world snapshot in ``_FORK_SHARED``.  A
 # plain string deliberately never compares equal to a campaign
-# configuration, so non-fleet engines (whose ``_replica`` adoption
-# guard is ``entry[0] == config``) ignore fleet snapshots and rebuild —
-# a fleet world must be *activated* before use, which only fleet task
-# wrappers know how to do.
+# configuration, so a campaign's own pool (whose replica adoption
+# guard is ``entry[0] == config``) ignores fleet snapshots and
+# rebuilds — a fleet world must be *activated* before use, which only
+# the fleet's replica lookup knows how to do.
 PRISTINE = "fleet-pristine"
 
 # How many distinct world snapshots (and campaign replicas) each worker
@@ -81,7 +77,6 @@ _MAX_CAMPAIGNS = 8
 _FLEET_MAX_WORLDS = DEFAULT_MAX_WORLDS
 _FLEET_WORLDS: "OrderedDict[str, object]" = OrderedDict()
 _FLEET_CAMPAIGNS: "OrderedDict[Tuple, object]" = OrderedDict()
-_FLEET_BARRIER = None
 
 
 def fleet_pool_size(jobs: int, workers: int) -> int:
@@ -175,12 +170,11 @@ def _activate_world(config, world) -> None:
 # -- worker side ---------------------------------------------------------------
 
 
-def _fleet_init(max_worlds: int, barrier) -> None:
-    global _FLEET_MAX_WORLDS, _FLEET_WORLDS, _FLEET_CAMPAIGNS, _FLEET_BARRIER
+def _fleet_init(max_worlds: int) -> None:
+    global _FLEET_MAX_WORLDS, _FLEET_WORLDS, _FLEET_CAMPAIGNS
     _FLEET_MAX_WORLDS = max(1, max_worlds)
     _FLEET_WORLDS = OrderedDict()
     _FLEET_CAMPAIGNS = OrderedDict()
-    _FLEET_BARRIER = barrier
 
 
 def _acquire_world(config):
@@ -193,10 +187,10 @@ def _acquire_world(config):
     campaign replicas bound to it, so a stale week can never leak into
     a later one through a cached replica.
     """
-    digest = engine_module.world_digest(config)
+    digest = world_digest(config)
     world = _FLEET_WORLDS.get(digest)
     if world is None:
-        entry = engine_module._FORK_SHARED.get(digest)
+        entry = _FORK_SHARED.get(digest)
         if entry is not None and entry[0] == PRISTINE:
             world = entry[1]
         else:
@@ -218,10 +212,9 @@ def _acquire_world(config):
 def _fleet_replica(config):
     """The worker's campaign replica for ``config``, activated.
 
-    Replicas are cached by the full configuration so dep broadcasts
-    and computed stages stay resident across a cell's many tasks (and
-    across repeat visits to the same cell), exactly like the dedicated
-    pool's ``_replica``.
+    Replicas are cached by the full configuration, so one survives a
+    cell's many chunk tasks (and repeat visits to the same cell),
+    exactly like a campaign's own pool's replica.
     """
     world = _acquire_world(config)
     key = config.cache_key()
@@ -239,59 +232,7 @@ def _fleet_replica(config):
     return campaign
 
 
-def _fleet_stream_chunk(task):
-    """Pool task: one streaming chunk, routed by campaign configuration."""
-    config, inner = task
-    return stream_module._compute_chunk_on(_fleet_replica(config), inner)
-
-
-def _fleet_run_shard(task):
-    """Pool task: one barrier-engine shard, routed by configuration."""
-    config, inner = task
-    return engine_module._run_shard_on(_fleet_replica(config), inner)
-
-
-def _fleet_recv_deps(task):
-    """Pool task: one dep-broadcast round, routed by configuration."""
-    config, payload = task
-    return engine_module._recv_deps_on(_fleet_replica(config), payload, _FLEET_BARRIER)
-
-
 # -- parent side ---------------------------------------------------------------
-
-
-class FleetScanEngine(ScanEngine):
-    """A :class:`ScanEngine` facade bound to a fleet's shared pool.
-
-    Task shaping (shard counts, dep broadcasts, merge order) follows
-    the campaign's own ``workers`` so record and metric merging stays
-    byte-identical to a dedicated engine; only *where* the tasks run
-    changes.  Broadcasts go to every pool slot (the pool may be larger
-    than one campaign's worker count), and ``close()`` merely detaches
-    — the fleet owns the pool's lifecycle across campaigns.
-    """
-
-    def __init__(self, fleet: "FleetScheduler", campaign):
-        super().__init__(campaign.config, campaign._workers, world=None)
-        self._fleet = fleet
-
-    def _ensure_pool(self):
-        pool = self._fleet._ensure_pool()
-        if self._pool is not pool:
-            self._pool = pool
-            self._sent_deps = set()
-        return self._pool
-
-    def close(self, timeout: float = 10.0) -> None:
-        self._pool = None
-
-    def _broadcast_payload(self, pool, payload: bytes) -> List[int]:
-        tasks = [(self._config, payload)] * self._fleet.pool_size
-        return pool.map(_fleet_recv_deps, tasks, chunksize=1)
-
-    def _submit_shards(self, pool, tasks):
-        wrapped = [(self._config, task) for task in tasks]
-        return pool.imap_unordered(_fleet_run_shard, wrapped, chunksize=1)
 
 
 class FleetScheduler:
@@ -325,13 +266,13 @@ class FleetScheduler:
         )
         self.max_worlds = max(1, max_worlds)
         self._worlds: "OrderedDict[str, object]" = OrderedDict()
-        self._pool = None
-        self._barrier = None
+        self._pool = WorkerPool(
+            self.pool_size, _fleet_replica, _fleet_init, (self.max_worlds,)
+        )
         self._lock = threading.Lock()
         # Telemetry (parent side; see docs/PERFORMANCE.md).
         self.world_builds = 0
         self.world_reuse_hits = 0
-        self._pool_creations = 0
         self.scan_seconds = 0.0
         self.load_seconds = 0.0
         self.execute_seconds = 0.0
@@ -344,7 +285,7 @@ class FleetScheduler:
     # -- worlds ---------------------------------------------------------------
     def world_for(self, config):
         """The shared pristine world for ``config``'s world digest."""
-        digest = engine_module.world_digest(config)
+        digest = world_digest(config)
         world = self._worlds.get(digest)
         if world is None:
             world = _build_pristine_world(config)
@@ -404,51 +345,21 @@ class FleetScheduler:
             )
 
     # -- pool -----------------------------------------------------------------
-    def _ensure_pool(self):
+    def acquire_pool(self):
+        """The shared pool, forked on first use with every resident world.
+
+        Each pristine world is published for the fork to inherit
+        copy-on-write under the :data:`PRISTINE` tag.
+        """
         with self._lock:
-            if self._pool is not None:
-                return self._pool
-            try:
-                context = multiprocessing.get_context("fork")
-            except ValueError:  # pragma: no cover - non-POSIX fallback
-                context = multiprocessing.get_context("spawn")
-            self._barrier = context.Barrier(self.pool_size)
-            # Publish every resident pristine world for the fork to
-            # inherit copy-on-write; the window closes right after
-            # (children keep their fork-time copy of the registry).
-            published = []
-            for digest, world in self._worlds.items():
-                if digest not in engine_module._FORK_SHARED:
-                    engine_module._FORK_SHARED[digest] = (PRISTINE, world)
-                    published.append(digest)
-            try:
-                self._pool = context.Pool(
-                    processes=self.pool_size,
-                    initializer=_fleet_init,
-                    initargs=(self.max_worlds, self._barrier),
-                )
-            finally:
-                for digest in published:
-                    engine_module._FORK_SHARED.pop(digest, None)
-            self._pool_creations += 1
-            return self._pool
+            return self._pool.ensure(
+                {digest: (PRISTINE, world) for digest, world in self._worlds.items()}
+            )
 
     @property
     def pool_respawns(self) -> int:
         """Pool creations beyond the first (the fleet contract is 0)."""
-        return max(0, self._pool_creations - 1)
-
-    def acquire_pool(self, campaign):
-        """Stream-engine hook: borrow the shared pool for a campaign."""
-        return self._ensure_pool()
-
-    def scan_engine(self, campaign) -> FleetScanEngine:
-        """Campaign hook: a barrier engine bound to the shared pool."""
-        return FleetScanEngine(self, campaign)
-
-    def stream_task(self, config, task):
-        """Stream-engine hook: wrap a chunk task with its routing config."""
-        return _fleet_stream_chunk, ((config, task),)
+        return max(0, self._pool.forks - 1)
 
     # -- execution ------------------------------------------------------------
     def execute(
@@ -523,7 +434,7 @@ class FleetScheduler:
                     # The first cell has built the shared world by now,
                     # so the pool forks with it published: no worker
                     # rebuilds it.  Later calls find the pool running.
-                    self._ensure_pool()
+                    self.acquire_pool()
                     pending.append((index, campaign, executor.submit(scan, campaign)))
                     return True
                 return False
@@ -568,18 +479,7 @@ class FleetScheduler:
 
     def close(self, timeout: float = 10.0) -> None:
         """Shut the shared pool down (graceful drain, then terminate)."""
-        pool = self._pool
-        self._pool = None
-        if pool is None:
-            return
-        pool.close()
-        workers = list(getattr(pool, "_pool", ()))
-        deadline = time.monotonic() + timeout
-        while any(p.is_alive() for p in workers) and time.monotonic() < deadline:
-            time.sleep(0.02)
-        if any(p.is_alive() for p in workers):
-            pool.terminate()
-        pool.join()
+        self._pool.close(timeout)
 
     def __enter__(self) -> "FleetScheduler":
         return self

@@ -1,24 +1,23 @@
 """Streaming dataflow execution of campaign scan stages.
 
-The barrier engine (:mod:`repro.parallel.engine`) runs a parallel
-campaign one stage at a time: every shard of a ZMap sweep must return
-before the first downstream handshake starts, so the stateful scanners
-sit idle while the sweeps run and each stage pays the latency of its
-slowest shard.  This module replaces the stage barrier with record
-streaming:
+The one parallel scheduler: every ``workers > 1`` campaign, and every
+fleet campaign, computes its stages here.  A run streams a *subset* of
+the stage table — a whole campaign for ``run_all_stages``, or one
+lazily accessed stage plus the table inputs it still lacks
+(``Campaign._stream``) — on the campaign's pool
+(:mod:`repro.parallel.pool`), which outlives the run:
 
 - **prefix-ordered sweep chunks** — IPv4 sweeps are partitioned into
-  contiguous blocks of walk positions (``scan_ipv4_range``) instead of
-  interleaved sub-cycles, so completed chunks form a *prefix* of the
-  serial visit order and their responders can feed downstream stages
-  while later segments are still sweeping; a sweep that probes by
-  position (:mod:`repro.scanners.sweep`) costs its responders, not its
+  contiguous blocks of walk positions (``scan_ipv4_range``), so
+  completed chunks form a *prefix* of the serial visit order and their
+  responders can feed downstream stages while later segments are still
+  sweeping; a sweep that probes by position
+  (:mod:`repro.scanners.sweep`) costs its responders, not its
   positions, and is one block per worker,
 - **records as dataflow** — a completed upstream chunk's surviving
   records are transformed parent-side into the consumer stage's
   target items and shipped inside the consumer's chunk task; workers
-  never resolve stage dependencies, so the dep broadcast (and its
-  barrier) disappears entirely,
+  never resolve stage dependencies, so nothing is broadcast,
 - **bounded queues with backpressure** — buffered consumer items are
   capped (``_QUEUE_LIMIT``); when handshake stages fall behind,
   sweep dispatch stalls instead of buffering unboundedly, and stalls
@@ -29,14 +28,16 @@ streaming:
   scanner rng state is ``seek()``-ed to the chunk's global offset;
   re-sorting merged pairs by position makes records *and* rendered
   ``metrics.json`` byte-identical to a serial run (the ``repro
-  conform`` differential oracle holds with streaming enabled).
+  conform`` differential oracle).
 
 Chunk scheduling is depth-first: QScanner chunks preempt Goscanner
 chunks preempt sweep chunks, so discovered targets drain through the
-pipeline instead of piling up behind fresh sweep work.  Stage health
-semantics match the barrier engine: a failed chunk degrades its stage
-to the surviving chunks' records and downstream stages keep running on
-whatever survived; degraded stages are never cached.
+pipeline instead of piling up behind fresh sweep work.  A failed chunk
+degrades its stage to the surviving chunks' records and downstream
+stages keep running on whatever survived; degraded stages are never
+cached.  A pool that stops answering fails the run loudly
+(``_COMPLETION_TIMEOUT``): a stage is installed only once every one
+of its chunks came back.
 
 Observability is volatile by design — ``stream.*`` counters and gauges
 measure transport and scheduling, which vary with worker count, and
@@ -45,26 +46,27 @@ must never enter the deterministic ``metrics.json``.
 
 from __future__ import annotations
 
-import multiprocessing
 import queue
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Collection, Dict, List, Optional, Tuple
 
 from repro.experiments.stages import STAGES, Stage
 from repro.observability.metrics import MetricsRegistry, use_metrics
 from repro.observability.tracing import EventTracer, use_tracer
-from repro.parallel import engine as engine_module
-from repro.parallel.engine import OVERSHARD_FACTOR, _init_worker, _replica
+from repro.parallel import pool as pool_module
 from repro.scanners.sweep import sweep_permutation
 
-__all__ = ["StreamEngine", "run_streaming"]
+__all__ = ["StreamEngine"]
 
-# How many chunks per worker a source sweep that walks is cut into.
-# Finer than the barrier engine's oversharding: early chunks must
-# complete early for downstream overlap, and sweep chunks are cheap to
-# ship (two integers).
+# Chunk tasks in flight per worker: enough that a worker finishing a
+# chunk finds the next one already queued.
+_INFLIGHT_PER_WORKER = 4
+
+# How many chunks per worker a source sweep that walks is cut into:
+# early chunks must complete early for downstream overlap, and sweep
+# chunks are cheap to ship (two integers).
 _STREAM_CHUNKS_PER_WORKER = 8
 
 # Floor sizes keeping chunks worth their IPC round-trip.
@@ -87,16 +89,16 @@ _QUEUE_LIMIT = 2048
 _COMPLETION_TIMEOUT = 300.0
 
 
-def _compute_chunk_on(campaign, task):
-    """Compute one streaming chunk on ``campaign`` (shared task body).
+def _stream_chunk(task):
+    """Pool task: compute one chunk on this worker's replica of its campaign.
 
-    Mirrors the barrier engine's ``_run_shard`` observability contract:
-    a fresh registry/tracer per task, exceptions captured as the final
-    element so one bad chunk degrades its stage instead of crashing the
-    pool.  Shared with the fleet's config-routed task wrapper
-    (:func:`repro.parallel.fleet._fleet_stream_chunk`).
+    The chunk records into a registry and tracer that exist only for
+    this task (the replica's own accumulated state never leaks into the
+    result); an exception is captured as the final element, so one bad
+    chunk degrades its stage instead of crashing the pool.
     """
-    kind, stage, seq, lo, payload, trace_rate = task
+    config, kind, stage, seq, lo, payload, trace_rate = task
+    campaign = pool_module.replica(config)
     registry = MetricsRegistry()
     tracer = EventTracer(sample_rate=trace_rate)
     error: Optional[str] = None
@@ -112,17 +114,11 @@ def _compute_chunk_on(campaign, task):
     return stage, seq, pairs, registry.snapshot(), tracer.drain(), error
 
 
-def _stream_chunk(task):
-    """Pool task: compute one streaming chunk on the local replica."""
-    return _compute_chunk_on(_replica(), task)
-
-
 @dataclass
 class _StageNode:
     """Parent-side scheduling state for one streaming stage."""
 
     stage: Stage
-    cache_state: str = "off"
     started: Optional[float] = None
     finished: Optional[float] = None
     # Chunk bookkeeping.  ``total`` stays None until the chunk count is
@@ -150,22 +146,23 @@ class _StageNode:
 
 
 class StreamEngine:
-    """Schedules a campaign's stages as a streaming chunk dataflow."""
+    """Schedules a set of a campaign's stages as a streaming chunk dataflow.
 
-    def __init__(self, campaign, workers: Optional[int] = None, fleet=None):
+    ``stages`` names the stages to compute.  Each one's table inputs
+    must be among them or already on the campaign; those feed the run
+    as finished upstreams.
+    """
+
+    def __init__(self, campaign, stages: Collection[str]):
         self.campaign = campaign
-        self.workers = max(1, workers if workers is not None else campaign._workers)
-        self._fleet = fleet
+        self.workers = campaign._workers
+        self._stages = frozenset(stages)
         self._pool = None
         self._nodes: Dict[str, _StageNode] = {}
         self._ready: Dict[int, deque] = {0: deque(), 1: deque(), 2: deque()}
         self._completions: queue.Queue = queue.Queue()
         self._inflight = 0
-        self._inflight_depth: Dict[int, int] = {0: 0, 1: 0, 2: 0}
-        self._cap = self.workers * OVERSHARD_FACTOR
-        self._min_batch = _MIN_BATCH
-        self._max_batch = max(self._min_batch, _MAX_BATCH)
-        self._queue_limit = _QUEUE_LIMIT
+        self._cap = self.workers * _INFLIGHT_PER_WORKER
         # Volatile telemetry.
         self._tasks_total = 0
         self._stalls = 0
@@ -174,59 +171,34 @@ class StreamEngine:
 
     # -- public entry ------------------------------------------------------
     def run(self) -> None:
-        """Stream every stage of the stage table to completion."""
+        """Stream the engine's stages to completion and install them."""
         campaign = self.campaign
         start = time.perf_counter()
         with use_metrics(campaign.metrics), use_tracer(campaign.tracer):
-            # Parent-side plain stages: cheap, and every streaming
-            # stage's item derivation depends on them.  Building the
-            # world here also lets the pool fork inherit it.
-            campaign.dns_records
-            campaign.dns_join
-            campaign.ipv6_scan_input
             self._plan()
-            try:
-                if not self._all_finalized():
-                    self._ensure_pool()
-                    self._loop()
-            finally:
-                self._close_pool()
+            if not self._all_finalized():
+                self._pool = campaign.worker_pool()
+                self._loop()
             self._record_telemetry(time.perf_counter() - start)
 
     # -- planning ----------------------------------------------------------
     def _plan(self) -> None:
-        from repro.experiments.campaign import StageHealth
-
         campaign = self.campaign
-        cache = campaign.stage_cache
-        for stage in STAGES:
-            self._nodes[stage.name] = _StageNode(
-                stage, cache_state="off" if cache is None else "miss"
-            )
-        # Adopt stages in one pass, in stage order, *before* feeding
-        # anything: a consumer that is itself settled must never receive
-        # chunks.  Two settled kinds: stages already materialized on the
-        # campaign (an earlier run computed them — their stage_records
-        # counters were recorded then, so re-accounting here would
-        # double them) and cache hits (accounted via ``_complete``).
+        # Stages already on the campaign are settled upstreams: their
+        # stage_records counters were recorded when they were installed,
+        # so re-accounting here would double them.  They feed the run
+        # only once every node exists, so a consumer never receives
+        # chunks before its own node does.
         preset: List[_StageNode] = []
-        for node in self._nodes.values():
-            name = node.name
-            if name in campaign.__dict__:
-                node.finalized = True
+        for stage in STAGES:
+            if stage.name in self._stages:
+                self._nodes[stage.name] = _StageNode(stage)
+            elif stage.name in campaign.__dict__:
+                node = _StageNode(stage, finalized=True, total=0)
                 node.started = node.finished = time.perf_counter()
-                node.total = 0
-                node.records = campaign.__dict__[name]
+                node.records = campaign.__dict__[stage.name]
+                self._nodes[stage.name] = node
                 preset.append(node)
-                continue
-            if cache is not None:
-                cached = cache.load(name)
-                if cached is not None:
-                    node.cache_state = "hit"
-                    node.started = time.perf_counter()
-                    node.total = 0
-                    self._complete(node, cached, StageHealth(stage=name))
-                    preset.append(node)
         for node in preset:
             self._feed_records(node, node.records)
             self._upstream_finished(node)
@@ -298,8 +270,8 @@ class StreamEngine:
     # -- dataflow ----------------------------------------------------------
     def _feed_records(self, node: _StageNode, records: List) -> None:
         for consumer in node.stage.consumers:
-            cnode = self._nodes[consumer.name]
-            if cnode.finalized or cnode.cache_state == "hit":
+            cnode = self._nodes.get(consumer.name)
+            if cnode is None or cnode.finalized:
                 continue
             items = self.campaign.stage_items(consumer, records)
             if items:
@@ -308,7 +280,7 @@ class StreamEngine:
 
     def _flush(self, node: _StageNode, force: bool = False) -> None:
         items = node.pending_items
-        if not items or (not force and len(items) < self._min_batch):
+        if not items or (not force and len(items) < _MIN_BATCH):
             return
         node.pending_items = []
         for lo, hi in self._split(node, items):
@@ -324,10 +296,10 @@ class StreamEngine:
 
         SNI stages align cuts on address runs — all connections to one
         server must stay in one chunk so the server's per-connection
-        state sequence replays the serial scan (the same invariant the
-        barrier engine enforces with :func:`aligned_block_bounds`).
+        state sequence replays the serial scan
+        (:func:`~repro.experiments.campaign.aligned_block_bounds`).
         """
-        count = (len(items) + self._max_batch - 1) // self._max_batch
+        count = (len(items) + _MAX_BATCH - 1) // _MAX_BATCH
         if count <= 1:
             return [(0, len(items))]
         from repro.experiments.campaign import aligned_block_bounds, shard_block_bounds
@@ -341,8 +313,8 @@ class StreamEngine:
 
     def _upstream_finished(self, node: _StageNode) -> None:
         for consumer in node.stage.consumers:
-            cnode = self._nodes[consumer.name]
-            if cnode.finalized or cnode.cache_state == "hit":
+            cnode = self._nodes.get(consumer.name)
+            if cnode is None or cnode.finalized:
                 continue
             cnode.upstream_done = True
             if cnode.started is None:
@@ -360,10 +332,10 @@ class StreamEngine:
         if node.started is None:
             node.started = time.perf_counter()
         self._inflight += 1
-        self._inflight_depth[node.depth] += 1
         self._inflight_max = max(self._inflight_max, self._inflight)
         self._tasks_total += 1
-        full = (kind, stage, seq, lo, payload, self.campaign.tracer.sample_rate)
+        campaign = self.campaign
+        full = (campaign.config, kind, stage, seq, lo, payload, campaign.tracer.sample_rate)
 
         def on_done(result):
             self._completions.put(("ok", result))
@@ -371,12 +343,8 @@ class StreamEngine:
         def on_error(exc, stage=stage, seq=seq):
             self._completions.put(("err", (stage, seq, exc)))
 
-        if self._fleet is not None:
-            func, args = self._fleet.stream_task(self.campaign.config, full)
-        else:
-            func, args = _stream_chunk, (full,)
         self._pool.apply_async(
-            func, args, callback=on_done, error_callback=on_error
+            _stream_chunk, (full,), callback=on_done, error_callback=on_error
         )
 
     def _consumer_backlog(self) -> int:
@@ -403,7 +371,7 @@ class StreamEngine:
                     task = self._ready[depth].popleft()
                     break
             if task is None and self._ready[0]:
-                if backlog >= self._queue_limit:
+                if backlog >= _QUEUE_LIMIT:
                     # Sweeps are outrunning the handshake stages: stall
                     # source dispatch and push the buffered targets into
                     # consumer chunks instead, so the stall drains the
@@ -465,15 +433,14 @@ class StreamEngine:
         stage, seq, pairs, snapshot, events, error = result
         node = self._nodes[stage]
         self._inflight -= 1
-        self._inflight_depth[node.depth] -= 1
         node.results[seq] = (pairs, snapshot, events, error)
         node.completed += 1
         self._advance(node)
 
     def _advance(self, node: _StageNode) -> None:
         # Feed consumers strictly in prefix order: chunk seq N's records
-        # only flow once 0..N-1 have flowed (failed chunks flow nothing,
-        # matching the barrier engine's surviving-records degradation).
+        # only flow once 0..N-1 have flowed (failed chunks flow nothing:
+        # a degraded stage feeds only its surviving records).
         while node.next_seq in node.results:
             pairs, _, _, error = node.results[node.next_seq]
             node.next_seq += 1
@@ -517,78 +484,23 @@ class StreamEngine:
             shards=max(node.total or 0, 1),
             shards_failed=len(node.errors),
         )
-        self._complete(node, records, health)
-        self._upstream_finished(node)
-
-    def _complete(self, node: _StageNode, records: List, health) -> None:
-        """Install a finished stage on the campaign (shared with hits)."""
         node.finalized = True
         node.finished = time.perf_counter()
-        if node.started is None:
-            node.started = node.finished
         node.records = records
-        self.campaign.__dict__[node.name] = records
-        self.campaign.install_stage(
-            node.name, records, health, node.cache_state, node.started
-        )
+        campaign.__dict__[node.name] = records
+        # Every streamed stage missed the cache: Campaign._stream
+        # installs hits before the run.
+        cache_state = "off" if campaign.stage_cache is None else "miss"
+        campaign.install_stage(node.name, records, health, cache_state, node.started)
+        self._upstream_finished(node)
 
     def _all_finalized(self) -> bool:
         return all(node.finalized for node in self._nodes.values())
 
-    # -- pool lifecycle ----------------------------------------------------
-    def _ensure_pool(self):
-        if self._pool is None:
-            if self._fleet is not None:
-                # Borrow the fleet's persistent shared pool; the fleet
-                # owns its lifecycle, _close_pool only detaches.
-                self._pool = self._fleet.acquire_pool(self.campaign)
-                return self._pool
-            try:
-                context = multiprocessing.get_context("fork")
-            except ValueError:  # pragma: no cover - non-POSIX fallback
-                context = multiprocessing.get_context("spawn")
-            # Publish the built world for the fork to inherit (same
-            # copy-on-write scheme as the barrier engine); no broadcast
-            # barrier — streaming workers never receive deps.
-            digest = engine_module.world_digest(self.campaign.config)
-            engine_module._FORK_SHARED[digest] = (
-                self.campaign.config,
-                self.campaign.world,
-            )
-            try:
-                self._pool = context.Pool(
-                    processes=self.workers,
-                    initializer=_init_worker,
-                    initargs=(self.campaign.config, None),
-                )
-            finally:
-                engine_module._FORK_SHARED.pop(digest, None)
-        return self._pool
-
-    def _close_pool(self, timeout: float = 10.0) -> None:
-        pool = self._pool
-        if pool is None:
-            return
-        self._pool = None
-        if self._fleet is not None:
-            return
-        pool.close()
-        workers = list(getattr(pool, "_pool", ()))
-        deadline = time.monotonic() + timeout
-        while any(p.is_alive() for p in workers) and time.monotonic() < deadline:
-            time.sleep(0.02)
-        if any(p.is_alive() for p in workers):
-            pool.terminate()
-        pool.join()
-
     # -- telemetry ---------------------------------------------------------
     def _record_telemetry(self, wall: float) -> None:
         metrics = self.campaign.metrics
-        streamed = [
-            node
-            for node in self._nodes.values()
-            if node.cache_state != "hit" and (node.total or 0) > 0
-        ]
+        streamed = [node for node in self._nodes.values() if node.total]
         busy = sum(
             (node.finished or 0.0) - (node.started or 0.0) for node in streamed
         )
@@ -598,11 +510,7 @@ class StreamEngine:
         metrics.counter("stream.backpressure_stalls", volatile=True).inc(self._stalls)
         metrics.gauge("stream.queue_depth_max", volatile=True).set(self._queue_max)
         metrics.gauge("stream.inflight_max", volatile=True).set(self._inflight_max)
-        metrics.gauge("stream.queue_limit", volatile=True).set(self._queue_limit)
+        metrics.gauge("stream.queue_limit", volatile=True).set(_QUEUE_LIMIT)
         metrics.gauge("stream.wall_seconds", volatile=True).set(round(wall, 6))
         metrics.gauge("stream.overlap_ratio", volatile=True).set(round(overlap, 4))
 
-
-def run_streaming(campaign, workers: Optional[int] = None, fleet=None) -> None:
-    """Run every campaign stage through the streaming dataflow engine."""
-    StreamEngine(campaign, workers, fleet=fleet).run()

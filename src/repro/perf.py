@@ -11,7 +11,7 @@ and the end-to-end campaign wall-clock under each acceleration:
   AES-128-GCM seal MB/s on a 1,200-byte payload — the kernels no
   campaign stage runs,
 - **campaign wall-clock** — every scan stage of a weekly campaign,
-  serial vs. sharded-parallel (cold) and cold vs. warm persistent
+  serial vs. streamed in parallel (cold) and cold vs. warm persistent
   stage cache,
 - **warehouse load** — rows/sec ingesting the campaign into the sqlite
   results warehouse (staging + QA + marts) and one pass over every
@@ -28,10 +28,8 @@ and the end-to-end campaign wall-clock under each acceleration:
   counters :func:`check_benchmarks` gates on.
 
 Beyond the headline rates, the result document carries per-stage wall
-times (serial and parallel) and the parallel engine's data-movement
-counters (dependency bytes shipped vs. the naive per-task baseline,
-broadcast rounds, cache hits, inline stages) — see
-``docs/PERFORMANCE.md`` for how to read them.
+times (serial, streamed and staged) and the streaming scheduler's
+telemetry — see ``docs/PERFORMANCE.md`` for how to read them.
 
 Results are written to ``BENCH_scan.json`` and appended as one JSON
 line to ``BENCH_history.jsonl`` so rate trends survive the overwrite.
@@ -81,7 +79,7 @@ DEFAULT_BENCH_SCALE = Scale(addresses=20_000, ases=200, domains=20_000)
 # ratio is meaningful but the smoke stays cheap enough for `make test`.
 SMOKE_SCALE = Scale(addresses=100_000, ases=2_000, domains=100_000)
 
-# Cold serial/parallel/barrier rounds the smoke gate takes its medians
+# Cold serial/streamed/staged rounds the smoke gate takes its medians
 # over: the runs are sub-second and a single round tripped the ratio
 # gates on roughly one run in eight on a 2-CPU host.
 SMOKE_ROUNDS = 3
@@ -132,7 +130,7 @@ def _stage_seconds(campaign: Campaign) -> Dict[str, float]:
 def _stage_shares(seconds: Dict[str, float], wall: float) -> Dict[str, float]:
     """Each stage's wall-clock share of the campaign run.
 
-    For a barrier run the shares sum to ~1; for a streaming run a
+    For a staged run the shares sum to ~1; for a streaming run a
     stage's window spans first-dispatch to finalize, so overlapping
     stages sum well past 1 — which is the honest picture behind the
     end-to-end speedup number (a stage at share 0.9 bounds what any
@@ -154,20 +152,17 @@ def _stream_telemetry(campaign: Campaign) -> Dict[str, object]:
     return telemetry
 
 
-def _data_movement(campaign: Campaign) -> Dict[str, object]:
-    """The parallel engine's ``engine.*`` data-movement counters."""
-    snapshot = campaign.metrics.snapshot()
-    counters = {
-        name[len("engine."):]: value
-        for name, value in snapshot["counters"].items()
-        if name.startswith("engine.")
-    }
-    shipped = counters.get("dep_bytes_shipped", 0)
-    naive = counters.get("dep_bytes_naive", 0)
-    counters["dep_reduction_factor"] = (
-        round(naive / shipped, 2) if shipped else None
-    )
-    return counters
+def _run_staged(campaign: Campaign) -> None:
+    """Access every stage one at a time, as a lazy reader does.
+
+    On a parallel campaign each access streams that stage alone, so
+    the stage times sum to what a pipeline without overlap costs.
+    """
+    from repro.experiments.stages import STAGE_NAMES
+
+    len(campaign.all_dns_records)
+    for name in STAGE_NAMES:
+        getattr(campaign, name)
 
 
 def _bench_probe_rate(campaign: Campaign) -> Dict[str, float]:
@@ -468,11 +463,11 @@ def run_benchmarks(
     Campaign objects are constructed directly (not via the module-level
     memo) so each scenario really recomputes its stages.
     """
-    from repro.parallel.engine import default_worker_count
+    from repro.parallel.pool import default_worker_count
 
     scale = scale or DEFAULT_BENCH_SCALE
     # At least two workers so the parallel scenario actually exercises
-    # the sharded engine, even on a single-core machine (where the
+    # the worker pool, even on a single-core machine (where the
     # recorded speedup will honestly be < 1).
     workers = workers or max(2, default_worker_count())
     config = CampaignConfig(week=week, scale=scale, seed=seed)
@@ -492,22 +487,22 @@ def run_benchmarks(
     fleet = _bench_fleet(seed=seed, sequential_seconds=matrix["matrix_seconds"])
 
     # -- parallel cold runs ------------------------------------------------
-    # Streaming dataflow (the default for workers > 1) and the barrier
-    # engine, separately: the barrier run's per-stage times are the
-    # "former stage times" the pipeline speedup is measured against.
+    # Every stage streamed in one run, and the stages accessed one at a
+    # time on the same scheduler: the staged run's per-stage times are
+    # what the pipeline speedup is measured against.
     parallel = Campaign(config, workers=workers)
     _ = parallel.world  # built before timing, same as the serial run
     try:
-        _, parallel_seconds = _time(lambda: parallel.run_all_stages(streaming=True))
+        _, parallel_seconds = _time(parallel.run_all_stages)
     finally:
         parallel.close()
-    barrier = Campaign(config, workers=workers)
-    _ = barrier.world
+    staged = Campaign(config, workers=workers)
+    _ = staged.world
     try:
-        _, barrier_seconds = _time(lambda: barrier.run_all_stages(streaming=False))
+        _, staged_seconds = _time(lambda: _run_staged(staged))
     finally:
-        barrier.close()
-    barrier_stage_sum = sum(_stage_seconds(barrier).values())
+        staged.close()
+    staged_stage_sum = sum(_stage_seconds(staged).values())
 
     # -- persistent cache: cold (populating) then warm ---------------------
     own_tmp = cache_dir is None
@@ -548,15 +543,15 @@ def run_benchmarks(
             "world_build_seconds": round(world_seconds, 3),
             "serial_cold_seconds": round(serial_seconds, 3),
             "parallel_cold_seconds": round(parallel_seconds, 3),
-            "barrier_cold_seconds": round(barrier_seconds, 3),
-            "barrier_stage_sum_seconds": round(barrier_stage_sum, 3),
+            "staged_cold_seconds": round(staged_seconds, 3),
+            "staged_stage_sum_seconds": round(staged_stage_sum, 3),
             "parallel_speedup": round(serial_seconds / parallel_seconds, 2)
             if parallel_seconds
             else None,
-            # Streaming wall vs. the sum of the barrier run's stage
-            # times at the same worker count: >1 means the pipeline
-            # really overlapped stages the barrier serialised.
-            "pipeline_speedup": round(barrier_stage_sum / parallel_seconds, 2)
+            # Streaming wall vs. the sum of the staged run's stage times
+            # at the same worker count: >1 means the pipeline really
+            # overlapped stages that stage-at-a-time access serialises.
+            "pipeline_speedup": round(staged_stage_sum / parallel_seconds, 2)
             if parallel_seconds
             else None,
             "cache_cold_seconds": round(cache_cold_seconds, 3),
@@ -568,7 +563,7 @@ def run_benchmarks(
         "stage_seconds": {
             "serial": _stage_seconds(serial),
             "parallel": _stage_seconds(parallel),
-            "barrier": _stage_seconds(barrier),
+            "staged": _stage_seconds(staged),
             # Wall-clock shares put parallel_speedup at workers=2 in
             # context: a stage holding most of the wall bounds any
             # speedup the remaining stages can contribute.
@@ -581,7 +576,6 @@ def run_benchmarks(
         "stage_health": {
             name: health.status for name, health in parallel.stage_health.items()
         },
-        "data_movement": _data_movement(barrier),
     }
 
 
@@ -594,18 +588,18 @@ def run_smoke(
     """The cheap bench used as a CI gate (``make bench-smoke``).
 
     Runs the serial cold campaign, the streaming parallel cold
-    campaign and the barrier parallel cold campaign ``SMOKE_ROUNDS``
-    times each, interleaved, on a small world, and reports each one's
-    median run: the overhead ratio, the streaming scheduler's
-    queue-depth/backpressure telemetry, per-stage health, and the
-    barrier engine's data-movement counters; :func:`check_benchmarks`
-    applies the gates.
+    campaign and the staged parallel cold campaign (one stage at a
+    time, :func:`_run_staged`) ``SMOKE_ROUNDS`` times each,
+    interleaved, on a small world, and reports each one's median run:
+    the overhead ratio, the pipeline speedup, the streaming
+    scheduler's queue-depth/backpressure telemetry and per-stage
+    health; :func:`check_benchmarks` applies the gates.
     """
     scale = scale or SMOKE_SCALE
     config = CampaignConfig(week=week, scale=scale, seed=seed)
     _wake_cores(workers)
     world_seconds = None
-    serial_runs, parallel_runs, barrier_runs = [], [], []
+    serial_runs, parallel_runs, staged_runs = [], [], []
     for _round in range(SMOKE_ROUNDS):
         serial = Campaign(config)
         _, build_seconds = _time(lambda: serial.world)
@@ -618,25 +612,23 @@ def run_smoke(
         parallel = Campaign(config, workers=workers)
         _ = parallel.world
         try:
-            parallel_counts, seconds = _time(
-                lambda: parallel.run_all_stages(streaming=True)
-            )
+            parallel_counts, seconds = _time(parallel.run_all_stages)
         finally:
             parallel.close()
         assert parallel_counts == serial_counts, "parallel returned different records"
         parallel_runs.append((seconds, parallel))
-        barrier = Campaign(config, workers=workers)
-        _ = barrier.world
+        staged = Campaign(config, workers=workers)
+        _ = staged.world
         try:
-            _, seconds = _time(lambda: barrier.run_all_stages(streaming=False))
+            _, seconds = _time(lambda: _run_staged(staged))
         finally:
-            barrier.close()
+            staged.close()
         # Ranked by the stage sum: that is what pipeline_speedup divides.
-        barrier_runs.append((sum(_stage_seconds(barrier).values()), seconds, barrier))
+        staged_runs.append((sum(_stage_seconds(staged).values()), seconds))
     # Each side reports its median run: time and telemetry together.
     serial_seconds, serial = _median_run(serial_runs)
     parallel_seconds, parallel = _median_run(parallel_runs)
-    barrier_stage_sum, barrier_seconds, barrier = _median_run(barrier_runs)
+    staged_stage_sum, staged_seconds = _median_run(staged_runs)
     return {
         "benchmark": "scan-engine-smoke",
         "timestamp_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -654,9 +646,9 @@ def run_smoke(
             "world_build_seconds": round(world_seconds, 3),
             "serial_cold_seconds": round(serial_seconds, 3),
             "parallel_cold_seconds": round(parallel_seconds, 3),
-            "barrier_cold_seconds": round(barrier_seconds, 3),
-            "barrier_stage_sum_seconds": round(barrier_stage_sum, 3),
-            "pipeline_speedup": round(barrier_stage_sum / parallel_seconds, 2)
+            "staged_cold_seconds": round(staged_seconds, 3),
+            "staged_stage_sum_seconds": round(staged_stage_sum, 3),
+            "pipeline_speedup": round(staged_stage_sum / parallel_seconds, 2)
             if parallel_seconds
             else None,
         },
@@ -672,7 +664,6 @@ def run_smoke(
         "stage_health": {
             name: health.status for name, health in parallel.stage_health.items()
         },
-        "data_movement": _data_movement(barrier),
     }
 
 
@@ -681,7 +672,6 @@ def check_benchmarks(
     baseline: Optional[Dict] = None,
     max_parallel_ratio: float = 1.25,
     min_rate_factor: float = 0.8,
-    min_dep_reduction: float = 10.0,
     min_pipeline_speedup: float = 0.75,
 ) -> List[str]:
     """Regression gates over a benchmark result document.
@@ -694,7 +684,7 @@ def check_benchmarks(
       can only pay IPC overhead and the gate is purely a collapse
       guard),
     - the streaming pipeline must actually overlap stages: the
-      ``pipeline_speedup`` (streaming wall vs. sum of barrier stage
+      ``pipeline_speedup`` (streaming wall vs. sum of staged stage
       times) must stay above ``min_pipeline_speedup`` — a collapse
       guard; the tighter bound is the baseline comparison below, since
       the point estimate is noisy at smoke scale — the scheduler must
@@ -702,9 +692,6 @@ def check_benchmarks(
       queue-depth/backpressure counters must be present,
     - every stage's :class:`~repro.experiments.campaign.StageHealth`
       must report ``success``,
-    - dependency-broadcast bytes must stay ``min_dep_reduction`` times
-      below the naive per-task-pickle baseline (skipped when the run
-      shipped no deps at all),
     - the longitudinal section (when present) must have completed every
       week, merged at least one unchanged target from the previous week
       (delta hit rate > 0), and kept the no-op resume overhead well
@@ -747,7 +734,7 @@ def check_benchmarks(
     if pipeline is not None and pipeline < pipeline_floor:
         failures.append(
             f"pipeline collapse: streaming speedup {pipeline} over the"
-            f" barrier stage sum is below {pipeline_floor}"
+            f" staged stage sum is below {pipeline_floor}"
         )
     streaming = results.get("streaming")
     if streaming is not None:
@@ -859,14 +846,6 @@ def check_benchmarks(
                 f" below {speedup_floor}x ({slots} effective slot(s) on"
                 f" {cores} cores)"
             )
-    movement = results.get("data_movement", {})
-    shipped = movement.get("dep_bytes_shipped", 0)
-    naive = movement.get("dep_bytes_naive", 0)
-    if shipped and naive and naive < min_dep_reduction * shipped:
-        failures.append(
-            f"dep broadcast regression: shipped {shipped} bytes, naive"
-            f" baseline {naive} is less than {min_dep_reduction}x larger"
-        )
     if baseline:
         for metric, key in (
             ("zmap_probe_rate", "probes_per_sec"),

@@ -32,7 +32,7 @@ from repro.internet.providers import Scale
 from repro.longitudinal import LongitudinalScheduler, SeriesConfig
 from repro.observability.report import render_metrics_json
 from repro.parallel import fleet as fleet_module
-from repro.parallel.engine import world_digest
+from repro.parallel.pool import world_digest
 from repro.parallel.fleet import FleetScheduler, fleet_pool_size
 from repro.warehouse import connect
 
@@ -119,7 +119,7 @@ class TestWorldSharing:
 
 class TestWorkerEviction:
     def test_evicting_a_world_drops_its_campaign_replicas(self):
-        fleet_module._fleet_init(1, None)
+        fleet_module._fleet_init(1)
         try:
             config16, config17 = _config(week=16), _config(week=17)
             replica16 = fleet_module._fleet_replica(config16)
@@ -137,7 +137,7 @@ class TestWorkerEviction:
             assert again is not replica16
             assert again._world is not replica16._world
         finally:
-            fleet_module._fleet_init(fleet_module.DEFAULT_MAX_WORLDS, None)
+            fleet_module._fleet_init(fleet_module.DEFAULT_MAX_WORLDS)
 
 
 # -- byte-identity against the sequential drivers ------------------------------

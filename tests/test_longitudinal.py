@@ -37,7 +37,6 @@ from repro.longitudinal import (
     series_run_id,
 )
 from repro.netsim.faults import SERVICE_FAULT_ENV, parse_service_fault
-from repro.parallel.engine import ScanEngine
 from repro.scanners.retry import RetryPolicy
 from repro.warehouse import WarehouseQaError, connect, load_campaign, timeline_rows
 from repro.warehouse.queries import RUN_REPORTS, latest_run, named_report
@@ -454,28 +453,3 @@ def test_degraded_input_taints_dependent_stage_caching(world, tmp_path, monkeypa
         assert (cache_dir / "zmap_v4.pkl").exists()
     finally:
         campaign.close()
-
-
-def test_engine_abort_reports_every_shard_failed(world, monkeypatch):
-    config = CampaignConfig(week=18, scale=_SCALE, seed=_SEED)
-    engine = ScanEngine(config, workers=2, world=world)
-    try:
-        pool = engine._ensure_pool()
-        # close()/terminate() racing the merge surfaces as the iterator
-        # dying mid-drain ...
-        monkeypatch.setattr(
-            pool, "imap_unordered",
-            lambda *a, **k: (_ for _ in ()).throw(RuntimeError("pool terminated")),
-        )
-        records, errors, shards = engine.run_stage("zmap_v4", {}, size_hint=1000)
-        assert records == []
-        assert len(errors) == shards > 0
-        assert all("aborted" in error for error in errors)
-
-        # ... or as a quietly-short result set; both must degrade the
-        # stage instead of returning a partial merge.
-        monkeypatch.setattr(pool, "imap_unordered", lambda *a, **k: [])
-        records, errors, shards = engine.run_stage("zmap_v4", {}, size_hint=1000)
-        assert records == [] and len(errors) == shards
-    finally:
-        engine.close()

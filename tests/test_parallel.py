@@ -1,11 +1,11 @@
-"""Tests for the sharded parallel scan engine and the stage cache.
+"""Tests for parallel stage execution, the sweeps and the stage cache.
 
-Covers the three guarantees the engine is built on:
+Covers the three guarantees parallel runs are built on:
 
 1. sharding the cyclic-group permutation partitions the address space
    exactly (no duplicates, no gaps, any shard count),
-2. a parallel campaign produces record-for-record identical output to
-   a serial one,
+2. a parallel campaign — read stage by stage or run whole — produces
+   record-for-record identical output to a serial one,
 3. the persistent stage cache round-trips records, is keyed on the
    full configuration (including ``scan_timeout``), and discards
    version-skewed or corrupt entries instead of serving them.
@@ -15,8 +15,11 @@ import dataclasses
 import math
 import os
 import pickle
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.crypto.rand import DeterministicRandom
 from repro.experiments.campaign import (
@@ -40,7 +43,7 @@ from repro.netsim.topology import (
 )
 from repro.observability.metrics import MetricsRegistry, use_metrics
 from repro.observability.report import render_metrics_json
-from repro.parallel import ScanEngine, engine as engine_module
+from repro.parallel.pool import default_worker_count
 from repro.scanners import sweep as sweep_module, zmapquic, zmaptcp
 from repro.scanners.permutation import CyclicGroupPermutation
 from repro.scanners.retry import RetryPolicy
@@ -126,102 +129,64 @@ def test_parallel_output_identical_to_serial(tiny_campaign, parallel_campaign, s
     assert parallel == serial
 
 
-# -- zero-copy engine: dep broadcast, adaptive sharding, fast sweep -----------
+# -- one scheduler: lazy stage access streams the stage and what it lacks ----
 
 
-@pytest.fixture(scope="module")
-def full_serial():
-    campaign = Campaign(CampaignConfig(week=18, scale=TINY_SCALE, seed=7))
-    campaign.run_all_stages()
-    return campaign
+@pytest.mark.parametrize("stage", ["zmap_v4", "qscan_nosni_v6", "qscan_sni_v4"])
+def test_lazy_parallel_access_equals_lazy_serial(tiny_campaign, stage):
+    """A stage read alone on two workers is a serial read of it, byte for byte.
 
-
-@pytest.fixture(scope="module")
-def full_parallel():
-    # Pinned to the barrier engine: the tests below assert its internals
-    # (dep broadcast, inline threshold, oversharding).  The streaming
-    # engine's equivalents live in tests/test_stream.py.
-    campaign = Campaign(
-        CampaignConfig(week=18, scale=TINY_SCALE, seed=7), workers=2
-    )
-    campaign.run_all_stages(streaming=False)
-    yield campaign
-    campaign.close()
-
-
-def test_parallel_campaign_byte_identical_under_dep_broadcast(
-    full_serial, full_parallel
-):
-    """Every stage's records and the whole metrics.json match a serial run.
-
-    The parallel run really exercised the dep-broadcast path (volatile
-    counters moved), yet the deterministic artefact is byte-identical.
+    It streams with exactly the inputs a serial read computes: the
+    records, the set of stages on the campaign and metrics.json match.
     """
-    for stage in STAGE_NAMES:
-        assert getattr(full_parallel, stage) == getattr(full_serial, stage), stage
-    assert render_metrics_json(full_parallel) == render_metrics_json(full_serial)
-    assert full_parallel.metrics.counter_value("engine.dep_broadcasts") > 0
-    assert full_parallel.metrics.counter_value("engine.dep_bytes_shipped") > 0
-
-
-def test_small_stages_run_inline(full_parallel):
-    """Stages under the cost threshold run in the parent, unsharded."""
-    assert full_parallel.metrics.counter_value("engine.inline_stages") > 0
-    # The v6 stages walk the small hitlist: far below the threshold.
-    health = full_parallel.stage_health["zmap_v6"]
-    assert health.status == "success" and health.shards == 1
-
-
-def test_big_stages_oversharded(full_parallel):
-    """Sharded stages split into OVERSHARD_FACTOR x workers tasks."""
-    health = full_parallel.stage_health["zmap_v4"]
-    expected = full_parallel._workers * engine_module.OVERSHARD_FACTOR
-    assert health.shards == expected > full_parallel._workers
-
-
-def test_dep_bytes_ship_once_per_worker_per_stage(full_serial):
-    """A dep crosses the process boundary once per worker, then is cached."""
-    config = full_serial.config
-    deps = {"zmap_v4": full_serial.zmap_v4}
-    metrics = MetricsRegistry()
-    engine = ScanEngine(config, workers=2, world=full_serial.world)
+    serial = Campaign(tiny_campaign.config)
+    parallel = Campaign(tiny_campaign.config, workers=2)
     try:
-        records, errors, shards = engine.run_stage(
-            "qscan_nosni_v4", deps, metrics=metrics
-        )
-        assert errors == []
-        assert records == full_serial.qscan_nosni_v4
-        shipped = metrics.counter_value("engine.dep_bytes_shipped")
-        assert shipped > 0 and shipped % engine.workers == 0
-        assert metrics.counter_value("engine.dep_broadcasts") == 1
-        assert metrics.counter_value("engine.dep_cache_hits") == 0
-        # Re-running a stage with the same dep ships zero new bytes:
-        # the dep is resident on every worker (one cache hit each).
-        rerun, errors, _ = engine.run_stage("qscan_nosni_v4", deps, metrics=metrics)
-        assert errors == [] and rerun == records
-        assert metrics.counter_value("engine.dep_bytes_shipped") == shipped
-        assert metrics.counter_value("engine.dep_cache_hits") == engine.workers
-        # The naive per-task baseline (full deps dict pickled into every
-        # shard task, uncompressed) dwarfs what was actually shipped.
-        naive = metrics.counter_value("engine.dep_bytes_naive")
-        assert naive > shipped
+        assert getattr(parallel, stage) == getattr(serial, stage)
+        assert parallel.stage_health.keys() == serial.stage_health.keys()
+        if stage == "qscan_sni_v4":
+            assert set(parallel.stage_health) & set(STAGE_NAMES) == {
+                "zmap_v4", "syn_v4", "goscanner_sni_v4", "qscan_sni_v4"
+            }
+        assert render_metrics_json(parallel) == render_metrics_json(serial)
+        assert parallel.metrics.counter_value("stream.tasks") > 0
     finally:
-        engine.close()
+        parallel.close()
 
 
-def test_engine_close_is_graceful_and_idempotent(full_serial):
-    engine = ScanEngine(full_serial.config, workers=2, world=full_serial.world)
-    pool = engine._ensure_pool()
+def test_only_the_scanbench_shim_names_scan_engine():
+    """No product module reaches the one-stage ``ScanEngine`` entry."""
+    root = Path(repro.__file__).parent
+    naming = sorted(
+        str(path.relative_to(root))
+        for path in root.rglob("*.py")
+        if "ScanEngine" in path.read_text(encoding="utf-8")
+    )
+    assert naming == ["parallel/__init__.py", "parallel/engine.py"]
+
+
+def test_barrier_runs_are_refused(tiny_campaign):
+    campaign = Campaign(tiny_campaign.config, workers=2)
+    with pytest.raises(ValueError):
+        campaign.run_all_stages(streaming=False)
+    assert campaign._pool is None
+
+
+def test_engine_close_is_graceful_and_idempotent(tiny_campaign):
+    """A campaign's pool outlives its runs and drains on close()."""
+    campaign = Campaign(tiny_campaign.config, world=tiny_campaign.world, workers=2)
+    pool = campaign.worker_pool()
+    assert campaign.worker_pool() is pool  # one pool per campaign
     workers = list(pool._pool)
     assert workers and all(process.is_alive() for process in workers)
-    engine.close()
+    campaign.close()
     assert all(not process.is_alive() for process in workers)
-    engine.close()  # second close is a no-op
+    campaign.close()  # second close is a no-op
 
 
 def test_bad_repro_workers_value_warns(monkeypatch, capsys):
     monkeypatch.setenv("REPRO_WORKERS", "three")
-    assert engine_module.default_worker_count() == (os.cpu_count() or 1)
+    assert default_worker_count() == (os.cpu_count() or 1)
     err = capsys.readouterr().err
     assert "REPRO_WORKERS" in err and "three" in err
 

@@ -305,37 +305,6 @@ def test_serial_stage_failure_degrades_gracefully(monkeypatch):
     )
 
 
-def test_parallel_shard_failure_marks_stage_degraded(monkeypatch):
-    def boom_on_shard_one(campaign, name, shard, of):
-        if name == "syn_v4" and shard == 1:
-            raise RuntimeError("shard down")
-        return _ORIGINAL_SHARD(campaign, name, shard, of)
-
-    from repro.parallel import engine as engine_module
-
-    # Pin one task per worker so the stage splits into exactly 2 shards
-    # and the failure story below stays exact.
-    monkeypatch.setattr(engine_module, "OVERSHARD_FACTOR", 1)
-    monkeypatch.setattr(Campaign, "compute_stage_shard", boom_on_shard_one)
-    campaign = Campaign(CampaignConfig(scale=FAULT_SCALE, seed=31), workers=2)
-    try:
-        # Barrier engine pinned: this test asserts its exact 2-shard
-        # split (streaming chunk failure is covered in test_stream.py).
-        campaign.run_all_stages(streaming=False)
-    finally:
-        campaign.close()
-    health = campaign.stage_health["syn_v4"]
-    assert health.status == "degraded"
-    assert health.shards == 2 and health.shards_failed == 1
-    assert "shard down" in health.error
-    assert campaign.failed_stages() == []
-    assert campaign.degraded_stages() == ["syn_v4"]
-    # The surviving shard's records are exactly shard 0 of a serial run.
-    reference = Campaign(CampaignConfig(scale=FAULT_SCALE, seed=31))
-    expected = [record for _, record in _ORIGINAL_SHARD(reference, "syn_v4", 0, 2)]
-    assert campaign.syn_v4 == expected
-
-
 def test_degraded_stage_is_not_cached(monkeypatch, tmp_path):
     monkeypatch.setattr(Campaign, "compute_stage_shard", _boom)
     campaign = Campaign(

@@ -3,9 +3,9 @@
 The contract under test is the differential oracle's: a streaming
 parallel campaign must be byte-identical to a serial one — records per
 stage and the rendered ``metrics.json`` — including under injected
-faults with retries enabled.  The scheduling tests cover what the
-barrier-engine tests cover for sharding: chunk partitioning, overlap,
-backpressure accounting and graceful degradation.
+faults with retries enabled.  The scheduling tests cover chunk
+partitioning, overlap, backpressure accounting, graceful degradation
+and a pool that stops answering.
 """
 
 import pytest
@@ -141,7 +141,7 @@ def test_backpressure_stalls_sources(monkeypatch):
     consumers batch until a stall flushes them.
     """
     monkeypatch.setattr(stream_module, "_QUEUE_LIMIT", 1)
-    monkeypatch.setattr(stream_module, "OVERSHARD_FACTOR", 1)
+    monkeypatch.setattr(stream_module, "_INFLIGHT_PER_WORKER", 1)
     monkeypatch.setattr(stream_module, "_MIN_BATCH", 1_000)
     campaign = Campaign(CampaignConfig(week=18, scale=STREAM_SCALE, seed=7), workers=2)
     try:
@@ -238,3 +238,43 @@ def test_streamed_stage_over_a_degraded_input_is_not_cached(monkeypatch, tmp_pat
     assert not (directory / "qscan_sni_v4.pkl").exists()
     # Its IPv6 twin read nothing degraded and caches normally.
     assert (directory / "qscan_sni_v6.pkl").exists()
+
+
+@pytest.mark.parametrize("loss", ["dropped", "terminated"])
+def test_pool_that_loses_tasks_never_yields_a_partial_merge(
+    loss, chaos_stream_config, stream_serial, monkeypatch, tmp_path
+):
+    """Lost chunk tasks fail the run loudly; no unfinished stage lands.
+
+    Every other task vanishes (a quietly short result set), or the pool
+    is terminated under the run.  Either way the run raises, and each
+    stage is installed, healthy and cached whole, or not at all.
+    """
+    monkeypatch.setattr(stream_module, "_COMPLETION_TIMEOUT", 0.5)
+    campaign = Campaign(chaos_stream_config, workers=2, cache_dir=tmp_path)
+    try:
+        pool = campaign.worker_pool()
+        submit, sent = pool.apply_async, []
+
+        def lossy(func, args, **kwargs):
+            sent.append(args)
+            if loss == "dropped" and len(sent) % 2 == 0:
+                return None
+            if loss == "terminated" and len(sent) == 4:
+                pool.terminate()
+            return submit(func, args, **kwargs)
+
+        monkeypatch.setattr(pool, "apply_async", lossy)
+        with pytest.raises((RuntimeError, ValueError)):
+            campaign.run_all_stages()
+    finally:
+        campaign.close()
+    installed = [name for name in STAGE_NAMES if name in campaign.stage_health]
+    assert len(installed) < len(STAGE_NAMES), "nothing was lost"
+    directory = campaign.stage_cache.directory
+    for name in STAGE_NAMES:
+        assert (name in installed) == (name in campaign.__dict__), name
+        assert (name in installed) == (directory / f"{name}.pkl").exists(), name
+    for name in installed:
+        assert campaign.stage_health[name].status == "success", name
+        assert campaign.__dict__[name] == getattr(stream_serial, name), name
