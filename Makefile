@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test docs-check shapes bench bench-smoke bench-check bench-profile report artefacts interop chaos chaos-smoke conform conform-smoke fuzz-smoke warehouse-smoke longitudinal-smoke matrix-smoke fleet-smoke clean
+.PHONY: test docs-check shapes scale-sweep bench bench-smoke bench-check bench-profile report artefacts interop chaos chaos-smoke conform conform-smoke fuzz-smoke warehouse-smoke longitudinal-smoke matrix-smoke fleet-smoke clean
 
 # chaos-smoke keeps the fault-injection/degradation path exercised,
 # fuzz-smoke the wire-format conformance suite, conform-smoke the
@@ -29,6 +29,12 @@ shapes:
 	mkdir -p .cache
 	git show HEAD:benchmarks/output/A4.txt | sed -E 's/[0-9.]+ *$$//' > .cache/A4.committed
 	sed -E 's/[0-9.]+ *$$//' benchmarks/output/A4.txt | diff .cache/A4.committed -
+
+# Scale sweep, not part of `make test` (minutes): `repro scan --seed 3`
+# at 1:20,000, 1:1,000, 1:200 and 1:50, one child process each, with
+# wall time, peak RSS and bytes per deployment and per listed name.
+scale-sweep:
+	$(PYTHON) benchmarks/scale_sweep.py
 
 # Validates intra-repo markdown links + module docstring presence.
 docs-check:

@@ -42,7 +42,9 @@ __all__ = ["CampaignStageCache", "CACHE_VERSION", "default_cache_root"]
 #     certificate fingerprints in TLS records differ from v3's.
 # v5: the DNS stage pickles per list as listed names plus answered
 #     records by position (DnsListRecords), not one record per name.
-CACHE_VERSION = 5
+# v6: those listed names pickle as the world's NameRun (hosted names
+#     plus a filler count), not one string per name.
+CACHE_VERSION = 6
 
 # Everything that makes a cache entry unreadable rather than absent.
 _CORRUPT_ERRORS = (

@@ -6,17 +6,21 @@ Umbrella toplists, the com/net/org zones and the remaining CZDS TLDs.
 Hosted QUIC domains are embedded into the lists with per-list bias
 (toplists are enriched with CDN-hosted domains; zone files are mostly
 filler), which is what produces the per-list HTTPS-RR success rates of
-Figure 3.
+Figure 3.  A list stores only its hosted names: it is a :class:`NameRun`,
+which formats the filler names on access.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from itertools import chain
+from typing import Dict, List, Optional, Tuple
 
 from repro.crypto.rand import DeterministicRandom
 
-__all__ = ["DomainFactory", "InputLists", "LIST_SIZES"]
+__all__ = ["DomainFactory", "InputLists", "LIST_SIZES", "NameRun"]
 
 # Input list sizes (scan-scale; the paper resolves 1M-per-toplist and
 # 211M CZDS domains — rates, not absolute sizes, drive Fig. 3).
@@ -31,16 +35,72 @@ LIST_SIZES: Dict[str, int] = {
 _TLDS_CZDS = ("xyz", "info", "online", "shop", "site", "club", "top", "vip")
 
 
+class NameRun(Sequence):
+    """One input list: hosted names, then a run of filler names formatted on access.
+
+    Position ``i < len(hosted)`` is ``hosted[i]``; filler ``j`` after them
+    is ``f"{prefix}{j}.{tlds[j % len(tlds)]}"``, a string only while read.
+    ``order``, when set, holds those positions in the order the list
+    reads them (a shuffled list).  ``hosted`` is not copied.  Slices are
+    lists and ``==`` takes any sequence of names, as a list's would.
+    """
+
+    __slots__ = ("hosted", "prefix", "tlds", "count", "order")
+
+    def __init__(
+        self,
+        hosted: List[str],
+        prefix: str,
+        tlds: Tuple[str, ...],
+        count: int,
+        order: Optional[array] = None,
+    ):
+        self.hosted = hosted
+        self.prefix = prefix
+        self.tlds = tlds
+        self.count = count
+        self.order = order
+
+    def __len__(self) -> int:
+        return len(self.hosted) + self.count
+
+    def _name(self, position: int) -> str:
+        """The name at ``position`` of ``hosted`` + filler, before ``order``."""
+        index = position - len(self.hosted)
+        if index < 0:
+            return self.hosted[position]
+        return f"{self.prefix}{index}.{self.tlds[index % len(self.tlds)]}"
+
+    def _at(self, position: int) -> str:
+        return self._name(position if self.order is None else self.order[position])
+
+    def __getitem__(self, index):
+        positions = range(len(self))[index]
+        if isinstance(index, slice):
+            return [self._at(position) for position in positions]
+        return self._at(positions)
+
+    def __iter__(self):
+        if self.order is not None:
+            return map(self._name, self.order)
+        prefix, tlds, cycle = self.prefix, self.tlds, len(self.tlds)
+        filler = (f"{prefix}{index}.{tlds[index % cycle]}" for index in range(self.count))
+        return chain(self.hosted, filler)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"NameRun({len(self.hosted)} hosted + {self.count} {self.prefix}*)"
+
+
 @dataclass
 class InputLists:
-    lists: Dict[str, List[str]] = field(default_factory=dict)
-
-    def all_domains(self) -> List[str]:
-        seen = {}
-        for domains in self.lists.values():
-            for domain in domains:
-                seen[domain] = None
-        return list(seen)
+    lists: Dict[str, Sequence[str]] = field(default_factory=dict)
 
 
 class DomainFactory:
@@ -100,7 +160,7 @@ class DomainFactory:
         for domain in hosted:
             by_tld.setdefault(domain.rsplit(".", 1)[-1], []).append(domain)
 
-        lists: Dict[str, List[str]] = {}
+        lists: Dict[str, Sequence[str]] = {}
         comnetorg_pool = [
             domain
             for tld in ("com", "net", "org")
@@ -128,12 +188,11 @@ class DomainFactory:
             sample = pick(
                 toplist_pool, size // 2, prefer_quota=int(size * 0.08 * prefer_scale)
             )
-            filler = [
-                f"{name}-popular{index}.com" for index in range(size - len(sample))
-            ]
-            combined = sample + filler
-            rng.shuffle(combined)
-            lists[name] = combined
+            # The shuffle moves positions, not names: the same draws
+            # order ``sample + filler`` as they would order the strings.
+            order = array("I", range(size))
+            rng.shuffle(order)
+            lists[name] = NameRun(sample, f"{name}-popular", ("com",), size - len(sample), order)
 
         # Zone files are dominated by non-QUIC filler: the paper joins
         # ~30M QUIC-hosted domains out of >211M resolved (~15-17 %),
@@ -143,14 +202,9 @@ class DomainFactory:
         base = pick(
             comnetorg_pool, int(size * 0.17), prefer_quota=int(size * 0.014 * prefer_scale)
         )
-        filler = [f"zonefill{index}.com" for index in range(size - len(base))]
-        lists["comnetorg"] = base + filler
+        lists["comnetorg"] = NameRun(base, "zonefill", ("com",), size - len(base))
 
         size = sizes["czds"]
         base = pick(czds_pool, int(size * 0.15), prefer_quota=int(size * 0.010 * prefer_scale))
-        filler = [
-            f"zonefill{index}.{_TLDS_CZDS[index % len(_TLDS_CZDS)]}"
-            for index in range(size - len(base))
-        ]
-        lists["czds"] = base + filler
+        lists["czds"] = NameRun(base, "zonefill", _TLDS_CZDS, size - len(base))
         return InputLists(lists=lists)

@@ -16,14 +16,11 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.crypto.rand import DeterministicRandom, derive_seed
 from repro.dns.records import AaaaRecord, ARecord, HttpsRecord, SvcParams
 from repro.dns.zones import ZoneStore
-from repro.http import h3
-from repro.http.altsvc import AltSvcEntry, format_alt_svc
-from repro.http.h1 import HttpRequest, HttpResponse
 from repro.internet.domains import DomainFactory, InputLists
 from repro.internet.providers import GROUPS, DeploymentGroup, Scale
 from repro.internet.timeline import (
@@ -42,10 +39,10 @@ from repro.netsim.blocklist import Blocklist
 from repro.netsim.topology import Network
 from repro.quic.connection import QuicServerBehaviour, QuicServerEndpoint
 from repro.quic.errors import TransportErrorCode
-from repro.server.profiles import PROFILES, ImplementationProfile
+from repro.server.behaviours import H3Handler, HttpHandler, RefuseAll, SniDrop, SniPolicy
+from repro.server.profiles import PROFILES
 from repro.server.tcp443 import Tcp443Config, Tcp443Server
-from repro.tls.alerts import AlertDescription, AlertError
-from repro.tls.certificates import Certificate, CertificateAuthority, make_self_signed
+from repro.tls.certificates import CertificateAuthority, make_self_signed
 from repro.tls.ciphersuites import SUITE_AES_128_GCM_SHA256, SUITE_SIM_SHA256
 from repro.tls.engine import TlsServerConfig
 from repro.tls.extensions import GROUP_SIM, GROUP_X25519
@@ -183,10 +180,6 @@ def _ipv4_space_bits(scale: Scale, week: int) -> int:
     return max(18, (used - 1).bit_length())
 
 
-def _alt_svc_header(tokens: Sequence[str]) -> str:
-    return format_alt_svc([AltSvcEntry(alpn=token, port=443) for token in tokens])
-
-
 def build_world(
     week: int = 18,
     scale: Optional[Scale] = None,
@@ -225,6 +218,18 @@ def build_world(
         server_suites = (SUITE_AES_128_GCM_SHA256,)
         server_groups = (GROUP_X25519,)
         preferred_group = GROUP_X25519
+
+    # Behaviour objects, TLS configurations and QUIC behaviours are shared
+    # wherever they are equal: a key names everything one depends on
+    # beyond its group (or is the frozen behaviour object itself).
+    shared: Dict[object, object] = {}
+
+    def share(key, make=None):
+        """One object per equal ``key``: the key itself, or what ``make`` builds."""
+        found = shared.get(key)
+        if found is None:
+            found = shared[key] = key if make is None else make()
+        return found
 
     edge_as_counter = [64512]  # private-use ASN range for synthetic edge ASes
 
@@ -286,11 +291,15 @@ def build_world(
         domains = domain_factory.hosted_domains(group.key, domain_count)
         # Round-robin A/AAAA assignment over the active pools; a share
         # of domains resolves into the version-mismatch pool (Google's
-        # roll-out produced SNI-scan mismatches, Table 3).
+        # roll-out produced SNI-scan mismatches, Table 3).  The first
+        # ``https_count`` domains publish an HTTPS RR hinting the same
+        # addresses.
         per_address_domains: Dict[object, List[str]] = {}
         v6_hosts = v6_active or v6_dead
         vm_cutoff = int(len(domains) * (1.0 - group.vm_domain_share))
+        https_count = int(len(domains) * group.https_adoption * https_adoption_factor(week))
         for index, domain in enumerate(domains):
+            v4_hints = v6_hints = ()
             v4_pool = v4_active
             if index >= vm_cutoff and v4_vm:
                 v4_pool = v4_vm
@@ -298,32 +307,26 @@ def build_world(
                 v4_host = v4_pool[index % len(v4_pool)]
                 zones.add_a(ARecord(name=domain, address=v4_host))
                 per_address_domains.setdefault(v4_host, []).append(domain)
+                v4_hints = (v4_host,)
             if v6_hosts and (index / max(1, len(domains))) < group.domains_v6_share:
                 v6_host = v6_hosts[index % len(v6_hosts)]
                 zones.add_aaaa(AaaaRecord(name=domain, address=v6_host))
                 per_address_domains.setdefault(v6_host, []).append(domain)
-
-        # -- HTTPS RRs ----------------------------------------------------------
-        adoption = group.https_adoption * https_adoption_factor(week)
-        https_count = int(len(domains) * adoption)
-        for https_index, domain in enumerate(domains[:https_count]):
-            a_records = zones.lookup_a(domain)
-            aaaa_records = zones.lookup_aaaa(domain)
-            v4_hints = tuple(record.address for record in a_records)
+                v6_hints = (v6_host,)
+            if index >= https_count:
+                continue
             # A share of hints is stale, pointing at parked load-balancer
             # addresses — the lower HTTPS-RR success rate of Table 4.
             if (
                 group.https_stale_hint_rate
                 and v4_parked
-                and (https_index % 1000) < group.https_stale_hint_rate * 1000
+                and (index % 1000) < group.https_stale_hint_rate * 1000
             ):
-                v4_hints = (v4_parked[https_index % len(v4_parked)],)
+                v4_hints = (v4_parked[index % len(v4_parked)],)
             params = SvcParams(
                 alpn=("h3-29", "h3-28", "h3-27"),
                 ipv4hint=v4_hints,
-                ipv6hint=tuple(record.address for record in aaaa_records)
-                if group.https_hints_v6
-                else (),
+                ipv6hint=v6_hints if group.https_hints_v6 else (),
             )
             zones.add_https(HttpsRecord(name=domain, priority=1, target=".", params=params))
 
@@ -346,37 +349,6 @@ def build_world(
             else None
         )
 
-        def make_cert_selector(
-            certificate: Certificate,
-            key,
-            policy: str,
-            alert_reason: str,
-            no_sni_pair: Optional[Tuple[Certificate, object]] = None,
-            alert_rate: float = 0.0,
-            other_rate: float = 0.0,
-        ) -> Callable:
-            # Bound per group: ``select`` runs long after this loop has
-            # moved on to (and finished with) later groups.
-            group_key = group.key
-
-            def select(sni: Optional[str]):
-                if sni is None:
-                    if no_sni_pair is not None:
-                        return [no_sni_pair[0]], no_sni_pair[1]
-                    if policy == "require":
-                        raise AlertError(AlertDescription.HANDSHAKE_FAILURE, alert_reason)
-                elif alert_rate or other_rate:
-                    bucket = derive_seed("snifail", group_key, sni) % 10_000
-                    if bucket < alert_rate * 10_000:
-                        raise AlertError(AlertDescription.HANDSHAKE_FAILURE, alert_reason)
-                    if bucket < (alert_rate + other_rate) * 10_000:
-                        raise AlertError(
-                            AlertDescription.INTERNAL_ERROR, "internal error"
-                        )
-                return [certificate, ca.root], key
-
-            return select
-
         # -- per-address wiring ---------------------------------------------------
         versions = version_set(group.versions_key, week)
         vm_handshake = version_set("google-vm", week)
@@ -385,6 +357,7 @@ def build_world(
             (profile.server_header,) if profile.server_header else (None,)
         )
         tparam_keys = group.tparam_keys
+        group_certificate = ((shared_cert, ca.root), shared_key)
 
         def deploy(
             address,
@@ -392,7 +365,6 @@ def build_world(
             index: int,
             drop_rate: float,
         ) -> None:
-            address_rng = group_rng.child("addr", index, str(address))
             server_value = server_values[index % len(server_values)]
             tparam_key = tparam_keys[index % len(tparam_keys)]
             hosted = per_address_domains.get(address, [])
@@ -403,57 +375,47 @@ def build_world(
                 altsvc_tokens = altsvc_set("google-new" if use_new else "google-old", week)
 
             if group.cert_shared or pool in ("parked", "vm", "dead"):
-                cert, cert_key = shared_cert, shared_key
+                cert, certificate = shared_cert, group_certificate
             else:
                 cert, cert_key = ca.issue(
                     hosted[0] if hosted else f"{group.key}-{index}.example",
                     hosted[:24] or [f"{group.key}-{index}.example"],
                     key=shared_key,
                 )
+                certificate = ((cert, ca.root), cert_key)
 
-            info = DeploymentInfo(
-                address=address,
-                asn=as_registry.origin(address),
-                group=group.key,
-                pool=pool,
-                server_value=server_value,
-                tparam_key=tparam_key,
-                domains=hosted,
-                altsvc_tokens=altsvc_tokens,
-                cert_digest=hashlib.sha256(cert.tbs_bytes()).hexdigest()[:16],
+            deployments.append(
+                DeploymentInfo(
+                    address=address,
+                    asn=as_registry.origin(address),
+                    group=group.key,
+                    pool=pool,
+                    server_value=server_value,
+                    tparam_key=tparam_key,
+                    domains=hosted,
+                    altsvc_tokens=altsvc_tokens,
+                    cert_digest=hashlib.sha256(cert.tbs_bytes()).hexdigest()[:16],
+                )
             )
-            deployments.append(info)
 
             # ---- TCP :443 (TLS + HTTP/1.1) ----
             tcp_tls13 = True
             if group.tcp_tls12_rate and pool == "active":
-                tcp_tls13 = address_rng.random() >= group.tcp_tls12_rate
+                tcp_tls13 = (
+                    group_rng.child("addr", index, str(address)).random()
+                    >= group.tcp_tls12_rate
+                )
             tcp_sni_policy = profile.sni_policy_tcp
             if pool in ("parked", "vm") and group.parked_tcp_requires_sni:
                 tcp_sni_policy = "require"
-            tcp_selector = make_cert_selector(
-                cert,
-                cert_key,
-                tcp_sni_policy,
-                profile.alert_reason,
-                no_sni_pair=tcp_no_sni_pair,
+            tcp_selector = share(
+                SniPolicy(
+                    group.key, tcp_sni_policy, profile.alert_reason, tcp_no_sni_pair, 0.0, 0.0
+                )
             )
-
-            def http_handler(
-                request: HttpRequest,
-                sni: Optional[str],
-                _value=server_value,
-                _tokens=altsvc_tokens,
-            ) -> HttpResponse:
-                headers = []
-                if _value:
-                    headers.append(("Server", _value))
-                if _tokens:
-                    headers.append(("Alt-Svc", _alt_svc_header(_tokens)))
-                return HttpResponse(status=200, reason="OK", headers=headers)
-
-            tcp_config = Tcp443Config(
-                tls=TlsServerConfig(
+            tcp_tls = share(
+                ("tcp", group.key, tcp_selector),
+                lambda: TlsServerConfig(
                     select_certificate=tcp_selector,
                     alpn_protocols=("h2", "http/1.1"),
                     cipher_suites=server_suites,
@@ -462,54 +424,42 @@ def build_world(
                     echo_sni=profile.echo_sni_tcp,
                     no_sni_drops_alpn=profile.tcp_no_sni_drops_alpn,
                 ),
-                http_handler=http_handler,
+            )
+            tcp_config = Tcp443Config(
+                tls=tcp_tls,
+                http_handler=share(HttpHandler(server_value, altsvc_tokens)),
                 tls13_enabled=tcp_tls13,
                 seed=derive_seed("tcp", group.key, index),
             )
-            network.bind_tcp(address, 443, Tcp443Server(tcp_config))
+            network.bind_tcp(address, 443, Tcp443Server(tcp_config, certificate))
 
             # ---- UDP :443 (QUIC) ----
             if pool == "dead":
                 return  # Alt-Svc without a QUIC listener
 
-            quic_selector = make_cert_selector(
-                cert,
-                cert_key,
-                profile.sni_policy_quic,
-                profile.alert_reason,
-                alert_rate=group.sni_alert_rate if pool == "active" else 0.0,
-                other_rate=group.sni_other_rate if pool == "active" else 0.0,
-            )
             if pool == "parked" and group.parked_mode == "alert":
-                def parked_selector(sni, _reason=profile.alert_reason):
-                    raise AlertError(AlertDescription.HANDSHAKE_FAILURE, _reason)
-
-                quic_selector = parked_selector
-
-            def app_handler(
-                alpn: Optional[str],
-                stream_id: int,
-                data: bytes,
-                _value=server_value,
-            ) -> Optional[bytes]:
-                if stream_id % 4 != 0:
-                    return None  # only bidi request streams get replies
-                try:
-                    h3.decode_request(data)
-                except h3.H3Error:
-                    return None
-                headers = [("server", _value)] if _value else []
-                return h3.encode_response(200, headers)
-
-            drop_predicate = None
-            if drop_rate:
-                def drop_predicate(sni: Optional[str], _rate=drop_rate, _k=group.key) -> bool:
-                    if sni is None:
-                        return False
-                    return (derive_seed("drop", _k, sni) % 10_000) < _rate * 10_000
-
-            behaviour = QuicServerBehaviour(
-                tls=TlsServerConfig(
+                quic_selector = share(RefuseAll(profile.alert_reason))
+            else:
+                active = pool == "active"
+                quic_selector = share(
+                    SniPolicy(
+                        group.key,
+                        profile.sni_policy_quic,
+                        profile.alert_reason,
+                        None,
+                        group.sni_alert_rate if active else 0.0,
+                        group.sni_other_rate if active else 0.0,
+                    )
+                )
+            ticket_key = (
+                derive_seed("ticket", group.key).to_bytes(8, "big") * 2
+                if profile.supports_resumption and pool == "active"
+                else None
+            )
+            quic_tls_key = ("quic", group.key, quic_selector, tparam_key, ticket_key)
+            quic_tls = share(
+                quic_tls_key,
+                lambda: TlsServerConfig(
                     select_certificate=quic_selector,
                     alpn_protocols=("h3", "h3-34", "h3-32", "h3-29", "h3-27"),
                     cipher_suites=server_suites,
@@ -517,32 +467,40 @@ def build_world(
                     preferred_group=preferred_group,
                     echo_sni=profile.echo_sni_quic,
                     transport_params=TPARAM_CONFIGS[tparam_key],
-                    ticket_key=(
-                        derive_seed("ticket", group.key).to_bytes(8, "big") * 2
-                        if profile.supports_resumption and pool == "active"
-                        else None
-                    ),
+                    ticket_key=ticket_key,
                     max_early_data=65536 if profile.supports_early_data else 0,
                 ),
-                advertised_versions=versions,
-                handshake_versions=(
-                    vm_handshake if pool == "vm" and google_vm_active(week) else None
-                ),
-                respond_to_forced_negotiation=profile.respond_to_forced_negotiation,
-                respond_without_padding=profile.respond_without_padding,
-                silent_handshake=(pool == "parked" and group.parked_mode == "silent"),
-                alert_reason_text=profile.alert_reason,
-                app_handler=app_handler,
-                fast_initial_protection=fast_crypto,
-                drop_predicate=drop_predicate,
-                close_with=(
-                    (int(TransportErrorCode.INTERNAL_ERROR), "internal error")
-                    if pool == "parked" and group.parked_mode == "error"
-                    else None
+            )
+            app_handler = share(H3Handler(server_value))
+            drop_predicate = share(SniDrop(group.key, drop_rate)) if drop_rate else None
+            behaviour = share(
+                (quic_tls_key, pool, app_handler, drop_predicate),
+                lambda: QuicServerBehaviour(
+                    tls=quic_tls,
+                    advertised_versions=versions,
+                    handshake_versions=(
+                        vm_handshake if pool == "vm" and google_vm_active(week) else None
+                    ),
+                    respond_to_forced_negotiation=profile.respond_to_forced_negotiation,
+                    respond_without_padding=profile.respond_without_padding,
+                    silent_handshake=(pool == "parked" and group.parked_mode == "silent"),
+                    alert_reason_text=profile.alert_reason,
+                    app_handler=app_handler,
+                    fast_initial_protection=fast_crypto,
+                    drop_predicate=drop_predicate,
+                    close_with=(
+                        (int(TransportErrorCode.INTERNAL_ERROR), "internal error")
+                        if pool == "parked" and group.parked_mode == "error"
+                        else None
+                    ),
                 ),
             )
             network.bind_udp(
-                address, 443, QuicServerEndpoint(behaviour, seed=derive_seed("quic", group.key, index))
+                address,
+                443,
+                QuicServerEndpoint(
+                    behaviour, seed=derive_seed("quic", group.key, index), certificate=certificate
+                ),
             )
 
         index = 0

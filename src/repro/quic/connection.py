@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto.aead import AeadError
 from repro.crypto.hkdf import hkdf_expand_label
-from repro.crypto.rand import DeterministicRandom
+from repro.crypto.rand import DeterministicRandom, derive_seed, seed_value
 from repro.netsim.addresses import Address
 from repro.netsim.topology import ClientUdpSocket, Network, UdpEndpoint
 from repro.quic import frames as fr
@@ -703,16 +703,30 @@ class QuicServerBehaviour:
 class QuicServerEndpoint(UdpEndpoint):
     """A QUIC server bound to one (address, port) in the simulation."""
 
-    def __init__(self, behaviour: QuicServerBehaviour, seed="quic-server"):
+    def __init__(self, behaviour: QuicServerBehaviour, seed="quic-server", certificate=None):
+        # The behaviour is shared by every endpoint of the same row; what
+        # is this endpoint's own is its seed, its draw counters and the
+        # ``(chain, key)`` its TLS sessions serve when the behaviour's
+        # certificate selector names none.
         self._behaviour = behaviour
-        # A generator of its own, unlike Tcp443Server's bare seed: Version
-        # Negotiation and Retry draw their first-byte entropy from it.
-        self._rng = DeterministicRandom(seed)
+        self._seed = seed_value(seed)
+        self._certificate = certificate
         # Connection state per client source, by original DCID in
         # creation order; dropped when the client's socket closes.
         self._connections: Dict[Tuple, Dict[bytes, "_ServerConnection"]] = {}
         # Connections accepted so far: each one's RNG child.
         self._accepted = 0
+        # Version Negotiation and Retry packets sent so far: each one's
+        # first-byte entropy is derived from the seed and this count.
+        self._stateless_replies = 0
+
+    def _child(self, *labels) -> DeterministicRandom:
+        # What ``DeterministicRandom(seed).child(*labels)`` returns.
+        return DeterministicRandom(derive_seed(self._seed, *labels))
+
+    def _entropy(self, bits: int) -> int:
+        self._stateless_replies += 1
+        return derive_seed(self._seed, "first-byte", self._stateless_replies) >> (64 - bits)
 
     def forget(self, source) -> None:
         self._connections.pop(source, None)
@@ -735,7 +749,7 @@ class QuicServerEndpoint(UdpEndpoint):
                     stateless_reset_packet(
                         self._behaviour.stateless_reset_secret,
                         data[1:9],
-                        self._rng.child("reset", data[1:9]),
+                        self._child("reset", data[1:9]),
                     )
                 )
             return
@@ -771,7 +785,7 @@ class QuicServerEndpoint(UdpEndpoint):
                     dcid=scid,
                     scid=dcid,
                     versions=offered,
-                    first_byte_entropy=self._rng.getrandbits(7),
+                    first_byte_entropy=self._entropy(7),
                 )
             )
             return
@@ -808,7 +822,7 @@ class QuicServerEndpoint(UdpEndpoint):
                             scid=retry_scid,
                             token=make_token(behaviour.retry_secret, client_tag, dcid),
                             original_dcid=dcid,
-                            first_byte_entropy=self._rng.getrandbits(4),
+                            first_byte_entropy=self._entropy(4),
                         )
                     )
                     return
@@ -818,7 +832,7 @@ class QuicServerEndpoint(UdpEndpoint):
             connection = connections.get(dcid)
             if connection is None:
                 connection = connections[dcid] = _ServerConnection(
-                    behaviour, version, dcid, self._rng.child(self._accepted)
+                    behaviour, version, dcid, self._child(self._accepted), self._certificate
                 )
                 self._accepted += 1
             connection.handle_initial(data, reply)
@@ -831,10 +845,13 @@ class QuicServerEndpoint(UdpEndpoint):
 class _ServerConnection:
     """Per-connection server state."""
 
-    def __init__(self, behaviour: QuicServerBehaviour, version: int, odcid: bytes, rng):
+    def __init__(
+        self, behaviour: QuicServerBehaviour, version: int, odcid: bytes, rng, certificate=None
+    ):
         self._behaviour = behaviour
         self._version = version
         self._rng = rng
+        self._certificate = certificate
         self._scid = rng.token(8)
         self._client_cid: Optional[bytes] = None
         initial_keys = derive_initial_keys(odcid, version)
@@ -942,7 +959,7 @@ class _ServerConnection:
                 )
             )
             return
-        tls = TlsServerSession(behaviour.tls, self._rng.child("tls"))
+        tls = TlsServerSession(behaviour.tls, self._rng.child("tls"), self._certificate)
         self._tls = tls
         if behaviour.drop_predicate is not None:
             # Peek at the SNI (cheap parse, no flight construction) to

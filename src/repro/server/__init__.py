@@ -5,7 +5,10 @@
 - :mod:`repro.server.profiles` — per-implementation behaviour profiles
   (Cloudflare/quiche, Google, Akamai, Fastly, Facebook proxygen/mvfst,
   LiteSpeed/LSQUIC, nginx, Caddy, h2o, …) encoding the quirks the paper
-  observes, and the HTTP/3 application handler glue.
+  observes,
+- :mod:`repro.server.behaviours` — the certificate selectors, HTTP and
+  HTTP/3 responders and SNI drop predicate a generated world shares
+  between its endpoints.
 """
 
 from repro.server.tcp443 import Tcp443Config, Tcp443Server

@@ -52,8 +52,11 @@ class Tcp443Config:
 class Tcp443Server(TcpListener):
     """A TLS 1.3 (or legacy) HTTPS server bound to one address."""
 
-    def __init__(self, config: Tcp443Config):
+    def __init__(self, config: Tcp443Config, certificate=None):
         self._config = config
+        # The (chain, key) served where the shared TLS config's selector
+        # names none: what makes this address's server its own.
+        self._certificate = certificate
         self._seed = seed_value(config.seed)  # a 2.5 KB generator only to derive children
         self._counter = 0
 
@@ -86,7 +89,7 @@ class Tcp443Server(TcpListener):
         records: RecordLayer = session.context["records"]
         tls: Optional[TlsServerSession] = session.context["tls"]
         if tls is None:
-            tls = TlsServerSession(self._config.tls, session.context["rng"])
+            tls = TlsServerSession(self._config.tls, session.context["rng"], self._certificate)
             session.context["tls"] = tls
             if not self._config.tls13_enabled:
                 self._legacy_tls12_flight(session, tls, payload)
@@ -129,9 +132,7 @@ class Tcp443Server(TcpListener):
 
         sni_data = hello.extension(ExtensionType.SERVER_NAME)
         sni = decode_sni(sni_data) if sni_data else None
-        if self._config.tls.select_certificate is None:
-            raise AlertError(AlertDescription.INTERNAL_ERROR, "no certificate configured")
-        chain, _key = self._config.tls.select_certificate(sni)
+        chain, _key = tls.select_certificate(sni)
         server_hello = ServerHello(
             random=session.context["rng"].token(32),
             cipher_suite=LEGACY_TLS12_CIPHER,

@@ -226,9 +226,10 @@ class TlsServerConfig:
     """Server-side TLS behaviour, including the paper's CDN quirks."""
 
     # (sni) -> (chain, key); raising AlertError models SNI-required
-    # deployments answering alert 0x28.
+    # deployments answering alert 0x28.  ``None`` serves the session's
+    # own certificate (one config shared by servers that differ in it).
     select_certificate: Callable[
-        [Optional[str]], Tuple[List[Certificate], RsaPrivateKey]
+        [Optional[str]], Optional[Tuple[List[Certificate], RsaPrivateKey]]
     ] = None  # type: ignore[assignment]
     alpn_protocols: Sequence[str] = ()
     cipher_suites: Sequence[CipherSuite] = (SUITE_AES_128_GCM_SHA256,)
@@ -524,9 +525,15 @@ class ServerFlight:
 class TlsServerSession(_SessionBase):
     """Server side of a TLS 1.3 handshake."""
 
-    def __init__(self, config: TlsServerConfig, rng: Optional[DeterministicRandom] = None):
+    def __init__(
+        self,
+        config: TlsServerConfig,
+        rng: Optional[DeterministicRandom] = None,
+        certificate: Optional[Tuple[Sequence[Certificate], RsaPrivateKey]] = None,
+    ):
         super().__init__(rng or DeterministicRandom("tls-server"))
         self.config = config
+        self.certificate = certificate
         self.client_hello: Optional[ClientHello] = None
         self.client_sni: Optional[str] = None
         self.client_alpn: List[str] = []
@@ -536,6 +543,16 @@ class TlsServerSession(_SessionBase):
         # client_early_traffic_secret when 0-RTT was accepted.
         self.early_traffic_secret: Optional[bytes] = None
         self.early_data_accepted = False
+
+    def select_certificate(self, sni: Optional[str]):
+        """The ``(chain, key)`` to serve ``sni``; may raise AlertError."""
+        select = self.config.select_certificate
+        selected = select(sni) if select is not None else None
+        if selected is None:
+            selected = self.certificate
+        if selected is None:
+            raise AlertError(AlertDescription.INTERNAL_ERROR, "no certificate configured")
+        return selected
 
     def process_client_hello(self, framed: bytes) -> ServerFlight:
         """Build the full server flight; raises AlertError on policy
@@ -639,9 +656,7 @@ class TlsServerSession(_SessionBase):
         chain: List[Certificate] = []
         key = None
         if not self._resumed:
-            if self.config.select_certificate is None:
-                raise AlertError(AlertDescription.INTERNAL_ERROR, "no certificate configured")
-            chain, key = self.config.select_certificate(self.client_sni)
+            chain, key = self.select_certificate(self.client_sni)
             self.result.server_certificates = list(chain)
 
         # ServerHello.

@@ -212,10 +212,12 @@ def test_dead_pool_has_tcp_but_no_udp(tiny_world):
 def _served_certificates(world):
     """address -> hex encodings of what TCP :443 serves with and without SNI."""
     from repro.tls.alerts import AlertError
+    from repro.tls.engine import TlsServerSession
 
     served = {}
     for deployment in world.deployments:
-        select = world.network._tcp[(deployment.address, 443)]._config.tls.select_certificate
+        listener = world.network._tcp[(deployment.address, 443)]
+        select = TlsServerSession(listener._config.tls, certificate=listener._certificate).select_certificate
         chains = [select("probe.example")[0]]
         try:
             chains.append(select(None)[0])

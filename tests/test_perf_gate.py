@@ -243,9 +243,10 @@ def test_dns_stage_keeps_a_record_per_answered_name_only():
     assert "all_dns_records" not in campaign.__dict__
 
 
-def test_world_keeps_no_generator_per_tcp_server_and_one_per_quic_endpoint():
-    """Counts: a 2.5 KB Mersenne Twister per TLS-over-TCP deployment
-    (only ever used to derive children) fails here."""
+def test_world_keeps_no_generator_per_tcp_server_or_quic_endpoint():
+    """Counts: a 2.5 KB Mersenne Twister per TLS-over-TCP deployment or
+    per QUIC endpoint (each keeps a seed and derives what it draws)
+    fails here."""
     import random
 
     from repro.internet.generator import build_world
@@ -259,7 +260,76 @@ def test_world_keeps_no_generator_per_tcp_server_and_one_per_quic_endpoint():
     tcp = [listener for listener in network._tcp.values() if isinstance(listener, Tcp443Server)]
     quic = [endpoint for endpoint in network._udp.values() if isinstance(endpoint, QuicServerEndpoint)]
     assert tcp and {generators(server) for server in tcp} == {0}
-    assert quic and {generators(endpoint) for endpoint in quic} == {1}
+    assert quic and {generators(endpoint) for endpoint in quic} == {0}
+
+
+def _reachable(root):
+    """Every object reachable from ``root``, classes and modules not entered."""
+    import gc
+    import types
+
+    seen, stack = {}, [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen[id(obj)] = obj
+        stack.extend(gc.get_referents(obj))
+    return list(seen.values())
+
+
+def test_world_is_rows_and_shared_behaviours():
+    """Counts, not bytes: a closure made per deployment, a record object
+    per A/AAAA answer, a TLS configuration per server or a string per
+    filler name in the input lists fails here on any host."""
+    import types
+
+    from repro.dns.records import AaaaRecord, ARecord
+    from repro.internet.generator import build_world
+    from repro.quic.connection import QuicServerEndpoint
+    from repro.server.tcp443 import Tcp443Server
+    from repro.tls.engine import TlsServerConfig
+
+    world = build_world(week=18, scale=Scale(addresses=200_000, ases=4_000, domains=200_000), seed=5)
+    held_by_world = _reachable(world)
+    servers = [
+        server
+        for server in (*world.network._tcp.values(), *world.network._udp.values())
+        if isinstance(server, (Tcp443Server, QuicServerEndpoint))
+    ]
+    assert servers and not [
+        obj.__qualname__
+        for obj in held_by_world
+        if isinstance(obj, types.FunctionType)
+        and obj.__qualname__.startswith("build_world.<locals>")
+    ]
+    assert world.zones.lookup_a(world.deployments[0].domains[0])
+    assert not [obj for obj in held_by_world if isinstance(obj, (ARecord, AaaaRecord))]
+    # A TCP and a QUIC server of one row cannot share a configuration
+    # (ALPN lists, transport parameters): each protocol counts its rows.
+    quic_bound = {str(address) for (address, _port) in world.network._udp}
+    rows = {(d.group, d.pool, d.tparam_key) for d in world.deployments}
+    quic_rows = {
+        (d.group, d.pool, d.tparam_key)
+        for d in world.deployments
+        if str(d.address) in quic_bound
+    }
+    configs = sum(isinstance(obj, TlsServerConfig) for obj in held_by_world)
+    assert 0 < configs <= len(rows) + len(quic_rows)
+    for protocol in (Tcp443Server, QuicServerEndpoint):
+        shared = {
+            id(obj)
+            for server in servers
+            if isinstance(server, protocol)
+            for obj in _reachable(server)
+            if isinstance(obj, TlsServerConfig)
+        }
+        assert len(shared) <= len(rows)
+    lists = world.input_lists.lists
+    held = {name for names in lists.values() for name in names if world.zones.holds(name)}
+    strings = [obj for obj in _reachable(world.input_lists) if isinstance(obj, str)]
+    # Beyond the listed hosted names: list names, filler prefixes, TLDs.
+    assert len(held) < len(strings) <= len(held) + 32 < sum(map(len, lists.values()))
 
 
 def test_cold_world_generates_its_ca_key_and_nothing_else(monkeypatch):

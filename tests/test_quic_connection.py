@@ -272,9 +272,9 @@ def test_server_rng_children_count_accepted_connections(pki, monkeypatch, forget
     children = []
     real_init = quic_connection._ServerConnection.__init__
 
-    def recording_init(self, behaviour, version, odcid, rng):
+    def recording_init(self, behaviour, version, odcid, rng, *row):
         children.append(rng.getstate())
-        real_init(self, behaviour, version, odcid, rng)
+        real_init(self, behaviour, version, odcid, rng, *row)
 
     monkeypatch.setattr(quic_connection._ServerConnection, "__init__", recording_init)
     net = make_network(pki)
