@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test docs-check shapes scale-sweep bench bench-smoke bench-check bench-profile report artefacts interop chaos chaos-smoke conform conform-smoke fuzz-smoke warehouse-smoke longitudinal-smoke matrix-smoke fleet-smoke clean
+.PHONY: test docs-check shapes scale-sweep bench bench-smoke bench-check bench-profile reach report artefacts interop chaos chaos-smoke conform conform-smoke fuzz-smoke warehouse-smoke longitudinal-smoke matrix-smoke fleet-smoke clean
 
 # chaos-smoke keeps the fault-injection/degradation path exercised,
 # fuzz-smoke the wire-format conformance suite, conform-smoke the
@@ -35,6 +35,12 @@ shapes:
 # wall time, peak RSS and bytes per deployment and per listed name.
 scale-sweep:
 	$(PYTHON) benchmarks/scale_sweep.py
+
+# Reach map, not part of `make test` (a minute or two): the outermost
+# functions in src/ that sixteen CLI runs never enter, pool workers
+# included, per module.
+reach:
+	$(PYTHON) benchmarks/reach.py
 
 # Validates intra-repo markdown links + module docstring presence.
 docs-check:

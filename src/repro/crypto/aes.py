@@ -3,8 +3,7 @@
 Only encryption is required by this repository: AES-GCM uses the
 forward cipher for both directions (CTR mode), and QUIC header
 protection (RFC 9001 §5.4.3) applies the forward cipher to a sample of
-ciphertext.  Decryption of single blocks is provided for completeness
-and for tests.
+ciphertext, so the inverse cipher is not implemented.
 
 Single blocks go through T-tables (S-box and MixColumns folded into
 four 256-entry word tables); ``encrypt_blocks`` runs a whole buffer at
@@ -14,7 +13,7 @@ once as four row planes of big ints, one ``bytes.translate`` per S-box.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 __all__ = ["AES"]
 
@@ -55,9 +54,8 @@ def _gf_inv(a: int) -> int:
     return result
 
 
-def _build_sbox() -> Tuple[List[int], List[int]]:
+def _build_sbox() -> List[int]:
     sbox = [0] * 256
-    inv_sbox = [0] * 256
     for value in range(256):
         x = _gf_inv(value)
         # Affine transform: bitwise rotations of x XORed together plus 0x63.
@@ -66,11 +64,10 @@ def _build_sbox() -> Tuple[List[int], List[int]]:
             y ^= ((x << shift) | (x >> (8 - shift))) & 0xFF
         y ^= 0x63
         sbox[value] = y
-        inv_sbox[y] = value
-    return sbox, inv_sbox
+    return sbox
 
 
-_SBOX, _INV_SBOX = _build_sbox()
+_SBOX = _build_sbox()
 assert _SBOX[0x00] == 0x63 and _SBOX[0x53] == 0xED, "AES S-box self-check failed"
 
 _RCON = [0x01]
@@ -101,26 +98,6 @@ _SBOX_BYTES = bytes(_SBOX)
 _SBOX2_BYTES = bytes(_gf_mul(value, 2) for value in _SBOX)
 
 
-def _build_inverse_tables() -> Tuple[List[int], List[int], List[int], List[int]]:
-    """Build the four decryption T-tables (InvS-box + InvMixColumns)."""
-    d0, d1, d2, d3 = [], [], [], []
-    for value in range(256):
-        s = _INV_SBOX[value]
-        s9 = _gf_mul(s, 9)
-        sb = _gf_mul(s, 11)
-        sd = _gf_mul(s, 13)
-        se = _gf_mul(s, 14)
-        word = (se << 24) | (s9 << 16) | (sd << 8) | sb
-        d0.append(word)
-        d1.append(((word >> 8) | (word << 24)) & 0xFFFFFFFF)
-        d2.append(((word >> 16) | (word << 16)) & 0xFFFFFFFF)
-        d3.append(((word >> 24) | (word << 8)) & 0xFFFFFFFF)
-    return d0, d1, d2, d3
-
-
-_D0, _D1, _D2, _D3 = _build_inverse_tables()
-
-
 class AES:
     """AES block cipher with a 128, 192 or 256 bit key.
 
@@ -141,9 +118,6 @@ class AES:
         # secrets repeat), and both GCM and header protection construct
         # fresh AES objects around recurring keys.
         self._round_keys = _expand_key_cached(key)
-        # The inverse schedule is only needed by decrypt_block(); built
-        # on first use since CTR mode and header protection never do.
-        self._dec_round_keys: Optional[Tuple[int, ...]] = None
 
     @staticmethod
     def _expand_key(key: bytes) -> List[int]:
@@ -170,10 +144,6 @@ class AES:
                 )
             words.append(words[i - nk] ^ temp)
         return words
-
-    def _expand_decryption_key(self) -> Tuple[int, ...]:
-        """Round keys for the equivalent inverse cipher (InvMixColumns applied)."""
-        return _expand_decryption_key_cached(self._key)
 
     def encrypt_block(self, block: bytes) -> bytes:
         if len(block) != 16:
@@ -300,77 +270,6 @@ class AES:
         out[3::4] = s3.to_bytes(size, "big")
         return bytes(out)
 
-    def decrypt_block(self, block: bytes) -> bytes:
-        if len(block) != 16:
-            raise ValueError("AES operates on 16-byte blocks")
-        rk = self._dec_round_keys
-        if rk is None:
-            rk = self._dec_round_keys = self._expand_decryption_key()
-        s0 = int.from_bytes(block[0:4], "big") ^ rk[0]
-        s1 = int.from_bytes(block[4:8], "big") ^ rk[1]
-        s2 = int.from_bytes(block[8:12], "big") ^ rk[2]
-        s3 = int.from_bytes(block[12:16], "big") ^ rk[3]
-        d0, d1, d2, d3 = _D0, _D1, _D2, _D3
-        for rnd in range(1, self._rounds):
-            k = 4 * rnd
-            u0 = (
-                d0[(s0 >> 24) & 0xFF]
-                ^ d1[(s3 >> 16) & 0xFF]
-                ^ d2[(s2 >> 8) & 0xFF]
-                ^ d3[s1 & 0xFF]
-                ^ rk[k]
-            )
-            u1 = (
-                d0[(s1 >> 24) & 0xFF]
-                ^ d1[(s0 >> 16) & 0xFF]
-                ^ d2[(s3 >> 8) & 0xFF]
-                ^ d3[s2 & 0xFF]
-                ^ rk[k + 1]
-            )
-            u2 = (
-                d0[(s2 >> 24) & 0xFF]
-                ^ d1[(s1 >> 16) & 0xFF]
-                ^ d2[(s0 >> 8) & 0xFF]
-                ^ d3[s3 & 0xFF]
-                ^ rk[k + 2]
-            )
-            u3 = (
-                d0[(s3 >> 24) & 0xFF]
-                ^ d1[(s2 >> 16) & 0xFF]
-                ^ d2[(s1 >> 8) & 0xFF]
-                ^ d3[s0 & 0xFF]
-                ^ rk[k + 3]
-            )
-            s0, s1, s2, s3 = u0, u1, u2, u3
-        k = 4 * self._rounds
-        inv = _INV_SBOX
-        out0 = (
-            (inv[(s0 >> 24) & 0xFF] << 24)
-            | (inv[(s3 >> 16) & 0xFF] << 16)
-            | (inv[(s2 >> 8) & 0xFF] << 8)
-            | inv[s1 & 0xFF]
-        ) ^ rk[k]
-        out1 = (
-            (inv[(s1 >> 24) & 0xFF] << 24)
-            | (inv[(s0 >> 16) & 0xFF] << 16)
-            | (inv[(s3 >> 8) & 0xFF] << 8)
-            | inv[s2 & 0xFF]
-        ) ^ rk[k + 1]
-        out2 = (
-            (inv[(s2 >> 24) & 0xFF] << 24)
-            | (inv[(s1 >> 16) & 0xFF] << 16)
-            | (inv[(s0 >> 8) & 0xFF] << 8)
-            | inv[s3 & 0xFF]
-        ) ^ rk[k + 2]
-        out3 = (
-            (inv[(s3 >> 24) & 0xFF] << 24)
-            | (inv[(s2 >> 16) & 0xFF] << 16)
-            | (inv[(s1 >> 8) & 0xFF] << 8)
-            | inv[s0 & 0xFF]
-        ) ^ rk[k + 3]
-        return b"".join(x.to_bytes(4, "big") for x in (out0, out1, out2, out3))
-
-
 @lru_cache(maxsize=4096)
 def _expand_key_cached(key: bytes) -> Tuple[int, ...]:
     return tuple(AES._expand_key(key))
@@ -401,25 +300,3 @@ def _lane_masks(blocks: int) -> Tuple[int, ...]:
         for shift in (8, 16, 24)
         for mask in ((0xFFFFFFFF << shift) & 0xFFFFFFFF, 0xFFFFFFFF >> (32 - shift))
     )
-
-
-@lru_cache(maxsize=1024)
-def _expand_decryption_key_cached(key: bytes) -> Tuple[int, ...]:
-    rk = _expand_key_cached(key)
-    rounds = {44: 10, 52: 12, 60: 14}[len(rk)]
-    dec: List[int] = [0] * len(rk)
-    for i in range(4):
-        dec[i] = rk[4 * rounds + i]
-        dec[4 * rounds + i] = rk[i]
-    for rnd in range(1, rounds):
-        for i in range(4):
-            word = rk[4 * (rounds - rnd) + i]
-            # Apply InvMixColumns to the word via the decryption tables
-            # composed with the forward S-box.
-            dec[4 * rnd + i] = (
-                _D0[_SBOX[(word >> 24) & 0xFF]]
-                ^ _D1[_SBOX[(word >> 16) & 0xFF]]
-                ^ _D2[_SBOX[(word >> 8) & 0xFF]]
-                ^ _D3[_SBOX[word & 0xFF]]
-            )
-    return tuple(dec)

@@ -8,7 +8,7 @@ draft wire encoding so the scanner exercises real encode/decode paths.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.dns.records import AaaaRecord, ARecord, HttpsRecord, SvcbRecord
 from repro.dns.zones import ZoneStore
@@ -102,8 +102,3 @@ class Resolver:
             else:
                 raise ValueError(f"unsupported record type {record_type}")
         return result
-
-    def resolve_many(
-        self, domains: Sequence[str], record_types: Sequence[str] = ("A", "AAAA", "HTTPS")
-    ) -> Dict[str, ResolutionResult]:
-        return {domain: self.resolve(domain, record_types) for domain in domains}

@@ -47,7 +47,6 @@ from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.joins import DnsJoin, join_dns_addresses
-from repro.crypto.rand import derive_seed
 from repro.experiments.stages import (
     BY_NAME,
     DNS_RECORDS,
@@ -65,6 +64,7 @@ from repro.experiments.stages import (
 from repro.internet.generator import World, build_world
 from repro.internet.providers import Scale
 from repro.netsim.addresses import Address, IPv6Address
+from repro.netsim.faults import configure_world, profile_gauges
 from repro.observability.metrics import MetricsRegistry, use_metrics
 from repro.observability.tracing import EventTracer, use_tracer
 from repro.quic.versions import DRAFT_29, DRAFT_32, DRAFT_34, QSCANNER_SUPPORTED, QUIC_V1
@@ -90,6 +90,7 @@ __all__ = [
     "CampaignConfig",
     "Campaign",
     "StageHealth",
+    "build_config_world",
     "get_campaign",
     "COMPATIBLE_ALPN_TOKENS",
     "shard_block_bounds",
@@ -195,7 +196,7 @@ class Campaign:
         fleet: Optional[object] = None,
     ):
         self.config = config
-        self._world = world
+        self._world: Optional[World] = None
         self._workers = max(1, workers or 1)
         self._pool = None
         self._cache = None
@@ -219,6 +220,8 @@ class Campaign:
             self._cache = CampaignStageCache(
                 cache_dir, config, metrics=self.metrics, tracer=self.tracer
             )
+        if world is not None:
+            self._hold_world(world)
 
     @property
     def world(self) -> World:
@@ -229,58 +232,24 @@ class Campaign:
         """
         if self._world is None:
             start = time.perf_counter()
-            self._world = build_world(
-                week=self.config.week,
-                scale=self.config.scale,
-                seed=self.config.seed,
-                fast_crypto=self.config.fast_crypto,
-            )
-            if self.config.fault_profile:
-                self._apply_fault_profile(self._world)
-            if self.config.path_profile:
-                self._apply_path_profile(self._world)
+            world = build_config_world(self.config)
+            configure_world(world, self.config)
+            self._hold_world(world)
             self.metrics.gauge("campaign.world_build_seconds", volatile=True).set(
                 round(time.perf_counter() - start, 6)
             )
         return self._world
 
-    def _apply_fault_profile(self, world: World) -> None:
-        """Attach the configured fault profile to the freshly built world.
+    def _hold_world(self, world: World) -> None:
+        """Hold ``world`` and gauge the hosts the configuration's profiles touch.
 
-        The selection seed derives from the campaign seed and profile
-        name only, so serial runs, shard workers' replicas and repeat
-        runs all fault the exact same hosts.
+        The gauges come from a pure count, so a world built and
+        configured here and a world given by a fleet (which may be in
+        another configuration's state, or in none) gauge alike.
         """
-        from repro.netsim.faults import apply_profile, get_profile
-
-        profile = get_profile(self.config.fault_profile)
-        counts = apply_profile(
-            world.network,
-            [deployment.address for deployment in world.deployments],
-            profile,
-            derive_seed("faults", self.config.seed, profile.name),
-        )
-        for kind in sorted(counts):
-            self.metrics.gauge("faults.hosts", fault=kind).set(counts[kind])
-
-    def _apply_path_profile(self, world: World) -> None:
-        """Attach the configured path profile to the freshly built world.
-
-        The shaping seed derives from the campaign seed and the spec's
-        canonical form only, so serial runs and shard workers' replicas
-        shape the exact same hosts identically.  Composes with
-        ``fault_profile`` (applied first; faults tuples are preserved).
-        """
-        from repro.netsim.paths import apply_path_profile, parse_path_spec
-
-        spec = parse_path_spec(self.config.path_profile)
-        count = apply_path_profile(
-            world.network,
-            [deployment.address for deployment in world.deployments],
-            spec,
-            derive_seed("paths", self.config.seed, spec.canonical()),
-        )
-        self.metrics.gauge("paths.hosts", profile=spec.name).set(count)
+        self._world = world
+        for name, labels, hosts in profile_gauges(world, self.config):
+            self.metrics.gauge(name, **labels).set(hosts)
 
     @property
     def stage_cache(self):
@@ -300,7 +269,7 @@ class Campaign:
 
         if self._pool is None:
             self._pool = WorkerPool(self._workers)
-        return self._pool.ensure({world_digest(self.config): (self.config, self.world)})
+        return self._pool.ensure({world_digest(self.config): self.world})
 
     # -- stage execution ---------------------------------------------------------
     #
@@ -842,6 +811,16 @@ def _stage_accessor(name: str) -> cached_property:
 for _row in STAGES:
     setattr(Campaign, _row.name, _stage_accessor(_row.name))
 del _row
+
+
+def build_config_world(config: CampaignConfig) -> World:
+    """The world ``config`` names, in its build-time state (no profiles)."""
+    return build_world(
+        week=config.week,
+        scale=config.scale,
+        seed=config.seed,
+        fast_crypto=config.fast_crypto,
+    )
 
 
 _CAMPAIGNS: Dict[Tuple, Campaign] = {}

@@ -95,9 +95,6 @@ class World:
     scanner_v4: IPv4Address
     scanner_v6: IPv6Address
 
-    def deployments_by_pool(self, pool: str) -> List[DeploymentInfo]:
-        return [d for d in self.deployments if d.pool == pool]
-
 
 class _AddressAllocator:
     """Sequential prefix and address allocation in both families."""

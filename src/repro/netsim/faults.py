@@ -39,10 +39,11 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.crypto.rand import DeterministicRandom, derive_seed
 from repro.netsim.addresses import Address
+from repro.netsim import paths
 
 __all__ = [
     "FaultSpec",
@@ -60,6 +61,8 @@ __all__ = [
     "get_profile",
     "apply_profile",
     "profile_counts",
+    "configure_world",
+    "profile_gauges",
     "profile_selected",
     "ServiceFault",
     "ServiceFaultError",
@@ -466,6 +469,25 @@ def profile_selected(seed: int, profile: FaultProfile, address: Address) -> bool
     )
 
 
+def _selection(
+    addresses: Iterable[Address], profile: FaultProfile, seed: int
+) -> Tuple[Dict[str, int], List[Tuple[Address, Tuple[FaultSpec, ...]]]]:
+    """Per-fault-kind host counts, and each selected host with its specs."""
+    counts = {entry.spec.kind: 0 for entry in profile.entries}
+    selected = []
+    for address in addresses:
+        specs = tuple(
+            entry.spec
+            for index, entry in enumerate(profile.entries)
+            if _selected(seed, profile, index, address)
+        )
+        for spec in specs:
+            counts[spec.kind] += 1
+        if specs:
+            selected.append((address, specs))
+    return counts, selected
+
+
 def apply_profile(
     network,
     addresses: Iterable[Address],
@@ -480,21 +502,12 @@ def apply_profile(
     replica.  Returns per-fault-kind host counts.
     """
     network.configure_faults(seed)
-    counts: Dict[str, int] = {}
-    for entry in profile.entries:
-        counts.setdefault(entry.spec.kind, 0)
-    for address in addresses:
-        specs = []
-        for index, entry in enumerate(profile.entries):
-            if _selected(seed, profile, index, address):
-                specs.append(entry.spec)
-                counts[entry.spec.kind] += 1
-        if specs:
-            base = network.conditions_for(address)
-            network.set_conditions(
-                address,
-                dataclasses.replace(base, faults=base.faults + tuple(specs)),
-            )
+    counts, selected = _selection(addresses, profile, seed)
+    for address, specs in selected:
+        base = network.conditions_for(address)
+        network.set_conditions(
+            address, dataclasses.replace(base, faults=base.faults + specs)
+        )
     return counts
 
 
@@ -505,20 +518,66 @@ def profile_counts(
 ) -> Dict[str, int]:
     """Per-fault-kind host counts of :func:`apply_profile`, without applying.
 
-    Recomputes the exact selection hashes, so the result equals what
-    :func:`apply_profile` would return for the same arguments.  The
-    fleet scheduler uses it to set a cell's ``faults.hosts`` gauges
-    without touching the shared pristine world (workers apply the
-    profile to their own replicas instead).
+    Both run the same selection, so the result equals what
+    :func:`apply_profile` returns for the same arguments.  A campaign
+    gauges ``faults.hosts`` from it (:func:`profile_gauges`) whether it
+    configured its world or was given one another configuration uses.
     """
-    counts: Dict[str, int] = {}
-    for entry in profile.entries:
-        counts.setdefault(entry.spec.kind, 0)
-    for address in addresses:
-        for index, entry in enumerate(profile.entries):
-            if _selected(seed, profile, index, address):
-                counts[entry.spec.kind] += 1
-    return counts
+    return _selection(addresses, profile, seed)[0]
+
+
+# -- configurations --------------------------------------------------------------
+
+
+def _fault_seed(config, profile: FaultProfile) -> int:
+    return derive_seed("faults", config.seed, profile.name)
+
+
+def configure_world(world, config) -> None:
+    """Put ``world`` into the state ``config``'s own build has.
+
+    The one route by which a world reaches a configuration's state:
+    the network restores its build-time conditions, then gets
+    ``config``'s fault and path profiles with seeds derived from the
+    campaign seed and the profile alone.  Idempotent per
+    ``(seed, fault_profile, path_profile)``, so re-configuring a world
+    already in that state is one comparison.
+    """
+    network = world.network
+
+    def install() -> None:
+        if config.fault_profile or config.path_profile:
+            addresses = [deployment.address for deployment in world.deployments]
+        if config.fault_profile:
+            profile = get_profile(config.fault_profile)
+            apply_profile(network, addresses, profile, _fault_seed(config, profile))
+        if config.path_profile:
+            spec = paths.parse_path_spec(config.path_profile)
+            paths.apply_path_profile(
+                network, addresses, spec, derive_seed("paths", config.seed, spec.canonical())
+            )
+
+    network.configure((config.seed, config.fault_profile, config.path_profile), install)
+
+
+def profile_gauges(world, config) -> List[Tuple[str, Dict[str, str], int]]:
+    """``(gauge, labels, hosts)`` for the hosts ``config``'s profiles touch.
+
+    A pure count over ``world``'s deployments: what
+    :func:`configure_world` installs, counted without touching the
+    world.  Path profiles shape every host (see
+    :func:`~repro.netsim.paths.apply_path_profile`).
+    """
+    gauges: List[Tuple[str, Dict[str, str], int]] = []
+    if config.fault_profile:
+        profile = get_profile(config.fault_profile)
+        addresses = [deployment.address for deployment in world.deployments]
+        counts = profile_counts(addresses, profile, _fault_seed(config, profile))
+        gauges.extend(("faults.hosts", {"fault": kind}, counts[kind]) for kind in sorted(counts))
+    if config.path_profile:
+        name = paths.parse_path_spec(config.path_profile).name
+        gauges.append(("paths.hosts", {"profile": name}, len(world.deployments)))
+    return gauges
 
 
 # -- service-granularity faults ------------------------------------------------

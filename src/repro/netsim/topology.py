@@ -268,6 +268,10 @@ class Network:
         # (see repro.netsim.paths).
         self._path_seed: int = 0
         self._path_states: Dict[Address, "PathState"] = {}
+        # The build-time conditions (snapshot on the first configure)
+        # and the configuration key they were last configured for.
+        self._base: Optional[Tuple] = None
+        self._configuration: Optional[Tuple] = None
 
     # -- registration ----------------------------------------------------------
     def bind_udp(self, address: Address, port: int, endpoint: UdpEndpoint) -> None:
@@ -291,6 +295,36 @@ class Network:
             if prefix.contains(address):
                 return prefix_conditions
         return self._default_conditions
+
+    # -- configuration ---------------------------------------------------------
+    def configure(self, key: Tuple, install: Callable[[], None]) -> None:
+        """Put the network into the configuration ``key`` names; idempotent.
+
+        A key other than the current one restores the build-time
+        conditions (snapshot on the first call), clears fault and path
+        state, reopens the root epoch and runs ``install``, which
+        attaches the configuration's profiles.  So a network serving
+        configuration A, then B, then A again is in the same state each
+        time it serves A.
+        """
+        if key == self._configuration:
+            return
+        if self._base is None:
+            self._base = (
+                dict(self._conditions),
+                list(self._prefix_conditions),
+                self._default_conditions,
+            )
+        else:
+            self._conditions = dict(self._base[0])
+            self._prefix_conditions = list(self._base[1])
+            self._default_conditions = self._base[2]
+        self._configuration = None
+        self.configure_faults(0)
+        self.configure_paths(0)
+        self._fault_epoch = "root"
+        install()
+        self._configuration = key
 
     # -- fault injection -------------------------------------------------------
     def configure_faults(self, seed: int) -> None:

@@ -1,20 +1,26 @@
-"""Worker pools: fork with shared worlds, route tasks to replicas, close.
+"""Worker pools and the one world lifecycle every pool shares.
 
 Every pool in ``repro.parallel`` — a campaign's own and the fleet's
-shared one — is a :class:`WorkerPool`:
+shared one — is a :class:`WorkerPool`, and every worker finds the
+campaign a task belongs to through one function, :func:`replica`:
 
-- **fork-shared worlds** — just before the fork, the parent publishes
-  its built worlds in ``_FORK_SHARED`` (keyed by :func:`world_digest`);
-  ``Pool()`` starts its workers synchronously, so the window closes
-  right after and each child keeps its fork-time copy, sharing the
-  world copy-on-write instead of rebuilding it.  Without ``fork`` the
-  pool spawns, children see an empty registry and rebuild the world
-  deterministically from the configuration.
-- **replicas by configuration** — a task carries the configuration of
-  the campaign it belongs to; :func:`replica` maps it to this worker's
-  campaign replica.  A campaign's own pool serves one configuration
-  (:func:`_own_replica`); a fleet pool looks up its LRU over worlds
-  and configurations instead.
+- **worlds by digest** — just before the fork, the parent publishes
+  the worlds it holds in ``_FORK_SHARED``, keyed by
+  :func:`world_digest`; ``Pool()`` starts its workers synchronously,
+  so the window closes right after and each child keeps its fork-time
+  copy, sharing the world copy-on-write.  A worker adopts a published
+  world whatever configuration it was published for, and takes it out
+  of its registry as it does, so its LRU holds the only reference.
+  With nothing published (``spawn``, or a world built after the fork)
+  it rebuilds the world from the configuration.
+- **one configure step** — the replica then puts the world into the
+  task's configuration state
+  (:func:`repro.netsim.faults.configure_world`): a comparison when the
+  world is already in it, a restore plus the profiles otherwise.
+- **bounded LRUs** — a worker keeps :data:`MAX_WORLDS` worlds by
+  digest and :data:`MAX_CAMPAIGNS` campaign replicas by configuration;
+  evicting a world drops the replicas bound to it, so a stale week can
+  never leak into a later one through a cached replica.
 - **drain, then terminate** — :meth:`WorkerPool.close` lets in-flight
   tasks finish and terminates only workers still alive after the
   timeout.
@@ -28,24 +34,37 @@ import multiprocessing
 import os
 import sys
 import time
-from typing import Callable, Dict, Optional, Tuple
+from collections import OrderedDict
+from typing import Dict, List, Tuple
 
 __all__ = [
+    "MAX_CAMPAIGNS",
+    "MAX_WORLDS",
     "WorkerPool",
     "default_worker_count",
+    "lru_put",
     "replica",
     "world_digest",
     "world_key",
 ]
 
-# Parent-side fork registry: world snapshots published while a pool
-# forks, keyed by :func:`world_digest`.  Each entry is ``(tag, world)``
-# where ``tag`` is either the exact campaign configuration the world
-# was built (and profiled) for, or the fleet's pristine sentinel
-# (:data:`repro.parallel.fleet.PRISTINE`) marking a profile-free world
-# that any configuration sharing the digest may adopt after applying
-# its own fault/path profiles.
-_FORK_SHARED: Dict[str, Tuple[object, object]] = {}
+# How many worlds (by digest) and campaign replicas (by configuration)
+# a worker keeps; the fleet's parent bounds its worlds the same way.
+# A matrix uses one world and a longitudinal series one per week, so
+# two keep the previous week warm without a long series holding every
+# world.
+MAX_WORLDS = 2
+MAX_CAMPAIGNS = 8
+
+# The start method pools use; ``spawn`` where ``fork`` is missing.
+START_METHOD = "fork"
+
+# Parent side: the worlds published while a pool forks, by digest.
+_FORK_SHARED: Dict[str, object] = {}
+
+# Worker side: the resident worlds and campaign replicas.
+_WORLDS: "OrderedDict[str, object]" = OrderedDict()
+_CAMPAIGNS: "OrderedDict[Tuple, object]" = OrderedDict()
 
 
 def world_key(config) -> Tuple:
@@ -54,7 +73,7 @@ def world_key(config) -> Tuple:
     Two configurations with equal world keys build byte-identical
     simulated Internets: fault and path profiles are applied *after*
     the build and deliberately stay out of the key — that is what lets
-    a fleet share one world snapshot across a whole scenario matrix.
+    a fleet share one world across a whole scenario matrix.
     """
     return (
         "world",
@@ -66,7 +85,7 @@ def world_key(config) -> Tuple:
 
 
 def world_digest(config) -> str:
-    """Deterministic digest naming a world snapshot in ``_FORK_SHARED``."""
+    """Deterministic digest naming a world in ``_FORK_SHARED`` and the LRUs."""
     return hashlib.sha256(repr(world_key(config)).encode()).hexdigest()[:16]
 
 
@@ -85,38 +104,40 @@ def default_worker_count() -> int:
     return os.cpu_count() or 1
 
 
+def lru_put(cache: "OrderedDict", key, value, bound: int) -> List:
+    """Make ``key`` the newest entry of ``cache``; pop and return those beyond ``bound``."""
+    cache[key] = value
+    cache.move_to_end(key)
+    evicted = []
+    while len(cache) > bound:
+        evicted.append(cache.popitem(last=False)[1])
+    return evicted
+
+
 # -- worker side ---------------------------------------------------------------
 
-_OWN_CAMPAIGN = None
 
+def replica(config):
+    """This worker's campaign replica for ``config``, in ``config``'s state."""
+    from repro.experiments.campaign import Campaign, build_config_world
+    from repro.netsim.faults import configure_world
 
-def _own_replica(config):
-    """The replica of a campaign's own pool, built on the first task.
-
-    Adopts the fork-inherited world published for exactly this
-    configuration; otherwise (spawn, or nothing published) rebuilds it
-    from the configuration.
-    """
-    global _OWN_CAMPAIGN
-    if _OWN_CAMPAIGN is None or _OWN_CAMPAIGN.config != config:
-        from repro.experiments.campaign import Campaign
-
-        entry = _FORK_SHARED.get(world_digest(config))
-        world = entry[1] if entry is not None and entry[0] == config else None
-        _OWN_CAMPAIGN = Campaign(config, world=world)
-    return _OWN_CAMPAIGN
-
-
-# The worker's lookup from a task's configuration to its campaign
-# replica, installed by the pool initializer.
-replica: Callable[[object], object] = _own_replica
-
-
-def _start_worker(lookup, initializer, initargs) -> None:
-    global replica
-    replica = lookup
-    if initializer is not None:
-        initializer(*initargs)
+    digest = world_digest(config)
+    world = _WORLDS.get(digest)
+    if world is None:
+        world = _FORK_SHARED.pop(digest, None)
+        if world is None:
+            world = build_config_world(config)
+    for evicted in lru_put(_WORLDS, digest, world, MAX_WORLDS):
+        for stale in [key for key, held in _CAMPAIGNS.items() if held.world is evicted]:
+            del _CAMPAIGNS[stale]
+    configure_world(world, config)
+    key = config.cache_key()
+    campaign = _CAMPAIGNS.get(key)
+    if campaign is None:
+        campaign = Campaign(config, world=world)
+    lru_put(_CAMPAIGNS, key, campaign, MAX_CAMPAIGNS)
+    return campaign
 
 
 # -- parent side ---------------------------------------------------------------
@@ -125,34 +146,23 @@ def _start_worker(lookup, initializer, initargs) -> None:
 class WorkerPool:
     """A lazily forked process pool that lives until :meth:`close`."""
 
-    def __init__(
-        self,
-        processes: int,
-        lookup: Callable[[object], object] = _own_replica,
-        initializer: Optional[Callable] = None,
-        initargs: Tuple = (),
-    ):
+    def __init__(self, processes: int):
         self.processes = max(1, processes)
-        self._initargs = (lookup, initializer, initargs)
         self._pool = None
         self.forks = 0
 
-    def ensure(self, worlds: Dict[str, Tuple[object, object]]):
+    def ensure(self, worlds: Dict[str, object]):
         """The running pool; forks it with ``worlds`` published if none runs."""
         if self._pool is None:
             try:
-                context = multiprocessing.get_context("fork")
+                context = multiprocessing.get_context(START_METHOD)
             except ValueError:  # pragma: no cover - non-POSIX fallback
                 context = multiprocessing.get_context("spawn")
             published = [digest for digest in worlds if digest not in _FORK_SHARED]
             for digest in published:
                 _FORK_SHARED[digest] = worlds[digest]
             try:
-                self._pool = context.Pool(
-                    processes=self.processes,
-                    initializer=_start_worker,
-                    initargs=self._initargs,
-                )
+                self._pool = context.Pool(processes=self.processes)
             finally:
                 for digest in published:
                     _FORK_SHARED.pop(digest, None)

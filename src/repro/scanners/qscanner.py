@@ -18,7 +18,7 @@ supports restricting its own version set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from repro.crypto.rand import DeterministicRandom
 from repro.http import h3
@@ -343,10 +343,3 @@ class QScanner:
         record.early_data_supported = bool(
             resumed.early_data_sent and resumed.early_data_accepted
         )
-
-    def scan_many(
-        self,
-        targets: Sequence[Tuple[Address, Optional[str], TargetSource]],
-        port: int = 443,
-    ) -> List[QScanRecord]:
-        return [self.scan(address, sni, source, port) for address, sni, source in targets]

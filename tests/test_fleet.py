@@ -1,37 +1,42 @@
-"""Fleet scheduler: shared world snapshots, persistent pool, byte-identity.
+"""Fleet scheduler: worlds shared by digest, persistent pool, byte-identity.
 
 The contract under test (docs/PERFORMANCE.md, "Fleet scheduler"):
 
 - matrix cells that differ only in ``path_profile`` share **one**
-  digest-keyed pristine world snapshot (built once, activated per
-  cell); distinct weeks get distinct snapshots,
+  digest-keyed world (built once, configured per cell); distinct
+  weeks get distinct worlds,
 - a fleet matrix run — in-process and pooled — produces **byte
   identical** warehouse database files and per-cell ``metrics.json``
   to the sequential driver, across all five canonical path profiles,
-- world activation (restore pristine conditions, re-apply the cell's
-  fault/path profiles with the sequential seeds) reproduces a
+- configuring a world (restore its build-time conditions, re-apply the
+  cell's fault/path profiles with the sequential seeds) reproduces a
   dedicated profiled world exactly, fault profiles included,
 - a longitudinal series run through one persistent fleet produces a
   byte-identical warehouse to the per-week-pool driver,
-- the worker-side world LRU evicts stale worlds *and* the campaign
-  replicas bound to them, so a dead week can never leak into a later
-  one through a cached replica,
+- the worker-side world LRU (``pool.replica``) evicts stale worlds
+  *and* the campaign replicas bound to them, so a dead week can never
+  leak into a later one through a cached replica, and frees an evicted
+  fork-inherited world,
 - ``fleet_pool_size`` warns on stderr and clamps deterministically
   when ``jobs x workers`` oversubscribes the machine.
 """
 
+import gc
 import sqlite3
+import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from repro.conformance.differential import DIFF_STAGES, _record_lines
-from repro.experiments.campaign import Campaign, CampaignConfig
+from repro.experiments.campaign import Campaign, CampaignConfig, build_config_world
 from repro.experiments.matrix import MatrixConfig, profile_cells, run_matrix
 from repro.internet.providers import Scale
 from repro.longitudinal import LongitudinalScheduler, SeriesConfig
+from repro.netsim.faults import configure_world, profile_gauges
 from repro.observability.report import render_metrics_json
-from repro.parallel import fleet as fleet_module
+from repro.parallel import fleet as fleet_module, pool as pool_module
 from repro.parallel.pool import world_digest
 from repro.parallel.fleet import FleetScheduler, fleet_pool_size
 from repro.warehouse import connect
@@ -104,40 +109,59 @@ class TestWorldSharing:
         assert fleet.world_builds == 1
         assert fleet.world_reuse_hits == len(configs) - 1
 
-    def test_parent_lru_evicts_oldest_week(self):
-        fleet = FleetScheduler(max_worlds=1)
+    def test_parent_lru_evicts_oldest_week(self, monkeypatch):
+        monkeypatch.setattr(pool_module, "MAX_WORLDS", 1)
+        fleet = FleetScheduler()
         week16 = fleet.world_for(_config(week=16))
         week17 = fleet.world_for(_config(week=17))
         assert week17 is not week16
         assert list(fleet._worlds) == [world_digest(_config(week=17))]
-        # Returning to week 16 rebuilds: the snapshot really was evicted.
+        # Returning to week 16 rebuilds: the world really was evicted.
         again = fleet.world_for(_config(week=16))
         assert again is not week16
         assert fleet.world_builds == 3
         assert fleet.world_reuse_hits == 0
 
 
+@pytest.fixture
+def one_world_worker(monkeypatch):
+    """This process as a worker that keeps one world; its LRUs emptied after."""
+    monkeypatch.setattr(pool_module, "MAX_WORLDS", 1)
+    yield
+    pool_module._WORLDS.clear()
+    pool_module._CAMPAIGNS.clear()
+    pool_module._FORK_SHARED.clear()
+
+
 class TestWorkerEviction:
-    def test_evicting_a_world_drops_its_campaign_replicas(self):
-        fleet_module._fleet_init(1)
-        try:
-            config16, config17 = _config(week=16), _config(week=17)
-            replica16 = fleet_module._fleet_replica(config16)
-            assert list(fleet_module._FLEET_WORLDS) == [world_digest(config16)]
-            fleet_module._fleet_replica(config17)
-            # Week 16's world was evicted — and took its replica along.
-            assert list(fleet_module._FLEET_WORLDS) == [world_digest(config17)]
-            assert all(
-                campaign._world is not replica16._world
-                for campaign in fleet_module._FLEET_CAMPAIGNS.values()
-            )
-            # Revisiting week 16 rebuilds fresh; the stale replica (bound
-            # to the evicted snapshot) is never served again.
-            again = fleet_module._fleet_replica(config16)
-            assert again is not replica16
-            assert again._world is not replica16._world
-        finally:
-            fleet_module._fleet_init(fleet_module.DEFAULT_MAX_WORLDS)
+    def test_evicting_a_world_drops_its_campaign_replicas(self, one_world_worker):
+        config16, config17 = _config(week=16), _config(week=17)
+        replica16 = pool_module.replica(config16)
+        assert list(pool_module._WORLDS) == [world_digest(config16)]
+        pool_module.replica(config17)
+        # Week 16's world was evicted — and took its replica along.
+        assert list(pool_module._WORLDS) == [world_digest(config17)]
+        assert all(
+            campaign.world is not replica16.world
+            for campaign in pool_module._CAMPAIGNS.values()
+        )
+        # Revisiting week 16 rebuilds fresh; the stale replica (bound
+        # to the evicted world) is never served again.
+        again = pool_module.replica(config16)
+        assert again is not replica16
+        assert again.world is not replica16.world
+
+    def test_evicted_fork_inherited_world_is_freed(self, one_world_worker):
+        """A worker adopts a published world by taking it out of the
+        registry, so its LRU bound holds for fork-inherited worlds too."""
+        config16, config17 = _config(week=16), _config(week=17)
+        digest16 = world_digest(config16)
+        pool_module._FORK_SHARED[digest16] = build_config_world(config16)
+        published = weakref.ref(pool_module._FORK_SHARED[digest16])
+        assert pool_module.replica(config16).world is published()
+        pool_module.replica(config17)
+        gc.collect()
+        assert published() is None
 
 
 # -- byte-identity against the sequential drivers ------------------------------
@@ -177,18 +201,18 @@ class TestMatrixByteIdentity:
 
 class TestActivation:
     def test_fault_and_path_activation_matches_dedicated_build(self):
-        """A reused snapshot serving profile B after profile A replays
+        """A reused world serving profile B after profile A replays
         exactly what a from-scratch profiled world produces — records
         and metrics bytes — fault profile included."""
         config = _config(path_profile="lossy-edge", fault_profile="flaky-edge")
         baseline = Campaign(config)
         baseline.run_all_stages()
         fleet = FleetScheduler()
-        # Dirty the shared snapshot with a different cell first, so the
-        # second activation really exercises the pristine restore.
+        # Configure the shared world for a different cell first, so the
+        # second configure really restores the build-time conditions.
         # A cell is released once committed: read it inside the commit.
         _, (lines, metrics) = fleet.execute(
-            [_config(path_profile="bufferbloat"), config],
+            [_config(path_profile="bufferbloat", fault_profile="rate-limited"), config],
             lambda index, cell: (
                 {stage: _record_lines(cell, stage) for stage in DIFF_STAGES},
                 render_metrics_json(cell),
@@ -197,6 +221,24 @@ class TestActivation:
         for stage in DIFF_STAGES:
             assert lines[stage] == _record_lines(baseline, stage), stage
         assert metrics == render_metrics_json(baseline)
+
+    def test_profile_gauges_count_what_configure_installs(self):
+        """The gauges are a pure count; they must equal the hosts the
+        configure step actually faults and shapes."""
+        config = _config(path_profile="lossy-edge", fault_profile="flaky-edge")
+        world = build_config_world(config)
+        configure_world(world, config)
+        installed = Counter()
+        for deployment in world.deployments:
+            conditions = world.network.conditions_for(deployment.address)
+            installed["paths.hosts", "lossy-edge"] += conditions.path is not None
+            installed.update(("faults.hosts", spec.kind) for spec in conditions.faults)
+        gauged = {
+            (name, *labels.values()): hosts
+            for name, labels, hosts in profile_gauges(world, config)
+        }
+        assert gauged == dict(installed)
+        assert all(gauged.values())
 
 
 class TestLongitudinalByteIdentity:

@@ -154,6 +154,55 @@ def test_lazy_parallel_access_equals_lazy_serial(tiny_campaign, stage):
         parallel.close()
 
 
+def _cell_output(campaign):
+    """A finished campaign's records per stage and its metrics.json bytes."""
+    from repro.conformance.differential import DIFF_STAGES, _record_lines
+
+    records = {stage: _record_lines(campaign, stage) for stage in DIFF_STAGES}
+    return records, render_metrics_json(campaign)
+
+
+def _spawn_campaign(configs):
+    campaign = Campaign(configs[0], workers=2)
+    try:
+        campaign.run_all_stages()
+        return [_cell_output(campaign)]
+    finally:
+        campaign.close()
+
+
+def _spawn_fleet(configs):
+    from repro.parallel.fleet import FleetScheduler
+
+    with FleetScheduler(jobs=2) as fleet:
+        return fleet.execute(configs, lambda index, campaign: _cell_output(campaign))
+
+
+@pytest.mark.parametrize(
+    "run, path_profiles",
+    [(_spawn_campaign, ("lossy-edge",)), (_spawn_fleet, ("geo-satellite", "lossy-edge"))],
+    ids=["workers2-campaign", "fleet-jobs2-matrix"],
+)
+def test_spawned_workers_rebuild_configure_and_match_serial(monkeypatch, run, path_profiles):
+    """Under ``spawn`` no world is inherited: every worker rebuilds its
+    world from the configuration and configures it, and the records and
+    metrics.json bytes still equal a serial run's."""
+    from repro.parallel import pool
+
+    scale = Scale(addresses=200_000, ases=4_000, domains=200_000)
+    configs = [
+        CampaignConfig(week=18, scale=scale, seed=23, fault_profile="flaky-edge", path_profile=p)
+        for p in path_profiles
+    ]
+    serial = []
+    for config in configs:
+        campaign = Campaign(config)
+        campaign.run_all_stages()
+        serial.append(_cell_output(campaign))
+    monkeypatch.setattr(pool, "START_METHOD", "spawn")
+    assert run(configs) == serial
+
+
 def test_only_the_scanbench_shim_names_scan_engine():
     """No product module reaches the one-stage ``ScanEngine`` entry."""
     root = Path(repro.__file__).parent

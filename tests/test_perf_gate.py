@@ -435,3 +435,60 @@ def test_in_process_fleet_holds_one_cell_at_a_time(monkeypatch):
     at_commit, after, created, telemetry = _fleet_residency(monkeypatch, jobs=1, cells=5)
     assert created == 5 and at_commit == [1] * 5 and after == 0
     assert telemetry["resident_cells_max"] == 1 and telemetry["world_builds"] == 1
+
+
+def _build_pids(monkeypatch, log, run):
+    """Run ``run()`` under fork with every world build logging its pid to ``log``."""
+    import os
+
+    from repro.experiments import campaign as campaign_module
+    from repro.internet import generator
+    from repro.parallel import pool
+
+    real_build_world = generator.build_world
+
+    def logged_build_world(*args, **kwargs):
+        with open(log, "a", encoding="utf-8") as handle:
+            handle.write(f"{os.getpid()}\n")
+        return real_build_world(*args, **kwargs)
+
+    monkeypatch.setattr(pool, "START_METHOD", "fork")
+    monkeypatch.setattr(generator, "build_world", logged_build_world)
+    monkeypatch.setattr(campaign_module, "build_world", logged_build_world)
+    run()
+    return log.read_text(encoding="utf-8").split() if log.exists() else []
+
+
+def test_forked_workers_build_no_world(monkeypatch, tmp_path):
+    """Counts: a profiled ``workers=2`` campaign and a pooled two-cell
+    fleet matrix each build their world once, in the parent; the forked
+    workers adopt it and only configure it."""
+    import os
+
+    from repro.experiments.campaign import Campaign
+    from repro.parallel.fleet import FleetScheduler
+
+    scale = Scale(addresses=200_000, ases=4_000, domains=200_000)
+    profiled = CampaignConfig(
+        week=18, scale=scale, seed=23, fault_profile="flaky-edge", path_profile="lossy-edge"
+    )
+
+    def campaign_run():
+        campaign = Campaign(profiled, workers=2)
+        try:
+            campaign.run_all_stages()
+            assert campaign.metrics.counter_value("stream.tasks") > 0
+        finally:
+            campaign.close()
+
+    def fleet_run():
+        cells = [
+            CampaignConfig(week=18, scale=scale, seed=23, path_profile=profile)
+            for profile in ("geo-satellite", "lossy-edge")
+        ]
+        with FleetScheduler(jobs=2) as fleet:
+            fleet.execute(cells, lambda index, campaign: campaign.run_all_stages())
+            assert fleet.pooled and fleet.telemetry()["world_builds"] == 1
+
+    assert _build_pids(monkeypatch, tmp_path / "campaign.log", campaign_run) == [str(os.getpid())]
+    assert _build_pids(monkeypatch, tmp_path / "fleet.log", fleet_run) == [str(os.getpid())]
