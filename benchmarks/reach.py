@@ -1,6 +1,6 @@
 """Reach map: the outermost functions in ``src/`` no product command enters.
 
-Sixteen CLI runs (1:200,000; ``artefacts`` at 1:20,000), each in a child
+Twenty-one CLI runs (1:200,000; ``artefacts`` at 1:20,000), each in a child
 whose ``sitecustomize`` installs a profile hook at start-up; every process,
 pool workers included, appends each code object it first enters to a
 per-pid file as it goes (workers leave via ``os._exit``).  ``make reach``.
@@ -27,15 +27,21 @@ threading.setprofile(_hook)
 def runs(tmp: str):
     db = ["--db", f"{tmp}/wh.sqlite"]
     series = ["longitudinal", "--weeks", "16-18", *S, *db, "--cache-dir", f"{tmp}/c"]
+    matrix = ["matrix", "--grid", "2x2", *S]
     return [
-        ["world", *S], ["scan", *S], ["scan", *S, "--workers", "2"], ["report", *S], ["interop"],
+        ["world", *S], ["scan", *S], ["scan", *S, "--workers", "2"], ["experiment", "T1", *S],
+        ["report", *S, "--trace", f"{tmp}/trace.jsonl"], ["interop"],
         ["artefacts", "--scale", "20000", "--seed", "23"], ["load", *S, *db],
         ["chaos", "--profile", "flaky-edge", *S, "--retries", "2"],
-        ["conform", "--seed", "9000", "--iterations", "200", "--fleet"],
+        ["conform", "--seed", "9000", "--iterations", "200", "--fleet",
+         "--metrics-out", f"{tmp}/conform.json"],
         ["bench", "--smoke", "--workers", "2", "--output", f"{tmp}/b", "--history", f"{tmp}/h"],
-        ["matrix", "--grid", "2x2", *S, *db, "--fleet-jobs", "2"],
+        [*matrix, *db, "--fleet-jobs", "2"], [*matrix, "--db", f"{tmp}/m.sqlite", "--fleet-jobs", "1"],
         series, [*series, "--resume"],  # the first is killed mid-week 17
-    ] + [["query", name, *db] for name in ("table1", "matrix", "weeks")]
+        ["longitudinal", "--weeks", "16-18", *S, "--db", f"{tmp}/w.sqlite",
+         "--cache-dir", f"{tmp}/w", "--watchdog", "600"],
+    ] + [["query", name, *db] for name in ("table1", "matrix", "weeks")] + [
+        ["query", "table1", *db, "--format", form] for form in ("csv", "json")]
 
 
 def unreached(path: Path, entered: set):

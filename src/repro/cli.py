@@ -273,7 +273,6 @@ def _cmd_conform(args) -> int:
         build_conformance_report,
         run_differential,
         run_fuzz,
-        run_fuzz_sharded,
         run_vectors,
         write_conformance_json,
     )
@@ -281,10 +280,7 @@ def _cmd_conform(args) -> int:
 
     registry = MetricsRegistry()
     vectors = run_vectors(registry)
-    if args.workers > 1:
-        fuzz = run_fuzz_sharded(args.seed, args.iterations, shards=args.workers)
-    else:
-        fuzz = run_fuzz(args.seed, args.iterations)
+    fuzz = run_fuzz(args.seed, args.iterations)
     registry.merge_snapshot(fuzz.registry.snapshot())
     differential = None
     if not args.skip_differential:
@@ -298,11 +294,7 @@ def _cmd_conform(args) -> int:
         from repro.conformance import run_fleet_differential
 
         fleet = run_fleet_differential(seed=args.seed, jobs=args.fleet_jobs)
-    print(
-        build_conformance_report(
-            vectors, fuzz, differential, workers=args.workers, fleet=fleet
-        )
-    )
+    print(build_conformance_report(vectors, fuzz, differential, fleet=fleet))
     if args.metrics_out:
         path = write_conformance_json(
             args.metrics_out,
@@ -310,7 +302,6 @@ def _cmd_conform(args) -> int:
             fuzz,
             differential,
             registry,
-            workers=args.workers,
             fleet=fleet,
         )
         print(f"\nwrote {path}")
@@ -638,7 +629,6 @@ def _cmd_longitudinal(args) -> int:
         watchdog_seconds=args.watchdog,
         workers=args.workers,
         cache_dir=args.cache_dir or ".cache/longitudinal",
-        fleet_jobs=args.fleet_jobs,
     )
     conn = connect(args.db)
     try:
@@ -808,12 +798,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     conform_parser.add_argument(
         "--iterations", type=int, default=2000, help="fuzz iterations (default 2000)"
-    )
-    conform_parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="fuzz shards; output is identical to a serial run (default 1)",
     )
     conform_parser.add_argument(
         "--metrics-out", default=None, help="write the conformance JSON document here"
@@ -1015,13 +999,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--metrics-out",
         default=None,
         help="write the deterministic series metrics JSON to this path",
-    )
-    longitudinal_parser.add_argument(
-        "--fleet-jobs",
-        type=int,
-        default=None,
-        help="keep one persistent fleet scheduler (worker pool + warm caches)"
-        " alive across the whole series instead of respawning per week",
     )
     longitudinal_parser.set_defaults(func=_cmd_longitudinal)
 

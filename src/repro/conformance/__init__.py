@@ -6,7 +6,7 @@ The subsystem has four pillars:
   Appendix A, RFC 9000 Appendix A, and the repo's own canonical
   encoders, each asserting exact encode→bytes and bytes→decode
   behaviour plus pinned regression inputs;
-* :mod:`repro.conformance.fuzzer` — a seeded, shard-deterministic
+* :mod:`repro.conformance.fuzzer` — a seeded, deterministic
   mutation fuzzer over every parser entry point, with round-trip and
   no-unclassified-exception oracles;
 * :mod:`repro.conformance.differential` — a serial-vs-``--workers N``
@@ -31,7 +31,6 @@ from repro.conformance.fuzzer import (
     build_targets,
     mutate,
     run_fuzz,
-    run_fuzz_sharded,
 )
 from repro.conformance.report import (
     CONFORMANCE_FORMAT_VERSION,
@@ -56,7 +55,6 @@ __all__ = [
     "build_targets",
     "mutate",
     "run_fuzz",
-    "run_fuzz_sharded",
     "DifferentialResult",
     "FleetDifferentialResult",
     "run_differential",

@@ -5,10 +5,9 @@ index)``: the index picks the target module round-robin, a
 :class:`~repro.conformance.rng.XorShift64` derived from the pair picks
 a seed input from that target's corpus and drives a stack of mutators
 (bit flips, byte sets, truncation, extension, splicing, length-field
-tweaks).  Because no state crosses iterations, a run can be
-partitioned into contiguous shards and merged back — totals and crash
-lists are identical for any shard count, which is what lets ``repro
-conform --workers N`` share one metrics contract with the serial path.
+tweaks).  No state crosses iterations, so a crash replays from its
+``(seed, iteration)`` pair alone (:meth:`FuzzCrash.repro_hint` names
+both).
 
 Two oracles judge every mutated input:
 
@@ -41,7 +40,6 @@ __all__ = [
     "build_targets",
     "mutate",
     "run_fuzz",
-    "run_fuzz_sharded",
 ]
 
 
@@ -394,40 +392,15 @@ def run_iteration(
 
 
 def run_fuzz(
-    seed: int,
-    iterations: int,
-    registry: Optional[MetricsRegistry] = None,
-    start: int = 0,
-    stop: Optional[int] = None,
+    seed: int, iterations: int, registry: Optional[MetricsRegistry] = None
 ) -> FuzzResult:
-    """Run iterations ``[start, stop)`` of a campaign serially."""
+    """Run a campaign's ``iterations`` in order."""
     registry = registry if registry is not None else MetricsRegistry()
     targets = build_targets()
-    stop = iterations if stop is None else stop
     crashes: List[FuzzCrash] = []
-    for index in range(start, stop):
+    for index in range(iterations):
         crash = run_iteration(seed, index, targets, registry)
         if crash is not None:
             crashes.append(crash)
     return FuzzResult(seed=seed, iterations=iterations, crashes=crashes, registry=registry)
 
-
-def run_fuzz_sharded(seed: int, iterations: int, shards: int) -> FuzzResult:
-    """Partition a campaign into contiguous shards and merge the results.
-
-    Every shard runs with a fresh registry; snapshots merge in shard
-    order, and crash lists concatenate in shard order — both therefore
-    match a serial :func:`run_fuzz` of the same ``(seed, iterations)``
-    exactly, for any shard count.
-    """
-    from repro.experiments.campaign import shard_block_bounds
-
-    shards = max(1, shards)
-    merged = MetricsRegistry()
-    crashes: List[FuzzCrash] = []
-    for shard in range(shards):
-        lo, hi = shard_block_bounds(iterations, shard, shards)
-        part = run_fuzz(seed, iterations, start=lo, stop=hi)
-        merged.merge_snapshot(part.registry.snapshot())
-        crashes.extend(part.crashes)
-    return FuzzResult(seed=seed, iterations=iterations, crashes=crashes, registry=merged)

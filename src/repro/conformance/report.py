@@ -78,14 +78,13 @@ def build_conformance_report(
     vectors: List[VectorResult],
     fuzz: FuzzResult,
     differential: Optional[DifferentialResult],
-    workers: int = 1,
     fleet: Optional[FleetDifferentialResult] = None,
 ) -> str:
     """Render the deterministic human-readable conformance report."""
     lines: List[str] = []
     lines.append(
         f"conformance report — seed {fuzz.seed}, "
-        f"{fuzz.iterations} fuzz iterations, {workers} worker(s)"
+        f"{fuzz.iterations} fuzz iterations"
     )
     lines.append("")
 
@@ -151,7 +150,6 @@ def conformance_document(
     fuzz: FuzzResult,
     differential: Optional[DifferentialResult],
     registry,
-    workers: int = 1,
     fleet: Optional[FleetDifferentialResult] = None,
 ) -> Dict:
     """The machine-readable conformance ``metrics.json`` document.
@@ -165,7 +163,6 @@ def conformance_document(
         "config": {
             "seed": fuzz.seed,
             "iterations": fuzz.iterations,
-            "workers": workers,
             "differential": None
             if differential is None
             else {

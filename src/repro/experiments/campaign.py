@@ -17,12 +17,13 @@ configuration.
 
 Two optional accelerations sit underneath the lazy properties:
 
-- with ``workers > 1`` (or a fleet), stages stream through
-  :class:`~repro.parallel.stream.StreamEngine` on a process pool that
-  lives until :meth:`Campaign.close` (or is the fleet's): accessing one
-  stage streams it together with the table inputs it still lacks, and
-  ``run_all_stages`` streams every stage at once; chunks merge back
-  into serial order, record for record,
+- with ``workers > 1``, or with a pool the caller lends
+  (``Campaign(pool=)``), stages stream through
+  :class:`~repro.parallel.stream.StreamEngine` on that pool, or on one
+  of the campaign's own that lives until :meth:`Campaign.close`:
+  accessing one stage streams it together with the table inputs it
+  still lacks, and ``run_all_stages`` streams every stage at once;
+  chunks merge back into serial order, record for record,
 - a :class:`~repro.experiments.stage_cache.CampaignStageCache`
   (``cache_dir``) persists completed stages on disk so repeated runs
   skip them entirely (warm runs never even build the world).
@@ -193,16 +194,16 @@ class Campaign:
         workers: Optional[int] = None,
         cache_dir: Optional[object] = None,
         tracer: Optional[EventTracer] = None,
-        fleet: Optional[object] = None,
+        pool: Optional[object] = None,
     ):
         self.config = config
         self._world: Optional[World] = None
         self._workers = max(1, workers or 1)
-        self._pool = None
+        # A lent pool is its owner's to close; without one, a
+        # workers > 1 campaign makes its own on first use.
+        self._pool = pool
+        self._borrowed = pool is not None
         self._cache = None
-        # When attached to a fleet scheduler, stages stream on the
-        # fleet's shared pool instead of a per-campaign one.
-        self._fleet = fleet
         # Every campaign owns its metrics so concurrent campaigns in
         # one process (tests, benchmarks) never mix telemetry.  The
         # registry is installed as *current* around each stage, so the
@@ -244,7 +245,7 @@ class Campaign:
         """Hold ``world`` and gauge the hosts the configuration's profiles touch.
 
         The gauges come from a pure count, so a world built and
-        configured here and a world given by a fleet (which may be in
+        configured here and a world given by the caller (which may be in
         another configuration's state, or in none) gauge alike.
         """
         self._world = world
@@ -256,15 +257,13 @@ class Campaign:
         return self._cache
 
     def close(self) -> None:
-        """Shut down this campaign's own worker pool, if it has one."""
-        if self._pool is not None:
+        """Shut down this campaign's own worker pool; a lent pool stays up."""
+        if self._pool is not None and not self._borrowed:
             self._pool.close()
             self._pool = None
 
     def worker_pool(self):
-        """The pool this campaign's stages stream on: the fleet's, or its own."""
-        if self._fleet is not None:
-            return self._fleet.acquire_pool()
+        """The running pool the stages stream on: the lent one, or the campaign's own."""
         from repro.parallel.pool import WorkerPool, world_digest
 
         if self._pool is None:
@@ -281,7 +280,7 @@ class Campaign:
 
     def _stage(self, name: str) -> List:
         """A table stage: cached, streamed on the pool, or computed here."""
-        if self._workers > 1 or self._fleet is not None:
+        if self._workers > 1 or self._borrowed:
             self._stream([name])
             return self.__dict__[name]
         return self._materialise(name, lambda: self._serial_compute(name))
@@ -555,7 +554,7 @@ class Campaign:
     def run_all_stages(self, streaming: bool = True) -> Dict[str, int]:
         """Execute every stage; returns record counts.
 
-        With ``workers > 1`` (or a fleet) every stage still missing
+        With ``workers > 1`` (or a lent pool) every stage still missing
         streams in one run: upstream sweep chunks feed stateful scanner
         chunks while the sweeps are still running (records and
         ``metrics.json`` stay byte-identical to a serial run).  A
@@ -567,9 +566,9 @@ class Campaign:
         counts: Dict[str, int] = {}
         counts["dns"] = len(self.all_dns_records)
         # Stages already on the campaign are not recomputed, so
-        # re-invocation (e.g. load_campaign on an executed fleet cell)
+        # re-invocation (e.g. load_campaign on a campaign already run)
         # is a pure count pass.
-        if self._workers > 1 or self._fleet is not None:
+        if self._workers > 1 or self._borrowed:
             self._stream(STAGE_NAMES)
         for name in STAGE_NAMES:
             counts[name] = len(getattr(self, name))

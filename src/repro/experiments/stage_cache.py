@@ -31,7 +31,7 @@ import tempfile
 from pathlib import Path
 from typing import Optional
 
-__all__ = ["CampaignStageCache", "CACHE_VERSION", "default_cache_root"]
+__all__ = ["CampaignStageCache", "CACHE_VERSION"]
 
 # Bump whenever the record schema or stage semantics change; old
 # entries are then invalidated automatically.
@@ -55,12 +55,6 @@ _CORRUPT_ERRORS = (
     IndexError,
     ValueError,
 )
-
-
-def default_cache_root() -> Path:
-    """The default cache location: ``.cache`` under the working tree,
-    overridable with the ``REPRO_CACHE_DIR`` environment variable."""
-    return Path(os.environ.get("REPRO_CACHE_DIR", ".cache"))
 
 
 class CampaignStageCache:

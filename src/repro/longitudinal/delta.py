@@ -21,8 +21,10 @@ state is per-host, per-stage-epoch and anchored to host-local time, and
 host always sees its complete (and consecutive) target sequence.
 Hosts selected by the campaign's fault profile are forced onto the
 rescan path — their records depend on fault state the signature cannot
-see.  ``tests/test_longitudinal.py`` enforces the contract
-differentially (plain and under ``flaky-edge`` chaos).
+see; :func:`repro.netsim.faults.profile_selected` names them with the
+seed :func:`~repro.netsim.faults.configure_world` installs faults by.
+``tests/test_longitudinal.py`` enforces the contract differentially
+(plain and under ``flaky-edge`` chaos).
 
 Sweep stages (ZMap, SYN) and DNS are cheap and always run in full —
 they are also what *detects* new deployments and HTTPS-RR changes.
@@ -33,11 +35,11 @@ from __future__ import annotations
 import hashlib
 from typing import Dict, List, Optional
 
-from repro.crypto.rand import derive_seed
 from repro.experiments.campaign import Campaign, CampaignConfig
 from repro.internet.generator import build_world
 from repro.internet.providers import GROUPS
 from repro.internet.timeline import google_vm_active, version_set
+from repro.netsim.faults import profile_selected
 
 __all__ = [
     "WORLD_SIGNATURE_STAGE",
@@ -132,23 +134,22 @@ def build_week_campaign(
     cache_dir,
     previous_config: Optional[CampaignConfig] = None,
     workers: int = 1,
-    fleet=None,
 ) -> Campaign:
     """One week's campaign: delta against the previous week when given one.
 
     Used by both the scheduler and the watchdog child so the two sides
     construct byte-identical campaigns over the shared stage cache.
 
-    ``fleet`` (a :class:`~repro.parallel.fleet.FleetScheduler` in
-    pooled mode) attaches only to full-week campaigns: delta campaigns
-    are hard-serial by design — worker replicas would bypass their
-    merge overrides — so they never touch a pool, shared or otherwise.
+    ``workers`` applies only to a full week, which streams on a pool
+    of its own, closed with the campaign.  Delta campaigns are
+    hard-serial by design — worker replicas would bypass their merge
+    overrides — so they never touch a pool.
     """
     if previous_config is not None:
         return DeltaCampaign(
             config, PreviousWeek(previous_config, cache_dir), cache_dir=cache_dir
         )
-    return Campaign(config, workers=workers, cache_dir=cache_dir, fleet=fleet)
+    return Campaign(config, workers=workers, cache_dir=cache_dir)
 
 
 class DeltaCampaign(Campaign):
@@ -209,12 +210,8 @@ class DeltaCampaign(Campaign):
             or key not in previous
             or current[key] != previous[key]
         )
-        if not changed and self.config.fault_profile:
-            from repro.netsim.faults import get_profile, profile_selected
-
-            profile = get_profile(self.config.fault_profile)
-            seed = derive_seed("faults", self.config.seed, profile.name)
-            changed = profile_selected(seed, profile, address)
+        if not changed:
+            changed = profile_selected(self.config, address)
         self._changed[key] = changed
         return changed
 

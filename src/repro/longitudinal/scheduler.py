@@ -73,11 +73,6 @@ class SeriesConfig:
     watchdog_seconds: float = 0.0
     workers: int = 1
     cache_dir: Union[str, Path] = ".cache"
-    # Fleet mode: keep one persistent worker pool (and warm worker
-    # caches) alive across the whole series instead of respawning per
-    # week.  Excluded from the run id — it changes how weeks execute,
-    # never what they produce.
-    fleet_jobs: Optional[int] = None
 
     def campaign_config(self, week: int) -> CampaignConfig:
         return CampaignConfig(
@@ -172,32 +167,18 @@ class LongitudinalScheduler:
             ledger.reset()
         ledger.ensure(config.weeks, config.campaign_config(0), config.delta)
 
-        fleet = None
-        if config.fleet_jobs is not None:
-            from repro.parallel.fleet import FleetScheduler
-
-            # One scheduler for the whole series: full-week scans share
-            # its persistent pool (and the workers' warm caches) across
-            # weeks instead of forking a pool per week.
-            fleet = FleetScheduler(
-                jobs=config.fleet_jobs, campaign_workers=config.workers
-            )
-        try:
-            last_complete: Optional[int] = None
-            for week in config.weeks:
-                state = ledger.week(week)
-                if state.status == "complete":
-                    last_complete = week
-                    continue
-                if state.status == "failed":
-                    continue
-                maybe_inject_service_fault("week-start", week)
-                self._run_week_with_retries(conn, ledger, week, last_complete, fleet)
-                if ledger.week(week).status == "complete":
-                    last_complete = week
-        finally:
-            if fleet is not None:
-                fleet.close()
+        last_complete: Optional[int] = None
+        for week in config.weeks:
+            state = ledger.week(week)
+            if state.status == "complete":
+                last_complete = week
+                continue
+            if state.status == "failed":
+                continue
+            maybe_inject_service_fault("week-start", week)
+            self._run_week_with_retries(conn, ledger, week, last_complete)
+            if ledger.week(week).status == "complete":
+                last_complete = week
 
         result = SeriesResult(run_id=run_id, weeks=ledger.weeks())
         ledger.finish("complete" if result.exit_code == 0 else "failed")
@@ -211,7 +192,6 @@ class LongitudinalScheduler:
         ledger: RunLedger,
         week: int,
         base_week: Optional[int],
-        fleet=None,
     ) -> None:
         """One week under the series retry policy; never raises."""
         retry = self.config.week_retry
@@ -221,7 +201,7 @@ class LongitudinalScheduler:
         while True:
             ledger.mark_running(week)
             try:
-                self._run_week(conn, ledger, week, base_week, fleet)
+                self._run_week(conn, ledger, week, base_week)
                 return
             except Exception as exc:
                 error = f"{type(exc).__name__}: {exc}"
@@ -238,7 +218,6 @@ class LongitudinalScheduler:
         ledger: RunLedger,
         week: int,
         base_week: Optional[int],
-        fleet=None,
     ) -> None:
         config = self.config
         week_config = config.campaign_config(week)
@@ -264,7 +243,6 @@ class LongitudinalScheduler:
             config.cache_dir,
             previous_config=previous_config,
             workers=config.workers,
-            fleet=fleet if fleet is not None and fleet.pooled else None,
         )
         try:
             # Canonical per-stage record counts — derived from the

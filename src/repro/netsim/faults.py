@@ -455,14 +455,19 @@ def _selected(seed: int, profile: FaultProfile, index: int, address: Address) ->
     return score < entry.fraction * 1_000_000
 
 
-def profile_selected(seed: int, profile: FaultProfile, address: Address) -> bool:
-    """Whether ``address`` gets *any* fault spec under the profile.
+def profile_selected(config, address: Address) -> bool:
+    """Whether :func:`configure_world` faults ``address`` under ``config``.
 
-    Recomputes the exact :func:`apply_profile` selection hash — the
-    longitudinal delta differ uses it to force fault-afflicted hosts
-    onto the rescan path (their records depend on fault state, not just
-    on the deployment's week-over-week world signature).
+    Recomputes the exact selection hash, with the same seed derivation
+    (:func:`_fault_seed`) — the longitudinal delta differ uses it to
+    force fault-afflicted hosts onto the rescan path (their records
+    depend on fault state, not just on the deployment's week-over-week
+    world signature).  False when ``config`` has no fault profile.
     """
+    if not config.fault_profile:
+        return False
+    profile = get_profile(config.fault_profile)
+    seed = _fault_seed(config, profile)
     return any(
         _selected(seed, profile, index, address)
         for index in range(len(profile.entries))

@@ -5,9 +5,10 @@ runs every parallel stage: a record dataflow over prefix-ordered
 chunks, planned from the stage table (:mod:`repro.experiments.stages`),
 whose rows give each stage's consumers, barrier requirements and
 dispatch depth.  It runs on a :class:`~repro.parallel.pool.WorkerPool`
-(:mod:`repro.parallel.pool`): a campaign's own, or the fleet's shared
-one (:mod:`repro.parallel.fleet`).  :class:`ScanEngine` is a one-stage
-entry into the same scheduler for ``benchmarks/scanbench``.
+(:mod:`repro.parallel.pool`): a campaign's own, or one the fleet
+(:mod:`repro.parallel.fleet`) lends to every cell.  :class:`ScanEngine`
+is a one-stage entry into the same scheduler for
+``benchmarks/scanbench``.
 """
 
 from repro.parallel.engine import ScanEngine

@@ -9,9 +9,8 @@ change that moves scanbench onto the stream engine.
 
 from __future__ import annotations
 
+import os
 from typing import Dict, List, Optional, Tuple
-
-from repro.parallel.pool import default_worker_count
 
 __all__ = ["ScanEngine"]
 
@@ -22,7 +21,7 @@ class ScanEngine:
     def __init__(self, config, workers: Optional[int] = None, world=None):
         from repro.experiments.campaign import Campaign
 
-        self.workers = max(1, workers if workers is not None else default_worker_count())
+        self.workers = max(1, workers if workers is not None else os.cpu_count() or 1)
         self._campaign = Campaign(config, world=world, workers=self.workers)
 
     def run_stage(

@@ -1,36 +1,34 @@
 """Cross-campaign fleet scheduler: one pool, worlds shared by digest.
 
-The repro's workloads are fleets of near-identical campaigns — a
-datarate×latency matrix whose cells differ only in ``path_profile``,
-and a longitudinal series whose weeks differ only in the grown world —
-yet the sequential drivers rebuild the simulated Internet and respawn
-the worker pool for every campaign.  The fleet scheduler amortises
-both, on the world lifecycle every pool shares
-(:mod:`repro.parallel.pool`):
+The repro's matrix is a fleet of near-identical campaigns — cells that
+differ only in ``path_profile`` — yet the sequential driver rebuilds
+the simulated Internet and respawns the worker pool for every cell.
+The fleet scheduler amortises both, on the world lifecycle every pool
+shares (:mod:`repro.parallel.pool`):
 
 - **Worlds by digest.**  The world-shaping configuration subset
   (:func:`repro.parallel.pool.world_key`) excludes fault/path
   profiles, so every matrix cell maps to one
   :func:`~repro.parallel.pool.world_digest`.  The fleet builds that
-  world once and hands it to every cell's campaign.  In-process, it
-  configures the world for each cell
-  (:func:`repro.netsim.faults.configure_world`) before the cell scans;
-  pooled, the parent never configures it — the pool forks with it
-  published and each worker's replica configures its own copy.
-  Configuring is a pure function of the cell configuration, so
-  records and ``metrics.json`` stay byte-identical to sequential runs
-  (proven by ``repro conform --fleet``).
-- **One persistent pool.**  All cells (and all longitudinal weeks)
-  share a single fork pool, and their stages stream on it.  Every
-  chunk task carries its cell's configuration, and the workers' world
-  and replica LRUs keep warm crypto caches across cells and weeks.
+  world once and hands it to every cell's campaign.  The parent never
+  configures it: the pool forks with it published and each worker's
+  replica configures its own copy
+  (:func:`repro.netsim.faults.configure_world`).  Configuring is a
+  pure function of the cell configuration, so records and
+  ``metrics.json`` stay byte-identical to sequential runs (proven by
+  ``repro conform --fleet``).
+- **One persistent pool.**  The fleet owns one
+  :class:`~repro.parallel.pool.WorkerPool` and lends it to every cell
+  (``Campaign(pool=)``), whose stages stream on it.  Every chunk task
+  carries its cell's configuration, and the workers' world and replica
+  LRUs keep warm crypto caches across cells.
 - **Ordered commits, overlapped loads.**  :meth:`FleetScheduler.execute`
   runs up to ``jobs`` cells' scans concurrently but commits results on
   the calling thread in submission order — a single sqlite writer, so
-  warehouse rows and ledger entries are byte-identical to sequential
-  runs while cell *k*'s load overlaps cell *k+1*'s scans.  A cell's
-  campaign exists only from its submission to its commit, so the
-  parent holds ``jobs + 1`` cells however many the matrix has.
+  warehouse rows are byte-identical to sequential runs while cell
+  *k*'s load overlaps cell *k+1*'s scans.  A cell's campaign exists
+  only from its submission to its commit, so the parent holds
+  ``jobs + 1`` cells however many the matrix has.
 
 Determinism relies on two existing engine invariants: chunk
 boundaries never split one host's traffic, and per-host fault/path
@@ -42,13 +40,11 @@ from __future__ import annotations
 
 import os
 import sys
-import threading
 import time
 from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Sequence
 
-from repro.netsim.faults import configure_world
 from repro.parallel import pool as pool_module
 from repro.parallel.pool import WorkerPool, lru_put, world_digest
 
@@ -61,10 +57,10 @@ __all__ = [
 def fleet_pool_size(jobs: int, workers: int) -> int:
     """Pool size for ``jobs`` concurrent cells of ``workers`` each.
 
-    Mirrors the ``REPRO_WORKERS`` stderr warning: oversubscribing the
-    machine is reported once and clamped deterministically to the CPU
-    count, so a ``--fleet-jobs 8 --workers 8`` request on a laptop
-    degrades predictably instead of thrashing.
+    Oversubscribing the machine is reported once on stderr and clamped
+    deterministically to the CPU count, so a ``--fleet-jobs 8
+    --workers 8`` request on a laptop degrades predictably instead of
+    thrashing.
     """
     want = max(1, jobs) * max(1, workers)
     cores = os.cpu_count() or 1
@@ -78,36 +74,22 @@ def fleet_pool_size(jobs: int, workers: int) -> int:
     return want
 
 
-# -- parent side ---------------------------------------------------------------
-
-
 class FleetScheduler:
     """Runs many campaigns against one pool and worlds shared by digest.
 
-    Two operating modes, chosen from the requested concurrency:
-
-    - **in-process** (``jobs == 1`` and ``campaign_workers == 1``): no
-      pool at all; cells run serially in the parent against the shared
-      world, configured for each cell before it scans.  This is the
-      pure world-amortisation mode — the right choice on small machines.
-    - **pooled** (otherwise): one persistent fork pool of
-      :func:`fleet_pool_size` workers serves every campaign; up to
-      ``jobs`` cells scan concurrently while the parent commits results
-      in submission order.  The parent never configures its world —
-      each worker's replica configures its own copy — so concurrent
-      cells can safely share one fork-inherited world.
+    One persistent pool of :func:`fleet_pool_size` workers serves every
+    cell; up to ``jobs`` cells scan concurrently while the parent
+    commits results in submission order.  The parent never configures
+    its world — each worker's replica configures its own copy — so
+    concurrent cells can safely share one fork-inherited world.
     """
 
     def __init__(self, jobs: int = 1, campaign_workers: int = 1):
         self.jobs = max(1, jobs)
         self.campaign_workers = max(1, campaign_workers)
-        self.pooled = self.jobs > 1 or self.campaign_workers > 1
-        self.pool_size = (
-            fleet_pool_size(self.jobs, self.campaign_workers) if self.pooled else 0
-        )
+        self.pool_size = fleet_pool_size(self.jobs, self.campaign_workers)
         self._worlds: "OrderedDict[str, object]" = OrderedDict()
         self._pool = WorkerPool(self.pool_size)
-        self._lock = threading.Lock()
         # Telemetry (parent side; see docs/PERFORMANCE.md).
         self.world_builds = 0
         self.world_reuse_hits = 0
@@ -115,8 +97,8 @@ class FleetScheduler:
         self.load_seconds = 0.0
         self.execute_seconds = 0.0
         self.cells_executed = 0
-        # Most cell campaigns alive at once (jobs + 1 pooled, 1
-        # in-process); volatile, never in metrics.json.
+        # Most cell campaigns alive at once (jobs + 1); volatile, never
+        # in metrics.json.
         self.resident_cells_max = 0
         self._resident = 0
 
@@ -136,7 +118,7 @@ class FleetScheduler:
         return world
 
     def cell_campaign(self, config, cache_dir=None):
-        """A campaign bound to the fleet: shared world, shared pool."""
+        """A campaign on the shared world that streams on the fleet's pool."""
         from repro.experiments.campaign import Campaign
 
         return Campaign(
@@ -144,14 +126,8 @@ class FleetScheduler:
             world=self.world_for(config),
             workers=self.campaign_workers,
             cache_dir=cache_dir,
-            fleet=self if self.pooled else None,
+            pool=self._pool,
         )
-
-    # -- pool -----------------------------------------------------------------
-    def acquire_pool(self):
-        """The shared pool, forked on first use with every resident world published."""
-        with self._lock:
-            return self._pool.ensure(dict(self._worlds))
 
     @property
     def pool_respawns(self) -> int:
@@ -174,16 +150,49 @@ class FleetScheduler:
         commit's return value is all that is kept.  ``commit`` runs on
         the calling thread — the single writer — strictly in list
         order, so databases, ledgers and logs are ordered exactly as a
-        sequential driver's.  In pooled mode up to ``jobs`` cells scan
-        while commit *k* is written (``jobs + 1`` in flight);
-        in-process mode configures the shared world per cell and runs
-        one at a time.
+        sequential driver's.  Up to ``jobs`` cells scan while commit
+        *k* is written (``jobs + 1`` in flight).
         """
         start = time.perf_counter()
+        results = []
+        pending = deque()
+        cells = enumerate(configs)
+
+        def scan(campaign):
+            scan_start = time.perf_counter()
+            campaign.run_all_stages()
+            return time.perf_counter() - scan_start
+
         try:
-            if not self.pooled:
-                return self._execute_serial(configs, commit, cache_dir)
-            return self._execute_pooled(configs, commit, cache_dir)
+            with ThreadPoolExecutor(max_workers=self.jobs) as executor:
+
+                def submit_next() -> bool:
+                    for index, config in cells:
+                        campaign = self._admit(config, cache_dir)
+                        # The pool forks here, on this thread, before the
+                        # first cell scans and with the world that cell
+                        # built published: no worker rebuilds it.  Later
+                        # calls find the pool running.
+                        self._pool.ensure(dict(self._worlds))
+                        pending.append((index, campaign, executor.submit(scan, campaign)))
+                        return True
+                    return False
+
+                # Keep jobs+1 cells in flight: jobs scanning plus the one
+                # whose commit the main thread is writing.
+                for _ in range(self.jobs + 1):
+                    if not submit_next():
+                        break
+                while pending:
+                    index, campaign, future = pending.popleft()
+                    self.scan_seconds += future.result()
+                    load_start = time.perf_counter()
+                    results.append(commit(index, campaign))
+                    self.load_seconds += time.perf_counter() - load_start
+                    self._release(campaign)
+                    del campaign, future
+                    submit_next()
+            return results
         finally:
             self.execute_seconds += time.perf_counter() - start
 
@@ -198,60 +207,6 @@ class FleetScheduler:
         self._resident -= 1
         self.cells_executed += 1
 
-    def _execute_serial(self, configs, commit, cache_dir):
-        results = []
-        for index, config in enumerate(configs):
-            campaign = self._admit(config, cache_dir)
-            scan_start = time.perf_counter()
-            configure_world(campaign.world, campaign.config)
-            campaign.run_all_stages()
-            self.scan_seconds += time.perf_counter() - scan_start
-            load_start = time.perf_counter()
-            results.append(commit(index, campaign))
-            self.load_seconds += time.perf_counter() - load_start
-            self._release(campaign)
-            del campaign
-        return results
-
-    def _execute_pooled(self, configs, commit, cache_dir):
-        results = []
-        pending = deque()
-        cells = enumerate(configs)
-
-        def scan(campaign):
-            scan_start = time.perf_counter()
-            campaign.run_all_stages()
-            return time.perf_counter() - scan_start
-
-        with ThreadPoolExecutor(max_workers=self.jobs) as executor:
-
-            def submit_next() -> bool:
-                for index, config in cells:
-                    campaign = self._admit(config, cache_dir)
-                    # The first cell has built the shared world by now,
-                    # so the pool forks with it published: no worker
-                    # rebuilds it.  Later calls find the pool running.
-                    self.acquire_pool()
-                    pending.append((index, campaign, executor.submit(scan, campaign)))
-                    return True
-                return False
-
-            # Keep jobs+1 cells in flight: jobs scanning plus the one
-            # whose commit the main thread is writing.
-            for _ in range(self.jobs + 1):
-                if not submit_next():
-                    break
-            while pending:
-                index, campaign, future = pending.popleft()
-                self.scan_seconds += future.result()
-                load_start = time.perf_counter()
-                results.append(commit(index, campaign))
-                self.load_seconds += time.perf_counter() - load_start
-                self._release(campaign)
-                del campaign, future
-                submit_next()
-        return results
-
     # -- telemetry / lifecycle -------------------------------------------------
     def telemetry(self) -> Dict[str, object]:
         wall = self.execute_seconds
@@ -261,7 +216,6 @@ class FleetScheduler:
         return {
             "jobs": self.jobs,
             "campaign_workers": self.campaign_workers,
-            "pooled": self.pooled,
             "pool_size": self.pool_size,
             "cells_executed": self.cells_executed,
             "world_builds": self.world_builds,

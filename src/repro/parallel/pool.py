@@ -1,8 +1,11 @@
 """Worker pools and the one world lifecycle every pool shares.
 
-Every pool in ``repro.parallel`` — a campaign's own and the fleet's
-shared one — is a :class:`WorkerPool`, and every worker finds the
-campaign a task belongs to through one function, :func:`replica`:
+Every pool in ``repro.parallel`` is a :class:`WorkerPool`, and a
+pool has one owner who closes it: a ``workers > 1`` campaign makes
+its own on first use and closes it in ``Campaign.close()``; the fleet
+scheduler makes one, lends it to every cell (``Campaign(pool=)``) and
+closes it when the matrix is done.  Every worker finds the campaign a
+task belongs to through one function, :func:`replica`:
 
 - **worlds by digest** — just before the fork, the parent publishes
   the worlds it holds in ``_FORK_SHARED``, keyed by
@@ -31,8 +34,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import multiprocessing
-import os
-import sys
 import time
 from collections import OrderedDict
 from typing import Dict, List, Tuple
@@ -41,7 +42,6 @@ __all__ = [
     "MAX_CAMPAIGNS",
     "MAX_WORLDS",
     "WorkerPool",
-    "default_worker_count",
     "lru_put",
     "replica",
     "world_digest",
@@ -50,9 +50,9 @@ __all__ = [
 
 # How many worlds (by digest) and campaign replicas (by configuration)
 # a worker keeps; the fleet's parent bounds its worlds the same way.
-# A matrix uses one world and a longitudinal series one per week, so
-# two keep the previous week warm without a long series holding every
-# world.
+# A campaign's own pool and a matrix's fleet each use one world, so two
+# leave room for a fleet given cells of two weeks without one given
+# many weeks holding every world.
 MAX_WORLDS = 2
 MAX_CAMPAIGNS = 8
 
@@ -87,21 +87,6 @@ def world_key(config) -> Tuple:
 def world_digest(config) -> str:
     """Deterministic digest naming a world in ``_FORK_SHARED`` and the LRUs."""
     return hashlib.sha256(repr(world_key(config)).encode()).hexdigest()[:16]
-
-
-def default_worker_count() -> int:
-    """Worker count from ``REPRO_WORKERS`` or the CPU count."""
-    env = os.environ.get("REPRO_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            print(
-                f"warning: ignoring invalid REPRO_WORKERS value {env!r};"
-                " falling back to the CPU count",
-                file=sys.stderr,
-            )
-    return os.cpu_count() or 1
 
 
 def lru_put(cache: "OrderedDict", key, value, bound: int) -> List:

@@ -1,7 +1,7 @@
 """Streaming dataflow execution of campaign scan stages.
 
 The one parallel scheduler: every ``workers > 1`` campaign, and every
-fleet campaign, computes its stages here.  A run streams a *subset* of
+campaign lent a pool (a fleet cell), computes its stages here.  A run streams a *subset* of
 the stage table — a whole campaign for ``run_all_stages``, or one
 lazily accessed stage plus the table inputs it still lacks
 (``Campaign._stream``) — on the campaign's pool

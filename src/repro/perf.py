@@ -463,13 +463,11 @@ def run_benchmarks(
     Campaign objects are constructed directly (not via the module-level
     memo) so each scenario really recomputes its stages.
     """
-    from repro.parallel.pool import default_worker_count
-
     scale = scale or DEFAULT_BENCH_SCALE
     # At least two workers so the parallel scenario actually exercises
     # the worker pool, even on a single-core machine (where the
     # recorded speedup will honestly be < 1).
-    workers = workers or max(2, default_worker_count())
+    workers = workers or max(2, os.cpu_count() or 1)
     config = CampaignConfig(week=week, scale=scale, seed=seed)
 
     # -- serial cold run (also the baseline for both speedups) -------------

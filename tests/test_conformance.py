@@ -19,7 +19,6 @@ from repro.conformance import (
     render_conformance_json,
     run_differential,
     run_fuzz,
-    run_fuzz_sharded,
     run_vectors,
 )
 from repro.observability.metrics import MetricsRegistry
@@ -254,14 +253,6 @@ class TestFuzzer:
         assert first.registry.snapshot() == second.registry.snapshot()
         assert [(c.module, c.iteration, c.data) for c in first.crashes] == [
             (c.module, c.iteration, c.data) for c in second.crashes
-        ]
-
-    def test_sharded_equals_serial(self):
-        serial = run_fuzz(seed=1234, iterations=400)
-        sharded = run_fuzz_sharded(seed=1234, iterations=400, shards=3)
-        assert sharded.registry.snapshot() == serial.registry.snapshot()
-        assert [(c.module, c.iteration, c.data) for c in sharded.crashes] == [
-            (c.module, c.iteration, c.data) for c in serial.crashes
         ]
 
     def test_counters_account_for_every_iteration(self):

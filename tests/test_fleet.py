@@ -3,16 +3,15 @@
 The contract under test (docs/PERFORMANCE.md, "Fleet scheduler"):
 
 - matrix cells that differ only in ``path_profile`` share **one**
-  digest-keyed world (built once, configured per cell); distinct
-  weeks get distinct worlds,
-- a fleet matrix run — in-process and pooled — produces **byte
-  identical** warehouse database files and per-cell ``metrics.json``
-  to the sequential driver, across all five canonical path profiles,
-- configuring a world (restore its build-time conditions, re-apply the
-  cell's fault/path profiles with the sequential seeds) reproduces a
-  dedicated profiled world exactly, fault profiles included,
-- a longitudinal series run through one persistent fleet produces a
-  byte-identical warehouse to the per-week-pool driver,
+  digest-keyed world (built once, configured per cell by each worker's
+  replica); distinct weeks get distinct worlds,
+- a fleet matrix run — one job or two — produces **byte identical**
+  warehouse database files and per-cell ``metrics.json`` to the
+  sequential driver, across all five canonical path profiles,
+- configuring a worker's world (restore its build-time conditions,
+  re-apply the cell's fault/path profiles with the sequential seeds)
+  reproduces a dedicated profiled world exactly, fault profiles
+  included,
 - the worker-side world LRU (``pool.replica``) evicts stale worlds
   *and* the campaign replicas bound to them, so a dead week can never
   leak into a later one through a cached replica, and frees an evicted
@@ -33,13 +32,11 @@ from repro.conformance.differential import DIFF_STAGES, _record_lines
 from repro.experiments.campaign import Campaign, CampaignConfig, build_config_world
 from repro.experiments.matrix import MatrixConfig, profile_cells, run_matrix
 from repro.internet.providers import Scale
-from repro.longitudinal import LongitudinalScheduler, SeriesConfig
 from repro.netsim.faults import configure_world, profile_gauges
 from repro.observability.report import render_metrics_json
 from repro.parallel import fleet as fleet_module, pool as pool_module
 from repro.parallel.pool import world_digest
 from repro.parallel.fleet import FleetScheduler, fleet_pool_size
-from repro.warehouse import connect
 
 _SCALE = Scale(addresses=200_000, ases=4_000, domains=200_000)
 _SEED = 23
@@ -168,17 +165,17 @@ class TestWorkerEviction:
 
 
 class TestMatrixByteIdentity:
-    def test_in_process_fleet_matches_sequential(
+    def test_one_job_fleet_matches_sequential(
         self, tmp_path, profile_matrix, sequential_profiles
     ):
         seq_db, seq_metrics, _ = sequential_profiles
         db, metrics, result = _run_matrix_into(
-            tmp_path / "inproc", profile_matrix, fleet_jobs=1
+            tmp_path / "one-job", profile_matrix, fleet_jobs=1
         )
         assert db == seq_db
         assert metrics == seq_metrics
         telemetry = result.fleet_telemetry
-        assert telemetry["pooled"] is False
+        assert telemetry["pool_size"] == 1
         assert telemetry["world_builds"] == 1
         assert telemetry["world_reuse_hits"] == len(profile_matrix.cells) - 1
         assert telemetry["pool_respawns"] == 0
@@ -193,34 +190,32 @@ class TestMatrixByteIdentity:
         assert db == seq_db
         assert metrics == seq_metrics
         telemetry = result.fleet_telemetry
-        assert telemetry["pooled"] is True
         assert telemetry["world_builds"] == 1
         assert telemetry["world_reuse_hits"] == len(profile_matrix.cells) - 1
         assert telemetry["pool_respawns"] == 0
 
 
 class TestActivation:
-    def test_fault_and_path_activation_matches_dedicated_build(self):
-        """A reused world serving profile B after profile A replays
+    def test_fault_and_path_activation_matches_dedicated_build(self, one_world_worker):
+        """A worker's world serving profile B after profile A replays
         exactly what a from-scratch profiled world produces — records
         and metrics bytes — fault profile included."""
         config = _config(path_profile="lossy-edge", fault_profile="flaky-edge")
         baseline = Campaign(config)
         baseline.run_all_stages()
-        fleet = FleetScheduler()
-        # Configure the shared world for a different cell first, so the
-        # second configure really restores the build-time conditions.
-        # A cell is released once committed: read it inside the commit.
-        _, (lines, metrics) = fleet.execute(
-            [_config(path_profile="bufferbloat", fault_profile="rate-limited"), config],
-            lambda index, cell: (
-                {stage: _record_lines(cell, stage) for stage in DIFF_STAGES},
-                render_metrics_json(cell),
-            ),
+        # Configure the worker's world for a different cell and scan it
+        # first, so the second configure really restores the build-time
+        # conditions.
+        other = pool_module.replica(
+            _config(path_profile="bufferbloat", fault_profile="rate-limited")
         )
+        other.run_all_stages()
+        cell = pool_module.replica(config)
+        assert cell.world is other.world
+        cell.run_all_stages()
         for stage in DIFF_STAGES:
-            assert lines[stage] == _record_lines(baseline, stage), stage
-        assert metrics == render_metrics_json(baseline)
+            assert _record_lines(cell, stage) == _record_lines(baseline, stage), stage
+        assert render_metrics_json(cell) == render_metrics_json(baseline)
 
     def test_profile_gauges_count_what_configure_installs(self):
         """The gauges are a pure count; they must equal the hosts the
@@ -239,35 +234,6 @@ class TestActivation:
         }
         assert gauged == dict(installed)
         assert all(gauged.values())
-
-
-class TestLongitudinalByteIdentity:
-    def test_fleet_series_matches_per_week_pools(self, tmp_path):
-        weeks = (16, 17, 18)
-
-        def run_series(root, **overrides):
-            config = SeriesConfig(
-                weeks=weeks,
-                scale=_SCALE,
-                seed=_SEED,
-                cache_dir=root / "cache",
-                workers=2,
-                **overrides,
-            )
-            conn = connect(root / "wh.sqlite")
-            try:
-                result = LongitudinalScheduler(config).run(conn)
-            finally:
-                conn.close()
-            return result
-
-        base = run_series(tmp_path / "base")
-        fleet = run_series(tmp_path / "fleet", fleet_jobs=1)
-        assert base.exit_code == 0 and fleet.exit_code == 0
-        assert [state.status for state in fleet.weeks] == ["complete"] * len(weeks)
-        assert (tmp_path / "base" / "wh.sqlite").read_bytes() == (
-            tmp_path / "fleet" / "wh.sqlite"
-        ).read_bytes()
 
 
 # -- pool sizing (the oversubscription clamp) ----------------------------------

@@ -17,6 +17,7 @@ The contract under test (docs/LONGITUDINAL.md):
   quietly-short merge.
 """
 
+import dataclasses
 import json
 import os
 import sqlite3
@@ -27,6 +28,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.campaign import Campaign, CampaignConfig
+from repro.experiments.stage_cache import CampaignStageCache
 from repro.internet.generator import build_world
 from repro.internet.providers import Scale
 from repro.longitudinal import (
@@ -35,6 +37,12 @@ from repro.longitudinal import (
     SeriesConfig,
     render_series_metrics,
     series_run_id,
+)
+from repro.longitudinal.delta import (
+    WORLD_SIGNATURE_STAGE,
+    DeltaCampaign,
+    PreviousWeek,
+    world_signature,
 )
 from repro.netsim.faults import SERVICE_FAULT_ENV, parse_service_fault
 from repro.scanners.retry import RetryPolicy
@@ -237,6 +245,37 @@ def test_delta_series_is_byte_identical_under_chaos(tmp_path):
     with connect(tmp_path / "delta.sqlite") as a, connect(tmp_path / "full.sqlite") as b:
         tables = _campaign_scoped_tables()
         assert _dump(a, tables) == _dump(b, tables)
+
+
+def test_delta_rescans_exactly_the_hosts_configure_faults(world, tmp_path):
+    """The hosts a delta week forces onto rescan are the hosts its
+    world carries faults on: both come from one seed derivation."""
+    config = CampaignConfig(week=18, scale=_SCALE, seed=_SEED, fault_profile="flaky-edge")
+    # A previous week whose signature equals this week's: no deployment
+    # changed, so only the fault profile can force a rescan.
+    CampaignStageCache(tmp_path, config).store(
+        WORLD_SIGNATURE_STAGE, world_signature(world, config.week)
+    )
+    campaign = DeltaCampaign(config, PreviousWeek(config, tmp_path))
+    addresses = [deployment.address for deployment in campaign.world.deployments]
+    rescanned = {str(a) for a in addresses if campaign._address_changed(a)}
+    faulted = {
+        str(a) for a in addresses if campaign.world.network.conditions_for(a).faults
+    }
+    assert rescanned == faulted and 0 < len(faulted) < len(addresses)
+
+
+# -- parallel == serial ----------------------------------------------------------
+
+
+def test_parallel_series_matches_serial(full, tmp_path):
+    """Every full week of a ``workers=2`` series streams on a pool of its
+    own; the warehouse file equals the serial series' byte for byte."""
+    full_db, config, _ = full
+    parallel = dataclasses.replace(config, workers=2, cache_dir=tmp_path / "cache")
+    result = _run_series(tmp_path / "wh.sqlite", parallel)
+    assert [state.status for state in result.weeks] == ["complete"] * len(_WEEKS)
+    assert (tmp_path / "wh.sqlite").read_bytes() == full_db.read_bytes()
 
 
 # -- crash + resume (kill-point matrix) ----------------------------------------

@@ -13,7 +13,6 @@ Covers the three guarantees parallel runs are built on:
 
 import dataclasses
 import math
-import os
 import pickle
 from pathlib import Path
 
@@ -43,7 +42,6 @@ from repro.netsim.topology import (
 )
 from repro.observability.metrics import MetricsRegistry, use_metrics
 from repro.observability.report import render_metrics_json
-from repro.parallel.pool import default_worker_count
 from repro.scanners import sweep as sweep_module, zmapquic, zmaptcp
 from repro.scanners.permutation import CyclicGroupPermutation
 from repro.scanners.retry import RetryPolicy
@@ -231,13 +229,6 @@ def test_engine_close_is_graceful_and_idempotent(tiny_campaign):
     campaign.close()
     assert all(not process.is_alive() for process in workers)
     campaign.close()  # second close is a no-op
-
-
-def test_bad_repro_workers_value_warns(monkeypatch, capsys):
-    monkeypatch.setenv("REPRO_WORKERS", "three")
-    assert default_worker_count() == (os.cpu_count() or 1)
-    err = capsys.readouterr().err
-    assert "REPRO_WORKERS" in err and "three" in err
 
 
 def _prefix_conditions(world):

@@ -431,10 +431,12 @@ def test_pooled_fleet_holds_a_cell_from_submit_to_commit(monkeypatch):
     assert telemetry["pool_respawns"] == 0
 
 
-def test_in_process_fleet_holds_one_cell_at_a_time(monkeypatch):
+def test_one_job_fleet_holds_a_cell_from_submit_to_commit(monkeypatch):
     at_commit, after, created, telemetry = _fleet_residency(monkeypatch, jobs=1, cells=5)
-    assert created == 5 and at_commit == [1] * 5 and after == 0
-    assert telemetry["resident_cells_max"] == 1 and telemetry["world_builds"] == 1
+    assert created == 5 and max(at_commit) <= 2 and after == 0
+    assert telemetry["resident_cells_max"] == 2
+    assert telemetry["world_builds"] == 1 and telemetry["world_reuse_hits"] == 4
+    assert telemetry["pool_respawns"] == 0
 
 
 def _build_pids(monkeypatch, log, run):
@@ -488,7 +490,7 @@ def test_forked_workers_build_no_world(monkeypatch, tmp_path):
         ]
         with FleetScheduler(jobs=2) as fleet:
             fleet.execute(cells, lambda index, campaign: campaign.run_all_stages())
-            assert fleet.pooled and fleet.telemetry()["world_builds"] == 1
+            assert fleet.telemetry()["world_builds"] == 1
 
     assert _build_pids(monkeypatch, tmp_path / "campaign.log", campaign_run) == [str(os.getpid())]
     assert _build_pids(monkeypatch, tmp_path / "fleet.log", fleet_run) == [str(os.getpid())]
