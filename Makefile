@@ -37,7 +37,7 @@ scale-sweep:
 	$(PYTHON) benchmarks/scale_sweep.py
 
 # Reach map, not part of `make test` (a minute or two): the outermost
-# functions in src/ that twenty-one CLI runs never enter, pool workers
+# functions in src/ that twenty-four CLI runs never enter, pool workers
 # included, per module.
 reach:
 	$(PYTHON) benchmarks/reach.py

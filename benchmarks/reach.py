@@ -1,6 +1,6 @@
 """Reach map: the outermost functions in ``src/`` no product command enters.
 
-Twenty-one CLI runs (1:200,000; ``artefacts`` at 1:20,000), each in a child
+Twenty-four CLI runs (1:200,000; ``artefacts`` at 1:20,000), each in a child
 whose ``sitecustomize`` installs a profile hook at start-up; every process,
 pool workers included, appends each code object it first enters to a
 per-pid file as it goes (workers leave via ``os._exit``).  ``make reach``.
@@ -30,6 +30,7 @@ def runs(tmp: str):
     matrix = ["matrix", "--grid", "2x2", *S]
     return [
         ["world", *S], ["scan", *S], ["scan", *S, "--workers", "2"], ["experiment", "T1", *S],
+        ["scan", *S, "--output", f"{tmp}/records"],
         ["report", *S, "--trace", f"{tmp}/trace.jsonl"], ["interop"],
         ["artefacts", "--scale", "20000", "--seed", "23"], ["load", *S, *db],
         ["chaos", "--profile", "flaky-edge", *S, "--retries", "2"],
@@ -37,9 +38,12 @@ def runs(tmp: str):
          "--metrics-out", f"{tmp}/conform.json"],
         ["bench", "--smoke", "--workers", "2", "--output", f"{tmp}/b", "--history", f"{tmp}/h"],
         [*matrix, *db, "--fleet-jobs", "2"], [*matrix, "--db", f"{tmp}/m.sqlite", "--fleet-jobs", "1"],
+        ["matrix", "--profiles", "baseline,lossy-edge", *S, "--db", f"{tmp}/p.sqlite"],
         series, [*series, "--resume"],  # the first is killed mid-week 17
         ["longitudinal", "--weeks", "16-18", *S, "--db", f"{tmp}/w.sqlite",
          "--cache-dir", f"{tmp}/w", "--watchdog", "600"],
+        ["longitudinal", "--weeks", "18", *S, "--db", f"{tmp}/s.sqlite",
+         "--metrics-out", f"{tmp}/series.json"],  # no week 17: nothing to kill
     ] + [["query", name, *db] for name in ("table1", "matrix", "weeks")] + [
         ["query", "table1", *db, "--format", form] for form in ("csv", "json")]
 

@@ -72,7 +72,7 @@ from repro.experiments.ablations import (
 from repro.experiments.figures import fig3, fig4, fig5, fig6, fig7, fig8, fig9
 from repro.experiments.tables import table1, table2, table3, table4, table5, table6
 from repro.internet.generator import AddressSpaceExhausted
-from repro.internet.providers import Scale
+from repro.internet.providers import Scale, scale_for
 
 __all__ = ["main", "EXPERIMENTS"]
 
@@ -127,7 +127,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _campaign(args):
     return get_campaign(
         week=args.week,
-        scale=Scale(addresses=args.scale, ases=max(1, args.scale // 50), domains=args.scale),
+        scale=scale_for(args.scale),
         seed=args.seed,
         fast_crypto=not args.real_crypto,
         workers=args.workers,
@@ -248,9 +248,7 @@ def _cmd_chaos(args) -> int:
         return 2
     config = CampaignConfig(
         week=args.week,
-        scale=Scale(
-            addresses=args.scale, ases=max(1, args.scale // 50), domains=args.scale
-        ),
+        scale=scale_for(args.scale),
         seed=args.seed,
         fast_crypto=not args.real_crypto,
         fault_profile=profile.name,
@@ -545,9 +543,7 @@ def _cmd_matrix(args) -> int:
     matrix = MatrixConfig(
         cells=tuple(cells),
         week=args.week,
-        scale=Scale(
-            addresses=args.scale, ases=max(1, args.scale // 50), domains=args.scale
-        ),
+        scale=scale_for(args.scale),
         seed=args.seed,
         fast_crypto=not args.real_crypto,
         workers=args.workers,
@@ -617,9 +613,7 @@ def _cmd_longitudinal(args) -> int:
         return 2
     config = SeriesConfig(
         weeks=tuple(weeks),
-        scale=Scale(
-            addresses=args.scale, ases=max(1, args.scale // 50), domains=args.scale
-        ),
+        scale=scale_for(args.scale),
         seed=args.seed,
         fast_crypto=not args.real_crypto,
         fault_profile=args.fault_profile,

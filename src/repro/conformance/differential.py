@@ -86,16 +86,12 @@ def run_differential(
     stage still produces records while both runs stay fast.
     """
     from repro.experiments.campaign import Campaign, CampaignConfig
-    from repro.internet.providers import Scale
+    from repro.internet.providers import scale_for
     from repro.observability.report import render_metrics_json
 
     config = CampaignConfig(
         week=week,
-        scale=Scale(
-            addresses=scale_addresses,
-            ases=max(1, scale_addresses // 50),
-            domains=scale_addresses,
-        ),
+        scale=scale_for(scale_addresses),
         seed=seed,
     )
     serial = Campaign(config, workers=1)
@@ -187,15 +183,11 @@ def run_fleet_differential(
     invisible in what lands on disk).
     """
     from repro.experiments.matrix import MatrixConfig, grid_cells
-    from repro.internet.providers import Scale
+    from repro.internet.providers import scale_for
 
     matrix = MatrixConfig(
         cells=grid_cells(1, 2),
-        scale=Scale(
-            addresses=scale_addresses,
-            ases=max(1, scale_addresses // 50),
-            domains=scale_addresses,
-        ),
+        scale=scale_for(scale_addresses),
         seed=seed,
         week=week,
     )

@@ -57,6 +57,7 @@ from repro.experiments.stages import (
     STAGE_NAMES,
     STAGES,
     SYN,
+    TRACKED_NAMES,
     ZMAP,
     Stage,
     find,
@@ -436,13 +437,19 @@ class Campaign:
             list,
         )
 
+    def health_in_order(self) -> List[StageHealth]:
+        """:attr:`stage_health` in canonical stage order, not the order
+        the stages finished in (which varies from run to run with
+        ``workers > 1``)."""
+        return [self.stage_health[n] for n in TRACKED_NAMES if n in self.stage_health]
+
     def failed_stages(self) -> List[str]:
         """Stages that produced nothing at all (total failure)."""
-        return [n for n, h in self.stage_health.items() if h.status == "failed"]
+        return [h.stage for h in self.health_in_order() if h.status == "failed"]
 
     def degraded_stages(self) -> List[str]:
         """Stages that completed with partial records."""
-        return [n for n, h in self.stage_health.items() if h.status == "degraded"]
+        return [h.stage for h in self.health_in_order() if h.status == "degraded"]
 
     def compute_stage_shard(self, name: str, shard: int, of: int) -> List[Tuple[int, object]]:
         """Compute one shard of a stage; a serial campaign computes shard 0 of 1.

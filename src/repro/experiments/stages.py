@@ -29,6 +29,7 @@ __all__ = [
     "Stage",
     "STAGES",
     "STAGE_NAMES",
+    "TRACKED_NAMES",
     "BY_NAME",
     "find",
     "names",
@@ -187,6 +188,10 @@ def names(kind: Optional[str] = None) -> Tuple[str, ...]:
 
 
 STAGE_NAMES: Tuple[str, ...] = names()
+
+# Every stage a campaign tracks the health of, in the order reports
+# list them: the unsharded stages, then the stage table.
+TRACKED_NAMES: Tuple[str, ...] = (DNS_RECORDS, IPV6_SCAN_INPUT) + STAGE_NAMES
 
 
 def paper_order(kind: str) -> Tuple[Stage, ...]:

@@ -196,7 +196,7 @@ def build_world(
     if ipv4_space_bits is None:
         ipv4_space_bits = _ipv4_space_bits(scale, week)
     rng = DeterministicRandom(derive_seed("world", week if week <= 18 else 18, seed))
-    network = Network(seed=derive_seed("network", seed))
+    network = Network()
     as_registry = AsRegistry()
     zones = ZoneStore()
     blocklist = Blocklist()

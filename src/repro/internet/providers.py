@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-__all__ = ["Scale", "DeploymentGroup", "GROUPS"]
+__all__ = ["Scale", "scale_for", "DeploymentGroup", "GROUPS"]
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,12 @@ class Scale:
         if paper_count <= 0:
             return 0
         return max(1, round(paper_count / self.domains))
+
+
+def scale_for(divisor: int) -> Scale:
+    """The scale ``--scale divisor`` names: addresses and domains at
+    1:``divisor``, ASes fifty times coarser."""
+    return Scale(addresses=divisor, ases=max(1, divisor // 50), domains=divisor)
 
 
 @dataclass(frozen=True)

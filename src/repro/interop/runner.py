@@ -135,7 +135,6 @@ class InteropRunner:
     """Runs the interop matrix on a dedicated simulated network."""
 
     def __init__(self, seed: int = 0):
-        self._seed = seed
         self._ca = CertificateAuthority(seed=f"interop-{seed}", key_bits=512)
         self._cert, self._key = self._ca.issue(
             "interop.example", ["interop.example"], key_bits=512
@@ -249,7 +248,7 @@ class InteropRunner:
         for server_name in servers:
             profile = PROFILES[server_name]
             for case in cases:
-                network = Network(seed=self._seed)
+                network = Network()
                 server_address = IPv4Address.parse("192.0.2.77")
                 network.bind_udp(
                     server_address,

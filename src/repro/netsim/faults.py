@@ -1,10 +1,9 @@
 """Composable, deterministic fault injection for the simulated Internet.
 
 The paper's measurements are dominated by failure — 34.5 % of QScanner
-targets time out, hosts rate-limit probes, middleboxes block UDP — yet
-the base simulation only models uniform loss and fully-silent hosts.
-This module adds the realistic failure modes as *fault specs* attached
-to a host's :class:`~repro.netsim.topology.NetworkConditions`:
+targets time out, hosts rate-limit probes, middleboxes block UDP.
+This module models those failure modes as *fault specs* attached to a
+host's :class:`~repro.netsim.topology.NetworkConditions` by a profile:
 
 - :class:`BurstLoss` — two-state (Gilbert) burst/tail loss,
 - :class:`RateLimit` — token bucket; exhausted buckets drop datagrams
@@ -542,7 +541,7 @@ def configure_world(world, config) -> None:
     """Put ``world`` into the state ``config``'s own build has.
 
     The one route by which a world reaches a configuration's state:
-    the network restores its build-time conditions, then gets
+    the network clears its conditions (a built world has none), then gets
     ``config``'s fault and path profiles with seeds derived from the
     campaign seed and the profile alone.  Idempotent per
     ``(seed, fault_profile, path_profile)``, so re-configuring a world

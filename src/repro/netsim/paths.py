@@ -14,7 +14,7 @@ campaign over a datarate x latency grid:
   datagram experiences — bufferbloat's latency growth falls out of
   this for free),
 - an optional deterministic stochastic **loss** fraction drawn from a
-  per-host, epoch-scoped RNG (never the network's global RNG, so
+  per-host, epoch-scoped RNG (the network holds no RNG of its own, so
   sharded runs replay serial decisions byte for byte),
 - an optional **RTT override** applied when the profile is installed.
 

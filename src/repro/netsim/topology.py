@@ -2,9 +2,9 @@
 
 The model is synchronous and deterministic.  A client socket sends a
 datagram; the network looks up the destination endpoint, applies the
-destination's :class:`NetworkConditions` (loss and round-trip time,
-driven by a seeded RNG), synchronously invokes the endpoint handler
-and schedules any replies into the client's inbox at ``now + rtt``.
+destination's :class:`NetworkConditions` (round-trip time, faults and
+path shaping), synchronously invokes the endpoint handler and schedules
+any replies into the client's inbox at ``now + rtt``.
 ``receive(timeout)`` advances the virtual clock — timeouts cost no
 wall-clock time, which is what makes campaign-scale scans with the
 paper's 34.5 % timeout rate tractable.
@@ -14,8 +14,13 @@ close); there is no segment-level simulation because nothing in the
 paper's analysis depends on TCP internals beyond the SYN scan and an
 ordered stream for TLS.
 
-Fault injection: a host's (or prefix's) :class:`NetworkConditions` may
-carry :class:`~repro.netsim.faults.FaultSpec` templates.  The network
+Conditions come only from profiles: a built world has none, and
+:meth:`Network.configure` installs a configuration's fault and path
+profiles on a cleared table.  The network holds no RNG of its own, so
+no host's fate depends on how many other hosts' packets went before it.
+
+Fault injection: a host's :class:`NetworkConditions` may carry
+:class:`~repro.netsim.faults.FaultSpec` templates.  The network
 instantiates per-host fault state lazily inside the current *stage
 epoch* (:meth:`Network.begin_fault_epoch`) and consults it on every
 datagram and TCP operation.  Fault decisions depend only on the fault
@@ -37,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.crypto.rand import DeterministicRandom
-from repro.netsim.addresses import Address, Prefix
+from repro.netsim.addresses import Address
 from repro.observability.metrics import get_metrics
 
 if TYPE_CHECKING:  # import cycle: faults/paths import nothing from here
@@ -59,13 +64,11 @@ __all__ = [
 SYN_BYTES = 40
 
 
-@dataclass
+@dataclass(frozen=True)
 class NetworkConditions:
     """Per-host path behaviour."""
 
     rtt: float = 0.05  # seconds
-    loss: float = 0.0  # probability a datagram (either direction) is lost
-    silent: bool = False  # host drops everything (scan timeout)
     # Fault templates (see repro.netsim.faults); instantiated per host
     # per stage epoch by the network.  Empty for the baseline paths.
     # Entries are validated at epoch-begin so a stray non-FaultSpec
@@ -74,6 +77,10 @@ class NetworkConditions:
     # Path-shaping template (see repro.netsim.paths); instantiated per
     # host per stage epoch, exactly like faults.  None = unshaped.
     path: Optional["PathSpec"] = None
+
+
+# What a host without conditions of its own gets.
+_DEFAULT_CONDITIONS = NetworkConditions()
 
 
 @dataclass
@@ -248,14 +255,14 @@ class Network:
     """The simulated Internet fabric."""
 
     def __init__(self, seed: int = 0):
+        """``seed`` is accepted and unused: the network draws nothing at
+        random, every random decision comes from per-host fault and path
+        state.  It stays for the scanbench micro-benchmarks, which pass it."""
         self.now = 0.0
         self.stats = TrafficStats()
-        self._rng = DeterministicRandom(seed).child("network")
         self._udp: Dict[Tuple[Address, int], UdpEndpoint] = {}
         self._tcp: Dict[Tuple[Address, int], TcpListener] = {}
         self._conditions: Dict[Address, NetworkConditions] = {}
-        self._prefix_conditions: List[Tuple[Prefix, NetworkConditions]] = []
-        self._default_conditions = NetworkConditions()
         self._ephemeral = itertools.count(49152)
         self._seq = itertools.count()
         self._client_sockets: Dict[Tuple[Address, int], ClientUdpSocket] = {}
@@ -268,9 +275,7 @@ class Network:
         # (see repro.netsim.paths).
         self._path_seed: int = 0
         self._path_states: Dict[Address, "PathState"] = {}
-        # The build-time conditions (snapshot on the first configure)
-        # and the configuration key they were last configured for.
-        self._base: Optional[Tuple] = None
+        # The configuration key the conditions were last installed for.
         self._configuration: Optional[Tuple] = None
 
     # -- registration ----------------------------------------------------------
@@ -283,42 +288,22 @@ class Network:
     def set_conditions(self, address: Address, conditions: NetworkConditions) -> None:
         self._conditions[address] = conditions
 
-    def set_prefix_conditions(self, prefix: Prefix, conditions: NetworkConditions) -> None:
-        """Conditions for every host in a prefix (host entries win)."""
-        self._prefix_conditions.append((prefix, conditions))
-
     def conditions_for(self, address: Address) -> NetworkConditions:
-        conditions = self._conditions.get(address)
-        if conditions is not None:
-            return conditions
-        for prefix, prefix_conditions in self._prefix_conditions:
-            if prefix.contains(address):
-                return prefix_conditions
-        return self._default_conditions
+        return self._conditions.get(address, _DEFAULT_CONDITIONS)
 
     # -- configuration ---------------------------------------------------------
     def configure(self, key: Tuple, install: Callable[[], None]) -> None:
         """Put the network into the configuration ``key`` names; idempotent.
 
-        A key other than the current one restores the build-time
-        conditions (snapshot on the first call), clears fault and path
-        state, reopens the root epoch and runs ``install``, which
-        attaches the configuration's profiles.  So a network serving
-        configuration A, then B, then A again is in the same state each
-        time it serves A.
+        A key other than the current one clears the conditions (a built
+        world has none) and fault and path state, reopens the root epoch
+        and runs ``install``, which attaches the configuration's
+        profiles.  So a network serving configuration A, then B, then A
+        again is in the same state each time it serves A.
         """
         if key == self._configuration:
             return
-        if self._base is None:
-            self._base = (
-                dict(self._conditions),
-                list(self._prefix_conditions),
-                self._default_conditions,
-            )
-        else:
-            self._conditions = dict(self._base[0])
-            self._prefix_conditions = list(self._base[1])
-            self._default_conditions = self._base[2]
+        self._conditions.clear()
         self._configuration = None
         self.configure_faults(0)
         self.configure_paths(0)
@@ -394,22 +379,13 @@ class Network:
     def _validate_fault_specs(self) -> None:
         from repro.netsim.faults import FaultSpec
 
-        def check(where, conditions: NetworkConditions) -> None:
+        for address, conditions in self._conditions.items():
             for entry in conditions.faults:
                 if not isinstance(entry, FaultSpec):
                     raise TypeError(
-                        f"conditions for {where} carry a non-FaultSpec fault "
+                        f"conditions for {address} carry a non-FaultSpec fault "
                         f"entry: {entry!r} ({type(entry).__name__})"
                     )
-
-        for address, conditions in self._conditions.items():
-            if conditions.faults:
-                check(address, conditions)
-        for prefix, conditions in self._prefix_conditions:
-            if conditions.faults:
-                check(prefix, conditions)
-        if self._default_conditions.faults:
-            check("default conditions", self._default_conditions)
 
     def _active_faults(
         self, address: Address, conditions: Optional[NetworkConditions] = None
@@ -442,9 +418,9 @@ class Network:
         """Integer address values with a UDP endpoint on ``port``.
 
         A sweep-side snapshot: a destination outside this set is dropped
-        by :meth:`deliver_datagram` before conditions, loss or faults
-        apply, so stateless scanners can skip full delivery for the
-        (overwhelming) unbound majority of a space sweep.
+        by :meth:`deliver_datagram` before conditions apply, so stateless
+        scanners can skip full delivery for the (overwhelming) unbound
+        majority of a space sweep.
         """
         return frozenset(
             address.value
@@ -455,25 +431,14 @@ class Network:
     def tcp_bound(self, address: Address, port: int) -> bool:
         return (address, port) in self._tcp
 
-    def syn_live_values(self, port: int, version: int) -> Optional[frozenset]:
+    def syn_live_values(self, port: int, version: int) -> frozenset:
         """Integer address values whose SYN probe does more than count itself.
 
         :meth:`syn_probe` evaluates conditions *before* the listener
         check, so that is every TCP listener on ``port`` plus every host
-        with explicit conditions.  ``None`` when the set cannot be
-        bounded — prefix conditions, or default conditions that are not
-        quiet — because then any address may draw from the network RNG
-        or hold fault/path state.
+        with conditions: any other host has none, so its probe holds no
+        fault or path state.
         """
-        default = self._default_conditions
-        if (
-            self._prefix_conditions
-            or default.silent
-            or default.loss
-            or default.faults
-            or default.path is not None
-        ):
-            return None
         values = {
             address.value
             for address, bound_port in self._tcp
@@ -509,10 +474,6 @@ class Network:
         if endpoint is None:
             return  # no listener: silently dropped, like the Internet
         conditions = self.conditions_for(destination[0])
-        if conditions.silent:
-            return
-        if conditions.loss and self._rng.random() < conditions.loss:
-            return
         faults = self._active_faults(destination[0], conditions)
         for fault in faults:
             verdict, data = fault.on_send(self.now, data)
@@ -532,8 +493,6 @@ class Network:
         send_time = self.now
 
         def reply(response: bytes) -> None:
-            if conditions.loss and self._rng.random() < conditions.loss:
-                return
             for fault in faults:
                 verdict, response = fault.on_reply(send_time, response)
                 if verdict is not None:
@@ -563,10 +522,6 @@ class Network:
         self.stats.syn_sent += 1
         self.stats.record_send(SYN_BYTES)
         conditions = self.conditions_for(destination)
-        if conditions.silent:
-            return False
-        if conditions.loss and self._rng.random() < conditions.loss:
-            return False
         for fault in self._active_faults(destination, conditions):
             if not fault.tcp_syn(self.now):
                 self._fault_injected(fault.kind, "syn-drop")
@@ -589,9 +544,9 @@ class Network:
         self, client_address: Address, destination: Address, port: int
     ) -> Optional[TcpSession]:
         listener = self._tcp.get((destination, port))
-        conditions = self.conditions_for(destination)
-        if listener is None or conditions.silent:
+        if listener is None:
             return None
+        conditions = self.conditions_for(destination)
         for fault in self._active_faults(destination, conditions):
             if not fault.tcp_open(self.now):
                 self._fault_injected(fault.kind, "connect-refused")

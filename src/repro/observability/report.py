@@ -201,12 +201,9 @@ def build_scan_report(campaign, total_seconds: Optional[float] = None) -> str:
         if cache.store_failures:
             cache_line += f", {cache.store_failures} store failures"
         lines.append(cache_line)
-    unhealthy = [
-        health
-        for health in campaign.stage_health.values()
-        if health.status != "success"
-    ]
-    for health in unhealthy:
+    for health in campaign.health_in_order():
+        if health.status == "success":
+            continue
         lines.append(
             f"stage health: {health.stage} {health.status} "
             f"({health.shards_failed}/{health.shards} shards failed): "
@@ -319,10 +316,10 @@ def build_resilience_report(campaign, total_seconds: Optional[float] = None) -> 
 
     # -- per-stage health -----------------------------------------------------
     health_rows = []
-    for name, health in campaign.stage_health.items():
+    for health in campaign.health_in_order():
         health_rows.append(
             (
-                name,
+                health.stage,
                 health.status,
                 health.records,
                 f"{health.shards - health.shards_failed}/{health.shards}",

@@ -64,11 +64,6 @@ __all__ = ["StreamEngine"]
 # chunk finds the next one already queued.
 _INFLIGHT_PER_WORKER = 4
 
-# How many chunks per worker a source sweep that walks is cut into:
-# early chunks must complete early for downstream overlap, and sweep
-# chunks are cheap to ship (two integers).
-_STREAM_CHUNKS_PER_WORKER = 8
-
 # Floor sizes keeping chunks worth their IPC round-trip.
 _MIN_SWEEP_CHUNK = 2048  # walk positions (~microseconds each)
 _MIN_TARGET_CHUNK = 64  # explicit-list probes
@@ -220,19 +215,16 @@ class StreamEngine:
             space = campaign.world.ipv4_space
             permutation = sweep_permutation(scanner.seed, space)
             size = permutation.cycle_length
+            # A block costs its responders, not its positions: one per
+            # worker, as for lists.  The table the blocks read is built
+            # here, before the pool forks, so its workers inherit it.
             chunks = self._source_chunk_count(size, _MIN_SWEEP_CHUNK)
-            if scanner.sweeps_by_position(space):
-                # A block costs its responders, not its positions: one
-                # per worker, as for lists.  The table the blocks read
-                # is built here, before the pool forks, so its workers
-                # inherit it.
-                chunks = min(self.workers, chunks)
-                permutation.warm()
+            permutation.warm()
         else:
             targets = campaign.stage_items(node.stage)
             size = len(targets)
             # One chunk per worker: list probes cost microseconds each.
-            chunks = min(self.workers, self._source_chunk_count(size, _MIN_TARGET_CHUNK))
+            chunks = self._source_chunk_count(size, _MIN_TARGET_CHUNK)
         for seq in range(chunks):
             lo, hi = shard_block_bounds(size, seq, chunks)
             if node.stage.walks_space:
@@ -262,10 +254,11 @@ class StreamEngine:
                 self._plan_barrier(node)
 
     def _source_chunk_count(self, items: int, min_chunk: int) -> int:
+        """Blocks for a source of ``items``: at most one per worker, each
+        ``min_chunk`` items or more (one block for a smaller source)."""
         if items <= 0:
             return 0
-        cap = max(1, self.workers * _STREAM_CHUNKS_PER_WORKER)
-        return max(1, min(cap, max(1, items // min_chunk)))
+        return max(1, min(self.workers, items // min_chunk))
 
     # -- dataflow ----------------------------------------------------------
     def _feed_records(self, node: _StageNode, records: List) -> None:

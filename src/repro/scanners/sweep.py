@@ -14,10 +14,12 @@ permutation's inverse,
 (:meth:`~repro.scanners.permutation.CyclicGroupPermutation.positions_of`),
 a :class:`TargetList` (the IPv6 hitlist mode) at ``base + i`` for entry
 ``i``.  Only the live, unblocked targets are probed, in ascending
-position — the order, network RNG draws and virtual clock of a loop
-that stepped over everything in between.  What that loop would have
-counted on the way is arithmetic: targets, minus blocked ones, minus
-the probes made.
+position — the order and virtual clock of a loop that stepped over
+everything in between.  What that loop would have counted on the way
+is arithmetic: targets, minus blocked ones, minus the probes made.
+This is the sweep's one path: conditions come only from fault and
+path profiles, which draw from per-host state, and the network has no
+RNG of its own for a skipped address to have drawn from.
 
 Under a retry policy a target that may answer runs the position-keyed,
 jittered backoff loop.  A re-probe to an address the network knows to
@@ -40,11 +42,9 @@ its probe returns (a duplicating fault, a path slower than the timeout)
 is drained by the probe to the next address the sweep *sends to*, live
 or not, so that one is found by stepping from the last probe.
 
-A loop over every target (:func:`_each_target`) remains for ``pps``
-pacing and for a network that cannot bound its live set (``live is
-None``; only test-built worlds).  It follows the same rules, and
-``tests/test_parallel.py`` holds the two to identical records,
-``TrafficStats``, metrics, clock and next network-RNG draw.
+``tests/sweep_oracle.py`` keeps a loop over every target as the
+reference; ``tests/test_parallel.py`` holds the two to identical
+records, ``TrafficStats``, metrics and clock.
 """
 
 from __future__ import annotations
@@ -102,11 +102,6 @@ class PrefixWalk:
     def __init__(self, space: Prefix, permutation: CyclicGroupPermutation, walk: Walk):
         self.space, self.permutation, self.walk = space, permutation, walk
         self.family = space.network.version
-
-    def __iter__(self) -> Iterator[Target]:
-        """Every target, blocked or not, by stepping the group."""
-        pairs = self.permutation.iter_walk(self.walk)
-        return ((position, self.space.address_at(index)) for position, index in pairs)
 
     def among(self, values: AbstractSet[int], sent_to: SentTo) -> List[Target]:
         """The targets with a value in ``values`` that are sent to, ascending."""
@@ -199,31 +194,11 @@ def _live_targets(
         yield target
 
 
-def _each_target(
-    network: Network,
-    sequence: TargetSequence,
-    sent_to: SentTo,
-    live: Optional[AbstractSet[int]],
-    pending: Sized,
-    gap: float,
-) -> Iterator[Target]:
-    """The loop over every target: ``gap`` virtual seconds before each
-    one sent to; yields those that are live, not known to be dark
-    (``live is None``) or due a queued reply."""
-    for target in sequence:
-        value = target[1].value
-        if sent_to(value):
-            if gap:
-                network.advance_to(network.now + gap)
-            if live is None or pending or value in live:
-                yield target
-
-
 def sweep_live(
     network: Network,
     blocklist: Blocklist,
     sequence: TargetSequence,
-    live: Optional[AbstractSet[int]],
+    live: AbstractSet[int],
     send: Callable[[Address], Optional[Answer]],
     record: Callable[[Answer], Optional[Record]] = lambda answer: answer,
     *,
@@ -234,7 +209,6 @@ def sweep_live(
     metric: str,
     answered: str,
     pending: Sized = (),
-    pps: Optional[float] = None,
 ) -> List[Tuple[int, Record]]:
     """Sweep ``sequence``; probe only its live targets.
 
@@ -248,8 +222,6 @@ def sweep_live(
     receiver's inbox) is non-empty.  The other unblocked targets move
     only counters: ``probe_bytes`` sent (and ``syn_sent`` when ``syn``)
     for each of their ``1 + k`` probes, ``k`` retries and a give-up.
-    With ``live is None`` or ``pps`` pacing the loop over every target
-    runs instead.
 
     Flushes ``<metric>.probes``, ``.blocked`` and ``.<answered>`` once,
     ``.retries`` / ``.giveups`` when non-zero, and nothing for an empty
@@ -282,13 +254,8 @@ def sweep_live(
         giveups += 1
         return None
 
-    if live is None or pps:
-        gap = 1.0 / pps if pps else 0.0
-        targets = _each_target(network, sequence, sent_to, live, pending, gap)
-    else:
-        targets = _live_targets(sequence, sent_to, live, pending)
     records: List[Tuple[int, Record]] = []
-    for position, address in targets:
+    for position, address in _live_targets(sequence, sent_to, live, pending):
         probed += 1
         answer = attempts(position, address)
         found = None if answer is None else record(answer)

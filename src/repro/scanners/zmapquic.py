@@ -81,14 +81,9 @@ class ZmapQuicScanner:
     port: int = 443
     timeout: float = 1.0
     padded: bool = True
-    # Probe pacing in packets per second of virtual time; the paper
-    # scans with up to 15 k pps, covering reachable IPv4 in under 56 h
-    # (§3.1).  None disables pacing (instantaneous sweep).
-    pps: Optional[float] = None
     seed: object = "zmap-quic"
     # Re-probe policy for unresponsive targets (default: no retries).
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    last_scan_duration: float = field(default=0.0, compare=False)
 
     def scan_ipv4_space(self, space: Prefix) -> List[ZmapQuicRecord]:
         """Sweep an entire IPv4 prefix in ZMap's permuted order."""
@@ -111,11 +106,6 @@ class ZmapQuicScanner:
         """Walk positions in this scanner's permutation of ``space``."""
         return sweep_permutation(self.seed, space).cycle_length
 
-    def sweeps_by_position(self, space: Prefix) -> bool:
-        """Whether a sweep of ``space`` costs its responders, not its
-        positions (:func:`~repro.scanners.sweep.sweep_live`): no pacing."""
-        return self.pps is None
-
     def scan_ipv4_range(
         self, space: Prefix, lo: int, hi: int
     ) -> List[Tuple[int, ZmapQuicRecord]]:
@@ -135,7 +125,7 @@ class ZmapQuicScanner:
         """One probe packet to every target of ``sequence``.
 
         The network drops datagrams to unbound destinations before
-        conditions, loss or faults apply — only traffic counters move —
+        conditions apply — only traffic counters move —
         so :func:`~repro.scanners.sweep.sweep_live` delivers to targets
         hosting a UDP endpoint only, or while a reply is still queued.
         """
@@ -144,7 +134,6 @@ class ZmapQuicScanner:
         dcid = rng.token(8)
         scid = rng.token(8)
         packet = build_probe(dcid, scid, padded=self.padded)
-        start = self.network.now
         family = sequence.family
         inbox = socket._inbox
         malformed = 0
@@ -174,12 +163,10 @@ class ZmapQuicScanner:
                 metric="zmap.quic",
                 answered="responses",
                 pending=inbox,
-                pps=self.pps,
             )
         finally:
             # Forced-negotiation probes leave no server state to forget.
             socket.close()
-        self.last_scan_duration = self.network.now - start
         if malformed:
             get_metrics().counter("zmap.quic.malformed", family=family).inc(malformed)
         return records

@@ -41,12 +41,6 @@ class ZmapTcpScanner:
         """Walk positions in this scanner's permutation of ``space``."""
         return sweep_permutation(self.seed, space).cycle_length
 
-    def sweeps_by_position(self, space: Prefix) -> bool:
-        """Whether a sweep of ``space`` costs its responders, not its
-        positions (:func:`~repro.scanners.sweep.sweep_live`): a network
-        that can bound which SYNs do more than count."""
-        return self.network.syn_live_values(self.port, space.network.version) is not None
-
     def scan_ipv4_range(
         self, space: Prefix, lo: int, hi: int
     ) -> List[Tuple[int, SynRecord]]:
@@ -63,10 +57,9 @@ class ZmapTcpScanner:
     def _sweep(self, sequence: PrefixWalk | TargetList) -> List[Tuple[int, SynRecord]]:
         """One SYN to every target of ``sequence``.
 
-        A SYN to a host that neither listens nor carries explicit
-        conditions only moves the sent counters, so only the others are
-        probed (:func:`~repro.scanners.sweep.sweep_live`) — every
-        target if the network cannot bound that set.
+        A SYN to a host that neither listens nor carries conditions only
+        moves the sent counters, so only the others are probed
+        (:func:`~repro.scanners.sweep.sweep_live`).
         """
         network, port = self.network, self.port
 

@@ -36,7 +36,6 @@ from repro.experiments.stages import GOSCANNER, ZMAP, find
 
 __all__ = [
     "append_week_timelines",
-    "delete_run_timelines",
     "timeline_rows",
 ]
 
@@ -218,14 +217,6 @@ def append_week_timelines(
         ),
     }
     return appended
-
-
-def delete_run_timelines(conn: sqlite3.Connection, run_id: str) -> None:
-    """Drop every timeline row belonging to ``run_id`` (fresh restart)."""
-    from repro.warehouse.schema import TIMELINE_TABLES
-
-    for table in TIMELINE_TABLES:
-        conn.execute(f"DELETE FROM {table} WHERE run_id = ?", (run_id,))
 
 
 def timeline_rows(conn: sqlite3.Connection, run_id: str, table: str) -> List[Tuple]:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.crypto.rand import DeterministicRandom
 from repro.netsim.addresses import IPv4Address
+from repro.netsim.paths import PathSpec
 from repro.netsim.topology import Network, NetworkConditions
 from repro.quic.connection import (
     HandshakeTimeout,
@@ -58,15 +59,15 @@ def _attempt(net, seed, timeout=1.0):
 
 
 def test_total_loss_times_out(loss_world):
-    loss_world.set_conditions(SERVER, NetworkConditions(loss=1.0))
+    loss_world.set_conditions(SERVER, NetworkConditions(path=PathSpec(loss=1.0)))
     assert not _attempt(loss_world, "total-loss")
 
 
 def test_partial_loss_reduces_success(loss_world):
     # A handshake needs ~5 datagrams to survive; at 25 % loss roughly a
     # quarter of attempts succeed, so 30 attempts reliably show both
-    # outcomes (deterministic given the network seed).
-    loss_world.set_conditions(SERVER, NetworkConditions(loss=0.25))
+    # outcomes (deterministic given the path seed).
+    loss_world.set_conditions(SERVER, NetworkConditions(path=PathSpec(loss=0.25)))
     outcomes = [_attempt(loss_world, ("loss", i)) for i in range(30)]
     assert any(outcomes), "some handshakes should survive 25% loss"
     assert not all(outcomes), "some handshakes should fail under 25% loss"
@@ -78,7 +79,7 @@ def test_no_loss_all_succeed(loss_world):
 
 
 def test_qscanner_classifies_loss_as_timeout(loss_world):
-    loss_world.set_conditions(SERVER, NetworkConditions(loss=1.0))
+    loss_world.set_conditions(SERVER, NetworkConditions(path=PathSpec(loss=1.0)))
     scanner = QScanner(loss_world, CLIENT, QScannerConfig(versions=(QUIC_V1,), timeout=0.5))
     record = scanner.scan(SERVER, "loss.example")
     assert record.outcome is QScanOutcome.TIMEOUT

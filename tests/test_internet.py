@@ -310,3 +310,21 @@ def test_ca_key_follows_world_seed_and_memo_stays_bounded():
     # CA key: well under the bound, so a series of weeks never evicts
     # what the next week reuses.
     assert len(PROVIDER_KEY_PRIMES) + 1 <= info.maxsize // 2
+
+
+@pytest.mark.parametrize("divisor", [20_000, 200_000])
+def test_a_built_world_carries_no_conditions(divisor):
+    """Conditions come only from fault and path profiles: a built world
+    holds none, which is what lets configuring a world start from an
+    empty table — and a world configured away and back holds none again."""
+    from repro.experiments.campaign import CampaignConfig
+    from repro.internet.providers import scale_for
+    from repro.netsim.faults import configure_world
+
+    scale = scale_for(divisor)
+    world = build_world(week=18, scale=scale, seed=3)
+    assert world.network._conditions == {}
+    configure_world(world, CampaignConfig(scale=scale, seed=3, fault_profile="flaky-edge"))
+    assert world.network._conditions
+    configure_world(world, CampaignConfig(scale=scale, seed=3))
+    assert world.network._conditions == {}

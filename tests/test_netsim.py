@@ -6,6 +6,8 @@ from hypothesis import given, strategies as st
 from repro.netsim.addresses import IPv4Address, IPv6Address, Prefix
 from repro.netsim.asn import AsRegistry
 from repro.netsim.blocklist import Blocklist
+from repro.netsim.faults import UdpBlackhole
+from repro.netsim.paths import PathSpec
 from repro.netsim.topology import Network, NetworkConditions, TcpListener, UdpEndpoint
 
 
@@ -207,10 +209,10 @@ def test_udp_unbound_times_out_and_clock_advances():
 
 
 def test_udp_silent_host():
-    net = Network(seed=1)
+    net = Network()
     addr = IPv4Address.parse("192.0.2.2")
     net.bind_udp(addr, 443, EchoEndpoint())
-    net.set_conditions(addr, NetworkConditions(silent=True))
+    net.set_conditions(addr, NetworkConditions(faults=(UdpBlackhole(),)))
     socket = net.client_socket(IPv4Address.parse("198.51.100.1"))
     socket.send(addr, 443, b"ping")
     assert socket.receive(0.5) is None
@@ -218,10 +220,11 @@ def test_udp_silent_host():
 
 def test_udp_loss_is_deterministic_per_seed():
     def run(seed):
-        net = Network(seed=seed)
+        net = Network()
+        net.configure_paths(seed)
         addr = IPv4Address.parse("192.0.2.3")
         net.bind_udp(addr, 443, EchoEndpoint())
-        net.set_conditions(addr, NetworkConditions(loss=0.5))
+        net.set_conditions(addr, NetworkConditions(path=PathSpec(loss=0.5)))
         socket = net.client_socket(IPv4Address.parse("198.51.100.1"))
         outcomes = []
         for _ in range(20):

@@ -12,7 +12,6 @@ Covers the three guarantees parallel runs are built on:
 """
 
 import dataclasses
-import math
 import pickle
 from pathlib import Path
 
@@ -33,6 +32,7 @@ from repro.experiments.stage_cache import CampaignStageCache
 from repro.internet.providers import Scale
 from repro.netsim.addresses import IPv4Address, IPv6Address, Prefix
 from repro.netsim.blocklist import Blocklist
+from repro.netsim.faults import RateLimit
 from repro.netsim.topology import (
     SYN_BYTES,
     ClientUdpSocket,
@@ -42,12 +42,13 @@ from repro.netsim.topology import (
 )
 from repro.observability.metrics import MetricsRegistry, use_metrics
 from repro.observability.report import render_metrics_json
-from repro.scanners import sweep as sweep_module, zmapquic, zmaptcp
+from repro.scanners import zmapquic, zmaptcp
 from repro.scanners.permutation import CyclicGroupPermutation
 from repro.scanners.retry import RetryPolicy
 from repro.scanners.sweep import sweep_permutation
 
 from tests.conftest import TINY_SCALE
+from tests.sweep_oracle import use_reference_sweep
 from tests.test_scanners import _VnEndpoint
 
 
@@ -231,22 +232,15 @@ def test_engine_close_is_graceful_and_idempotent(tiny_campaign):
     campaign.close()  # second close is a no-op
 
 
-def _prefix_conditions(world):
-    world.network.set_prefix_conditions(
-        Prefix.parse("100.64.0.0/16"), NetworkConditions(loss=0.3)
-    )
-
-
-def _lossy_default(world):
-    world.network._default_conditions = NetworkConditions(loss=0.3)
-
-
-def _lossy_unbound_hosts(world):
-    """Explicit conditions on hosts nobody listens on: no record can
-    come of them, but each probe still draws from the network RNG."""
+def _faulted_unbound_hosts(world):
+    """Faults on hosts nobody listens on: no record can come of them,
+    but each SYN to one is refused by an empty rate limiter, which the
+    fault counters see."""
     for address in Prefix.parse("100.67.128.0/26").hosts():
         assert not world.network.tcp_bound(address, 443)
-        world.network.set_conditions(address, NetworkConditions(loss=0.5))
+        world.network.set_conditions(
+            address, NetworkConditions(faults=(RateLimit(capacity=0),))
+        )
 
 
 # A /16 with a /24 nested inside it and a /28 elsewhere, beside the /24
@@ -259,17 +253,14 @@ def _three_length_blocklist(world):
         world.blocklist.add(Prefix.parse(text))
 
 
-# name -> (config overrides, world mutation, can the network bound which
-# SYNs do more than count?)
+# name -> (config overrides, world mutation)
 _SWEEP_WORLDS = {
-    "baseline": ({}, None, True),
-    "blocklist-lengths": ({}, _three_length_blocklist, True),
-    "conditioned-unbound": ({}, _lossy_unbound_hosts, True),
-    "fault-profile": ({"fault_profile": "flaky-edge"}, None, True),
-    "path-profile": ({"path_profile": "lossy-edge"}, None, True),
-    "prefix-conditions": ({}, _prefix_conditions, False),
-    "lossy-default": ({}, _lossy_default, False),
-    "retry": ({"retry": RetryPolicy(attempts=2)}, None, True),
+    "baseline": ({}, None),
+    "blocklist-lengths": ({}, _three_length_blocklist),
+    "conditioned-unbound": ({}, _faulted_unbound_hosts),
+    "fault-profile": ({"fault_profile": "flaky-edge"}, None),
+    "path-profile": ({"path_profile": "lossy-edge"}, None),
+    "retry": ({"retry": RetryPolicy(attempts=2)}, None),
 }
 
 # name -> (the walk over a bare permutation, the same walk through the
@@ -307,35 +298,12 @@ def _observe_sweep(network, sweep):
         "stats": {name: after[name] - before[name] for name in after},
         "metrics": registry.snapshot(),
         "now": network.now,
-        "next_draw": network._rng.random(),
     }
 
 
 def _recording(calls, real):
     """``real``, appending each call's arguments to ``calls`` first."""
     return lambda *args: (calls.append(args), real(*args))[1]
-
-
-def _count_loops(monkeypatch):
-    """A list that grows by one per sweep taking ``sweep.py``'s loop
-    over every target."""
-    taken = []
-    monkeypatch.setattr(
-        sweep_module, "_each_target", _recording(taken, sweep_module._each_target)
-    )
-    return taken
-
-
-def _force_loop(monkeypatch):
-    """From here on both ZMap modules sweep by the loop over every
-    target, reached the way a product reaches it — pacing — at an
-    infinite rate, which leaves the clock alone."""
-
-    def paced(*args, **kwargs):
-        return sweep_module.sweep_live(*args, **{**kwargs, "pps": math.inf})
-
-    monkeypatch.setattr(zmapquic, "sweep_live", paced)
-    monkeypatch.setattr(zmaptcp, "sweep_live", paced)
 
 
 def _scanner_pair(module, family, mutate=None, **overrides):
@@ -364,40 +332,30 @@ def test_fast_sweep_matches_slow_probe_path(module, world_kind, walk, monkeypatc
     """The sweep by position is bit-identical to the loop over every target.
 
     Two worlds of one configuration, swept through the public entry
-    points: one as shipped (only live targets are probed), the other
-    forced onto ``sweep.py``'s loop over every target.  Records,
-    traffic-counter deltas, metrics, the virtual clock and the network
-    RNG's next draw must match exactly — under fault and path profiles
-    (conditioned hosts take full delivery), under a retry policy (a dark
-    address is a counter on both sides) and under conditions the SYN
-    sweep cannot bound (it takes the loop by itself).
+    points: one as shipped (only live targets are probed), the other on
+    the reference loop over every target (``tests/sweep_oracle.py``).
+    Records, traffic-counter deltas, metrics and the virtual clock must
+    match exactly — under fault and path profiles (conditioned hosts
+    take full delivery), on faulted hosts nobody listens on and under a
+    retry policy (a dark address is a counter on both sides).
     """
-    overrides, mutate, syn_bounded = _SWEEP_WORLDS[world_kind]
+    overrides, mutate = _SWEEP_WORLDS[world_kind]
     (fast_world, fast_scanner), (slow_world, slow_scanner) = _scanner_pair(
         module, 4, mutate, **overrides
     )
     space = fast_world.ipv4_space
-    by_position = module == "quic" or syn_bounded
 
     syn_probes = []
     if module == "tcp":
         network = fast_world.network
-        assert (network.syn_live_values(443, 4) is not None) == syn_bounded
         network.syn_probe = _recording(syn_probes, network.syn_probe)
 
     bare_walk, scanner_walk = _SWEEP_WALKS[walk]
-    loops = _count_loops(monkeypatch)
     fast = _observe_sweep(fast_world.network, lambda: scanner_walk(fast_scanner, space))
-    if by_position:
-        assert not loops
-        _force_loop(monkeypatch)
-        slow = _observe_sweep(
-            slow_world.network, lambda: scanner_walk(slow_scanner, space)
-        )
-        assert fast == slow
-    # else the sweep as shipped already is the loop: nothing to hold it to
-    # but the counts below.
-    assert len(loops) == 1
+    sweeps = use_reference_sweep(monkeypatch)
+    slow = _observe_sweep(slow_world.network, lambda: scanner_walk(slow_scanner, space))
+    assert len(sweeps) == 1
+    assert fast == slow
     assert fast["records"], "vacuous walk: nothing answered"
     prefix = "zmap.quic" if module == "quic" else "zmap.tcp"
     counters = fast["metrics"]["counters"]
@@ -423,14 +381,9 @@ def test_fast_sweep_matches_slow_probe_path(module, world_kind, walk, monkeypatc
             if walk == "full":
                 assert blocked == 256 + (1 << 16) + 16
     if module == "tcp":
-        # On the loop with an unbounded live set every probe is a
-        # syn_probe call; by position only listeners and explicitly
-        # conditioned hosts are.
-        if syn_bounded:
-            assert 0 < len(syn_probes) < 1_000
-        else:
-            assert len(syn_probes) == probes
-        if world_kind == "fault-profile" and walk == "full":
+        # Only listeners and conditioned hosts take a syn_probe call.
+        assert 0 < len(syn_probes) < 1_000
+        if world_kind in ("fault-profile", "conditioned-unbound") and walk == "full":
             assert fast["stats"]["faults_injected"] > 0
             assert any(key.startswith("faults.injected") for key in counters)
     elif world_kind == "path-profile" and walk == "full":
@@ -460,7 +413,7 @@ def test_list_sweep_matches_the_loop_over_every_target(
     and a slice of it at its base offset.  The list names two live
     targets (and some dark ones) twice — each listing is a probe — and
     two listed targets are blocked."""
-    overrides, _, _ = _SWEEP_WORLDS[world_kind]
+    overrides, _ = _SWEEP_WORLDS[world_kind]
     (fast_world, fast_scanner), (slow_world, slow_scanner) = _scanner_pair(
         module, 6, _block_some_listed, **overrides
     )
@@ -486,21 +439,19 @@ def test_list_sweep_matches_the_loop_over_every_target(
     sends, syns = [], []
     monkeypatch.setattr(ClientUdpSocket, "send", _recording(sends, ClientUdpSocket.send))
     network.syn_probe = _recording(syns, network.syn_probe)
-    loops = _count_loops(monkeypatch)
     fast = _observe_sweep(
         network, lambda: fast_scanner.scan_targets_shard(iter(targets[lo:hi]), lo)
     )
-    assert not loops
     # Full delivery reached the live listed targets and nothing else.
     probed = [target for _socket, target, *_ in sends] + [target for target, _ in syns]
     assert set(probed) == set(live_listed)
     if world_kind != "retry":
         assert probed == live_listed
-    _force_loop(monkeypatch)
+    sweeps = use_reference_sweep(monkeypatch)
     slow = _observe_sweep(
         slow_world.network, lambda: slow_scanner.scan_targets_shard(targets[lo:hi], lo)
     )
-    assert len(loops) == 1
+    assert len(sweeps) == 1
 
     assert fast == slow
     assert fast["records"], "vacuous list: nothing answered"
@@ -538,7 +489,7 @@ _QUEUED_ON_A_LIST = {
 
 
 @pytest.mark.parametrize("case", sorted(_QUEUED_ON_A_LIST))
-def test_queued_reply_on_a_list_is_drained_by_the_next_probe_sent(case):
+def test_queued_reply_on_a_list_is_drained_by_the_next_probe_sent(case, monkeypatch):
     """The list-mode twin of ``test_scanners``' queued-reply test: a
     reply still in the inbox belongs to the next listing sent to, dark
     ones included, and to nobody past the end of the slice."""
@@ -546,8 +497,8 @@ def test_queued_reply_on_a_list_is_drained_by_the_next_probe_sent(case):
     doubled = 7 if case == "end-of-list" else 3
     base = 40
 
-    def observe(pps):
-        network = Network(seed=5)
+    def observe():
+        network = Network()
         network.bind_udp(targets[doubled], 443, _VnEndpoint(copies=2))
         blocklist = Blocklist()
         if case == "blocked":
@@ -555,11 +506,13 @@ def test_queued_reply_on_a_list_is_drained_by_the_next_probe_sent(case):
         if case == "live":
             network.bind_udp(targets[doubled + 1], 443, _VnEndpoint(copies=1))
         scanner = zmapquic.ZmapQuicScanner(
-            network, _listed(9)[8], blocklist=blocklist, seed="queued-list", pps=pps
+            network, _listed(9)[8], blocklist=blocklist, seed="queued-list"
         )
         return _observe_sweep(network, lambda: scanner.scan_targets_shard(targets, base))
 
-    fast, slow = observe(pps=None), observe(pps=math.inf)
+    fast = observe()
+    use_reference_sweep(monkeypatch)
+    slow = observe()
     assert fast == slow
     assert [position for position, _ in fast["records"]] == [
         base + doubled + offset for offset in _QUEUED_ON_A_LIST[case]
@@ -576,18 +529,16 @@ def test_queued_reply_on_a_list_is_drained_by_the_next_probe_sent(case):
         (RetryPolicy(attempts=4, deadline=0.1), 0),
     ],
 )
-# The SYN module has no pacing.
-@pytest.mark.parametrize("module,pps", [("quic", None), ("quic", 1000.0), ("tcp", None)])
+@pytest.mark.parametrize("module", ["quic", "tcp"])
 def test_dark_addresses_under_retry_are_counters_by_hand(
-    module, pps, policy, nominal, monkeypatch
+    module, policy, nominal, monkeypatch
 ):
     """A /24 with a /28 blocked and one host that answers at once: 239
     dark addresses cost ``1 + k`` probes, ``k`` retries and a give-up
-    each, the same bytes on the wire, no RNG child and no virtual time —
-    paced (the loop over every target) or not (by position)."""
+    each, the same bytes on the wire, no RNG child and no virtual time."""
     assert policy.nominal_retries() == nominal
     space = Prefix.parse("10.9.0.0/24")
-    network = Network(seed=3)
+    network = Network()
     host = space.address_at(77)
     network.bind_udp(host, 443, _VnEndpoint(copies=1))
     network.bind_tcp(host, 443, TcpListener())
@@ -598,7 +549,6 @@ def test_dark_addresses_under_retry_are_counters_by_hand(
             IPv4Address.parse("198.51.100.9"),
             blocklist=blocklist,
             retry=policy,
-            pps=pps,
         )
         size = 1200
     else:
@@ -626,9 +576,9 @@ def test_dark_addresses_under_retry_are_counters_by_hand(
     assert observed["stats"]["bytes_sent"] == (sent + dark * nominal) * size
     assert observed["stats"]["syn_sent"] == (0 if module == "quic" else sent + dark * nominal)
     assert [labels for _rng, *labels in children if labels[0] == "retry"] == []
-    # Only pacing and the one answer's round trip move the clock.
+    # Only the one answer's round trip moves the clock.
     rtt = network.conditions_for(host).rtt if module == "quic" else 0.0
-    assert observed["now"] == pytest.approx(rtt + (sent / pps if pps else 0.0))
+    assert observed["now"] == pytest.approx(rtt)
 
 
 # -- stage cache --------------------------------------------------------------

@@ -350,12 +350,6 @@ class TestFaultSpecValidation:
         with pytest.raises(TypeError, match=r"192\.0\.2\.1.*drop-everything"):
             net.begin_fault_epoch("stage")
 
-    def test_default_conditions_are_validated_too(self):
-        net = Network(seed=1)
-        net._default_conditions = NetworkConditions(faults=(object(),))
-        with pytest.raises(TypeError, match="default conditions"):
-            net.begin_fault_epoch("stage")
-
     def test_valid_faultspec_entries_pass(self):
         net = Network(seed=1)
         net.set_conditions(SERVER, NetworkConditions(faults=(BurstLoss(),)))

@@ -1,6 +1,4 @@
-"""Stateless reset, SVCB alias chains and probe pacing tests."""
-
-import pytest
+"""Stateless reset, SVCB alias chains and sweep timing tests."""
 
 from repro.crypto.rand import DeterministicRandom
 from repro.dns.records import ARecord, HttpsRecord, SvcParams
@@ -112,22 +110,15 @@ def test_alias_to_nowhere():
     assert result.https == []
 
 
-# -- probe pacing -------------------------------------------------------------------
-
-
-def test_pps_pacing_sets_virtual_scan_duration():
-    net = Network(seed=33)
-    scanner = ZmapQuicScanner(
-        net, IPv4Address.parse("198.51.100.6"), pps=100.0, seed="paced"
-    )
-    space = Prefix.parse("10.1.0.0/24")
-    scanner.scan_ipv4_space(space)
-    # 256 probes at 100 pps == 2.56 virtual seconds.
-    assert scanner.last_scan_duration == pytest.approx(2.56, rel=0.05)
+# -- sweep timing -------------------------------------------------------------------
 
 
 def test_unpaced_scan_is_instant():
-    net = Network(seed=34)
+    """The sweep does not pace its probes: a /24 of dark space costs no
+    virtual time."""
+    net = Network()
     scanner = ZmapQuicScanner(net, IPv4Address.parse("198.51.100.6"), seed="unpaced")
-    scanner.scan_ipv4_space(Prefix.parse("10.2.0.0/24"))
-    assert scanner.last_scan_duration == 0.0
+    before = net.now
+    assert scanner.scan_ipv4_space(Prefix.parse("10.2.0.0/24")) == []
+    assert net.now == before
+    assert net.stats.datagrams_sent == 256

@@ -8,7 +8,8 @@ import pytest
 from repro.crypto.rand import DeterministicRandom
 from repro.experiments.campaign import Campaign, CampaignConfig
 from repro.experiments.stage_cache import CACHE_VERSION, CampaignStageCache
-from repro.internet.providers import Scale
+from repro.experiments.stages import TRACKED_NAMES
+from repro.internet.providers import Scale, scale_for
 from repro.netsim.addresses import IPv4Address
 from repro.netsim.faults import (
     PROFILES,
@@ -26,6 +27,7 @@ from repro.netsim.topology import Network, NetworkConditions
 from repro.observability.metrics import MetricsRegistry, use_metrics
 from repro.observability.report import (
     build_resilience_report,
+    build_scan_report,
     render_metrics_json,
 )
 from repro.quic.versions import QUIC_V1
@@ -176,9 +178,8 @@ def test_fault_state_resets_per_epoch():
 
 
 def _silent_scan(attempts):
-    """QScanner vs. a loss=1.0 (silent) host; returns (record, registry)."""
-    network = Network(seed=11)
-    network.set_conditions(SERVER, NetworkConditions(loss=1.0))
+    """QScanner vs. a silent host; returns (record, registry)."""
+    network = Network()
     registry = MetricsRegistry()
     with use_metrics(registry):  # scanners bind the registry at construction
         scanner = QScanner(
@@ -269,6 +270,49 @@ def test_metrics_document_records_resilience_config(chaos_serial):
     document = json.loads(render_metrics_json(chaos_serial))
     assert document["config"]["fault_profile"] == "flaky-edge"
     assert document["config"]["retry"]["attempts"] == 2
+
+
+def _health_listing(campaign):
+    """The stages, in the order each report or list names them: the
+    resilience report's stage-health table, the scan report's unhealthy
+    lines, then the failed and degraded lists."""
+    lines = build_resilience_report(campaign).splitlines()
+    first = lines.index("stage health") + 3  # title, header, rule
+    return (
+        [line.split()[0] for line in lines[first : lines.index("", first)]],
+        [
+            line.split()[2]
+            for line in build_scan_report(campaign).splitlines()
+            if line.startswith("stage health:")
+        ],
+        campaign.failed_stages(),
+        campaign.degraded_stages(),
+    )
+
+
+def test_stage_health_prints_in_stage_table_order():
+    """With ``workers=2`` stages finish in a different order from run to
+    run; a serial run and two ``workers=2`` runs still list the same
+    stages in the same, canonical order."""
+    config = CampaignConfig(
+        scale=scale_for(200_000), seed=3, fault_profile="brownout"
+    )
+    listings = []
+    for workers in (1, 2, 2):
+        campaign = Campaign(config, workers=workers)
+        try:
+            campaign.run_all_stages()
+        finally:
+            campaign.close()
+        # Two stages marked unhealthy, so every listing has entries.
+        campaign.stage_health["syn_v4"].status = "failed"
+        campaign.stage_health["zmap_v6"].status = "degraded"
+        listings.append(_health_listing(campaign))
+        # Whatever order the stages finished in, none of it shows.
+        campaign.stage_health = dict(reversed(campaign.stage_health.items()))
+        assert _health_listing(campaign) == listings[-1]
+    assert listings[0] == listings[1] == listings[2]
+    assert listings[0] == (list(TRACKED_NAMES), ["zmap_v6", "syn_v4"], ["syn_v4"], ["zmap_v6"])
 
 
 # -- graceful degradation ------------------------------------------------------

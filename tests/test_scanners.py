@@ -1,7 +1,6 @@
 """Scanner tests: permutation, ZMap modules, Goscanner, QScanner."""
 
 import dataclasses
-import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,6 +29,8 @@ from repro.tls.engine import TlsClientSession, TlsServerConfig
 from repro.tls.extensions import ExtensionType
 from repro.tls.messages import ClientHello
 from repro.http.h1 import HttpResponse
+
+from tests.sweep_oracle import use_reference_sweep
 
 
 # -- permutation -----------------------------------------------------------------
@@ -280,16 +281,16 @@ _QUEUED_REPLY_CASES = {
         if case != "past-the-block" or of == 1  # a block is contiguous
     ],
 )
-def test_queued_reply_is_drained_by_the_next_probe_sent(case, of):
+def test_queued_reply_is_drained_by_the_next_probe_sent(case, of, monkeypatch):
     """A reply still queued when its probe returns belongs to the next
     address the walk sends to, whatever that address is.
 
     An endpoint that answers one probe twice leaves a datagram in the
     inbox; the sweep by position must hand it to the probe at the next
-    visited, unblocked position exactly as the loop over every target
-    does — records and their position tags, ``TrafficStats``, metrics,
-    virtual clock and the network RNG's next draw.  None of the
-    generated-world ``test_sweep_by_position_matches_the_loop_over_every_target``
+    visited, unblocked position exactly as the reference loop over every
+    target (``tests/sweep_oracle.py``) does — records and their position
+    tags, ``TrafficStats``, metrics and virtual clock.  None of the
+    generated-world ``test_fast_sweep_matches_slow_probe_path``
     cases reaches this branch (no generated endpoint, fault or path
     profile leaves a reply queued), so this synthetic /25 — a /24 has
     no element beyond the space, 257 being prime — and the list case
@@ -316,17 +317,15 @@ def test_queued_reply_is_drained_by_the_next_probe_sent(case, of):
     def at(steps):
         return space.address_at(permutation.index_at(k + steps * of))
 
-    def observe(pps):
-        network = Network(seed=5)
+    def observe():
+        network = Network()
         network.bind_udp(at(0), 443, _VnEndpoint(copies=2))
         blocklist = Blocklist()
         if case == "blocked":
             blocklist.add(Prefix(at(1), 32))
         if case == "live":
             network.bind_udp(at(1), 443, _VnEndpoint(copies=1))
-        scanner = ZmapQuicScanner(
-            network, source, blocklist=blocklist, seed=seed, pps=pps
-        )
+        scanner = ZmapQuicScanner(network, source, blocklist=blocklist, seed=seed)
         with use_metrics(MetricsRegistry()) as registry:
             records = sweep(scanner)
         return {
@@ -334,13 +333,11 @@ def test_queued_reply_is_drained_by_the_next_probe_sent(case, of):
             "stats": dataclasses.asdict(network.stats),
             "metrics": registry.snapshot(),
             "now": network.now,
-            "next_draw": network._rng.random(),
         }
 
-    fast = observe(pps=None)
-    # Pacing takes the loop over every target; at an infinite rate it
-    # leaves the clock alone.
-    slow = observe(pps=math.inf)
+    fast = observe()
+    use_reference_sweep(monkeypatch)
+    slow = observe()
     assert fast == slow
     assert [position for position, _ in fast["records"]] == [
         k + steps * of for steps in _QUEUED_REPLY_CASES[case]
