@@ -160,6 +160,7 @@ def _seed_corpus():
     from repro.http.qpack import encode_header_block
     from repro.tls.record import encode_alert
     from repro.tls.alerts import AlertDescription
+    from repro.tls.extensions import encode_alpn, encode_psk_client, encode_sni
 
     long_header, _ = encode_long_header(
         PacketType.HANDSHAKE, 1, v._A_DCID, v._A_SCID, 7, 32, packet_number_length=2
@@ -194,6 +195,12 @@ def _seed_corpus():
         ),
         "dns.records": (bytes.fromhex(v._HTTPS_RDATA_HEX),),
         "tls.messages": (v._A2_CRYPTO_FRAME[4:],),
+        # The first byte picks the decoder (see _parse_tls_extension).
+        "tls.extensions": (
+            b"\x00" + encode_sni("www.example.com"),
+            b"\x01" + encode_alpn(["h3", "h3-29"]),
+            b"\x02" + encode_psk_client(b"ticket-identity", bytes(range(32)), 1234),
+        ),
         "tls.record": (
             encode_alert(AlertDescription.HANDSHAKE_FAILURE),
             b"\x16\x03\x03\x00\x04\x08\x00\x00\x00",
@@ -247,6 +254,15 @@ def _parse_tls_messages(data: bytes):
         elif msg_type == HandshakeType.ENCRYPTED_EXTENSIONS:
             decoded.append(EncryptedExtensions.decode(body))
     return decoded
+
+
+def _parse_tls_extension(data: bytes):
+    """One extension payload; its first byte picks the decoder."""
+    from repro.tls.extensions import decode_alpn, decode_psk_client, decode_sni
+
+    if not data:
+        return None
+    return (decode_sni, decode_alpn, decode_psk_client)[data[0] % 3](data[1:])
 
 
 def build_targets() -> Tuple[FuzzTarget, ...]:
@@ -337,6 +353,9 @@ def build_targets() -> Tuple[FuzzTarget, ...]:
         ),
         FuzzTarget(
             "tls.messages", corpus["tls.messages"], _parse_tls_messages, (MessageDecodeError,)
+        ),
+        FuzzTarget(
+            "tls.extensions", corpus["tls.extensions"], _parse_tls_extension, (MessageDecodeError,)
         ),
         FuzzTarget(
             "tls.record",

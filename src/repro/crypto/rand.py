@@ -15,18 +15,19 @@ __all__ = ["DeterministicRandom", "derive_seed", "seed_value"]
 
 
 def derive_seed(*parts: Union[str, int, bytes]) -> int:
-    """Derive a child seed from labelled parts (domain separation)."""
-    hasher = hashlib.sha256()
+    """Derive a child seed from labelled parts (domain separation).
+
+    Each part is hashed as a 4-byte length and its bytes (an int as
+    its decimal string), all parts in one SHA-256 pass.
+    """
+    pieces = []
     for part in parts:
         if isinstance(part, str):
-            encoded = part.encode()
+            part = part.encode()
         elif isinstance(part, int):
-            encoded = str(part).encode()
-        else:
-            encoded = part
-        hasher.update(len(encoded).to_bytes(4, "big"))
-        hasher.update(encoded)
-    return int.from_bytes(hasher.digest()[:8], "big")
+            part = str(part).encode()
+        pieces += (len(part).to_bytes(4, "big"), part)
+    return int.from_bytes(hashlib.sha256(b"".join(pieces)).digest()[:8], "big")
 
 
 def seed_value(seed: Union[str, int, bytes, tuple]) -> int:

@@ -45,7 +45,12 @@ TABLE_SPECS: Dict[str, TableSpec] = {
             "no-SNI v4: 7.25/34.50/48.26/8.83/1.16; SNI v4: 76.06/11.09/5.73/5.77/1.35; "
             "no-SNI v6: 27.66/12.35/58.85/0.74/0.40; SNI v6: 90.70/6.01/1.90/0.99/0.39"
         ),
-        notes="no-SNI success share is inflated vs the paper because edge-POP AS counts are preserved at a milder scale than addresses (DESIGN.md)",
+        notes=(
+            "no-SNI success share is inflated vs the paper: an edge-POP group keeps at "
+            "least one v4 address per AS (internet/generator.py) and scale_for sets "
+            "ases = divisor // 50, so where that floor binds it multiplies the group "
+            "by the same factor at every scale (DESIGN.md §2)"
+        ),
     ),
     "T4": TableSpec(
         experiment_id="T4",

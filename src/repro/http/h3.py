@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.http.qpack import decode_header_block, encode_header_block
-from repro.quic.varint import Buffer
+from repro.quic.varint import decode_varint, encode_varint
 
 __all__ = [
     "H3FrameType",
@@ -41,21 +41,22 @@ class H3FrameType:
 
 
 def encode_frame(frame_type: int, payload: bytes) -> bytes:
-    buf = Buffer()
-    buf.push_varint(frame_type)
-    buf.push_varint(len(payload))
-    buf.push_bytes(payload)
-    return buf.data()
+    return encode_varint(frame_type) + encode_varint(len(payload)) + payload
 
 
 def decode_frames(data: bytes) -> List[Tuple[int, bytes]]:
-    buf = Buffer(data)
     frames = []
+    size = len(data)
+    pos = 0
     try:
-        while not buf.eof():
-            frame_type = buf.pull_varint()
-            length = buf.pull_varint()
-            frames.append((frame_type, buf.pull_bytes(length)))
+        while pos < size:
+            frame_type, pos = decode_varint(data, pos)
+            length, pos = decode_varint(data, pos)
+            end = pos + length
+            if end > size:
+                raise H3Error("buffer underrun")
+            frames.append((frame_type, data[pos:end]))
+            pos = end
     except ValueError as exc:
         raise H3Error(str(exc)) from exc
     return frames
@@ -63,14 +64,11 @@ def decode_frames(data: bytes) -> List[Tuple[int, bytes]]:
 
 def encode_control_stream(settings: Optional[Dict[int, int]] = None) -> bytes:
     """Unidirectional control stream: type 0x00 then a SETTINGS frame."""
-    buf = Buffer()
-    buf.push_varint(0x00)
-    payload = Buffer()
-    for key, value in sorted((settings or {}).items()):
-        payload.push_varint(key)
-        payload.push_varint(value)
-    buf.push_bytes(encode_frame(H3FrameType.SETTINGS, payload.data()))
-    return buf.data()
+    payload = b"".join(
+        encode_varint(key) + encode_varint(value)
+        for key, value in sorted((settings or {}).items())
+    )
+    return encode_varint(0x00) + encode_frame(H3FrameType.SETTINGS, payload)
 
 
 def encode_head_request(authority: str, path: str = "/", user_agent: str = "qscanner/1.0") -> bytes:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
-from repro.quic.varint import Buffer, varint_length
+from repro.quic.varint import decode_varint, encode_varint, varint_length
 
 __all__ = [
     "PaddingFrame",
@@ -149,220 +149,198 @@ Frame = Union[
 ]
 
 
-def _encode_ack(buf: Buffer, frame: AckFrame) -> None:
+# Frames make one pass over the bytes: a field is a slice or a
+# ``decode_varint(payload, pos)``, and a payload is built from pieces
+# joined once.  Any short read raises ``FrameDecodeError``: "truncated
+# varint", or "buffer underrun" for a slice that would run past the end.
+_UNDERRUN = "buffer underrun"
+
+
+def _encode_ack(pieces: List[bytes], frame: AckFrame) -> None:
     ranges = frame.ranges or [(frame.largest_acknowledged, frame.largest_acknowledged)]
     first_start, first_end = ranges[0]
     if first_end != frame.largest_acknowledged:
         raise ValueError("first ACK range must end at largest_acknowledged")
-    buf.push_varint(0x02)
-    buf.push_varint(frame.largest_acknowledged)
-    buf.push_varint(frame.ack_delay)
-    buf.push_varint(len(ranges) - 1)
-    buf.push_varint(first_end - first_start)
+    fields = [0x02, first_end, frame.ack_delay, len(ranges) - 1, first_end - first_start]
     previous_start = first_start
     for start, end in ranges[1:]:
         gap = previous_start - end - 2
         if gap < 0:
             raise ValueError("ACK ranges must be descending and disjoint")
-        buf.push_varint(gap)
-        buf.push_varint(end - start)
+        fields += (gap, end - start)
         previous_start = start
+    pieces += map(encode_varint, fields)
 
 
-def _decode_ack(buf: Buffer) -> AckFrame:
-    largest = buf.pull_varint()
-    delay = buf.pull_varint()
-    range_count = buf.pull_varint()
-    first_range = buf.pull_varint()
+def _decode_ack(payload: bytes, pos: int) -> Tuple[AckFrame, int]:
+    largest, pos = decode_varint(payload, pos)
+    delay, pos = decode_varint(payload, pos)
+    range_count, pos = decode_varint(payload, pos)
+    first_range, pos = decode_varint(payload, pos)
     end = largest
     start = end - first_range
     if start < 0:
         raise FrameDecodeError("ACK range below zero")
     ranges = [(start, end)]
     for _ in range(range_count):
-        gap = buf.pull_varint()
-        length = buf.pull_varint()
+        gap, pos = decode_varint(payload, pos)
+        length, pos = decode_varint(payload, pos)
         end = start - gap - 2
         start = end - length
         if start < 0 or end < 0:
             raise FrameDecodeError("ACK range below zero")
         ranges.append((start, end))
-    return AckFrame(largest_acknowledged=largest, ack_delay=delay, ranges=ranges)
+    return AckFrame(largest_acknowledged=largest, ack_delay=delay, ranges=ranges), pos
 
 
 def encode_frames(frames: List[Frame]) -> bytes:
-    buf = Buffer()
+    pieces: List[bytes] = []
     for frame in frames:
         if isinstance(frame, PaddingFrame):
-            buf.push_bytes(bytes(frame.length))
-        elif isinstance(frame, PingFrame):
-            buf.push_varint(0x01)
-        elif isinstance(frame, AckFrame):
-            _encode_ack(buf, frame)
+            pieces.append(bytes(frame.length))
         elif isinstance(frame, CryptoFrame):
-            buf.push_varint(0x06)
-            buf.push_varint(frame.offset)
-            buf.push_varint(len(frame.data))
-            buf.push_bytes(frame.data)
+            pieces += (b"\x06", encode_varint(frame.offset), encode_varint(len(frame.data)))
+            pieces.append(frame.data)
+        elif isinstance(frame, AckFrame):
+            _encode_ack(pieces, frame)
         elif isinstance(frame, StreamFrame):
-            frame_type = 0x08 | 0x02 | 0x04  # OFF and LEN bits always set
-            if frame.fin:
-                frame_type |= 0x01
-            buf.push_varint(frame_type)
-            buf.push_varint(frame.stream_id)
-            buf.push_varint(frame.offset)
-            buf.push_varint(len(frame.data))
-            buf.push_bytes(frame.data)
+            # OFF and LEN bits always set.
+            fields = (0x0F if frame.fin else 0x0E, frame.stream_id, frame.offset, len(frame.data))
+            pieces += map(encode_varint, fields)
+            pieces.append(frame.data)
+        elif isinstance(frame, PingFrame):
+            pieces.append(b"\x01")
         elif isinstance(frame, ConnectionCloseFrame):
-            if frame.is_application:
-                buf.push_varint(0x1D)
-                buf.push_varint(frame.error_code)
-            else:
-                buf.push_varint(0x1C)
-                buf.push_varint(frame.error_code)
-                buf.push_varint(frame.frame_type or 0)
             reason = frame.reason.encode()
-            buf.push_varint(len(reason))
-            buf.push_bytes(reason)
+            if frame.is_application:
+                fields = (0x1D, frame.error_code, len(reason))
+            else:
+                fields = (0x1C, frame.error_code, frame.frame_type or 0, len(reason))
+            pieces += map(encode_varint, fields)
+            pieces.append(reason)
         elif isinstance(frame, HandshakeDoneFrame):
-            buf.push_varint(0x1E)
+            pieces.append(b"\x1e")
         elif isinstance(frame, NewConnectionIdFrame):
-            buf.push_varint(0x18)
-            buf.push_varint(frame.sequence_number)
-            buf.push_varint(frame.retire_prior_to)
-            buf.push_uint8(len(frame.connection_id))
-            buf.push_bytes(frame.connection_id)
-            buf.push_bytes(frame.stateless_reset_token)
+            pieces += map(encode_varint, (0x18, frame.sequence_number, frame.retire_prior_to))
+            pieces += (bytes((len(frame.connection_id) & 0xFF,)), frame.connection_id)
+            pieces.append(frame.stateless_reset_token)
         elif isinstance(frame, MaxDataFrame):
-            buf.push_varint(0x10)
-            buf.push_varint(frame.maximum)
+            pieces += map(encode_varint, (0x10, frame.maximum))
         elif isinstance(frame, MaxStreamDataFrame):
-            buf.push_varint(0x11)
-            buf.push_varint(frame.stream_id)
-            buf.push_varint(frame.maximum)
+            pieces += map(encode_varint, (0x11, frame.stream_id, frame.maximum))
         elif isinstance(frame, MaxStreamsFrame):
-            buf.push_varint(0x12 if frame.bidirectional else 0x13)
-            buf.push_varint(frame.maximum)
+            pieces += map(encode_varint, (0x12 if frame.bidirectional else 0x13, frame.maximum))
         elif isinstance(frame, ResetStreamFrame):
-            buf.push_varint(0x04)
-            buf.push_varint(frame.stream_id)
-            buf.push_varint(frame.error_code)
-            buf.push_varint(frame.final_size)
+            pieces += map(encode_varint, (0x04, frame.stream_id, frame.error_code, frame.final_size))
         elif isinstance(frame, StopSendingFrame):
-            buf.push_varint(0x05)
-            buf.push_varint(frame.stream_id)
-            buf.push_varint(frame.error_code)
+            pieces += map(encode_varint, (0x05, frame.stream_id, frame.error_code))
         else:
             raise TypeError(f"cannot encode frame {frame!r}")
-    return buf.data()
+    return b"".join(pieces)
 
 
 def decode_frames(payload: bytes) -> List[Frame]:
-    buf = Buffer(payload)
     frames: List[Frame] = []
+    size = len(payload)
+    pos = 0
     try:
-        while not buf.eof():
-            type_offset = buf.position
-            frame_type = buf.pull_varint()
-            if buf.position - type_offset > varint_length(frame_type):
-                # RFC 9000 §12.4: non-shortest frame-type encodings MAY
-                # be treated as PROTOCOL_VIOLATION.  Rejecting them also
-                # keeps decoding canonical: a 2-byte encoding of type 0
-                # would otherwise split one PADDING run into two frames.
-                raise FrameDecodeError("non-minimal frame type encoding")
+        while pos < size:
+            frame_type = payload[pos]
+            if frame_type < 0x40:
+                pos += 1
+            else:
+                frame_type, end = decode_varint(payload, pos)
+                if end - pos > varint_length(frame_type):
+                    # RFC 9000 §12.4: non-shortest frame-type encodings
+                    # MAY be treated as PROTOCOL_VIOLATION.  Rejecting
+                    # them also keeps decoding canonical: a 2-byte
+                    # encoding of type 0 would otherwise split one
+                    # PADDING run into two frames.
+                    raise FrameDecodeError("non-minimal frame type encoding")
+                pos = end
             if frame_type == 0x00:
-                frames.append(PaddingFrame(length=1 + buf.skip_zero_run()))
+                end = size - len(payload[pos:].lstrip(b"\x00"))
+                frames.append(PaddingFrame(length=1 + end - pos))
+                pos = end
+            elif frame_type == 0x06:
+                offset, pos = decode_varint(payload, pos)
+                length, pos = decode_varint(payload, pos)
+                end = pos + length
+                if end > size:
+                    raise FrameDecodeError(_UNDERRUN)
+                frames.append(CryptoFrame(offset, payload[pos:end]))
+                pos = end
+            elif frame_type in (0x02, 0x03):
+                ack, pos = _decode_ack(payload, pos)
+                if frame_type == 0x03:  # ECN counts, parsed and discarded
+                    for _ in range(3):
+                        _count, pos = decode_varint(payload, pos)
+                frames.append(ack)
+            elif 0x08 <= frame_type <= 0x0F:
+                stream_id, pos = decode_varint(payload, pos)
+                offset = 0
+                if frame_type & 0x04:
+                    offset, pos = decode_varint(payload, pos)
+                end = size
+                if frame_type & 0x02:
+                    length, pos = decode_varint(payload, pos)
+                    end = pos + length
+                    if end > size:
+                        raise FrameDecodeError(_UNDERRUN)
+                frames.append(
+                    StreamFrame(stream_id, offset, payload[pos:end], bool(frame_type & 0x01))
+                )
+                pos = end
             elif frame_type == 0x01:
                 frames.append(PingFrame())
-            elif frame_type in (0x02, 0x03):
-                ack = _decode_ack(buf)
-                if frame_type == 0x03:  # ECN counts, parsed and discarded
-                    buf.pull_varint()
-                    buf.pull_varint()
-                    buf.pull_varint()
-                frames.append(ack)
-            elif frame_type == 0x04:
-                frames.append(
-                    ResetStreamFrame(
-                        stream_id=buf.pull_varint(),
-                        error_code=buf.pull_varint(),
-                        final_size=buf.pull_varint(),
-                    )
-                )
-            elif frame_type == 0x05:
-                frames.append(
-                    StopSendingFrame(
-                        stream_id=buf.pull_varint(), error_code=buf.pull_varint()
-                    )
-                )
-            elif frame_type == 0x06:
-                offset = buf.pull_varint()
-                length = buf.pull_varint()
-                frames.append(CryptoFrame(offset=offset, data=buf.pull_bytes(length)))
-            elif 0x08 <= frame_type <= 0x0F:
-                stream_id = buf.pull_varint()
-                offset = buf.pull_varint() if frame_type & 0x04 else 0
-                if frame_type & 0x02:
-                    length = buf.pull_varint()
-                    data = buf.pull_bytes(length)
-                else:
-                    data = buf.pull_bytes(buf.remaining)
-                frames.append(
-                    StreamFrame(
-                        stream_id=stream_id,
-                        offset=offset,
-                        data=data,
-                        fin=bool(frame_type & 0x01),
-                    )
-                )
-            elif frame_type == 0x10:
-                frames.append(MaxDataFrame(maximum=buf.pull_varint()))
-            elif frame_type == 0x11:
-                frames.append(
-                    MaxStreamDataFrame(
-                        stream_id=buf.pull_varint(), maximum=buf.pull_varint()
-                    )
-                )
-            elif frame_type in (0x12, 0x13):
-                frames.append(
-                    MaxStreamsFrame(
-                        maximum=buf.pull_varint(), bidirectional=frame_type == 0x12
-                    )
-                )
-            elif frame_type == 0x18:
-                sequence = buf.pull_varint()
-                retire = buf.pull_varint()
-                cid = buf.pull_bytes(buf.pull_uint8())
-                token = buf.pull_bytes(16)
-                frames.append(
-                    NewConnectionIdFrame(
-                        sequence_number=sequence,
-                        retire_prior_to=retire,
-                        connection_id=cid,
-                        stateless_reset_token=token,
-                    )
-                )
-            elif frame_type == 0x1C:
-                error_code = buf.pull_varint()
-                offending = buf.pull_varint()
-                reason = buf.pull_bytes(buf.pull_varint()).decode(errors="replace")
-                frames.append(
-                    ConnectionCloseFrame(
-                        error_code=error_code, frame_type=offending, reason=reason
-                    )
-                )
-            elif frame_type == 0x1D:
-                error_code = buf.pull_varint()
-                reason = buf.pull_bytes(buf.pull_varint()).decode(errors="replace")
-                frames.append(
-                    ConnectionCloseFrame(
-                        error_code=error_code, frame_type=None, reason=reason
-                    )
-                )
             elif frame_type == 0x1E:
                 frames.append(HandshakeDoneFrame())
+            elif frame_type in (0x1C, 0x1D):
+                error_code, pos = decode_varint(payload, pos)
+                offending = None
+                if frame_type == 0x1C:
+                    offending, pos = decode_varint(payload, pos)
+                length, pos = decode_varint(payload, pos)
+                end = pos + length
+                if end > size:
+                    raise FrameDecodeError(_UNDERRUN)
+                reason = payload[pos:end].decode(errors="replace")
+                frames.append(ConnectionCloseFrame(error_code, offending, reason))
+                pos = end
+            elif frame_type in _VARINT_FRAMES:
+                cls, names = _VARINT_FRAMES[frame_type]
+                values = {}
+                for name in names:
+                    values[name], pos = decode_varint(payload, pos)
+                if frame_type in (0x12, 0x13):
+                    values["bidirectional"] = frame_type == 0x12
+                frames.append(cls(**values))
+            elif frame_type == 0x18:
+                sequence, pos = decode_varint(payload, pos)
+                retire, pos = decode_varint(payload, pos)
+                if pos >= size:
+                    raise FrameDecodeError(_UNDERRUN)
+                cid_end = pos + 1 + payload[pos]
+                end = cid_end + 16
+                if end > size:
+                    raise FrameDecodeError(_UNDERRUN)
+                cid, token = payload[pos + 1 : cid_end], payload[cid_end:end]
+                frames.append(NewConnectionIdFrame(sequence, retire, cid, token))
+                pos = end
             else:
                 raise FrameDecodeError(f"unsupported frame type 0x{frame_type:x}")
     except ValueError as exc:
         raise FrameDecodeError(str(exc)) from exc
     return frames
+
+
+# Frames whose fields are all varints, by type: the class and its
+# fields in wire order.
+_VARINT_FRAMES = {
+    0x04: (ResetStreamFrame, ("stream_id", "error_code", "final_size")),
+    0x05: (StopSendingFrame, ("stream_id", "error_code")),
+    0x10: (MaxDataFrame, ("maximum",)),
+    0x11: (MaxStreamDataFrame, ("stream_id", "maximum")),
+    0x12: (MaxStreamsFrame, ("maximum",)),
+    0x13: (MaxStreamsFrame, ("maximum",)),
+}

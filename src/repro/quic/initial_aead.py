@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from repro.crypto.aead import AeadAes128Gcm, header_mask_aes
-from repro.crypto.gcm import xor_bytes
 from repro.crypto.hkdf import hkdf_expand_label, hkdf_extract
 from repro.quic.versions import QUIC_V1
 
@@ -53,9 +52,6 @@ class DirectionKeys:
 
     def header_mask(self, sample: bytes) -> bytes:
         return header_mask_aes(self.hp, sample)
-
-    def nonce(self, packet_number: int) -> bytes:
-        return xor_bytes(self.iv, packet_number.to_bytes(12, "big"))
 
 
 @dataclass

@@ -9,11 +9,12 @@ structures.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
-from repro.quic.varint import Buffer
+from repro.quic.varint import decode_varint, encode_varint
 
 __all__ = [
     "PacketType",
@@ -40,6 +41,18 @@ class PacketType(IntEnum):
     ZERO_RTT = 0x1
     HANDSHAKE = 0x2
     RETRY = 0x3
+
+
+# The codecs below make one pass over the bytes: a field is a slice or
+# a ``decode_varint(data, pos)``, and a header is built from pieces
+# joined once.  A read past the end raises
+# ``PacketDecodeError("buffer underrun")`` (or "truncated varint").
+_UNDERRUN = "buffer underrun"
+_PACKET_TYPES = tuple(PacketType)
+_BYTE = tuple(bytes((value,)) for value in range(256))
+_ZERO_VERSION = bytes(4)
+# First byte, version and DCID length of a long header / VN packet.
+_LONG_PREFIX = struct.Struct(">BIB")
 
 
 def is_long_header(datagram: bytes) -> bool:
@@ -101,39 +114,42 @@ def decode_packet_number(truncated: int, length: int, largest_acked: int) -> int
 def encode_version_negotiation(
     dcid: bytes, scid: bytes, versions: List[int], first_byte_entropy: int = 0x2A
 ) -> bytes:
-    buf = Buffer()
-    buf.push_uint8(0x80 | (first_byte_entropy & 0x7F))
-    buf.push_uint32(0)  # the VN version field is zero
-    buf.push_uint8(len(dcid))
-    buf.push_bytes(dcid)
-    buf.push_uint8(len(scid))
-    buf.push_bytes(scid)
-    for version in versions:
-        buf.push_uint32(version)
-    return buf.data()
+    # The VN version field is zero.
+    return b"".join(
+        (
+            _LONG_PREFIX.pack(0x80 | (first_byte_entropy & 0x7F), 0, len(dcid)),
+            dcid,
+            _BYTE[len(scid)],
+            scid,
+            struct.pack(f">{len(versions)}I", *versions),
+        )
+    )
 
 
 def decode_version_negotiation(datagram: bytes) -> VersionNegotiationPacket:
-    buf = Buffer(datagram)
-    try:
-        first = buf.pull_uint8()
-        if not first & 0x80:
-            raise PacketDecodeError("not a long header packet")
-        version = buf.pull_uint32()
-        if version != 0:
-            raise PacketDecodeError("not a version negotiation packet")
-        dcid = buf.pull_bytes(buf.pull_uint8())
-        scid = buf.pull_bytes(buf.pull_uint8())
-    except PacketDecodeError:
-        raise
-    except ValueError as exc:
-        raise PacketDecodeError(str(exc)) from exc
-    versions = []
-    while buf.remaining >= 4:
-        versions.append(buf.pull_uint32())
-    if buf.remaining:
+    size = len(datagram)
+    if not size:
+        raise PacketDecodeError(_UNDERRUN)
+    if not datagram[0] & 0x80:
+        raise PacketDecodeError("not a long header packet")
+    if size < 5:
+        raise PacketDecodeError(_UNDERRUN)
+    if datagram[1:5] != _ZERO_VERSION:
+        raise PacketDecodeError("not a version negotiation packet")
+    dcid_end = 6 + datagram[5] if size > 5 else size
+    if dcid_end >= size:
+        raise PacketDecodeError(_UNDERRUN)
+    scid_end = dcid_end + 1 + datagram[dcid_end]
+    if scid_end > size:
+        raise PacketDecodeError(_UNDERRUN)
+    count, trailing = divmod(size - scid_end, 4)
+    if trailing:
         raise PacketDecodeError("trailing bytes in version negotiation packet")
-    return VersionNegotiationPacket(dcid=dcid, scid=scid, supported_versions=versions)
+    return VersionNegotiationPacket(
+        dcid=datagram[6:dcid_end],
+        scid=datagram[dcid_end + 1 : scid_end],
+        supported_versions=list(struct.unpack_from(f">{count}I", datagram, scid_end)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -160,21 +176,13 @@ def encode_long_header(
     """
     if len(dcid) > 20 or len(scid) > 20:
         raise ValueError("connection IDs are limited to 20 bytes")
-    buf = Buffer()
     first = 0xC0 | (packet_type << 4) | (packet_number_length - 1)
-    buf.push_uint8(first)
-    buf.push_uint32(version)
-    buf.push_uint8(len(dcid))
-    buf.push_bytes(dcid)
-    buf.push_uint8(len(scid))
-    buf.push_bytes(scid)
+    pieces = [_LONG_PREFIX.pack(first, version, len(dcid)), dcid, _BYTE[len(scid)], scid]
     if packet_type == PacketType.INITIAL:
-        buf.push_varint(len(token))
-        buf.push_bytes(token)
-    buf.push_varint(packet_number_length + payload_length)
-    pn_offset = len(buf.data())
-    buf.push_bytes(encode_packet_number(packet_number, packet_number_length))
-    return buf.data(), pn_offset
+        pieces += (encode_varint(len(token)), token)
+    pieces.append(encode_varint(packet_number_length + payload_length))
+    header = b"".join(pieces)
+    return header + encode_packet_number(packet_number, packet_number_length), len(header)
 
 
 def decode_long_header(datagram: bytes, offset: int = 0) -> LongHeader:
@@ -184,29 +192,44 @@ def decode_long_header(datagram: bytes, offset: int = 0) -> LongHeader:
     packet number begins.  The first byte's low bits are protected and
     therefore not interpreted here beyond the packet type.
     """
-    buf = Buffer(datagram[offset:])
+    end = len(datagram)
+    if offset >= end:
+        raise PacketDecodeError(_UNDERRUN)
+    first = datagram[offset]
+    if not first & 0x80:
+        raise PacketDecodeError("not a long header packet")
+    pos = offset + 5
+    if pos > end:
+        raise PacketDecodeError(_UNDERRUN)
+    version = int.from_bytes(datagram[offset + 1 : pos], "big")
+    if version == 0:
+        raise PacketDecodeError("version negotiation packets have no long header body")
+    packet_type = _PACKET_TYPES[(first >> 4) & 0x3]
+    if pos >= end:
+        raise PacketDecodeError(_UNDERRUN)
+    if datagram[pos] > 20:
+        raise PacketDecodeError("destination connection ID too long")
+    dcid_end = pos + 1 + datagram[pos]
+    if dcid_end >= end:
+        raise PacketDecodeError(_UNDERRUN)
+    dcid = datagram[pos + 1 : dcid_end]
+    if datagram[dcid_end] > 20:
+        raise PacketDecodeError("source connection ID too long")
+    pos = dcid_end + 1 + datagram[dcid_end]
+    if pos > end:
+        raise PacketDecodeError(_UNDERRUN)
+    scid = datagram[dcid_end + 1 : pos]
+    token = b""
+    payload_length = 0
     try:
-        first = buf.pull_uint8()
-        if not first & 0x80:
-            raise PacketDecodeError("not a long header packet")
-        version = buf.pull_uint32()
-        if version == 0:
-            raise PacketDecodeError("version negotiation packets have no long header body")
-        packet_type = PacketType((first >> 4) & 0x3)
-        dcid_len = buf.pull_uint8()
-        if dcid_len > 20:
-            raise PacketDecodeError("destination connection ID too long")
-        dcid = buf.pull_bytes(dcid_len)
-        scid_len = buf.pull_uint8()
-        if scid_len > 20:
-            raise PacketDecodeError("source connection ID too long")
-        scid = buf.pull_bytes(scid_len)
-        token = b""
-        if packet_type == PacketType.INITIAL:
-            token = buf.pull_bytes(buf.pull_varint())
-        payload_length = 0
-        if packet_type != PacketType.RETRY:
-            payload_length = buf.pull_varint()
+        if packet_type is PacketType.INITIAL:
+            length, pos = decode_varint(datagram, pos)
+            if pos + length > end:
+                raise PacketDecodeError(_UNDERRUN)
+            token = datagram[pos : pos + length]
+            pos += length
+        if packet_type is not PacketType.RETRY:
+            payload_length, pos = decode_varint(datagram, pos)
     except PacketDecodeError:
         raise
     except ValueError as exc:
@@ -218,32 +241,24 @@ def decode_long_header(datagram: bytes, offset: int = 0) -> LongHeader:
         scid=scid,
         token=token,
         payload_length=payload_length,
-        header_offset=offset + buf.position,
+        header_offset=pos,
     )
 
 
 def decode_short_header(datagram: bytes, dcid_length: int) -> ShortHeader:
     """Parse a 1-RTT short header (requires knowing the local CID length)."""
-    buf = Buffer(datagram)
-    try:
-        first = buf.pull_uint8()
-        if first & 0x80:
-            raise PacketDecodeError("not a short header packet")
-        dcid = buf.pull_bytes(dcid_length)
-    except PacketDecodeError:
-        raise
-    except ValueError as exc:
-        raise PacketDecodeError(str(exc)) from exc
-    return ShortHeader(dcid=dcid, header_offset=buf.position)
+    if not datagram:
+        raise PacketDecodeError(_UNDERRUN)
+    if datagram[0] & 0x80:
+        raise PacketDecodeError("not a short header packet")
+    end = 1 + dcid_length
+    if end > len(datagram):
+        raise PacketDecodeError(_UNDERRUN)
+    return ShortHeader(dcid=datagram[1:end], header_offset=end)
 
 
 def encode_short_header(
     dcid: bytes, packet_number: int, packet_number_length: int = 2, key_phase: int = 0
 ) -> Tuple[bytes, int]:
-    buf = Buffer()
-    first = 0x40 | ((key_phase & 1) << 2) | (packet_number_length - 1)
-    buf.push_uint8(first)
-    buf.push_bytes(dcid)
-    pn_offset = len(buf.data())
-    buf.push_bytes(encode_packet_number(packet_number, packet_number_length))
-    return buf.data(), pn_offset
+    header = _BYTE[0x40 | ((key_phase & 1) << 2) | (packet_number_length - 1)] + dcid
+    return header + encode_packet_number(packet_number, packet_number_length), len(header)

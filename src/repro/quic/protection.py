@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 from repro.crypto.aead import AeadError
-from repro.crypto.gcm import xor_bytes
 from repro.quic.packet import (
     PacketDecodeError,
     PacketType,
@@ -36,8 +35,11 @@ class ProtectionKeys:
     iv: bytes
     header_mask: Callable[[bytes], bytes]  # (sample) -> 5 bytes
 
+    def __post_init__(self) -> None:
+        self._iv_value = int.from_bytes(self.iv, "big")
+
     def nonce(self, packet_number: int) -> bytes:
-        return xor_bytes(self.iv, packet_number.to_bytes(len(self.iv), "big"))
+        return (self._iv_value ^ packet_number).to_bytes(len(self.iv), "big")
 
 
 @dataclass

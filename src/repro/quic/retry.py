@@ -11,14 +11,13 @@ test suite.
 
 from __future__ import annotations
 
-import hashlib
 import hmac
+import struct
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.crypto.gcm import AesGcm
 from repro.quic.packet import PacketDecodeError
-from repro.quic.varint import Buffer
 
 __all__ = [
     "encode_retry",
@@ -32,6 +31,8 @@ __all__ = [
 # RFC 9001 §5.8 (QUIC v1 values).
 _RETRY_KEY = bytes.fromhex("be0c690b9f66575a1d766b54e368c84e")
 _RETRY_NONCE = bytes.fromhex("461599d35d632bf2239825bb")
+# First byte, version and DCID length.
+_PREFIX = struct.Struct(">BIB")
 
 
 @dataclass
@@ -60,41 +61,42 @@ def encode_retry(
     original_dcid: bytes,
     first_byte_entropy: int = 0x0F,
 ) -> bytes:
-    buf = Buffer()
-    buf.push_uint8(0xC0 | (0x3 << 4) | (first_byte_entropy & 0x0F))
-    buf.push_uint32(version)
-    buf.push_uint8(len(dcid))
-    buf.push_bytes(dcid)
-    buf.push_uint8(len(scid))
-    buf.push_bytes(scid)
-    buf.push_bytes(token)
-    without_tag = buf.data()
+    without_tag = b"".join(
+        (
+            _PREFIX.pack(0xF0 | (first_byte_entropy & 0x0F), version, len(dcid)),
+            dcid,
+            bytes((len(scid),)),
+            scid,
+            token,
+        )
+    )
     return without_tag + retry_integrity_tag(original_dcid, without_tag)
 
 
 def decode_retry(datagram: bytes, original_dcid: Optional[bytes] = None) -> RetryPacket:
     """Parse a Retry packet; verifies the tag when ``original_dcid`` given."""
-    if len(datagram) < 23:
+    size = len(datagram)
+    if size < 23:
         raise PacketDecodeError("retry packet too short")
     first = datagram[0]
     if not first & 0x80 or ((first >> 4) & 0x3) != 0x3:
         raise PacketDecodeError("not a retry packet")
-    buf = Buffer(datagram)
-    try:
-        buf.pull_uint8()
-        version = buf.pull_uint32()
-        dcid = buf.pull_bytes(buf.pull_uint8())
-        scid = buf.pull_bytes(buf.pull_uint8())
-        remaining = buf.remaining
-        if remaining < 16:
-            raise PacketDecodeError("retry packet missing integrity tag")
-        token = buf.pull_bytes(remaining - 16)
-        tag = buf.pull_bytes(16)
-    except PacketDecodeError:
-        raise
-    except ValueError as exc:
-        raise PacketDecodeError(str(exc)) from exc
-    packet = RetryPacket(version=version, dcid=dcid, scid=scid, token=token, integrity_tag=tag)
+    dcid_end = 6 + datagram[5]
+    if dcid_end >= size:
+        raise PacketDecodeError("buffer underrun")
+    scid_end = dcid_end + 1 + datagram[dcid_end]
+    if scid_end > size:
+        raise PacketDecodeError("buffer underrun")
+    if size - scid_end < 16:
+        raise PacketDecodeError("retry packet missing integrity tag")
+    tag = datagram[-16:]
+    packet = RetryPacket(
+        version=int.from_bytes(datagram[1:5], "big"),
+        dcid=datagram[6:dcid_end],
+        scid=datagram[dcid_end + 1 : scid_end],
+        token=datagram[scid_end:-16],
+        integrity_tag=tag,
+    )
     if original_dcid is not None:
         expected = retry_integrity_tag(original_dcid, datagram[:-16])
         if not hmac.compare_digest(tag, expected):

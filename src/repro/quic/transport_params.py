@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
-from repro.quic.varint import Buffer, encode_varint
+from repro.quic.varint import decode_varint, encode_varint
 
 __all__ = [
     "TransportParameters",
@@ -76,24 +76,16 @@ _FLAG_NAMES = frozenset(_FLAG_PARAMS.values())
 
 @lru_cache(maxsize=1024)
 def _encode_by_value(values: Tuple) -> bytes:
-    buf = Buffer()
+    pieces = []
     for (pid, name), value in zip(_SORTED_PARAMS, values):
         if name in _FLAG_NAMES:
             if value:
-                buf.push_varint(pid)
-                buf.push_varint(0)
-        elif value is None:
-            continue
-        elif isinstance(value, int):
-            encoded = encode_varint(value)
-            buf.push_varint(pid)
-            buf.push_varint(len(encoded))
-            buf.push_bytes(encoded)
-        else:
-            buf.push_varint(pid)
-            buf.push_varint(len(value))
-            buf.push_bytes(value)
-    return buf.data()
+                pieces += (encode_varint(pid), encode_varint(0))
+        elif value is not None:
+            if isinstance(value, int):
+                value = encode_varint(value)
+            pieces += (encode_varint(pid), encode_varint(len(value)), value)
+    return b"".join(pieces)
 
 
 # Parameters excluded from configuration fingerprints (session specific).
@@ -151,20 +143,23 @@ class TransportParameters:
     @lru_cache(maxsize=1024)
     def _decode_uncached(cls, data: bytes) -> "TransportParameters":
         params = cls()
-        buf = Buffer(data)
+        size = len(data)
+        pos = 0
         try:
-            while not buf.eof():
-                pid = buf.pull_varint()
-                length = buf.pull_varint()
-                raw = buf.pull_bytes(length)
+            while pos < size:
+                pid, pos = decode_varint(data, pos)
+                length, pos = decode_varint(data, pos)
+                end = pos + length
+                if end > size:
+                    raise TransportParameterError("buffer underrun")
                 if pid in _INT_PARAMS:
-                    inner = Buffer(raw)
-                    setattr(params, _INT_PARAMS[pid], inner.pull_varint())
+                    setattr(params, _INT_PARAMS[pid], decode_varint(data[pos:end])[0])
                 elif pid in _BYTES_PARAMS:
-                    setattr(params, _BYTES_PARAMS[pid], raw)
+                    setattr(params, _BYTES_PARAMS[pid], data[pos:end])
                 elif pid in _FLAG_PARAMS:
                     setattr(params, _FLAG_PARAMS[pid], True)
                 # Unknown parameters MUST be ignored (RFC 9000 §7.4.2).
+                pos = end
         except TransportParameterError:
             raise
         except ValueError as exc:

@@ -3,13 +3,17 @@
 The two most significant bits of the first byte select the total
 length (1, 2, 4 or 8 bytes); the remainder encodes the value in
 network byte order.
+
+The wire codecs read a varint where it sits, ``value, pos =
+decode_varint(data, pos)``, and slice everything else: one pass over
+the bytes, with no cursor object between a codec and its input.
 """
 
 from __future__ import annotations
 
 from typing import Tuple
 
-__all__ = ["encode_varint", "decode_varint", "varint_length", "VARINT_MAX", "Buffer"]
+__all__ = ["encode_varint", "decode_varint", "varint_length", "VARINT_MAX"]
 
 VARINT_MAX = (1 << 62) - 1
 
@@ -64,74 +68,3 @@ def decode_varint(data: bytes, offset: int = 0) -> Tuple[int, int]:
     if end > len(data):
         raise ValueError("truncated varint")
     return int.from_bytes(data[offset:end], "big") & _DECODE_MASKS[length], end
-
-
-class Buffer:
-    """A small cursor-based reader/writer used by the wire codecs."""
-
-    def __init__(self, data: bytes = b""):
-        self._data = bytearray(data)
-        self._pos = 0
-
-    # -- reading -----------------------------------------------------------
-    @property
-    def remaining(self) -> int:
-        return len(self._data) - self._pos
-
-    @property
-    def position(self) -> int:
-        return self._pos
-
-    def eof(self) -> bool:
-        return self._pos >= len(self._data)
-
-    def pull_bytes(self, count: int) -> bytes:
-        if self._pos + count > len(self._data):
-            raise ValueError("buffer underrun")
-        result = bytes(self._data[self._pos : self._pos + count])
-        self._pos += count
-        return result
-
-    def pull_uint8(self) -> int:
-        return self.pull_bytes(1)[0]
-
-    def pull_uint16(self) -> int:
-        return int.from_bytes(self.pull_bytes(2), "big")
-
-    def pull_uint32(self) -> int:
-        return int.from_bytes(self.pull_bytes(4), "big")
-
-    def pull_varint(self) -> int:
-        value, self._pos = decode_varint(self._data, self._pos)
-        return value
-
-    def skip_zero_run(self) -> int:
-        """Advance past consecutive zero bytes; returns how many.
-
-        Fast path for QUIC PADDING frames (type 0x00): Initial packets
-        are padded to 1200 bytes, so decoding them byte-by-byte costs a
-        Python-level loop iteration per pad byte.  The C-level strip
-        below handles the whole run at once.
-        """
-        run = self.remaining - len(self._data[self._pos :].lstrip(b"\x00"))
-        self._pos += run
-        return run
-
-    # -- writing -----------------------------------------------------------
-    def push_bytes(self, data: bytes) -> None:
-        self._data += data
-
-    def push_uint8(self, value: int) -> None:
-        self._data.append(value & 0xFF)
-
-    def push_uint16(self, value: int) -> None:
-        self._data += value.to_bytes(2, "big")
-
-    def push_uint32(self, value: int) -> None:
-        self._data += value.to_bytes(4, "big")
-
-    def push_varint(self, value: int) -> None:
-        self._data += encode_varint(value)
-
-    def data(self) -> bytes:
-        return bytes(self._data)

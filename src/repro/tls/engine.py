@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto.rand import DeterministicRandom
@@ -87,6 +87,20 @@ GROUP_NAMES = {
     GROUP_SECP256R1: "secp256r1(sim)",
     GROUP_SIM: "sim-dh",
 }
+
+
+def _decode_error_alerts(process):
+    """A peer's malformed message or extension is a ``decode_error``
+    alert (RFC 8446 §6.2), so it closes the handshake like any alert."""
+
+    @wraps(process)
+    def guarded(self, framed: bytes):
+        try:
+            return process(self, framed)
+        except MessageDecodeError as exc:
+            raise AlertError(AlertDescription.DECODE_ERROR, str(exc)) from exc
+
+    return guarded
 
 
 def _group_shared_secret(
@@ -392,6 +406,7 @@ class TlsClientSession(_SessionBase):
         self.schedule = schedule
         self.handshake_secrets = schedule.handshake_traffic_secrets()
 
+    @_decode_error_alerts
     def process_server_flight(self, framed: bytes) -> bytes:
         """Process EE..Finished; returns the framed client Finished.
 
@@ -554,6 +569,7 @@ class TlsServerSession(_SessionBase):
             raise AlertError(AlertDescription.INTERNAL_ERROR, "no certificate configured")
         return selected
 
+    @_decode_error_alerts
     def process_client_hello(self, framed: bytes) -> ServerFlight:
         """Build the full server flight; raises AlertError on policy
         failures (e.g. SNI-required deployments)."""

@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "ExtensionType",
+    "MessageDecodeError",
     "encode_extensions",
     "decode_extensions",
     "encode_sni",
@@ -37,6 +38,10 @@ GROUP_SECP256R1 = 0x0017
 # Private-use group id: the fast hash-based simulated DH used between
 # this repository's own endpoints at campaign scale (see DESIGN.md §5).
 GROUP_SIM = 0xFF42
+
+
+class MessageDecodeError(ValueError):
+    """Raised when a handshake message or one of its extensions is malformed."""
 
 
 class ExtensionType:
@@ -73,8 +78,10 @@ class ExtensionType:
 
 def encode_extensions(extensions: List[Tuple[int, bytes]]) -> bytes:
     body = b"".join(
-        ext_type.to_bytes(2, "big") + len(data).to_bytes(2, "big") + data
-        for ext_type, data in extensions
+        [
+            ext_type.to_bytes(2, "big") + len(data).to_bytes(2, "big") + data
+            for ext_type, data in extensions
+        ]
     )
     return len(body).to_bytes(2, "big") + body
 
@@ -98,7 +105,7 @@ def decode_extensions(data: bytes, offset: int = 0) -> Tuple[List[Tuple[int, byt
 
 
 def encode_sni(hostname: str) -> bytes:
-    name = hostname.encode("idna") if any(ord(c) > 127 for c in hostname) else hostname.encode()
+    name = hostname.encode() if hostname.isascii() else hostname.encode("idna")
     entry = b"\x00" + len(name).to_bytes(2, "big") + name
     return (len(entry)).to_bytes(2, "big") + entry
 
@@ -106,11 +113,15 @@ def encode_sni(hostname: str) -> bytes:
 def decode_sni(data: bytes) -> Optional[str]:
     if not data:
         return None  # a server's SNI ack is an empty extension
-    offset = 2
-    if data[offset] != 0:
-        return None
-    length = int.from_bytes(data[offset + 1 : offset + 3], "big")
-    return data[offset + 3 : offset + 3 + length].decode()
+    try:
+        if data[2] != 0:
+            return None
+        end = 5 + int.from_bytes(data[3:5], "big")
+        if end > len(data):
+            raise MessageDecodeError("truncated server_name")
+        return data[5:end].decode()
+    except (IndexError, UnicodeDecodeError) as exc:
+        raise MessageDecodeError(f"malformed server_name: {exc}") from exc
 
 
 # -- ALPN --------------------------------------------------------------------
@@ -124,14 +135,20 @@ def encode_alpn(protocols: List[str]) -> bytes:
 
 
 def decode_alpn(data: bytes) -> List[str]:
-    length = int.from_bytes(data[0:2], "big")
+    end = 2 + int.from_bytes(data[0:2], "big")
+    if len(data) < end:
+        raise MessageDecodeError("truncated ALPN list")
     offset = 2
-    end = 2 + length
     protocols = []
     while offset < end:
-        plen = data[offset]
-        protocols.append(data[offset + 1 : offset + 1 + plen].decode())
-        offset += 1 + plen
+        stop = offset + 1 + data[offset]
+        if stop > end:
+            raise MessageDecodeError("truncated ALPN protocol name")
+        try:
+            protocols.append(data[offset + 1 : stop].decode())
+        except UnicodeDecodeError as exc:
+            raise MessageDecodeError(f"malformed ALPN protocol name: {exc}") from exc
+        offset = stop
     return protocols
 
 
@@ -169,18 +186,15 @@ def encode_psk_client(identity: bytes, binder: bytes, obfuscated_age: int = 0) -
 
 def decode_psk_client(data: bytes) -> Tuple[bytes, int, bytes]:
     """Returns (identity, obfuscated_age, binder) of the first entry."""
-    identities_len = int.from_bytes(data[0:2], "big")
-    offset = 2
-    identity_len = int.from_bytes(data[offset : offset + 2], "big")
-    identity = data[offset + 2 : offset + 2 + identity_len]
-    age = int.from_bytes(
-        data[offset + 2 + identity_len : offset + 6 + identity_len], "big"
-    )
-    offset = 2 + identities_len
-    offset += 2  # binders list length
-    binder_len = data[offset]
-    binder = data[offset + 1 : offset + 1 + binder_len]
-    return identity, age, binder
+    identity_end = 4 + int.from_bytes(data[2:4], "big")
+    binders = 4 + int.from_bytes(data[0:2], "big")  # past the binders list length
+    if len(data) < 4 or identity_end + 4 > binders - 2 or binders >= len(data):
+        raise MessageDecodeError("malformed pre_shared_key identities")
+    binder_end = binders + 1 + data[binders]
+    if binder_end > len(data):
+        raise MessageDecodeError("truncated pre_shared_key binder")
+    age = int.from_bytes(data[identity_end : identity_end + 4], "big")
+    return data[4:identity_end], age, data[binders + 1 : binder_end]
 
 
 def psk_binders_serialized_length(binder: bytes) -> int:

@@ -13,7 +13,7 @@ from functools import lru_cache
 from typing import Iterator, List, Optional, Tuple
 
 from repro.tls.certificates import Certificate
-from repro.tls.extensions import decode_extensions, encode_extensions
+from repro.tls.extensions import MessageDecodeError, decode_extensions, encode_extensions
 
 __all__ = [
     "HandshakeType",
@@ -27,10 +27,6 @@ __all__ = [
     "Finished",
     "MessageDecodeError",
 ]
-
-
-class MessageDecodeError(ValueError):
-    """Raised when a handshake message cannot be parsed."""
 
 
 class HandshakeType:

@@ -74,16 +74,15 @@ class RecordProtection:
         key = hkdf_expand_label(
             traffic_secret, b"key", b"", suite.key_len, suite.hash_name
         )
-        self._iv = hkdf_expand_label(
-            traffic_secret, b"iv", b"", suite.iv_len, suite.hash_name
-        )
+        iv = hkdf_expand_label(traffic_secret, b"iv", b"", suite.iv_len, suite.hash_name)
+        self._iv, self._iv_len = int.from_bytes(iv, "big"), len(iv)
         self._aead = suite.aead(key)
         self._sequence = 0
 
     def _nonce(self) -> bytes:
-        seq = self._sequence.to_bytes(len(self._iv), "big")
-        self._sequence += 1
-        return bytes(a ^ b for a, b in zip(self._iv, seq))
+        sequence = self._sequence
+        self._sequence = sequence + 1
+        return (self._iv ^ sequence).to_bytes(self._iv_len, "big")
 
     def encrypt(self, content_type: int, payload: bytes) -> bytes:
         """Build a protected application_data record."""

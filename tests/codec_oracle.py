@@ -1,0 +1,605 @@
+"""A reference for the QUIC-side wire codecs: the cursor over the bytes.
+
+The product's codecs (:mod:`repro.quic.packet`, :mod:`repro.quic.frames`,
+:mod:`repro.quic.transport_params`, :mod:`repro.quic.retry` and
+:mod:`repro.http.h3`) parse by slicing plus ``decode_varint(data, pos)``
+and build from a list of pieces joined once.  This reference shares none
+of that: every field goes through a :class:`Buffer` method with its own
+bounds check, as the codecs did before they became one pass over the
+bytes.  It returns the product's dataclasses and raises the product's
+exception types with the same messages, so a differential can compare
+values, bytes and errors directly (``tests/test_codec_oracle.py``).
+"""
+
+import hmac
+from typing import Dict, List, Optional, Tuple
+
+from repro.http.h3 import H3Error, H3FrameType
+from repro.quic.frames import (
+    AckFrame,
+    ConnectionCloseFrame,
+    CryptoFrame,
+    Frame,
+    FrameDecodeError,
+    HandshakeDoneFrame,
+    MaxDataFrame,
+    MaxStreamDataFrame,
+    MaxStreamsFrame,
+    NewConnectionIdFrame,
+    PaddingFrame,
+    PingFrame,
+    ResetStreamFrame,
+    StopSendingFrame,
+    StreamFrame,
+)
+from repro.quic.packet import (
+    LongHeader,
+    PacketDecodeError,
+    PacketType,
+    ShortHeader,
+    VersionNegotiationPacket,
+    encode_packet_number,
+)
+from repro.quic.retry import RetryPacket, retry_integrity_tag
+from repro.quic.transport_params import (
+    _BYTES_PARAMS,
+    _FLAG_PARAMS,
+    _INT_PARAMS,
+    TransportParameterError,
+    TransportParameters,
+)
+from repro.quic.varint import decode_varint, encode_varint, varint_length
+
+__all__ = [
+    "Buffer",
+    "encode_version_negotiation",
+    "decode_version_negotiation",
+    "encode_long_header",
+    "decode_long_header",
+    "encode_short_header",
+    "decode_short_header",
+    "encode_frames",
+    "decode_frames",
+    "encode_transport_parameters",
+    "decode_transport_parameters",
+    "encode_retry",
+    "decode_retry",
+    "encode_h3_frame",
+    "decode_h3_frames",
+    "encode_control_stream",
+]
+
+
+class Buffer:
+    """A small cursor-based reader/writer."""
+
+    def __init__(self, data: bytes = b""):
+        self._data = bytearray(data)
+        self._pos = 0
+
+    @property
+    def remaining(self) -> int:
+        return len(self._data) - self._pos
+
+    @property
+    def position(self) -> int:
+        return self._pos
+
+    def eof(self) -> bool:
+        return self._pos >= len(self._data)
+
+    def pull_bytes(self, count: int) -> bytes:
+        if self._pos + count > len(self._data):
+            raise ValueError("buffer underrun")
+        result = bytes(self._data[self._pos : self._pos + count])
+        self._pos += count
+        return result
+
+    def pull_uint8(self) -> int:
+        return self.pull_bytes(1)[0]
+
+    def pull_uint16(self) -> int:
+        return int.from_bytes(self.pull_bytes(2), "big")
+
+    def pull_uint32(self) -> int:
+        return int.from_bytes(self.pull_bytes(4), "big")
+
+    def pull_varint(self) -> int:
+        value, self._pos = decode_varint(self._data, self._pos)
+        return value
+
+    def skip_zero_run(self) -> int:
+        """Advance past consecutive zero bytes; returns how many."""
+        run = self.remaining - len(self._data[self._pos :].lstrip(b"\x00"))
+        self._pos += run
+        return run
+
+    def push_bytes(self, data: bytes) -> None:
+        self._data += data
+
+    def push_uint8(self, value: int) -> None:
+        self._data.append(value & 0xFF)
+
+    def push_uint16(self, value: int) -> None:
+        self._data += value.to_bytes(2, "big")
+
+    def push_uint32(self, value: int) -> None:
+        self._data += value.to_bytes(4, "big")
+
+    def push_varint(self, value: int) -> None:
+        self._data += encode_varint(value)
+
+    def data(self) -> bytes:
+        return bytes(self._data)
+
+
+# -- packet headers -------------------------------------------------------------
+
+
+def encode_version_negotiation(
+    dcid: bytes, scid: bytes, versions: List[int], first_byte_entropy: int = 0x2A
+) -> bytes:
+    buf = Buffer()
+    buf.push_uint8(0x80 | (first_byte_entropy & 0x7F))
+    buf.push_uint32(0)
+    buf.push_uint8(len(dcid))
+    buf.push_bytes(dcid)
+    buf.push_uint8(len(scid))
+    buf.push_bytes(scid)
+    for version in versions:
+        buf.push_uint32(version)
+    return buf.data()
+
+
+def decode_version_negotiation(datagram: bytes) -> VersionNegotiationPacket:
+    buf = Buffer(datagram)
+    try:
+        first = buf.pull_uint8()
+        if not first & 0x80:
+            raise PacketDecodeError("not a long header packet")
+        version = buf.pull_uint32()
+        if version != 0:
+            raise PacketDecodeError("not a version negotiation packet")
+        dcid = buf.pull_bytes(buf.pull_uint8())
+        scid = buf.pull_bytes(buf.pull_uint8())
+    except PacketDecodeError:
+        raise
+    except ValueError as exc:
+        raise PacketDecodeError(str(exc)) from exc
+    versions = []
+    while buf.remaining >= 4:
+        versions.append(buf.pull_uint32())
+    if buf.remaining:
+        raise PacketDecodeError("trailing bytes in version negotiation packet")
+    return VersionNegotiationPacket(dcid=dcid, scid=scid, supported_versions=versions)
+
+
+def encode_long_header(
+    packet_type: PacketType,
+    version: int,
+    dcid: bytes,
+    scid: bytes,
+    packet_number: int,
+    payload_length: int,
+    token: bytes = b"",
+    packet_number_length: int = 4,
+) -> Tuple[bytes, int]:
+    if len(dcid) > 20 or len(scid) > 20:
+        raise ValueError("connection IDs are limited to 20 bytes")
+    buf = Buffer()
+    buf.push_uint8(0xC0 | (packet_type << 4) | (packet_number_length - 1))
+    buf.push_uint32(version)
+    buf.push_uint8(len(dcid))
+    buf.push_bytes(dcid)
+    buf.push_uint8(len(scid))
+    buf.push_bytes(scid)
+    if packet_type == PacketType.INITIAL:
+        buf.push_varint(len(token))
+        buf.push_bytes(token)
+    buf.push_varint(packet_number_length + payload_length)
+    pn_offset = len(buf.data())
+    buf.push_bytes(encode_packet_number(packet_number, packet_number_length))
+    return buf.data(), pn_offset
+
+
+def decode_long_header(datagram: bytes, offset: int = 0) -> LongHeader:
+    buf = Buffer(datagram[offset:])
+    try:
+        first = buf.pull_uint8()
+        if not first & 0x80:
+            raise PacketDecodeError("not a long header packet")
+        version = buf.pull_uint32()
+        if version == 0:
+            raise PacketDecodeError("version negotiation packets have no long header body")
+        packet_type = PacketType((first >> 4) & 0x3)
+        dcid_len = buf.pull_uint8()
+        if dcid_len > 20:
+            raise PacketDecodeError("destination connection ID too long")
+        dcid = buf.pull_bytes(dcid_len)
+        scid_len = buf.pull_uint8()
+        if scid_len > 20:
+            raise PacketDecodeError("source connection ID too long")
+        scid = buf.pull_bytes(scid_len)
+        token = b""
+        if packet_type == PacketType.INITIAL:
+            token = buf.pull_bytes(buf.pull_varint())
+        payload_length = 0
+        if packet_type != PacketType.RETRY:
+            payload_length = buf.pull_varint()
+    except PacketDecodeError:
+        raise
+    except ValueError as exc:
+        raise PacketDecodeError(str(exc)) from exc
+    return LongHeader(
+        packet_type=packet_type,
+        version=version,
+        dcid=dcid,
+        scid=scid,
+        token=token,
+        payload_length=payload_length,
+        header_offset=offset + buf.position,
+    )
+
+
+def decode_short_header(datagram: bytes, dcid_length: int) -> ShortHeader:
+    buf = Buffer(datagram)
+    try:
+        first = buf.pull_uint8()
+        if first & 0x80:
+            raise PacketDecodeError("not a short header packet")
+        dcid = buf.pull_bytes(dcid_length)
+    except PacketDecodeError:
+        raise
+    except ValueError as exc:
+        raise PacketDecodeError(str(exc)) from exc
+    return ShortHeader(dcid=dcid, header_offset=buf.position)
+
+
+def encode_short_header(
+    dcid: bytes, packet_number: int, packet_number_length: int = 2, key_phase: int = 0
+) -> Tuple[bytes, int]:
+    buf = Buffer()
+    buf.push_uint8(0x40 | ((key_phase & 1) << 2) | (packet_number_length - 1))
+    buf.push_bytes(dcid)
+    pn_offset = len(buf.data())
+    buf.push_bytes(encode_packet_number(packet_number, packet_number_length))
+    return buf.data(), pn_offset
+
+
+# -- frames ---------------------------------------------------------------------
+
+
+def _encode_ack(buf: Buffer, frame: AckFrame) -> None:
+    ranges = frame.ranges or [(frame.largest_acknowledged, frame.largest_acknowledged)]
+    first_start, first_end = ranges[0]
+    if first_end != frame.largest_acknowledged:
+        raise ValueError("first ACK range must end at largest_acknowledged")
+    buf.push_varint(0x02)
+    buf.push_varint(frame.largest_acknowledged)
+    buf.push_varint(frame.ack_delay)
+    buf.push_varint(len(ranges) - 1)
+    buf.push_varint(first_end - first_start)
+    previous_start = first_start
+    for start, end in ranges[1:]:
+        gap = previous_start - end - 2
+        if gap < 0:
+            raise ValueError("ACK ranges must be descending and disjoint")
+        buf.push_varint(gap)
+        buf.push_varint(end - start)
+        previous_start = start
+
+
+def _decode_ack(buf: Buffer) -> AckFrame:
+    largest = buf.pull_varint()
+    delay = buf.pull_varint()
+    range_count = buf.pull_varint()
+    first_range = buf.pull_varint()
+    end = largest
+    start = end - first_range
+    if start < 0:
+        raise FrameDecodeError("ACK range below zero")
+    ranges = [(start, end)]
+    for _ in range(range_count):
+        gap = buf.pull_varint()
+        length = buf.pull_varint()
+        end = start - gap - 2
+        start = end - length
+        if start < 0 or end < 0:
+            raise FrameDecodeError("ACK range below zero")
+        ranges.append((start, end))
+    return AckFrame(largest_acknowledged=largest, ack_delay=delay, ranges=ranges)
+
+
+def encode_frames(frames: List[Frame]) -> bytes:
+    buf = Buffer()
+    for frame in frames:
+        if isinstance(frame, PaddingFrame):
+            buf.push_bytes(bytes(frame.length))
+        elif isinstance(frame, PingFrame):
+            buf.push_varint(0x01)
+        elif isinstance(frame, AckFrame):
+            _encode_ack(buf, frame)
+        elif isinstance(frame, CryptoFrame):
+            buf.push_varint(0x06)
+            buf.push_varint(frame.offset)
+            buf.push_varint(len(frame.data))
+            buf.push_bytes(frame.data)
+        elif isinstance(frame, StreamFrame):
+            frame_type = 0x08 | 0x02 | 0x04
+            if frame.fin:
+                frame_type |= 0x01
+            buf.push_varint(frame_type)
+            buf.push_varint(frame.stream_id)
+            buf.push_varint(frame.offset)
+            buf.push_varint(len(frame.data))
+            buf.push_bytes(frame.data)
+        elif isinstance(frame, ConnectionCloseFrame):
+            if frame.is_application:
+                buf.push_varint(0x1D)
+                buf.push_varint(frame.error_code)
+            else:
+                buf.push_varint(0x1C)
+                buf.push_varint(frame.error_code)
+                buf.push_varint(frame.frame_type or 0)
+            reason = frame.reason.encode()
+            buf.push_varint(len(reason))
+            buf.push_bytes(reason)
+        elif isinstance(frame, HandshakeDoneFrame):
+            buf.push_varint(0x1E)
+        elif isinstance(frame, NewConnectionIdFrame):
+            buf.push_varint(0x18)
+            buf.push_varint(frame.sequence_number)
+            buf.push_varint(frame.retire_prior_to)
+            buf.push_uint8(len(frame.connection_id))
+            buf.push_bytes(frame.connection_id)
+            buf.push_bytes(frame.stateless_reset_token)
+        elif isinstance(frame, MaxDataFrame):
+            buf.push_varint(0x10)
+            buf.push_varint(frame.maximum)
+        elif isinstance(frame, MaxStreamDataFrame):
+            buf.push_varint(0x11)
+            buf.push_varint(frame.stream_id)
+            buf.push_varint(frame.maximum)
+        elif isinstance(frame, MaxStreamsFrame):
+            buf.push_varint(0x12 if frame.bidirectional else 0x13)
+            buf.push_varint(frame.maximum)
+        elif isinstance(frame, ResetStreamFrame):
+            buf.push_varint(0x04)
+            buf.push_varint(frame.stream_id)
+            buf.push_varint(frame.error_code)
+            buf.push_varint(frame.final_size)
+        elif isinstance(frame, StopSendingFrame):
+            buf.push_varint(0x05)
+            buf.push_varint(frame.stream_id)
+            buf.push_varint(frame.error_code)
+        else:
+            raise TypeError(f"cannot encode frame {frame!r}")
+    return buf.data()
+
+
+def decode_frames(payload: bytes) -> List[Frame]:
+    buf = Buffer(payload)
+    frames: List[Frame] = []
+    try:
+        while not buf.eof():
+            type_offset = buf.position
+            frame_type = buf.pull_varint()
+            if buf.position - type_offset > varint_length(frame_type):
+                raise FrameDecodeError("non-minimal frame type encoding")
+            if frame_type == 0x00:
+                frames.append(PaddingFrame(length=1 + buf.skip_zero_run()))
+            elif frame_type == 0x01:
+                frames.append(PingFrame())
+            elif frame_type in (0x02, 0x03):
+                ack = _decode_ack(buf)
+                if frame_type == 0x03:
+                    buf.pull_varint()
+                    buf.pull_varint()
+                    buf.pull_varint()
+                frames.append(ack)
+            elif frame_type == 0x04:
+                frames.append(
+                    ResetStreamFrame(
+                        stream_id=buf.pull_varint(),
+                        error_code=buf.pull_varint(),
+                        final_size=buf.pull_varint(),
+                    )
+                )
+            elif frame_type == 0x05:
+                frames.append(
+                    StopSendingFrame(stream_id=buf.pull_varint(), error_code=buf.pull_varint())
+                )
+            elif frame_type == 0x06:
+                offset = buf.pull_varint()
+                length = buf.pull_varint()
+                frames.append(CryptoFrame(offset=offset, data=buf.pull_bytes(length)))
+            elif 0x08 <= frame_type <= 0x0F:
+                stream_id = buf.pull_varint()
+                offset = buf.pull_varint() if frame_type & 0x04 else 0
+                if frame_type & 0x02:
+                    length = buf.pull_varint()
+                    data = buf.pull_bytes(length)
+                else:
+                    data = buf.pull_bytes(buf.remaining)
+                frames.append(
+                    StreamFrame(
+                        stream_id=stream_id, offset=offset, data=data, fin=bool(frame_type & 0x01)
+                    )
+                )
+            elif frame_type == 0x10:
+                frames.append(MaxDataFrame(maximum=buf.pull_varint()))
+            elif frame_type == 0x11:
+                frames.append(
+                    MaxStreamDataFrame(stream_id=buf.pull_varint(), maximum=buf.pull_varint())
+                )
+            elif frame_type in (0x12, 0x13):
+                frames.append(
+                    MaxStreamsFrame(maximum=buf.pull_varint(), bidirectional=frame_type == 0x12)
+                )
+            elif frame_type == 0x18:
+                sequence = buf.pull_varint()
+                retire = buf.pull_varint()
+                cid = buf.pull_bytes(buf.pull_uint8())
+                token = buf.pull_bytes(16)
+                frames.append(
+                    NewConnectionIdFrame(
+                        sequence_number=sequence,
+                        retire_prior_to=retire,
+                        connection_id=cid,
+                        stateless_reset_token=token,
+                    )
+                )
+            elif frame_type == 0x1C:
+                error_code = buf.pull_varint()
+                offending = buf.pull_varint()
+                reason = buf.pull_bytes(buf.pull_varint()).decode(errors="replace")
+                frames.append(
+                    ConnectionCloseFrame(error_code=error_code, frame_type=offending, reason=reason)
+                )
+            elif frame_type == 0x1D:
+                error_code = buf.pull_varint()
+                reason = buf.pull_bytes(buf.pull_varint()).decode(errors="replace")
+                frames.append(
+                    ConnectionCloseFrame(error_code=error_code, frame_type=None, reason=reason)
+                )
+            elif frame_type == 0x1E:
+                frames.append(HandshakeDoneFrame())
+            else:
+                raise FrameDecodeError(f"unsupported frame type 0x{frame_type:x}")
+    except ValueError as exc:
+        raise FrameDecodeError(str(exc)) from exc
+    return frames
+
+
+# -- transport parameters -------------------------------------------------------
+
+
+def encode_transport_parameters(params: TransportParameters) -> bytes:
+    buf = Buffer()
+    entries: Dict[int, str] = {**_INT_PARAMS, **_BYTES_PARAMS, **_FLAG_PARAMS}
+    for pid, name in sorted(entries.items()):
+        value = getattr(params, name)
+        if pid in _FLAG_PARAMS:
+            if value:
+                buf.push_varint(pid)
+                buf.push_varint(0)
+        elif value is None:
+            continue
+        elif isinstance(value, int):
+            encoded = encode_varint(value)
+            buf.push_varint(pid)
+            buf.push_varint(len(encoded))
+            buf.push_bytes(encoded)
+        else:
+            buf.push_varint(pid)
+            buf.push_varint(len(value))
+            buf.push_bytes(value)
+    return buf.data()
+
+
+def decode_transport_parameters(data: bytes) -> TransportParameters:
+    params = TransportParameters()
+    buf = Buffer(data)
+    try:
+        while not buf.eof():
+            pid = buf.pull_varint()
+            length = buf.pull_varint()
+            raw = buf.pull_bytes(length)
+            if pid in _INT_PARAMS:
+                setattr(params, _INT_PARAMS[pid], Buffer(raw).pull_varint())
+            elif pid in _BYTES_PARAMS:
+                setattr(params, _BYTES_PARAMS[pid], raw)
+            elif pid in _FLAG_PARAMS:
+                setattr(params, _FLAG_PARAMS[pid], True)
+    except TransportParameterError:
+        raise
+    except ValueError as exc:
+        raise TransportParameterError(str(exc)) from exc
+    return params
+
+
+# -- Retry ----------------------------------------------------------------------
+
+
+def encode_retry(
+    version: int,
+    dcid: bytes,
+    scid: bytes,
+    token: bytes,
+    original_dcid: bytes,
+    first_byte_entropy: int = 0x0F,
+) -> bytes:
+    buf = Buffer()
+    buf.push_uint8(0xC0 | (0x3 << 4) | (first_byte_entropy & 0x0F))
+    buf.push_uint32(version)
+    buf.push_uint8(len(dcid))
+    buf.push_bytes(dcid)
+    buf.push_uint8(len(scid))
+    buf.push_bytes(scid)
+    buf.push_bytes(token)
+    without_tag = buf.data()
+    return without_tag + retry_integrity_tag(original_dcid, without_tag)
+
+
+def decode_retry(datagram: bytes, original_dcid: Optional[bytes] = None) -> RetryPacket:
+    """Parse a Retry packet; verifies the tag when ``original_dcid`` given."""
+    if len(datagram) < 23:
+        raise PacketDecodeError("retry packet too short")
+    first = datagram[0]
+    if not first & 0x80 or ((first >> 4) & 0x3) != 0x3:
+        raise PacketDecodeError("not a retry packet")
+    buf = Buffer(datagram)
+    try:
+        buf.pull_uint8()
+        version = buf.pull_uint32()
+        dcid = buf.pull_bytes(buf.pull_uint8())
+        scid = buf.pull_bytes(buf.pull_uint8())
+        remaining = buf.remaining
+        if remaining < 16:
+            raise PacketDecodeError("retry packet missing integrity tag")
+        token = buf.pull_bytes(remaining - 16)
+        tag = buf.pull_bytes(16)
+    except PacketDecodeError:
+        raise
+    except ValueError as exc:
+        raise PacketDecodeError(str(exc)) from exc
+    packet = RetryPacket(version=version, dcid=dcid, scid=scid, token=token, integrity_tag=tag)
+    if original_dcid is not None:
+        if not hmac.compare_digest(tag, retry_integrity_tag(original_dcid, datagram[:-16])):
+            raise PacketDecodeError("retry integrity tag mismatch")
+    return packet
+
+
+# -- HTTP/3 frames --------------------------------------------------------------
+
+
+def encode_h3_frame(frame_type: int, payload: bytes) -> bytes:
+    buf = Buffer()
+    buf.push_varint(frame_type)
+    buf.push_varint(len(payload))
+    buf.push_bytes(payload)
+    return buf.data()
+
+
+def decode_h3_frames(data: bytes) -> List[Tuple[int, bytes]]:
+    buf = Buffer(data)
+    frames = []
+    try:
+        while not buf.eof():
+            frame_type = buf.pull_varint()
+            length = buf.pull_varint()
+            frames.append((frame_type, buf.pull_bytes(length)))
+    except ValueError as exc:
+        raise H3Error(str(exc)) from exc
+    return frames
+
+
+def encode_control_stream(settings: Optional[Dict[int, int]] = None) -> bytes:
+    buf = Buffer()
+    buf.push_varint(0x00)
+    payload = Buffer()
+    for key, value in sorted((settings or {}).items()):
+        payload.push_varint(key)
+        payload.push_varint(value)
+    buf.push_bytes(encode_h3_frame(H3FrameType.SETTINGS, payload.data()))
+    return buf.data()

@@ -239,6 +239,7 @@ class TestFuzzer:
             "http.qpack",
             "dns.records",
             "tls.messages",
+            "tls.extensions",
             "tls.record",
             "netsim.paths",
         }

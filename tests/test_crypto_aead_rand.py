@@ -103,3 +103,26 @@ def test_derive_seed_domain_separation():
 
 def test_tuple_seed():
     assert DeterministicRandom(("x", 1)).random() == DeterministicRandom(("x", 1)).random()
+
+
+# Golden outputs, recorded before ``derive_seed`` hashed one joined
+# buffer: every seed a campaign derives must stay the same.
+@pytest.mark.parametrize(
+    "parts,seed",
+    [
+        ((), 16406829232824261652),
+        (("",), 16086683699531821019),
+        ((b"",), 16086683699531821019),
+        ((0,), 12345577252699952557),
+        ((-1,), 11000697885157103354),
+        ((-(2**70),), 1571430498438517341),
+        (("zmap-quic",), 6236687676342431795),
+        (("quic-server", "first-byte", 3), 5428030520459624645),
+        ((b"\x00\xff", 7, "x"), 8215159466097681125),
+        ((2**64 + 5, b"", ""), 10250572166686984274),
+        (("ünï",), 14997917646766592203),
+        ((123456789, -42, b"\x01" * 40), 4875462671683638337),
+    ],
+)
+def test_derive_seed_golden(parts, seed):
+    assert derive_seed(*parts) == seed

@@ -140,6 +140,19 @@ def test_crypto_error_0x128(pki):
     assert "quiche" in excinfo.value.reason
 
 
+def test_malformed_alpn_closes_with_decode_error(pki, monkeypatch):
+    """A ClientHello whose ALPN list overruns its extension is the
+    server's decode_error (crypto error 0x100 + 50), not an exception
+    escaping its endpoint."""
+    from repro.tls import engine
+
+    monkeypatch.setattr(engine, "encode_alpn", lambda protocols: b"\x00\x09\x02h3")
+    net = make_network(pki)
+    with pytest.raises(QuicError) as excinfo:
+        connect(net, client_config(pki))
+    assert excinfo.value.error_code == 0x132
+
+
 def test_close_with_custom_error(pki):
     net = make_network(pki, close_with=(0x01, "internal error"))
     with pytest.raises(QuicError) as excinfo:

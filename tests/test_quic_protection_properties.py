@@ -139,3 +139,36 @@ def test_quic_over_ipv6():
     )
     result = QuicClientConnection(net, client, server, 443, config, DeterministicRandom("v6")).connect()
     assert result.streams[0] == b"v6-ok"
+
+
+# Golden nonces, recorded before ``ProtectionKeys.nonce`` became one
+# integer XOR: packet numbers up to 2^62-1 against two IVs.
+@pytest.mark.parametrize(
+    "iv,nonces",
+    [
+        (
+            "000102030405060708090a0b",
+            [
+                "000102030405060708090a0b",
+                "000102030405060708090a0a",
+                "000102030405060708090b0b",
+                "000102030405060608090a0b",
+                "000102033bfaf9f8f7f6f5f4",
+            ],
+        ),
+        (
+            "fa044b2f42a3fd3b46fb255c",
+            [
+                "fa044b2f42a3fd3b46fb255c",
+                "fa044b2f42a3fd3b46fb255d",
+                "fa044b2f42a3fd3b46fb245c",
+                "fa044b2f42a3fd3a46fb255c",
+                "fa044b2f7d5c02c4b904daa3",
+            ],
+        ),
+    ],
+)
+def test_packet_nonce_golden(iv, nonces):
+    keys = ProtectionKeys(seal=None, open=None, iv=bytes.fromhex(iv), header_mask=None)
+    numbers = [0, 1, 2**8, 2**32, 2**62 - 1]
+    assert [keys.nonce(number).hex() for number in numbers] == nonces

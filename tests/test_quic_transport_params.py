@@ -3,7 +3,8 @@
 from hypothesis import given, strategies as st
 
 from repro.quic.transport_params import DEFAULT_MAX_UDP_PAYLOAD_SIZE, TransportParameters
-from repro.quic.varint import Buffer, encode_varint
+from repro.quic.varint import encode_varint
+from tests.codec_oracle import Buffer
 
 
 def test_roundtrip_all_fields():

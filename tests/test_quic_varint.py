@@ -5,11 +5,11 @@ from hypothesis import given, strategies as st
 
 from repro.quic.varint import (
     VARINT_MAX,
-    Buffer,
     decode_varint,
     encode_varint,
     varint_length,
 )
+from tests.codec_oracle import Buffer
 
 
 @pytest.mark.parametrize(

@@ -10,10 +10,12 @@ from repro.tls.extensions import (
     decode_alpn,
     decode_extensions,
     decode_key_share,
+    decode_psk_client,
     decode_sni,
     encode_alpn,
     encode_extensions,
     encode_key_share,
+    encode_psk_client,
     encode_sni,
 )
 from repro.tls.messages import (
@@ -38,6 +40,31 @@ def test_sni_roundtrip():
 def test_alpn_roundtrip():
     protocols = ["h3", "h3-29", "http/1.1"]
     assert decode_alpn(encode_alpn(protocols)) == protocols
+
+
+def test_psk_client_roundtrip():
+    data = encode_psk_client(b"ticket", b"\x07" * 32, 1234)
+    assert decode_psk_client(data) == (b"ticket", 1234, b"\x07" * 32)
+
+
+@pytest.mark.parametrize(
+    "decoder,payload",
+    [
+        (decode_sni, b"\x00"),
+        (decode_sni, encode_sni("example.com")[:-1]),
+        (decode_sni, b"\x00\x04\x00\x00\x01\xff"),
+        (decode_alpn, b""),
+        (decode_alpn, encode_alpn(["h3"])[:-1]),
+        (decode_alpn, b"\x00\x02\x05h"),
+        (decode_alpn, b"\x00\x02\x01\xff"),
+        (decode_psk_client, b""),
+        (decode_psk_client, encode_psk_client(b"ticket", b"\x07" * 32)[:-1]),
+        (decode_psk_client, b"\x00\x01\x00\x09" + bytes(10)),
+    ],
+)
+def test_malformed_extension_payloads_raise_message_decode_error(decoder, payload):
+    with pytest.raises(MessageDecodeError):
+        decoder(payload)
 
 
 def test_key_share_roundtrip_client_and_server():

@@ -89,3 +89,20 @@ def test_truncated_record_rejected():
     record = layer.wrap_handshake(b"abc")
     with pytest.raises(ValueError):
         layer.unwrap(record[:-1])
+
+
+def test_record_nonce_golden():
+    """Recorded before the record nonce became one integer XOR."""
+    protection = RecordProtection(SUITE_AES_128_GCM_SHA256, b"\x07" * 32)
+    nonces = []
+    for sequence in (0, 1, 2**8, 2**32, 2**62 - 1):
+        protection._sequence = sequence
+        nonces.append(protection._nonce().hex())
+        assert protection._sequence == sequence + 1
+    assert nonces == [
+        "11215b213bc073db189c2040",
+        "11215b213bc073db189c2041",
+        "11215b213bc073db189c2140",
+        "11215b213bc073da189c2040",
+        "11215b21043f8c24e763dfbf",
+    ]
