@@ -169,10 +169,12 @@ def aligned_block_bounds(keys: Sequence, shard: int, of: int) -> Tuple[int, int]
 class StageHealth:
     """Outcome of one stage's execution (graceful-degradation contract).
 
-    ``success``: every shard completed; ``degraded``: at least one
-    shard failed but others survived (partial records); ``failed``:
-    the stage produced nothing (serial exception, or every shard
-    failed).  Degraded and failed stages are never written to the
+    ``success``: every chunk completed; ``degraded``: at least one
+    chunk failed but others survived (partial records); ``failed``:
+    the stage produced nothing (serial exception, or every chunk
+    failed).  ``shards`` and ``shards_failed`` count the stage's chunks
+    (one for a serial stage): the names the report, the warehouse and
+    QA read.  Degraded and failed stages are never written to the
     persistent cache, and downstream stages still run on whatever
     records survived.
     """
@@ -274,17 +276,18 @@ class Campaign:
     # -- stage execution ---------------------------------------------------------
     #
     # Every scan stage is one row of the stage table.  A serial
-    # campaign computes it here as shard 0 of 1; a parallel one streams
-    # it in chunks.  Both return (position, record) pairs, and the
-    # wrappers below layer the persistent cache on top without changing
-    # the serial record stream in any way.
+    # campaign computes it here as one range or one chunk; a parallel
+    # one streams it in many, through the same two entry points.  Both
+    # return (position, record) pairs, and the wrappers below layer the
+    # persistent cache on top without changing the serial record stream
+    # in any way.
 
     def _stage(self, name: str) -> List:
         """A table stage: cached, streamed on the pool, or computed here."""
         if self._workers > 1 or self._borrowed:
             self._stream([name])
             return self.__dict__[name]
-        return self._materialise(name, lambda: self._serial_compute(name))
+        return self._plain_stage(name, lambda: [r for _, r in self._serial_compute(name)])
 
     def _stream(self, names: Sequence[str]):
         """Stream ``names`` and the table inputs they still lack; the engine run.
@@ -337,7 +340,7 @@ class Campaign:
         compute: Callable[[], object],
         empty: Callable[[], object] = list,
     ):
-        """A cacheable but unsharded stage (DNS, derived target lists)."""
+        """A stage computed in-process, cached and guarded."""
         return self._materialise(name, lambda: self._guarded(name, compute, empty))
 
     def _materialise(self, name: str, compute: Callable[[], Tuple[object, StageHealth]]):
@@ -430,12 +433,22 @@ class Campaign:
                     shards_failed=1,
                 )
 
-    def _serial_compute(self, name: str) -> Tuple[List, StageHealth]:
-        return self._guarded(
-            name,
-            lambda: [record for _, record in self.compute_stage_shard(name, 0, 1)],
-            list,
-        )
+    def _serial_compute(self, name: str) -> List[Tuple[int, object]]:
+        """A whole stage in-process: one range of the walk, or one chunk.
+
+        Dependencies resolve *before* the entry point opens this stage's
+        fault epoch: a dependency may itself compute here (under its own
+        epoch), so the order guarantees this stage's traffic always
+        starts on a freshly keyed epoch — exactly as a chunk worker
+        (whose targets arrive precomputed) sees it.
+        """
+        stage = BY_NAME[name]
+        for dep in stage.deps:
+            getattr(self, dep)
+        if stage.walks_space:
+            cycle = self._scanner(stage).sweep_cycle_length(self.world.ipv4_space)
+            return self.compute_stage_range(name, 0, cycle)
+        return self.compute_stage_chunk(name, 0, self.stage_items(stage))
 
     def health_in_order(self) -> List[StageHealth]:
         """:attr:`stage_health` in canonical stage order, not the order
@@ -452,41 +465,20 @@ class Campaign:
         return [h.stage for h in self.health_in_order() if h.status == "degraded"]
 
     def compute_stage_shard(self, name: str, shard: int, of: int) -> List[Tuple[int, object]]:
-        """Compute one shard of a stage; a serial campaign computes shard 0 of 1.
-
-        An IPv4 sweep takes every ``of``-th position of the walk; a list
-        stage takes one contiguous block of its target list, cut on
-        address runs for SNI stages so each server sees its connection
-        sequence in serial order.
-        """
-        stage = BY_NAME[name]
-        # Resolve dependencies *before* opening this stage's fault
-        # epoch: a dependency may itself compute here (under its own
-        # epoch), so the order guarantees this stage's traffic always
-        # starts on a freshly keyed epoch — exactly as a chunk worker
-        # (whose targets arrive precomputed) sees it.
-        for dep in stage.deps:
-            getattr(self, dep)
-        self.world.network.begin_fault_epoch(name)
-        if stage.walks_space:
-            scanner = self._scanner(stage)
-            return scanner.scan_ipv4_space_shard(self.world.ipv4_space, shard, of)
-        items = self.stage_items(stage)
-        if stage.sni:
-            addresses = [stage.address(item) for item in items]
-            lo, hi = aligned_block_bounds(addresses, shard, of)
-        else:
-            lo, hi = shard_block_bounds(len(items), shard, of)
-        return self._scan_chunk(stage, lo, items[lo:hi])
+        """A whole stage as (position, record) pairs; a name scanbench traces."""
+        if (shard, of) != (0, 1):
+            raise ValueError(f"shard {shard} of {of}: a stage is one range or one chunk")
+        return self._serial_compute(name)
 
     # -- streaming entry points (see repro.parallel.stream) ----------------
     #
     # The streaming engine partitions work by *contiguous serial-order
     # segments* and ships each chunk's targets in the task itself (they
-    # are the upstream chunk's freshly produced records).  Each entry
-    # point opens the stage's fault epoch and seeks scanner rng state
-    # to the chunk's global offset, so records and merged metrics stay
-    # byte-identical to a serial run.
+    # are the upstream chunk's freshly produced records); a serial
+    # campaign calls the same entry points once per stage, over the
+    # whole walk or list.  Each opens the stage's fault epoch and seeks
+    # scanner rng state to the chunk's global offset, so records and
+    # merged metrics stay byte-identical to a serial run.
 
     def compute_stage_range(self, name: str, lo: int, hi: int) -> List[Tuple[int, object]]:
         """Sweep the contiguous walk segment ``[lo, hi)`` of an IPv4 sweep."""

@@ -29,16 +29,15 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from repro.crypto.rand import DeterministicRandom
 
-__all__ = ["CyclicGroupPermutation", "Walk", "count_in_walk", "smallest_prime_above"]
+__all__ = ["CyclicGroupPermutation", "Walk", "smallest_prime_above"]
 
-# A selection of walk positions: ``lo, lo + step, ...`` below ``hi``.
-# The full cycle is ``(0, p - 1, 1)``, shard ``s`` of ``n`` is
-# ``(s, p - 1, n)`` and a contiguous block is ``(lo, hi, 1)``.
-Walk = Tuple[int, int, int]
+# A contiguous segment ``[lo, hi)`` of walk positions; the full cycle
+# is ``(0, p - 1)``.
+Walk = Tuple[int, int]
 
 
 def _is_prime(n: int) -> bool:
@@ -101,15 +100,6 @@ def _discrete_logs(p: int) -> array:
     return table
 
 
-def count_in_walk(positions: Sequence[int], walk: Walk) -> int:
-    """How many of the ascending ``positions`` the ``walk`` selects."""
-    lo, hi, step = walk
-    first, last = bisect_left(positions, lo), bisect_left(positions, hi)
-    if step == 1:
-        return last - first
-    return sum((positions[k] - lo) % step == 0 for k in range(first, last))
-
-
 class CyclicGroupPermutation:
     """A full-cycle permutation of ``range(size)``.
 
@@ -137,6 +127,7 @@ class CyclicGroupPermutation:
 
     def __iter__(self) -> Iterator[int]:
         """Yield every index in ``range(size)`` exactly once."""
+        # No sweep steps the walk; kept because scanbench times it (permutation_iter_s).
         p, g = self._p, self._generator
         current = self._start
         for _ in range(p - 1):
@@ -144,60 +135,22 @@ class CyclicGroupPermutation:
                 yield current - 1  # map [1, size] onto [0, size)
             current = (current * g) % p
 
-    def iter_walk(self, walk: Walk) -> Iterator[Tuple[int, int]]:
-        """``(position, index)`` at every position of ``walk`` that lands
-        inside the space, by one group step per position."""
-        lo, hi, step = walk
-        p = self._p
-        current = self._start * pow(self._generator, lo, p) % p
-        factor = pow(self._generator, step, p)
-        for position in range(lo, hi, step):
-            if current <= self.size:
-                yield position, current - 1
-            current = current * factor % p
-
-    def iter_shard(self, shard: int, of: int) -> Iterator[Tuple[int, int]]:
-        """Walk one of ``of`` interleaved sub-cycles (ZMap's sharding).
-
-        Shard ``i`` visits cycle positions ``i, i + of, i + 2*of, ...``
-        by starting at ``start * g^i`` and stepping with ``g^of`` — the
-        same trick ZMap uses to split a sweep across independent
-        processes.  Yields ``(position, index)`` pairs so merged shard
-        output can be re-ordered into the serial visit order; the union
-        of all shards partitions ``range(size)`` exactly.
-        """
-        return self.iter_walk(self.shard_walk(shard, of))
-
     @property
     def cycle_length(self) -> int:
         """Number of walk positions (``p - 1``; a few exceed ``size``)."""
         return self._p - 1
 
-    def iter_range(self, lo: int, hi: int) -> Iterator[Tuple[int, int]]:
-        """Walk the contiguous cycle segment ``[lo, hi)``.
-
-        One modular exponentiation jumps to position ``lo``; from there
-        the walk steps with ``g`` exactly like the serial iteration, so
-        concatenating consecutive ranges reproduces the full visit
-        order.  This is the streaming engine's sweep partition: unlike
-        :meth:`iter_shard`'s interleaved sub-cycles, completed range
-        blocks form a *prefix* of the serial order, which is what lets
-        downstream stages start on early responders while later blocks
-        are still sweeping.  Yields ``(position, index)`` pairs.
-        """
-        return self.iter_walk(self.range_walk(lo, hi))
-
-    def shard_walk(self, shard: int, of: int) -> Walk:
-        """The positions :meth:`iter_shard` visits, as a selection."""
-        if not 0 <= shard < of:
-            raise ValueError(f"shard {shard} out of range for {of} shards")
-        return shard, self._p - 1, of
-
     def range_walk(self, lo: int, hi: int) -> Walk:
-        """The positions :meth:`iter_range` visits, as a selection."""
+        """The contiguous walk segment ``[lo, hi)``, validated.
+
+        Consecutive segments concatenate into the full visit order, so
+        completed blocks form a *prefix* of it: what lets the streaming
+        engine feed downstream stages on early responders while later
+        blocks are still sweeping.
+        """
         if not 0 <= lo <= hi <= self._p - 1:
             raise ValueError(f"range [{lo}, {hi}) outside cycle of {self._p - 1}")
-        return lo, hi, 1
+        return lo, hi
 
     def warm(self) -> None:
         """Build this prime's discrete-log table now — before forking
@@ -228,20 +181,20 @@ class CyclicGroupPermutation:
     ) -> List[Tuple[int, int]]:
         """``(position, index)`` of each index the ``walk`` visits, ascending.
 
-        What :meth:`iter_shard` / :meth:`iter_range` would yield for the
-        same selection, filtered to ``indexes``, at a cost of one table
-        lookup per index instead of one group step per position.
-        ``walk`` defaults to the full cycle; duplicate indexes count
-        once; an index outside ``range(size)`` raises ``ValueError``.
+        What stepping the group through ``walk`` would yield, filtered
+        to ``indexes``, at a cost of one table lookup per index instead
+        of one group step per position.  ``walk`` defaults to the full
+        cycle; duplicate indexes count once; an index outside
+        ``range(size)`` raises ``ValueError``.
         """
-        lo, hi, step = walk or self.shard_walk(0, 1)
+        lo, hi = walk or (0, self._p - 1)
         position_of = self._position_of()
         pairs = []
         for index in set(indexes):
             if not 0 <= index < self.size:
                 raise ValueError(f"index {index} outside permutation of {self.size}")
             position = position_of(index + 1)
-            if lo <= position < hi and (position - lo) % step == 0:
+            if lo <= position < hi:
                 pairs.append((position, index))
         pairs.sort()
         return pairs
@@ -252,10 +205,10 @@ class CyclicGroupPermutation:
         Every position but those of the ``p - 1 - size`` elements beyond
         it (two for a /14), which the walk steps over.
         """
-        lo, hi, step = walk
+        lo, hi = walk
         position_of = self._position_of()
         beyond = sorted(position_of(x) for x in range(self.size + 1, self._p))
-        return len(range(lo, hi, step)) - count_in_walk(beyond, walk)
+        return hi - lo - (bisect_left(beyond, hi) - bisect_left(beyond, lo))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CyclicGroupPermutation):

@@ -31,7 +31,7 @@ same bytes to ``TrafficStats``.  No RNG child is derived and no virtual
 time passes — ZMap's sender never sleeps on a silent target.
 
 Cost of one sweep: time O(live + blocked prefixes) for a full cycle, a
-set lookup per entry for a list; a shard or block also counts blocked
+set lookup per entry for a list; a block also counts blocked
 *positions*, O(blocked addresses) once per permutation and blocklist
 per process and a bisection after that.  Memory: the inverse's table,
 ``2 B * p`` per distinct prime (0.5 MB for the /14), built once per
@@ -50,6 +50,7 @@ records, ``TrafficStats``, metrics and clock.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from functools import lru_cache
 from typing import (
     AbstractSet,
@@ -69,10 +70,10 @@ from repro.netsim.addresses import Address, Prefix
 from repro.netsim.blocklist import Blocklist
 from repro.netsim.topology import Network
 from repro.observability.metrics import get_metrics
-from repro.scanners.permutation import CyclicGroupPermutation, Walk, count_in_walk
+from repro.scanners.permutation import CyclicGroupPermutation, Walk
 from repro.scanners.retry import RetryPolicy
 
-__all__ = ["PrefixWalk", "TargetList", "sweep_live", "sweep_permutation"]
+__all__ = ["PrefixWalk", "TargetList", "prefix_walk", "sweep_live", "sweep_permutation"]
 
 Record = TypeVar("Record")
 Answer = TypeVar("Answer")
@@ -85,6 +86,16 @@ def sweep_permutation(seed: object, space: Prefix) -> CyclicGroupPermutation:
     return CyclicGroupPermutation(
         space.num_addresses, DeterministicRandom(seed).child("perm")
     )
+
+
+def prefix_walk(
+    seed: object, space: Prefix, lo: int = 0, hi: Optional[int] = None
+) -> "PrefixWalk":
+    """Walk positions ``[lo, hi)`` of a scanner seeded ``seed`` over
+    ``space``; ``hi`` defaults to the end of the cycle."""
+    permutation = sweep_permutation(seed, space)
+    end = permutation.cycle_length if hi is None else hi
+    return PrefixWalk(space, permutation, permutation.range_walk(lo, end))
 
 
 @lru_cache(maxsize=8)
@@ -118,9 +129,9 @@ class PrefixWalk:
 
     def after(self, position: Optional[int], sent_to: SentTo) -> Optional[Target]:
         """The first target sent to past ``position`` (``None``: of all)."""
-        lo, hi, step = self.walk
+        lo, hi = self.walk
         base = self.space.network.value
-        for later in range(lo if position is None else position + step, hi, step):
+        for later in range(lo if position is None else position + 1, hi):
             index = self.permutation.index_at(later)
             if index is not None and sent_to(base + index):
                 return later, self.space.address_at(index)
@@ -129,13 +140,14 @@ class PrefixWalk:
     def counts(self, blocklist: Blocklist) -> Tuple[int, int]:
         """``(targets, blocked ones among them)``, without visiting any."""
         ranges = blocklist.blocked_ranges(self.space)
-        if self.walk == self.permutation.shard_walk(0, 1):
+        lo, hi = self.walk
+        if (lo, hi) == (0, self.permutation.cycle_length):
             # The full cycle: no positions needed.
             blocked = sum(end - first for first, end in ranges)
         else:
             base = self.space.network.value
             positions = _blocked_positions(self.permutation, ranges, base)
-            blocked = count_in_walk(positions, self.walk)
+            blocked = bisect_left(positions, hi) - bisect_left(positions, lo)
         return self.permutation.visited_in(self.walk), blocked
 
 
@@ -216,7 +228,7 @@ def sweep_live(
     answer or ``None``; ``record(answer)`` turns an answer into a
     record, or ``None`` to drop it.  ``send`` is called — again after
     each backoff ``retry`` allows, jittered by a generator keyed on
-    ``seed`` and the absolute position, so shards replay the serial
+    ``seed`` and the absolute position, so blocks replay the serial
     schedule — for every unblocked target whose value is in ``live``,
     and for the next target sent to while ``pending`` (an asynchronous
     receiver's inbox) is non-empty.  The other unblocked targets move

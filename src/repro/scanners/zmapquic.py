@@ -29,7 +29,7 @@ from repro.quic.packet import PacketDecodeError, decode_version_negotiation
 from repro.quic.versions import force_negotiation_version
 from repro.scanners.results import ZmapQuicRecord
 from repro.scanners.retry import RetryPolicy
-from repro.scanners.sweep import PrefixWalk, TargetList, sweep_live, sweep_permutation
+from repro.scanners.sweep import PrefixWalk, TargetList, prefix_walk, sweep_live, sweep_permutation
 
 __all__ = ["ZmapQuicScanner", "build_probe"]
 
@@ -87,20 +87,13 @@ class ZmapQuicScanner:
 
     def scan_ipv4_space(self, space: Prefix) -> List[ZmapQuicRecord]:
         """Sweep an entire IPv4 prefix in ZMap's permuted order."""
-        return [record for _, record in self.scan_ipv4_space_shard(space, 0, 1)]
+        return [record for _, record in self._sweep(prefix_walk(self.seed, space))]
 
-    def scan_ipv4_space_shard(
-        self, space: Prefix, shard: int, of: int
-    ) -> List[Tuple[int, ZmapQuicRecord]]:
-        """Sweep one permutation shard; returns (position, record) pairs.
-
-        Shard workers walk interleaved sub-cycles of the same
-        permutation, so concatenating all shards and sorting by
-        position reproduces the serial sweep record-for-record.
-        """
-        permutation = sweep_permutation(self.seed, space)
-        walk = permutation.shard_walk(shard, of)
-        return self._sweep(PrefixWalk(space, permutation, walk))
+    def scan_ipv4_space_shard(self, space: Prefix, shard: int, of: int):
+        """The full sweep as (position, record) pairs; a name scanbench traces."""
+        if (shard, of) != (0, 1):
+            raise ValueError(f"shard {shard} of {of}: a sweep is one range")
+        return self._sweep(prefix_walk(self.seed, space))
 
     def sweep_cycle_length(self, space: Prefix) -> int:
         """Walk positions in this scanner's permutation of ``space``."""
@@ -111,15 +104,12 @@ class ZmapQuicScanner:
     ) -> List[Tuple[int, ZmapQuicRecord]]:
         """Sweep the contiguous walk segment ``[lo, hi)``.
 
-        The streaming engine's sweep partition: consecutive range
-        blocks concatenate into the serial visit order, so a completed
-        prefix of blocks can feed downstream stages while later blocks
-        are still sweeping (see :mod:`repro.parallel.stream`).  Bounds
-        index walk positions in ``[0, sweep_cycle_length(space)]``.
+        Consecutive range blocks concatenate into the full visit order,
+        so a completed prefix of blocks can feed downstream stages while
+        later blocks are still sweeping (see :mod:`repro.parallel.stream`).
+        Bounds index walk positions in ``[0, sweep_cycle_length(space)]``.
         """
-        permutation = sweep_permutation(self.seed, space)
-        walk = permutation.range_walk(lo, hi)
-        return self._sweep(PrefixWalk(space, permutation, walk))
+        return self._sweep(prefix_walk(self.seed, space, lo, hi))
 
     def _sweep(self, sequence: PrefixWalk | TargetList) -> List[Tuple[int, ZmapQuicRecord]]:
         """One probe packet to every target of ``sequence``.

@@ -10,7 +10,7 @@ from repro.netsim.blocklist import Blocklist
 from repro.netsim.topology import SYN_BYTES, Network
 from repro.scanners.results import SynRecord
 from repro.scanners.retry import RetryPolicy
-from repro.scanners.sweep import PrefixWalk, TargetList, sweep_live, sweep_permutation
+from repro.scanners.sweep import PrefixWalk, TargetList, prefix_walk, sweep_live, sweep_permutation
 
 __all__ = ["ZmapTcpScanner"]
 
@@ -27,15 +27,13 @@ class ZmapTcpScanner:
     retry: RetryPolicy = field(default_factory=RetryPolicy)
 
     def scan_ipv4_space(self, space: Prefix) -> List[SynRecord]:
-        return [record for _, record in self.scan_ipv4_space_shard(space, 0, 1)]
+        return [record for _, record in self._sweep(prefix_walk(self.seed, space))]
 
-    def scan_ipv4_space_shard(
-        self, space: Prefix, shard: int, of: int
-    ) -> List[Tuple[int, SynRecord]]:
-        """Sweep one permutation shard; returns (position, record) pairs."""
-        permutation = sweep_permutation(self.seed, space)
-        walk = permutation.shard_walk(shard, of)
-        return self._sweep(PrefixWalk(space, permutation, walk))
+    def scan_ipv4_space_shard(self, space: Prefix, shard: int, of: int):
+        """The full sweep as (position, record) pairs; a name scanbench traces."""
+        if (shard, of) != (0, 1):
+            raise ValueError(f"shard {shard} of {of}: a sweep is one range")
+        return self._sweep(prefix_walk(self.seed, space))
 
     def sweep_cycle_length(self, space: Prefix) -> int:
         """Walk positions in this scanner's permutation of ``space``."""
@@ -46,13 +44,11 @@ class ZmapTcpScanner:
     ) -> List[Tuple[int, SynRecord]]:
         """Sweep the contiguous walk segment ``[lo, hi)``.
 
-        Range blocks concatenate into the serial visit order — the
+        Range blocks concatenate into the full visit order — the
         streaming engine's sweep partition (see
         :mod:`repro.parallel.stream`).
         """
-        permutation = sweep_permutation(self.seed, space)
-        walk = permutation.range_walk(lo, hi)
-        return self._sweep(PrefixWalk(space, permutation, walk))
+        return self._sweep(prefix_walk(self.seed, space, lo, hi))
 
     def _sweep(self, sequence: PrefixWalk | TargetList) -> List[Tuple[int, SynRecord]]:
         """One SYN to every target of ``sequence``.

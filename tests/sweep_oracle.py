@@ -4,8 +4,9 @@
 targets, which it finds through the permutation's inverse
 (``among`` / ``after`` / ``positions_of``).  This reference shares none
 of that: it steps the sequence forward, position by position as ZMap's
-sender does — a walk through the cyclic group's generator, a list
-entry by entry — and yields every target sent to that is live or that
+sender does — a walk through the cyclic group's generator
+(:func:`iter_range`, which steps the group itself), a list entry by
+entry — and yields every target sent to that is live or that
 a reply still queued in the receiver's inbox belongs to.
 
 :func:`use_reference_sweep` puts it in place of the sweep's target
@@ -18,7 +19,19 @@ and virtual clock.
 from repro.scanners import sweep as sweep_module
 from repro.scanners.sweep import PrefixWalk
 
-__all__ = ["each_target", "use_reference_sweep"]
+__all__ = ["each_target", "iter_range", "use_reference_sweep"]
+
+
+def iter_range(permutation, lo=0, hi=None):
+    """``(position, index)`` at every position of ``[lo, hi)`` (default:
+    the whole cycle) whose element lies in the space: one step of the
+    group's generator per position, from ``start * g^lo``."""
+    p, g, size = permutation.cycle_length + 1, permutation._generator, permutation.size
+    current = permutation._start * pow(g, lo, p) % p
+    for position in range(lo, p - 1 if hi is None else hi):
+        if current <= size:
+            yield position, current - 1
+        current = current * g % p
 
 
 def each_target(sequence, sent_to, live, pending):
@@ -28,7 +41,7 @@ def each_target(sequence, sent_to, live, pending):
         space = sequence.space
         targets = (
             (position, space.address_at(index))
-            for position, index in sequence.permutation.iter_walk(sequence.walk)
+            for position, index in iter_range(sequence.permutation, *sequence.walk)
         )
     else:
         targets = enumerate(sequence.targets, sequence.base)

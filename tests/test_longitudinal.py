@@ -436,14 +436,14 @@ def test_cli_week_spec_parsing():
 
 def _failing_qscan_sni(campaign):
     """Make ``campaign``'s SNI QScanner stages raise, leaving the rest alone."""
-    compute = campaign.compute_stage_shard
+    compute = campaign.compute_stage_chunk
 
-    def failing(name, shard, of):
+    def failing(name, lo, items):
         if name.startswith("qscan_sni"):
-            raise RuntimeError("injected shard failure")
-        return compute(name, shard, of)
+            raise RuntimeError("injected chunk failure")
+        return compute(name, lo, items)
 
-    campaign.compute_stage_shard = failing
+    campaign.compute_stage_chunk = failing
 
 
 def test_strict_loader_refuses_a_degraded_campaign(world):
@@ -467,14 +467,14 @@ def test_strict_loader_refuses_a_degraded_campaign(world):
 
 
 def test_degraded_input_taints_dependent_stage_caching(world, tmp_path, monkeypatch):
-    compute = Campaign.compute_stage_shard
+    compute = Campaign.compute_stage_range
 
-    def _boom(campaign, name, shard, of):
+    def _boom(campaign, name, lo, hi):
         if name == "syn_v4":
             raise RuntimeError("injected stage failure")
-        return compute(campaign, name, shard, of)
+        return compute(campaign, name, lo, hi)
 
-    monkeypatch.setattr(Campaign, "compute_stage_shard", _boom)
+    monkeypatch.setattr(Campaign, "compute_stage_range", _boom)
     config = CampaignConfig(week=18, scale=_SCALE, seed=_SEED)
     campaign = Campaign(config, world=world, cache_dir=tmp_path)
     try:

@@ -2,8 +2,9 @@
 
 Covers the three guarantees parallel runs are built on:
 
-1. sharding the cyclic-group permutation partitions the address space
-   exactly (no duplicates, no gaps, any shard count),
+1. contiguous blocks partition the sweep's cycle and a target list
+   exactly (no duplicates, no gaps, any block count), never splitting
+   one address's run,
 2. a parallel campaign — read stage by stage or run whole — produces
    record-for-record identical output to a serial one,
 3. the persistent stage cache round-trips records, is keyed on the
@@ -48,24 +49,30 @@ from repro.scanners.retry import RetryPolicy
 from repro.scanners.sweep import sweep_permutation
 
 from tests.conftest import TINY_SCALE
-from tests.sweep_oracle import use_reference_sweep
+from tests.sweep_oracle import iter_range, use_reference_sweep
 from tests.test_scanners import _VnEndpoint
 
 
-# -- permutation sharding ------------------------------------------------------
+# -- contiguous blocks --------------------------------------------------------
 
 
 @pytest.mark.parametrize("size", [10, 97, 1000, 4096])
 @pytest.mark.parametrize("seed", ["a", "b"])
 @pytest.mark.parametrize("shards", [1, 2, 3, 7])
 def test_shards_partition_exactly(size, seed, shards):
-    """The union of all shards is the full space: no dups, no gaps."""
+    """Contiguous shards of the cycle, each filtered by the permutation's
+    inverse, cover the space exactly and merge into the serial order."""
     rngs = [DeterministicRandom(seed) for _ in range(shards + 1)]
     serial = list(CyclicGroupPermutation(size, rngs[0]))
     seen = {}
     for shard in range(shards):
         permutation = CyclicGroupPermutation(size, rngs[shard + 1])
-        for position, index in permutation.iter_shard(shard, shards):
+        lo, hi = shard_block_bounds(permutation.cycle_length, shard, shards)
+        walk = permutation.range_walk(lo, hi)
+        pairs = permutation.positions_of(range(size), walk)
+        assert len(pairs) == permutation.visited_in(walk)
+        for position, index in pairs:
+            assert lo <= position < hi
             assert position not in seen, "duplicate cycle position across shards"
             seen[position] = index
     assert sorted(seen.values()) == sorted(range(size))
@@ -75,8 +82,13 @@ def test_shards_partition_exactly(size, seed, shards):
 
 def test_shard_out_of_range():
     permutation = CyclicGroupPermutation(100, DeterministicRandom("x"))
-    with pytest.raises(ValueError):
-        list(permutation.iter_shard(3, 3))
+    cycle = permutation.cycle_length
+    for shard, of in ((3, 3), (-1, 3), (0, 0)):
+        with pytest.raises(ValueError):
+            shard_block_bounds(cycle, shard, of)
+    for lo, hi in ((0, cycle + 1), (-1, 5), (6, 5)):
+        with pytest.raises(ValueError):
+            permutation.range_walk(lo, hi)
 
 
 def test_block_bounds_partition():
@@ -115,10 +127,10 @@ def parallel_campaign(tiny_campaign):
 @pytest.mark.parametrize(
     "stage",
     [
-        "zmap_v4",  # permutation-sharded IPv4 sweep
-        "syn_v6",  # block-sharded target list
-        "goscanner_sni_v4",  # aligned shards + rng seek
-        "qscan_sni_v4",  # aligned shards + target sources
+        "zmap_v4",  # IPv4 sweep in range blocks
+        "syn_v6",  # target list in blocks
+        "goscanner_sni_v4",  # aligned blocks + rng seek
+        "qscan_sni_v4",  # aligned blocks + target sources
     ],
 )
 def test_parallel_output_identical_to_serial(tiny_campaign, parallel_campaign, stage):
@@ -202,15 +214,50 @@ def test_spawned_workers_rebuild_configure_and_match_serial(monkeypatch, run, pa
     assert run(configs) == serial
 
 
+# shim -> the modules defining it
+_SHARD_SHIMS = {
+    "compute_stage_shard": ["experiments/campaign.py"],
+    "scan_ipv4_space_shard": ["scanners/zmapquic.py", "scanners/zmaptcp.py"],
+}
+
+
 def test_only_the_scanbench_shim_names_scan_engine():
-    """No product module reaches the one-stage ``ScanEngine`` entry."""
+    """No product module reaches the one-stage ``ScanEngine`` entry, and
+    the ``shard, of`` shims are named only where they are defined."""
     root = Path(repro.__file__).parent
-    naming = sorted(
-        str(path.relative_to(root))
+    sources = {
+        str(path.relative_to(root)): path.read_text(encoding="utf-8")
         for path in root.rglob("*.py")
-        if "ScanEngine" in path.read_text(encoding="utf-8")
-    )
+    }
+    naming = sorted(path for path, text in sources.items() if "ScanEngine" in text)
     assert naming == ["parallel/__init__.py", "parallel/engine.py"]
+    for shim, defined_in in _SHARD_SHIMS.items():
+        naming = {path: text.count(shim) for path, text in sources.items() if shim in text}
+        assert naming == dict.fromkeys(defined_in, 1), shim
+
+
+def _sweep_shim(make_scanner):
+    return lambda campaign, shard, of: make_scanner(campaign, 4).scan_ipv4_space_shard(
+        campaign.world.ipv4_space, shard, of
+    )
+
+
+@pytest.mark.parametrize(
+    "stage,shim",
+    [
+        ("zmap_v4", lambda campaign, *shard: campaign.compute_stage_shard("zmap_v4", *shard)),
+        ("zmap_v4", _sweep_shim(Campaign._zmap_scanner)),
+        ("syn_v4", _sweep_shim(Campaign._syn_scanner)),
+    ],
+    ids=["campaign", "zmapquic", "zmaptcp"],
+)
+def test_shard_shims_take_only_shard_0_of_1(tiny_campaign, stage, shim):
+    """The scanbench shims refuse a real shard, and shard 0 of 1 is the
+    whole stage: the range over the full walk."""
+    for shard, of in ((0, 2), (1, 3), (1, 1)):
+        with pytest.raises(ValueError):
+            shim(tiny_campaign, shard, of)
+    assert [record for _, record in shim(tiny_campaign, 0, 1)] == getattr(tiny_campaign, stage)
 
 
 def test_barrier_runs_are_refused(tiny_campaign):
@@ -263,27 +310,12 @@ _SWEEP_WORLDS = {
     "retry": ({"retry": RetryPolicy(attempts=2)}, None),
 }
 
-# name -> (the walk over a bare permutation, the same walk through the
-# scanner's public entry point)
+# name -> the contiguous blocks of a cycle, swept one after another
+# through the scanner's public entry point
 _SWEEP_WALKS = {
-    "full": (
-        lambda permutation: permutation.iter_shard(0, 1),
-        lambda scanner, space: scanner.scan_ipv4_space_shard(space, 0, 1),
-    ),
-    "shard": (
-        lambda permutation: permutation.iter_shard(1, 3),
-        lambda scanner, space: scanner.scan_ipv4_space_shard(space, 1, 3),
-    ),
-    "range": (
-        lambda permutation: permutation.iter_range(
-            permutation.cycle_length // 3, permutation.cycle_length // 2
-        ),
-        lambda scanner, space: scanner.scan_ipv4_range(
-            space,
-            scanner.sweep_cycle_length(space) // 3,
-            scanner.sweep_cycle_length(space) // 2,
-        ),
-    ),
+    "full": lambda cycle: [(0, cycle)],
+    "range": lambda cycle: [(cycle // 3, cycle // 2)],
+    "shard": lambda cycle: [shard_block_bounds(cycle, shard, 3) for shard in range(3)],
 }
 
 
@@ -337,7 +369,9 @@ def test_fast_sweep_matches_slow_probe_path(module, world_kind, walk, monkeypatc
     Records, traffic-counter deltas, metrics and the virtual clock must
     match exactly — under fault and path profiles (conditioned hosts
     take full delivery), on faulted hosts nobody listens on and under a
-    retry policy (a dark address is a counter on both sides).
+    retry policy (a dark address is a counter on both sides).  The
+    ``shard`` walk sweeps the cycle in three contiguous blocks, one
+    call each, which must add up to what the reference sends.
     """
     overrides, mutate = _SWEEP_WORLDS[world_kind]
     (fast_world, fast_scanner), (slow_world, slow_scanner) = _scanner_pair(
@@ -350,11 +384,17 @@ def test_fast_sweep_matches_slow_probe_path(module, world_kind, walk, monkeypatc
         network = fast_world.network
         network.syn_probe = _recording(syn_probes, network.syn_probe)
 
-    bare_walk, scanner_walk = _SWEEP_WALKS[walk]
-    fast = _observe_sweep(fast_world.network, lambda: scanner_walk(fast_scanner, space))
+    blocks = _SWEEP_WALKS[walk](fast_scanner.sweep_cycle_length(space))
+
+    def sweep(scanner):
+        return [
+            pair for lo, hi in blocks for pair in scanner.scan_ipv4_range(space, lo, hi)
+        ]
+
+    fast = _observe_sweep(fast_world.network, lambda: sweep(fast_scanner))
     sweeps = use_reference_sweep(monkeypatch)
-    slow = _observe_sweep(slow_world.network, lambda: scanner_walk(slow_scanner, space))
-    assert len(sweeps) == 1
+    slow = _observe_sweep(slow_world.network, lambda: sweep(slow_scanner))
+    assert len(sweeps) == len(blocks)
     assert fast == slow
     assert fast["records"], "vacuous walk: nothing answered"
     prefix = "zmap.quic" if module == "quic" else "zmap.tcp"
@@ -367,7 +407,11 @@ def test_fast_sweep_matches_slow_probe_path(module, world_kind, walk, monkeypatc
             (p.net_mask(), p.network.value) for p in fast_world.blocklist.prefixes()
         ]
         permutation = sweep_permutation(fast_scanner.seed, space)
-        walked = [space.network.value + index for _, index in bare_walk(permutation)]
+        walked = [
+            space.network.value + index
+            for lo, hi in blocks
+            for _, index in iter_range(permutation, lo, hi)
+        ]
         blocked = sum(
             any(value & mask == net for mask, net in listed) for value in walked
         )
@@ -378,15 +422,15 @@ def test_fast_sweep_matches_slow_probe_path(module, world_kind, walk, monkeypatc
             assert len(groups) == 1
         else:
             assert len(groups) == 3
-            if walk == "full":
+            if walk != "range":
                 assert blocked == 256 + (1 << 16) + 16
     if module == "tcp":
         # Only listeners and conditioned hosts take a syn_probe call.
         assert 0 < len(syn_probes) < 1_000
-        if world_kind in ("fault-profile", "conditioned-unbound") and walk == "full":
+        if world_kind in ("fault-profile", "conditioned-unbound") and walk != "range":
             assert fast["stats"]["faults_injected"] > 0
             assert any(key.startswith("faults.injected") for key in counters)
-    elif world_kind == "path-profile" and walk == "full":
+    elif world_kind == "path-profile" and walk != "range":
         # Path loss hits datagrams, not SYNs, so only the QUIC sweep
         # can show shaped hosts were not skipped.
         assert fast["stats"]["path_drops"] > 0

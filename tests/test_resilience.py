@@ -318,17 +318,21 @@ def test_stage_health_prints_in_stage_table_order():
 # -- graceful degradation ------------------------------------------------------
 
 
-_ORIGINAL_SHARD = Campaign.compute_stage_shard
+def _boom(monkeypatch):
+    """Make syn_v4 raise at the entry points serial and stream runs share."""
+    for entry in ("compute_stage_range", "compute_stage_chunk"):
+        compute = getattr(Campaign, entry)
 
+        def boom(campaign, name, lo, payload, compute=compute):
+            if name == "syn_v4":
+                raise RuntimeError("injected stage failure")
+            return compute(campaign, name, lo, payload)
 
-def _boom(campaign, name, shard, of):
-    if name == "syn_v4":
-        raise RuntimeError("injected stage failure")
-    return _ORIGINAL_SHARD(campaign, name, shard, of)
+        monkeypatch.setattr(Campaign, entry, boom)
 
 
 def test_serial_stage_failure_degrades_gracefully(monkeypatch):
-    monkeypatch.setattr(Campaign, "compute_stage_shard", _boom)
+    _boom(monkeypatch)
     campaign = Campaign(CampaignConfig(scale=FAULT_SCALE, seed=31))
     counts = campaign.run_all_stages()  # must not raise
     assert campaign.syn_v4 == []
@@ -350,7 +354,7 @@ def test_serial_stage_failure_degrades_gracefully(monkeypatch):
 
 
 def test_degraded_stage_is_not_cached(monkeypatch, tmp_path):
-    monkeypatch.setattr(Campaign, "compute_stage_shard", _boom)
+    _boom(monkeypatch)
     campaign = Campaign(
         CampaignConfig(scale=FAULT_SCALE, seed=31), cache_dir=tmp_path
     )

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.scanners.io import dump_record, load_record, read_jsonl, write_jsonl
+from repro.scanners.io import dump_record, write_jsonl
+
+from tests.record_reader import load_record, read_jsonl
 
 
 def test_zmap_records_roundtrip(tmp_path, tiny_campaign):

@@ -30,7 +30,7 @@ from repro.tls.extensions import ExtensionType
 from repro.tls.messages import ClientHello
 from repro.http.h1 import HttpResponse
 
-from tests.sweep_oracle import use_reference_sweep
+from tests.sweep_oracle import iter_range, use_reference_sweep
 
 
 # -- permutation -----------------------------------------------------------------
@@ -77,28 +77,25 @@ def test_permutation_complete_property(size):
 def test_positions_of_inverts_the_walk(size):
     for seed in range(3):
         permutation = CyclicGroupPermutation(size, DeterministicRandom(("inv", seed)))
-        assert permutation.positions_of(range(size)) == list(permutation.iter_shard(0, 1))
+        assert permutation.positions_of(range(size)) == list(iter_range(permutation))
 
 
 @pytest.mark.parametrize("size", [3, 10, 255, 256, 1000, 4096])
-def test_positions_of_filters_like_the_shard_and_range_walks(size):
+def test_positions_of_filters_like_the_range_walk(size):
     for seed in range(3):
         permutation = CyclicGroupPermutation(size, DeterministicRandom(("inv", seed)))
         cycle = permutation.cycle_length
-        serial = list(permutation.iter_shard(0, 1))
+        serial = list(iter_range(permutation))
         # Positions the walk steps over: their element lies beyond the space.
         beyond = sorted(set(range(cycle)) - {position for position, _ in serial})
         assert len(beyond) == cycle - size
-        walks = [(permutation.shard_walk(s, of), permutation.iter_shard(s, of))
-                 for of in (1, 2, 3, 7) for s in range(of)]
         blocks = [(0, 0), (0, cycle), (cycle // 3, cycle // 2), (cycle // 2, cycle // 2),
                   (cycle - 1, cycle), (cycle, cycle)]
         blocks += [(position, position + 1) for position in beyond]  # empty: nothing visited
         blocks += [(max(0, position - 1), min(cycle, position + 2)) for position in beyond]
-        walks += [(permutation.range_walk(lo, hi), permutation.iter_range(lo, hi))
-                  for lo, hi in blocks]
-        for walk, reference in walks:
-            expected = list(reference)
+        for lo, hi in blocks:
+            walk = permutation.range_walk(lo, hi)
+            expected = list(iter_range(permutation, lo, hi))
             assert permutation.positions_of(range(size), walk) == expected, walk
             assert permutation.visited_in(walk) == len(expected), walk
             # A subset comes back filtered, still in walk order.
@@ -113,9 +110,10 @@ def test_positions_of_filters_like_the_shard_and_range_walks(size):
 
 def test_the_slash_14_walk_steps_over_two_elements():
     permutation = CyclicGroupPermutation(1 << 18, DeterministicRandom("inv"))
-    full = permutation.shard_walk(0, 1)
-    assert permutation.cycle_length - permutation.visited_in(full) == 2
-    thirds = [permutation.visited_in(permutation.shard_walk(s, 3)) for s in range(3)]
+    cycle = permutation.cycle_length
+    assert cycle - permutation.visited_in(permutation.range_walk(0, cycle)) == 2
+    cuts = [0, cycle // 3, 2 * cycle // 3, cycle]
+    thirds = [permutation.visited_in((lo, hi)) for lo, hi in zip(cuts, cuts[1:])]
     assert sum(thirds) == 1 << 18
 
 
@@ -127,9 +125,9 @@ def test_positions_of_rejects_out_of_space_and_ignores_duplicates():
         with pytest.raises(ValueError):
             permutation.positions_of([5, index])
     with pytest.raises(ValueError):
-        permutation.shard_walk(3, 3)
-    with pytest.raises(ValueError):
         permutation.range_walk(5, permutation.cycle_length + 1)
+    with pytest.raises(ValueError):
+        permutation.range_walk(-1, 5)
 
 
 def test_permutations_compare_by_their_parameters():
@@ -273,15 +271,10 @@ _QUEUED_REPLY_CASES = {
 
 
 @pytest.mark.parametrize(
-    "case,of",
-    [
-        (case, of)
-        for case in sorted(_QUEUED_REPLY_CASES)
-        for of in (1, 3)
-        if case != "past-the-block" or of == 1  # a block is contiguous
-    ],
+    "case,walk_seed",
+    [(case, walk_seed) for case in sorted(_QUEUED_REPLY_CASES) for walk_seed in (1, 3)],
 )
-def test_queued_reply_is_drained_by_the_next_probe_sent(case, of, monkeypatch):
+def test_queued_reply_is_drained_by_the_next_probe_sent(case, walk_seed, monkeypatch):
     """A reply still queued when its probe returns belongs to the next
     address the walk sends to, whatever that address is.
 
@@ -294,11 +287,12 @@ def test_queued_reply_is_drained_by_the_next_probe_sent(case, of, monkeypatch):
     cases reaches this branch (no generated endpoint, fault or path
     profile leaves a reply queued), so this synthetic /25 — a /24 has
     no element beyond the space, 257 being prime — and the list case
-    below are its only cover.
+    below are its only cover.  Two walk seeds (two generators) give
+    the doubling endpoint different neighbours in the walk.
     """
     space = Prefix.parse("10.0.0.0/25")
     source = IPv4Address.parse("198.51.100.9")
-    seed = ("queued-reply", of)
+    seed = ("queued-reply", walk_seed)
     permutation = sweep_permutation(seed, space)
     cycle = permutation.cycle_length
     inside = [permutation.index_at(position) is not None for position in range(cycle)]
@@ -306,16 +300,15 @@ def test_queued_reply_is_drained_by_the_next_probe_sent(case, of, monkeypatch):
     want_gap = case == "beyond-the-space"
     k = next(
         k
-        for k in range(cycle - 3 * of)
-        if inside[k] and inside[k + of] != want_gap and inside[k + 2 * of] and inside[k + 3 * of]
+        for k in range(cycle - 3)
+        if inside[k] and inside[k + 1] != want_gap and inside[k + 2] and inside[k + 3]
     )
-    if case == "past-the-block":
-        sweep = lambda scanner: scanner.scan_ipv4_range(space, 0, k + 1)
-    else:
-        sweep = lambda scanner: scanner.scan_ipv4_space_shard(space, k % of, of)
+    sweep = lambda scanner: scanner.scan_ipv4_range(
+        space, 0, k + 1 if case == "past-the-block" else cycle
+    )
 
     def at(steps):
-        return space.address_at(permutation.index_at(k + steps * of))
+        return space.address_at(permutation.index_at(k + steps))
 
     def observe():
         network = Network()
@@ -340,7 +333,7 @@ def test_queued_reply_is_drained_by_the_next_probe_sent(case, of, monkeypatch):
     slow = observe()
     assert fast == slow
     assert [position for position, _ in fast["records"]] == [
-        k + steps * of for steps in _QUEUED_REPLY_CASES[case]
+        k + steps for steps in _QUEUED_REPLY_CASES[case]
     ]
     # The doubled reply keeps its sender's address under the later tag.
     assert [record.address for _, record in fast["records"][:2]] == [at(0)] * min(

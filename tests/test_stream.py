@@ -19,6 +19,8 @@ from repro.parallel import stream as stream_module
 from repro.scanners.permutation import CyclicGroupPermutation
 from repro.scanners.retry import RetryPolicy
 
+from tests.sweep_oracle import iter_range
+
 STREAM_SCALE = Scale(addresses=20_000, ases=200, domains=20_000)
 
 
@@ -37,7 +39,7 @@ def test_ranges_partition_exactly(size, chunks):
         permutation = CyclicGroupPermutation(size, rngs[chunk + 1])
         lo = chunk * cycle // chunks
         hi = (chunk + 1) * cycle // chunks
-        block = list(permutation.iter_range(lo, hi))
+        block = list(iter_range(permutation, lo, hi))
         # Positions are absolute and strictly increasing: each block is
         # a contiguous segment of the serial order, so completed blocks
         # form a prefix — the property streaming is built on.
@@ -46,25 +48,26 @@ def test_ranges_partition_exactly(size, chunks):
     assert merged == serial
 
 
-def test_range_bounds_validated():
-    permutation = CyclicGroupPermutation(100, DeterministicRandom("x"))
-    with pytest.raises(ValueError):
-        list(permutation.iter_range(5, permutation.cycle_length + 1))
-    with pytest.raises(ValueError):
-        list(permutation.iter_range(-1, 5))
-
-
-def test_range_sweep_matches_shard_sweep(tiny_campaign):
-    """Chunked contiguous sweeps equal the interleaved-shard sweep."""
+def test_range_bounds_validated(tiny_campaign):
     scanner = tiny_campaign._zmap_scanner(4)
     space = tiny_campaign.world.ipv4_space
-    serial = scanner.scan_ipv4_space_shard(space, 0, 1)
+    with pytest.raises(ValueError):
+        scanner.scan_ipv4_range(space, 5, scanner.sweep_cycle_length(space) + 1)
+    with pytest.raises(ValueError):
+        scanner.scan_ipv4_range(space, -1, 5)
+
+
+def test_range_sweeps_concatenate_to_the_full_sweep(tiny_campaign):
+    """Chunked contiguous sweeps equal one sweep of the whole space."""
+    scanner = tiny_campaign._zmap_scanner(4)
+    space = tiny_campaign.world.ipv4_space
     cycle = scanner.sweep_cycle_length(space)
     chunked = []
     for k in range(5):
         lo, hi = k * cycle // 5, (k + 1) * cycle // 5
         chunked.extend(scanner.scan_ipv4_range(space, lo, hi))
-    assert chunked == serial
+    assert [position for position, _ in chunked] == sorted(p for p, _ in chunked)
+    assert [record for _, record in chunked] == scanner.scan_ipv4_space(space)
 
 
 # -- streaming campaign == serial campaign ------------------------------------
