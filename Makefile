@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test docs-check shapes scale-sweep bench bench-smoke bench-check bench-profile reach report artefacts interop chaos chaos-smoke conform conform-smoke fuzz-smoke warehouse-smoke longitudinal-smoke matrix-smoke fleet-smoke clean
+.PHONY: test docs-check shapes scale-sweep bench-smoke bench-profile reach report artefacts interop chaos chaos-smoke conform conform-smoke fuzz-smoke warehouse-smoke longitudinal-smoke matrix-smoke fleet-smoke clean
 
 # chaos-smoke keeps the fault-injection/degradation path exercised,
 # fuzz-smoke the wire-format conformance suite, conform-smoke the
@@ -37,7 +37,7 @@ scale-sweep:
 	$(PYTHON) benchmarks/scale_sweep.py
 
 # Reach map, not part of `make test` (a minute or two): the outermost
-# functions in src/ that twenty-four CLI runs never enter, pool workers
+# functions in src/ that twenty-five CLI runs never enter, pool workers
 # included, per module.
 reach:
 	$(PYTHON) benchmarks/reach.py
@@ -69,11 +69,6 @@ fuzz-smoke:
 # byte-identical, records and metrics.json both.
 conform-smoke:
 	$(PYTHON) -m repro conform --seed 9000 --iterations 200 --diff-workers 2
-
-# Full benchmark run: overwrites BENCH_scan.json and appends one JSON
-# line to BENCH_history.jsonl so rate trends survive the overwrite.
-bench:
-	$(PYTHON) -m repro bench --output BENCH_scan.json --history BENCH_history.jsonl
 
 # Fast cold serial-vs-parallel overhead gate on a small world; fails
 # when parallel cold exceeds 1.25x serial, the streaming pipeline
@@ -133,12 +128,6 @@ fleet-smoke:
 bench-profile:
 	$(PYTHON) -m repro bench --profile
 
-# Full regression gate: re-runs the benchmarks and compares the probe
-# and handshake rates against the committed BENCH_scan.json baseline
-# (which is left untouched; the fresh run lands in BENCH_scan.json.check).
-bench-check:
-	$(PYTHON) -m repro bench --check --workers 2
-
 report:
 	$(PYTHON) -m repro report
 
@@ -149,5 +138,5 @@ interop:
 	$(PYTHON) -m repro interop
 
 clean:
-	rm -rf .cache BENCH_scan.json BENCH_scan.json.check metrics.json
+	rm -rf .cache metrics.json
 	find . -name __pycache__ -type d -prune -exec rm -rf {} +

@@ -1,6 +1,6 @@
 """Reach map: the outermost functions in ``src/`` no product command enters.
 
-Twenty-four CLI runs (1:200,000; ``artefacts`` at 1:20,000), each in a child
+Twenty-five CLI runs (1:200,000; ``artefacts`` at 1:20,000), each in a child
 whose ``sitecustomize`` installs a profile hook at start-up; every process,
 pool workers included, appends each code object it first enters to a
 per-pid file as it goes (workers leave via ``os._exit``).  ``make reach``.
@@ -36,7 +36,7 @@ def runs(tmp: str):
         ["chaos", "--profile", "flaky-edge", *S, "--retries", "2"],
         ["conform", "--seed", "9000", "--iterations", "200", "--fleet",
          "--metrics-out", f"{tmp}/conform.json"],
-        ["bench", "--smoke", "--workers", "2", "--output", f"{tmp}/b", "--history", f"{tmp}/h"],
+        ["bench", "--smoke", "--workers", "2"], ["bench", "--profile", "--scale", "200000", "--top", "5"],
         [*matrix, *db, "--fleet-jobs", "2"], [*matrix, "--db", f"{tmp}/m.sqlite", "--fleet-jobs", "1"],
         ["matrix", "--profiles", "baseline,lossy-edge", *S, "--db", f"{tmp}/p.sqlite"],
         series, [*series, "--resume"],  # the first is killed mid-week 17

@@ -13,7 +13,9 @@ Subcommands:
   trace — see ``docs/OBSERVABILITY.md``,
 - ``artefacts``   — regenerate every table and figure (the
   EXPERIMENTS.md content),
-- ``bench``       — run the scan-engine benchmarks, write BENCH_scan.json,
+- ``bench``       — ``--smoke``: the scan-engine smoke gate (parallel
+  overhead, pipeline overlap, stage health); ``--profile``: cProfile
+  each campaign stage,
 - ``chaos``       — run a campaign under a named fault profile (see
   ``repro.netsim.faults``) with scanner retries enabled and render the
   resilience report — stage health, faults injected, retry tallies;
@@ -72,7 +74,7 @@ from repro.experiments.ablations import (
 from repro.experiments.figures import fig3, fig4, fig5, fig6, fig7, fig8, fig9
 from repro.experiments.tables import table1, table2, table3, table4, table5, table6
 from repro.internet.generator import AddressSpaceExhausted
-from repro.internet.providers import Scale, scale_for
+from repro.internet.providers import scale_for
 
 __all__ = ["main", "EXPERIMENTS"]
 
@@ -333,112 +335,30 @@ def _print_streaming(results) -> None:
 
 
 def _cmd_bench(args) -> int:
-    import json
-    from pathlib import Path
-
-    from repro.perf import check_benchmarks, run_profile, run_smoke, write_benchmarks
+    from repro.perf import check_benchmarks, run_profile, run_smoke
 
     if args.profile:
         sections = run_profile(
-            week=args.week,
-            seed=args.seed,
-            scale=Scale(
-                addresses=args.scale,
-                ases=max(1, args.scale // 100),
-                domains=args.scale,
-            ),
-            top=args.top,
+            scale_for(args.scale), week=args.week, seed=args.seed, top=args.top
         )
         for section in sections:
             print(f"== {section['stage']} ({section['records']} records) ==")
             print(section["stats"])
         return 0
 
-    if args.smoke:
-        results = run_smoke(week=args.week, seed=args.seed, workers=args.workers or 2)
-        campaign = results["campaign"]
-        serial = campaign["serial_cold_seconds"]
-        parallel = campaign["parallel_cold_seconds"]
-        ratio = round(parallel / serial, 2) if serial else None
-        print(f"bench smoke (scale {results['scale']['addresses']}):")
-        print(f"  serial cold:       {serial}s")
-        print(f"  parallel cold:     {parallel}s ({ratio}x serial)")
-        _print_streaming(results)
-        failures = check_benchmarks(results)
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        return 1 if failures else 0
-
-    baseline = None
-    if args.check:
-        baseline_path = Path(args.output)
-        if baseline_path.exists():
-            baseline = json.loads(baseline_path.read_text())
-
-    results = write_benchmarks(
-        Path(args.output) if not args.check else Path(args.output + ".check"),
-        history_path=None if args.check else Path(args.history),
-        week=args.week,
-        seed=args.seed,
-        scale=Scale(
-            addresses=args.scale, ases=max(1, args.scale // 100), domains=args.scale
-        ),
-        workers=args.workers or None,
-        cache_dir=args.cache_dir,
-    )
+    results = run_smoke(week=args.week, seed=args.seed, workers=args.workers)
     campaign = results["campaign"]
-    destination = args.output if not args.check else args.output + ".check"
-    print(f"wrote {destination}")
-    print(f"  probes/sec:        {results['zmap_probe_rate']['probes_per_sec']:,.0f}")
-    print(
-        "  handshakes/sec:    "
-        f"{results['qscanner_handshake_rate']['handshakes_per_sec']:,.1f}"
-    )
-    crypto = results["crypto"]
-    print(
-        f"  real crypto:       {crypto['real_handshakes_per_sec']:,.1f} handshakes/sec,"
-        f" AES-128-GCM seal {crypto['aes128gcm_seal_mb_per_sec']} MB/s"
-    )
-    print(f"  serial cold:       {campaign['serial_cold_seconds']}s")
-    print(
-        f"  parallel cold:     {campaign['parallel_cold_seconds']}s "
-        f"({results['workers']} workers, {campaign['parallel_speedup']}x)"
-    )
-    print(
-        f"  warm stage cache:  {campaign['cache_warm_seconds']}s "
-        f"({campaign['warm_cache_speedup']}x)"
-    )
-    warehouse = results.get("warehouse")
-    if warehouse:
-        print(
-            f"  warehouse load:    {warehouse['rows_loaded']:,} rows in"
-            f" {warehouse['load_seconds']}s ({warehouse['rows_per_sec']:,.0f}/s,"
-            f" QA {warehouse['qa_passed']} passed)"
-        )
-    matrix = results.get("matrix")
-    if matrix:
-        print(
-            f"  matrix sweep:      {matrix['cells_complete']}/{matrix['cells']} cells"
-            f" in {matrix['matrix_seconds']}s ({matrix['cells_per_minute']}"
-            f" cells/min, {matrix['per_cell_overhead']}x bare campaign)"
-        )
-    fleet = results.get("fleet")
-    if fleet:
-        print(
-            f"  fleet sweep:       {fleet['cells']} cells in"
-            f" {fleet['fleet_seconds']}s ({fleet['cells_per_minute']}"
-            f" cells/min, {fleet['speedup']}x sequential,"
-            f" {fleet['world_reuse_hits']} world reuse hits,"
-            f" {fleet['pool_respawns']} pool respawns,"
-            f" overlap {fleet['overlap_ratio']}x)"
-        )
+    serial = campaign["serial_cold_seconds"]
+    parallel = campaign["parallel_cold_seconds"]
+    ratio = round(parallel / serial, 2) if serial else None
+    print(f"bench smoke (scale {results['scale']['addresses']}):")
+    print(f"  serial cold:       {serial}s")
+    print(f"  parallel cold:     {parallel}s ({ratio}x serial)")
     _print_streaming(results)
-    if args.check:
-        failures = check_benchmarks(results, baseline=baseline)
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        return 1 if failures else 0
-    return 0
+    failures = check_benchmarks(results)
+    for failure in failures:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def _cmd_load(args) -> int:
@@ -719,37 +639,26 @@ def main(argv: Optional[List[str]] = None) -> int:
     interop_parser.set_defaults(func=_cmd_interop)
 
     bench_parser = subparsers.add_parser(
-        "bench", help="run the scan-engine benchmarks, write BENCH_scan.json"
+        "bench", help="run the scan-engine smoke gate or profile each stage"
     )
     bench_parser.add_argument("--week", type=int, default=18)
     bench_parser.add_argument("--seed", type=int, default=0)
     bench_parser.add_argument(
-        "--scale", type=int, default=20_000, help="benchmark world size (addresses)"
+        "--scale",
+        type=int,
+        default=20_000,
+        help="--profile world-scale divisor (default 20000)",
     )
     bench_parser.add_argument(
-        "--workers", type=int, default=0, help="worker count (default: all cores)"
+        "--workers", type=int, default=2, help="--smoke worker count (default 2)"
     )
-    bench_parser.add_argument(
-        "--cache-dir", default=None, help="reuse this stage-cache directory"
-    )
-    bench_parser.add_argument("--output", default="BENCH_scan.json")
-    bench_parser.add_argument(
-        "--history",
-        default="BENCH_history.jsonl",
-        help="append each full run to this JSONL history file",
-    )
-    bench_parser.add_argument(
-        "--check",
-        action="store_true",
-        help="regression gate: compare against the committed --output baseline "
-        "without overwriting it; nonzero exit on failure",
-    )
-    bench_parser.add_argument(
+    bench_mode = bench_parser.add_mutually_exclusive_group(required=True)
+    bench_mode.add_argument(
         "--smoke",
         action="store_true",
-        help="fast cold serial-vs-parallel overhead gate (no baseline file)",
+        help="cold serial-vs-parallel overhead and pipeline gate; nonzero exit on failure",
     )
-    bench_parser.add_argument(
+    bench_mode.add_argument(
         "--profile",
         action="store_true",
         help="cProfile each campaign stage serially and print the top functions",

@@ -170,6 +170,28 @@ def test_series_completes_with_checkpoints(ref):
         conn.close()
 
 
+def test_resume_over_a_complete_ledger_runs_no_week(ref, tmp_path, monkeypatch):
+    """A no-op resume reads the ledger and skips: it enters no week."""
+    db_path, config, result = ref
+    copy = tmp_path / "wh.sqlite"
+    source, target = sqlite3.connect(db_path), sqlite3.connect(copy)
+    try:
+        source.backup(target)
+    finally:
+        source.close()
+        target.close()
+
+    def _no_week(*_args, **_kwargs):
+        raise AssertionError("a complete week was run again")
+
+    monkeypatch.setattr(LongitudinalScheduler, "_run_week_with_retries", _no_week)
+    resumed = _run_series(copy, config, resume=True)
+    assert resumed.exit_code == 0
+    assert [(s.week, s.status, s.attempts) for s in resumed.weeks] == [
+        (s.week, "complete", s.attempts) for s in result.weeks
+    ]
+
+
 def test_delta_weeks_diff_against_previous_completed_week(ref):
     _db, _config, result = ref
     by_week = {state.week: state for state in result.weeks}

@@ -1,36 +1,133 @@
-"""The legacy bench's real-crypto section and the gate that holds it, and
-the count gates on per-scanner / per-chain handshake work, on state left
-behind by closed connections, on what a stateless sweep visits and on
-the keys a world build generates."""
+"""The smoke gate's failure lines, the real-crypto scanner no campaign
+stage runs, and the count gates on per-scanner / per-chain handshake
+work, on state left behind by closed connections, on what a stateless
+sweep visits and on the keys a world build generates."""
+
+import pytest
 
 from repro.experiments.campaign import CampaignConfig
 from repro.internet.providers import Scale
-from repro.perf import REAL_CRYPTO_SAMPLE, _bench_crypto, check_benchmarks
+from repro.perf import check_benchmarks
 
 
-def test_crypto_section_measures_real_handshakes():
-    config = CampaignConfig(week=18, scale=Scale(addresses=200_000, ases=4_000, domains=200_000))
-    section = _bench_crypto(config)
-    assert 0 < section["real_handshakes"] <= REAL_CRYPTO_SAMPLE
-    assert section["real_handshakes_per_sec"] > 0
-    assert section["aes128gcm_seal_mb_per_sec"] > 0
+def _smoke_document(cores=2, parallel=0.9, pipeline=1.4, unhealthy=(), **streaming):
+    """A ``run_smoke`` document with the fields the gate reads; serial
+    cold is 1 s, and each ``unhealthy`` stage is ``degraded``."""
+    from repro.experiments.stages import STAGE_NAMES
+
+    telemetry = {
+        "tasks": 40,
+        "overlap_ratio": 1.8,
+        "queue_depth_max": 3,
+        "backpressure_stalls": 0,
+        "queue_limit": 8,
+    }
+    telemetry.update(streaming)
+    return {
+        "cpu_count": cores,
+        "workers": 2,
+        "campaign": {
+            "serial_cold_seconds": 1.0,
+            "parallel_cold_seconds": parallel,
+            "pipeline_speedup": pipeline,
+        },
+        "streaming": {key: value for key, value in telemetry.items() if value is not None},
+        "stage_health": {
+            name: "degraded" if name in unhealthy else "success" for name in STAGE_NAMES
+        },
+    }
 
 
-def test_crypto_rates_are_held_to_the_baseline_when_it_has_them():
-    baseline = {"crypto": {"aes128gcm_seal_mb_per_sec": 4.0, "real_handshakes_per_sec": 200.0}}
-    held = {"crypto": {"aes128gcm_seal_mb_per_sec": 3.3, "real_handshakes_per_sec": 161.0}}
-    assert check_benchmarks(held, baseline=baseline) == []
-    slow = {"crypto": {"aes128gcm_seal_mb_per_sec": 3.1, "real_handshakes_per_sec": 159.0}}
-    failures = check_benchmarks(slow, baseline=baseline)
-    assert len(failures) == 2
-    assert "crypto.aes128gcm_seal_mb_per_sec" in failures[0]
-    assert "crypto.real_handshakes_per_sec" in failures[1]
+@pytest.mark.parametrize(
+    "document",
+    [
+        _smoke_document(),
+        _smoke_document(parallel=1.25),
+        _smoke_document(cores=1, parallel=1.55),
+        _smoke_document(pipeline=0.75),
+        _smoke_document(cores=1, pipeline=0.5),
+    ],
+    ids=["clean", "at-budget", "starved-budget", "at-floor", "starved-floor"],
+)
+def test_clean_smoke_document_passes(document):
+    assert check_benchmarks(document) == []
 
 
-def test_baseline_without_a_crypto_section_passes():
-    results = {"crypto": {"aes128gcm_seal_mb_per_sec": 0.1, "real_handshakes_per_sec": 1.0}}
-    assert check_benchmarks(results, baseline={"zmap_probe_rate": {}}) == []
-    assert check_benchmarks(results, baseline=None) == []
+_COLLAPSE = "pipeline collapse: streaming speedup {} over the staged stage sum is below {}"
+
+
+@pytest.mark.parametrize(
+    "document, line",
+    [
+        pytest.param(
+            _smoke_document(parallel=1.26),
+            "parallel overhead: 1.260s cold with workers > 1.25 x 1.000s serial",
+            id="overhead",
+        ),
+        pytest.param(
+            _smoke_document(cores=1, parallel=1.61),
+            "parallel overhead: 1.610s cold with workers > 1.6 x 1.000s serial",
+            id="starved-overhead",
+        ),
+        pytest.param(
+            _smoke_document(pipeline=0.74), _COLLAPSE.format(0.74, 0.75), id="pipeline"
+        ),
+        pytest.param(
+            _smoke_document(cores=1, pipeline=0.49),
+            _COLLAPSE.format(0.49, 0.5),
+            id="starved-pipeline",
+        ),
+        pytest.param(
+            _smoke_document(tasks=0), "streaming engine recorded no tasks", id="no-tasks"
+        ),
+        *[
+            pytest.param(
+                _smoke_document(**{counter: None}),
+                f"streaming telemetry missing {counter}",
+                id=f"no-{counter}",
+            )
+            for counter in ("queue_depth_max", "backpressure_stalls", "queue_limit")
+        ],
+        pytest.param(
+            _smoke_document(overlap_ratio=1.0),
+            "streaming overlap_ratio 1.0 shows no stage overlap",
+            id="no-overlap",
+        ),
+        pytest.param(
+            _smoke_document(unhealthy=("qscan_sni_v4",)),
+            "stage health not clean: {'qscan_sni_v4': 'degraded'}",
+            id="unhealthy",
+        ),
+    ],
+)
+def test_each_smoke_failure_line_fires(document, line):
+    assert check_benchmarks(document) == [line]
+
+
+def test_real_crypto_scanner_negotiates_aes128gcm():
+    """The A4 scanner against a real-crypto world: what scanbench's
+    ``handshakes_real_aead`` times, held to its outcomes."""
+    from repro.experiments.ablations import crypto_mode_scanner
+    from repro.experiments.campaign import Campaign
+    from repro.scanners.results import QScanOutcome
+
+    config = CampaignConfig(
+        week=18,
+        scale=Scale(addresses=200_000, ases=4_000, domains=200_000),
+        fast_crypto=False,
+    )
+    campaign = Campaign(config)
+    targets = campaign._zmap_compatible(campaign.zmap_v4)[:40]
+    scanner = crypto_mode_scanner(campaign, fast=False)
+    records = [scanner.scan(record.address, None) for record in targets]
+    successes = [record for record in records if record.outcome is QScanOutcome.SUCCESS]
+    assert successes
+    assert {record.cipher_suite for record in successes} == {"TLS_AES_128_GCM_SHA256"}
+    assert not [
+        record.error_reason
+        for record in records
+        if (record.error_reason or "").startswith("protocol-error:")
+    ]
 
 
 def test_handshake_fixed_costs_are_paid_per_scanner_and_per_chain(monkeypatch, signature_checks):
