@@ -334,6 +334,25 @@ def _print_streaming(results) -> None:
         print(f"  stage health:      {unhealthy}")
 
 
+# Each ``bench`` mode's own options, with their defaults.  An option of
+# the other mode is an error, not silently ignored.
+_BENCH_MODE_OPTIONS = {
+    "profile": {"scale": 20_000, "top": 15},
+    "smoke": {"workers": 2},
+}
+
+
+def _check_bench_mode(parser: argparse.ArgumentParser, args) -> None:
+    """Reject an option of the mode not chosen; fill in the chosen mode's defaults."""
+    mode, other = ("profile", "smoke") if args.profile else ("smoke", "profile")
+    for name in _BENCH_MODE_OPTIONS[other]:
+        if getattr(args, name) is not None:
+            parser.error(f"--{name} applies only to --{other}")
+    for name, default in _BENCH_MODE_OPTIONS[mode].items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+
+
 def _cmd_bench(args) -> int:
     from repro.perf import check_benchmarks, run_profile, run_smoke
 
@@ -646,11 +665,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     bench_parser.add_argument(
         "--scale",
         type=int,
-        default=20_000,
-        help="--profile world-scale divisor (default 20000)",
+        default=None,
+        help="--profile only: world-scale divisor (default 20000)",
     )
     bench_parser.add_argument(
-        "--workers", type=int, default=2, help="--smoke worker count (default 2)"
+        "--workers", type=int, default=None, help="--smoke only: worker count (default 2)"
     )
     bench_mode = bench_parser.add_mutually_exclusive_group(required=True)
     bench_mode.add_argument(
@@ -666,8 +685,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     bench_parser.add_argument(
         "--top",
         type=int,
-        default=15,
-        help="functions per stage in --profile output (default 15)",
+        default=None,
+        help="--profile only: functions per stage in the output (default 15)",
     )
     bench_parser.set_defaults(func=_cmd_bench)
 
@@ -906,6 +925,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     longitudinal_parser.set_defaults(func=_cmd_longitudinal)
 
     args = parser.parse_args(argv)
+    if args.command == "bench":
+        _check_bench_mode(bench_parser, args)
     try:
         return args.func(args)
     except AddressSpaceExhausted as error:

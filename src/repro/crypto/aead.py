@@ -6,8 +6,8 @@ Two providers exist:
   RFC 9001 Appendix A test vectors.  Always used for QUIC Initial
   packet protection (the long-header packets the paper's ZMap module
   and QScanner emit on the wire are bit-exact RFC 9001 packets).
-- :class:`AeadSim` — a fast simulation AEAD (SHA-256 counter keystream
-  with an HMAC-SHA256 tag truncated to 16 bytes).  Negotiated only via
+- :class:`AeadSim` — a fast simulation AEAD (SHAKE-256 keystream with
+  an HMAC-SHA256 tag truncated to 16 bytes).  Negotiated only via
   the repository's private cipher-suite code point and only between our
   own client and server stacks, this keeps campaign-scale scans (tens
   of thousands of full handshakes) tractable in pure Python.  The
@@ -24,7 +24,7 @@ import hashlib
 import hmac
 from functools import lru_cache
 
-from repro.crypto.gcm import AesGcm, GcmAuthenticationError, xor_bytes
+from repro.crypto.gcm import AesGcm, GcmAuthenticationError
 from repro.crypto.hkdf import hmac_digest
 
 __all__ = [
@@ -71,7 +71,9 @@ class AeadSim:
     lengths match AES-GCM (16-byte expansion).  The keystream is one
     SHAKE-256 XOF call over (key || nonce) — a single C-level squeeze
     instead of a Python loop of per-block SHA-256 calls, which
-    dominated record protection at campaign scale.
+    dominated record protection at campaign scale — XORed in as one
+    big integer; the tag is HMAC-SHA256(key, nonce || aad ||
+    ciphertext) truncated to 16 bytes.
     """
 
     tag_length = 16
@@ -79,25 +81,29 @@ class AeadSim:
     def __init__(self, key: bytes):
         self._key = key
 
-    def _keystream(self, nonce: bytes, length: int) -> bytes:
-        return hashlib.shake_256(self._key + nonce).digest(length)
-
-    def _tag(self, nonce: bytes, aad: bytes, ciphertext: bytes) -> bytes:
-        return hmac_digest(self._key, nonce + aad + ciphertext)[:16]
-
     def seal(self, nonce: bytes, plaintext: bytes, aad: bytes) -> bytes:
-        keystream = self._keystream(nonce, len(plaintext))
-        ciphertext = xor_bytes(plaintext, keystream)
-        return ciphertext + self._tag(nonce, aad, ciphertext)
+        key = self._key
+        length = len(plaintext)
+        keystream = hashlib.shake_256(key + nonce).digest(length)
+        ciphertext = (
+            int.from_bytes(plaintext, "big") ^ int.from_bytes(keystream, "big")
+        ).to_bytes(length, "big")
+        return ciphertext + hmac_digest(key, nonce + aad + ciphertext)[:16]
 
     def open(self, nonce: bytes, data: bytes, aad: bytes) -> bytes:
-        if len(data) < self.tag_length:
+        key = self._key
+        length = len(data) - 16
+        if length < 0:
             raise AeadError("ciphertext shorter than tag")
-        ciphertext, tag = data[: -self.tag_length], data[-self.tag_length :]
-        if not hmac.compare_digest(tag, self._tag(nonce, aad, ciphertext)):
+        ciphertext = data[:length]
+        if not hmac.compare_digest(
+            data[length:], hmac_digest(key, nonce + aad + ciphertext)[:16]
+        ):
             raise AeadError("simulated AEAD tag mismatch")
-        keystream = self._keystream(nonce, len(ciphertext))
-        return xor_bytes(ciphertext, keystream)
+        keystream = hashlib.shake_256(key + nonce).digest(length)
+        return (
+            int.from_bytes(ciphertext, "big") ^ int.from_bytes(keystream, "big")
+        ).to_bytes(length, "big")
 
 
 @lru_cache(maxsize=64)

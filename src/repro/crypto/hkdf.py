@@ -7,7 +7,7 @@ and QUIC packet protection key derivation (RFC 9001 §5.1).
 from __future__ import annotations
 
 import hashlib
-from functools import lru_cache
+from functools import lru_cache, partial
 
 __all__ = ["hkdf_extract", "hkdf_expand", "hkdf_expand_label", "hmac_digest"]
 
@@ -16,6 +16,13 @@ __all__ = ["hkdf_extract", "hkdf_expand", "hkdf_expand_label", "hmac_digest"]
 # sizes for HKDF-Expand's length bound.
 _BLOCK_SIZES = {"sha256": 64, "sha224": 64, "sha1": 64, "md5": 64, "sha384": 128, "sha512": 128}
 _DIGEST_SIZES = {"sha256": 32, "sha224": 28, "sha1": 20, "md5": 16, "sha384": 48, "sha512": 64}
+
+# The HMAC hashes by name: (constructor, block size).  The constructors
+# skip ``hashlib.new``'s Python-level dispatch; a name outside the table
+# still goes through it (and raises there), with the 64-byte block.
+_HMAC_HASHES = {
+    name: (getattr(hashlib, name), block) for name, block in _BLOCK_SIZES.items()
+}
 
 # XOR-with-constant as 256-byte translation tables (bytes.translate runs
 # the pad derivation at C speed).
@@ -38,13 +45,11 @@ def _hmac_contexts(key: bytes, hash_name: str):
     copy() the contexts, which is much cheaper than ``hmac.new`` and
     also skips the hmac module's per-call wrapper objects.
     """
-    block = _BLOCK_SIZES.get(hash_name, 64)
+    new, block = _HMAC_HASHES.get(hash_name) or (partial(hashlib.new, hash_name), 64)
     if len(key) > block:
-        key = hashlib.new(hash_name, key).digest()
+        key = new(key).digest()
     key = key.ljust(block, b"\x00")
-    inner = hashlib.new(hash_name, key.translate(_IPAD_TRANS))
-    outer = hashlib.new(hash_name, key.translate(_OPAD_TRANS))
-    return inner, outer
+    return new(key.translate(_IPAD_TRANS)), new(key.translate(_OPAD_TRANS))
 
 
 def hmac_digest(key: bytes, message: bytes, hash_name: str = "sha256") -> bytes:
@@ -110,15 +115,20 @@ def hkdf_expand_label(
     labels such as ``b"quic key"`` through this same construction
     (RFC 9001 §5.1).
 
+    Every TLS 1.3 and QUIC label asks for at most HashLen bytes, which
+    are the first HKDF-Expand block, ``T(1) = HMAC(secret, HkdfLabel ||
+    0x01)``: one HMAC, truncated.  A longer output takes the RFC 5869
+    loop.
+
     Memoised because every packet-protection key ladder expands the
     same handful of (secret, label) pairs on both endpoints.
     """
-    full_label = b"tls13 " + label
-    hkdf_label = (
-        length.to_bytes(2, "big")
-        + bytes([len(full_label)])
-        + full_label
-        + bytes([len(context)])
-        + context
+    # struct HkdfLabel: uint16 length, opaque label<7..255> ("tls13 " +
+    # label), opaque context<0..255>; then HKDF-Expand's block counter.
+    hkdf_label = b"%c%c%ctls13 %b%c%b" % (
+        length >> 8, length & 0xFF, 6 + len(label), label, len(context), context
     )
-    return hkdf_expand(secret, hkdf_label, length, hash_name)
+    okm = hmac_digest(secret, hkdf_label + b"\x01", hash_name)
+    if length > len(okm):
+        return hkdf_expand(secret, hkdf_label, length, hash_name)
+    return okm[:length]

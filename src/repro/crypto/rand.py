@@ -7,6 +7,7 @@ weekly scan campaign replays bit-identically.
 
 from __future__ import annotations
 
+import _random
 import hashlib
 import random
 from typing import Union
@@ -22,9 +23,11 @@ def derive_seed(*parts: Union[str, int, bytes]) -> int:
     """
     pieces = []
     for part in parts:
-        if isinstance(part, str):
+        if part.__class__ is int:
+            part = b"%d" % part
+        elif isinstance(part, str):
             part = part.encode()
-        elif isinstance(part, int):
+        elif isinstance(part, int):  # bool and other int subclasses: str()
             part = str(part).encode()
         pieces += (len(part).to_bytes(4, "big"), part)
     return int.from_bytes(hashlib.sha256(b"".join(pieces)).digest()[:8], "big")
@@ -37,12 +40,20 @@ def seed_value(seed: Union[str, int, bytes, tuple]) -> int:
     return seed if isinstance(seed, int) else derive_seed(seed)
 
 
+_SEED_TWISTER = _random.Random.seed
+
+
 class DeterministicRandom(random.Random):
     """A :class:`random.Random` with labelled child-generator support."""
 
     def __init__(self, seed: Union[str, int, bytes, tuple] = 0):
-        seed = seed_value(seed)
-        super().__init__(seed)
+        # ``random.Random.__init__`` would go through the Python-level
+        # ``Random.seed``, which hands an int straight to the C twister:
+        # this seeds it once, there, to the same state.
+        if not isinstance(seed, int):
+            seed = seed_value(seed)
+        _SEED_TWISTER(self, seed)
+        self.gauss_next = None
         self._seed_value = seed
 
     def child(self, *labels: Union[str, int, bytes]) -> "DeterministicRandom":

@@ -26,6 +26,8 @@ class AltSvcEntry:
 
 
 def _percent_decode(token: str) -> str:
+    if "%" not in token:
+        return token
     out = []
     i = 0
     while i < len(token):
@@ -76,21 +78,23 @@ def parse_alt_svc(value: str) -> List[AltSvcEntry]:
 
 
 def _split_commas(value: str) -> List[str]:
-    """Split on commas not inside quoted strings."""
+    """Split on commas not inside quoted strings.
+
+    A piece with an odd number of quotes ends inside a quoted string, so
+    the comma after it is literal and the next piece joins it.
+    """
     parts = []
-    current = []
-    in_quotes = False
-    for char in value:
-        if char == '"':
-            in_quotes = not in_quotes
-            current.append(char)
-        elif char == "," and not in_quotes:
-            parts.append("".join(current))
-            current = []
+    open_part = None
+    for piece in value.split(","):
+        if open_part is not None:
+            piece = open_part + "," + piece
+        if piece.count('"') % 2:
+            open_part = piece
         else:
-            current.append(char)
-    if current:
-        parts.append("".join(current))
+            open_part = None
+            parts.append(piece)
+    if open_part is not None:
+        parts.append(open_part)
     return [p for p in (part.strip() for part in parts) if p]
 
 

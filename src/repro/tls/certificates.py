@@ -17,8 +17,8 @@ measures is preserved:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 from repro.crypto.rand import DeterministicRandom
@@ -79,9 +79,18 @@ class Certificate:
         parts.append(self.public_key.e.to_bytes(4, "big"))
         return b"".join(parts)
 
-    def encode(self) -> bytes:
+    @cached_property
+    def _encoding(self) -> bytes:
         sig = self.signature
         return self.tbs_bytes() + len(sig).to_bytes(2, "big") + sig
+
+    @cached_property
+    def _fingerprint(self) -> str:
+        return hashlib.sha256(self._encoding).hexdigest()
+
+    def encode(self) -> bytes:
+        """The full encoding, computed once per certificate object."""
+        return self._encoding
 
     @classmethod
     def decode(cls, data: bytes) -> "Certificate":
@@ -123,8 +132,9 @@ class Certificate:
         )
 
     def fingerprint(self) -> str:
-        """SHA-256 fingerprint of the full encoding (Table 5 comparisons)."""
-        return hashlib.sha256(self.encode()).hexdigest()
+        """SHA-256 fingerprint of the full encoding (Table 5 comparisons),
+        computed once per certificate object."""
+        return self._fingerprint
 
     @property
     def self_signed(self) -> bool:
@@ -133,8 +143,11 @@ class Certificate:
 
 def hostname_matches(pattern: str, hostname: str) -> bool:
     """RFC 6125-style match with single left-most wildcard labels."""
-    pattern = pattern.lower().rstrip(".")
-    hostname = hostname.lower().rstrip(".")
+    return _matches(pattern.lower().rstrip("."), hostname.lower().rstrip("."))
+
+
+def _matches(pattern: str, hostname: str) -> bool:
+    """:func:`hostname_matches` on lower-cased names without a trailing dot."""
     if pattern == hostname:
         return True
     if pattern.startswith("*."):
@@ -162,9 +175,7 @@ class CertificateAuthority:
             public_key=self.key.public_key,
             is_ca=True,
         )
-        self.root = Certificate(
-            **{**root.__dict__, "signature": self.key.sign(root.tbs_bytes())}
-        )
+        self.root = replace(root, signature=self.key.sign(root.tbs_bytes()))
 
     def issue(
         self,
@@ -189,7 +200,7 @@ class CertificateAuthority:
             public_key=key.public_key,
             is_ca=False,
         )
-        signed = Certificate(**{**cert.__dict__, "signature": self.key.sign(cert.tbs_bytes())})
+        signed = replace(cert, signature=self.key.sign(cert.tbs_bytes()))
         return signed, key
 
 
@@ -211,7 +222,7 @@ def make_self_signed(
         public_key=key.public_key,
         is_ca=False,
     )
-    signed = Certificate(**{**cert.__dict__, "signature": key.sign(cert.tbs_bytes())})
+    signed = replace(cert, signature=key.sign(cert.tbs_bytes()))
     return signed, key
 
 
@@ -238,8 +249,11 @@ def verify_chain(
     errors: List[str] = []
     leaf = chain[0]
     if server_name is not None:
-        names = leaf.san or (leaf.subject,)
-        if not any(hostname_matches(name, server_name) for name in names):
+        hostname = server_name.lower().rstrip(".")
+        for name in leaf.san or (leaf.subject,):
+            if _matches(name.lower().rstrip("."), hostname):
+                break
+        else:
             errors.append(f"hostname {server_name!r} not covered by certificate")
     if week is not None and not (leaf.not_before <= week <= leaf.not_after):
         errors.append("certificate expired or not yet valid")

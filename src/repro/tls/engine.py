@@ -373,9 +373,7 @@ class TlsClientSession(_SessionBase):
             raise AlertError(AlertDescription.ILLEGAL_PARAMETER, "suite not offered")
         self.suite = suite
         self.result.cipher_suite = suite.name
-        self.result.server_extensions.extend(
-            ExtensionType.name(etype) for etype, _ in hello.extensions
-        )
+        self.result.server_extensions += ExtensionType.names(hello.extensions)
         key_share_data = hello.extension(ExtensionType.KEY_SHARE)
         if key_share_data is None:
             raise AlertError(AlertDescription.MISSING_EXTENSION, "no key_share")
@@ -420,9 +418,7 @@ class TlsClientSession(_SessionBase):
         for msg_type, body, raw in iter_messages(framed):
             if msg_type == HandshakeType.ENCRYPTED_EXTENSIONS:
                 ee = EncryptedExtensions.decode(body)
-                self.result.server_extensions.extend(
-                    ExtensionType.name(etype) for etype, _ in ee.extensions
-                )
+                self.result.server_extensions += ExtensionType.names(ee.extensions)
                 alpn_data = ee.extension(ExtensionType.ALPN)
                 if alpn_data is not None:
                     protocols = decode_alpn(alpn_data)
@@ -741,9 +737,7 @@ class TlsServerSession(_SessionBase):
         schedule.update_transcript(finished)
 
         self.application_secrets = schedule.application_traffic_secrets()
-        self.result.server_extensions = [
-            ExtensionType.name(etype) for etype, _ in sh_extensions + ee_extensions
-        ]
+        self.result.server_extensions = ExtensionType.names(sh_extensions + ee_extensions)
         self.result.sni_echoed = any(
             etype == ExtensionType.SERVER_NAME for etype, _ in ee_extensions
         )

@@ -10,8 +10,8 @@ extensions they emit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+import struct
+from typing import List, Optional, Sequence, Tuple
 
 __all__ = [
     "ExtensionType",
@@ -72,30 +72,54 @@ class ExtensionType:
     }
 
     @classmethod
-    def name(cls, ext_type: int) -> str:
-        return cls.NAMES.get(ext_type, f"ext_{ext_type}")
+    def names(cls, extensions: Sequence[Tuple[int, bytes]]) -> List[str]:
+        """The names of ``(type, data)`` extensions, in order."""
+        known = cls.NAMES
+        return [
+            known[ext_type] if ext_type in known else f"ext_{ext_type}"
+            for ext_type, _ in extensions
+        ]
+
+
+# Two big-endian uint16 (an extension's type and length, a key share's
+# group and length); one uint16 (a vector's length prefix).
+_PAIR = struct.Struct(">HH")
+_U16 = struct.Struct(">H")
 
 
 def encode_extensions(extensions: List[Tuple[int, bytes]]) -> bytes:
-    body = b"".join(
-        [
-            ext_type.to_bytes(2, "big") + len(data).to_bytes(2, "big") + data
-            for ext_type, data in extensions
-        ]
-    )
-    return len(body).to_bytes(2, "big") + body
+    pieces = []
+    for ext_type, data in extensions:
+        pieces += (_PAIR.pack(ext_type, len(data)), data)
+    body = b"".join(pieces)
+    return _U16.pack(len(body)) + body
+
+
+def _pairs(data: bytes, offset: int, end: int) -> Tuple[List[Tuple[int, bytes]], int]:
+    """``(type, opaque<0..2^16-1>)`` entries from ``offset`` up to ``end``.
+
+    A header past the end of ``data`` reads the bytes that are there as
+    a shorter big-endian number (none read as 0), so a block whose
+    length overruns its data parses as it always has.
+    """
+    size = len(data)
+    entries: List[Tuple[int, bytes]] = []
+    while offset < end:
+        start = offset + 4
+        if start <= size:
+            kind = data[offset] << 8 | data[offset + 1]
+            length = data[offset + 2] << 8 | data[offset + 3]
+        else:
+            kind = int.from_bytes(data[offset : offset + 2], "big")
+            length = int.from_bytes(data[offset + 2 : start], "big")
+        offset = start + length
+        entries.append((kind, data[start:offset]))
+    return entries, offset
 
 
 def decode_extensions(data: bytes, offset: int = 0) -> Tuple[List[Tuple[int, bytes]], int]:
-    total = int.from_bytes(data[offset : offset + 2], "big")
-    offset += 2
-    end = offset + total
-    extensions: List[Tuple[int, bytes]] = []
-    while offset < end:
-        ext_type = int.from_bytes(data[offset : offset + 2], "big")
-        length = int.from_bytes(data[offset + 2 : offset + 4], "big")
-        extensions.append((ext_type, data[offset + 4 : offset + 4 + length]))
-        offset += 4 + length
+    end = offset + 2 + int.from_bytes(data[offset : offset + 2], "big")
+    extensions, offset = _pairs(data, offset + 2, end)
     if offset != end:
         raise ValueError("malformed extension block")
     return extensions, offset
@@ -106,8 +130,8 @@ def decode_extensions(data: bytes, offset: int = 0) -> Tuple[List[Tuple[int, byt
 
 def encode_sni(hostname: str) -> bytes:
     name = hostname.encode() if hostname.isascii() else hostname.encode("idna")
-    entry = b"\x00" + len(name).to_bytes(2, "big") + name
-    return (len(entry)).to_bytes(2, "big") + entry
+    size = len(name)
+    return struct.pack(">HBH", size + 3, 0, size) + name
 
 
 def decode_sni(data: bytes) -> Optional[str]:
@@ -128,10 +152,12 @@ def decode_sni(data: bytes) -> Optional[str]:
 
 
 def encode_alpn(protocols: List[str]) -> bytes:
-    body = b"".join(
-        bytes([len(p.encode())]) + p.encode() for p in protocols
-    )
-    return len(body).to_bytes(2, "big") + body
+    pieces = []
+    for protocol in protocols:
+        name = protocol.encode()
+        pieces += (bytes((len(name),)), name)
+    body = b"".join(pieces)
+    return _U16.pack(len(body)) + body
 
 
 def decode_alpn(data: bytes) -> List[str]:
@@ -157,14 +183,14 @@ def decode_alpn(data: bytes) -> List[str]:
 
 def encode_supported_versions(versions: List[int], is_client: bool) -> bytes:
     if is_client:
-        body = b"".join(v.to_bytes(2, "big") for v in versions)
-        return bytes([len(body)]) + body
-    return versions[0].to_bytes(2, "big")
+        count = len(versions)
+        return struct.pack(">B%dH" % count, 2 * count, *versions)
+    return _U16.pack(versions[0])
 
 
 def encode_supported_groups(groups: List[int]) -> bytes:
-    body = b"".join(g.to_bytes(2, "big") for g in groups)
-    return len(body).to_bytes(2, "big") + body
+    count = len(groups)
+    return struct.pack(">%dH" % (count + 1), 2 * count, *groups)
 
 
 # -- pre_shared_key (RFC 8446 §4.2.11) -------------------------------------------
@@ -215,26 +241,16 @@ def encode_psk_modes(modes: Sequence[int] = (1,)) -> bytes:
 
 
 def encode_key_share(shares: List[Tuple[int, bytes]], is_client: bool) -> bytes:
-    entries = b"".join(
-        group.to_bytes(2, "big") + len(key).to_bytes(2, "big") + key
-        for group, key in shares
-    )
+    pieces = []
+    for group, key in shares:
+        pieces += (_PAIR.pack(group, len(key)), key)
+    entries = b"".join(pieces)
     if is_client:
-        return len(entries).to_bytes(2, "big") + entries
+        return _U16.pack(len(entries)) + entries
     return entries  # server sends a single KeyShareEntry
 
 
 def decode_key_share(data: bytes, is_client: bool) -> List[Tuple[int, bytes]]:
-    shares: List[Tuple[int, bytes]] = []
     if is_client:
-        offset = 2
-        end = 2 + int.from_bytes(data[0:2], "big")
-    else:
-        offset = 0
-        end = len(data)
-    while offset < end:
-        group = int.from_bytes(data[offset : offset + 2], "big")
-        length = int.from_bytes(data[offset + 2 : offset + 4], "big")
-        shares.append((group, data[offset + 4 : offset + 4 + length]))
-        offset += 4 + length
-    return shares
+        return _pairs(data, 2, 2 + int.from_bytes(data[0:2], "big"))[0]
+    return _pairs(data, 0, len(data))[0]

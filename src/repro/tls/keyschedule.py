@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.crypto.hkdf import hkdf_expand_label, hkdf_extract, hmac_digest
 
@@ -22,6 +22,22 @@ __all__ = ["KeySchedule", "TrafficSecrets"]
 def _empty_hash(hash_name: str) -> bytes:
     """Hash of the empty string — the 'derived' context (RFC 8446 §7.1)."""
     return hashlib.new(hash_name).digest()
+
+
+@lru_cache(maxsize=None)
+def _hash_constants(hash_name: str) -> Tuple[object, bytes, bytes]:
+    """Per hash: an empty transcript context, the PSK-less early secret
+    and its ``derived`` child (RFC 8446 §7.1).
+
+    Without a PSK the early secret is HKDF-Extract(0, 0), so it and the
+    ``derived`` secret it expands to over the empty hash depend only on
+    the hash.
+    """
+    empty = hashlib.new(hash_name)
+    zeros = bytes(empty.digest_size)
+    early = hkdf_extract(zeros, zeros, hash_name)
+    derived = hkdf_expand_label(early, b"derived", _empty_hash(hash_name), len(zeros), hash_name)
+    return empty, early, derived
 
 
 @dataclass
@@ -39,22 +55,33 @@ class KeySchedule:
     """
 
     def __init__(self, hash_name: str = "sha256", psk: Optional[bytes] = None):
+        empty, early, derived = _hash_constants(hash_name)
         self.hash_name = hash_name
-        self.hash_len = hashlib.new(hash_name).digest_size
-        self._transcript = hashlib.new(hash_name)
-        zeros = bytes(self.hash_len)
-        self._early_secret = hkdf_extract(zeros, psk if psk else zeros, hash_name)
+        self.hash_len = empty.digest_size
+        self._transcript = empty.copy()
+        # The running transcript's own update: one call per message.
+        self.update_transcript = self._transcript.update
+        if psk:
+            zeros = bytes(self.hash_len)
+            early = hkdf_extract(zeros, psk, hash_name)
+            derived = None
+        self._early_secret = early
+        self._derived_early: Optional[bytes] = derived
         self._handshake_secret: Optional[bytes] = None
         self._master_secret: Optional[bytes] = None
 
     # -- transcript ---------------------------------------------------------
-    def update_transcript(self, message: bytes) -> None:
-        self._transcript.update(message)
-
     def transcript_hash(self) -> bytes:
         return self._transcript.copy().digest()
 
     # -- secrets ------------------------------------------------------------
+    def _derive_secrets(self, secret: bytes, client: bytes, server: bytes) -> TrafficSecrets:
+        context = self.transcript_hash()
+        return TrafficSecrets(
+            client=hkdf_expand_label(secret, client, context, self.hash_len, self.hash_name),
+            server=hkdf_expand_label(secret, server, context, self.hash_len, self.hash_name),
+        )
+
     def _derive_secret(self, secret: bytes, label: bytes) -> bytes:
         return hkdf_expand_label(
             secret, label, self.transcript_hash(), self.hash_len, self.hash_name
@@ -63,22 +90,21 @@ class KeySchedule:
     def set_shared_secret(self, shared_secret: bytes) -> None:
         """Install the (EC)DH result; call after ServerHello is in the
         transcript to derive handshake traffic secrets."""
-        derived = hkdf_expand_label(
-            self._early_secret,
-            b"derived",
-            _empty_hash(self.hash_name),
-            self.hash_len,
-            self.hash_name,
-        )
+        derived = self._derived_early
+        if derived is None:
+            derived = hkdf_expand_label(
+                self._early_secret,
+                b"derived",
+                _empty_hash(self.hash_name),
+                self.hash_len,
+                self.hash_name,
+            )
         self._handshake_secret = hkdf_extract(derived, shared_secret, self.hash_name)
 
     def handshake_traffic_secrets(self) -> TrafficSecrets:
         if self._handshake_secret is None:
             raise RuntimeError("shared secret not installed")
-        return TrafficSecrets(
-            client=self._derive_secret(self._handshake_secret, b"c hs traffic"),
-            server=self._derive_secret(self._handshake_secret, b"s hs traffic"),
-        )
+        return self._derive_secrets(self._handshake_secret, b"c hs traffic", b"s hs traffic")
 
     def derive_master_secret(self) -> None:
         if self._handshake_secret is None:
@@ -97,10 +123,7 @@ class KeySchedule:
         if self._master_secret is None:
             self.derive_master_secret()
         assert self._master_secret is not None
-        return TrafficSecrets(
-            client=self._derive_secret(self._master_secret, b"c ap traffic"),
-            server=self._derive_secret(self._master_secret, b"s ap traffic"),
-        )
+        return self._derive_secrets(self._master_secret, b"c ap traffic", b"s ap traffic")
 
     # -- finished ------------------------------------------------------------
     def finished_verify_data(self, base_secret: bytes) -> bytes:

@@ -8,6 +8,7 @@ used both inside QUIC CRYPTO frames and TLS records.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, List, Optional, Tuple
@@ -38,43 +39,70 @@ class HandshakeType:
     FINISHED = 20
 
 
+# A handshake header as one big-endian uint32: type << 24 | uint24 length.
+_HEADER = struct.Struct(">I")
+_U16 = struct.Struct(">H")
+
+
 def frame_message(msg_type: int, body: bytes) -> bytes:
-    return bytes([msg_type]) + len(body).to_bytes(3, "big") + body
+    return _HEADER.pack(msg_type << 24 | len(body)) + body
 
 
 def iter_messages(data: bytes) -> Iterator[Tuple[int, bytes, bytes]]:
     """Yield ``(type, body, raw)`` for each complete framed message."""
+    size = len(data)
     offset = 0
-    while offset < len(data):
-        if offset + 4 > len(data):
+    while offset < size:
+        if offset + 4 > size:
             raise MessageDecodeError("truncated handshake header")
-        msg_type = data[offset]
-        length = int.from_bytes(data[offset + 1 : offset + 4], "big")
-        end = offset + 4 + length
-        if end > len(data):
+        end = offset + 4 + (data[offset + 1] << 16 | data[offset + 2] << 8 | data[offset + 3])
+        if end > size:
             raise MessageDecodeError("truncated handshake body")
-        yield msg_type, data[offset + 4 : end], data[offset:end]
+        yield data[offset], data[offset + 4 : end], data[offset:end]
         offset = end
 
 
 _LEGACY_VERSION = 0x0303
+_LEGACY_VERSION_BYTES = b"\x03\x03"
+
+
+def _hello_body(random: bytes, session_id: bytes, middle: bytes, extensions) -> bytes:
+    """legacy_version, random, legacy_session_id, ``middle`` (the suite
+    fields and legacy compression), extensions."""
+    return b"".join(
+        (
+            _LEGACY_VERSION_BYTES,
+            random,
+            bytes((len(session_id),)),
+            session_id,
+            middle,
+            encode_extensions(extensions),
+        )
+    )
+
+
+class _HasExtensions:
+    extensions: List[Tuple[int, bytes]]
+
+    def extension(self, ext_type: int) -> Optional[bytes]:
+        for etype, data in self.extensions:
+            if etype == ext_type:
+                return data
+        return None
 
 
 @dataclass
-class ClientHello:
+class ClientHello(_HasExtensions):
     random: bytes
     cipher_suites: List[int]
     extensions: List[Tuple[int, bytes]] = field(default_factory=list)
     legacy_session_id: bytes = b""
 
     def encode(self) -> bytes:
-        body = _LEGACY_VERSION.to_bytes(2, "big")
-        body += self.random
-        body += bytes([len(self.legacy_session_id)]) + self.legacy_session_id
-        suites = b"".join(s.to_bytes(2, "big") for s in self.cipher_suites)
-        body += len(suites).to_bytes(2, "big") + suites
-        body += b"\x01\x00"  # legacy compression: null only
-        body += encode_extensions(self.extensions)
+        count = len(self.cipher_suites)
+        # cipher_suites<2..2^16-2>, then legacy compression: null only.
+        suites = struct.pack(">%dH2B" % (count + 1), 2 * count, *self.cipher_suites, 1, 0)
+        body = _hello_body(self.random, self.legacy_session_id, suites, self.extensions)
         return frame_message(HandshakeType.CLIENT_HELLO, body)
 
     @classmethod
@@ -85,23 +113,19 @@ class ClientHello:
         if len(random) != 32:
             raise MessageDecodeError("truncated ClientHello random")
         try:
-            offset = 34
-            sid_len = body[offset]
-            session_id = body[offset + 1 : offset + 1 + sid_len]
-            offset += 1 + sid_len
+            offset = 35 + body[34]
+            session_id = body[35:offset]
             suites_len = int.from_bytes(body[offset : offset + 2], "big")
             offset += 2
-            suites = [
-                int.from_bytes(body[offset + i : offset + i + 2], "big")
-                for i in range(0, suites_len, 2)
-            ]
+            # An odd length reads its last suite across the boundary, as
+            # a suite-by-suite walk of 2-byte slices does.
+            suites = list(struct.unpack_from(">%dH" % ((suites_len + 1) // 2), body, offset))
             offset += suites_len
-            comp_len = body[offset]
-            offset += 1 + comp_len
+            offset += 1 + body[offset]  # legacy compression methods
             extensions, _ = decode_extensions(body, offset)
         except MessageDecodeError:
             raise
-        except (IndexError, ValueError) as exc:
+        except (IndexError, ValueError, struct.error) as exc:
             raise MessageDecodeError(f"malformed ClientHello: {exc}") from exc
         return cls(
             random=random,
@@ -110,27 +134,18 @@ class ClientHello:
             legacy_session_id=session_id,
         )
 
-    def extension(self, ext_type: int) -> Optional[bytes]:
-        for etype, data in self.extensions:
-            if etype == ext_type:
-                return data
-        return None
-
 
 @dataclass
-class ServerHello:
+class ServerHello(_HasExtensions):
     random: bytes
     cipher_suite: int
     extensions: List[Tuple[int, bytes]] = field(default_factory=list)
     legacy_session_id: bytes = b""
 
     def encode(self) -> bytes:
-        body = _LEGACY_VERSION.to_bytes(2, "big")
-        body += self.random
-        body += bytes([len(self.legacy_session_id)]) + self.legacy_session_id
-        body += self.cipher_suite.to_bytes(2, "big")
-        body += b"\x00"  # legacy compression
-        body += encode_extensions(self.extensions)
+        # cipher_suite, then legacy compression: null.
+        suite = _U16.pack(self.cipher_suite) + b"\x00"
+        body = _hello_body(self.random, self.legacy_session_id, suite, self.extensions)
         return frame_message(HandshakeType.SERVER_HELLO, body)
 
     @classmethod
@@ -139,13 +154,10 @@ class ServerHello:
         if len(random) != 32:
             raise MessageDecodeError("truncated ServerHello random")
         try:
-            offset = 34
-            sid_len = body[offset]
-            session_id = body[offset + 1 : offset + 1 + sid_len]
-            offset += 1 + sid_len
+            offset = 35 + body[34]
+            session_id = body[35:offset]
             suite = int.from_bytes(body[offset : offset + 2], "big")
-            offset += 3  # suite + compression byte
-            extensions, _ = decode_extensions(body, offset)
+            extensions, _ = decode_extensions(body, offset + 3)  # past the compression byte
         except MessageDecodeError:
             raise
         except (IndexError, ValueError) as exc:
@@ -157,15 +169,9 @@ class ServerHello:
             legacy_session_id=session_id,
         )
 
-    def extension(self, ext_type: int) -> Optional[bytes]:
-        for etype, data in self.extensions:
-            if etype == ext_type:
-                return data
-        return None
-
 
 @dataclass
-class EncryptedExtensions:
+class EncryptedExtensions(_HasExtensions):
     extensions: List[Tuple[int, bytes]] = field(default_factory=list)
 
     def encode(self) -> bytes:
@@ -180,12 +186,6 @@ class EncryptedExtensions:
         except (IndexError, ValueError) as exc:
             raise MessageDecodeError(f"malformed EncryptedExtensions: {exc}") from exc
         return cls(extensions=extensions)
-
-    def extension(self, ext_type: int) -> Optional[bytes]:
-        for etype, data in self.extensions:
-            if etype == ext_type:
-                return data
-        return None
 
 
 @dataclass
@@ -241,8 +241,7 @@ class CertificateVerify:
     algorithm: int = _SIG_SCHEME_RSA_PKCS1_SHA256
 
     def encode(self) -> bytes:
-        body = self.algorithm.to_bytes(2, "big")
-        body += len(self.signature).to_bytes(2, "big") + self.signature
+        body = struct.pack(">HH", self.algorithm, len(self.signature)) + self.signature
         return frame_message(HandshakeType.CERTIFICATE_VERIFY, body)
 
     @classmethod

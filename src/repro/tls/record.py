@@ -10,7 +10,7 @@ simulated :443 servers both use this layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import struct
 from typing import Iterator, List, Optional, Tuple
 
 from repro.crypto.hkdf import hkdf_expand_label
@@ -39,31 +39,29 @@ class ContentType:
     APPLICATION_DATA = 23
 
 
+# A record header: content type, legacy_record_version, uint16 length.
+_HEADER = struct.Struct(">BHH")
+
+
 def _record(content_type: int, payload: bytes) -> bytes:
-    return (
-        bytes([content_type])
-        + _LEGACY_RECORD_VERSION.to_bytes(2, "big")
-        + len(payload).to_bytes(2, "big")
-        + payload
-    )
+    return _HEADER.pack(content_type, _LEGACY_RECORD_VERSION, len(payload)) + payload
 
 
 def encode_alert(description: AlertDescription, fatal: bool = True) -> bytes:
-    return _record(ContentType.ALERT, bytes([2 if fatal else 1, int(description)]))
+    return _record(ContentType.ALERT, bytes((2 if fatal else 1, int(description))))
 
 
 def decode_records(data: bytes) -> Iterator[Tuple[int, bytes]]:
     """Yield ``(content_type, payload)`` for each complete record."""
+    size = len(data)
     offset = 0
-    while offset < len(data):
-        if offset + 5 > len(data):
+    while offset < size:
+        if offset + 5 > size:
             raise RecordDecodeError("truncated record header")
-        content_type = data[offset]
-        length = int.from_bytes(data[offset + 3 : offset + 5], "big")
-        end = offset + 5 + length
-        if end > len(data):
+        end = offset + 5 + (data[offset + 3] << 8 | data[offset + 4])
+        if end > size:
             raise RecordDecodeError("truncated record payload")
-        yield content_type, data[offset + 5 : end]
+        yield data[offset], data[offset + 5 : end]
         offset = end
 
 
@@ -75,8 +73,9 @@ class RecordProtection:
             traffic_secret, b"key", b"", suite.key_len, suite.hash_name
         )
         iv = hkdf_expand_label(traffic_secret, b"iv", b"", suite.iv_len, suite.hash_name)
-        self._iv, self._iv_len = int.from_bytes(iv, "big"), len(iv)
-        self._aead = suite.aead(key)
+        self._iv, self._iv_len = int.from_bytes(iv, "big"), suite.iv_len
+        aead = suite.aead(key)
+        self._seal, self._open = aead.seal, aead.open
         self._sequence = 0
 
     def _nonce(self) -> bytes:
@@ -86,30 +85,24 @@ class RecordProtection:
 
     def encrypt(self, content_type: int, payload: bytes) -> bytes:
         """Build a protected application_data record."""
-        inner = payload + bytes([content_type])
-        header = (
-            bytes([ContentType.APPLICATION_DATA])
-            + _LEGACY_RECORD_VERSION.to_bytes(2, "big")
-            + (len(inner) + 16).to_bytes(2, "big")
+        # TLSInnerPlaintext: content, then the real content type.
+        inner = payload + bytes((content_type,))
+        header = _HEADER.pack(
+            ContentType.APPLICATION_DATA, _LEGACY_RECORD_VERSION, len(inner) + 16
         )
-        sealed = self._aead.seal(self._nonce(), inner, header)
-        return header + sealed
+        return header + self._seal(self._nonce(), inner, header)
 
     def decrypt(self, record_payload: bytes) -> Tuple[int, bytes]:
         """Open a protected record; returns ``(inner_type, plaintext)``."""
-        header = (
-            bytes([ContentType.APPLICATION_DATA])
-            + _LEGACY_RECORD_VERSION.to_bytes(2, "big")
-            + len(record_payload).to_bytes(2, "big")
+        nonce = self._nonce()
+        header = _HEADER.pack(
+            ContentType.APPLICATION_DATA, _LEGACY_RECORD_VERSION, len(record_payload)
         )
-        inner = self._aead.open(self._nonce(), record_payload, header)
         # Strip zero padding, last non-zero byte is the content type.
-        end = len(inner)
-        while end > 0 and inner[end - 1] == 0:
-            end -= 1
-        if end == 0:
+        inner = self._open(nonce, record_payload, header).rstrip(b"\x00")
+        if not inner:
             raise AlertError(AlertDescription.UNEXPECTED_MESSAGE, "empty inner plaintext")
-        return inner[end - 1], inner[: end - 1]
+        return inner[-1], inner[:-1]
 
 
 class RecordLayer:

@@ -10,11 +10,13 @@ resumption is stateless server-side.
 from __future__ import annotations
 
 import json
+import struct
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.crypto.aead import AeadError, AeadSim
 from repro.crypto.rand import DeterministicRandom
+from repro.tls.messages import frame_message
 
 __all__ = [
     "SessionTicket",
@@ -26,6 +28,7 @@ __all__ = [
 ]
 
 NEW_SESSION_TICKET = 4  # handshake message type
+_U16 = struct.Struct(">H")
 
 
 @dataclass
@@ -101,37 +104,30 @@ def encode_new_session_ticket(
     max_early_data: int = 0,
 ) -> bytes:
     """Frame a NewSessionTicket handshake message."""
-    extensions = b""
-    if max_early_data:
-        ext_body = max_early_data.to_bytes(4, "big")
-        extensions = (42).to_bytes(2, "big") + len(ext_body).to_bytes(2, "big") + ext_body
-    body = (
-        lifetime.to_bytes(4, "big")
-        + age_add.to_bytes(4, "big")
-        + bytes([len(ticket_nonce)])
-        + ticket_nonce
-        + len(ticket).to_bytes(2, "big")
-        + ticket
-        + len(extensions).to_bytes(2, "big")
-        + extensions
+    # early_data (42) carrying max_early_data_size.
+    extensions = struct.pack(">HHI", 42, 4, max_early_data) if max_early_data else b""
+    body = b"".join(
+        (
+            struct.pack(">IIB", lifetime, age_add, len(ticket_nonce)),
+            ticket_nonce,
+            _U16.pack(len(ticket)),
+            ticket,
+            _U16.pack(len(extensions)),
+            extensions,
+        )
     )
-    return bytes([NEW_SESSION_TICKET]) + len(body).to_bytes(3, "big") + body
+    return frame_message(NEW_SESSION_TICKET, body)
 
 
 def decode_new_session_ticket(body: bytes) -> Tuple[bytes, bytes, int]:
-    """Parse a NewSessionTicket body; returns (ticket, nonce, max_early_data)."""
-    lifetime = int.from_bytes(body[0:4], "big")
-    del lifetime  # informational only
-    offset = 8
-    nonce_len = body[offset]
-    nonce = body[offset + 1 : offset + 1 + nonce_len]
-    offset += 1 + nonce_len
-    ticket_len = int.from_bytes(body[offset : offset + 2], "big")
-    ticket = body[offset + 2 : offset + 2 + ticket_len]
-    offset += 2 + ticket_len
-    ext_total = int.from_bytes(body[offset : offset + 2], "big")
-    offset += 2
-    end = offset + ext_total
+    """Parse a NewSessionTicket body; returns (ticket, nonce, max_early_data).
+
+    The lifetime and age_add (the first 8 bytes) are informational only.
+    """
+    nonce_end = 9 + body[8]
+    ticket_end = nonce_end + 2 + int.from_bytes(body[nonce_end : nonce_end + 2], "big")
+    offset = ticket_end + 2
+    end = offset + int.from_bytes(body[ticket_end:offset], "big")
     max_early_data = 0
     while offset < end:
         ext_type = int.from_bytes(body[offset : offset + 2], "big")
@@ -139,4 +135,4 @@ def decode_new_session_ticket(body: bytes) -> Tuple[bytes, bytes, int]:
         if ext_type == 42 and ext_len == 4:
             max_early_data = int.from_bytes(body[offset + 4 : offset + 8], "big")
         offset += 4 + ext_len
-    return ticket, nonce, max_early_data
+    return body[nonce_end + 2 : ticket_end], body[9:nonce_end], max_early_data

@@ -1,6 +1,7 @@
-"""A reference for the QUIC-side wire codecs: the cursor over the bytes.
+"""A reference for the wire codecs: the cursor over the bytes, and the
+TLS codecs field by field.
 
-The product's codecs (:mod:`repro.quic.packet`, :mod:`repro.quic.frames`,
+The product's QUIC-side codecs (:mod:`repro.quic.packet`, :mod:`repro.quic.frames`,
 :mod:`repro.quic.transport_params`, :mod:`repro.quic.retry` and
 :mod:`repro.http.h3`) parse by slicing plus ``decode_varint(data, pos)``
 and build from a list of pieces joined once.  This reference shares none
@@ -9,10 +10,21 @@ bounds check, as the codecs did before they became one pass over the
 bytes.  It returns the product's dataclasses and raises the product's
 exception types with the same messages, so a differential can compare
 values, bytes and errors directly (``tests/test_codec_oracle.py``).
+
+The TLS side (:mod:`repro.tls.extensions`, :mod:`repro.tls.messages`,
+:mod:`repro.tls.record`, :mod:`repro.tls.tickets`, the certificate
+encoding and :class:`~repro.crypto.aead.AeadSim`) is kept here as it was
+before those codecs parsed with ``struct`` or indexing and built with
+one join: every integer field is its own ``int.from_bytes`` over a
+slice (a slice past the end reads short), every piece its own
+concatenation.  It raises the product's exception types; the
+differential compares the type only, since messages quoting the
+underlying ``IndexError`` differ.
 """
 
+import hashlib
 import hmac
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.http.h3 import H3Error, H3FrameType
 from repro.quic.frames import (
@@ -49,6 +61,13 @@ from repro.quic.transport_params import (
     TransportParameters,
 )
 from repro.quic.varint import decode_varint, encode_varint, varint_length
+from repro.crypto.aead import AeadError
+from repro.crypto.hkdf import hmac_digest
+from repro.tls.alerts import AlertDescription, AlertError
+from repro.tls.certificates import Certificate
+from repro.tls.extensions import MessageDecodeError
+from repro.tls.messages import ClientHello, ServerHello
+from repro.tls.record import RecordDecodeError
 
 __all__ = [
     "Buffer",
@@ -67,6 +86,34 @@ __all__ = [
     "encode_h3_frame",
     "decode_h3_frames",
     "encode_control_stream",
+    "encode_extensions",
+    "decode_extensions",
+    "encode_sni",
+    "decode_sni",
+    "encode_alpn",
+    "decode_alpn",
+    "encode_supported_versions",
+    "encode_supported_groups",
+    "encode_key_share",
+    "decode_key_share",
+    "frame_message",
+    "iter_messages",
+    "encode_client_hello",
+    "decode_client_hello",
+    "encode_server_hello",
+    "decode_server_hello",
+    "encode_certificate_verify",
+    "encode_record",
+    "encode_alert",
+    "decode_records",
+    "protect_record",
+    "unprotect_record",
+    "encode_new_session_ticket",
+    "decode_new_session_ticket",
+    "encode_certificate",
+    "certificate_fingerprint",
+    "aead_sim_seal",
+    "aead_sim_open",
 ]
 
 
@@ -603,3 +650,348 @@ def encode_control_stream(settings: Optional[Dict[int, int]] = None) -> bytes:
         payload.push_varint(value)
     buf.push_bytes(encode_h3_frame(H3FrameType.SETTINGS, payload.data()))
     return buf.data()
+
+
+# -- TLS extensions (RFC 8446 §4.2) ------------------------------------------------
+
+
+def encode_extensions(extensions: List[Tuple[int, bytes]]) -> bytes:
+    body = b"".join(
+        [
+            ext_type.to_bytes(2, "big") + len(data).to_bytes(2, "big") + data
+            for ext_type, data in extensions
+        ]
+    )
+    return len(body).to_bytes(2, "big") + body
+
+
+def decode_extensions(data: bytes, offset: int = 0) -> Tuple[List[Tuple[int, bytes]], int]:
+    total = int.from_bytes(data[offset : offset + 2], "big")
+    offset += 2
+    end = offset + total
+    extensions: List[Tuple[int, bytes]] = []
+    while offset < end:
+        ext_type = int.from_bytes(data[offset : offset + 2], "big")
+        length = int.from_bytes(data[offset + 2 : offset + 4], "big")
+        extensions.append((ext_type, data[offset + 4 : offset + 4 + length]))
+        offset += 4 + length
+    if offset != end:
+        raise ValueError("malformed extension block")
+    return extensions, offset
+
+
+def encode_sni(hostname: str) -> bytes:
+    name = hostname.encode() if hostname.isascii() else hostname.encode("idna")
+    entry = b"\x00" + len(name).to_bytes(2, "big") + name
+    return (len(entry)).to_bytes(2, "big") + entry
+
+
+def decode_sni(data: bytes) -> Optional[str]:
+    if not data:
+        return None
+    try:
+        if data[2] != 0:
+            return None
+        end = 5 + int.from_bytes(data[3:5], "big")
+        if end > len(data):
+            raise MessageDecodeError("truncated server_name")
+        return data[5:end].decode()
+    except (IndexError, UnicodeDecodeError) as exc:
+        raise MessageDecodeError(f"malformed server_name: {exc}") from exc
+
+
+def encode_alpn(protocols: List[str]) -> bytes:
+    body = b"".join(bytes([len(p.encode())]) + p.encode() for p in protocols)
+    return len(body).to_bytes(2, "big") + body
+
+
+def decode_alpn(data: bytes) -> List[str]:
+    end = 2 + int.from_bytes(data[0:2], "big")
+    if len(data) < end:
+        raise MessageDecodeError("truncated ALPN list")
+    offset = 2
+    protocols = []
+    while offset < end:
+        stop = offset + 1 + data[offset]
+        if stop > end:
+            raise MessageDecodeError("truncated ALPN protocol name")
+        try:
+            protocols.append(data[offset + 1 : stop].decode())
+        except UnicodeDecodeError as exc:
+            raise MessageDecodeError(f"malformed ALPN protocol name: {exc}") from exc
+        offset = stop
+    return protocols
+
+
+def encode_supported_versions(versions: List[int], is_client: bool) -> bytes:
+    if is_client:
+        body = b"".join(v.to_bytes(2, "big") for v in versions)
+        return bytes([len(body)]) + body
+    return versions[0].to_bytes(2, "big")
+
+
+def encode_supported_groups(groups: List[int]) -> bytes:
+    body = b"".join(g.to_bytes(2, "big") for g in groups)
+    return len(body).to_bytes(2, "big") + body
+
+
+def encode_key_share(shares: List[Tuple[int, bytes]], is_client: bool) -> bytes:
+    entries = b"".join(
+        group.to_bytes(2, "big") + len(key).to_bytes(2, "big") + key for group, key in shares
+    )
+    if is_client:
+        return len(entries).to_bytes(2, "big") + entries
+    return entries
+
+
+def decode_key_share(data: bytes, is_client: bool) -> List[Tuple[int, bytes]]:
+    shares: List[Tuple[int, bytes]] = []
+    if is_client:
+        offset = 2
+        end = 2 + int.from_bytes(data[0:2], "big")
+    else:
+        offset = 0
+        end = len(data)
+    while offset < end:
+        group = int.from_bytes(data[offset : offset + 2], "big")
+        length = int.from_bytes(data[offset + 2 : offset + 4], "big")
+        shares.append((group, data[offset + 4 : offset + 4 + length]))
+        offset += 4 + length
+    return shares
+
+
+# -- TLS handshake messages (RFC 8446 §4) ---------------------------------------------
+
+
+def frame_message(msg_type: int, body: bytes) -> bytes:
+    return bytes([msg_type]) + len(body).to_bytes(3, "big") + body
+
+
+def iter_messages(data: bytes) -> Iterator[Tuple[int, bytes, bytes]]:
+    offset = 0
+    while offset < len(data):
+        if offset + 4 > len(data):
+            raise MessageDecodeError("truncated handshake header")
+        msg_type = data[offset]
+        length = int.from_bytes(data[offset + 1 : offset + 4], "big")
+        end = offset + 4 + length
+        if end > len(data):
+            raise MessageDecodeError("truncated handshake body")
+        yield msg_type, data[offset + 4 : end], data[offset:end]
+        offset = end
+
+
+_LEGACY_VERSION = 0x0303
+
+
+def encode_client_hello(hello: ClientHello) -> bytes:
+    body = _LEGACY_VERSION.to_bytes(2, "big")
+    body += hello.random
+    body += bytes([len(hello.legacy_session_id)]) + hello.legacy_session_id
+    suites = b"".join(s.to_bytes(2, "big") for s in hello.cipher_suites)
+    body += len(suites).to_bytes(2, "big") + suites
+    body += b"\x01\x00"
+    body += encode_extensions(hello.extensions)
+    return frame_message(1, body)
+
+
+def decode_client_hello(body: bytes) -> ClientHello:
+    if int.from_bytes(body[0:2], "big") != _LEGACY_VERSION:
+        raise MessageDecodeError("bad legacy_version in ClientHello")
+    random = body[2:34]
+    if len(random) != 32:
+        raise MessageDecodeError("truncated ClientHello random")
+    try:
+        offset = 34
+        sid_len = body[offset]
+        session_id = body[offset + 1 : offset + 1 + sid_len]
+        offset += 1 + sid_len
+        suites_len = int.from_bytes(body[offset : offset + 2], "big")
+        offset += 2
+        suites = [
+            int.from_bytes(body[offset + i : offset + i + 2], "big")
+            for i in range(0, suites_len, 2)
+        ]
+        offset += suites_len
+        comp_len = body[offset]
+        offset += 1 + comp_len
+        extensions, _ = decode_extensions(body, offset)
+    except MessageDecodeError:
+        raise
+    except (IndexError, ValueError) as exc:
+        raise MessageDecodeError(f"malformed ClientHello: {exc}") from exc
+    return ClientHello(
+        random=random, cipher_suites=suites, extensions=extensions, legacy_session_id=session_id
+    )
+
+
+def encode_server_hello(hello: ServerHello) -> bytes:
+    body = _LEGACY_VERSION.to_bytes(2, "big")
+    body += hello.random
+    body += bytes([len(hello.legacy_session_id)]) + hello.legacy_session_id
+    body += hello.cipher_suite.to_bytes(2, "big")
+    body += b"\x00"
+    body += encode_extensions(hello.extensions)
+    return frame_message(2, body)
+
+
+def decode_server_hello(body: bytes) -> ServerHello:
+    random = body[2:34]
+    if len(random) != 32:
+        raise MessageDecodeError("truncated ServerHello random")
+    try:
+        offset = 34
+        sid_len = body[offset]
+        session_id = body[offset + 1 : offset + 1 + sid_len]
+        offset += 1 + sid_len
+        suite = int.from_bytes(body[offset : offset + 2], "big")
+        offset += 3
+        extensions, _ = decode_extensions(body, offset)
+    except MessageDecodeError:
+        raise
+    except (IndexError, ValueError) as exc:
+        raise MessageDecodeError(f"malformed ServerHello: {exc}") from exc
+    return ServerHello(
+        random=random, cipher_suite=suite, extensions=extensions, legacy_session_id=session_id
+    )
+
+
+def encode_certificate_verify(signature: bytes, algorithm: int) -> bytes:
+    body = algorithm.to_bytes(2, "big")
+    body += len(signature).to_bytes(2, "big") + signature
+    return frame_message(15, body)
+
+
+# -- TLS records (RFC 8446 §5) ------------------------------------------------------
+
+
+def encode_record(content_type: int, payload: bytes) -> bytes:
+    return (
+        bytes([content_type])
+        + _LEGACY_VERSION.to_bytes(2, "big")
+        + len(payload).to_bytes(2, "big")
+        + payload
+    )
+
+
+def encode_alert(description: AlertDescription, fatal: bool = True) -> bytes:
+    return encode_record(21, bytes([2 if fatal else 1, int(description)]))
+
+
+def decode_records(data: bytes) -> Iterator[Tuple[int, bytes]]:
+    offset = 0
+    while offset < len(data):
+        if offset + 5 > len(data):
+            raise RecordDecodeError("truncated record header")
+        content_type = data[offset]
+        length = int.from_bytes(data[offset + 3 : offset + 5], "big")
+        end = offset + 5 + length
+        if end > len(data):
+            raise RecordDecodeError("truncated record payload")
+        yield content_type, data[offset + 5 : end]
+        offset = end
+
+
+def protect_record(seal, nonce: bytes, content_type: int, payload: bytes) -> bytes:
+    """A protected application_data record, as ``RecordProtection.encrypt``."""
+    inner = payload + bytes([content_type])
+    header = (
+        bytes([23]) + _LEGACY_VERSION.to_bytes(2, "big") + (len(inner) + 16).to_bytes(2, "big")
+    )
+    return header + seal(nonce, inner, header)
+
+
+def unprotect_record(open_, nonce: bytes, record_payload: bytes) -> Tuple[int, bytes]:
+    """``(inner_type, plaintext)``, as ``RecordProtection.decrypt``."""
+    header = (
+        bytes([23]) + _LEGACY_VERSION.to_bytes(2, "big") + len(record_payload).to_bytes(2, "big")
+    )
+    inner = open_(nonce, record_payload, header)
+    end = len(inner)
+    while end > 0 and inner[end - 1] == 0:
+        end -= 1
+    if end == 0:
+        raise AlertError(AlertDescription.UNEXPECTED_MESSAGE, "empty inner plaintext")
+    return inner[end - 1], inner[: end - 1]
+
+
+# -- NewSessionTicket (RFC 8446 §4.6.1) ------------------------------------------------
+
+
+def encode_new_session_ticket(
+    ticket: bytes,
+    ticket_nonce: bytes = b"\x00",
+    lifetime: int = 86_400,
+    age_add: int = 0,
+    max_early_data: int = 0,
+) -> bytes:
+    extensions = b""
+    if max_early_data:
+        ext_body = max_early_data.to_bytes(4, "big")
+        extensions = (42).to_bytes(2, "big") + len(ext_body).to_bytes(2, "big") + ext_body
+    body = (
+        lifetime.to_bytes(4, "big")
+        + age_add.to_bytes(4, "big")
+        + bytes([len(ticket_nonce)])
+        + ticket_nonce
+        + len(ticket).to_bytes(2, "big")
+        + ticket
+        + len(extensions).to_bytes(2, "big")
+        + extensions
+    )
+    return bytes([4]) + len(body).to_bytes(3, "big") + body
+
+
+def decode_new_session_ticket(body: bytes) -> Tuple[bytes, bytes, int]:
+    lifetime = int.from_bytes(body[0:4], "big")
+    del lifetime
+    offset = 8
+    nonce_len = body[offset]
+    nonce = body[offset + 1 : offset + 1 + nonce_len]
+    offset += 1 + nonce_len
+    ticket_len = int.from_bytes(body[offset : offset + 2], "big")
+    ticket = body[offset + 2 : offset + 2 + ticket_len]
+    offset += 2 + ticket_len
+    ext_total = int.from_bytes(body[offset : offset + 2], "big")
+    offset += 2
+    end = offset + ext_total
+    max_early_data = 0
+    while offset < end:
+        ext_type = int.from_bytes(body[offset : offset + 2], "big")
+        ext_len = int.from_bytes(body[offset + 2 : offset + 4], "big")
+        if ext_type == 42 and ext_len == 4:
+            max_early_data = int.from_bytes(body[offset + 4 : offset + 8], "big")
+        offset += 4 + ext_len
+    return ticket, nonce, max_early_data
+
+
+# -- certificates and the simulated AEAD ------------------------------------------------
+
+
+def encode_certificate(cert: Certificate) -> bytes:
+    """The full encoding, recomputed from the fields on every call."""
+    sig = cert.signature
+    return cert.tbs_bytes() + len(sig).to_bytes(2, "big") + sig
+
+
+def certificate_fingerprint(cert: Certificate) -> str:
+    return hashlib.sha256(encode_certificate(cert)).hexdigest()
+
+
+def _xor(a: bytes, b: bytes) -> bytes:
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
+
+
+def aead_sim_seal(key: bytes, nonce: bytes, plaintext: bytes, aad: bytes) -> bytes:
+    """``AeadSim(key).seal``: SHAKE-256 keystream, truncated HMAC-SHA256 tag."""
+    ciphertext = _xor(plaintext, hashlib.shake_256(key + nonce).digest(len(plaintext)))
+    return ciphertext + hmac_digest(key, nonce + aad + ciphertext)[:16]
+
+
+def aead_sim_open(key: bytes, nonce: bytes, data: bytes, aad: bytes) -> bytes:
+    if len(data) < 16:
+        raise AeadError("ciphertext shorter than tag")
+    ciphertext, tag = data[:-16], data[-16:]
+    if not hmac.compare_digest(tag, hmac_digest(key, nonce + aad + ciphertext)[:16]):
+        raise AeadError("simulated AEAD tag mismatch")
+    return _xor(ciphertext, hashlib.shake_256(key + nonce).digest(len(ciphertext)))

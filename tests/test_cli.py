@@ -80,3 +80,54 @@ def test_exhausted_address_space_is_one_line_and_exit_2(monkeypatch, capsys):
 def test_requires_subcommand():
     with pytest.raises(SystemExit):
         main([])
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--smoke", "--scale", "2000"], "--scale applies only to --profile"),
+        (["--smoke", "--top", "5"], "--top applies only to --profile"),
+        (["--profile", "--workers", "2"], "--workers applies only to --smoke"),
+    ],
+)
+def test_bench_rejects_the_other_modes_option(monkeypatch, capsys, argv, message):
+    """An option of the mode not chosen is an argparse error, in both
+    directions, before anything runs."""
+    import repro.perf
+
+    def ran(*args, **kwargs):
+        raise AssertionError("a bench mode ran")
+
+    monkeypatch.setattr(repro.perf, "run_smoke", ran)
+    monkeypatch.setattr(repro.perf, "run_profile", ran)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bench", *argv])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.rstrip().endswith(f"error: {message}")
+
+
+def test_bench_modes_take_their_own_options_and_defaults(monkeypatch):
+    import repro.perf
+    from repro.internet.providers import scale_for
+
+    calls = []
+    smoke = {
+        "campaign": {"serial_cold_seconds": 1.0, "parallel_cold_seconds": 1.0},
+        "scale": {"addresses": 1},
+    }
+    monkeypatch.setattr(
+        repro.perf, "run_profile", lambda scale, **kwargs: calls.append((scale, kwargs)) or []
+    )
+    monkeypatch.setattr(repro.perf, "run_smoke", lambda **kwargs: calls.append(kwargs) or smoke)
+    monkeypatch.setattr(repro.perf, "check_benchmarks", lambda results: [])
+    monkeypatch.setattr("repro.cli._print_streaming", lambda results: None)
+    assert main(["bench", "--profile", "--scale", "200000", "--top", "5"]) == 0
+    assert main(["bench", "--profile"]) == 0
+    assert main(["bench", "--smoke", "--workers", "3"]) == 0
+    assert main(["bench", "--smoke"]) == 0
+    assert calls == [
+        (scale_for(200000), {"week": 18, "seed": 0, "top": 5}),
+        (scale_for(20000), {"week": 18, "seed": 0, "top": 15}),
+        {"week": 18, "seed": 0, "workers": 3},
+        {"week": 18, "seed": 0, "workers": 2},
+    ]

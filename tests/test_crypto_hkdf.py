@@ -80,3 +80,77 @@ def test_expand_label_deterministic_and_label_sensitive():
     b = hkdf_expand_label(secret, b"label-b", b"", 16)
     assert a != b
     assert a == hkdf_expand_label(secret, b"label-a", b"", 16)
+
+
+def _rfc5869_expand_label(secret, label, context, length, hash_name):
+    """HKDF-Expand-Label through the RFC 5869 block loop, its HkdfLabel
+    built field by field (RFC 8446 §7.1)."""
+    full_label = b"tls13 " + label
+    hkdf_label = (
+        length.to_bytes(2, "big")
+        + bytes([len(full_label)])
+        + full_label
+        + bytes([len(context)])
+        + context
+    )
+    return hkdf_expand(secret, hkdf_label, length, hash_name)
+
+
+@pytest.mark.parametrize("hash_name,hash_len", [("sha256", 32), ("sha384", 48)])
+def test_one_hmac_expand_label_equals_the_rfc5869_loop(hash_name, hash_len):
+    secret = bytes(range(1, hash_len + 1))
+    for length in range(1, hash_len + 1):
+        for label, context in ((b"quic key", b""), (b"c hs traffic", bytes(hash_len))):
+            assert hkdf_expand_label(secret, label, context, length, hash_name) == (
+                _rfc5869_expand_label(secret, label, context, length, hash_name)
+            )
+    # Longer than one block still takes the loop.
+    long = hkdf_expand_label(secret, b"long", b"", 3 * hash_len + 1, hash_name)
+    assert long == _rfc5869_expand_label(secret, b"long", b"", 3 * hash_len + 1, hash_name)
+
+
+def test_rfc8448_simple_1rtt_key_schedule():
+    """RFC 8448 §3: early, handshake and server handshake traffic secrets."""
+    import hashlib
+
+    early = hkdf_extract(bytes(32), bytes(32))
+    assert early.hex() == "33ad0a1c607ec03b09e6cd9893680ce210adf300aa1f2660e1b22e10f170f92a"
+    derived = hkdf_expand_label(early, b"derived", hashlib.sha256().digest(), 32)
+    assert derived.hex() == "6f2615a108c702c5678f54fc9dbab69716c076189c48250cebeac3576c3611ba"
+    shared = bytes.fromhex("8bd4054fb55b9d63fdfbacf9f04b9f0d35e6d63f537563efd46272900f89492d")
+    handshake = hkdf_extract(derived, shared)
+    assert handshake.hex() == "1dc826e93606aa6fdc0aadc12f741b01046aa6b99f691ed221a9f0ca043fbeac"
+    transcript = bytes.fromhex("860c06edc07858ee8e78f0e7428c58edd6b43f2ca3e6e95f02ed063cf0e1cad8")
+    client = hkdf_expand_label(handshake, b"c hs traffic", transcript, 32)
+    assert client.hex() == "b3eddb126e067f35a780b3abf45e2d8f3b1a950738f52e9600746a0e27a55a21"
+    server = hkdf_expand_label(handshake, b"s hs traffic", transcript, 32)
+    assert server.hex() == "b67b7d690cc16c4e75e54213cb2d37b4e9c912bcded9105d42befd59d391ad38"
+    assert hkdf_expand_label(server, b"key", b"", 16).hex() == "3fce516009c21727d0f2e4e86ee403bc"
+    assert hkdf_expand_label(server, b"iv", b"", 12).hex() == "5d313eb2671276ee13000b30"
+    assert hkdf_expand_label(server, b"finished", b"", 32).hex() == (
+        "008d3b66f816ea559f96b537e885c31fc068bf492c652f01f288a1d8cdc19fc8"
+    )
+
+
+@pytest.mark.parametrize("hash_name", ["sha256", "sha384"])
+def test_pskless_early_secret_constants_equal_a_fresh_extract(hash_name):
+    import hashlib
+
+    from repro.tls.keyschedule import KeySchedule, _hash_constants
+
+    zeros = bytes(hashlib.new(hash_name).digest_size)
+    hkdf_extract.cache_clear()
+    hkdf_expand_label.cache_clear()
+    fresh = hkdf_extract(zeros, zeros, hash_name)
+    fresh_derived = _rfc5869_expand_label(
+        fresh, b"derived", hashlib.new(hash_name).digest(), len(zeros), hash_name
+    )
+    _empty, early, derived = _hash_constants(hash_name)
+    assert (early, derived) == (fresh, fresh_derived)
+    # A PSK-less schedule starts from them; an empty PSK is no PSK.
+    for psk in (None, b""):
+        schedule = KeySchedule(hash_name, psk=psk)
+        assert (schedule._early_secret, schedule._derived_early) == (fresh, fresh_derived)
+    resumed = KeySchedule(hash_name, psk=b"\x01" * len(zeros))
+    assert resumed._early_secret == hkdf_extract(zeros, b"\x01" * len(zeros), hash_name)
+    assert resumed._derived_early is None

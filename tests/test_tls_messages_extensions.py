@@ -89,9 +89,12 @@ def test_extension_block_malformed():
 
 
 def test_extension_type_names():
-    assert ExtensionType.name(0) == "server_name"
-    assert ExtensionType.name(0x39) == "quic_transport_parameters"
-    assert ExtensionType.name(0xABCD) == "ext_43981"
+    extensions = [(0, b""), (0x39, b"\x01"), (0xABCD, b"")]
+    assert ExtensionType.names(extensions) == [
+        "server_name",
+        "quic_transport_parameters",
+        "ext_43981",
+    ]
 
 
 def test_client_hello_roundtrip():
