@@ -361,7 +361,7 @@ def _cmd_bench(args) -> int:
             scale_for(args.scale), week=args.week, seed=args.seed, top=args.top
         )
         for section in sections:
-            print(f"== {section['stage']} ({section['records']} records) ==")
+            print(f"== {section['stage']} ({section['records']} {section['unit']}) ==")
             print(section["stats"])
         return 0
 

@@ -289,7 +289,13 @@ class Network:
         self._conditions[address] = conditions
 
     def conditions_for(self, address: Address) -> NetworkConditions:
-        return self._conditions.get(address, _DEFAULT_CONDITIONS)
+        """``address``'s installed conditions, else the default ones.
+
+        A network with none installed (every unconfigured run) answers
+        without hashing ``address``: each send, SYN and TCP segment asks.
+        """
+        conditions = self._conditions
+        return conditions.get(address, _DEFAULT_CONDITIONS) if conditions else _DEFAULT_CONDITIONS
 
     # -- configuration ---------------------------------------------------------
     def configure(self, key: Tuple, install: Callable[[], None]) -> None:

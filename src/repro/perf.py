@@ -25,7 +25,7 @@ import os
 import subprocess
 import sys
 import time
-from typing import Dict, List
+from typing import Callable, Dict, List
 
 from repro.experiments.campaign import Campaign, CampaignConfig
 from repro.internet.providers import Scale, scale_for
@@ -275,40 +275,53 @@ def check_benchmarks(results: Dict) -> List[str]:
 def run_profile(
     scale: Scale, week: int = 18, seed: int = 0, top: int = 15
 ) -> List[Dict[str, object]]:
-    """Profile every campaign stage with cProfile (``repro bench --profile``).
+    """Profile a serial campaign with cProfile (``repro bench --profile``).
 
     Runs a serial campaign and profiles each stage's compute in
     dependency order (so a stage's section covers only its own work,
-    never a lazily-materialised upstream).  Returns one section per
-    stage with the top ``top`` functions by cumulative time — the
-    view that found the QScanner handshake hot path.
+    never a lazily-materialised upstream), then the two layers around
+    the scans: ``world`` (the world build, profiled before the stages
+    and listed after them) and ``load`` (``load_campaign`` into an
+    in-memory warehouse).  Returns one section each with the top ``top``
+    functions by cumulative time — the view that found the QScanner
+    handshake hot path.
     """
     import cProfile
     import io
     import pstats
+    import sqlite3
 
     from repro.experiments.stages import STAGE_NAMES
+    from repro.warehouse import load_campaign
 
-    campaign = Campaign(CampaignConfig(week=week, scale=scale, seed=seed))
-    _ = campaign.world
-    _ = campaign.dns_records  # shared input, not a stage
-    sections: List[Dict[str, object]] = []
-    for name in STAGE_NAMES:
+    def profiled(name: str, run: Callable[[], object], count: Callable, unit: str = "records"):
         profiler = cProfile.Profile()
         profiler.enable()
         try:
-            records = getattr(campaign, name)
+            result = run()
         finally:
             profiler.disable()
         buffer = io.StringIO()
-        stats = pstats.Stats(profiler, stream=buffer)
-        stats.sort_stats("cumulative").print_stats(top)
-        sections.append(
-            {
-                "stage": name,
-                "records": len(records),
-                "top": top,
-                "stats": buffer.getvalue(),
-            }
+        pstats.Stats(profiler, stream=buffer).sort_stats("cumulative").print_stats(top)
+        return {
+            "stage": name,
+            "records": count(result),
+            "unit": unit,
+            "top": top,
+            "stats": buffer.getvalue(),
+        }
+
+    campaign = Campaign(CampaignConfig(week=week, scale=scale, seed=seed))
+    world = profiled("world", lambda: campaign.world, lambda w: len(w.deployments), "deployments")
+    _ = campaign.dns_records  # shared input, not a stage
+    sections = [
+        profiled(name, lambda: getattr(campaign, name), len) for name in STAGE_NAMES
+    ]
+    conn = sqlite3.connect(":memory:")
+    try:
+        load = profiled(
+            "load", lambda: load_campaign(campaign, conn), lambda r: r.total_rows, "rows"
         )
-    return sections
+    finally:
+        conn.close()
+    return [*sections, world, load]

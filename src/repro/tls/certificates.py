@@ -159,6 +159,20 @@ def _matches(pattern: str, hostname: str) -> bool:
     return False
 
 
+@lru_cache(maxsize=1024)
+def _signature(key: RsaPrivateKey, tbs: bytes) -> bytes:
+    """``key.sign(tbs)``, computed once per process.
+
+    PKCS#1 v1.5 signing is deterministic, and a longitudinal series
+    rebuilds its world every week, re-issuing most certificates byte for
+    byte, so a certificate's signature is answered from here after its
+    first issue.  The memo sits at the certificate call sites, not in
+    :meth:`RsaPrivateKey.sign`: a CertificateVerify signs a fresh
+    transcript every handshake and would only churn it.
+    """
+    return key.sign(tbs)
+
+
 class CertificateAuthority:
     """A root CA that issues leaf certificates for the simulated PKI."""
 
@@ -175,7 +189,7 @@ class CertificateAuthority:
             public_key=self.key.public_key,
             is_ca=True,
         )
-        self.root = replace(root, signature=self.key.sign(root.tbs_bytes()))
+        self.root = replace(root, signature=_signature(self.key, root.tbs_bytes()))
 
     def issue(
         self,
@@ -200,7 +214,7 @@ class CertificateAuthority:
             public_key=key.public_key,
             is_ca=False,
         )
-        signed = replace(cert, signature=self.key.sign(cert.tbs_bytes()))
+        signed = replace(cert, signature=_signature(self.key, cert.tbs_bytes()))
         return signed, key
 
 
@@ -222,7 +236,7 @@ def make_self_signed(
         public_key=key.public_key,
         is_ca=False,
     )
-    signed = replace(cert, signature=key.sign(cert.tbs_bytes()))
+    signed = replace(cert, signature=_signature(key, cert.tbs_bytes()))
     return signed, key
 
 

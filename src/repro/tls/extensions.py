@@ -98,21 +98,19 @@ def encode_extensions(extensions: List[Tuple[int, bytes]]) -> bytes:
 def _pairs(data: bytes, offset: int, end: int) -> Tuple[List[Tuple[int, bytes]], int]:
     """``(type, opaque<0..2^16-1>)`` entries from ``offset`` up to ``end``.
 
-    A header past the end of ``data`` reads the bytes that are there as
-    a shorter big-endian number (none read as 0), so a block whose
-    length overruns its data parses as it always has.
+    An entry whose header or body reaches past the end of ``data`` is
+    truncated and raises :class:`MessageDecodeError`.
     """
     size = len(data)
     entries: List[Tuple[int, bytes]] = []
     while offset < end:
         start = offset + 4
-        if start <= size:
-            kind = data[offset] << 8 | data[offset + 1]
-            length = data[offset + 2] << 8 | data[offset + 3]
-        else:
-            kind = int.from_bytes(data[offset : offset + 2], "big")
-            length = int.from_bytes(data[offset + 2 : start], "big")
-        offset = start + length
+        if start > size:
+            raise MessageDecodeError("truncated entry header")
+        kind = data[offset] << 8 | data[offset + 1]
+        offset = start + (data[offset + 2] << 8 | data[offset + 3])
+        if offset > size:
+            raise MessageDecodeError("truncated entry body")
         entries.append((kind, data[start:offset]))
     return entries, offset
 

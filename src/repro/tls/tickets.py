@@ -16,6 +16,7 @@ from typing import Optional, Tuple
 
 from repro.crypto.aead import AeadError, AeadSim
 from repro.crypto.rand import DeterministicRandom
+from repro.tls.extensions import MessageDecodeError
 from repro.tls.messages import frame_message
 
 __all__ = [
@@ -123,15 +124,26 @@ def decode_new_session_ticket(body: bytes) -> Tuple[bytes, bytes, int]:
     """Parse a NewSessionTicket body; returns (ticket, nonce, max_early_data).
 
     The lifetime and age_add (the first 8 bytes) are informational only.
+    A field or an extension that reaches past the body raises
+    :class:`~repro.tls.extensions.MessageDecodeError`.
     """
+    size = len(body)
+    if size < 9:
+        raise MessageDecodeError("truncated NewSessionTicket")
     nonce_end = 9 + body[8]
     ticket_end = nonce_end + 2 + int.from_bytes(body[nonce_end : nonce_end + 2], "big")
     offset = ticket_end + 2
+    if offset > size:
+        raise MessageDecodeError("truncated NewSessionTicket nonce or ticket")
     end = offset + int.from_bytes(body[ticket_end:offset], "big")
+    if end > size:
+        raise MessageDecodeError("truncated NewSessionTicket extensions")
     max_early_data = 0
     while offset < end:
         ext_type = int.from_bytes(body[offset : offset + 2], "big")
         ext_len = int.from_bytes(body[offset + 2 : offset + 4], "big")
+        if offset + 4 + ext_len > size:
+            raise MessageDecodeError("truncated NewSessionTicket extension")
         if ext_type == 42 and ext_len == 4:
             max_early_data = int.from_bytes(body[offset + 4 : offset + 8], "big")
         offset += 4 + ext_len

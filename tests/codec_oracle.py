@@ -17,7 +17,9 @@ encoding and :class:`~repro.crypto.aead.AeadSim`) is kept here as it was
 before those codecs parsed with ``struct`` or indexing and built with
 one join: every integer field is its own ``int.from_bytes`` over a
 slice (a slice past the end reads short), every piece its own
-concatenation.  It raises the product's exception types; the
+concatenation.  An extension, key share or NewSessionTicket field whose
+length reaches past its data raises ``MessageDecodeError``, as the
+product does.  It raises the product's exception types; the
 differential compares the type only, since messages quoting the
 underlying ``IndexError`` differ.
 """
@@ -671,8 +673,12 @@ def decode_extensions(data: bytes, offset: int = 0) -> Tuple[List[Tuple[int, byt
     end = offset + total
     extensions: List[Tuple[int, bytes]] = []
     while offset < end:
+        if offset + 4 > len(data):
+            raise MessageDecodeError("extension header past the data")
         ext_type = int.from_bytes(data[offset : offset + 2], "big")
         length = int.from_bytes(data[offset + 2 : offset + 4], "big")
+        if offset + 4 + length > len(data):
+            raise MessageDecodeError("extension body past the data")
         extensions.append((ext_type, data[offset + 4 : offset + 4 + length]))
         offset += 4 + length
     if offset != end:
@@ -753,8 +759,12 @@ def decode_key_share(data: bytes, is_client: bool) -> List[Tuple[int, bytes]]:
         offset = 0
         end = len(data)
     while offset < end:
+        if offset + 4 > len(data):
+            raise MessageDecodeError("key share header past the data")
         group = int.from_bytes(data[offset : offset + 2], "big")
         length = int.from_bytes(data[offset + 2 : offset + 4], "big")
+        if offset + 4 + length > len(data):
+            raise MessageDecodeError("key share past the data")
         shares.append((group, data[offset + 4 : offset + 4 + length]))
         offset += 4 + length
     return shares
@@ -943,22 +953,34 @@ def encode_new_session_ticket(
 
 
 def decode_new_session_ticket(body: bytes) -> Tuple[bytes, bytes, int]:
+    if len(body) < 9:
+        raise MessageDecodeError("NewSessionTicket shorter than its nonce length")
     lifetime = int.from_bytes(body[0:4], "big")
     del lifetime
     offset = 8
     nonce_len = body[offset]
     nonce = body[offset + 1 : offset + 1 + nonce_len]
     offset += 1 + nonce_len
+    if offset + 2 > len(body):
+        raise MessageDecodeError("ticket length past the body")
     ticket_len = int.from_bytes(body[offset : offset + 2], "big")
     ticket = body[offset + 2 : offset + 2 + ticket_len]
     offset += 2 + ticket_len
+    if offset + 2 > len(body):
+        raise MessageDecodeError("ticket or extensions length past the body")
     ext_total = int.from_bytes(body[offset : offset + 2], "big")
     offset += 2
     end = offset + ext_total
+    if end > len(body):
+        raise MessageDecodeError("extensions past the body")
     max_early_data = 0
     while offset < end:
+        if offset + 4 > len(body):
+            raise MessageDecodeError("extension header past the body")
         ext_type = int.from_bytes(body[offset : offset + 2], "big")
         ext_len = int.from_bytes(body[offset + 2 : offset + 4], "big")
+        if offset + 4 + ext_len > len(body):
+            raise MessageDecodeError("extension past the body")
         if ext_type == 42 and ext_len == 4:
             max_early_data = int.from_bytes(body[offset + 4 : offset + 8], "big")
         offset += 4 + ext_len

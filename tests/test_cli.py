@@ -106,6 +106,17 @@ def test_bench_rejects_the_other_modes_option(monkeypatch, capsys, argv, message
     assert capsys.readouterr().err.rstrip().endswith(f"error: {message}")
 
 
+def test_bench_profile_sections_are_the_stages_then_world_and_load(capsys):
+    """``--profile`` shows the two non-scan layers of a week beside the
+    stages: the world build and the warehouse load."""
+    from repro.experiments.stages import STAGE_NAMES
+
+    assert main(["bench", "--profile", "--scale", "200000", "--top", "1"]) == 0
+    headers = [line for line in capsys.readouterr().out.splitlines() if line.startswith("== ")]
+    assert [line.split()[1] for line in headers] == [*STAGE_NAMES, "world", "load"]
+    assert headers[-2].endswith(" deployments) ==") and headers[-1].endswith(" rows) ==")
+
+
 def test_bench_modes_take_their_own_options_and_defaults(monkeypatch):
     import repro.perf
     from repro.internet.providers import scale_for

@@ -30,6 +30,7 @@ from repro.tls.messages import (
     frame_message,
     iter_messages,
 )
+from repro.tls.tickets import decode_new_session_ticket, encode_new_session_ticket
 
 
 def test_sni_roundtrip():
@@ -85,6 +86,39 @@ def test_extension_block_malformed():
     # A total length that cannot be tiled by whole extensions.
     data = b"\x00\x05" + b"\x00\x01" + b"\x00\x00" + b"\xff"
     with pytest.raises(ValueError):
+        decode_extensions(data)
+
+
+@pytest.mark.parametrize(
+    "decode, data",
+    [
+        (decode_extensions, b"\x00\x08"),  # two phantom empty extensions, once
+        (decode_extensions, b"\xff\xfc"),  # 16,383 of them, once
+        (decode_extensions, b"\x00\x06\x00\x10\x00\x05ab"),  # a body past the data
+        (lambda data: decode_key_share(data, True), b"\x00\x04\x00\x1d"),
+        (lambda data: decode_key_share(data, False), b"\x00\x1d\x00\x20" + bytes(31)),
+        (decode_new_session_ticket, bytes(8)),
+        (decode_new_session_ticket, bytes(8) + b"\x04\x00"),  # nonce past the body
+        (decode_new_session_ticket, bytes(9) + b"\x00\x05tick"),  # ticket past the body
+        (decode_new_session_ticket, bytes(9) + b"\x00\x00\x00\x08"),  # extensions, too
+        (decode_new_session_ticket, bytes(11) + b"\x00\x06\x00\x2a\x00\x04\x00\x00"),
+    ],
+)
+def test_a_length_past_the_data_is_a_decode_error(decode, data):
+    """A length that reaches past its data is malformed; its missing
+    bytes are not read as zeros."""
+    with pytest.raises(MessageDecodeError):
+        decode(data)
+
+
+def test_new_session_ticket_roundtrip():
+    framed = encode_new_session_ticket(b"ticket", b"\x07", max_early_data=4096)
+    assert decode_new_session_ticket(framed[4:]) == (b"ticket", b"\x07", 4096)
+
+
+def test_an_extension_past_its_block_inside_the_data_is_malformed():
+    data = b"\x00\x04\x00\x10\x00\x02ab"  # the block ends inside its entry
+    with pytest.raises(ValueError, match="malformed extension block"):
         decode_extensions(data)
 
 
