@@ -27,7 +27,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.campaign import Campaign, CampaignConfig
+from repro.experiments.campaign import Campaign, CampaignConfig, get_campaign
+from repro.experiments.figures import fig3, fig5, fig6, fig7
 from repro.experiments.stage_cache import CampaignStageCache
 from repro.internet.generator import build_world
 from repro.internet.providers import Scale
@@ -234,6 +235,36 @@ def test_timeline_marts_cover_every_week(ref):
             assert report.rows, f"report {name!r} rendered no rows"
     finally:
         conn.close()
+
+
+def _typed(rows):
+    return [tuple((type(cell), cell) for cell in row) for row in rows]
+
+
+def test_timeline_rows_equal_figure_rows(ref):
+    """A week's timeline rows are the in-memory figure rows for that week:
+    Fig. 3 for ``mart_https_rr_timeline``, Figs. 5, 6 and 7 for the
+    ``version-set``, ``version`` and ``alpn-set`` rows of
+    ``mart_version_timeline`` (kind dropped; Fig. 6 carries no total)."""
+    db_path, config, _result = ref
+    conn = connect(db_path)
+    try:
+        https = timeline_rows(conn, config.run_id, "mart_https_rr_timeline")
+        versions = timeline_rows(conn, config.run_id, "mart_version_timeline")
+    finally:
+        conn.close()
+    template = get_campaign(week=_WEEKS[-1], scale=_SCALE, seed=_SEED)
+    assert _typed(https) == _typed(fig3(template, weeks=_WEEKS).rows)
+    for name, figure, width in (
+        ("version-set", fig5, 4),
+        ("version", fig6, 3),
+        ("alpn-set", fig7, 4),
+    ):
+        stored = [
+            (week, *rest)[:width] for week, kind, *rest in versions if kind == name
+        ]
+        assert stored, f"no {name} rows"
+        assert _typed(stored) == _typed(figure(template, weeks=_WEEKS).rows), name
 
 
 # -- delta == full scan (the correctness contract) -----------------------------
