@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test docs-check shapes scale-sweep bench-smoke bench-profile reach report artefacts interop chaos chaos-smoke conform conform-smoke fuzz-smoke warehouse-smoke longitudinal-smoke matrix-smoke fleet-smoke clean
+.PHONY: test docs-check scanbench-tests shapes scale-sweep bench-smoke bench-profile reach report artefacts interop chaos chaos-smoke conform conform-smoke fuzz-smoke warehouse-smoke longitudinal-smoke matrix-smoke fleet-smoke clean
 
 # chaos-smoke keeps the fault-injection/degradation path exercised,
 # fuzz-smoke the wire-format conformance suite, conform-smoke the
@@ -15,7 +15,7 @@ export PYTHONPATH := src
 # tests/test_conformance.py, tests/test_warehouse.py,
 # tests/test_longitudinal.py, tests/test_paths.py and
 # tests/test_fleet.py; deep fuzzing runs via `pytest -m slow_fuzz`).
-test: docs-check shapes chaos-smoke fuzz-smoke conform-smoke bench-smoke warehouse-smoke longitudinal-smoke matrix-smoke fleet-smoke
+test: docs-check scanbench-tests shapes chaos-smoke fuzz-smoke conform-smoke bench-smoke warehouse-smoke longitudinal-smoke matrix-smoke fleet-smoke
 	$(PYTHON) -m pytest -x -q --durations=20
 
 # Paper-shape gate: regenerate benchmarks/output/ and require every
@@ -45,6 +45,13 @@ reach:
 # Validates intra-repo markdown links + module docstring presence.
 docs-check:
 	$(PYTHON) -m pytest -x -q tests/test_docs.py
+
+# scanbench's own unit tests (~2 s).  test_tracer resolves every
+# boundary the benchmark pins by name (build_marts, table1-table6,
+# append_week_timelines, ...), so renaming one fails here, not in a
+# benchmark run.
+scanbench-tests:
+	$(PYTHON) -m pytest -x -q benchmarks/scanbench/tests
 
 # Full chaos campaign under the default fault profile.
 chaos:

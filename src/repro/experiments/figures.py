@@ -13,7 +13,19 @@ from repro.experiments.campaign import Campaign, get_campaign
 from repro.internet.providers import Scale
 from repro.internet.timeline import SCAN_WEEKS_TLS, SCAN_WEEKS_ZMAP
 
-__all__ = ["fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9"]
+__all__ = [
+    "fig3",
+    "fig3_week",
+    "fig4",
+    "fig5",
+    "fig5_week",
+    "fig6",
+    "fig6_week",
+    "fig7",
+    "fig7_week",
+    "fig8",
+    "fig9",
+]
 
 # Weeks used for the longitudinal TLS/DNS figures; a subset of the
 # paper's weekly cadence keeps simulated campaigns quick while
@@ -37,19 +49,24 @@ def _weekly_campaigns(
     ]
 
 
+def fig3_week(campaign: Campaign) -> List[Tuple]:
+    """Fig. 3's rows for one week: per input list, resolved names,
+    HTTPS-RR hits and the hit rate (%)."""
+    rows = []
+    for list_name, records in sorted(campaign.dns_records.items()):
+        hits = sum(1 for record in records.answered.values() if record.has_https_rr)
+        rate = 100.0 * hits / len(records) if records else 0.0
+        rows.append((campaign.config.week, list_name, len(records), hits, round(rate, 2)))
+    return rows
+
+
 def fig3(campaign: Campaign, weeks: Sequence[int] = DEFAULT_TLS_WEEKS) -> ExperimentResult:
     """Fig. 3: HTTPS-RR success rate per input list over weeks."""
-    rows = []
-    for weekly in _weekly_campaigns(weeks, campaign):
-        for list_name, records in sorted(weekly.dns_records.items()):
-            hits = sum(1 for record in records.answered.values() if record.has_https_rr)
-            rate = 100.0 * hits / len(records) if records else 0.0
-            rows.append((weekly.config.week, list_name, len(records), hits, round(rate, 2)))
     return ExperimentResult(
         experiment_id="F3",
         title="HTTPS DNS RR success rate per input list over weeks",
         headers=("Week", "List", "Resolved", "HTTPS hits", "Success %"),
-        rows=rows,
+        rows=[row for weekly in _weekly_campaigns(weeks, campaign) for row in fig3_week(weekly)],
         paper_reference="~1 % for com/net/org, up to ~8 % for toplists, increasing over time",
     )
 
@@ -96,21 +113,30 @@ def fig4(campaign: Campaign) -> ExperimentResult:
     )
 
 
+def fig5_week(campaign: Campaign, threshold: float) -> List[Tuple]:
+    """Fig. 5's rows for one week: ZMap IPv4 version-set shares (%),
+    sets below ``threshold`` folded into 'Other', largest first."""
+    shares = version_set_shares(campaign.zmap_v4, fold_threshold=threshold)
+    total = len(campaign.zmap_v4)
+    return [
+        (campaign.config.week, label, round(100 * share, 2), total)
+        for label, share in sorted(shares.items(), key=lambda item: -item[1])
+    ]
+
+
 def fig5(
     campaign: Campaign, weeks: Sequence[int] = SCAN_WEEKS_ZMAP, threshold: float = 0.01
 ) -> ExperimentResult:
     """Fig. 5: announced version *sets* per IPv4 address over weeks."""
-    rows = []
-    for weekly in _weekly_campaigns(weeks, campaign):
-        shares = version_set_shares(weekly.zmap_v4, fold_threshold=threshold)
-        total = len(weekly.zmap_v4)
-        for label, share in sorted(shares.items(), key=lambda item: -item[1]):
-            rows.append((weekly.config.week, label, round(100 * share, 2), total))
     return ExperimentResult(
         experiment_id="F5",
         title="Supported QUIC version sets per IPv4 address (ZMap)",
         headers=("Week", "Version set", "Share %", "Total addresses"),
-        rows=rows,
+        rows=[
+            row
+            for weekly in _weekly_campaigns(weeks, campaign)
+            for row in fig5_week(weekly, threshold)
+        ],
         paper_reference=(
             "Cloudflare's set gains ietf-01 in week 18; Akamai's gains draft-29 mid-period; "
             "'Other' folds sets <1 %"
@@ -118,40 +144,54 @@ def fig5(
     )
 
 
+def fig6_week(campaign: Campaign) -> List[Tuple]:
+    """Fig. 6's rows for one week: support (%) of each version that at
+    least 1 % of the ZMap IPv4 responders announce, largest first."""
+    support = version_support(campaign.zmap_v4)
+    return [
+        (campaign.config.week, label, round(100 * share, 2))
+        for label, share in sorted(support.items(), key=lambda item: -item[1])
+        if share >= 0.01
+    ]
+
+
 def fig6(
     campaign: Campaign, weeks: Sequence[int] = SCAN_WEEKS_ZMAP
 ) -> ExperimentResult:
     """Fig. 6: individual version support over weeks."""
-    rows = []
-    for weekly in _weekly_campaigns(weeks, campaign):
-        support = version_support(weekly.zmap_v4)
-        for label, share in sorted(support.items(), key=lambda item: -item[1]):
-            if share >= 0.01:
-                rows.append((weekly.config.week, label, round(100 * share, 2)))
     return ExperimentResult(
         experiment_id="F6",
         title="Individual QUIC version support (ZMap IPv4)",
         headers=("Week", "Version", "Support %"),
-        rows=rows,
+        rows=[row for weekly in _weekly_campaigns(weeks, campaign) for row in fig6_week(weekly)],
         paper_reference="draft-29 grows to 96 % by week 18; ~50 % still support Google QUIC",
     )
+
+
+def fig7_week(campaign: Campaign, threshold: float) -> List[Tuple]:
+    """Fig. 7's rows for one week: Alt-Svc ALPN-set shares (%) over the
+    SNI-scanned IPv4 targets, with the number of advertising targets."""
+    shares = alpn_set_shares(campaign.goscanner_sni_v4, fold_threshold=threshold)
+    total = sum(1 for r in campaign.goscanner_sni_v4 if r.alt_svc)
+    return [
+        (campaign.config.week, label, round(100 * share, 2), total)
+        for label, share in sorted(shares.items(), key=lambda item: -item[1])
+    ]
 
 
 def fig7(
     campaign: Campaign, weeks: Sequence[int] = DEFAULT_TLS_WEEKS, threshold: float = 0.01
 ) -> ExperimentResult:
     """Fig. 7: Alt-Svc ALPN sets for (domain, address) targets over weeks."""
-    rows = []
-    for weekly in _weekly_campaigns(weeks, campaign):
-        shares = alpn_set_shares(weekly.goscanner_sni_v4, fold_threshold=threshold)
-        total = sum(1 for r in weekly.goscanner_sni_v4 if r.alt_svc)
-        for label, share in sorted(shares.items(), key=lambda item: -item[1]):
-            rows.append((weekly.config.week, label, round(100 * share, 2), total))
     return ExperimentResult(
         experiment_id="F7",
         title="QUIC-related ALPN sets from Alt-Svc headers (IPv4 targets)",
         headers=("Week", "ALPN set", "Share %", "Targets"),
-        rows=rows,
+        rows=[
+            row
+            for weekly in _weekly_campaigns(weeks, campaign)
+            for row in fig7_week(weekly, threshold)
+        ],
         paper_reference=(
             "h3-27,h3-28,h3-29 (Cloudflare) majority; Google sets shift towards one "
             "including h3-29/h3-34; bare 'quic' declines"

@@ -17,10 +17,12 @@ configuration (never the worker count), and each cell inherits the
 campaign determinism contract — ``--workers N`` runs produce
 byte-identical per-cell records, metrics.json and warehouse rows.
 
-Outcome rows are recomputed from the cell's staged marts by
+Outcome rows are recomputed from the cell's stored
+``mart_outcome_mix`` and ``mart_table5_parity`` rows by
 :func:`repro.warehouse.qa.run_matrix_qa` (the matrix
-``mart_equivalence`` check), so tampering fails loudly even long
-after the campaigns are gone from memory.
+``mart_equivalence`` check: stored against recomputed), so a tampered
+outcome row fails loudly even long after the campaigns are gone from
+memory.
 """
 
 from __future__ import annotations

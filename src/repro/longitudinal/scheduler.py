@@ -266,7 +266,7 @@ class LongitudinalScheduler:
                 append_week_timelines(
                     tx_conn,
                     ledger.run_id,
-                    week,
+                    campaign,
                     campaign_id,
                     previous_campaign_id=previous_id,
                 )

@@ -5,23 +5,24 @@ record lists per run, which caps campaign scale at RAM and makes
 cross-campaign queries impossible.  This package persists every
 stage's records into typed *staging* tables keyed by
 ``(campaign_id, stage, position)``, runs QA integrity checks recorded
-in ``qa_results``, and materialises the paper's tables as *marts*
-(``mart_table1_targets`` … ``mart_table6_fingerprints`` plus
-version-deployment and outcome-mix marts) that reproduce the
-in-memory tables row for row.
+in ``qa_results``, and stores the paper's tables as *marts*:
+``mart_table1_targets`` … ``mart_table6_fingerprints`` hold the rows
+:mod:`repro.experiments.tables` computes for the loaded campaign, and
+the version-deployment and outcome-mix marts are aggregated from
+staging.
 
 - :mod:`repro.warehouse.schema` — DDL plus the data dictionary
   (``docs/WAREHOUSE.md`` is checked against it),
 - :mod:`repro.warehouse.loader` — idempotent campaign ingestion,
 - :mod:`repro.warehouse.qa` — integrity checks (row counts, join-key
-  coverage, NULL-rate gates, mart-vs-memory equality),
-- :mod:`repro.warehouse.marts` — SQL aggregation + exact Python
-  rounding/ranking into the mart tables,
+  coverage, NULL-rate gates, stored marts against a fresh in-memory
+  computation, stage health),
+- :mod:`repro.warehouse.marts` — the mart writers,
 - :mod:`repro.warehouse.queries` — named mart reports and the raw-SQL
   escape hatch behind ``repro query``,
 - :mod:`repro.warehouse.timeline` — run-scoped cross-week timeline
-  marts appended by the longitudinal scheduler (Figures 3 and 5-7
-  over time, plus per-provider churn).
+  marts appended by the longitudinal scheduler (the per-week rows of
+  Figures 3 and 5-7, plus per-provider churn).
 
 The longitudinal run ledger (``runs``/``run_weeks``, see
 :mod:`repro.longitudinal.ledger`) lives in the same database so week

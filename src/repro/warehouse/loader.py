@@ -2,8 +2,9 @@
 
 :func:`load_campaign` ingests a campaign's stage record lists into the
 staging tables, resolves the address → AS dimension against the
-world's registry, records the expected stage counts, materialises the
-marts and runs the QA suite — all inside one transaction, deleting any
+world's registry, records the expected stage counts, writes the marts
+(Tables 1-6 as :mod:`repro.experiments.tables` computes them from the
+campaign) and runs the QA suite — all inside one transaction, deleting any
 previous rows for the same ``campaign_id`` first, so re-loading a
 campaign is exactly idempotent (byte-identical database content).
 
@@ -30,7 +31,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import islice
 from operator import itemgetter
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.experiments.campaign import COMPATIBLE_ALPN_TOKENS, Campaign
 from repro.experiments.stages import (
@@ -240,37 +241,6 @@ def _insert_dns(
     return base
 
 
-def _dns_address_rows(campaign: Campaign, campaign_id: str, text: _Memo) -> Iterator[Tuple]:
-    """The deduplicated (domain, address) pairs, in first-seen order.
-
-    Walks the records exactly like
-    :func:`repro.analysis.joins.join_dns_addresses` so positions mirror
-    the in-memory join's insertion order.
-    """
-    seen: Set[Tuple[str, object]] = set()
-    position = 0
-    for record in campaign.dns_answers:
-        for answers in (record.a, record.aaaa):
-            for address in answers:
-                key = (record.domain, address)
-                if key in seen:
-                    continue
-                seen.add(key)
-                yield (campaign_id, position, record.domain, text[address], _family(address))
-                position += 1
-
-
-def _https_hint_rows(campaign: Campaign, campaign_id: str, text: _Memo) -> Iterator[Tuple]:
-    position = 0
-    for record in campaign.dns_answers:
-        if not record.has_https_rr:
-            continue
-        for hints in (record.https_ipv4hints, record.https_ipv6hints):
-            for address in hints:
-                yield (campaign_id, position, record.domain, text[address], _family(address))
-                position += 1
-
-
 def _zmap_rows(campaign: Campaign, campaign_id: str, text: _Memo) -> Iterator[Tuple]:
     for stage in names(ZMAP):
         for position, record in enumerate(getattr(campaign, stage)):
@@ -375,8 +345,6 @@ def _address_rows(campaign: Campaign, campaign_id: str, text: _Memo) -> Iterator
 # Staging table -> its row builder, in load order after ``stg_dns``
 # (the address dimension last: it reads the memo the others fill).
 _STAGING_ROWS = (
-    ("stg_dns_address", _dns_address_rows),
-    ("stg_https_hints", _https_hint_rows),
     ("stg_zmap", _zmap_rows),
     ("stg_syn", _syn_rows),
     ("stg_goscanner", _goscanner_rows),
@@ -422,8 +390,12 @@ def load_campaign(
     ensure_schema(conn)
     campaign_id = campaign_warehouse_id(campaign.config)
     stage_counts = campaign.run_all_stages()
-    # The clock starts after the count pass: for a campaign that has
-    # not run yet that pass *is* the scan, which is not load time.
+    # The clock starts after the count pass and the world build: for a
+    # campaign that has not run yet that pass *is* the scan, and a
+    # warm-cache campaign builds its world on first use (the address
+    # dimension and Tables 1, 2 and 6 read its AS registry).  Neither
+    # is load time.
+    campaign.world
     start = time.perf_counter()
 
     result = LoadResult(campaign_id=campaign_id)
@@ -454,6 +426,7 @@ def load_campaign(
         result.rows["stg_dns"] = _insert_dns(conn, campaign, campaign_id, text)
         for table, build_rows in _STAGING_ROWS:  # no name for the rows: freed per table
             result.rows[table] = _insert(conn, table, build_rows(campaign, campaign_id, text))
+        result.rows.update(marts_module.write_table_marts(conn, campaign_id, campaign))
         result.rows.update(marts_module.build_marts(conn, campaign_id))
         result.qa = qa_module.run_qa(conn, campaign_id, campaign=campaign, strict=False)
         if on_commit is not None and not (strict and result.qa_failures):

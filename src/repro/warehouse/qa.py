@@ -1,6 +1,6 @@
 """Warehouse QA: integrity checks recorded in ``qa_results``.
 
-Four families of checks run on every load (and on demand against an
+Five families of checks run on every load (and on demand against an
 existing database):
 
 - **row counts** — every staged stage's row count must equal the
@@ -12,20 +12,22 @@ existing database):
 - **join-key coverage** — every address referenced by any staging
   table must resolve in the ``stg_addresses`` dimension, and every
   ``qscan_sni_*`` record's ``(address, sni)`` pair must exist in
-  ``stg_sni_targets`` for its family (the joins Tables 1-6 rest on),
+  ``stg_sni_targets`` for its family,
 - **NULL-rate gates** — columns that can never legitimately be NULL
   (addresses, outcomes, DNS domains, the SNI on SNI-scan records)
   must have a NULL rate of exactly zero,
 - **mart equivalence** — when the loading campaign is available, every
-  ``mart_table*`` must equal the in-memory
-  :mod:`repro.experiments.tables` output row for row (the
-  byte-identical fallback check),
+  stored ``mart_table*`` must equal a fresh
+  :mod:`repro.experiments.tables` computation row for row (the load
+  stores those rows, so a mismatch means the mart was changed after it
+  was written),
 - **stage health** — when the loading campaign is available, every
-  executed stage's :class:`~repro.parallel.engine.StageHealth` must be
-  ``success``.  Degraded stages are never written to the stage cache,
-  so a load that mixes a degraded in-process stage with cache-sourced
-  upstream stages would silently ingest an inconsistent campaign — the
-  check records the degradation and strict loads refuse it.
+  executed stage's :class:`~repro.experiments.campaign.StageHealth`
+  must be ``success``.  Degraded stages are never written to the stage
+  cache, so a load that mixes a degraded in-process stage with
+  cache-sourced upstream stages would silently ingest an inconsistent
+  campaign — the check records the degradation and strict loads
+  refuse it.
 
 Each check inserts one ``qa_results`` row per subject with
 ``status`` pass/fail plus expected/actual evidence;
@@ -40,6 +42,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.experiments.stages import DNS_RECORDS, STAGES
+from repro.warehouse.marts import MART_FOR_TABLE, TABLE_RUNNERS, mart_rows
 
 __all__ = [
     "QaResult",
@@ -223,18 +226,7 @@ def _check_null_rates(conn, campaign_id: str, results: List[QaResult]) -> None:
 
 
 def _check_mart_equivalence(conn, campaign_id: str, campaign, results: List[QaResult]) -> None:
-    from repro.experiments.tables import table1, table2, table3, table4, table5, table6
-    from repro.warehouse.marts import MART_FOR_TABLE, mart_rows
-
-    runners = {
-        "T1": table1,
-        "T2": table2,
-        "T3": table3,
-        "T4": table4,
-        "T5": table5,
-        "T6": table6,
-    }
-    for experiment_id, runner in runners.items():
+    for experiment_id, runner in TABLE_RUNNERS.items():
         memory = [tuple(row) for row in runner(campaign).rows]
         mart = mart_rows(conn, campaign_id, MART_FOR_TABLE[experiment_id])
         mismatch = ""
@@ -350,7 +342,7 @@ _MATRIX_OUTCOMES: Tuple[str, ...] = (
 def matrix_outcome_values(
     conn: sqlite3.Connection, campaign_id: str
 ) -> Tuple[int, Tuple[float, ...], float]:
-    """Recompute a matrix cell's outcome values from its staged marts.
+    """Recompute a matrix cell's outcome values from its stored marts.
 
     Returns ``(targets, per-outcome shares, mean certificate parity)``
     — the exact values a ``mart_matrix_outcomes`` row must hold.  The
@@ -391,7 +383,7 @@ def run_matrix_qa(
     - **row counts** — every ``matrix_runs`` cell must have exactly one
       ``mart_matrix_outcomes`` row (and vice versa),
     - **mart equivalence** — every cell's outcome row must equal the
-      values recomputed from that cell's staged marts
+      values recomputed from that cell's stored marts
       (:func:`matrix_outcome_values`), so a tampered matrix mart fails
       loudly even without the campaigns in memory.
 

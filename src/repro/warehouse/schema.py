@@ -11,11 +11,12 @@ Layering:
   stage record counts, the QA row-count baseline),
 - ``stg_*`` — typed staging tables keyed by
   ``(campaign_id, stage, position)``: one row per scanner record,
-  plus exploded join tables (DNS address pairs, HTTPS-RR hints, SNI
-  target source memberships) and the address → AS dimension,
+  plus the SNI target source memberships and the address → AS
+  dimension,
 - ``qa_results`` — the integrity-check ledger (see
   :mod:`repro.warehouse.qa`),
-- ``mart_*`` — the paper's tables, materialised (see
+- ``mart_*`` — Tables 1-6 as :mod:`repro.experiments.tables` computes
+  them, plus two marts aggregated from staging (see
   :mod:`repro.warehouse.marts`),
 - ``runs``/``run_weeks`` — the longitudinal run ledger: one row per
   scheduled series and per (run, week), committed transactionally with
@@ -34,8 +35,8 @@ Tables are ``STRICT`` so sqlite stores exactly the value types the
 loader inserts; mixed-type mart cells (Table 3 carries percentage
 floats and a final integer totals row in the same columns) use the
 ``ANY`` type, which STRICT tables preserve without affinity
-conversion — the property the byte-identical mart-vs-memory check
-rests on.
+conversion, so a stored Table 1-6 row reads back with the types its
+in-memory twin has.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ __all__ = [
 
 # Bumped whenever a table or column changes shape; part of the
 # campaign_id digest, so a schema change never mixes with old rows.
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -148,37 +149,6 @@ TABLES: Dict[str, Table] = {
                 ("has_https_rr", "INTEGER", "1 when the domain served an HTTPS RR"),
             ],
             primary_key=("campaign_id", "stage", "position"),
-        ),
-        _table(
-            "stg_dns_address",
-            "staging",
-            "The deduplicated (domain, address) join pairs from the DNS "
-            "A/AAAA answers, in first-seen order — the join the SNI scans "
-            "and the Table 1/2 domain counts walk.",
-            "Tables 1, 2, 4",
-            [
-                ("campaign_id", "TEXT", "warehouse campaign digest"),
-                ("position", "INTEGER", "pair insertion index (first-seen order)"),
-                ("domain", "TEXT", "joined domain"),
-                ("address", "TEXT", "joined address"),
-                ("family", "INTEGER", "IP family (4 or 6)"),
-            ],
-            primary_key=("campaign_id", "position"),
-        ),
-        _table(
-            "stg_https_hints",
-            "staging",
-            "Exploded HTTPS-RR hint addresses: one row per (domain, hint "
-            "address) from records with an HTTPS RR, both families.",
-            "Table 1; Figure 3",
-            [
-                ("campaign_id", "TEXT", "warehouse campaign digest"),
-                ("position", "INTEGER", "explosion index over the DNS records"),
-                ("domain", "TEXT", "domain serving the HTTPS RR"),
-                ("address", "TEXT", "ipv4hint/ipv6hint address"),
-                ("family", "INTEGER", "IP family (4 or 6)"),
-            ],
-            primary_key=("campaign_id", "position"),
         ),
         _table(
             "stg_zmap",
@@ -308,7 +278,7 @@ TABLES: Dict[str, Table] = {
             "qa",
             "Integrity-check ledger: one row per check per load (row "
             "counts vs. stage record counts, join-key coverage, NULL-rate "
-            "gates, mart-vs-memory equality).",
+            "gates, stored-vs-recomputed mart equality).",
             "load acceptance",
             [
                 ("campaign_id", "TEXT", "warehouse campaign digest"),
@@ -341,8 +311,7 @@ TABLES: Dict[str, Table] = {
             "mart_table2_providers",
             "mart",
             "Table 2: top providers by IPv4 ZMap address count, with "
-            "domain joins (Counter.most_common tie-break preserved via "
-            "first-seen position).",
+            "their joined domains.",
             "Table 2",
             [
                 ("campaign_id", "TEXT", "warehouse campaign digest"),
@@ -519,8 +488,7 @@ TABLES: Dict[str, Table] = {
             "Figures 5-7 series: per-week IPv4 version-set shares "
             "(kind 'version-set'), individual version support (kind "
             "'version') and Alt-Svc ALPN-set shares (kind 'alpn-set'), "
-            "computed with the exact analysis-module share/rounding/fold "
-            "idioms.",
+            "the rows repro.experiments.figures computes for the week.",
             "Figures 5, 6, 7",
             [
                 ("run_id", "TEXT", "longitudinal run digest"),
@@ -582,7 +550,7 @@ TABLES: Dict[str, Table] = {
             "rate and full Table-3 outcome mix over every qscan stage, "
             "plus the Table-5 certificate-parity mean — heatmap-ready "
             "(rate x rtt axes travel with each row).  Recomputed from the "
-            "cell's staged marts by the matrix mart_equivalence QA check.",
+            "cell's stored marts by the matrix mart_equivalence QA check.",
             "repro query matrix",
             [
                 ("matrix_id", "TEXT", "matrix run digest (grid + campaign config)"),
@@ -627,8 +595,6 @@ MATRIX_TABLES: Tuple[str, ...] = tuple(
 CAMPAIGN_SCOPED_KINDS: Tuple[str, ...] = ("meta", "staging", "dimension", "qa", "mart")
 
 _INDEXES = (
-    "CREATE INDEX IF NOT EXISTS idx_stg_dns_address_addr"
-    " ON stg_dns_address (campaign_id, address);",
     "CREATE INDEX IF NOT EXISTS idx_stg_goscanner_key"
     " ON stg_goscanner (campaign_id, stage, address, sni);",
     "CREATE INDEX IF NOT EXISTS idx_stg_qscan_key"

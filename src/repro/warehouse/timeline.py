@@ -6,13 +6,11 @@ same transaction as its staging load and the run-ledger checkpoint — a
 crash mid-week leaves no partial series rows, and a resumed run appends
 exactly the rows the interrupted run would have.
 
-Byte-identity contract (mirrors :mod:`repro.warehouse.marts`): SQL only
-ever supplies the raw staged values; shares, folds and rounding reuse
-the exact :mod:`repro.analysis.versions` functions and the
-:mod:`repro.experiments.figures` expressions (``round(100 * share, 2)``
-after ``sorted(..., key=-share)`` with Python's stable tie-break), so a
-timeline row equals the corresponding in-memory figure row for the same
-week.
+The Figure 3 and 5-7 series are the figures' own per-week rows
+(:func:`~repro.experiments.figures.fig3_week` and friends) computed
+from the week's campaign, so a timeline row *is* the in-memory figure
+row for that week.  Only the churn mart reads staging: it needs the
+previous week's responders, which the week's campaign does not hold.
 
 Tables:
 
@@ -26,26 +24,19 @@ Tables:
 
 from __future__ import annotations
 
-import json
 import sqlite3
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.versions import fold_rare, version_set_shares, version_support
-from repro.experiments.stages import GOSCANNER, ZMAP, find
+from repro.experiments.campaign import Campaign
+from repro.experiments.figures import fig3_week, fig5_week, fig6_week, fig7_week
 
 __all__ = [
     "append_week_timelines",
     "timeline_rows",
 ]
 
-
-@dataclass(frozen=True)
-class _VersionsOnly:
-    """Minimal stand-in for ZmapQuicRecord: the analysis functions only
-    read ``.versions``."""
-
-    versions: Tuple[int, ...]
+# The figures' default fold: sets under 1 % of the population are 'Other'.
+_FOLD_THRESHOLD = 0.01
 
 
 def _next_row_order(conn: sqlite3.Connection, table: str, run_id: str) -> int:
@@ -68,75 +59,20 @@ def _append(conn, table: str, run_id: str, rows: List[Tuple]) -> int:
     return len(rows)
 
 
-def _https_rr_rows(conn, campaign_id: str, week: int) -> List[Tuple]:
-    # fig3: for each input list (sorted), resolved count, HTTPS-RR hits
-    # and the Python-rounded rate.
-    rows = []
-    for list_name, resolved, hits in conn.execute(
-        "SELECT source_list, COUNT(*), COALESCE(SUM(has_https_rr), 0)"
-        " FROM stg_dns WHERE campaign_id = ?"
-        " GROUP BY source_list ORDER BY source_list",
-        (campaign_id,),
-    ):
-        rate = 100.0 * hits / resolved if resolved else 0.0
-        rows.append((week, list_name, resolved, hits, round(rate, 2)))
-    return rows
-
-
-def _zmap_v4_records(conn, campaign_id: str) -> List[_VersionsOnly]:
+def _version_rows(campaign: Campaign) -> List[Tuple]:
+    """Figs. 5, 6 and 7 for one week, each row tagged with its kind."""
+    total = len(campaign.zmap_v4)
     return [
-        _VersionsOnly(tuple(int(text, 16) for text in json.loads(versions_json)))
-        for (versions_json,) in conn.execute(
-            "SELECT versions_json FROM stg_zmap"
-            " WHERE campaign_id = ? AND stage = ? ORDER BY position",
-            (campaign_id, find(ZMAP, 4).name),
-        )
+        *(
+            (week, "version-set", label, share, total)
+            for week, label, share, _total in fig5_week(campaign, _FOLD_THRESHOLD)
+        ),
+        *((week, "version", label, share, total) for week, label, share in fig6_week(campaign)),
+        *(
+            (week, "alpn-set", label, share, advertisers)
+            for week, label, share, advertisers in fig7_week(campaign, _FOLD_THRESHOLD)
+        ),
     ]
-
-
-def _version_rows(conn, campaign_id: str, week: int) -> List[Tuple]:
-    records = _zmap_v4_records(conn, campaign_id)
-    total = len(records)
-    rows: List[Tuple] = []
-    # fig5: version-set shares, folded, descending share (stable ties).
-    for label, share in sorted(
-        version_set_shares(records).items(), key=lambda item: -item[1]
-    ):
-        rows.append((week, "version-set", label, round(100 * share, 2), total))
-    # fig6: individual version support, >= 1 % only.
-    for label, share in sorted(
-        version_support(records).items(), key=lambda item: -item[1]
-    ):
-        if share >= 0.01:
-            rows.append((week, "version", label, round(100 * share, 2), total))
-    # fig7: Alt-Svc ALPN sets over SNI-scanned IPv4 targets.  The
-    # staged http3_tokens_json column precomputes exactly
-    # sorted({e.alpn for e in alt_svc if e.indicates_http3}).
-    counts: Dict[str, int] = {}
-    advertisers = 0
-    for sni, tokens_json, alt_svc_json in conn.execute(
-        "SELECT sni, http3_tokens_json, alt_svc_json FROM stg_goscanner"
-        " WHERE campaign_id = ? AND stage = ? ORDER BY position",
-        (campaign_id, find(GOSCANNER, 4, sni=True).name),
-    ):
-        if alt_svc_json != "[]":
-            advertisers += 1
-        if sni is None:
-            continue
-        tokens = json.loads(tokens_json)
-        if not tokens:
-            continue
-        label = ",".join(tokens)
-        counts[label] = counts.get(label, 0) + 1
-    alpn_total = sum(counts.values())
-    shares = (
-        {label: count / alpn_total for label, count in counts.items()}
-        if alpn_total
-        else {}
-    )
-    for label, share in sorted(fold_rare(shares).items(), key=lambda item: -item[1]):
-        rows.append((week, "alpn-set", label, round(100 * share, 2), advertisers))
-    return rows
 
 
 def _zmap_state(conn, campaign_id: str) -> Dict[Tuple[str, str], str]:
@@ -193,21 +129,23 @@ def _churn_rows(
 def append_week_timelines(
     conn: sqlite3.Connection,
     run_id: str,
-    week: int,
+    campaign: Campaign,
     campaign_id: str,
     previous_campaign_id: Optional[str] = None,
 ) -> Dict[str, int]:
     """Append one completed week's rows to every timeline mart.
 
-    Must run inside the week's load transaction (the loader's
-    ``on_commit`` hook); returns rows appended per table.
+    ``campaign`` is the week's campaign and ``campaign_id`` its
+    warehouse id.  Must run inside the week's load transaction (the
+    loader's ``on_commit`` hook); returns rows appended per table.
     """
-    appended = {
+    week = campaign.config.week
+    return {
         "mart_https_rr_timeline": _append(
-            conn, "mart_https_rr_timeline", run_id, _https_rr_rows(conn, campaign_id, week)
+            conn, "mart_https_rr_timeline", run_id, fig3_week(campaign)
         ),
         "mart_version_timeline": _append(
-            conn, "mart_version_timeline", run_id, _version_rows(conn, campaign_id, week)
+            conn, "mart_version_timeline", run_id, _version_rows(campaign)
         ),
         "mart_week_churn": _append(
             conn,
@@ -216,7 +154,6 @@ def append_week_timelines(
             _churn_rows(conn, campaign_id, week, previous_campaign_id),
         ),
     }
-    return appended
 
 
 def timeline_rows(conn: sqlite3.Connection, run_id: str, table: str) -> List[Tuple]:

@@ -19,7 +19,9 @@ import types
 
 import pytest
 
+from repro.experiments import campaign as campaign_module
 from repro.experiments import get_campaign
+from repro.experiments.campaign import Campaign
 from repro.experiments.tables import table1, table2, table3, table4, table5, table6
 from repro.internet.providers import Scale
 from repro.netsim.addresses import IPv4Address, IPv6Address
@@ -133,9 +135,16 @@ def test_reload_is_idempotent(loaded):
     assert list(conn.iterdump()) == before
 
 
-def test_load_clock_starts_after_the_scan(loaded, monkeypatch):
-    """``LoadResult.seconds`` times the load, not the stages before it."""
+@pytest.mark.parametrize("warm", [False, True], ids=["scanned", "warm-cache"])
+def test_load_clock_starts_after_the_scan(loaded, tmp_path, monkeypatch, warm):
+    """``LoadResult.seconds`` times the load: not the stages before it,
+    nor the world a warm-cache campaign builds on first use."""
     _conn, _result, campaign = loaded
+    if warm:
+        cold = Campaign(campaign.config, cache_dir=tmp_path)
+        cold.run_all_stages()
+        cold.close()
+        campaign = Campaign(campaign.config, cache_dir=tmp_path)
     events = []
 
     def clock():
@@ -147,6 +156,12 @@ def test_load_clock_starts_after_the_scan(loaded, monkeypatch):
         events.append("stages-done")
         return counts
 
+    def build_config_world(config):
+        events.append("world-built")
+        return real_build(config)
+
+    real_build = campaign_module.build_config_world
+    monkeypatch.setattr(campaign_module, "build_config_world", build_config_world)
     monkeypatch.setattr(loader_module, "time", types.SimpleNamespace(perf_counter=clock))
     monkeypatch.setattr(campaign, "run_all_stages", run_all_stages)
     conn = sqlite3.connect(":memory:")
@@ -154,7 +169,9 @@ def test_load_clock_starts_after_the_scan(loaded, monkeypatch):
         result = load_campaign(campaign, conn)
     finally:
         conn.close()
-    assert events == ["stages-done", "clock", "clock"]
+        if warm:
+            campaign.close()
+    assert events == ["stages-done", *(["world-built"] * warm), "clock", "clock"]
     assert result.seconds == 1.0
 
 
