@@ -421,17 +421,6 @@ def _copy(conn):
     return duplicate
 
 
-@pytest.fixture(scope="module")
-def matrix_loaded():
-    conn = sqlite3.connect(":memory:")
-    matrix = MatrixConfig(
-        cells=tuple(grid_cells(2, 2)), week=18, scale=_SCALE, seed=_SEED
-    )
-    result = run_matrix(matrix, conn)
-    yield conn, matrix, result
-    conn.close()
-
-
 class TestMatrix:
     def test_grid_cells_shape_and_uniqueness(self):
         cells = grid_cells(2, 3)
