@@ -1,6 +1,6 @@
 """Reach map: the outermost functions in ``src/`` no product command enters.
 
-Twenty-five CLI runs (1:200,000; ``artefacts`` at 1:20,000), each in a child
+Twenty-seven CLI runs (1:200,000; ``artefacts`` at 1:20,000), each in a child
 whose ``sitecustomize`` installs a profile hook at start-up; every process,
 pool workers included, appends each code object it first enters to a
 per-pid file as it goes (workers leave via ``os._exit``).  ``make reach``.
@@ -44,8 +44,9 @@ def runs(tmp: str):
          "--cache-dir", f"{tmp}/w", "--watchdog", "600"],
         ["longitudinal", "--weeks", "18", *S, "--db", f"{tmp}/s.sqlite",
          "--metrics-out", f"{tmp}/series.json"],  # no week 17: nothing to kill
-    ] + [["query", name, *db] for name in ("table1", "matrix", "weeks")] + [
-        ["query", "table1", *db, "--format", form] for form in ("csv", "json")]
+    ] + [["query", name, *db] for name in ("table1", "versions", "matrix", "weeks")] + [
+        ["query", "table1", *db, "--format", form] for form in ("csv", "json")] + [
+        ["query", *db, "--sql", "SELECT stage, COUNT(*) FROM stg_qscan GROUP BY stage"]]
 
 
 def unreached(path: Path, entered: set):

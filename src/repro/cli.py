@@ -75,6 +75,7 @@ from repro.experiments.figures import fig3, fig4, fig5, fig6, fig7, fig8, fig9
 from repro.experiments.tables import table1, table2, table3, table4, table5, table6
 from repro.internet.generator import AddressSpaceExhausted
 from repro.internet.providers import scale_for
+from repro.warehouse.queries import REPORTS
 
 __all__ = ["main", "EXPERIMENTS"]
 
@@ -409,12 +410,12 @@ def _cmd_query(args) -> int:
 
     from repro.analysis.tables import render
     from repro.warehouse import ensure_schema
-    from repro.warehouse.queries import REPORTS, named_report, run_sql
+    from repro.warehouse.queries import named_report, run_sql
 
     if not args.report and not args.sql:
         print("available reports (or use --sql):")
-        for name, description in REPORTS.items():
-            print(f"  {name:<10} {description}")
+        for name, report in REPORTS.items():
+            print(f"  {name:<10} {report.description}")
         return 2
     if not Path(args.db).exists():
         print(f"no warehouse at {args.db} — run `repro load` first", file=sys.stderr)
@@ -771,12 +772,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         "query",
         help="query the results warehouse: named mart reports or raw SQL",
     )
+    scopes: Dict[str, List[str]] = {}
+    for name, report in REPORTS.items():
+        scopes.setdefault(report.scope, []).append(name)
     query_parser.add_argument(
         "report",
         nargs="?",
         default=None,
-        help="named report: table1-table6, versions, outcomes, qa, campaigns, "
-        "matrix, matrix-cells (omit to list)",
+        help=f"named report: {', '.join(REPORTS)} (omit to list)",
     )
     query_parser.add_argument(
         "--db",
@@ -786,7 +789,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     query_parser.add_argument(
         "--campaign",
         default=None,
-        help="campaign id to query (default: most recently loaded)",
+        help="the report's key: "
+        + "; ".join(f"a {scope} id for {', '.join(names)}" for scope, names in scopes.items())
+        + " (default: the most recently recorded)",
     )
     query_parser.add_argument(
         "--sql",

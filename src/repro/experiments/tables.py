@@ -170,6 +170,16 @@ def table2(
     return TABLE_SPECS["T2"].result(rows, family=family, source=source)
 
 
+# Table 3's row label per outcome class; the rows follow QScanOutcome's order.
+_T3_LABELS: Dict[QScanOutcome, str] = {
+    QScanOutcome.SUCCESS: "Success",
+    QScanOutcome.TIMEOUT: "Timeout",
+    QScanOutcome.CRYPTO_ERROR_0X128: "Crypto Error (0x128)",
+    QScanOutcome.VERSION_MISMATCH: "Version Mismatch",
+    QScanOutcome.OTHER: "Other",
+}
+
+
 def _outcome_shares(records: Sequence[QScanRecord]) -> Dict[QScanOutcome, float]:
     counts = Counter(record.outcome for record in records)
     total = len(records) or 1
@@ -185,21 +195,10 @@ def table3(campaign: Campaign) -> ExperimentResult:
         ("IPv6", "SNI"): campaign.qscan_sni_v6,
     }
     shares = {key: _outcome_shares(records) for key, records in columns.items()}
-    outcome_rows = [
-        ("Success", QScanOutcome.SUCCESS),
-        ("Timeout", QScanOutcome.TIMEOUT),
-        ("Crypto Error (0x128)", QScanOutcome.CRYPTO_ERROR_0X128),
-        ("Version Mismatch", QScanOutcome.VERSION_MISMATCH),
-        ("Other", QScanOutcome.OTHER),
+    rows = [
+        (_T3_LABELS[outcome], *[round(shares[key][outcome], 2) for key in columns])
+        for outcome in QScanOutcome
     ]
-    rows = []
-    for label, outcome in outcome_rows:
-        rows.append(
-            (
-                label,
-                *[round(shares[key][outcome], 2) for key in columns],
-            )
-        )
     rows.append(("Total Targets", *[len(records) for records in columns.values()]))
     return TABLE_SPECS["T3"].result(rows)
 

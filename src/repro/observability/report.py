@@ -54,16 +54,6 @@ __all__ = [
 # v2: the config block gained fault_profile and retry.
 METRICS_FORMAT_VERSION = 2
 
-# Outcome column order follows paper Table 3.
-_T3_OUTCOMES = (
-    QScanOutcome.SUCCESS,
-    QScanOutcome.TIMEOUT,
-    QScanOutcome.CRYPTO_ERROR_0X128,
-    QScanOutcome.VERSION_MISMATCH,
-    QScanOutcome.OTHER,
-)
-
-
 def stage_targets(campaign) -> Dict[str, int]:
     """Targets attempted per stage (identical in serial/parallel runs)."""
     targets = {
@@ -111,12 +101,12 @@ def _qscan_outcome_rows(campaign) -> List[Tuple]:
     for stage in paper_order(QSCAN):
         records = getattr(campaign, stage.name)
         total = len(records)
-        counts = {outcome: 0 for outcome in _T3_OUTCOMES}
+        counts = {outcome: 0 for outcome in QScanOutcome}
         for record in records:
             counts[record.outcome] += 1
         mode = "SNI" if stage.sni else "no SNI"
         row: List[object] = [mode, f"IPv{stage.family}", total]
-        for outcome in _T3_OUTCOMES:
+        for outcome in QScanOutcome:
             share = 100.0 * counts[outcome] / total if total else 0.0
             row.append(f"{counts[outcome]} ({share:.1f}%)")
         rows.append(tuple(row))
@@ -218,7 +208,7 @@ def build_scan_report(campaign, total_seconds: Optional[float] = None) -> str:
 
     # -- stateful QUIC outcomes (paper Table 3/4 shape) -----------------------
     headers = ("scan", "family", "targets") + tuple(
-        outcome.value for outcome in _T3_OUTCOMES
+        outcome.value for outcome in QScanOutcome
     )
     lines.append(
         render_table(
@@ -361,7 +351,7 @@ def build_resilience_report(campaign, total_seconds: Optional[float] = None) -> 
 
     # -- outcome mix under faults ---------------------------------------------
     headers = ("scan", "family", "targets") + tuple(
-        outcome.value for outcome in _T3_OUTCOMES
+        outcome.value for outcome in QScanOutcome
     )
     lines.append(
         render_table(

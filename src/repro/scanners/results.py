@@ -155,7 +155,12 @@ class GoscannerRecord:
 
 
 class QScanOutcome(str, Enum):
-    """Stateful QUIC scan outcome classes, as in Table 3."""
+    """Stateful QUIC scan outcome classes, in the paper's Table 3 row order.
+
+    Iterating the enum is the one outcome order: Table 3's rows, the
+    ``mart_outcome_mix`` rows, the ``mart_matrix_outcomes`` columns and
+    the scan report's outcome columns all follow it.
+    """
 
     SUCCESS = "success"
     TIMEOUT = "timeout"

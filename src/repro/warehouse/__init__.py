@@ -15,11 +15,12 @@ staging.
   (``docs/WAREHOUSE.md`` is checked against it),
 - :mod:`repro.warehouse.loader` — idempotent campaign ingestion,
 - :mod:`repro.warehouse.qa` — integrity checks (row counts, join-key
-  coverage, NULL-rate gates, stored marts against a fresh in-memory
-  computation, stage health),
-- :mod:`repro.warehouse.marts` — the mart writers,
-- :mod:`repro.warehouse.queries` — named mart reports and the raw-SQL
-  escape hatch behind ``repro query``,
+  coverage, NULL-rate gates, stored marts read back against the
+  in-memory tables, stage health),
+- :mod:`repro.warehouse.marts` — the mart writers and the one reader
+  of every ``(key, row_order)`` table,
+- :mod:`repro.warehouse.queries` — the table of named reports and the
+  raw-SQL escape hatch behind ``repro query``,
 - :mod:`repro.warehouse.timeline` — run-scoped cross-week timeline
   marts appended by the longitudinal scheduler (the per-week rows of
   Figures 3 and 5-7, plus per-provider churn).
@@ -39,7 +40,8 @@ from repro.warehouse.schema import (
     connect,
     ensure_schema,
 )
-from repro.warehouse.timeline import append_week_timelines, timeline_rows
+from repro.warehouse.marts import mart_rows
+from repro.warehouse.timeline import append_week_timelines
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -55,5 +57,5 @@ __all__ = [
     "WarehouseQaError",
     "run_qa",
     "append_week_timelines",
-    "timeline_rows",
+    "mart_rows",
 ]

@@ -426,9 +426,10 @@ def load_campaign(
         result.rows["stg_dns"] = _insert_dns(conn, campaign, campaign_id, text)
         for table, build_rows in _STAGING_ROWS:  # no name for the rows: freed per table
             result.rows[table] = _insert(conn, table, build_rows(campaign, campaign_id, text))
-        result.rows.update(marts_module.write_table_marts(conn, campaign_id, campaign))
+        tables = marts_module.write_table_marts(conn, campaign_id, campaign)
+        result.rows.update((table, len(rows)) for table, rows in tables.items())
         result.rows.update(marts_module.build_marts(conn, campaign_id))
-        result.qa = qa_module.run_qa(conn, campaign_id, campaign=campaign, strict=False)
+        result.qa = qa_module.load_qa(conn, campaign_id, campaign, tables)
         if on_commit is not None and not (strict and result.qa_failures):
             on_commit(conn, stage_counts)
     result.seconds = time.perf_counter() - start

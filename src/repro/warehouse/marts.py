@@ -4,12 +4,14 @@ Tables 1-6 have one derivation, :mod:`repro.experiments.tables`:
 :func:`write_table_marts` stores the rows it computes for the loading
 campaign, so ``repro query table1`` … ``table6`` read back exactly what
 ``repro experiment T1`` … ``T6`` print.  The ``mart_equivalence`` QA
-check compares the stored rows with a fresh in-memory computation,
-which is what catches a mart edited after the load.
+check compares what sqlite reads back with those rows.
 
 :func:`build_marts` aggregates the staging tables into the two marts
 that have no in-memory twin: ``mart_version_deployment`` and
 ``mart_outcome_mix``.  SQL produces their integer counts only.
+
+:func:`mart_rows` is the one reader of every table keyed by
+``(key, row_order)``, campaign marts and run-keyed timeline marts alike.
 """
 
 from __future__ import annotations
@@ -20,9 +22,18 @@ from typing import Callable, Dict, List, Tuple
 from repro.experiments.campaign import Campaign
 from repro.experiments.stages import BY_NAME, QSCAN, paper_order
 from repro.experiments.tables import table1, table2, table3, table4, table5, table6
-from repro.warehouse.schema import TABLES
+from repro.scanners.results import QScanOutcome
+from repro.warehouse.schema import TABLES, Table
 
-__all__ = ["MART_FOR_TABLE", "TABLE_RUNNERS", "build_marts", "mart_rows", "write_table_marts"]
+__all__ = [
+    "MART_FOR_TABLE",
+    "ROWS_SQL",
+    "TABLE_RUNNERS",
+    "build_marts",
+    "mart_rows",
+    "table_rows",
+    "write_table_marts",
+]
 
 # experiment id → the mart table backing it.
 MART_FOR_TABLE: Dict[str, str] = {
@@ -44,9 +55,26 @@ TABLE_RUNNERS: Dict[str, Callable] = {
     "T6": table6,
 }
 
-# Outcome-mix fixed orders (mirrors repro.experiments.tables.table3).
 _QSCAN_COLUMNS = tuple(stage.name for stage in paper_order(QSCAN))
-_OUTCOMES = ("success", "timeout", "crypto-error-0x128", "version-mismatch", "other")
+
+
+def _rows_sql(table: Table) -> str:
+    columns = ", ".join(
+        column.name for column in table.columns if column.name not in table.primary_key
+    )
+    return (
+        f"SELECT {columns} FROM {table.name}"
+        f" WHERE {table.primary_key[0]} = :key ORDER BY row_order"
+    )
+
+
+# Every table keyed by (key, row_order) → the SELECT of its data rows
+# (the key column and row_order stripped) for ``:key``, in stored order.
+ROWS_SQL: Dict[str, str] = {
+    name: _rows_sql(table)
+    for name, table in TABLES.items()
+    if table.primary_key[1:] == ("row_order",)
+}
 
 
 def _outcome_mix_rows(conn, cid: str) -> List[Tuple]:
@@ -59,9 +87,9 @@ def _outcome_mix_rows(conn, cid: str) -> List[Tuple]:
         )
     }
     return [
-        (stage, outcome, counts.get((stage, outcome), 0))
+        (stage, outcome.value, counts.get((stage, outcome.value), 0))
         for stage in _QSCAN_COLUMNS
-        for outcome in _OUTCOMES
+        for outcome in QScanOutcome
     ]
 
 
@@ -94,16 +122,22 @@ def _replace(conn: sqlite3.Connection, campaign_id: str, table: str, rows) -> in
     return len(rows)
 
 
-def write_table_marts(
-    conn: sqlite3.Connection, campaign_id: str, campaign: Campaign
-) -> Dict[str, int]:
-    """Store Tables 1-6 of ``campaign`` in their marts; returns rows per mart."""
+def table_rows(campaign: Campaign) -> Dict[str, List[Tuple]]:
+    """Tables 1-6 of ``campaign`` as computed in memory, keyed by their mart."""
     return {
-        MART_FOR_TABLE[experiment_id]: _replace(
-            conn, campaign_id, MART_FOR_TABLE[experiment_id], runner(campaign).rows
-        )
+        MART_FOR_TABLE[experiment_id]: [tuple(row) for row in runner(campaign).rows]
         for experiment_id, runner in TABLE_RUNNERS.items()
     }
+
+
+def write_table_marts(
+    conn: sqlite3.Connection, campaign_id: str, campaign: Campaign
+) -> Dict[str, List[Tuple]]:
+    """Store Tables 1-6 of ``campaign`` in their marts; returns the stored rows per mart."""
+    tables = table_rows(campaign)
+    for table, rows in tables.items():
+        _replace(conn, campaign_id, table, rows)
+    return tables
 
 
 def build_marts(conn: sqlite3.Connection, campaign_id: str) -> Dict[str, int]:
@@ -114,18 +148,6 @@ def build_marts(conn: sqlite3.Connection, campaign_id: str) -> Dict[str, int]:
     }
 
 
-def mart_rows(conn: sqlite3.Connection, campaign_id: str, table: str) -> List[Tuple]:
-    """A mart's data rows (key columns stripped), in rendered order."""
-    columns = [
-        column.name
-        for column in TABLES[table].columns
-        if column.name not in ("campaign_id", "row_order")
-    ]
-    return [
-        tuple(row)
-        for row in conn.execute(
-            f"SELECT {', '.join(columns)} FROM {table}"
-            " WHERE campaign_id = ? ORDER BY row_order",
-            (campaign_id,),
-        )
-    ]
+def mart_rows(conn: sqlite3.Connection, key: str, table: str) -> List[Tuple]:
+    """The data rows ``table`` holds for ``key`` (a campaign or run id), in order."""
+    return [tuple(row) for row in conn.execute(ROWS_SQL[table], {"key": key})]

@@ -17,10 +17,11 @@ existing database):
   (addresses, outcomes, DNS domains, the SNI on SNI-scan records)
   must have a NULL rate of exactly zero,
 - **mart equivalence** — when the loading campaign is available, every
-  stored ``mart_table*`` must equal a fresh
-  :mod:`repro.experiments.tables` computation row for row (the load
-  stores those rows, so a mismatch means the mart was changed after it
-  was written),
+  stored ``mart_table*`` must read back equal, row for row and type for
+  type, to the :mod:`repro.experiments.tables` rows: inside a load the
+  rows it just stored (a mismatch means sqlite changed a value on the
+  round trip), standalone a fresh computation (a mismatch means the
+  mart was changed after it was written),
 - **stage health** — when the loading campaign is available, every
   executed stage's :class:`~repro.experiments.campaign.StageHealth`
   must be ``success``.  Degraded stages are never written to the stage
@@ -32,21 +33,24 @@ existing database):
 Each check inserts one ``qa_results`` row per subject with
 ``status`` pass/fail plus expected/actual evidence;
 :class:`WarehouseQaError` raises loudly on any failure when
-``strict``.
+``strict``.  The scenario-matrix checks (:func:`run_matrix_qa`) record
+into the same ledger under the matrix id.
 """
 
 from __future__ import annotations
 
 import sqlite3
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from dataclasses import astuple, dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro.experiments.stages import DNS_RECORDS, STAGES
-from repro.warehouse.marts import MART_FOR_TABLE, TABLE_RUNNERS, mart_rows
+from repro.scanners.results import QScanOutcome
+from repro.warehouse.marts import mart_rows, table_rows
 
 __all__ = [
     "QaResult",
     "WarehouseQaError",
+    "load_qa",
     "matrix_outcome_values",
     "run_matrix_qa",
     "run_qa",
@@ -225,22 +229,24 @@ def _check_null_rates(conn, campaign_id: str, results: List[QaResult]) -> None:
         )
 
 
-def _check_mart_equivalence(conn, campaign_id: str, campaign, results: List[QaResult]) -> None:
-    for experiment_id, runner in TABLE_RUNNERS.items():
-        memory = [tuple(row) for row in runner(campaign).rows]
-        mart = mart_rows(conn, campaign_id, MART_FOR_TABLE[experiment_id])
+def _check_mart_equivalence(
+    conn, campaign_id: str, tables: Dict[str, List[Tuple]], results: List[QaResult]
+) -> None:
+    for table, memory in tables.items():
+        mart = mart_rows(conn, campaign_id, table)
         mismatch = ""
         if len(memory) != len(mart):
             mismatch = f"{len(mart)} mart rows vs {len(memory)} in-memory rows"
         else:
             for index, (ours, theirs) in enumerate(zip(mart, memory)):
-                if ours != theirs:
+                # Types too: 33.0 == 33, but a float read back as an int is a change.
+                if ours != theirs or list(map(type, ours)) != list(map(type, theirs)):
                     mismatch = f"row {index}: mart {ours!r} != memory {theirs!r}"
                     break
         results.append(
             QaResult(
                 check="mart_equivalence",
-                stage=MART_FOR_TABLE[experiment_id],
+                stage=table,
                 status="pass" if not mismatch else "fail",
                 expected=len(memory),
                 actual=len(mart),
@@ -283,6 +289,21 @@ def _check_stage_health(campaign, results: List[QaResult]) -> None:
         )
 
 
+def _record(
+    conn: sqlite3.Connection, key: str, results: List[QaResult], strict: bool
+) -> List[QaResult]:
+    """Replace ``key``'s ``qa_results`` rows; under ``strict`` raise on a failure."""
+    conn.execute("DELETE FROM qa_results WHERE campaign_id = ?", (key,))
+    conn.executemany(
+        "INSERT INTO qa_results VALUES (?, ?, ?, ?, ?, ?, ?)",
+        [(key, *astuple(result)) for result in results],
+    )
+    failures = [result for result in results if result.status != "pass"]
+    if strict and failures:
+        raise WarehouseQaError(failures)
+    return results
+
+
 def run_qa(
     conn: sqlite3.Connection,
     campaign_id: str,
@@ -293,51 +314,38 @@ def run_qa(
 
     Structural checks (row counts, coverage, NULL gates) need only the
     database; the mart-equivalence and stage-health checks additionally
-    need the loaded ``campaign`` and are skipped when it is not
-    supplied.  Existing ``qa_results`` rows for the campaign are
-    replaced.  With ``strict`` (the default when invoked standalone),
-    any failure raises :class:`WarehouseQaError`.
+    need the loaded ``campaign`` (its Tables 1-6 are computed afresh)
+    and are skipped when it is not supplied.  Existing ``qa_results``
+    rows for the campaign are replaced.  With ``strict`` (the default
+    when invoked standalone), any failure raises
+    :class:`WarehouseQaError`.
     """
+    tables = None if campaign is None else table_rows(campaign)
+    return _campaign_qa(conn, campaign_id, campaign, tables, strict)
+
+
+def load_qa(
+    conn: sqlite3.Connection, campaign_id: str, campaign, tables: Dict[str, List[Tuple]]
+) -> List[QaResult]:
+    """:func:`run_qa` inside a load, never raising: ``tables`` are the
+    Tables 1-6 rows the load just stored, so they are not computed twice."""
+    return _campaign_qa(conn, campaign_id, campaign, tables, strict=False)
+
+
+def _campaign_qa(
+    conn, campaign_id: str, campaign, tables: Optional[Dict[str, List[Tuple]]], strict: bool
+) -> List[QaResult]:
     results: List[QaResult] = []
     _check_row_counts(conn, campaign_id, results)
     _check_join_coverage(conn, campaign_id, results)
     _check_null_rates(conn, campaign_id, results)
     if campaign is not None:
-        _check_mart_equivalence(conn, campaign_id, campaign, results)
+        _check_mart_equivalence(conn, campaign_id, tables, results)
         _check_stage_health(campaign, results)
-    conn.execute("DELETE FROM qa_results WHERE campaign_id = ?", (campaign_id,))
-    conn.executemany(
-        "INSERT INTO qa_results VALUES (?, ?, ?, ?, ?, ?, ?)",
-        [
-            (
-                campaign_id,
-                result.check,
-                result.stage,
-                result.status,
-                result.expected,
-                result.actual,
-                result.detail,
-            )
-            for result in results
-        ],
-    )
-    failures = [result for result in results if result.status != "pass"]
-    if strict and failures:
-        raise WarehouseQaError(failures)
-    return results
+    return _record(conn, campaign_id, results, strict)
 
 
 # -- scenario matrix -----------------------------------------------------------
-
-# Table-3 outcome classes in mart column order (see mart_matrix_outcomes).
-_MATRIX_OUTCOMES: Tuple[str, ...] = (
-    "success",
-    "timeout",
-    "crypto-error-0x128",
-    "version-mismatch",
-    "other",
-)
-
 
 def matrix_outcome_values(
     conn: sqlite3.Connection, campaign_id: str
@@ -345,12 +353,13 @@ def matrix_outcome_values(
     """Recompute a matrix cell's outcome values from its stored marts.
 
     Returns ``(targets, per-outcome shares, mean certificate parity)``
-    — the exact values a ``mart_matrix_outcomes`` row must hold.  The
-    shares aggregate ``mart_outcome_mix`` record counts across every
-    qscan stage and round in Python (the mart rule: SQL produces
-    integer counts, Python computes percentages); the parity is the
-    mean of the four stage-pair Certificate rows of
-    ``mart_table5_parity``, rounded to two decimals.
+    — the exact values a ``mart_matrix_outcomes`` row must hold, the
+    shares in :class:`~repro.scanners.results.QScanOutcome` order (the
+    mart's column order).  The shares aggregate ``mart_outcome_mix``
+    record counts across every qscan stage and round in Python (the
+    mart rule: SQL produces integer counts, Python computes
+    percentages); the parity is the mean of the four stage-pair
+    Certificate rows of ``mart_table5_parity``, rounded to two decimals.
     """
     counts = dict(
         conn.execute(
@@ -361,8 +370,8 @@ def matrix_outcome_values(
     )
     targets = sum(counts.values())
     rates = tuple(
-        round(100.0 * counts.get(outcome, 0) / targets, 2) if targets else 0.0
-        for outcome in _MATRIX_OUTCOMES
+        round(100.0 * counts.get(outcome.value, 0) / targets, 2) if targets else 0.0
+        for outcome in QScanOutcome
     )
     parity = conn.execute(
         "SELECT v4_nosni, v4_sni, v6_nosni, v6_sni FROM mart_table5_parity"
@@ -429,23 +438,4 @@ def run_matrix_qa(
                 detail="cell outcome row equals recomputation from staged marts",
             )
         )
-    conn.execute("DELETE FROM qa_results WHERE campaign_id = ?", (matrix_id,))
-    conn.executemany(
-        "INSERT INTO qa_results VALUES (?, ?, ?, ?, ?, ?, ?)",
-        [
-            (
-                matrix_id,
-                result.check,
-                result.stage,
-                result.status,
-                result.expected,
-                result.actual,
-                result.detail,
-            )
-            for result in results
-        ],
-    )
-    failures = [result for result in results if result.status != "pass"]
-    if strict and failures:
-        raise WarehouseQaError(failures)
-    return results
+    return _record(conn, matrix_id, results, strict)

@@ -1,136 +1,188 @@
 """Named mart reports and the raw-SQL escape hatch (``repro query``).
 
-Every named report reads a mart (never the staging layer) and wraps
-the rows in the same :class:`~repro.experiments.base.TableSpec`
-presentation metadata the in-memory experiment runners use, so
-``repro query table1`` and ``repro experiment T1`` render identically
-— titles, headers, rows, formatting.  The warehouse-only reports
-(``versions``, ``outcomes``, ``qa``, ``campaigns``) expose the extra
-marts and the QA ledger; the run-scoped reports (``runs``, ``weeks``,
-``https-timeline``, ``version-timeline``, ``churn``) read the
-longitudinal ledger and timeline marts; the matrix-scoped reports
-(``matrix``, ``matrix-cells``) read the scenario-matrix layer keyed
-by matrix id; ``--sql`` runs arbitrary read-only SQL.
+:data:`REPORTS` is the one table of reports: each name maps to a
+:class:`Report` that says which key it reads (its scope), how it is
+described, how it renders and the one ``SELECT`` it runs.
+:func:`named_report` resolves the key, runs the ``SELECT`` and wraps
+the rows.
+
+- ``table1`` … ``table6`` read the paper-table marts and render through
+  the same :data:`~repro.experiments.tables.TABLE_SPECS` the in-memory
+  runners use, so ``repro query table1`` and ``repro experiment T1``
+  render identically — titles, headers, rows, formatting;
+- the other campaign-scoped reports (``versions``, ``outcomes``,
+  ``qa``, ``campaigns``) expose the extra marts and the QA ledger;
+- the run-scoped reports (``runs``, ``weeks``, ``https-timeline``,
+  ``version-timeline``, ``churn``) read the longitudinal ledger and
+  timeline marts;
+- the matrix-scoped reports (``matrix``, ``matrix-cells``) read the
+  scenario-matrix layer;
+- ``--sql`` runs arbitrary read-only SQL.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import sqlite3
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.base import ExperimentResult
-from repro.warehouse.marts import MART_FOR_TABLE, mart_rows
+from repro.experiments.base import ExperimentResult, TableSpec
+from repro.experiments.tables import TABLE_SPECS
+from repro.warehouse.marts import MART_FOR_TABLE, ROWS_SQL
 
-__all__ = [
-    "MATRIX_REPORTS",
-    "REPORTS",
-    "RUN_REPORTS",
-    "latest_campaign",
-    "latest_matrix",
-    "latest_run",
-    "named_report",
-    "run_sql",
-]
+__all__ = ["MATRIX_REPORTS", "REPORTS", "RUN_REPORTS", "Report", "named_report", "run_sql"]
 
-# report name → one-line description (surfaced by ``repro query --list``
-# and docs/WAREHOUSE.md).
-REPORTS: Dict[str, str] = {
-    "table1": "Table 1: found QUIC targets per discovery method",
-    "table2": "Table 2: top providers (IPv4, zmap)",
-    "table3": "Table 3: stateful scan outcome mix (%)",
-    "table4": "Table 4: SNI-scan success rate per input source",
-    "table5": "Table 5: TLS property parity TCP vs QUIC (%)",
-    "table6": "Table 6: top HTTP Server values by AS spread",
-    "versions": "QUIC version deployment per family (Figures 5-7 substrate)",
-    "outcomes": "raw outcome counts per qscan stage (Table 3 numerators)",
-    "qa": "integrity-check ledger for the campaign's load",
-    "campaigns": "every campaign loaded into this warehouse",
-    "runs": "every longitudinal run recorded in this warehouse",
-    "weeks": "per-week ledger for a longitudinal run (status, attempts, delta)",
-    "https-timeline": "HTTPS RR adoption per input list per week (paper Fig. 3)",
-    "version-timeline": "version/ALPN share per week (paper Figs. 5-7)",
-    "churn": "new/gone/changed targets per provider per week",
-    "matrix": "heatmap-ready outcome mix per scenario-matrix cell",
-    "matrix-cells": "cell ledger for a scenario-matrix run",
+# scope → (the SELECT of its most recently recorded key, the error when
+# there is none).  A report's key is a campaign id, a run id or a matrix id.
+_LATEST: Dict[str, Tuple[str, str]] = {
+    "campaign": (
+        "SELECT campaign_id FROM campaigns ORDER BY rowid DESC LIMIT 1",
+        "warehouse is empty — run `repro load` first",
+    ),
+    "run": (
+        "SELECT run_id FROM runs ORDER BY rowid DESC LIMIT 1",
+        "no longitudinal runs recorded — run `repro longitudinal` first",
+    ),
+    "matrix": (
+        "SELECT matrix_id FROM matrix_runs ORDER BY rowid DESC LIMIT 1",
+        "no matrix runs recorded — run `repro matrix` first",
+    ),
 }
 
-# Reports keyed by run_id (longitudinal ledger + timeline marts) rather
-# than campaign_id.
-RUN_REPORTS = ("runs", "weeks", "https-timeline", "version-timeline", "churn")
 
-# Reports keyed by matrix_id (the scenario-matrix layer).
-MATRIX_REPORTS = ("matrix", "matrix-cells")
+@dataclass(frozen=True)
+class Report:
+    """One named report."""
 
-
-def latest_matrix(conn: sqlite3.Connection) -> Optional[str]:
-    """The most recently recorded scenario-matrix id, or None."""
-    row = conn.execute(
-        "SELECT matrix_id FROM matrix_runs ORDER BY rowid DESC LIMIT 1"
-    ).fetchone()
-    return row[0] if row else None
+    scope: str  # campaign | run | matrix: what the report's key names
+    description: str  # one line for ``repro query`` and docs/WAREHOUSE.md
+    spec: TableSpec  # title (``{key}`` is the key) and headers
+    sql: str  # the one SELECT; ``:key`` binds the key
 
 
-def _matrix(conn, matrix_id: str) -> ExperimentResult:
-    return ExperimentResult(
-        experiment_id="WH",
-        title=f"Scenario matrix {matrix_id}: outcome mix per cell",
-        headers=(
-            "Cell",
-            "Profile",
-            "Rate",
-            "RTT",
-            "Targets",
-            "Success",
-            "Timeout",
-            "Crypto Error",
-            "Version Mismatch",
-            "Other",
-            "TCP Parity",
-        ),
-        rows=[
-            tuple(row)
-            for row in conn.execute(
-                "SELECT cell_id, profile, rate, rtt, targets, success_rate,"
-                " timeout_rate, crypto_error_rate, version_mismatch_rate,"
-                " other_rate, tcp_parity FROM mart_matrix_outcomes"
-                " WHERE matrix_id = ? ORDER BY row_order",
-                (matrix_id,),
-            )
-        ],
-    )
+def _paper(experiment_id: str, description: str, **title) -> Report:
+    spec = TABLE_SPECS[experiment_id]
+    if title:
+        spec = dataclasses.replace(spec, title=spec.title.format(**title))
+    return Report("campaign", description, spec, ROWS_SQL[MART_FOR_TABLE[experiment_id]])
 
 
-def _matrix_cells(conn, matrix_id: str) -> ExperimentResult:
-    return ExperimentResult(
-        experiment_id="WH",
-        title=f"Scenario matrix {matrix_id}: cell ledger",
-        headers=("Cell", "Row", "Col", "Spec", "Campaign", "Week", "Seed", "Workers"),
-        rows=[
-            tuple(row)
-            for row in conn.execute(
-                "SELECT cell_id, grid_row, grid_col, spec, campaign_id, week,"
-                " seed, workers FROM matrix_runs WHERE matrix_id = ?"
-                " ORDER BY grid_row, grid_col",
-                (matrix_id,),
-            )
-        ],
-    )
+def _wh_report(scope: str, description: str, title: str, headers, sql: str) -> Report:
+    return Report(scope, description, TableSpec("WH", title, tuple(headers)), sql)
 
 
-def latest_run(conn: sqlite3.Connection) -> Optional[str]:
-    """The most recently recorded longitudinal run id, or None."""
-    row = conn.execute(
-        "SELECT run_id FROM runs ORDER BY rowid DESC LIMIT 1"
-    ).fetchone()
-    return row[0] if row else None
+REPORTS: Dict[str, Report] = {
+    "table1": _paper("T1", "Table 1: found QUIC targets per discovery method"),
+    "table2": _paper("T2", "Table 2: top providers (IPv4, zmap)", family=4, source="zmap"),
+    "table3": _paper("T3", "Table 3: stateful scan outcome mix (%)"),
+    "table4": _paper("T4", "Table 4: SNI-scan success rate per input source"),
+    "table5": _paper("T5", "Table 5: TLS property parity TCP vs QUIC (%)"),
+    "table6": _paper("T6", "Table 6: top HTTP Server values by AS spread"),
+    "versions": _wh_report(
+        "campaign",
+        "QUIC version deployment per family (Figures 5-7 substrate)",
+        "QUIC version deployment (ZMap VN packets)",
+        ("Family", "Version", "Addresses"),
+        ROWS_SQL["mart_version_deployment"],
+    ),
+    "outcomes": _wh_report(
+        "campaign",
+        "raw outcome counts per qscan stage (Table 3 numerators)",
+        "Stateful scan outcome counts per stage",
+        ("Stage", "Outcome", "Records"),
+        ROWS_SQL["mart_outcome_mix"],
+    ),
+    "qa": _wh_report(
+        "campaign",
+        "integrity-check ledger for the campaign's load",
+        "Warehouse QA ledger (failures first)",
+        ("Check", "Stage", "Status", "Expected", "Actual", "Detail"),
+        "SELECT check_name, stage, status, expected, actual, detail"
+        " FROM qa_results WHERE campaign_id = :key"
+        " ORDER BY status != 'fail', check_name, stage",
+    ),
+    "campaigns": _wh_report(
+        "campaign",
+        "every campaign loaded into this warehouse",
+        "Loaded campaigns",
+        ("Campaign", "Week", "Seed", "1:Addresses", "1:ASes", "1:Domains", "Faults", "Schema"),
+        "SELECT campaign_id, week, seed, scale_addresses, scale_ases,"
+        " scale_domains, COALESCE(fault_profile, '-'), schema_version"
+        " FROM campaigns ORDER BY rowid",
+    ),
+    "runs": _wh_report(
+        "run",
+        "every longitudinal run recorded in this warehouse",
+        "Longitudinal runs",
+        ("Run", "Weeks", "Seed", "1:Addresses", "Faults", "Delta", "Status"),
+        "SELECT run_id, weeks_json, seed, scale_addresses,"
+        " COALESCE(fault_profile, '-'), delta_enabled, status"
+        " FROM runs ORDER BY rowid",
+    ),
+    "weeks": _wh_report(
+        "run",
+        "per-week ledger for a longitudinal run (status, attempts, delta)",
+        "Week ledger for run {key}",
+        ("Week", "Status", "Attempts", "Campaign", "DeltaHits", "DeltaMisses", "BaseWeek",
+         "Error"),
+        "SELECT week, status, attempts, COALESCE(campaign_id, '-'),"
+        " delta_hits, delta_misses, COALESCE(delta_base_week, '-'),"
+        " COALESCE(error, '-') FROM run_weeks WHERE run_id = :key ORDER BY week",
+    ),
+    "https-timeline": _wh_report(
+        "run",
+        "HTTPS RR adoption per input list per week (paper Fig. 3)",
+        "HTTPS RR adoption per week (Fig. 3) — run {key}",
+        ("Week", "List", "Resolved", "HTTPS RR", "%"),
+        ROWS_SQL["mart_https_rr_timeline"],
+    ),
+    "version-timeline": _wh_report(
+        "run",
+        "version/ALPN share per week (paper Figs. 5-7)",
+        "Version/ALPN shares per week (Figs. 5-7) — run {key}",
+        ("Week", "Kind", "Label", "Share %", "Total"),
+        ROWS_SQL["mart_version_timeline"],
+    ),
+    "churn": _wh_report(
+        "run",
+        "new/gone/changed targets per provider per week",
+        "Target churn per provider per week — run {key}",
+        ("Week", "Provider", "New", "Gone", "Changed"),
+        ROWS_SQL["mart_week_churn"],
+    ),
+    "matrix": _wh_report(
+        "matrix",
+        "heatmap-ready outcome mix per scenario-matrix cell",
+        "Scenario matrix {key}: outcome mix per cell",
+        ("Cell", "Profile", "Rate", "RTT", "Targets", "Success", "Timeout", "Crypto Error",
+         "Version Mismatch", "Other", "TCP Parity"),
+        "SELECT cell_id, profile, rate, rtt, targets, success_rate,"
+        " timeout_rate, crypto_error_rate, version_mismatch_rate,"
+        " other_rate, tcp_parity FROM mart_matrix_outcomes"
+        " WHERE matrix_id = :key ORDER BY row_order",
+    ),
+    "matrix-cells": _wh_report(
+        "matrix",
+        "cell ledger for a scenario-matrix run",
+        "Scenario matrix {key}: cell ledger",
+        ("Cell", "Row", "Col", "Spec", "Campaign", "Week", "Seed", "Workers"),
+        "SELECT cell_id, grid_row, grid_col, spec, campaign_id, week,"
+        " seed, workers FROM matrix_runs WHERE matrix_id = :key"
+        " ORDER BY grid_row, grid_col",
+    ),
+}
+
+RUN_REPORTS = tuple(name for name, report in REPORTS.items() if report.scope == "run")
+MATRIX_REPORTS = tuple(name for name, report in REPORTS.items() if report.scope == "matrix")
 
 
-def latest_campaign(conn: sqlite3.Connection) -> Optional[str]:
-    """The most recently loaded campaign id, or None on an empty warehouse."""
-    row = conn.execute(
-        "SELECT campaign_id FROM campaigns ORDER BY rowid DESC LIMIT 1"
-    ).fetchone()
-    return row[0] if row else None
+def _latest(conn: sqlite3.Connection, scope: str) -> str:
+    sql, empty = _LATEST[scope]
+    row = conn.execute(sql).fetchone()
+    if row is None:
+        raise LookupError(empty)
+    return row[0]
 
 
 def _campaign_week(conn: sqlite3.Connection, campaign_id: str) -> int:
@@ -142,205 +194,23 @@ def _campaign_week(conn: sqlite3.Connection, campaign_id: str) -> int:
     return row[0]
 
 
-def _paper_table(conn, campaign_id: str, name: str) -> ExperimentResult:
-    from repro.experiments.tables import TABLE_SPECS
-
-    experiment_id = f"T{name[-1]}"
-    rows = mart_rows(conn, campaign_id, MART_FOR_TABLE[experiment_id])
-    spec = TABLE_SPECS[experiment_id]
-    if experiment_id == "T1":
-        return spec.result(rows, week=_campaign_week(conn, campaign_id))
-    if experiment_id == "T2":
-        return spec.result(rows, family=4, source="zmap")
-    return spec.result(rows)
-
-
-def _versions(conn, campaign_id: str) -> ExperimentResult:
-    return ExperimentResult(
-        experiment_id="WH",
-        title="QUIC version deployment (ZMap VN packets)",
-        headers=("Family", "Version", "Addresses"),
-        rows=mart_rows(conn, campaign_id, "mart_version_deployment"),
-    )
-
-
-def _outcomes(conn, campaign_id: str) -> ExperimentResult:
-    return ExperimentResult(
-        experiment_id="WH",
-        title="Stateful scan outcome counts per stage",
-        headers=("Stage", "Outcome", "Records"),
-        rows=mart_rows(conn, campaign_id, "mart_outcome_mix"),
-    )
-
-
-def _qa(conn, campaign_id: str) -> ExperimentResult:
-    rows = [
-        tuple(row)
-        for row in conn.execute(
-            "SELECT check_name, stage, status, expected, actual, detail"
-            " FROM qa_results WHERE campaign_id = ?"
-            " ORDER BY status != 'fail', check_name, stage",
-            (campaign_id,),
-        )
-    ]
-    return ExperimentResult(
-        experiment_id="WH",
-        title="Warehouse QA ledger (failures first)",
-        headers=("Check", "Stage", "Status", "Expected", "Actual", "Detail"),
-        rows=rows,
-    )
-
-
-def _campaigns(conn, campaign_id: str) -> ExperimentResult:
-    rows = [
-        tuple(row)
-        for row in conn.execute(
-            "SELECT campaign_id, week, seed, scale_addresses, scale_ases,"
-            " scale_domains, COALESCE(fault_profile, '-'), schema_version"
-            " FROM campaigns ORDER BY rowid"
-        )
-    ]
-    return ExperimentResult(
-        experiment_id="WH",
-        title="Loaded campaigns",
-        headers=(
-            "Campaign",
-            "Week",
-            "Seed",
-            "1:Addresses",
-            "1:ASes",
-            "1:Domains",
-            "Faults",
-            "Schema",
-        ),
-        rows=rows,
-    )
-
-
-def _runs(conn, run_id: str) -> ExperimentResult:
-    rows = [
-        tuple(row)
-        for row in conn.execute(
-            "SELECT run_id, weeks_json, seed, scale_addresses,"
-            " COALESCE(fault_profile, '-'), delta_enabled, status"
-            " FROM runs ORDER BY rowid"
-        )
-    ]
-    return ExperimentResult(
-        experiment_id="WH",
-        title="Longitudinal runs",
-        headers=("Run", "Weeks", "Seed", "1:Addresses", "Faults", "Delta", "Status"),
-        rows=rows,
-    )
-
-
-def _weeks(conn, run_id: str) -> ExperimentResult:
-    rows = [
-        tuple(row)
-        for row in conn.execute(
-            "SELECT week, status, attempts, COALESCE(campaign_id, '-'),"
-            " delta_hits, delta_misses, COALESCE(delta_base_week, '-'),"
-            " COALESCE(error, '-')"
-            " FROM run_weeks WHERE run_id = ? ORDER BY week",
-            (run_id,),
-        )
-    ]
-    return ExperimentResult(
-        experiment_id="WH",
-        title=f"Week ledger for run {run_id}",
-        headers=(
-            "Week",
-            "Status",
-            "Attempts",
-            "Campaign",
-            "DeltaHits",
-            "DeltaMisses",
-            "BaseWeek",
-            "Error",
-        ),
-        rows=rows,
-    )
-
-
-def _https_timeline(conn, run_id: str) -> ExperimentResult:
-    from repro.warehouse.timeline import timeline_rows
-
-    return ExperimentResult(
-        experiment_id="WH",
-        title=f"HTTPS RR adoption per week (Fig. 3) — run {run_id}",
-        headers=("Week", "List", "Resolved", "HTTPS RR", "%"),
-        rows=timeline_rows(conn, run_id, "mart_https_rr_timeline"),
-    )
-
-
-def _version_timeline(conn, run_id: str) -> ExperimentResult:
-    from repro.warehouse.timeline import timeline_rows
-
-    return ExperimentResult(
-        experiment_id="WH",
-        title=f"Version/ALPN shares per week (Figs. 5-7) — run {run_id}",
-        headers=("Week", "Kind", "Label", "Share %", "Total"),
-        rows=timeline_rows(conn, run_id, "mart_version_timeline"),
-    )
-
-
-def _churn(conn, run_id: str) -> ExperimentResult:
-    from repro.warehouse.timeline import timeline_rows
-
-    return ExperimentResult(
-        experiment_id="WH",
-        title=f"Target churn per provider per week — run {run_id}",
-        headers=("Week", "Provider", "New", "Gone", "Changed"),
-        rows=timeline_rows(conn, run_id, "mart_week_churn"),
-    )
-
-
 def named_report(
     conn: sqlite3.Connection, name: str, campaign_id: Optional[str] = None
 ) -> ExperimentResult:
-    """Run one named report against a loaded campaign (default: latest).
+    """Run one named report; ``campaign_id`` is its key (default: the latest).
 
-    Run-scoped reports interpret ``campaign_id`` as a run id, and
-    matrix-scoped reports as a matrix id (defaults: the most recently
-    recorded run/matrix).
+    The key is a campaign id, a run id or a matrix id by the report's
+    scope; without one the most recently recorded key of that scope is
+    read.
     """
-    if name not in REPORTS:
+    report = REPORTS.get(name)
+    if report is None:
         raise LookupError(f"unknown report {name!r}; choose from {sorted(REPORTS)}")
-    if name in MATRIX_REPORTS:
-        matrix_id = campaign_id or latest_matrix(conn)
-        if matrix_id is None:
-            raise LookupError(
-                "no matrix runs recorded — run `repro matrix` first"
-            )
-        runner = {"matrix": _matrix, "matrix-cells": _matrix_cells}[name]
-        return runner(conn, matrix_id)
-    if name in RUN_REPORTS:
-        run_id = campaign_id or latest_run(conn)
-        if run_id is None:
-            raise LookupError(
-                "no longitudinal runs recorded — run `repro longitudinal` first"
-            )
-        runner = {
-            "runs": _runs,
-            "weeks": _weeks,
-            "https-timeline": _https_timeline,
-            "version-timeline": _version_timeline,
-            "churn": _churn,
-        }[name]
-        return runner(conn, run_id)
-    if campaign_id is None:
-        campaign_id = latest_campaign(conn)
-        if campaign_id is None:
-            raise LookupError("warehouse is empty — run `repro load` first")
-    if name.startswith("table"):
-        return _paper_table(conn, campaign_id, name)
-    runner = {
-        "versions": _versions,
-        "outcomes": _outcomes,
-        "qa": _qa,
-        "campaigns": _campaigns,
-    }[name]
-    return runner(conn, campaign_id)
+    key = campaign_id or _latest(conn, report.scope)
+    rows = [tuple(row) for row in conn.execute(report.sql, {"key": key})]
+    # Table 1's title names the campaign's week; the lookup refuses an unknown id.
+    week = _campaign_week(conn, key) if name == "table1" else None
+    return report.spec.result(rows, key=key, week=week)
 
 
 def run_sql(

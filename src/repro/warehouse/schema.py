@@ -78,7 +78,6 @@ class Table:
     name: str
     kind: str  # meta | staging | dimension | qa | mart | ledger | timeline
     description: str
-    feeds: str  # which paper tables/figures the rows feed
     columns: Tuple[Column, ...]
     primary_key: Tuple[str, ...] = ()
 
@@ -90,12 +89,11 @@ class Table:
         return f"CREATE TABLE IF NOT EXISTS {self.name} (\n  {body}\n) STRICT;"
 
 
-def _table(name, kind, description, feeds, columns, primary_key=()):
+def _table(name, kind, description, columns, primary_key=()):
     return Table(
         name=name,
         kind=kind,
         description=description,
-        feeds=feeds,
         columns=tuple(Column(*column) for column in columns),
         primary_key=tuple(primary_key),
     )
@@ -116,7 +114,6 @@ TABLES: Dict[str, Table] = {
             "One row per loaded campaign: the configuration it was scanned "
             "under and the stage record counts observed at load time (the "
             "QA row-count baseline).",
-            "all tables",
             [
                 ("campaign_id", "TEXT", "warehouse campaign digest"),
                 ("week", "INTEGER", "calendar week of the campaign"),
@@ -136,7 +133,6 @@ TABLES: Dict[str, Table] = {
             "staging",
             "DNS scan records: one row per (domain, input list) resolution "
             "with A/AAAA/HTTPS answers as JSON arrays.",
-            "Tables 1, 2; Figure 3",
             _KEY
             + [
                 ("domain", "TEXT", "queried domain"),
@@ -155,7 +151,6 @@ TABLES: Dict[str, Table] = {
             "staging",
             "Stateless ZMap QUIC sweep responders (stages zmap_v4/zmap_v6): "
             "one row per responding address with its VN version list.",
-            "Tables 1, 2; Figures 4-7",
             _KEY
             + [
                 ("address", "TEXT", "responding address"),
@@ -170,7 +165,6 @@ TABLES: Dict[str, Table] = {
             "staging",
             "TCP SYN scan results on :443 (stages syn_v4/syn_v6): one row "
             "per probed address.",
-            "Table 5 input targets",
             _KEY
             + [
                 ("address", "TEXT", "probed address"),
@@ -188,7 +182,6 @@ TABLES: Dict[str, Table] = {
             "deduplicated extension list so SQL string equality implements "
             "the Table 5 set comparison, and the http3 flags precompute the "
             "Alt-Svc discovery predicates.",
-            "Tables 1, 5; Alt-Svc targets for Tables 3, 4",
             _KEY
             + [
                 ("address", "TEXT", "scanned address"),
@@ -217,7 +210,6 @@ TABLES: Dict[str, Table] = {
             "Stateful QUIC scan records (qscan_* stages): outcome class, "
             "TLS properties, transport-parameter fingerprint and HTTP/3 "
             "Server header per (address, SNI, source) target.",
-            "Tables 3, 4, 5, 6; Figure 9",
             _KEY
             + [
                 ("address", "TEXT", "scanned address"),
@@ -246,7 +238,6 @@ TABLES: Dict[str, Table] = {
             "SNI-scan target source memberships: one row per (family, "
             "address, domain, source) — the union the qscan_sni stages walk "
             "and Table 4 conditions on.",
-            "Table 4",
             [
                 ("campaign_id", "TEXT", "warehouse campaign digest"),
                 ("family", "INTEGER", "IP family (4 or 6)"),
@@ -263,7 +254,6 @@ TABLES: Dict[str, Table] = {
             "Address → AS dimension: every address referenced anywhere in "
             "the campaign with its originating AS (longest-prefix match "
             "resolved against the world's AS registry at load time).",
-            "AS counts in Tables 1, 2, 6; Figures 4, 8",
             [
                 ("campaign_id", "TEXT", "warehouse campaign digest"),
                 ("address", "TEXT", "address (canonical string form)"),
@@ -279,7 +269,6 @@ TABLES: Dict[str, Table] = {
             "Integrity-check ledger: one row per check per load (row "
             "counts vs. stage record counts, join-key coverage, NULL-rate "
             "gates, stored-vs-recomputed mart equality).",
-            "load acceptance",
             [
                 ("campaign_id", "TEXT", "warehouse campaign digest"),
                 ("check_name", "TEXT", "check identifier"),
@@ -295,7 +284,6 @@ TABLES: Dict[str, Table] = {
             "mart",
             "Table 1: found QUIC targets per discovery method "
             "(addresses / ASes / domains per source and family).",
-            "Table 1",
             [
                 ("campaign_id", "TEXT", "warehouse campaign digest"),
                 ("row_order", "INTEGER", "row position in the rendered table"),
@@ -312,7 +300,6 @@ TABLES: Dict[str, Table] = {
             "mart",
             "Table 2: top providers by IPv4 ZMap address count, with "
             "their joined domains.",
-            "Table 2",
             [
                 ("campaign_id", "TEXT", "warehouse campaign digest"),
                 ("row_order", "INTEGER", "row position in the rendered table"),
@@ -328,7 +315,6 @@ TABLES: Dict[str, Table] = {
             "mart",
             "Table 3: stateful scan outcome mix (% per outcome class, plus "
             "the integer Total Targets row — hence ANY-typed cells).",
-            "Table 3",
             [
                 ("campaign_id", "TEXT", "warehouse campaign digest"),
                 ("row_order", "INTEGER", "row position in the rendered table"),
@@ -345,7 +331,6 @@ TABLES: Dict[str, Table] = {
             "mart",
             "Table 4: SNI-scan success rate per discovery source and "
             "family.",
-            "Table 4",
             [
                 ("campaign_id", "TEXT", "warehouse campaign digest"),
                 ("row_order", "INTEGER", "row position in the rendered table"),
@@ -362,7 +347,6 @@ TABLES: Dict[str, Table] = {
             "Table 5: share of hosts with identical TLS properties on TCP "
             "and QUIC (rows past the TLS version conditioned on TCP "
             "negotiating TLS 1.3).",
-            "Table 5",
             [
                 ("campaign_id", "TEXT", "warehouse campaign digest"),
                 ("row_order", "INTEGER", "row position in the rendered table"),
@@ -379,7 +363,6 @@ TABLES: Dict[str, Table] = {
             "mart",
             "Table 6: top HTTP Server values by AS spread, with target and "
             "transport-parameter-configuration counts.",
-            "Table 6",
             [
                 ("campaign_id", "TEXT", "warehouse campaign digest"),
                 ("row_order", "INTEGER", "row position in the rendered table"),
@@ -395,7 +378,6 @@ TABLES: Dict[str, Table] = {
             "mart",
             "Version deployment: addresses advertising each QUIC version "
             "in their VN packets, per family (the Figures 5-7 substrate).",
-            "Figures 5, 6, 7",
             [
                 ("campaign_id", "TEXT", "warehouse campaign digest"),
                 ("row_order", "INTEGER", "deterministic report order"),
@@ -410,7 +392,6 @@ TABLES: Dict[str, Table] = {
             "mart",
             "Outcome mix: raw record counts per qscan stage and outcome "
             "class — the integer counts behind the Table 3 percentages.",
-            "Table 3 (raw counts)",
             [
                 ("campaign_id", "TEXT", "warehouse campaign digest"),
                 ("row_order", "INTEGER", "deterministic report order"),
@@ -426,7 +407,6 @@ TABLES: Dict[str, Table] = {
             "Longitudinal run ledger: one row per scheduled weekly series "
             "(the run id is a digest of the week list + campaign config, "
             "so `--resume` re-derives it without any state file).",
-            "longitudinal resume / timeline marts",
             [
                 ("run_id", "TEXT", "longitudinal run digest"),
                 ("weeks_json", "TEXT", "scheduled calendar weeks (JSON array)"),
@@ -449,7 +429,6 @@ TABLES: Dict[str, Table] = {
             "the same transaction as the week's staging load; `--resume` "
             "skips weeks already marked complete and replays any week left "
             "running from its stage cache.",
-            "longitudinal resume / week health",
             [
                 ("run_id", "TEXT", "longitudinal run digest"),
                 ("week", "INTEGER", "calendar week"),
@@ -470,7 +449,6 @@ TABLES: Dict[str, Table] = {
             "Figure 3 series: HTTPS resource-record adoption rate per input "
             "list per week, appended as each week of a longitudinal run "
             "commits.",
-            "Figure 3",
             [
                 ("run_id", "TEXT", "longitudinal run digest"),
                 ("row_order", "INTEGER", "append order across the series"),
@@ -489,7 +467,6 @@ TABLES: Dict[str, Table] = {
             "(kind 'version-set'), individual version support (kind "
             "'version') and Alt-Svc ALPN-set shares (kind 'alpn-set'), "
             "the rows repro.experiments.figures computes for the week.",
-            "Figures 5, 6, 7",
             [
                 ("run_id", "TEXT", "longitudinal run digest"),
                 ("row_order", "INTEGER", "append order across the series"),
@@ -507,7 +484,6 @@ TABLES: Dict[str, Table] = {
             "Week-over-week churn per provider: ZMap responder addresses "
             "that appeared, disappeared or changed their advertised "
             "version list relative to the previous completed week.",
-            "deployment churn",
             [
                 ("run_id", "TEXT", "longitudinal run digest"),
                 ("row_order", "INTEGER", "append order across the series"),
@@ -526,7 +502,6 @@ TABLES: Dict[str, Table] = {
             "committed in the same transaction as the cell campaign's "
             "warehouse load, so a recorded cell always has its staging "
             "rows behind it.",
-            "repro matrix / repro query matrix-cells",
             [
                 ("matrix_id", "TEXT", "matrix run digest (grid + campaign config)"),
                 ("cell_id", "TEXT", "cell label (profile name or rate x rtt spec)"),
@@ -551,7 +526,6 @@ TABLES: Dict[str, Table] = {
             "plus the Table-5 certificate-parity mean — heatmap-ready "
             "(rate x rtt axes travel with each row).  Recomputed from the "
             "cell's stored marts by the matrix mart_equivalence QA check.",
-            "repro query matrix",
             [
                 ("matrix_id", "TEXT", "matrix run digest (grid + campaign config)"),
                 ("row_order", "INTEGER", "cell position in the sweep order"),

@@ -1,8 +1,11 @@
 """CLI tests (argument handling and output shape, small scale)."""
 
+import re
+
 import pytest
 
 from repro.cli import EXPERIMENTS, main
+from repro.warehouse.queries import REPORTS
 
 SMALL = ["--scale", "20000", "--seed", "7"]
 
@@ -142,3 +145,14 @@ def test_bench_modes_take_their_own_options_and_defaults(monkeypatch):
         {"week": 18, "seed": 0, "workers": 3},
         {"week": 18, "seed": 0, "workers": 2},
     ]
+
+
+def test_query_help_names_every_report(capsys):
+    with pytest.raises(SystemExit):
+        main(["query", "--help"])
+    # argparse wraps the help at hyphens too: undo that before matching.
+    text = re.sub(r"-\s+", "-", " ".join(capsys.readouterr().out.split()))
+    for name in REPORTS:
+        assert re.search(rf"(?<![\w-]){re.escape(name)}(?![\w-])", text), name
+    for scope in ("a campaign id", "a run id", "a matrix id"):
+        assert scope in text
