@@ -307,10 +307,14 @@ def run_matrix(
         )
     else:
         results = _run_cells_sequential(matrix, conn, mid, strict, metrics_dir, log)
-    qa = qa_module.run_matrix_qa(conn, mid, strict=strict)
-    return MatrixResult(
+    with conn:  # the QA ledger commits before a failure is raised, as a load's does
+        qa = qa_module.run_matrix_qa(conn, mid, strict=False)
+    result = MatrixResult(
         matrix_id=mid, cells=results, qa=qa, fleet_telemetry=fleet_telemetry
     )
+    if strict and result.qa_failures:
+        raise qa_module.WarehouseQaError(result.qa_failures)
+    return result
 
 
 def _commit_cell(

@@ -33,21 +33,12 @@ from repro.warehouse.marts import MART_FOR_TABLE, ROWS_SQL
 
 __all__ = ["MATRIX_REPORTS", "REPORTS", "RUN_REPORTS", "Report", "named_report", "run_sql"]
 
-# scope → (the SELECT of its most recently recorded key, the error when
+# scope → (the table recording its keys, the key column, the error when
 # there is none).  A report's key is a campaign id, a run id or a matrix id.
-_LATEST: Dict[str, Tuple[str, str]] = {
-    "campaign": (
-        "SELECT campaign_id FROM campaigns ORDER BY rowid DESC LIMIT 1",
-        "warehouse is empty — run `repro load` first",
-    ),
-    "run": (
-        "SELECT run_id FROM runs ORDER BY rowid DESC LIMIT 1",
-        "no longitudinal runs recorded — run `repro longitudinal` first",
-    ),
-    "matrix": (
-        "SELECT matrix_id FROM matrix_runs ORDER BY rowid DESC LIMIT 1",
-        "no matrix runs recorded — run `repro matrix` first",
-    ),
+_SCOPES: Dict[str, Tuple[str, str, str]] = {
+    "campaign": ("campaigns", "campaign_id", "warehouse is empty — run `repro load` first"),
+    "run": ("runs", "run_id", "no longitudinal runs recorded — run `repro longitudinal` first"),
+    "matrix": ("matrix_runs", "matrix_id", "no matrix runs recorded — run `repro matrix` first"),
 }
 
 
@@ -178,11 +169,16 @@ MATRIX_REPORTS = tuple(name for name, report in REPORTS.items() if report.scope 
 
 
 def _latest(conn: sqlite3.Connection, scope: str) -> str:
-    sql, empty = _LATEST[scope]
-    row = conn.execute(sql).fetchone()
+    table, column, empty = _SCOPES[scope]
+    row = conn.execute(f"SELECT {column} FROM {table} ORDER BY rowid DESC LIMIT 1").fetchone()
     if row is None:
         raise LookupError(empty)
     return row[0]
+
+
+def _recorded(conn: sqlite3.Connection, scope: str, key: str) -> bool:
+    table, column, _ = _SCOPES[scope]
+    return conn.execute(f"SELECT 1 FROM {table} WHERE {column} = ?", (key,)).fetchone() is not None
 
 
 def _campaign_week(conn: sqlite3.Connection, campaign_id: str) -> int:
@@ -208,6 +204,9 @@ def named_report(
         raise LookupError(f"unknown report {name!r}; choose from {sorted(REPORTS)}")
     key = campaign_id or _latest(conn, report.scope)
     rows = [tuple(row) for row in conn.execute(report.sql, {"key": key})]
+    # Only an empty report pays the lookup: a mistyped key is refused, not rendered empty.
+    if not rows and campaign_id and not _recorded(conn, report.scope, key):
+        raise LookupError(f"{report.scope} {key!r} is not recorded in this warehouse")
     # Table 1's title names the campaign's week; the lookup refuses an unknown id.
     week = _campaign_week(conn, key) if name == "table1" else None
     return report.spec.result(rows, key=key, week=week)

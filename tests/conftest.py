@@ -6,23 +6,204 @@ warehouses (one loaded campaign, one longitudinal series, one scenario
 matrix) are built once per session at the CLI's ``--scale 200000
 --seed 23`` mapping, so in-process loads and ``repro`` subprocesses
 agree on campaign, run and matrix ids.
+
+``identity`` is the session's one registry of the runs the identity
+matrix (``tests/test_identity.py``) compares: each campaign, matrix or
+series is run once per execution mode, and every other test that needs
+one of those runs reads it from there.
 """
 
+import dataclasses
+import gc
+import os
 import sqlite3
+import weakref
+from dataclasses import dataclass
 
 import pytest
 
+from repro.conformance.differential import Artefacts, campaign_artefacts, matrix_artefacts
 from repro.crypto.rsa import RsaPublicKey
-from repro.experiments import get_campaign
+from repro.experiments import campaign as campaign_module, get_campaign
+from repro.experiments import matrix as matrix_module
+from repro.experiments.campaign import Campaign, CampaignConfig
 from repro.experiments.matrix import MatrixConfig, grid_cells, run_matrix
+from repro.experiments.stages import STAGE_NAMES
 from repro.internet.providers import Scale
 from repro.longitudinal import LongitudinalScheduler, SeriesConfig
+from repro.parallel import pool
+from repro.parallel.fleet import FleetScheduler
+from repro.scanners.retry import RetryPolicy
 from repro.warehouse import connect, load_campaign
 
 TINY_SCALE = Scale(addresses=20_000, ases=200, domains=20_000)
 WAREHOUSE_SCALE = Scale(addresses=200_000, ases=4_000, domains=200_000)
 WAREHOUSE_SEED = 23
 SERIES_WEEKS = (16, 17, 18)
+
+# The campaigns several test files read from the identity registry.
+# Every stage yields records at 1:100,000, with several close codes.
+BASELINE_CONFIG = CampaignConfig(
+    week=18, scale=Scale(addresses=100_000, ases=2_000, domains=100_000), seed=3
+)
+# Faults plus retries: fault epochs, the retry rng and the backoff clock
+# all have to replay the serial schedule.
+CHAOS_CONFIG = CampaignConfig(
+    week=18, scale=TINY_SCALE, seed=29, fault_profile="flaky-edge", retry=RetryPolicy(attempts=2)
+)
+# A delta series, and the same series with every week scanned in full:
+# what delta scans and ``--workers 2`` must each reproduce.
+SERIES = SeriesConfig(weeks=SERIES_WEEKS, scale=WAREHOUSE_SCALE, seed=WAREHOUSE_SEED)
+FULL_SERIES = dataclasses.replace(SERIES, delta=False)
+
+# No tier-1 test may take longer, set-up plus call.  pytest charges a
+# session fixture's set-up to the first test that uses it, and the
+# identity registry runs inside the test that first asks, so both are
+# held to it too.
+TEST_BUDGET_S = 20.0
+_SETUP_S = pytest.StashKey[float]()
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_makereport(item, call):
+    report = yield
+    if report.when == "setup":
+        item.stash[_SETUP_S] = report.duration
+    elif report.when == "call" and report.passed and not item.get_closest_marker("slow_fuzz"):
+        spent = item.stash.get(_SETUP_S, 0.0) + report.duration
+        if spent > TEST_BUDGET_S:
+            report.outcome = "failed"
+            report.longrepr = (
+                f"set-up plus call took {spent:.1f} s;"
+                f" a tier-1 test may take {TEST_BUDGET_S:.0f} s"
+            )
+    return report
+
+
+@dataclass
+class IdentityRun:
+    """One finished run: what it left behind and what made it."""
+
+    artefacts: object  # Artefacts; a list of them for a fleet of campaigns
+    subject: object  # the closed Campaign; a MatrixResult; a series' (db, config, result)
+    # A fleet matrix's cell campaigns alive with a stage computed at each
+    # commit and after the run, and how many it created.
+    residency: tuple = ()
+    # The pids of the processes that built a world for the run; forked
+    # workers log theirs, spawned ones (which start unpatched) do not.
+    world_builders: frozenset = frozenset()
+
+
+def _log_world_builds(patch, log):
+    real = campaign_module.build_world
+
+    def logged(*args, **kwargs):
+        with open(log, "a", encoding="utf-8") as handle:
+            handle.write(f"{os.getpid()}\n")
+        return real(*args, **kwargs)
+
+    patch.setattr(campaign_module, "build_world", logged)
+
+
+def _track_residency(patch):
+    """Weakly track each cell campaign a fleet creates; the returned call
+    gives what :attr:`IdentityRun.residency` holds."""
+    created, at_commit = [], []
+
+    def resident():
+        gc.collect()
+        alive = [ref() for ref in created]
+        return sum(1 for c in alive if c is not None and any(n in vars(c) for n in STAGE_NAMES))
+
+    def cell_campaign(fleet, config, cache_dir=None, real=FleetScheduler.cell_campaign):
+        campaign = real(fleet, config, cache_dir=cache_dir)
+        created.append(weakref.ref(campaign))
+        return campaign
+
+    def commit_cell(*args, real=matrix_module._commit_cell):
+        at_commit.append(resident())
+        return real(*args)
+
+    patch.setattr(FleetScheduler, "cell_campaign", cell_campaign)
+    patch.setattr(matrix_module, "_commit_cell", commit_cell)
+    return lambda: (at_commit, resident(), len(created))
+
+
+class IdentityRuns:
+    """Every run the identity matrix compares, each made once.
+
+    A run is keyed by ``(configuration key, mode)``, a campaign's key
+    being ``config.cache_key()``, and every pool it opens is closed
+    before it returns.  Modes by configuration:
+
+    - :class:`CampaignConfig`: ``serial``; ``fork2``/``fork3``, on its
+      own pool of forked workers; ``spawn2``, whose workers rebuild
+      their world;
+    - a tuple of them: ``spawn-fleet2``, the cells of a two-job fleet;
+    - :class:`MatrixConfig`: ``serial``; ``fleet1``/``fleet2`` fleet jobs;
+    - :class:`SeriesConfig`: ``serial``; ``fork2``, each week on a pool.
+    """
+
+    _WORKERS = {"serial": 1, "fork2": 2, "fork3": 3, "spawn2": 2}
+
+    def __init__(self, root):
+        self._root = root
+        self._runs = {}
+
+    def run(self, config, mode="serial") -> IdentityRun:
+        key = config.cache_key() if isinstance(config, CampaignConfig) else config
+        if isinstance(config, tuple):
+            key = tuple(cell.cache_key() for cell in config)
+        if (key, mode) not in self._runs:
+            with pytest.MonkeyPatch.context() as patch:
+                if mode.startswith("spawn"):
+                    patch.setattr(pool, "START_METHOD", "spawn")
+                directory = self._root / f"run-{len(self._runs)}"
+                pids = directory.with_suffix(".pids")
+                _log_world_builds(patch, pids)
+                run = self._make(config, mode, directory, patch)
+            run.world_builders = frozenset(map(int, pids.read_text().split()))
+            self._runs[key, mode] = run
+            # The session keeps every run: move what is alive out of the
+            # collector's walks, here and in the workers later tests fork,
+            # whose collections would otherwise copy each page they touch.
+            gc.collect()
+            gc.freeze()
+        return self._runs[key, mode]
+
+    def _make(self, config, mode, directory, patch):
+        if isinstance(config, CampaignConfig):
+            campaign = Campaign(config, workers=self._WORKERS[mode])
+            try:
+                campaign.run_all_stages()
+            finally:
+                campaign.close()
+            return IdentityRun(campaign_artefacts(campaign), campaign)
+        if isinstance(config, tuple):
+            with FleetScheduler(jobs=2) as fleet:
+                return IdentityRun(fleet.execute(config, lambda _, c: campaign_artefacts(c)), None)
+        if isinstance(config, MatrixConfig):
+            if mode == "serial":
+                return IdentityRun(*matrix_artefacts(directory, config, None))
+            residency = _track_residency(patch)
+            run = IdentityRun(*matrix_artefacts(directory, config, fleet_jobs=int(mode[-1])))
+            run.residency = residency()
+            return run
+        config = dataclasses.replace(config, workers=self._WORKERS[mode], cache_dir=directory)
+        database = directory / "wh.sqlite"
+        conn = connect(database)
+        try:
+            result = LongitudinalScheduler(config).run(conn)
+        finally:
+            conn.close()
+        artefacts = Artefacts({}, {database.name: database.read_bytes()})
+        return IdentityRun(artefacts, (database, config, result))
+
+
+@pytest.fixture(scope="session")
+def identity(tmp_path_factory):
+    """The session's identity registry (see :class:`IdentityRuns`)."""
+    return IdentityRuns(tmp_path_factory.mktemp("identity"))
 
 
 @pytest.fixture(scope="session")
@@ -61,21 +242,9 @@ def loaded():
 
 
 @pytest.fixture(scope="session")
-def series_ref(tmp_path_factory):
+def series_ref(identity):
     """An uninterrupted delta series over ``SERIES_WEEKS`` in a file warehouse."""
-    root = tmp_path_factory.mktemp("lt-ref")
-    config = SeriesConfig(
-        weeks=SERIES_WEEKS,
-        scale=WAREHOUSE_SCALE,
-        seed=WAREHOUSE_SEED,
-        cache_dir=root / "cache",
-    )
-    conn = connect(root / "wh.sqlite")
-    try:
-        result = LongitudinalScheduler(config).run(conn)
-    finally:
-        conn.close()
-    return root / "wh.sqlite", config, result
+    return identity.run(SERIES).subject
 
 
 @pytest.fixture(scope="session")

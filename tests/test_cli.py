@@ -156,3 +156,18 @@ def test_query_help_names_every_report(capsys):
         assert re.search(rf"(?<![\w-]){re.escape(name)}(?![\w-])", text), name
     for scope in ("a campaign id", "a run id", "a matrix id"):
         assert scope in text
+
+
+@pytest.mark.parametrize(
+    "report,scope", [("table3", "campaign"), ("weeks", "run"), ("matrix", "matrix")]
+)
+def test_query_refuses_a_key_the_warehouse_does_not_record(tmp_path, capsys, report, scope):
+    """A mistyped ``--campaign`` is an error naming its scope, not an empty report."""
+    from repro.warehouse import connect
+
+    db = tmp_path / "wh.sqlite"
+    connect(db).close()
+    assert main(["query", report, "--db", str(db), "--campaign", "nope"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{scope} 'nope' is not recorded in this warehouse\n"

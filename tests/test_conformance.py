@@ -292,7 +292,6 @@ class TestDifferential:
     def test_serial_equals_parallel_campaign(self):
         result = run_differential(seed=9000, workers=2)
         assert result.ok, result.mismatches[:5]
-        assert result.metrics_identical
         assert result.records_compared > 0
         # Every pipeline stage produced records at the test scale, and
         # the DNS entry still counts every listed name.

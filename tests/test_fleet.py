@@ -4,10 +4,11 @@ The contract under test (docs/PERFORMANCE.md, "Fleet scheduler"):
 
 - matrix cells that differ only in ``path_profile`` share **one**
   digest-keyed world (built once, configured per cell by each worker's
-  replica); distinct weeks get distinct worlds,
-- a fleet matrix run — one job or two — produces **byte identical**
-  warehouse database files and per-cell ``metrics.json`` to the
-  sequential driver, across all five canonical path profiles,
+  replica) and a fleet matrix run — one job or two — produces **byte
+  identical** warehouse database files and per-cell ``metrics.json`` to
+  the sequential driver, across all five canonical path profiles: those
+  are cells of ``tests/test_identity.py``; distinct weeks get distinct
+  worlds,
 - configuring a worker's world (restore its build-time conditions,
   re-apply the cell's fault/path profiles with the sequential seeds)
   reproduces a dedicated profiled world exactly, fault profiles
@@ -21,19 +22,15 @@ The contract under test (docs/PERFORMANCE.md, "Fleet scheduler"):
 """
 
 import gc
-import sqlite3
 import weakref
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
-from repro.conformance.differential import DIFF_STAGES, _record_lines
-from repro.experiments.campaign import Campaign, CampaignConfig, build_config_world
-from repro.experiments.matrix import MatrixConfig, profile_cells, run_matrix
+from repro.conformance.differential import campaign_artefacts
+from repro.experiments.campaign import CampaignConfig, build_config_world
 from repro.internet.providers import Scale
 from repro.netsim.faults import configure_world, profile_gauges
-from repro.observability.report import render_metrics_json
 from repro.parallel import fleet as fleet_module, pool as pool_module
 from repro.parallel.pool import world_digest
 from repro.parallel.fleet import FleetScheduler, fleet_pool_size
@@ -42,70 +39,14 @@ _SCALE = Scale(addresses=200_000, ases=4_000, domains=200_000)
 _SEED = 23
 _WEEK = 18
 
-# The five canonical cells: unshaped, three catalogue profiles, one
-# inline spec — together they touch every shaping code path.
-_PROFILES = (
-    "baseline",
-    "geo-satellite",
-    "lossy-edge",
-    "rate=2mbps,rtt=100ms",
-    "bufferbloat",
-)
-
-
 def _config(week=_WEEK, **overrides):
     return CampaignConfig(week=week, scale=_SCALE, seed=_SEED, **overrides)
-
-
-def _run_matrix_into(root: Path, matrix: MatrixConfig, fleet_jobs=None):
-    """One matrix run; returns (db bytes, metrics-file bytes map, result)."""
-    root.mkdir(parents=True, exist_ok=True)
-    db_path = root / "wh.sqlite"
-    conn = sqlite3.connect(db_path)
-    try:
-        result = run_matrix(
-            matrix, conn, metrics_dir=root / "metrics", fleet_jobs=fleet_jobs
-        )
-        conn.commit()
-    finally:
-        conn.close()
-    metrics = {
-        path.name: path.read_bytes()
-        for path in sorted((root / "metrics").glob("*.metrics.json"))
-    }
-    return db_path.read_bytes(), metrics, result
-
-
-@pytest.fixture(scope="module")
-def profile_matrix():
-    return MatrixConfig(
-        cells=tuple(profile_cells(list(_PROFILES))),
-        week=_WEEK,
-        scale=_SCALE,
-        seed=_SEED,
-    )
-
-
-@pytest.fixture(scope="module")
-def sequential_profiles(tmp_path_factory, profile_matrix):
-    """The sequential reference run over all five profiles."""
-    root = tmp_path_factory.mktemp("fleet-seq")
-    return _run_matrix_into(root, profile_matrix)
 
 
 # -- world sharing -------------------------------------------------------------
 
 
 class TestWorldSharing:
-    def test_profile_cells_share_one_digest_keyed_world(self):
-        fleet = FleetScheduler()
-        configs = [_config(path_profile=profile) for profile in _PROFILES]
-        assert len({world_digest(config) for config in configs}) == 1
-        worlds = [fleet.world_for(config) for config in configs]
-        assert all(world is worlds[0] for world in worlds)
-        assert fleet.world_builds == 1
-        assert fleet.world_reuse_hits == len(configs) - 1
-
     def test_parent_lru_evicts_oldest_week(self, monkeypatch):
         monkeypatch.setattr(pool_module, "MAX_WORLDS", 1)
         fleet = FleetScheduler()
@@ -161,48 +102,14 @@ class TestWorkerEviction:
         assert published() is None
 
 
-# -- byte-identity against the sequential drivers ------------------------------
-
-
-class TestMatrixByteIdentity:
-    def test_one_job_fleet_matches_sequential(
-        self, tmp_path, profile_matrix, sequential_profiles
-    ):
-        seq_db, seq_metrics, _ = sequential_profiles
-        db, metrics, result = _run_matrix_into(
-            tmp_path / "one-job", profile_matrix, fleet_jobs=1
-        )
-        assert db == seq_db
-        assert metrics == seq_metrics
-        telemetry = result.fleet_telemetry
-        assert telemetry["pool_size"] == 1
-        assert telemetry["world_builds"] == 1
-        assert telemetry["world_reuse_hits"] == len(profile_matrix.cells) - 1
-        assert telemetry["pool_respawns"] == 0
-
-    def test_pooled_fleet_matches_sequential(
-        self, tmp_path, profile_matrix, sequential_profiles
-    ):
-        seq_db, seq_metrics, _ = sequential_profiles
-        db, metrics, result = _run_matrix_into(
-            tmp_path / "pooled", profile_matrix, fleet_jobs=2
-        )
-        assert db == seq_db
-        assert metrics == seq_metrics
-        telemetry = result.fleet_telemetry
-        assert telemetry["world_builds"] == 1
-        assert telemetry["world_reuse_hits"] == len(profile_matrix.cells) - 1
-        assert telemetry["pool_respawns"] == 0
-
-
 class TestActivation:
-    def test_fault_and_path_activation_matches_dedicated_build(self, one_world_worker):
+    def test_fault_and_path_activation_matches_dedicated_build(self, one_world_worker, identity):
         """A worker's world serving profile B after profile A replays
-        exactly what a from-scratch profiled world produces — records
-        and metrics bytes — fault profile included."""
+        exactly what a from-scratch profiled world produces (the identity
+        matrix's serial run) — records and metrics bytes — fault profile
+        included."""
         config = _config(path_profile="lossy-edge", fault_profile="flaky-edge")
-        baseline = Campaign(config)
-        baseline.run_all_stages()
+        expected = identity.run(config).artefacts
         # Configure the worker's world for a different cell and scan it
         # first, so the second configure really restores the build-time
         # conditions.
@@ -213,9 +120,7 @@ class TestActivation:
         cell = pool_module.replica(config)
         assert cell.world is other.world
         cell.run_all_stages()
-        for stage in DIFF_STAGES:
-            assert _record_lines(cell, stage) == _record_lines(baseline, stage), stage
-        assert render_metrics_json(cell) == render_metrics_json(baseline)
+        assert campaign_artefacts(cell) == expected
 
     def test_profile_gauges_count_what_configure_installs(self):
         """The gauges are a pure count; they must equal the hosts the

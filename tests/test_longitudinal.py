@@ -17,7 +17,6 @@ The contract under test (docs/LONGITUDINAL.md):
   quietly-short merge.
 """
 
-import dataclasses
 import json
 import os
 import sqlite3
@@ -55,6 +54,8 @@ from repro.warehouse.schema import (
     TIMELINE_TABLES,
     ensure_schema,
 )
+
+from tests.conftest import FULL_SERIES
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -128,15 +129,6 @@ def _cli(args, fault=None, timeout=600):
 def ref(series_ref):
     """An uninterrupted delta series — the byte-identity reference."""
     return series_ref
-
-
-@pytest.fixture(scope="module")
-def full(tmp_path_factory):
-    """The same series with delta scans disabled (every week scanned)."""
-    root = tmp_path_factory.mktemp("lt-full")
-    config = _series_config(root / "cache", delta=False)
-    result = _run_series(root / "wh.sqlite", config)
-    return root / "wh.sqlite", config, result
 
 
 @pytest.fixture(scope="module")
@@ -267,9 +259,9 @@ def test_timeline_rows_equal_figure_rows(ref):
 # -- delta == full scan (the correctness contract) -----------------------------
 
 
-def test_delta_series_is_byte_identical_to_full_scans(ref, full):
+def test_delta_series_is_byte_identical_to_full_scans(ref, identity):
     ref_db, _rc, _rr = ref
-    full_db, _fc, _fr = full
+    full_db, _fc, _fr = identity.run(FULL_SERIES).subject
     with connect(ref_db) as a, connect(full_db) as b:
         tables = _campaign_scoped_tables()
         assert _dump(a, tables) == _dump(b, tables)
@@ -313,19 +305,6 @@ def test_delta_rescans_exactly_the_hosts_configure_faults(world, tmp_path):
         str(a) for a in addresses if campaign.world.network.conditions_for(a).faults
     }
     assert rescanned == faulted and 0 < len(faulted) < len(addresses)
-
-
-# -- parallel == serial ----------------------------------------------------------
-
-
-def test_parallel_series_matches_serial(full, tmp_path):
-    """Every full week of a ``workers=2`` series streams on a pool of its
-    own; the warehouse file equals the serial series' byte for byte."""
-    full_db, config, _ = full
-    parallel = dataclasses.replace(config, workers=2, cache_dir=tmp_path / "cache")
-    result = _run_series(tmp_path / "wh.sqlite", parallel)
-    assert [state.status for state in result.weeks] == ["complete"] * len(_WEEKS)
-    assert (tmp_path / "wh.sqlite").read_bytes() == full_db.read_bytes()
 
 
 # -- crash + resume (kill-point matrix) ----------------------------------------

@@ -5,8 +5,9 @@ Covers the three guarantees parallel runs are built on:
 1. contiguous blocks partition the sweep's cycle and a target list
    exactly (no duplicates, no gaps, any block count), never splitting
    one address's run,
-2. a parallel campaign — read stage by stage or run whole — produces
-   record-for-record identical output to a serial one,
+2. a parallel campaign read stage by stage produces record-for-record
+   identical output to a serial one (a whole run is a cell of
+   ``tests/test_identity.py``),
 3. the persistent stage cache round-trips records, is keyed on the
    full configuration (including ``scan_timeout``), and discards
    version-skewed or corrupt entries instead of serving them.
@@ -114,32 +115,6 @@ def test_aligned_block_bounds_never_split_runs():
         assert covered == list(range(len(keys)))
 
 
-# -- parallel == serial -------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def parallel_campaign(tiny_campaign):
-    campaign = Campaign(tiny_campaign.config, workers=3)
-    yield campaign
-    campaign.close()
-
-
-@pytest.mark.parametrize(
-    "stage",
-    [
-        "zmap_v4",  # IPv4 sweep in range blocks
-        "syn_v6",  # target list in blocks
-        "goscanner_sni_v4",  # aligned blocks + rng seek
-        "qscan_sni_v4",  # aligned blocks + target sources
-    ],
-)
-def test_parallel_output_identical_to_serial(tiny_campaign, parallel_campaign, stage):
-    serial = getattr(tiny_campaign, stage)
-    parallel = getattr(parallel_campaign, stage)
-    assert len(parallel) == len(serial)
-    assert parallel == serial
-
-
 # -- one scheduler: lazy stage access streams the stage and what it lacks ----
 
 
@@ -163,55 +138,6 @@ def test_lazy_parallel_access_equals_lazy_serial(tiny_campaign, stage):
         assert parallel.metrics.counter_value("stream.tasks") > 0
     finally:
         parallel.close()
-
-
-def _cell_output(campaign):
-    """A finished campaign's records per stage and its metrics.json bytes."""
-    from repro.conformance.differential import DIFF_STAGES, _record_lines
-
-    records = {stage: _record_lines(campaign, stage) for stage in DIFF_STAGES}
-    return records, render_metrics_json(campaign)
-
-
-def _spawn_campaign(configs):
-    campaign = Campaign(configs[0], workers=2)
-    try:
-        campaign.run_all_stages()
-        return [_cell_output(campaign)]
-    finally:
-        campaign.close()
-
-
-def _spawn_fleet(configs):
-    from repro.parallel.fleet import FleetScheduler
-
-    with FleetScheduler(jobs=2) as fleet:
-        return fleet.execute(configs, lambda index, campaign: _cell_output(campaign))
-
-
-@pytest.mark.parametrize(
-    "run, path_profiles",
-    [(_spawn_campaign, ("lossy-edge",)), (_spawn_fleet, ("geo-satellite", "lossy-edge"))],
-    ids=["workers2-campaign", "fleet-jobs2-matrix"],
-)
-def test_spawned_workers_rebuild_configure_and_match_serial(monkeypatch, run, path_profiles):
-    """Under ``spawn`` no world is inherited: every worker rebuilds its
-    world from the configuration and configures it, and the records and
-    metrics.json bytes still equal a serial run's."""
-    from repro.parallel import pool
-
-    scale = Scale(addresses=200_000, ases=4_000, domains=200_000)
-    configs = [
-        CampaignConfig(week=18, scale=scale, seed=23, fault_profile="flaky-edge", path_profile=p)
-        for p in path_profiles
-    ]
-    serial = []
-    for config in configs:
-        campaign = Campaign(config)
-        campaign.run_all_stages()
-        serial.append(_cell_output(campaign))
-    monkeypatch.setattr(pool, "START_METHOD", "spawn")
-    assert run(configs) == serial
 
 
 # shim -> the modules defining it

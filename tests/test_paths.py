@@ -10,8 +10,9 @@ The contracts under test:
   holds more than ``queue`` bytes of backlog, tail-drops beyond it,
   grows delay monotonically under sustained load (bufferbloat) and
   drains back to zero after an idle period;
-- shaping composes with fault injection and stays byte-identical
-  between serial and sharded campaign runs for every profile;
+- shaping composes with fault injection, and a profile shifts a
+  campaign's outcome mix (that it stays byte-identical between serial
+  and sharded runs is a cell of ``tests/test_identity.py``);
 - ``NetworkConditions.faults`` entries are validated loudly at epoch
   begin (a stray non-FaultSpec cannot ride along silently);
 - ``run_matrix`` loads QA-clean, crash-safe cell rows, and a tampered
@@ -21,12 +22,10 @@ The contracts under test:
 
 import dataclasses
 import sqlite3
-from functools import lru_cache
 
 import pytest
 
-from repro.experiments.campaign import Campaign, CampaignConfig
-from repro.experiments.stages import STAGE_NAMES
+from repro.experiments.campaign import CampaignConfig
 from repro.experiments.matrix import (
     DEFAULT_RATES_MBPS,
     MatrixConfig,
@@ -47,7 +46,6 @@ from repro.netsim.paths import (
     parse_path_spec,
 )
 from repro.netsim.topology import Network, NetworkConditions, UdpEndpoint
-from repro.observability.report import render_metrics_json
 from repro.warehouse import WarehouseQaError
 from repro.warehouse.qa import run_matrix_qa
 from repro.warehouse.queries import named_report
@@ -360,56 +358,32 @@ class TestFaultSpecValidation:
 # -- campaign determinism ------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _campaign_fingerprint(path_profile, fault_profile, workers):
-    """(per-stage records, metrics.json) for one campaign run."""
-    config = CampaignConfig(
-        week=18,
-        scale=_SCALE,
-        seed=_SEED,
-        path_profile=path_profile,
-        fault_profile=fault_profile,
-    )
-    campaign = Campaign(config, workers=workers)
-    try:
-        campaign.run_all_stages()
-        records = {name: list(getattr(campaign, name)) for name in STAGE_NAMES}
-        return records, render_metrics_json(campaign)
-    finally:
-        campaign.close()
+def _serial_records(identity, path_profile):
+    """Per-stage records of the identity matrix's serial run of a profile."""
+    config = CampaignConfig(week=18, scale=_SCALE, seed=_SEED, path_profile=path_profile)
+    return identity.run(config).artefacts.records
 
 
 class TestCampaignDeterminism:
-    @pytest.mark.parametrize("profile", ["baseline", "geo-satellite", "bufferbloat"])
-    def test_serial_equals_parallel_per_profile(self, profile):
-        serial = _campaign_fingerprint(profile, None, 1)
-        parallel = _campaign_fingerprint(profile, None, 2)
-        assert serial[0] == parallel[0]  # records, stage by stage
-        assert serial[1] == parallel[1]  # metrics.json bytes
+    """Serial == parallel per path profile, alone and composed with a
+    fault profile, are cells of ``tests/test_identity.py``."""
 
-    def test_baseline_profile_equals_no_profile(self):
-        assert _campaign_fingerprint("baseline", None, 1)[0] == (
-            _campaign_fingerprint(None, None, 1)[0]
-        )
+    def test_baseline_profile_equals_no_profile(self, identity):
+        assert _serial_records(identity, "baseline") == _serial_records(identity, None)
 
-    def test_lossy_edge_shifts_the_outcome_mix(self):
+    def test_lossy_edge_shifts_the_outcome_mix(self, identity):
         from repro.scanners.results import QScanOutcome
 
-        def successes(fingerprint):
+        def successes(records):
             return sum(
                 1
-                for record in fingerprint[0]["qscan_sni_v4"]
+                for record in records["qscan_sni_v4"]
                 if record.outcome == QScanOutcome.SUCCESS
             )
 
-        baseline = successes(_campaign_fingerprint("baseline", None, 1))
-        lossy = successes(_campaign_fingerprint("lossy-edge", None, 1))
+        baseline = successes(_serial_records(identity, "baseline"))
+        lossy = successes(_serial_records(identity, "lossy-edge"))
         assert lossy < baseline
-
-    def test_composes_with_fault_profile_deterministically(self):
-        serial = _campaign_fingerprint("lossy-edge", "flaky-edge", 1)
-        parallel = _campaign_fingerprint("lossy-edge", "flaky-edge", 2)
-        assert serial == parallel
 
 
 # -- the scenario matrix -------------------------------------------------------
@@ -569,6 +543,16 @@ class TestMatrixCli:
         assert "1 cells loaded" in out and "baseline" in out
         assert main(["query", "matrix", "--db", str(db)]) == 0
         assert "baseline" in capsys.readouterr().out
+        # The matrix QA ledger was committed: a fresh connection reads it.
+        fresh = sqlite3.connect(db)
+        (mid,) = fresh.execute("SELECT DISTINCT matrix_id FROM matrix_runs").fetchone()
+        checks = fresh.execute(
+            "SELECT check_name, status FROM qa_results WHERE campaign_id = ?", (mid,)
+        ).fetchall()
+        fresh.close()
+        assert sorted(checks) == [("mart_equivalence", "pass"), ("row_counts", "pass")]
+        assert main(["query", "qa", "--db", str(db), "--campaign", mid]) == 0
+        assert "mart_equivalence" in capsys.readouterr().out
 
     def test_bad_grid_and_bad_profile_exit_2(self, tmp_path, capsys):
         from repro.cli import main

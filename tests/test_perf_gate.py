@@ -479,119 +479,6 @@ def test_dns_stage_resolves_only_names_a_zone_holds(monkeypatch):
     assert resolved == held and 0 < sum(held.values()) < listed
 
 
-def _fleet_residency(monkeypatch, jobs, cells):
-    """Run ``cells`` profile cells on a fleet of ``jobs``; at each commit,
-    count the cell campaigns still alive with a stage computed."""
-    import gc
-    import weakref
-
-    from repro.experiments.stages import STAGE_NAMES
-    from repro.parallel.fleet import FleetScheduler
-
-    profiles = ("baseline", "geo-satellite", "lossy-edge", "rate=2mbps,rtt=100ms", "bufferbloat")
-    scale = Scale(addresses=200_000, ases=4_000, domains=200_000)
-    configs = [
-        CampaignConfig(week=18, scale=scale, seed=23, path_profile=profiles[i % len(profiles)])
-        for i in range(cells)
-    ]
-    created = []
-    real_cell_campaign = FleetScheduler.cell_campaign
-
-    def tracking_cell_campaign(self, config, cache_dir=None):
-        campaign = real_cell_campaign(self, config, cache_dir=cache_dir)
-        created.append(weakref.ref(campaign))
-        return campaign
-
-    def resident():
-        gc.collect()
-        return sum(
-            1
-            for ref in created
-            if ref() is not None and any(name in vars(ref()) for name in STAGE_NAMES)
-        )
-
-    monkeypatch.setattr(FleetScheduler, "cell_campaign", tracking_cell_campaign)
-    with FleetScheduler(jobs=jobs) as fleet:
-        at_commit = fleet.execute(configs, lambda index, campaign: resident())
-        telemetry = fleet.telemetry()
-    return at_commit, resident(), len(created), telemetry
-
-
-def test_pooled_fleet_holds_a_cell_from_submit_to_commit(monkeypatch):
-    """Counts: a fleet that keeps committed cells (or builds them all up
-    front) holds more than ``jobs + 1`` campaigns at a commit."""
-    at_commit, after, created, telemetry = _fleet_residency(monkeypatch, jobs=2, cells=6)
-    assert created == 6 and max(at_commit) <= 3 and after == 0
-    assert telemetry["resident_cells_max"] == 3
-    assert telemetry["world_builds"] == 1 and telemetry["world_reuse_hits"] == 5
-    assert telemetry["pool_respawns"] == 0
-
-
-def test_one_job_fleet_holds_a_cell_from_submit_to_commit(monkeypatch):
-    at_commit, after, created, telemetry = _fleet_residency(monkeypatch, jobs=1, cells=5)
-    assert created == 5 and max(at_commit) <= 2 and after == 0
-    assert telemetry["resident_cells_max"] == 2
-    assert telemetry["world_builds"] == 1 and telemetry["world_reuse_hits"] == 4
-    assert telemetry["pool_respawns"] == 0
-
-
-def _build_pids(monkeypatch, log, run):
-    """Run ``run()`` under fork with every world build logging its pid to ``log``."""
-    import os
-
-    from repro.experiments import campaign as campaign_module
-    from repro.internet import generator
-    from repro.parallel import pool
-
-    real_build_world = generator.build_world
-
-    def logged_build_world(*args, **kwargs):
-        with open(log, "a", encoding="utf-8") as handle:
-            handle.write(f"{os.getpid()}\n")
-        return real_build_world(*args, **kwargs)
-
-    monkeypatch.setattr(pool, "START_METHOD", "fork")
-    monkeypatch.setattr(generator, "build_world", logged_build_world)
-    monkeypatch.setattr(campaign_module, "build_world", logged_build_world)
-    run()
-    return log.read_text(encoding="utf-8").split() if log.exists() else []
-
-
-def test_forked_workers_build_no_world(monkeypatch, tmp_path):
-    """Counts: a profiled ``workers=2`` campaign and a pooled two-cell
-    fleet matrix each build their world once, in the parent; the forked
-    workers adopt it and only configure it."""
-    import os
-
-    from repro.experiments.campaign import Campaign
-    from repro.parallel.fleet import FleetScheduler
-
-    scale = Scale(addresses=200_000, ases=4_000, domains=200_000)
-    profiled = CampaignConfig(
-        week=18, scale=scale, seed=23, fault_profile="flaky-edge", path_profile="lossy-edge"
-    )
-
-    def campaign_run():
-        campaign = Campaign(profiled, workers=2)
-        try:
-            campaign.run_all_stages()
-            assert campaign.metrics.counter_value("stream.tasks") > 0
-        finally:
-            campaign.close()
-
-    def fleet_run():
-        cells = [
-            CampaignConfig(week=18, scale=scale, seed=23, path_profile=profile)
-            for profile in ("geo-satellite", "lossy-edge")
-        ]
-        with FleetScheduler(jobs=2) as fleet:
-            fleet.execute(cells, lambda index, campaign: campaign.run_all_stages())
-            assert fleet.telemetry()["world_builds"] == 1
-
-    assert _build_pids(monkeypatch, tmp_path / "campaign.log", campaign_run) == [str(os.getpid())]
-    assert _build_pids(monkeypatch, tmp_path / "fleet.log", fleet_run) == [str(os.getpid())]
-
-
 def test_packet_codecs_cost_calls_per_responder_and_per_scan():
     """Counts, not timings: cProfile's ``total_calls`` for one stage of
     the W20k week (seed 7), per record, with the stage's inputs already

@@ -35,6 +35,8 @@ from repro.scanners.qscanner import QScanner, QScannerConfig
 from repro.scanners.results import QScanOutcome
 from repro.scanners.retry import RetryPolicy
 
+from tests.conftest import CHAOS_CONFIG
+
 CLIENT = IPv4Address.parse("198.51.100.1")
 SERVER = IPv4Address.parse("192.0.2.1")
 
@@ -221,24 +223,13 @@ def test_no_retries_without_policy():
     assert registry.counter_value("quic.giveups") == 0
 
 
-# -- campaign determinism under faults -----------------------------------------
+# -- the identity matrix's serial chaos run --------------------------------------
 
 
-@pytest.fixture(scope="module")
-def chaos_config():
-    return CampaignConfig(
-        scale=FAULT_SCALE,
-        seed=23,
-        fault_profile="flaky-edge",
-        retry=RetryPolicy(attempts=2),
-    )
-
-
-@pytest.fixture(scope="module")
-def chaos_serial(chaos_config):
-    campaign = Campaign(chaos_config)
-    campaign.run_all_stages()
-    return campaign
+@pytest.fixture
+def chaos_serial(identity):
+    """The identity matrix's serial chaos run (``flaky-edge``, two attempts)."""
+    return identity.run(CHAOS_CONFIG).subject
 
 
 def test_chaos_campaign_completes(chaos_serial):
@@ -246,17 +237,6 @@ def test_chaos_campaign_completes(chaos_serial):
     snapshot = json.dumps(chaos_serial.metrics.snapshot(), sort_keys=True)
     assert "faults.injected" in snapshot
     assert "faults.hosts" in snapshot
-
-
-def test_chaos_serial_matches_parallel(chaos_config, chaos_serial):
-    parallel = Campaign(chaos_config, workers=2)
-    try:
-        parallel.run_all_stages()
-    finally:
-        parallel.close()
-    assert render_metrics_json(parallel) == render_metrics_json(chaos_serial)
-    for stage in ("zmap_v4", "syn_v4", "goscanner_sni_v4", "qscan_sni_v4"):
-        assert getattr(parallel, stage) == getattr(chaos_serial, stage)
 
 
 def test_resilience_report_renders(chaos_serial):

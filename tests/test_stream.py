@@ -1,24 +1,24 @@
 """Tests for the streaming dataflow engine.
 
-The contract under test is the differential oracle's: a streaming
-parallel campaign must be byte-identical to a serial one — records per
-stage and the rendered ``metrics.json`` — including under injected
-faults with retries enabled.  The scheduling tests cover chunk
-partitioning, overlap, backpressure accounting, graceful degradation
-and a pool that stops answering.
+A streaming parallel campaign is byte-identical to a serial one, under
+injected faults with retries too: those are cells of
+``tests/test_identity.py``, whose chaos run the telemetry and health
+tests here read.  The scheduling tests cover chunk partitioning,
+overlap, backpressure accounting, graceful degradation and a pool that
+stops answering.
 """
 
 import pytest
 
+from repro.conformance.differential import campaign_artefacts
 from repro.crypto.rand import DeterministicRandom
 from repro.experiments.campaign import Campaign, CampaignConfig
 from repro.experiments.stages import STAGE_NAMES
 from repro.internet.providers import Scale
-from repro.observability.report import render_metrics_json
 from repro.parallel import stream as stream_module
 from repro.scanners.permutation import CyclicGroupPermutation
-from repro.scanners.retry import RetryPolicy
 
+from tests.conftest import CHAOS_CONFIG
 from tests.sweep_oracle import iter_range
 
 STREAM_SCALE = Scale(addresses=20_000, ases=200, domains=20_000)
@@ -70,46 +70,12 @@ def test_range_sweeps_concatenate_to_the_full_sweep(tiny_campaign):
     assert [record for _, record in chunked] == scanner.scan_ipv4_space(space)
 
 
-# -- streaming campaign == serial campaign ------------------------------------
+# -- the identity matrix's streamed chaos run ----------------------------------
 
 
-@pytest.fixture(scope="module")
-def chaos_stream_config():
-    # Faults + retries: the hardest determinism case (fault epochs,
-    # retry rng, backoff clock all have to replay the serial schedule).
-    return CampaignConfig(
-        week=18,
-        scale=STREAM_SCALE,
-        seed=29,
-        fault_profile="flaky-edge",
-        retry=RetryPolicy(attempts=2),
-    )
-
-
-@pytest.fixture(scope="module")
-def stream_serial(chaos_stream_config):
-    campaign = Campaign(chaos_stream_config)
-    campaign.run_all_stages()
-    return campaign
-
-
-@pytest.fixture(scope="module")
-def stream_parallel(chaos_stream_config):
-    campaign = Campaign(chaos_stream_config, workers=2)
-    campaign.run_all_stages(streaming=True)
-    yield campaign
-    campaign.close()
-
-
-def test_streaming_byte_identical_under_faults(stream_serial, stream_parallel):
-    for stage in STAGE_NAMES:
-        assert getattr(stream_parallel, stage) == getattr(stream_serial, stage), stage
-    assert render_metrics_json(stream_parallel) == render_metrics_json(stream_serial)
-
-
-def test_streaming_populates_volatile_telemetry(stream_parallel):
+def test_streaming_populates_volatile_telemetry(identity):
     """Scheduling telemetry exists, is volatile, and shows real overlap."""
-    snapshot = stream_parallel.metrics.snapshot(include_volatile=True)
+    snapshot = identity.run(CHAOS_CONFIG, "fork2").subject.metrics.snapshot(include_volatile=True)
     counters, gauges = snapshot["counters"], snapshot["gauges"]
     assert counters["stream.tasks"] > 0
     assert counters["stream.stages"] > 0
@@ -126,15 +92,16 @@ def test_streaming_populates_volatile_telemetry(stream_parallel):
             assert name in volatile, name
 
 
-def test_streaming_stage_health_success(stream_parallel):
+def test_streaming_stage_health_success(identity):
+    health = identity.run(CHAOS_CONFIG, "fork2").subject.stage_health
     for stage in STAGE_NAMES:
-        assert stream_parallel.stage_health[stage].status == "success", stage
+        assert health[stage].status == "success", stage
 
 
 # -- backpressure --------------------------------------------------------------
 
 
-def test_backpressure_stalls_sources(monkeypatch):
+def test_backpressure_stalls_sources(monkeypatch, identity):
     """A tiny queue limit forces sweep dispatch to stall measurably.
 
     Sweeps by position are one block per worker, each returning enough
@@ -146,16 +113,16 @@ def test_backpressure_stalls_sources(monkeypatch):
     monkeypatch.setattr(stream_module, "_QUEUE_LIMIT", 1)
     monkeypatch.setattr(stream_module, "_INFLIGHT_PER_WORKER", 1)
     monkeypatch.setattr(stream_module, "_MIN_BATCH", 1_000)
-    campaign = Campaign(CampaignConfig(week=18, scale=STREAM_SCALE, seed=7), workers=2)
+    config = CampaignConfig(week=18, scale=STREAM_SCALE, seed=7)
+    expected = identity.run(config).artefacts
+    campaign = Campaign(config, workers=2)
     try:
         campaign.run_all_stages(streaming=True)
         snapshot = campaign.metrics.snapshot(include_volatile=True)
         assert snapshot["counters"]["stream.backpressure_stalls"] > 0
         assert snapshot["gauges"]["stream.queue_limit"] == 1
         # Backpressure slows the pipeline down; it never changes output.
-        reference = Campaign(CampaignConfig(week=18, scale=STREAM_SCALE, seed=7))
-        reference.run_all_stages()
-        assert render_metrics_json(campaign) == render_metrics_json(reference)
+        assert campaign_artefacts(campaign) == expected
     finally:
         campaign.close()
 
@@ -244,9 +211,7 @@ def test_streamed_stage_over_a_degraded_input_is_not_cached(monkeypatch, tmp_pat
 
 
 @pytest.mark.parametrize("loss", ["dropped", "terminated"])
-def test_pool_that_loses_tasks_never_yields_a_partial_merge(
-    loss, chaos_stream_config, stream_serial, monkeypatch, tmp_path
-):
+def test_pool_that_loses_tasks_never_yields_a_partial_merge(loss, identity, monkeypatch, tmp_path):
     """Lost chunk tasks fail the run loudly; no unfinished stage lands.
 
     Every other task vanishes (a quietly short result set), or the pool
@@ -254,7 +219,8 @@ def test_pool_that_loses_tasks_never_yields_a_partial_merge(
     stage is installed, healthy and cached whole, or not at all.
     """
     monkeypatch.setattr(stream_module, "_COMPLETION_TIMEOUT", 0.5)
-    campaign = Campaign(chaos_stream_config, workers=2, cache_dir=tmp_path)
+    serial = identity.run(CHAOS_CONFIG).artefacts.records
+    campaign = Campaign(CHAOS_CONFIG, workers=2, cache_dir=tmp_path)
     try:
         pool = campaign.worker_pool()
         submit, sent = pool.apply_async, []
@@ -280,4 +246,4 @@ def test_pool_that_loses_tasks_never_yields_a_partial_merge(
         assert (name in installed) == (directory / f"{name}.pkl").exists(), name
     for name in installed:
         assert campaign.stage_health[name].status == "success", name
-        assert campaign.__dict__[name] == getattr(stream_serial, name), name
+        assert campaign.__dict__[name] == serial[name], name
