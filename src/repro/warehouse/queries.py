@@ -204,9 +204,12 @@ def named_report(
         raise LookupError(f"unknown report {name!r}; choose from {sorted(REPORTS)}")
     key = campaign_id or _latest(conn, report.scope)
     rows = [tuple(row) for row in conn.execute(report.sql, {"key": key})]
-    # Only an empty report pays the lookup: a mistyped key is refused, not rendered empty.
-    if not rows and campaign_id and not _recorded(conn, report.scope, key):
-        raise LookupError(f"{report.scope} {key!r} is not recorded in this warehouse")
+    # Only an empty report pays the lookup: a mistyped key is refused, not
+    # rendered empty.  The QA ledger also keys a matrix's checks by its id.
+    if not rows and campaign_id:
+        scopes = (report.scope, "matrix") if name == "qa" else (report.scope,)
+        if not any(_recorded(conn, scope, key) for scope in scopes):
+            raise LookupError(f"{report.scope} {key!r} is not recorded in this warehouse")
     # Table 1's title names the campaign's week; the lookup refuses an unknown id.
     week = _campaign_week(conn, key) if name == "table1" else None
     return report.spec.result(rows, key=key, week=week)

@@ -82,16 +82,21 @@ def pytest_runtest_makereport(item, call):
 
 @dataclass
 class IdentityRun:
-    """One finished run: what it left behind and what made it."""
+    """One finished run: what it left behind and what the tests count."""
 
-    artefacts: object  # Artefacts; a list of them for a fleet of campaigns
-    subject: object  # the closed Campaign; a MatrixResult; a series' (db, config, result)
+    artefacts: object  # Artefacts
+    # The closed Campaign, the MatrixResult or the series' (db, config,
+    # result); None for a campaign run no other test reads (see
+    # ``IdentityRuns.READ``), so the session holds no world it is done with.
+    subject: object
+    # The tasks a campaign streamed to its pool (0 when none was used).
+    pooled_tasks: int = 0
     # A fleet matrix's cell campaigns alive with a stage computed at each
     # commit and after the run, and how many it created.
     residency: tuple = ()
-    # The pids of the processes that built a world for the run; forked
-    # workers log theirs, spawned ones (which start unpatched) do not.
-    world_builders: frozenset = frozenset()
+    # One pid per world build, in order; forked workers log theirs,
+    # spawned ones (which start unpatched) do not.
+    world_builders: tuple = ()
 
 
 def _log_world_builds(patch, log):
@@ -139,12 +144,18 @@ class IdentityRuns:
     - :class:`CampaignConfig`: ``serial``; ``fork2``/``fork3``, on its
       own pool of forked workers; ``spawn2``, whose workers rebuild
       their world;
-    - a tuple of them: ``spawn-fleet2``, the cells of a two-job fleet;
-    - :class:`MatrixConfig`: ``serial``; ``fleet1``/``fleet2`` fleet jobs;
+    - :class:`MatrixConfig`: ``serial``; ``fleet1``/``fleet2`` fleet
+      jobs; ``spawn-fleet2``, two jobs on spawned workers;
     - :class:`SeriesConfig`: ``serial``; ``fork2``, each week on a pool.
     """
 
     _WORKERS = {"serial": 1, "fork2": 2, "fork3": 3, "spawn2": 2}
+    # The campaign runs whose Campaign other tests read.
+    READ = {
+        (BASELINE_CONFIG.cache_key(), "serial"),
+        (CHAOS_CONFIG.cache_key(), "serial"),
+        (CHAOS_CONFIG.cache_key(), "fork2"),
+    }
 
     def __init__(self, root):
         self._root = root
@@ -152,8 +163,6 @@ class IdentityRuns:
 
     def run(self, config, mode="serial") -> IdentityRun:
         key = config.cache_key() if isinstance(config, CampaignConfig) else config
-        if isinstance(config, tuple):
-            key = tuple(cell.cache_key() for cell in config)
         if (key, mode) not in self._runs:
             with pytest.MonkeyPatch.context() as patch:
                 if mode.startswith("spawn"):
@@ -162,13 +171,10 @@ class IdentityRuns:
                 pids = directory.with_suffix(".pids")
                 _log_world_builds(patch, pids)
                 run = self._make(config, mode, directory, patch)
-            run.world_builders = frozenset(map(int, pids.read_text().split()))
+            run.world_builders = tuple(map(int, pids.read_text().split()))
+            if isinstance(config, CampaignConfig) and (key, mode) not in self.READ:
+                run.subject = None
             self._runs[key, mode] = run
-            # The session keeps every run: move what is alive out of the
-            # collector's walks, here and in the workers later tests fork,
-            # whose collections would otherwise copy each page they touch.
-            gc.collect()
-            gc.freeze()
         return self._runs[key, mode]
 
     def _make(self, config, mode, directory, patch):
@@ -178,10 +184,8 @@ class IdentityRuns:
                 campaign.run_all_stages()
             finally:
                 campaign.close()
-            return IdentityRun(campaign_artefacts(campaign), campaign)
-        if isinstance(config, tuple):
-            with FleetScheduler(jobs=2) as fleet:
-                return IdentityRun(fleet.execute(config, lambda _, c: campaign_artefacts(c)), None)
+            tasks = campaign.metrics.counter_value("stream.tasks")
+            return IdentityRun(campaign_artefacts(campaign), campaign, pooled_tasks=tasks)
         if isinstance(config, MatrixConfig):
             if mode == "serial":
                 return IdentityRun(*matrix_artefacts(directory, config, None))

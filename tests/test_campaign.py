@@ -1,7 +1,5 @@
 """Campaign orchestration tests over the tiny-scale world."""
 
-import pytest
-
 from repro.quic.versions import QSCANNER_SUPPORTED, QUIC_V1, label_to_version
 from repro.scanners.results import QScanOutcome, TargetSource
 

@@ -5,6 +5,7 @@ import re
 import pytest
 
 from repro.cli import EXPERIMENTS, main
+from repro.warehouse import connect
 from repro.warehouse.queries import REPORTS
 
 SMALL = ["--scale", "20000", "--seed", "7"]
@@ -163,11 +164,19 @@ def test_query_help_names_every_report(capsys):
 )
 def test_query_refuses_a_key_the_warehouse_does_not_record(tmp_path, capsys, report, scope):
     """A mistyped ``--campaign`` is an error naming its scope, not an empty report."""
-    from repro.warehouse import connect
-
     db = tmp_path / "wh.sqlite"
     connect(db).close()
     assert main(["query", report, "--db", str(db), "--campaign", "nope"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"{scope} 'nope' is not recorded in this warehouse\n"
+
+
+def test_query_reads_the_empty_qa_ledger_of_a_recorded_matrix(tmp_path, capsys):
+    """The QA ledger's key may be a matrix id, which ``matrix_runs`` records."""
+    conn = connect(tmp_path / "wh.sqlite")
+    with conn:
+        conn.execute("INSERT INTO matrix_runs VALUES ('m', '', 0, 0, '', '', 18, 7, 1, 1, '', 4)")
+    conn.close()
+    assert main(["query", "qa", "--db", str(tmp_path / "wh.sqlite"), "--campaign", "m"]) == 0
+    assert "Warehouse QA ledger" in capsys.readouterr().out

@@ -10,7 +10,6 @@ import pytest
 from repro.experiments.ablations import ablation_padding, overlap_analysis
 from repro.experiments.figures import fig4, fig8, fig9
 from repro.experiments.tables import table1, table2, table3, table4, table5, table6
-from repro.scanners.results import QScanOutcome
 
 
 def test_table1_structure(tiny_campaign):

@@ -51,14 +51,10 @@ CELLS = {
     },
     "fork2-lossy-edge-flaky-edge": (LOSSY_FLAKY, "fork2"),
     "spawn2-lossy-edge-flaky-edge": (LOSSY_FLAKY, "spawn2"),
-    # Two cells of one world in different fault and path states, each
-    # against its own serial run.
-    "spawn-fleet2-geo-satellite+lossy-edge-flaky-edge": (
-        (_profiled(path_profile="geo-satellite"), LOSSY_FLAKY),
-        "spawn-fleet2",
-    ),
     "fleet1-matrix": (PROFILE_MATRIX, "fleet1"),
     "fleet2-matrix": (PROFILE_MATRIX, "fleet2"),
+    # Spawned workers rebuild the world, then hold it from cell to cell.
+    "spawn-fleet2-matrix": (PROFILE_MATRIX, "spawn-fleet2"),
     "fork2-series": (FULL_SERIES, "fork2"),
 }
 
@@ -66,17 +62,11 @@ CELLS = {
 @pytest.mark.parametrize("cell", CELLS)
 def test_mode_leaves_the_serial_artefacts(identity, cell):
     config, mode = CELLS[cell]
-    got = identity.run(config, mode).artefacts
-    if isinstance(config, tuple):
-        pairs = [(identity.run(one).artefacts, mine) for one, mine in zip(config, got)]
-        assert len(pairs) == len(config)
-    else:
-        pairs = [(identity.run(config).artefacts, got)]
-    mismatches = [line for pair in pairs for line in artefact_mismatches(*pair, ("serial", mode))]
+    expected, got = identity.run(config).artefacts, identity.run(config, mode).artefacts
+    mismatches = artefact_mismatches(expected, got, ("serial", mode))
     assert not mismatches, mismatches[:5]
-    for expected, _ in pairs:
-        assert all(expected.files.values()), "an empty artefact file"
-        assert not expected.records or expected.records["qscan_sni_v4"], "no stateful records"
+    assert all(expected.files.values()), "an empty artefact file"
+    assert not expected.records or expected.records["qscan_sni_v4"], "no stateful records"
 
 
 @pytest.mark.parametrize("mode", ["fleet1", "fleet2"])
@@ -101,9 +91,15 @@ def test_series_on_two_workers_completes_every_week(identity):
     assert [state.status for state in result.weeks] == ["complete"] * len(FULL_SERIES.weeks)
 
 
-@pytest.mark.parametrize("cell", [cell for cell, (_, mode) in CELLS.items() if "spawn" not in mode])
-def test_forked_workers_build_no_world(identity, cell):
-    """Counts: only the parent builds worlds; forked workers adopt the
-    ones it published and only configure them."""
+@pytest.mark.parametrize("cell", CELLS)
+def test_the_parent_builds_each_world_once_and_forked_workers_none(identity, cell):
+    """Counts: the parent builds a campaign's or a matrix's world once and
+    a series' once a week; forked workers adopt the worlds it published
+    and only configure them.  A worker cell whose campaign streamed no
+    task to its pool ran serially."""
     config, mode = CELLS[cell]
-    assert identity.run(config, mode).world_builders == {os.getpid()}
+    run = identity.run(config, mode)
+    weeks = len(config.weeks) if config is FULL_SERIES else 1
+    assert run.world_builders == (os.getpid(),) * weeks
+    if isinstance(config, CampaignConfig):
+        assert run.pooled_tasks > 0

@@ -1,8 +1,6 @@
 """Extra integration coverage: ChaCha over QUIC, weekly figures,
 campaign determinism."""
 
-import pytest
-
 from repro.crypto.rand import DeterministicRandom
 from repro.netsim.addresses import IPv4Address
 from repro.netsim.topology import Network

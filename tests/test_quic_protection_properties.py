@@ -3,7 +3,6 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.aead import AeadError
 from repro.quic.initial_aead import derive_initial_keys
 from repro.quic.packet import PacketType
 from repro.quic.protection import ProtectionKeys, protect_long, protect_short, unprotect

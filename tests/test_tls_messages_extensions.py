@@ -2,8 +2,6 @@
 
 import pytest
 
-from repro.crypto.rand import DeterministicRandom
-from repro.crypto.rsa import generate_rsa_key
 from repro.tls.certificates import Certificate, CertificateAuthority
 from repro.tls.extensions import (
     ExtensionType,
