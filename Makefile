@@ -94,15 +94,17 @@ warehouse-smoke:
 	$(PYTHON) -m repro load --scale 200000 --seed 23 --db .cache/warehouse-smoke.sqlite
 	$(PYTHON) -m repro query table1 --db .cache/warehouse-smoke.sqlite
 
-# Crash/resume smoke: run a 3-week series with a SIGKILL injected
-# mid-week-17 (the leading `-` tolerates the intentional death), then
-# resume — completed weeks are skipped, the interrupted week replays
-# from its stage cache — and read the week ledger back.  Nonzero exit
-# if the resumed series leaves any week incomplete.
+# Crash/resume smoke: run a 3-week series on two workers with a
+# SIGKILL injected mid-week-17, a delta week streaming on its pool (the
+# leading `-` tolerates the intentional death), then resume without
+# `--workers`, which stays out of the run id — completed weeks are
+# skipped, the interrupted week replays from its stage cache — and
+# read the week ledger back.  Nonzero exit if the resumed series
+# leaves any week incomplete.
 longitudinal-smoke:
 	rm -rf .cache/longitudinal-smoke .cache/longitudinal-smoke.sqlite
 	-REPRO_SERVICE_FAULT=kill@mid-week:17 $(PYTHON) -m repro longitudinal \
-		--weeks 16-18 --scale 200000 --seed 23 \
+		--weeks 16-18 --scale 200000 --seed 23 --workers 2 \
 		--db .cache/longitudinal-smoke.sqlite --cache-dir .cache/longitudinal-smoke
 	$(PYTHON) -m repro longitudinal --weeks 16-18 --scale 200000 --seed 23 \
 		--db .cache/longitudinal-smoke.sqlite --cache-dir .cache/longitudinal-smoke --resume

@@ -874,7 +874,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--workers",
         type=int,
         default=1,
-        help="worker processes streaming full (non-delta) weeks (default 1)",
+        help="worker processes streaming every week, delta or full (default 1)",
     )
     longitudinal_parser.add_argument(
         "--cache-dir",

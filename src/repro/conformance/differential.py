@@ -5,7 +5,8 @@ but wall time, and the fleet that ``--fleet-jobs`` leaves the warehouse
 file and every per-cell ``metrics.json`` byte for byte as a sequential
 matrix run writes them.  :class:`Artefacts` is what a run is compared
 by and :func:`artefact_mismatches` the one comparison: every stage's
-records with ``==``, every artefact file's bytes.  A differing stage
+records with ``==``, every artefact file's bytes (by size and
+SHA-256).  A differing stage
 reports its first differing record through the same
 :func:`repro.scanners.io.dump_record` JSONL serializer the ``scan
 --output`` path uses, which makes a chunking regression debuggable
@@ -16,12 +17,13 @@ identity matrix all compare through these definitions.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sqlite3
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from repro.experiments.stages import STAGE_NAMES
 
@@ -32,6 +34,7 @@ __all__ = [
     "FleetDifferentialResult",
     "artefact_mismatches",
     "campaign_artefacts",
+    "fingerprint",
     "matrix_artefacts",
     "run_differential",
     "run_fleet_differential",
@@ -46,22 +49,28 @@ class Artefacts:
     """What one run leaves behind that another mode must reproduce.
 
     ``records`` maps each of :data:`DIFF_STAGES` to its record sequence
-    (a campaign run only); ``files`` maps an artefact file name to its
-    bytes: ``metrics.json`` for a campaign, the warehouse database and
-    each cell's ``<cell>.metrics.json`` for a matrix.
+    (a campaign run only); ``files`` maps an artefact file name to the
+    :func:`fingerprint` of its bytes: ``metrics.json`` for a campaign,
+    the warehouse database and each cell's ``<cell>.metrics.json`` for a
+    matrix.
     """
 
     records: Dict[str, Sequence]
-    files: Dict[str, bytes]
+    files: Dict[str, Tuple[int, str]]
+
+
+def fingerprint(data: bytes) -> Tuple[int, str]:
+    """What a file is compared by: its size and its SHA-256 digest."""
+    return len(data), hashlib.sha256(data).hexdigest()
 
 
 def campaign_artefacts(campaign) -> Artefacts:
-    """A finished campaign's records per stage and its metrics.json bytes."""
+    """A finished campaign's records per stage and its metrics.json."""
     from repro.observability.report import render_metrics_json
 
     return Artefacts(
         records={stage: getattr(campaign, stage) for stage in DIFF_STAGES},
-        files={"metrics.json": render_metrics_json(campaign).encode()},
+        files={"metrics.json": fingerprint(render_metrics_json(campaign).encode())},
     )
 
 
@@ -78,9 +87,9 @@ def matrix_artefacts(directory: Path, matrix, fleet_jobs):
         result = run_matrix(matrix, conn, metrics_dir=metrics_dir, fleet_jobs=fleet_jobs)
     finally:
         conn.close()
-    files = {database.name: database.read_bytes()}
+    files = {database.name: fingerprint(database.read_bytes())}
     for path in sorted(metrics_dir.glob("*.metrics.json")):
-        files[path.name] = path.read_bytes()
+        files[path.name] = fingerprint(path.read_bytes())
     return Artefacts({}, files), result
 
 

@@ -15,7 +15,7 @@ generated from the stage table (:mod:`repro.experiments.stages`) and
 share one compute path.  Campaigns themselves are memoised per
 configuration.
 
-Two optional accelerations sit underneath the lazy properties:
+Three optional accelerations sit underneath the lazy properties:
 
 - with ``workers > 1``, or with a pool the caller lends
   (``Campaign(pool=)``), stages stream through
@@ -26,7 +26,12 @@ Two optional accelerations sit underneath the lazy properties:
   chunks merge back into serial order, record for record,
 - a :class:`~repro.experiments.stage_cache.CampaignStageCache`
   (``cache_dir``) persists completed stages on disk so repeated runs
-  skip them entirely (warm runs never even build the world).
+  skip them entirely (warm runs never even build the world),
+- a base week (``Campaign(base=)``, a
+  :class:`~repro.longitudinal.delta.PreviousWeek`) makes a delta week:
+  before a stateful chunk is scanned, :meth:`Campaign.delta_split`
+  takes out the targets whose base-week record still holds, which
+  merge back by position, serial or streamed alike.
 
 Observability: every campaign owns a
 :class:`~repro.observability.metrics.MetricsRegistry` and an
@@ -198,8 +203,11 @@ class Campaign:
         cache_dir: Optional[object] = None,
         tracer: Optional[EventTracer] = None,
         pool: Optional[object] = None,
+        base: Optional[object] = None,
     ):
         self.config = config
+        # A delta week's base week (see delta_split); None scans every target.
+        self.base = base
         self._world: Optional[World] = None
         self._workers = max(1, workers or 1)
         # A lent pool is its owner's to close; without one, a
@@ -448,7 +456,9 @@ class Campaign:
         if stage.walks_space:
             cycle = self._scanner(stage).sweep_cycle_length(self.world.ipv4_space)
             return self.compute_stage_range(name, 0, cycle)
-        return self.compute_stage_chunk(name, 0, self.stage_items(stage))
+        hits, items = self.delta_split(stage, 0, self.stage_items(stage), self.base_records(stage))
+        pairs = self.compute_stage_chunk(name, 0, items)
+        return sorted(hits + pairs, key=lambda pair: pair[0]) if hits else pairs
 
     def health_in_order(self) -> List[StageHealth]:
         """:attr:`stage_health` in canonical stage order, not the order
@@ -492,21 +502,72 @@ class Campaign:
         """Scan one contiguous chunk of a stage's target list.
 
         ``lo`` is the chunk's offset in the stage's serial target list;
-        ``seek(lo)`` gives every target the same rng child it would get
-        in a serial scan of the full list.
+        ``seek`` to its own index gives every target the same rng child
+        it would get in a serial scan of the full list.  A None item is
+        a delta week's hit (:meth:`delta_split`), which is not scanned.
         """
         self.world.network.begin_fault_epoch(name)
-        return self._scan_chunk(BY_NAME[name], lo, items)
-
-    def _scan_chunk(self, stage: Stage, lo: int, items: Sequence) -> List[Tuple[int, object]]:
+        stage = BY_NAME[name]
         scanner = self._scanner(stage)
         if stage.sweep:
             return scanner.scan_targets_shard(items, lo)
-        scanner.seek(lo)
-        return [
-            (lo + i, self._scan_item(stage, scanner, item))
-            for i, item in enumerate(items)
-        ]
+        pairs = []
+        for index, item in enumerate(items, start=lo):
+            if item is not None:
+                scanner.seek(index)
+                pairs.append((index, self._scan_item(stage, scanner, item)))
+        return pairs
+
+    # -- delta weeks: split where a chunk's targets are derived, in-process
+    # for a serial stage and in the parent for a streamed one --------------
+
+    def base_records(self, stage: Stage) -> Optional[Dict]:
+        """The base week's records of a stateful stage by target key.
+
+        None without a base week, for a sweep, and when the base week's
+        stage cache lacks the stage: then every target is scanned.
+        """
+        if self.base is None or stage.sweep:
+            return None
+        records = self.base.stage_records(stage.name)
+        if records is None:
+            return None
+        # Counted from zero even if no target comes, as in a serial week.
+        for result in ("hit", "miss"):
+            self.metrics.counter("delta.records", result=result, stage=stage.name)
+        return {stage.record_key(record): record for record in records}
+
+    def delta_split(
+        self, stage: Stage, lo: int, items: Sequence, base: Optional[Dict]
+    ) -> Tuple[List[Tuple[int, object]], Sequence]:
+        """Split a chunk of a stage's targets into hits and a chunk to scan.
+
+        ``lo`` is the chunk's offset in the stage's target list and
+        ``base`` what :meth:`base_records` returned.  A target is a hit
+        when ``base`` holds a record under its key and its address is
+        unchanged since the base week
+        (:meth:`~repro.longitudinal.delta.PreviousWeek.unchanged`).
+        Returns the hits as (index, base-week record) pairs, and the
+        chunk with None in each hit's place; without a base, no hits.
+        """
+        if base is None:
+            return [], items
+        unchanged = self._unchanged
+        hits, chunk = [], list(items)
+        for index, item in enumerate(items, start=lo):
+            record = base.get(stage.item_key(item))
+            if record is not None and str(stage.address(item)) in unchanged:
+                hits.append((index, record))
+                chunk[index - lo] = None
+        self.metrics.counter("delta.records", result="hit", stage=stage.name).inc(len(hits))
+        self.metrics.counter("delta.records", result="miss", stage=stage.name).inc(
+            len(items) - len(hits)
+        )
+        return hits, chunk
+
+    @cached_property
+    def _unchanged(self) -> frozenset:
+        return self.base.unchanged(self.world, self.config)
 
     @staticmethod
     def _scan_item(stage: Stage, scanner, item):

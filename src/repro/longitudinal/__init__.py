@@ -16,7 +16,7 @@ as one durable job instead of 14 independent invocations:
 See ``docs/LONGITUDINAL.md`` for the operator-facing contract.
 """
 
-from repro.longitudinal.delta import DeltaCampaign, PreviousWeek, world_signature
+from repro.longitudinal.delta import PreviousWeek, world_signature
 from repro.longitudinal.ledger import RunLedger, WeekState, series_run_id
 from repro.longitudinal.scheduler import (
     LongitudinalScheduler,
@@ -27,7 +27,6 @@ from repro.longitudinal.scheduler import (
 from repro.longitudinal.watchdog import WeekDeadlineError, run_week_scans
 
 __all__ = [
-    "DeltaCampaign",
     "PreviousWeek",
     "world_signature",
     "RunLedger",

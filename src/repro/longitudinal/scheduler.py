@@ -35,13 +35,9 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.crypto.rand import DeterministicRandom, derive_seed
 from repro.experiments.campaign import CampaignConfig
+from repro.experiments.stages import STAGE_NAMES
 from repro.internet.providers import Scale
-from repro.longitudinal.delta import (
-    WORLD_SIGNATURE_STAGE,
-    DeltaCampaign,
-    build_week_campaign,
-    world_signature,
-)
+from repro.longitudinal.delta import WORLD_SIGNATURE_STAGE, build_week_campaign, world_signature
 from repro.longitudinal.ledger import RunLedger, WeekState, series_run_id
 from repro.longitudinal.watchdog import execute_week_scans, run_week_scans
 from repro.netsim.faults import maybe_inject_service_fault
@@ -60,7 +56,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SeriesConfig:
-    """Everything that defines one longitudinal series."""
+    """Everything that defines one longitudinal series.
+
+    ``workers`` streams every week, delta or full, on a pool of its own;
+    like ``watchdog_seconds`` and ``cache_dir`` it stays out of the run
+    id and changes nothing the series writes.
+    """
 
     weeks: Tuple[int, ...]
     scale: Scale
@@ -254,12 +255,13 @@ class LongitudinalScheduler:
             previous_id = (
                 ledger.week(base_week).campaign_id if base_week is not None else None
             )
-            delta_hits = delta_misses = 0
-            delta_base: Optional[int] = None
-            if isinstance(campaign, DeltaCampaign):
-                delta_hits = campaign.delta_hit_total
-                delta_misses = campaign.delta_miss_total
-                delta_base = campaign.delta_base_week
+            delta_hits, delta_misses = (
+                sum(
+                    campaign.metrics.counter_value("delta.records", result=result, stage=name)
+                    for name in STAGE_NAMES
+                )
+                for result in ("hit", "miss")
+            )
 
             def on_commit(tx_conn: sqlite3.Connection, counts: Dict[str, int]) -> None:
                 maybe_inject_service_fault("mid-load", week)
@@ -277,7 +279,7 @@ class LongitudinalScheduler:
                     stage_counts,
                     delta_hits=delta_hits,
                     delta_misses=delta_misses,
-                    delta_base_week=delta_base,
+                    delta_base_week=None if previous_config is None else base_week,
                 )
 
             load_campaign(campaign, conn, strict=True, on_commit=on_commit)

@@ -18,6 +18,10 @@ lazily accessed stage plus the table inputs it still lacks
   records are transformed parent-side into the consumer stage's
   target items and shipped inside the consumer's chunk task; workers
   never resolve stage dependencies, so nothing is broadcast,
+- **delta weeks split in the parent** — a campaign with a base week
+  takes each stateful chunk's hits out as it cuts the chunk
+  (``Campaign.delta_split``); they merge by position when the stage
+  finalizes, and a chunk of hits alone ships no task,
 - **bounded queues with backpressure** — buffered consumer items are
   capped (``_QUEUE_LIMIT``); when handshake stages fall behind,
   sweep dispatch stalls instead of buffering unboundedly, and stalls
@@ -128,6 +132,10 @@ class _StageNode:
     pending_items: List = field(default_factory=list)
     emitted: int = 0
     upstream_done: bool = False
+    # A delta week's base-week records by key and the hits taken from
+    # them; no stage streams from a stateful one, so hits reach only the merge.
+    base: Optional[Dict] = None
+    hits: List = field(default_factory=list)
     finalized: bool = False
     records: List = field(default_factory=list)
 
@@ -187,7 +195,7 @@ class StreamEngine:
         preset: List[_StageNode] = []
         for stage in STAGES:
             if stage.name in self._stages:
-                self._nodes[stage.name] = _StageNode(stage)
+                self._nodes[stage.name] = _StageNode(stage, base=campaign.base_records(stage))
             elif stage.name in campaign.__dict__:
                 node = _StageNode(stage, finalized=True, total=0)
                 node.started = node.finished = time.perf_counter()
@@ -276,13 +284,17 @@ class StreamEngine:
         if not items or (not force and len(items) < _MIN_BATCH):
             return
         node.pending_items = []
-        for lo, hi in self._split(node, items):
-            seq = node.planned
-            node.planned += 1
-            self._ready[node.depth].append(
-                ("chunk", node.name, seq, node.emitted + lo, items[lo:hi])
-            )
+        # Cut before the split: SNI cuts read every item's address.
+        offset, bounds = node.emitted, self._split(node, items)
         node.emitted += len(items)
+        hits, items = self.campaign.delta_split(node.stage, offset, items, node.base)
+        node.hits.extend(hits)
+        for lo, hi in bounds:
+            chunk = items[lo:hi]
+            if any(item is not None for item in chunk):  # hits alone ship no task
+                seq = node.planned
+                node.planned += 1
+                self._ready[node.depth].append(("chunk", node.name, seq, offset + lo, chunk))
 
     def _split(self, node: _StageNode, items: List) -> List[Tuple[int, int]]:
         """Cut one flush batch into at-most-``_MAX_BATCH``-item chunks.
@@ -450,7 +462,8 @@ class StreamEngine:
         from repro.experiments.campaign import StageHealth
 
         campaign = self.campaign
-        merged: List[Tuple[int, object]] = []
+        merged: List[Tuple[int, object]] = node.hits
+        node.base, node.hits = None, []
         for seq in range(node.total or 0):
             pairs, snapshot, events, error = node.results[seq]
             if error is not None:

@@ -18,11 +18,17 @@ import gc
 import os
 import sqlite3
 import weakref
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 
 import pytest
 
-from repro.conformance.differential import Artefacts, campaign_artefacts, matrix_artefacts
+from repro.conformance.differential import (
+    Artefacts,
+    campaign_artefacts,
+    fingerprint,
+    matrix_artefacts,
+)
 from repro.crypto.rsa import RsaPublicKey
 from repro.experiments import campaign as campaign_module, get_campaign
 from repro.experiments import matrix as matrix_module
@@ -33,6 +39,7 @@ from repro.internet.providers import Scale
 from repro.longitudinal import LongitudinalScheduler, SeriesConfig
 from repro.parallel import pool
 from repro.parallel.fleet import FleetScheduler
+from repro.parallel.stream import StreamEngine
 from repro.scanners.retry import RetryPolicy
 from repro.warehouse import connect, load_campaign
 
@@ -52,7 +59,8 @@ CHAOS_CONFIG = CampaignConfig(
     week=18, scale=TINY_SCALE, seed=29, fault_profile="flaky-edge", retry=RetryPolicy(attempts=2)
 )
 # A delta series, and the same series with every week scanned in full:
-# what delta scans and ``--workers 2`` must each reproduce.
+# what delta scans must reproduce, and what ``--workers 2`` must
+# reproduce of each.
 SERIES = SeriesConfig(weeks=SERIES_WEEKS, scale=WAREHOUSE_SCALE, seed=WAREHOUSE_SEED)
 FULL_SERIES = dataclasses.replace(SERIES, delta=False)
 
@@ -89,8 +97,8 @@ class IdentityRun:
     # result); None for a campaign run no other test reads (see
     # ``IdentityRuns.READ``), so the session holds no world it is done with.
     subject: object
-    # The tasks a campaign streamed to its pool (0 when none was used).
-    pooled_tasks: int = 0
+    # The tasks the run's campaigns streamed to a pool, by week.
+    pooled_tasks: Counter = field(default_factory=Counter)
     # A fleet matrix's cell campaigns alive with a stage computed at each
     # commit and after the run, and how many it created.
     residency: tuple = ()
@@ -108,6 +116,19 @@ def _log_world_builds(patch, log):
         return real(*args, **kwargs)
 
     patch.setattr(campaign_module, "build_world", logged)
+
+
+def _count_pooled_tasks(patch):
+    """Count, by week, the tasks every stream engine run sends to its pool."""
+    tasks = Counter()
+    real = StreamEngine.run
+
+    def counted(engine):
+        real(engine)
+        tasks[engine.campaign.config.week] += engine._tasks_total
+
+    patch.setattr(StreamEngine, "run", counted)
+    return tasks
 
 
 def _track_residency(patch):
@@ -170,8 +191,10 @@ class IdentityRuns:
                 directory = self._root / f"run-{len(self._runs)}"
                 pids = directory.with_suffix(".pids")
                 _log_world_builds(patch, pids)
+                tasks = _count_pooled_tasks(patch)
                 run = self._make(config, mode, directory, patch)
             run.world_builders = tuple(map(int, pids.read_text().split()))
+            run.pooled_tasks = tasks
             if isinstance(config, CampaignConfig) and (key, mode) not in self.READ:
                 run.subject = None
             self._runs[key, mode] = run
@@ -184,8 +207,7 @@ class IdentityRuns:
                 campaign.run_all_stages()
             finally:
                 campaign.close()
-            tasks = campaign.metrics.counter_value("stream.tasks")
-            return IdentityRun(campaign_artefacts(campaign), campaign, pooled_tasks=tasks)
+            return IdentityRun(campaign_artefacts(campaign), campaign)
         if isinstance(config, MatrixConfig):
             if mode == "serial":
                 return IdentityRun(*matrix_artefacts(directory, config, None))
@@ -200,7 +222,7 @@ class IdentityRuns:
             result = LongitudinalScheduler(config).run(conn)
         finally:
             conn.close()
-        artefacts = Artefacts({}, {database.name: database.read_bytes()})
+        artefacts = Artefacts({}, {database.name: fingerprint(database.read_bytes())})
         return IdentityRun(artefacts, (database, config, result))
 
 

@@ -16,11 +16,13 @@ import pytest
 from repro.conformance.differential import artefact_mismatches
 from repro.experiments.campaign import CampaignConfig
 from repro.experiments.matrix import MatrixConfig, profile_cells
+from repro.longitudinal import SeriesConfig
 
 from tests.conftest import (
     BASELINE_CONFIG,
     CHAOS_CONFIG,
     FULL_SERIES,
+    SERIES,
     WAREHOUSE_SCALE,
     WAREHOUSE_SEED,
 )
@@ -56,6 +58,9 @@ CELLS = {
     # Spawned workers rebuild the world, then hold it from cell to cell.
     "spawn-fleet2-matrix": (PROFILE_MATRIX, "spawn-fleet2"),
     "fork2-series": (FULL_SERIES, "fork2"),
+    # Delta weeks split their chunks in the parent; the ledger's
+    # per-week hit and miss counts are in the warehouse bytes.
+    "fork2-delta-series": (SERIES, "fork2"),
 }
 
 
@@ -65,7 +70,7 @@ def test_mode_leaves_the_serial_artefacts(identity, cell):
     expected, got = identity.run(config).artefacts, identity.run(config, mode).artefacts
     mismatches = artefact_mismatches(expected, got, ("serial", mode))
     assert not mismatches, mismatches[:5]
-    assert all(expected.files.values()), "an empty artefact file"
+    assert all(size for size, _digest in expected.files.values()), "an empty artefact file"
     assert not expected.records or expected.records["qscan_sni_v4"], "no stateful records"
 
 
@@ -94,12 +99,13 @@ def test_series_on_two_workers_completes_every_week(identity):
 @pytest.mark.parametrize("cell", CELLS)
 def test_the_parent_builds_each_world_once_and_forked_workers_none(identity, cell):
     """Counts: the parent builds a campaign's or a matrix's world once and
-    a series' once a week; forked workers adopt the worlds it published
-    and only configure them.  A worker cell whose campaign streamed no
-    task to its pool ran serially."""
+    a series' once a week (a delta week rebuilds no base-week world);
+    forked workers adopt the worlds it published and only configure
+    them.  A worker cell whose campaign, or any week of whose series,
+    streamed no task to its pool ran serially."""
     config, mode = CELLS[cell]
     run = identity.run(config, mode)
-    weeks = len(config.weeks) if config is FULL_SERIES else 1
-    assert run.world_builders == (os.getpid(),) * weeks
-    if isinstance(config, CampaignConfig):
-        assert run.pooled_tasks > 0
+    weeks = config.weeks if isinstance(config, SeriesConfig) else (config.week,)
+    assert run.world_builders == (os.getpid(),) * len(weeks)
+    if not isinstance(config, MatrixConfig):
+        assert all(run.pooled_tasks[week] > 0 for week in weeks), run.pooled_tasks

@@ -29,6 +29,7 @@ import pytest
 from repro.experiments.campaign import Campaign, CampaignConfig, get_campaign
 from repro.experiments.figures import fig3, fig5, fig6, fig7
 from repro.experiments.stage_cache import CampaignStageCache
+from repro.experiments.stages import BY_NAME
 from repro.internet.generator import build_world
 from repro.internet.providers import Scale
 from repro.longitudinal import (
@@ -38,12 +39,7 @@ from repro.longitudinal import (
     render_series_metrics,
     series_run_id,
 )
-from repro.longitudinal.delta import (
-    WORLD_SIGNATURE_STAGE,
-    DeltaCampaign,
-    PreviousWeek,
-    world_signature,
-)
+from repro.longitudinal.delta import WORLD_SIGNATURE_STAGE, PreviousWeek, world_signature
 from repro.netsim.faults import SERVICE_FAULT_ENV, parse_service_fault
 from repro.scanners.retry import RetryPolicy
 from repro.warehouse import WarehouseQaError, connect, load_campaign, mart_rows
@@ -298,9 +294,15 @@ def test_delta_rescans_exactly_the_hosts_configure_faults(world, tmp_path):
     CampaignStageCache(tmp_path, config).store(
         WORLD_SIGNATURE_STAGE, world_signature(world, config.week)
     )
-    campaign = DeltaCampaign(config, PreviousWeek(config, tmp_path))
+    campaign = Campaign(config, base=PreviousWeek(config, tmp_path))
     addresses = [deployment.address for deployment in campaign.world.deployments]
-    rescanned = {str(a) for a in addresses if campaign._address_changed(a)}
+    # Every address has a base-week record, so the split rescans only
+    # the addresses it finds changed.
+    stage = BY_NAME["goscanner_nosni_v4"]
+    base = {stage.item_key(address): object() for address in addresses}
+    hits, chunk = campaign.delta_split(stage, 0, addresses, base)
+    rescanned = {str(a) for a in chunk if a is not None}
+    assert len(hits) + len(rescanned) == len(addresses)
     faulted = {
         str(a) for a in addresses if campaign.world.network.conditions_for(a).faults
     }
