@@ -100,15 +100,28 @@ warehouse-smoke:
 # `--workers`, which stays out of the run id — completed weeks are
 # skipped, the interrupted week replays from its stage cache — and
 # read the week ledger back.  Nonzero exit if the resumed series
-# leaves any week incomplete.
+# leaves any week incomplete.  Then the same series runs clean, once
+# serially and once under `--watchdog 120 --workers 2`, each into a
+# warehouse of its own, and their ledgers' delta columns (week, hits,
+# misses, base week) must be equal: a watchdog changes nothing a
+# series writes.  (A resumed week's delta counts are its replay's, so
+# the killed series is not the reference.)
+LT_SMOKE = $(PYTHON) -m repro longitudinal --weeks 16-18 --scale 200000 --seed 23
 longitudinal-smoke:
-	rm -rf .cache/longitudinal-smoke .cache/longitudinal-smoke.sqlite
-	-REPRO_SERVICE_FAULT=kill@mid-week:17 $(PYTHON) -m repro longitudinal \
-		--weeks 16-18 --scale 200000 --seed 23 --workers 2 \
+	rm -rf .cache/longitudinal-smoke*
+	-REPRO_SERVICE_FAULT=kill@mid-week:17 $(LT_SMOKE) --workers 2 \
 		--db .cache/longitudinal-smoke.sqlite --cache-dir .cache/longitudinal-smoke
-	$(PYTHON) -m repro longitudinal --weeks 16-18 --scale 200000 --seed 23 \
-		--db .cache/longitudinal-smoke.sqlite --cache-dir .cache/longitudinal-smoke --resume
+	$(LT_SMOKE) --db .cache/longitudinal-smoke.sqlite --cache-dir .cache/longitudinal-smoke --resume
 	$(PYTHON) -m repro query weeks --db .cache/longitudinal-smoke.sqlite
+	$(LT_SMOKE) --db .cache/longitudinal-smoke-plain.sqlite \
+		--cache-dir .cache/longitudinal-smoke-plain
+	$(LT_SMOKE) --watchdog 120 --workers 2 --db .cache/longitudinal-smoke-watchdog.sqlite \
+		--cache-dir .cache/longitudinal-smoke-watchdog
+	for run in plain watchdog; do \
+		$(PYTHON) -m repro query weeks --db .cache/longitudinal-smoke-$$run.sqlite \
+			| awk '{ print $$1, $$5, $$6, $$7 }' > .cache/longitudinal-smoke-$$run.delta; \
+	done
+	diff .cache/longitudinal-smoke-plain.delta .cache/longitudinal-smoke-watchdog.delta
 
 # Scenario-matrix smoke: fan a 2x2 datarate x latency grid over a tiny
 # world, load every cell into a throwaway sqlite file (per-cell and

@@ -226,6 +226,8 @@ class Campaign:
         # stages run so callers can distinguish clean, degraded and
         # failed runs after the fact.
         self.stage_health: Dict[str, StageHealth] = {}
+        # Called with each installed stage's name (the scheduler's mid-week point).
+        self.on_install: Optional[Callable[[str], None]] = None
         if cache_dir is not None:
             from repro.experiments.stage_cache import CampaignStageCache
 
@@ -409,6 +411,8 @@ class Campaign:
             seconds=elapsed,
             status=health.status,
         )
+        if self.on_install is not None:
+            self.on_install(name)
 
     def _tainted(self, name: str) -> bool:
         """Whether any transitive input of ``name`` finished non-``success``.
@@ -432,7 +436,7 @@ class Campaign:
         with use_metrics(self.metrics), use_tracer(self.tracer):
             try:
                 return compute(), StageHealth(stage=name)
-            except Exception as exc:  # a failed stage degrades, it does not abort the campaign
+            except Exception as exc:  # a failed stage degrades; a deadline is no Exception
                 return empty(), StageHealth(
                     stage=name,
                     status="failed",

@@ -138,7 +138,10 @@ class CampaignStageCache:
         return payload["records"]
 
     def store(self, stage: str, records) -> None:
-        """Persist one stage's records (atomic rename, never fatal)."""
+        """Persist one stage's records (atomic rename, never fatal).
+
+        A store cut short, even by a watchdog deadline, leaves no ``.tmp``.
+        """
         payload = {
             "version": CACHE_VERSION,
             "key": self._key,
@@ -153,15 +156,17 @@ class CampaignStageCache:
             with os.fdopen(fd, "wb") as stream:
                 pickle.dump(payload, stream, protocol=pickle.HIGHEST_PROTOCOL)
             os.replace(tmp, self._path(stage))
+            tmp = None
         except (OSError, pickle.PicklingError, AttributeError, TypeError) as error:
             # Disk full or unwritable root never fails the scan — the
             # campaign continues uncached.
+            self._note_store_failure(stage, error)
+        finally:
             if tmp is not None:
                 try:
                     os.unlink(tmp)
                 except OSError:
                     pass
-            self._note_store_failure(stage, error)
 
     def _write_meta(self) -> None:
         """Human-readable record of what this entry caches."""

@@ -8,10 +8,9 @@ as one durable job instead of 14 independent invocations:
   with each week's staging load,
 - :mod:`repro.longitudinal.delta` — incremental delta scans that diff
   week N vs N+1 world state and only rescan changed targets,
-- :mod:`repro.longitudinal.watchdog` — per-week deadline enforcement
-  via subprocess isolation,
 - :mod:`repro.longitudinal.scheduler` — the series driver: retries,
-  resume, per-week health and the series metrics document.
+  resume, per-week health, the watchdog deadline and the series
+  metrics document.
 
 See ``docs/LONGITUDINAL.md`` for the operator-facing contract.
 """
@@ -22,9 +21,9 @@ from repro.longitudinal.scheduler import (
     LongitudinalScheduler,
     SeriesConfig,
     SeriesResult,
+    WeekDeadlineError,
     render_series_metrics,
 )
-from repro.longitudinal.watchdog import WeekDeadlineError, run_week_scans
 
 __all__ = [
     "PreviousWeek",
@@ -37,5 +36,4 @@ __all__ = [
     "SeriesResult",
     "render_series_metrics",
     "WeekDeadlineError",
-    "run_week_scans",
 ]

@@ -147,13 +147,12 @@ def build_week_campaign(
     cache_dir,
     previous_config: Optional[CampaignConfig] = None,
     workers: int = 1,
+    pool=None,
 ) -> Campaign:
     """One week's campaign: a delta week against ``previous_config`` when given.
 
-    Used by both the scheduler and the watchdog child so the two sides
-    construct byte-identical campaigns over the shared stage cache.
-    With ``workers > 1`` every week, delta or full, streams on a pool
-    of its own, closed with the campaign.
+    With ``workers > 1`` every week, delta or full, streams on
+    ``pool``, the pool the scheduler forks for the week and closes.
     """
     base = None if previous_config is None else PreviousWeek(previous_config, cache_dir)
-    return Campaign(config, workers=workers, cache_dir=cache_dir, base=base)
+    return Campaign(config, workers=workers, cache_dir=cache_dir, base=base, pool=pool)

@@ -15,6 +15,20 @@ checkpointing through :class:`~repro.longitudinal.ledger.RunLedger`:
   still run, mirroring stage-level ``StageHealth`` semantics one level
   up.  The process exits nonzero only when *no* week completed.
 
+A week runs one way: its campaign (``build_week_campaign``) runs
+``Campaign.run_all_stages`` — one stream on a pool of the week's own
+with ``workers > 1``, the canonical stage order otherwise — and the
+same campaign is loaded.  The ``mid-week`` service-fault point fires
+once half the table stages are installed, so on either path at least
+one stage is in the stage cache and the last one is not.
+
+A watchdog (``watchdog_seconds``) is a deadline on those scans, in this
+process: a ``SIGALRM`` interval timer raises :class:`WeekDeadlineError`
+wherever the week is, and the week's pool is terminated, not drained.
+The timer belongs to the main thread, so a series with a watchdog must
+run there.  A deadline in C code (one long sqlite or pickle call) fires
+when that call returns.
+
 Each completed week feeds the next week's delta scan and appends its
 rows to the run-scoped timeline marts inside the same warehouse
 transaction that marks it complete.  The series metrics document
@@ -27,21 +41,24 @@ would legitimately differ there.
 from __future__ import annotations
 
 import json
+import signal
 import sqlite3
+import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.crypto.rand import DeterministicRandom, derive_seed
 from repro.experiments.campaign import CampaignConfig
-from repro.experiments.stages import STAGE_NAMES
+from repro.experiments.stages import DNS_RECORDS, IPV6_SCAN_INPUT, STAGE_NAMES
 from repro.internet.providers import Scale
 from repro.longitudinal.delta import WORLD_SIGNATURE_STAGE, build_week_campaign, world_signature
 from repro.longitudinal.ledger import RunLedger, WeekState, series_run_id
-from repro.longitudinal.watchdog import execute_week_scans, run_week_scans
 from repro.netsim.faults import maybe_inject_service_fault
 from repro.observability.metrics import metric_key
+from repro.parallel.pool import WorkerPool
 from repro.scanners.retry import RetryPolicy
 from repro.warehouse.loader import campaign_warehouse_id, load_campaign
 from repro.warehouse.timeline import append_week_timelines
@@ -50,8 +67,23 @@ __all__ = [
     "SeriesConfig",
     "SeriesResult",
     "LongitudinalScheduler",
+    "WeekDeadlineError",
+    "WeekDegradedError",
     "render_series_metrics",
 ]
+
+
+class WeekDeadlineError(BaseException):
+    """A week's scans outlived the watchdog deadline.
+
+    A ``BaseException``, as ``KeyboardInterrupt`` is: it crosses every
+    ``except Exception`` between the timer and the week (a stage's
+    degradation guard, a scanner's), and the week-retry loop names it.
+    """
+
+
+class WeekDegradedError(RuntimeError):
+    """At least one stage finished degraded or failed."""
 
 
 @dataclass(frozen=True)
@@ -162,6 +194,12 @@ class LongitudinalScheduler:
 
     def run(self, conn: sqlite3.Connection, resume: bool = False) -> SeriesResult:
         config = self.config
+        off_main = threading.current_thread() is not threading.main_thread()
+        if config.watchdog_seconds > 0 and off_main:
+            raise ValueError(
+                "a watchdog deadline is a SIGALRM timer, which only the main thread"
+                " can set: run the series on the main thread, or without a watchdog"
+            )
         run_id = config.run_id
         ledger = RunLedger(conn, run_id)
         if not resume:
@@ -204,7 +242,9 @@ class LongitudinalScheduler:
             try:
                 self._run_week(conn, ledger, week, base_week)
                 return
-            except Exception as exc:
+            # Whatever fails a week is recorded and retried; the deadline
+            # is no Exception (it must cross the stage guards), so it is named.
+            except (Exception, WeekDeadlineError) as exc:
                 error = f"{type(exc).__name__}: {exc}"
                 ledger.record_error(week, error)
                 attempts = ledger.week(week).attempts
@@ -228,29 +268,19 @@ class LongitudinalScheduler:
             else None
         )
 
-        if config.watchdog_seconds > 0:
-            # Scans run in a killable child over the shared stage
-            # cache; the warm reload below replays them for the load.
-            run_week_scans(
-                week_config,
-                config.cache_dir,
-                config.watchdog_seconds,
-                previous_config=previous_config,
-                workers=config.workers,
-            )
-
+        # The week's own pool, lent to its campaign: closed after the
+        # load, or terminated, chunks in flight and all, by the deadline.
+        pool = WorkerPool(config.workers) if config.workers > 1 else None
         campaign = build_week_campaign(
             week_config,
             config.cache_dir,
             previous_config=previous_config,
             workers=config.workers,
+            pool=pool,
         )
         try:
-            # Canonical per-stage record counts — derived from the
-            # record lists themselves, not stage_health, so a warm
-            # resumed week (cache hits skip dependency stages) reports
-            # exactly what an uninterrupted run does.
-            stage_counts = execute_week_scans(campaign)
+            with _deadline(config.watchdog_seconds, week):
+                stage_counts = _scan_week(campaign)
             campaign_id = campaign_warehouse_id(week_config)
             previous_id = (
                 ledger.week(base_week).campaign_id if base_week is not None else None
@@ -289,5 +319,69 @@ class LongitudinalScheduler:
                     WORLD_SIGNATURE_STAGE,
                     world_signature(campaign.world, week),
                 )
+        except WeekDeadlineError:
+            if pool is not None:
+                pool.close(timeout=0.0)
+            raise
         finally:
             campaign.close()
+            if pool is not None:
+                pool.close()
+
+
+@contextmanager
+def _deadline(seconds: float, week: int) -> Iterator[None]:
+    """Raise :class:`WeekDeadlineError` in the block after ``seconds`` (0: never)."""
+    if seconds <= 0:
+        yield
+        return
+
+    def expire(_signum, _frame):
+        raise WeekDeadlineError(
+            f"week {week} scans exceeded the {seconds:.1f}s watchdog deadline"
+        )
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _scan_week(campaign) -> Dict[str, int]:
+    """Run every stage of the week; the ledger's per-stage record counts.
+
+    The counts come from the record lists, not ``stage_health``: a warm
+    resumed week (cache hits skip dependency stages) reports exactly
+    what an uninterrupted one does.  The plain stages are counted first,
+    as on a warm resume nothing else materialises them.  Raises
+    :class:`WeekDegradedError` if any stage finished non-``success``.
+    """
+    week = campaign.config.week
+    counts: Dict[str, int] = {
+        DNS_RECORDS: len(campaign.all_dns_records),
+        IPV6_SCAN_INPUT: len(campaign.ipv6_scan_input),
+    }
+    installed: List[str] = []
+
+    def mid_week(name: str) -> None:
+        if name in STAGE_NAMES:
+            installed.append(name)
+            if len(installed) == len(STAGE_NAMES) // 2:
+                maybe_inject_service_fault("mid-week", week)
+
+    campaign.on_install = mid_week
+    scanned = campaign.run_all_stages()
+    counts.update((name, scanned[name]) for name in STAGE_NAMES)
+    degraded = sorted(
+        entry.stage
+        for entry in campaign.stage_health.values()
+        if entry.status != "success"
+    )
+    if degraded:
+        raise WeekDegradedError(
+            f"week {week} stages did not complete cleanly: {', '.join(degraded)}"
+        )
+    return counts

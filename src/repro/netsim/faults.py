@@ -590,9 +590,9 @@ def profile_gauges(world, config) -> List[Tuple[str, Dict[str, str], int]]:
 # measurement service also has to survive faults in the measurement
 # process itself — a SIGKILL mid-week, a hung scan, a transient crash.
 # A service fault is armed through the environment
-# (``REPRO_SERVICE_FAULT=kill@mid-week:7``) so it propagates to
-# watchdog child processes and — crucially for crash/resume tests —
-# vanishes when the operator restarts the service with ``--resume``.
+# (``REPRO_SERVICE_FAULT=kill@mid-week:7``) so it arms a ``repro
+# longitudinal`` process from outside and — crucially for crash/resume
+# tests — vanishes when the operator restarts it with ``--resume``.
 
 SERVICE_FAULT_ENV = "REPRO_SERVICE_FAULT"
 

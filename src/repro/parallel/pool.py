@@ -26,7 +26,8 @@ task belongs to through one function, :func:`replica`:
   never leak into a later one through a cached replica.
 - **drain, then terminate** — :meth:`WorkerPool.close` lets in-flight
   tasks finish and terminates only workers still alive after the
-  timeout.
+  timeout; a zero timeout terminates them at once (a week whose
+  watchdog deadline fired: nobody merges its chunks).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import multiprocessing
+import signal
 import time
 from collections import OrderedDict
 from typing import Dict, List, Tuple
@@ -146,30 +148,34 @@ class WorkerPool:
             published = [digest for digest in worlds if digest not in _FORK_SHARED]
             for digest in published:
                 _FORK_SHARED[digest] = worlds[digest]
+            # A watchdog's SIGALRM waits until the pool is whole: Pool()
+            # reaps half-started workers after an Exception only.
+            masked = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGALRM})
             try:
                 self._pool = context.Pool(processes=self.processes)
+                self.forks += 1
             finally:
                 for digest in published:
                     _FORK_SHARED.pop(digest, None)
-            self.forks += 1
+                signal.pthread_sigmask(signal.SIG_SETMASK, masked)
         return self._pool
 
     def close(self, timeout: float = 10.0) -> None:
         """Shut the pool down, letting in-flight tasks finish; idempotent.
 
-        ``close()`` + ``join()`` lets workers drain gracefully (a
-        terminate can kill a worker mid-write); workers still alive
-        after ``timeout`` seconds are terminated.
+        ``close()`` lets workers drain gracefully (a terminate can kill a
+        worker mid-write): each is joined with what is left of
+        ``timeout``, and those still alive after it are terminated.
         """
         pool, self._pool = self._pool, None
         if pool is None:
             return
         pool.close()
-        workers = list(getattr(pool, "_pool", ()))
         deadline = time.monotonic() + timeout
-        while any(p.is_alive() for p in workers) and time.monotonic() < deadline:
-            time.sleep(0.02)
-        if any(p.is_alive() for p in workers):
+        workers = list(pool._pool)
+        for worker in workers:
+            worker.join(max(0.0, deadline - time.monotonic()))
+        if any(worker.is_alive() for worker in workers):
             pool.terminate()
         pool.join()
 

@@ -97,8 +97,11 @@ class IdentityRun:
     # result); None for a campaign run no other test reads (see
     # ``IdentityRuns.READ``), so the session holds no world it is done with.
     subject: object
-    # The tasks the run's campaigns streamed to a pool, by week.
+    # By week: the tasks the run's campaigns streamed to a pool, their
+    # stream engine runs, and the pool forks those runs made.
     pooled_tasks: Counter = field(default_factory=Counter)
+    stream_runs: Counter = field(default_factory=Counter)
+    pool_forks: Counter = field(default_factory=Counter)
     # A fleet matrix's cell campaigns alive with a stage computed at each
     # commit and after the run, and how many it created.
     residency: tuple = ()
@@ -118,17 +121,26 @@ def _log_world_builds(patch, log):
     patch.setattr(campaign_module, "build_world", logged)
 
 
-def _count_pooled_tasks(patch):
-    """Count, by week, the tasks every stream engine run sends to its pool."""
-    tasks = Counter()
+def _count_streams(patch):
+    """Count, by week, the stream engine runs, the tasks they send to a
+    pool and the pool forks they make (see :class:`IdentityRun`)."""
+    tasks, runs, forks = Counter(), Counter(), Counter()
     real = StreamEngine.run
 
+    def forked(campaign):
+        return campaign._pool.forks if campaign._pool is not None else 0
+
     def counted(engine):
+        campaign = engine.campaign
+        before = forked(campaign)
         real(engine)
-        tasks[engine.campaign.config.week] += engine._tasks_total
+        week = campaign.config.week
+        tasks[week] += engine._tasks_total
+        runs[week] += 1
+        forks[week] += forked(campaign) - before
 
     patch.setattr(StreamEngine, "run", counted)
-    return tasks
+    return tasks, runs, forks
 
 
 def _track_residency(patch):
@@ -191,10 +203,10 @@ class IdentityRuns:
                 directory = self._root / f"run-{len(self._runs)}"
                 pids = directory.with_suffix(".pids")
                 _log_world_builds(patch, pids)
-                tasks = _count_pooled_tasks(patch)
+                counts = _count_streams(patch)
                 run = self._make(config, mode, directory, patch)
             run.world_builders = tuple(map(int, pids.read_text().split()))
-            run.pooled_tasks = tasks
+            run.pooled_tasks, run.stream_runs, run.pool_forks = counts
             if isinstance(config, CampaignConfig) and (key, mode) not in self.READ:
                 run.subject = None
             self._runs[key, mode] = run

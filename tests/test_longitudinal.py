@@ -17,11 +17,15 @@ The contract under test (docs/LONGITUDINAL.md):
   quietly-short merge.
 """
 
+import dataclasses
 import json
+import multiprocessing
 import os
 import sqlite3
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -29,7 +33,7 @@ import pytest
 from repro.experiments.campaign import Campaign, CampaignConfig, get_campaign
 from repro.experiments.figures import fig3, fig5, fig6, fig7
 from repro.experiments.stage_cache import CampaignStageCache
-from repro.experiments.stages import BY_NAME
+from repro.experiments.stages import BY_NAME, STAGE_NAMES
 from repro.internet.generator import build_world
 from repro.internet.providers import Scale
 from repro.longitudinal import (
@@ -51,7 +55,7 @@ from repro.warehouse.schema import (
     ensure_schema,
 )
 
-from tests.conftest import FULL_SERIES
+from tests.conftest import FULL_SERIES, SERIES
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -381,19 +385,76 @@ def test_total_series_failure_exits_nonzero(ref, tmp_path, monkeypatch):
         assert status == ("failed",)
 
 
-def test_watchdog_deadline_force_fails_a_hung_week(ref, tmp_path, monkeypatch):
-    _db, ref_config, _result = ref
-    monkeypatch.setenv(SERVICE_FAULT_ENV, "hang@mid-week:17")
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("hang", ["mid-week", "syn_v4"])
+def test_watchdog_deadline_force_fails_a_hung_week(tmp_path, monkeypatch, hang, workers):
+    """A week hung at ``mid-week``, or inside the ``syn_v4`` scan (below
+    the stage's degradation guard, or in a pool worker), fails with
+    ``WeekDeadlineError`` within the deadline plus 1 s, serial or
+    streamed: its pool is terminated, not drained.  Hung at mid-week,
+    the stage cache holds the half of the table stages installed
+    before the hang."""
+    if hang == "mid-week":
+        monkeypatch.setenv(SERVICE_FAULT_ENV, "hang@mid-week:17")
+    else:
+        sweep = Campaign.compute_stage_range
+
+        def hung(campaign, name, lo, hi):
+            if name == hang:
+                time.sleep(3600)
+            return sweep(campaign, name, lo, hi)
+
+        monkeypatch.setattr(Campaign, "compute_stage_range", hung)
+    cache = tmp_path / "cache"
     config = _series_config(
-        ref_config.cache_dir,
+        cache,
         weeks=(17,),
         watchdog_seconds=1.5,
         week_retry=RetryPolicy(attempts=1),
+        workers=workers,
     )
+    start = time.monotonic()
     result = _run_series(tmp_path / "wh.sqlite", config)
+    assert time.monotonic() - start < config.watchdog_seconds + 1.0
     states = {state.week: state for state in result.weeks}
     assert states[17].status == "failed"
     assert "WeekDeadlineError" in states[17].error
+    assert not multiprocessing.active_children(), "a pool worker outlived its week"
+    if hang == "mid-week":
+        stored = {path.stem for path in cache.rglob("*.pkl")} & set(STAGE_NAMES)
+        assert len(stored) == len(STAGE_NAMES) // 2, sorted(stored)
+
+
+def test_watchdog_is_refused_off_the_main_thread(tmp_path):
+    config = _series_config(tmp_path / "cache", weeks=(17,), watchdog_seconds=1.5)
+    raised = []
+
+    def run():
+        try:
+            _run_series(tmp_path / "wh.sqlite", config)
+        except ValueError as error:
+            raised.append(str(error))
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(60)
+    assert not thread.is_alive()
+    assert len(raised) == 1 and "main thread" in raised[0], raised
+
+
+@pytest.mark.parametrize("mode", ["serial", "fork2"])
+def test_a_watchdog_changes_nothing_a_series_writes(identity, mode):
+    """The same delta series with and without a watchdog leaves the same
+    warehouse, the ledger's delta hit and miss columns included."""
+    watched = dataclasses.replace(SERIES, watchdog_seconds=60.0)
+    plain_db = identity.run(SERIES, mode).subject[0]
+    watched_db = identity.run(watched, mode).subject[0]
+    delta = (
+        "SELECT week, delta_hits, delta_misses, delta_base_week FROM run_weeks ORDER BY week"
+    )
+    with connect(plain_db) as a, connect(watched_db) as b:
+        assert b.execute(delta).fetchall() == a.execute(delta).fetchall()
+        assert list(b.iterdump()) == list(a.iterdump())
 
 
 # -- ledger semantics ----------------------------------------------------------

@@ -1,7 +1,8 @@
 """The smoke gate's failure lines, the real-crypto scanner no campaign
 stage runs, and the count gates on per-scanner / per-chain handshake
 work, on state left behind by closed connections, on what a stateless
-sweep visits and on the keys a world build generates."""
+sweep visits, on the keys a world build generates and on the stream
+runs a series week makes."""
 
 import pytest
 
@@ -313,6 +314,19 @@ def test_v4_sweeps_probe_responders_and_walk_nothing(monkeypatch):
             assert probes["udp"] + probes["syn"] <= attempts * live
         finally:
             retrying.close()
+
+
+def test_a_streamed_series_week_is_one_stream_on_one_fork(identity):
+    """Counts, not timings: each week of a two-worker delta series streams
+    its twelve stages in one ``StreamEngine.run``, on a pool forked once
+    for the week.  A scheduler that walks the stages one access at a
+    time makes twelve runs a week, with a barrier between each."""
+    from tests.conftest import SERIES
+
+    run = identity.run(SERIES, "fork2")
+    once = {week: 1 for week in SERIES.weeks}
+    assert dict(run.stream_runs) == once
+    assert dict(run.pool_forks) == once
 
 
 def test_dns_stage_keeps_a_record_per_answered_name_only():

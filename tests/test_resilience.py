@@ -396,6 +396,23 @@ def test_unpicklable_records_do_not_crash_store(tmp_path):
     assert cache.load("stage") is None
 
 
+def test_a_store_cut_short_by_a_deadline_leaves_no_temp_file(tmp_path, monkeypatch):
+    """A watchdog deadline is no Exception: it crosses the store's guard
+    uncounted, and the half-written ``.tmp`` file goes with it."""
+    from repro.experiments import stage_cache
+    from repro.longitudinal import WeekDeadlineError
+
+    def expire(*_args, **_kwargs):
+        raise WeekDeadlineError("deadline mid-write")
+
+    cache = _cache(tmp_path)
+    monkeypatch.setattr(stage_cache.pickle, "dump", expire)
+    with pytest.raises(WeekDeadlineError):
+        cache.store("stage", [1])
+    assert cache.directory.is_dir() and not list(cache.directory.glob("*.tmp"))
+    assert cache.store_failures == 0
+
+
 # -- chaos CLI -----------------------------------------------------------------
 
 
