@@ -6,7 +6,7 @@ export PYTHONPATH := src
 # chaos-smoke keeps the fault-injection/degradation path exercised,
 # fuzz-smoke the wire-format conformance suite, conform-smoke the
 # serial-vs-streaming differential oracle, bench-smoke the
-# pipeline-overlap/backpressure gate, warehouse-smoke the
+# pipeline-overlap gate, warehouse-smoke the
 # load → QA → query path, longitudinal-smoke the crash/resume
 # ledger path, matrix-smoke the path-condition scenario grid, and
 # fleet-smoke the fleet scheduler's byte-identity contract on
@@ -80,9 +80,8 @@ conform-smoke:
 # Fast cold serial-vs-parallel overhead gate on a small world; fails
 # when parallel cold exceeds 1.25x serial, the streaming pipeline
 # stops overlapping stages (pipeline_speedup over a stage-at-a-time
-# run collapses, overlap_ratio at/below 1, missing
-# queue-depth/backpressure counters), or any StageHealth is not
-# "success". Wired into `make test`.
+# run collapses, no tasks recorded, overlap_ratio at/below 1), or any
+# StageHealth is not "success". Wired into `make test`.
 bench-smoke:
 	$(PYTHON) -m repro bench --smoke --workers 2
 
@@ -95,8 +94,11 @@ warehouse-smoke:
 	$(PYTHON) -m repro query table1 --db .cache/warehouse-smoke.sqlite
 
 # Crash/resume smoke: run a 3-week series on two workers with a
-# SIGKILL injected mid-week-17, a delta week streaming on its pool (the
-# leading `-` tolerates the intentional death), then resume without
+# SIGKILL injected mid-week-17, a delta week streaming on its pool; the
+# pipe into `tee` ends once the last of its workers has exited, and
+# its status, not the intentional death's, is the step's.  The killed
+# run's stderr must hold no traceback: a worker dies with its parent,
+# quietly, not on the chunk it cannot hand back.  Then resume without
 # `--workers`, which stays out of the run id — completed weeks are
 # skipped, the interrupted week replays from its stage cache — and
 # read the week ledger back.  Nonzero exit if the resumed series
@@ -109,8 +111,11 @@ warehouse-smoke:
 LT_SMOKE = $(PYTHON) -m repro longitudinal --weeks 16-18 --scale 200000 --seed 23
 longitudinal-smoke:
 	rm -rf .cache/longitudinal-smoke*
-	-REPRO_SERVICE_FAULT=kill@mid-week:17 $(LT_SMOKE) --workers 2 \
-		--db .cache/longitudinal-smoke.sqlite --cache-dir .cache/longitudinal-smoke
+	mkdir -p .cache
+	{ REPRO_SERVICE_FAULT=kill@mid-week:17 $(LT_SMOKE) --workers 2 \
+		--db .cache/longitudinal-smoke.sqlite --cache-dir .cache/longitudinal-smoke \
+		2>&1 >&3 | tee .cache/longitudinal-smoke-killed.err >&2; } 3>&1
+	! grep -n Traceback .cache/longitudinal-smoke-killed.err
 	$(LT_SMOKE) --db .cache/longitudinal-smoke.sqlite --cache-dir .cache/longitudinal-smoke --resume
 	$(PYTHON) -m repro query weeks --db .cache/longitudinal-smoke.sqlite
 	$(LT_SMOKE) --db .cache/longitudinal-smoke-plain.sqlite \

@@ -322,9 +322,7 @@ def _print_streaming(results) -> None:
     )
     print(
         f"  stream sched:      {streaming.get('tasks', 0)} tasks, overlap"
-        f" {streaming.get('overlap_ratio')}x, queue depth max"
-        f" {streaming.get('queue_depth_max')}/{streaming.get('queue_limit')},"
-        f" {streaming.get('backpressure_stalls', 0)} stalls"
+        f" {streaming.get('overlap_ratio')}x"
     )
     unhealthy = {
         stage: status

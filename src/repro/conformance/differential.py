@@ -12,7 +12,9 @@ reports its first differing record through the same
 --output`` path uses, which makes a chunking regression debuggable
 rather than a silent ordering flake.  :func:`run_differential` and
 :func:`run_fleet_differential` (``repro conform``) and the test suite's
-identity matrix all compare through these definitions.
+identity matrix all compare through these definitions;
+:func:`differential_result` is ``repro conform``'s verdict over two
+finished campaign runs, wherever they were made.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ __all__ = [
     "FleetDifferentialResult",
     "artefact_mismatches",
     "campaign_artefacts",
+    "differential_result",
     "fingerprint",
     "matrix_artefacts",
     "run_differential",
@@ -146,6 +149,15 @@ class DifferentialResult:
         return not self.mismatches
 
 
+def differential_result(serial: Artefacts, parallel: Artefacts, workers: int) -> DifferentialResult:
+    """Diff a finished serial campaign run with one on ``workers`` processes."""
+    result = DifferentialResult(workers=workers)
+    result.stage_records = {stage: len(records) for stage, records in serial.records.items()}
+    result.records_compared = sum(result.stage_records.values())
+    result.mismatches = artefact_mismatches(serial, parallel, ("serial", f"{workers} workers"))
+    return result
+
+
 def run_differential(
     seed: int = 9000,
     week: int = 18,
@@ -162,22 +174,16 @@ def run_differential(
     from repro.internet.providers import scale_for
 
     config = CampaignConfig(week=week, scale=scale_for(scale_addresses), seed=seed)
-    result = DifferentialResult(workers=max(2, workers))
+    workers = max(2, workers)
     serial = Campaign(config, workers=1)
-    parallel = Campaign(config, workers=result.workers)
+    parallel = Campaign(config, workers=workers)
     try:
         serial.run_all_stages()
         parallel.run_all_stages()
     finally:
         parallel.close()
         serial.close()
-    reference = campaign_artefacts(serial)
-    result.stage_records = {stage: len(records) for stage, records in reference.records.items()}
-    result.records_compared = sum(result.stage_records.values())
-    result.mismatches = artefact_mismatches(
-        reference, campaign_artefacts(parallel), ("serial", f"{result.workers} workers")
-    )
-    return result
+    return differential_result(campaign_artefacts(serial), campaign_artefacts(parallel), workers)
 
 
 @dataclass

@@ -4,8 +4,10 @@ Every pool in ``repro.parallel`` is a :class:`WorkerPool`, and a
 pool has one owner who closes it: a ``workers > 1`` campaign makes
 its own on first use and closes it in ``Campaign.close()``; the fleet
 scheduler makes one, lends it to every cell (``Campaign(pool=)``) and
-closes it when the matrix is done.  Every worker finds the campaign a
-task belongs to through one function, :func:`replica`:
+closes it when the matrix is done; ``LongitudinalScheduler._run_week``
+makes one a week, lends it to the week's campaign and closes it after
+the load, or terminates it when the week's deadline fires.  Every
+worker finds the campaign a task belongs to through :func:`replica`:
 
 - **worlds by digest** — just before the fork, the parent publishes
   the worlds it holds in ``_FORK_SHARED``, keyed by
@@ -35,6 +37,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import multiprocessing
+import os
 import signal
 import time
 from collections import OrderedDict
@@ -127,6 +130,24 @@ def replica(config):
     return campaign
 
 
+def _worker_init(parent: int) -> None:
+    """Die with the thread that forked the pool (its owner's, which
+    outlives it): a SIGKILLed parent leaves no worker behind, and none
+    prints a ``BrokenPipeError`` for the chunk it cannot hand back.
+    Restoring ``SIGPIPE`` instead kills a worker holding the result
+    queue's lock, and the next worker waits on it forever."""
+    import ctypes
+
+    try:
+        prctl = ctypes.CDLL(None).prctl
+    except AttributeError:  # no prctl outside Linux
+        return
+    prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+    prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
+    if os.getppid() != parent:  # the parent died before prctl
+        os._exit(0)
+
+
 # -- parent side ---------------------------------------------------------------
 
 
@@ -152,7 +173,9 @@ class WorkerPool:
             # reaps half-started workers after an Exception only.
             masked = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGALRM})
             try:
-                self._pool = context.Pool(processes=self.processes)
+                self._pool = context.Pool(
+                    processes=self.processes, initializer=_worker_init, initargs=(os.getpid(),)
+                )
                 self.forks += 1
             finally:
                 for digest in published:

@@ -22,10 +22,6 @@ lazily accessed stage plus the table inputs it still lacks
   takes each stateful chunk's hits out as it cuts the chunk
   (``Campaign.delta_split``); they merge by position when the stage
   finalizes, and a chunk of hits alone ships no task,
-- **bounded queues with backpressure** — buffered consumer items are
-  capped (``_QUEUE_LIMIT``); when handshake stages fall behind,
-  sweep dispatch stalls instead of buffering unboundedly, and stalls
-  are counted (``stream.backpressure_stalls``),
 - **deterministic merge** — every chunk computes under a fresh metrics
   registry, positions are absolute (walk positions or serial
   target-list indices), fault epochs are keyed by stage name, and
@@ -36,12 +32,15 @@ lazily accessed stage plus the table inputs it still lacks
 
 Chunk scheduling is depth-first: QScanner chunks preempt Goscanner
 chunks preempt sweep chunks, so discovered targets drain through the
-pipeline instead of piling up behind fresh sweep work.  A failed chunk
-degrades its stage to the surviving chunks' records and downstream
-stages keep running on whatever survived; degraded stages are never
-cached.  A pool that stops answering fails the run loudly
-(``_COMPLETION_TIMEOUT``): a stage is installed only once every one
-of its chunks came back.
+pipeline instead of piling up behind fresh sweep work.  No stage can
+outrun another, so there is no flow control: a sweep source plans at
+most one chunk per worker, and the in-flight cap admits all four
+sources' chunks in the first round (a count ``tests/test_perf_gate.py``
+gates).  A failed chunk degrades its stage to the surviving chunks'
+records and downstream stages keep running on whatever survived;
+degraded stages are never cached.  A pool that stops answering fails
+the run loudly (``_COMPLETION_TIMEOUT``): a stage is installed only
+once every one of its chunks came back.
 
 Observability is volatile by design — ``stream.*`` counters and gauges
 measure transport and scheduling, which vary with worker count, and
@@ -79,9 +78,6 @@ _MIN_TARGET_CHUNK = 64  # explicit-list probes
 # across workers.
 _MIN_BATCH = 16
 _MAX_BATCH = 256
-
-# Max buffered consumer items before sweep dispatch stalls.
-_QUEUE_LIMIT = 2048
 
 # A chunk that produces no completion within this window means the
 # pool died or the scheduler wedged; fail loudly instead of hanging.
@@ -168,8 +164,6 @@ class StreamEngine:
         self._cap = self.workers * _INFLIGHT_PER_WORKER
         # Volatile telemetry.
         self._tasks_total = 0
-        self._stalls = 0
-        self._queue_max = 0
         self._inflight_max = 0
 
     # -- public entry ------------------------------------------------------
@@ -352,54 +346,13 @@ class StreamEngine:
             _stream_chunk, (full,), callback=on_done, error_callback=on_error
         )
 
-    def _consumer_backlog(self) -> int:
-        """Buffered consumer items not yet inside a worker."""
-        total = 0
-        for node in self._nodes.values():
-            if node.depth > 0 and not node.finalized:
-                total += len(node.pending_items)
-        for depth in (1, 2):
-            for task in self._ready[depth]:
-                total += len(task[4])
-        return total
-
     def _dispatch(self) -> None:
-        stalled = False
+        """Submit ready chunks, deepest first, up to the in-flight cap."""
         while self._inflight < self._cap:
-            backlog = self._consumer_backlog()
-            self._queue_max = max(
-                self._queue_max, backlog, sum(len(d) for d in self._ready.values())
-            )
-            task = None
-            for depth in (2, 1):
-                if self._ready[depth]:
-                    task = self._ready[depth].popleft()
-                    break
-            if task is None and self._ready[0]:
-                if backlog >= _QUEUE_LIMIT:
-                    # Sweeps are outrunning the handshake stages: stall
-                    # source dispatch and push the buffered targets into
-                    # consumer chunks instead, so the stall drains the
-                    # pipeline rather than wedging it.
-                    stalled = True
-                    flushed = False
-                    for node in self._nodes.values():
-                        if node.depth > 0 and not node.finalized and node.pending_items:
-                            self._flush(node, force=True)
-                            flushed = True
-                    if flushed:
-                        continue
-                    if self._inflight == 0:
-                        # Liveness: with nothing running and nothing to
-                        # flush, a stalled source is the only progress.
-                        task = self._ready[0].popleft()
-                else:
-                    task = self._ready[0].popleft()
-            if task is None:
+            ready = self._ready[2] or self._ready[1] or self._ready[0]
+            if not ready:
                 break
-            self._submit(task)
-        if stalled:
-            self._stalls += 1
+            self._submit(ready.popleft())
 
     def _loop(self) -> None:
         while not self._all_finalized():
@@ -425,17 +378,8 @@ class StreamEngine:
     def _handle(self, kind: str, payload) -> None:
         if kind == "err":
             stage, seq, exc = payload
-            result = (
-                stage,
-                seq,
-                [],
-                {},
-                [],
-                f"chunk {seq}: {type(exc).__name__}: {exc}",
-            )
-        else:
-            result = payload
-        stage, seq, pairs, snapshot, events, error = result
+            payload = (stage, seq, [], {}, [], f"chunk {seq}: {type(exc).__name__}: {exc}")
+        stage, seq, pairs, snapshot, events, error = payload
         node = self._nodes[stage]
         self._inflight -= 1
         node.results[seq] = (pairs, snapshot, events, error)
@@ -451,11 +395,7 @@ class StreamEngine:
             node.next_seq += 1
             if error is None and pairs:
                 self._feed_records(node, [record for _, record in pairs])
-        if (
-            node.total is not None
-            and node.completed == node.total
-            and not node.finalized
-        ):
+        if node.total is not None and node.completed == node.total and not node.finalized:
             self._finalize(node)
 
     def _finalize(self, node: _StageNode) -> None:
@@ -513,10 +453,7 @@ class StreamEngine:
         overlap = busy / wall if wall > 0 and streamed else 0.0
         metrics.counter("stream.stages", volatile=True).inc(len(streamed))
         metrics.counter("stream.tasks", volatile=True).inc(self._tasks_total)
-        metrics.counter("stream.backpressure_stalls", volatile=True).inc(self._stalls)
-        metrics.gauge("stream.queue_depth_max", volatile=True).set(self._queue_max)
         metrics.gauge("stream.inflight_max", volatile=True).set(self._inflight_max)
-        metrics.gauge("stream.queue_limit", volatile=True).set(_QUEUE_LIMIT)
         metrics.gauge("stream.wall_seconds", volatile=True).set(round(wall, 6))
         metrics.gauge("stream.overlap_ratio", volatile=True).set(round(overlap, 4))
 

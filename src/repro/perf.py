@@ -8,9 +8,8 @@ handshakes):
   of ``make test``) runs cold serial, streaming-parallel and
   staged-parallel campaigns on a small world and reports each one's
   median run: the parallel overhead ratio, the pipeline speedup, the
-  streaming scheduler's queue-depth/backpressure telemetry and
-  per-stage health.  :func:`check_benchmarks` turns that document into
-  the gate.
+  streaming scheduler's task and overlap telemetry and per-stage
+  health.  :func:`check_benchmarks` turns that document into the gate.
 - :func:`run_profile` (``repro bench --profile``, ``make
   bench-profile``) cProfiles each stage of a serial campaign, the view
   hot-path work starts from.
@@ -134,8 +133,8 @@ def run_smoke(week: int = 18, seed: int = 0, workers: int = 2) -> Dict:
     time, :func:`_run_staged`) ``SMOKE_ROUNDS`` times each,
     interleaved, on a small world, and reports each one's median run:
     the overhead ratio, the pipeline speedup, the streaming
-    scheduler's queue-depth/backpressure telemetry and per-stage
-    health; :func:`check_benchmarks` applies the gates.
+    scheduler's task and overlap telemetry and per-stage health;
+    :func:`check_benchmarks` applies the gates.
     """
     config = CampaignConfig(week=week, scale=SMOKE_SCALE, seed=seed)
     _wake_cores(workers)
@@ -223,8 +222,7 @@ def check_benchmarks(results: Dict) -> List[str]:
       times) must stay above ``MIN_PIPELINE_SPEEDUP`` — a collapse
       guard, lowered by 0.25 on a starved runner, since the point
       estimate is noisy at smoke scale — the scheduler must have
-      recorded tasks and an ``overlap_ratio`` above 1, and the
-      queue-depth/backpressure counters must be present,
+      recorded tasks and an ``overlap_ratio`` above 1,
     - every stage's :class:`~repro.experiments.campaign.StageHealth`
       must report ``success``.
     """
@@ -254,9 +252,6 @@ def check_benchmarks(results: Dict) -> List[str]:
     if streaming is not None:
         if not streaming.get("tasks"):
             failures.append("streaming engine recorded no tasks")
-        for counter in ("queue_depth_max", "backpressure_stalls", "queue_limit"):
-            if counter not in streaming:
-                failures.append(f"streaming telemetry missing {counter}")
         overlap = streaming.get("overlap_ratio")
         if overlap is not None and overlap <= 1.0:
             failures.append(

@@ -17,11 +17,13 @@ from repro.conformance import (
     build_targets,
     conformance_ok,
     render_conformance_json,
-    run_differential,
     run_fuzz,
     run_vectors,
 )
+from repro.conformance.differential import Artefacts, differential_result
 from repro.observability.metrics import MetricsRegistry
+
+from tests.conftest import BASELINE_CONFIG
 
 
 # -- golden vectors -----------------------------------------------------------
@@ -289,14 +291,21 @@ class TestFuzzer:
 
 
 class TestDifferential:
-    def test_serial_equals_parallel_campaign(self):
-        result = run_differential(seed=9000, workers=2)
+    def test_serial_equals_parallel_campaign(self, identity):
+        """``repro conform``'s verdict over the identity registry's
+        1:100,000 serial and three-worker runs."""
+        serial = identity.run(BASELINE_CONFIG).artefacts
+        result = differential_result(
+            serial, identity.run(BASELINE_CONFIG, "fork3").artefacts, workers=3
+        )
         assert result.ok, result.mismatches[:5]
         assert result.records_compared > 0
         # Every pipeline stage produced records at the test scale, and
         # the DNS entry still counts every listed name.
         assert all(count > 0 for count in result.stage_records.values())
         assert result.stage_records["all_dns_records"] == 26_500
+        short = dict(serial.records, qscan_sni_v4=serial.records["qscan_sni_v4"][1:])
+        assert differential_result(serial, Artefacts(short, serial.files), workers=3).mismatches
 
 
 # -- report -------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """The smoke gate's failure lines, the real-crypto scanner no campaign
 stage runs, and the count gates on per-scanner / per-chain handshake
 work, on state left behind by closed connections, on what a stateless
-sweep visits, on the keys a world build generates and on the stream
-runs a series week makes."""
+sweep visits, on the keys a world build generates, on the stream
+runs a series week makes and on the sweep chunks a week plans."""
 
 import pytest
 
@@ -16,13 +16,7 @@ def _smoke_document(cores=2, parallel=0.9, pipeline=1.4, unhealthy=(), **streami
     cold is 1 s, and each ``unhealthy`` stage is ``degraded``."""
     from repro.experiments.stages import STAGE_NAMES
 
-    telemetry = {
-        "tasks": 40,
-        "overlap_ratio": 1.8,
-        "queue_depth_max": 3,
-        "backpressure_stalls": 0,
-        "queue_limit": 8,
-    }
+    telemetry = {"tasks": 40, "overlap_ratio": 1.8}
     telemetry.update(streaming)
     return {
         "cpu_count": cores,
@@ -81,14 +75,6 @@ _COLLAPSE = "pipeline collapse: streaming speedup {} over the staged stage sum i
         pytest.param(
             _smoke_document(tasks=0), "streaming engine recorded no tasks", id="no-tasks"
         ),
-        *[
-            pytest.param(
-                _smoke_document(**{counter: None}),
-                f"streaming telemetry missing {counter}",
-                id=f"no-{counter}",
-            )
-            for counter in ("queue_depth_max", "backpressure_stalls", "queue_limit")
-        ],
         pytest.param(
             _smoke_document(overlap_ratio=1.0),
             "streaming overlap_ratio 1.0 shows no stage overlap",
@@ -327,6 +313,27 @@ def test_a_streamed_series_week_is_one_stream_on_one_fork(identity):
     once = {week: 1 for week in SERIES.weeks}
     assert dict(run.stream_runs) == once
     assert dict(run.pool_forks) == once
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_every_source_chunk_of_a_week_fits_in_flight(tiny_world, workers):
+    """Counts, not timings: the stream engine has no flow control because
+    a whole week's sweep sources plan no more chunks than its in-flight
+    cap admits, so all of them dispatch in the first round and no source
+    waits while consumer targets pile up.  A planner that cuts sweeps
+    finer fails here, and has to bring flow control back with a
+    workload that needs it."""
+    from repro.experiments.campaign import Campaign
+    from repro.experiments.stages import STAGE_NAMES
+    from repro.parallel import stream
+    from tests.conftest import TINY_SCALE
+
+    config = CampaignConfig(week=18, scale=TINY_SCALE, seed=7)
+    engine = stream.StreamEngine(Campaign(config, world=tiny_world, workers=workers), STAGE_NAMES)
+    engine._plan()
+    sources = [node for node in engine._nodes.values() if node.stage.sweep]
+    assert len(sources) == 4 and all(node.planned for node in sources)
+    assert sum(node.planned for node in sources) <= stream._INFLIGHT_PER_WORKER * workers
 
 
 def test_dns_stage_keeps_a_record_per_answered_name_only():

@@ -4,7 +4,7 @@ A streaming parallel campaign is byte-identical to a serial one, under
 injected faults with retries too: those are cells of
 ``tests/test_identity.py``, whose chaos run the telemetry and health
 tests here read.  The scheduling tests cover chunk partitioning,
-overlap, backpressure accounting, graceful degradation and a pool that
+overlap, a perturbed schedule, graceful degradation and a pool that
 stops answering.
 """
 
@@ -79,8 +79,6 @@ def test_streaming_populates_volatile_telemetry(identity):
     counters, gauges = snapshot["counters"], snapshot["gauges"]
     assert counters["stream.tasks"] > 0
     assert counters["stream.stages"] > 0
-    assert "stream.backpressure_stalls" in counters
-    assert gauges["stream.queue_depth_max"] >= 0
     assert gauges["stream.inflight_max"] >= 2  # both workers were busy
     assert gauges["stream.wall_seconds"] > 0
     # Stage windows overlapped: their sum exceeds the pipeline wall.
@@ -98,19 +96,18 @@ def test_streaming_stage_health_success(identity):
         assert health[stage].status == "success", stage
 
 
-# -- backpressure --------------------------------------------------------------
+# -- a perturbed schedule ------------------------------------------------------
 
 
-def test_backpressure_stalls_sources(monkeypatch, identity):
-    """A tiny queue limit forces sweep dispatch to stall measurably.
+def test_perturbed_schedule_leaves_the_serial_artefacts(monkeypatch, identity):
+    """The schedule never shows in the output.
 
-    Sweeps by position are one block per worker, each returning enough
-    responders to ship at once: at two workers all eight source chunks
-    fit the default in-flight cap and nothing is ever left buffered
-    beside a waiting source.  So the cap is narrowed with the queue, and
-    consumers batch until a stall flushes them.
+    One chunk in flight per worker, and consumer batches that ship at
+    1,000 items or when their upstream ends, dispatch the chunks in
+    another order and cut the consumer stages into other chunks than
+    the default constants do; the records and ``metrics.json`` are
+    still the serial run's.
     """
-    monkeypatch.setattr(stream_module, "_QUEUE_LIMIT", 1)
     monkeypatch.setattr(stream_module, "_INFLIGHT_PER_WORKER", 1)
     monkeypatch.setattr(stream_module, "_MIN_BATCH", 1_000)
     config = CampaignConfig(week=18, scale=STREAM_SCALE, seed=7)
@@ -119,9 +116,7 @@ def test_backpressure_stalls_sources(monkeypatch, identity):
     try:
         campaign.run_all_stages(streaming=True)
         snapshot = campaign.metrics.snapshot(include_volatile=True)
-        assert snapshot["counters"]["stream.backpressure_stalls"] > 0
-        assert snapshot["gauges"]["stream.queue_limit"] == 1
-        # Backpressure slows the pipeline down; it never changes output.
+        assert snapshot["gauges"]["stream.inflight_max"] == 2
         assert campaign_artefacts(campaign) == expected
     finally:
         campaign.close()
