@@ -104,10 +104,9 @@ warehouse-smoke:
 # read the week ledger back.  Nonzero exit if the resumed series
 # leaves any week incomplete.  Then the same series runs clean, once
 # serially and once under `--watchdog 120 --workers 2`, each into a
-# warehouse of its own, and their ledgers' delta columns (week, hits,
-# misses, base week) must be equal: a watchdog changes nothing a
-# series writes.  (A resumed week's delta counts are its replay's, so
-# the killed series is not the reference.)
+# warehouse of its own, and the resumed and watched ledgers' delta
+# columns (week, hits, misses, base week) must equal the clean run's:
+# neither a crash nor a watchdog changes what a series writes.
 LT_SMOKE = $(PYTHON) -m repro longitudinal --weeks 16-18 --scale 200000 --seed 23
 longitudinal-smoke:
 	rm -rf .cache/longitudinal-smoke*
@@ -122,10 +121,11 @@ longitudinal-smoke:
 		--cache-dir .cache/longitudinal-smoke-plain
 	$(LT_SMOKE) --watchdog 120 --workers 2 --db .cache/longitudinal-smoke-watchdog.sqlite \
 		--cache-dir .cache/longitudinal-smoke-watchdog
-	for run in plain watchdog; do \
-		$(PYTHON) -m repro query weeks --db .cache/longitudinal-smoke-$$run.sqlite \
-			| awk '{ print $$1, $$5, $$6, $$7 }' > .cache/longitudinal-smoke-$$run.delta; \
+	for run in "" -plain -watchdog; do \
+		$(PYTHON) -m repro query weeks --db .cache/longitudinal-smoke$$run.sqlite \
+			| awk '{ print $$1, $$5, $$6, $$7 }' > .cache/longitudinal-smoke$$run.delta; \
 	done
+	diff .cache/longitudinal-smoke-plain.delta .cache/longitudinal-smoke.delta
 	diff .cache/longitudinal-smoke-plain.delta .cache/longitudinal-smoke-watchdog.delta
 
 # Scenario-matrix smoke: fan a 2x2 datarate x latency grid over a tiny
@@ -138,17 +138,20 @@ matrix-smoke:
 		--db .cache/matrix-smoke.sqlite
 	$(PYTHON) -m repro query matrix --db .cache/matrix-smoke.sqlite
 
-# Fleet-scheduler smoke: run the same 2x2 grid sequentially and via
-# --fleet-jobs 2 (shared world snapshot, persistent pool, concurrent
-# cells, ordered commits) into separate warehouses, then require the
-# raw database files to be byte-identical — the fleet's determinism
-# contract as a shell one-liner.
+# Fleet-scheduler smoke: run the same 2x2 grid sequentially, sequentially
+# on --workers 2, and via --fleet-jobs 2 (shared world snapshot,
+# persistent pool, concurrent cells, ordered commits) into separate
+# warehouses, then require the raw database files to be byte-identical:
+# how a matrix's work is split leaves no byte.
 fleet-smoke:
-	rm -f .cache/fleet-smoke-seq.sqlite .cache/fleet-smoke-fleet.sqlite
+	rm -f .cache/fleet-smoke-seq.sqlite .cache/fleet-smoke-workers2.sqlite .cache/fleet-smoke-fleet.sqlite
 	$(PYTHON) -m repro matrix --grid 2x2 --scale 200000 --seed 23 \
 		--db .cache/fleet-smoke-seq.sqlite
 	$(PYTHON) -m repro matrix --grid 2x2 --scale 200000 --seed 23 \
+		--db .cache/fleet-smoke-workers2.sqlite --workers 2
+	$(PYTHON) -m repro matrix --grid 2x2 --scale 200000 --seed 23 \
 		--db .cache/fleet-smoke-fleet.sqlite --fleet-jobs 2
+	cmp .cache/fleet-smoke-seq.sqlite .cache/fleet-smoke-workers2.sqlite
 	cmp .cache/fleet-smoke-seq.sqlite .cache/fleet-smoke-fleet.sqlite
 
 # Per-stage cProfile dump (top cumulative functions) for hot-path work.

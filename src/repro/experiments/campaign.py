@@ -269,10 +269,11 @@ class Campaign:
     def stage_cache(self):
         return self._cache
 
-    def close(self) -> None:
-        """Shut down this campaign's own worker pool; a lent pool stays up."""
+    def close(self, timeout: float = 10.0) -> None:
+        """Shut down this campaign's own worker pool (``WorkerPool.close``,
+        ``timeout`` 0 terminates it); a lent pool stays up."""
         if self._pool is not None and not self._borrowed:
-            self._pool.close()
+            self._pool.close(timeout)
             self._pool = None
 
     def worker_pool(self):
@@ -309,6 +310,8 @@ class Campaign:
         from repro.parallel.stream import StreamEngine
 
         pending = self._upstream(names, lambda name: name in BY_NAME and self._lacks(name))
+        # A delta week's cache hit computes the inputs it splits over (_lacks).
+        pending = [name for name in pending if name not in self.__dict__]
         if not pending:
             return None
         engine = StreamEngine(self, pending)
@@ -318,7 +321,9 @@ class Campaign:
     def _lacks(self, name: str) -> bool:
         """Whether a stage is neither on the campaign nor served by the cache.
 
-        A cache hit is installed on the spot.
+        A cache hit is installed on the spot.  A delta week first splits
+        a hit's targets as a scan would (:meth:`delta_split`), scanning
+        none, so its ``delta.records`` do not depend on the cache.
         """
         if name in self.__dict__:
             return False
@@ -326,6 +331,10 @@ class Campaign:
         value = self._cache.load(name) if self._cache is not None else None
         if value is None:
             return True
+        stage = BY_NAME.get(name)
+        base = None if stage is None else self.base_records(stage)
+        if base is not None:
+            self.delta_split(stage, 0, self.stage_items(stage), base)
         self.install_stage(name, value, StageHealth(stage=name), "hit", start)
         self.__dict__[name] = value
         return False

@@ -30,7 +30,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import sqlite3
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -214,15 +213,12 @@ def _record_cell(
     conn: sqlite3.Connection,
     mid: str,
     order: int,
-    matrix: MatrixConfig,
     cell: MatrixCell,
     campaign_id: str,
-    stage_counts,
 ) -> None:
     """Write the cell's ledger and outcome rows (inside the load txn)."""
     conn.execute(
-        "INSERT OR REPLACE INTO matrix_runs VALUES"
-        " (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+        "INSERT OR REPLACE INTO matrix_runs VALUES (?, ?, ?, ?, ?, ?, ?)",
         (
             mid,
             cell.cell_id,
@@ -230,11 +226,6 @@ def _record_cell(
             cell.grid_col,
             parse_path_spec(cell.spec).canonical(),
             campaign_id,
-            matrix.week,
-            matrix.seed,
-            matrix.scale.addresses,
-            matrix.workers if matrix.workers is not None else 1,
-            json.dumps(stage_counts, sort_keys=True),
             SCHEMA_VERSION,
         ),
     )
@@ -331,8 +322,8 @@ def _commit_cell(
     """Load one cell's campaign and write its ledger/metrics artefacts."""
     campaign_id = loader_module.campaign_warehouse_id(campaign.config)
 
-    def on_commit(conn, stage_counts):
-        _record_cell(conn, mid, order, matrix, cell, campaign_id, stage_counts)
+    def on_commit(conn):
+        _record_cell(conn, mid, order, cell, campaign_id)
 
     load = loader_module.load_campaign(
         campaign, conn, strict=strict, on_commit=on_commit

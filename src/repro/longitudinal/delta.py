@@ -147,12 +147,11 @@ def build_week_campaign(
     cache_dir,
     previous_config: Optional[CampaignConfig] = None,
     workers: int = 1,
-    pool=None,
 ) -> Campaign:
     """One week's campaign: a delta week against ``previous_config`` when given.
 
-    With ``workers > 1`` every week, delta or full, streams on
-    ``pool``, the pool the scheduler forks for the week and closes.
+    With ``workers > 1`` every week, delta or full, streams on the
+    campaign's own pool, which ``Campaign.close`` shuts down.
     """
     base = None if previous_config is None else PreviousWeek(previous_config, cache_dir)
-    return Campaign(config, workers=workers, cache_dir=cache_dir, base=base, pool=pool)
+    return Campaign(config, workers=workers, cache_dir=cache_dir, base=base)

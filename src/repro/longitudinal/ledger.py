@@ -108,7 +108,7 @@ class RunLedger:
             )
             self._conn.executemany(
                 "INSERT OR IGNORE INTO run_weeks"
-                " VALUES (?, ?, NULL, 'pending', 0, NULL, NULL, 0, 0, NULL)",
+                " VALUES (?, ?, NULL, 'pending', 0, NULL, 0, 0, NULL)",
                 [(self.run_id, week) for week in weeks],
             )
 
@@ -127,10 +127,12 @@ class RunLedger:
         return list(json.loads(row[0])) if row else []
 
     def week(self, week: int) -> WeekState:
+        """One week's row; a complete week's stage counts are its load's."""
         row = self._conn.execute(
-            "SELECT campaign_id, status, attempts, error, stage_counts_json,"
-            " delta_hits, delta_misses, delta_base_week"
-            " FROM run_weeks WHERE run_id = ? AND week = ?",
+            "SELECT w.campaign_id, w.status, w.attempts, w.error, c.stage_counts_json,"
+            " w.delta_hits, w.delta_misses, w.delta_base_week FROM run_weeks w"
+            " LEFT JOIN campaigns c ON w.status = 'complete' AND c.campaign_id = w.campaign_id"
+            " WHERE w.run_id = ? AND w.week = ?",
             (self.run_id, week),
         ).fetchone()
         if row is None:
@@ -184,7 +186,6 @@ class RunLedger:
         conn: sqlite3.Connection,
         week: int,
         campaign_id: str,
-        stage_counts: Dict[str, int],
         delta_hits: int = 0,
         delta_misses: int = 0,
         delta_base_week: Optional[int] = None,
@@ -196,12 +197,11 @@ class RunLedger:
         """
         conn.execute(
             "UPDATE run_weeks SET status = 'complete', campaign_id = ?,"
-            " error = NULL, stage_counts_json = ?, delta_hits = ?,"
+            " error = NULL, delta_hits = ?,"
             " delta_misses = ?, delta_base_week = ?"
             " WHERE run_id = ? AND week = ?",
             (
                 campaign_id,
-                json.dumps(stage_counts, sort_keys=True),
                 delta_hits,
                 delta_misses,
                 delta_base_week,

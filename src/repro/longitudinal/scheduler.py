@@ -16,7 +16,7 @@ checkpointing through :class:`~repro.longitudinal.ledger.RunLedger`:
   up.  The process exits nonzero only when *no* week completed.
 
 A week runs one way: its campaign (``build_week_campaign``) runs
-``Campaign.run_all_stages`` — one stream on a pool of the week's own
+``Campaign.run_all_stages`` — one stream on the campaign's own pool
 with ``workers > 1``, the canonical stage order otherwise — and the
 same campaign is loaded.  The ``mid-week`` service-fault point fires
 once half the table stages are installed, so on either path at least
@@ -24,7 +24,7 @@ one stage is in the stage cache and the last one is not.
 
 A watchdog (``watchdog_seconds``) is a deadline on those scans, in this
 process: a ``SIGALRM`` interval timer raises :class:`WeekDeadlineError`
-wherever the week is, and the week's pool is terminated, not drained.
+wherever the week is, and the campaign's pool is terminated, not drained.
 The timer belongs to the main thread, so a series with a watchdog must
 run there.  A deadline in C code (one long sqlite or pickle call) fires
 when that call returns.
@@ -33,9 +33,9 @@ Each completed week feeds the next week's delta scan and appends its
 rows to the run-scoped timeline marts inside the same warehouse
 transaction that marks it complete.  The series metrics document
 (``campaign.week_status`` counters, per-week stage counts) is fully
-deterministic: attempt counts, timings and delta hit rates live in the
-ledger instead, because a resumed series replays cached stages and
-would legitimately differ there.
+deterministic: attempt counts and timings live in the ledger instead,
+because a resumed series restarts weeks and would legitimately differ
+there.
 """
 
 from __future__ import annotations
@@ -48,17 +48,16 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 from repro.crypto.rand import DeterministicRandom, derive_seed
 from repro.experiments.campaign import CampaignConfig
-from repro.experiments.stages import DNS_RECORDS, IPV6_SCAN_INPUT, STAGE_NAMES
+from repro.experiments.stages import STAGE_NAMES
 from repro.internet.providers import Scale
 from repro.longitudinal.delta import WORLD_SIGNATURE_STAGE, build_week_campaign, world_signature
 from repro.longitudinal.ledger import RunLedger, WeekState, series_run_id
 from repro.netsim.faults import maybe_inject_service_fault
 from repro.observability.metrics import metric_key
-from repro.parallel.pool import WorkerPool
 from repro.scanners.retry import RetryPolicy
 from repro.warehouse.loader import campaign_warehouse_id, load_campaign
 from repro.warehouse.timeline import append_week_timelines
@@ -147,8 +146,8 @@ def render_series_metrics(config: SeriesConfig, result: SeriesResult) -> str:
     """The deterministic series metrics document (JSON text).
 
     Contains only content that is invariant under crash/resume: week
-    statuses and ids, stage counts, the schedule and the run id.
-    Attempts, errors and delta counters intentionally stay out — they
+    statuses and ids, each complete week's stage counts (its load's),
+    the schedule and the run id.  Attempts and errors stay out — they
     differ between an interrupted and an uninterrupted series.
     """
     counters = {}
@@ -268,19 +267,17 @@ class LongitudinalScheduler:
             else None
         )
 
-        # The week's own pool, lent to its campaign: closed after the
-        # load, or terminated, chunks in flight and all, by the deadline.
-        pool = WorkerPool(config.workers) if config.workers > 1 else None
+        # With workers > 1 the campaign's own pool: closed after the load,
+        # or terminated, chunks in flight and all, by the deadline.
         campaign = build_week_campaign(
             week_config,
             config.cache_dir,
             previous_config=previous_config,
             workers=config.workers,
-            pool=pool,
         )
         try:
             with _deadline(config.watchdog_seconds, week):
-                stage_counts = _scan_week(campaign)
+                _scan_week(campaign)
             campaign_id = campaign_warehouse_id(week_config)
             previous_id = (
                 ledger.week(base_week).campaign_id if base_week is not None else None
@@ -293,7 +290,7 @@ class LongitudinalScheduler:
                 for result in ("hit", "miss")
             )
 
-            def on_commit(tx_conn: sqlite3.Connection, counts: Dict[str, int]) -> None:
+            def on_commit(tx_conn: sqlite3.Connection) -> None:
                 maybe_inject_service_fault("mid-load", week)
                 append_week_timelines(
                     tx_conn,
@@ -306,7 +303,6 @@ class LongitudinalScheduler:
                     tx_conn,
                     week,
                     campaign_id,
-                    stage_counts,
                     delta_hits=delta_hits,
                     delta_misses=delta_misses,
                     delta_base_week=None if previous_config is None else base_week,
@@ -320,13 +316,10 @@ class LongitudinalScheduler:
                     world_signature(campaign.world, week),
                 )
         except WeekDeadlineError:
-            if pool is not None:
-                pool.close(timeout=0.0)
+            campaign.close(timeout=0.0)
             raise
         finally:
             campaign.close()
-            if pool is not None:
-                pool.close()
 
 
 @contextmanager
@@ -350,20 +343,13 @@ def _deadline(seconds: float, week: int) -> Iterator[None]:
         signal.signal(signal.SIGALRM, previous)
 
 
-def _scan_week(campaign) -> Dict[str, int]:
-    """Run every stage of the week; the ledger's per-stage record counts.
+def _scan_week(campaign) -> None:
+    """Run every stage of the week, firing the ``mid-week`` point halfway.
 
-    The counts come from the record lists, not ``stage_health``: a warm
-    resumed week (cache hits skip dependency stages) reports exactly
-    what an uninterrupted one does.  The plain stages are counted first,
-    as on a warm resume nothing else materialises them.  Raises
-    :class:`WeekDegradedError` if any stage finished non-``success``.
+    Raises :class:`WeekDegradedError` if any stage finished
+    non-``success``.
     """
     week = campaign.config.week
-    counts: Dict[str, int] = {
-        DNS_RECORDS: len(campaign.all_dns_records),
-        IPV6_SCAN_INPUT: len(campaign.ipv6_scan_input),
-    }
     installed: List[str] = []
 
     def mid_week(name: str) -> None:
@@ -373,8 +359,7 @@ def _scan_week(campaign) -> Dict[str, int]:
                 maybe_inject_service_fault("mid-week", week)
 
     campaign.on_install = mid_week
-    scanned = campaign.run_all_stages()
-    counts.update((name, scanned[name]) for name in STAGE_NAMES)
+    campaign.run_all_stages()
     degraded = sorted(
         entry.stage
         for entry in campaign.stage_health.values()
@@ -384,4 +369,3 @@ def _scan_week(campaign) -> Dict[str, int]:
         raise WeekDegradedError(
             f"week {week} stages did not complete cleanly: {', '.join(degraded)}"
         )
-    return counts

@@ -4,10 +4,10 @@ Every pool in ``repro.parallel`` is a :class:`WorkerPool`, and a
 pool has one owner who closes it: a ``workers > 1`` campaign makes
 its own on first use and closes it in ``Campaign.close()``; the fleet
 scheduler makes one, lends it to every cell (``Campaign(pool=)``) and
-closes it when the matrix is done; ``LongitudinalScheduler._run_week``
-makes one a week, lends it to the week's campaign and closes it after
-the load, or terminates it when the week's deadline fires.  Every
-worker finds the campaign a task belongs to through :func:`replica`:
+closes it when the matrix is done.  A series week is a campaign of the
+first kind, whose watchdog deadline terminates its pool
+(``Campaign.close(timeout=0.0)``).  Every worker finds the campaign a
+task belongs to through :func:`replica`:
 
 - **worlds by digest** — just before the fork, the parent publishes
   the worlds it holds in ``_FORK_SHARED``, keyed by

@@ -33,7 +33,7 @@ from itertools import islice
 from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.experiments.campaign import COMPATIBLE_ALPN_TOKENS, Campaign
+from repro.experiments.campaign import Campaign
 from repro.experiments.stages import (
     DNS_RECORDS,
     GOSCANNER,
@@ -42,7 +42,6 @@ from repro.experiments.stages import (
     ZMAP,
     names,
 )
-from repro.quic.versions import QSCANNER_SUPPORTED
 from repro.warehouse import marts as marts_module
 from repro.warehouse import qa as qa_module
 from repro.warehouse.schema import (
@@ -132,21 +131,15 @@ def _address_list(addresses: Sequence, text: _Memo) -> str:
     return '["' + '", "'.join([text[a] for a in addresses]) + '"]'
 
 
-def _extension_cells(extensions: Sequence[str]) -> Tuple[str, str]:
-    """The extensions as listed, and as a sorted set."""
-    return json.dumps(list(extensions)), json.dumps(sorted(set(extensions)))
+def _extension_cells(extensions: Sequence[str]) -> str:
+    """The extensions as listed."""
+    return json.dumps(list(extensions))
 
 
-def _alt_svc_cells(entries) -> Tuple[str, str, int, int]:
-    """The Alt-Svc entries, their HTTP/3 tokens and the two token flags."""
-    tokens = sorted({e.alpn for e in entries if e.indicates_http3})
-    return (
-        json.dumps(
-            [{"alpn": e.alpn, "host": e.host, "port": e.port, "ma": e.max_age} for e in entries]
-        ),
-        json.dumps(tokens),
-        int(bool(tokens)),
-        int(bool(set(tokens) & COMPATIBLE_ALPN_TOKENS)),
+def _alt_svc_cells(entries) -> str:
+    """The Alt-Svc entries."""
+    return json.dumps(
+        [{"alpn": e.alpn, "host": e.host, "port": e.port, "ma": e.max_age} for e in entries]
     )
 
 
@@ -251,7 +244,6 @@ def _zmap_rows(campaign: Campaign, campaign_id: str, text: _Memo) -> Iterator[Tu
                 text[record.address],
                 _family(record.address),
                 json.dumps([f"0x{v:08x}" for v in record.versions]),
-                int(bool(set(record.versions) & QSCANNER_SUPPORTED)),
             )
 
 
@@ -285,9 +277,9 @@ def _goscanner_rows(campaign: Campaign, campaign_id: str, text: _Memo) -> Iterat
                 record.cipher_suite,
                 record.key_exchange_group,
                 record.certificate_fingerprint,
-                *extensions[record.server_extensions],
+                extensions[record.server_extensions],
                 record.server_header,
-                *alt_svc[record.alt_svc],
+                alt_svc[record.alt_svc],
                 record.error,
                 record.attempts,
             )
@@ -306,13 +298,12 @@ def _qscan_rows(campaign: Campaign, campaign_id: str, text: _Memo) -> Iterator[T
                 record.sni,
                 record.source.value,
                 record.outcome.value,
-                int(record.is_success),
                 f"0x{record.quic_version:08x}" if record.quic_version else None,
                 record.tls_version,
                 record.cipher_suite,
                 record.key_exchange_group,
                 record.certificate_fingerprint,
-                *extensions[record.server_extensions],
+                extensions[record.server_extensions],
                 fingerprints[record.transport_params_fingerprint],
                 record.server_header,
                 record.http_status,
@@ -362,7 +353,7 @@ def load_campaign(
     campaign: Campaign,
     conn: sqlite3.Connection,
     strict: bool = True,
-    on_commit: Optional[Callable[[sqlite3.Connection, Dict[str, int]], None]] = None,
+    on_commit: Optional[Callable[[sqlite3.Connection], None]] = None,
 ) -> LoadResult:
     """Ingest ``campaign`` into the warehouse behind ``conn``.
 
@@ -375,10 +366,10 @@ def load_campaign(
     so the failing evidence stays queryable in ``qa_results``.
 
     ``on_commit`` (if given) runs inside the same transaction after QA,
-    receiving the connection and the observed stage counts — the
-    longitudinal scheduler uses it to write the run-ledger checkpoint
-    and timeline-mart rows atomically with the week's staging load, so
-    a crash can never record a week the warehouse does not hold.
+    receiving the connection — the longitudinal scheduler uses it to
+    write the run-ledger checkpoint and timeline-mart rows atomically
+    with the week's staging load, so a crash can never record a week
+    the warehouse does not hold.
 
     Fleet note: when the campaign's stages are already materialised
     (the fleet scheduler runs scans *before* handing the campaign to
@@ -431,7 +422,7 @@ def load_campaign(
         result.rows.update(marts_module.build_marts(conn, campaign_id))
         result.qa = qa_module.load_qa(conn, campaign_id, campaign, tables)
         if on_commit is not None and not (strict and result.qa_failures):
-            on_commit(conn, stage_counts)
+            on_commit(conn)
     result.seconds = time.perf_counter() - start
 
     metrics = campaign.metrics

@@ -157,10 +157,10 @@ REPORTS: Dict[str, Report] = {
         "matrix",
         "cell ledger for a scenario-matrix run",
         "Scenario matrix {key}: cell ledger",
-        ("Cell", "Row", "Col", "Spec", "Campaign", "Week", "Seed", "Workers"),
-        "SELECT cell_id, grid_row, grid_col, spec, campaign_id, week,"
-        " seed, workers FROM matrix_runs WHERE matrix_id = :key"
-        " ORDER BY grid_row, grid_col",
+        ("Cell", "Row", "Col", "Spec", "Campaign", "Week", "Seed"),
+        "SELECT cell_id, grid_row, grid_col, spec, campaign_id, week, seed"
+        " FROM matrix_runs JOIN campaigns USING (campaign_id)"
+        " WHERE matrix_id = :key ORDER BY grid_row, grid_col",
     ),
 }
 

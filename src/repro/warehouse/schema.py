@@ -63,7 +63,7 @@ __all__ = [
 
 # Bumped whenever a table or column changes shape; part of the
 # campaign_id digest, so a schema change never mixes with old rows.
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 
 @dataclass(frozen=True)
@@ -156,7 +156,6 @@ TABLES: Dict[str, Table] = {
                 ("address", "TEXT", "responding address"),
                 ("family", "INTEGER", "IP family (4 or 6)"),
                 ("versions_json", "TEXT", "VN versions (JSON array of hex strings)"),
-                ("compatible", "INTEGER", "1 when a QScanner-supported version is listed"),
             ],
             primary_key=("campaign_id", "stage", "position"),
         ),
@@ -178,10 +177,7 @@ TABLES: Dict[str, Table] = {
             "stg_goscanner",
             "staging",
             "Stateful TLS-over-TCP scan records (goscanner_* stages) with "
-            "the harvested Alt-Svc entries; extensions_set is the sorted "
-            "deduplicated extension list so SQL string equality implements "
-            "the Table 5 set comparison, and the http3 flags precompute the "
-            "Alt-Svc discovery predicates.",
+            "the harvested Alt-Svc entries.",
             _KEY
             + [
                 ("address", "TEXT", "scanned address"),
@@ -193,12 +189,8 @@ TABLES: Dict[str, Table] = {
                 ("key_exchange_group", "TEXT", "negotiated key-exchange group"),
                 ("certificate_fingerprint", "TEXT", "served certificate fingerprint"),
                 ("server_extensions_json", "TEXT", "server extensions (JSON, wire order)"),
-                ("extensions_set", "TEXT", "sorted deduplicated extensions (JSON)"),
                 ("server_header", "TEXT", "HTTP Server header, if any"),
                 ("alt_svc_json", "TEXT", "harvested Alt-Svc entries (JSON)"),
-                ("http3_tokens_json", "TEXT", "HTTP/3-indicating Alt-Svc ALPN tokens"),
-                ("has_http3_alt_svc", "INTEGER", "1 when any HTTP/3 token was advertised"),
-                ("compatible_alt_svc", "INTEGER", "1 when a QScanner-compatible token was advertised"),
                 ("error", "TEXT", "failure reason, if any"),
                 ("attempts", "INTEGER", "connection attempts spent"),
             ],
@@ -217,14 +209,12 @@ TABLES: Dict[str, Table] = {
                 ("sni", "TEXT", "SNI sent (NULL on no-SNI scans)"),
                 ("source", "TEXT", "discovery source (zmap+dns / alt-svc / https-rr)"),
                 ("outcome", "TEXT", "Table 3 outcome class"),
-                ("is_success", "INTEGER", "1 when outcome = success"),
                 ("quic_version", "TEXT", "negotiated QUIC version (hex)"),
                 ("tls_version", "TEXT", "negotiated TLS version"),
                 ("cipher_suite", "TEXT", "negotiated cipher suite"),
                 ("key_exchange_group", "TEXT", "negotiated key-exchange group"),
                 ("certificate_fingerprint", "TEXT", "served certificate fingerprint"),
                 ("server_extensions_json", "TEXT", "server extensions (JSON, wire order)"),
-                ("extensions_set", "TEXT", "sorted deduplicated extensions (JSON)"),
                 ("tparams_json", "TEXT", "transport-parameter fingerprint (JSON, NULL if none)"),
                 ("server_header", "TEXT", "HTTP/3 Server header, if any"),
                 ("http_status", "INTEGER", "HTTP/3 response status, if any"),
@@ -436,7 +426,6 @@ TABLES: Dict[str, Table] = {
                 ("status", "TEXT", "pending | running | complete | failed"),
                 ("attempts", "INTEGER", "scan attempts spent on the week"),
                 ("error", "TEXT", "last failure reason, if any"),
-                ("stage_counts_json", "TEXT", "stage → record count at load time"),
                 ("delta_hits", "INTEGER", "records merged from the previous week's cache"),
                 ("delta_misses", "INTEGER", "records rescanned by the delta pass"),
                 ("delta_base_week", "INTEGER", "previous week the delta diffed against (NULL on full scans)"),
@@ -509,11 +498,6 @@ TABLES: Dict[str, Table] = {
                 ("grid_col", "INTEGER", "column index in the sweep grid"),
                 ("spec", "TEXT", "canonical path spec the cell ran under"),
                 ("campaign_id", "TEXT", "warehouse campaign digest of the cell load"),
-                ("week", "INTEGER", "campaign calendar week"),
-                ("seed", "INTEGER", "campaign seed"),
-                ("scale_addresses", "INTEGER", "address scale divisor"),
-                ("workers", "INTEGER", "worker count the cell ran with"),
-                ("stage_counts_json", "TEXT", "stage → record count at load time"),
                 ("schema_version", "INTEGER", "warehouse schema version"),
             ],
             primary_key=("matrix_id", "cell_id"),

@@ -177,8 +177,9 @@ class IdentityRuns:
     - :class:`CampaignConfig`: ``serial``; ``fork2``/``fork3``, on its
       own pool of forked workers; ``spawn2``, whose workers rebuild
       their world;
-    - :class:`MatrixConfig`: ``serial``; ``fleet1``/``fleet2`` fleet
-      jobs; ``spawn-fleet2``, two jobs on spawned workers;
+    - :class:`MatrixConfig`: ``serial``; ``fork2``, the cells one after
+      another on two workers each; ``fleet1``/``fleet2`` fleet jobs;
+      ``spawn-fleet2``, two jobs on spawned workers;
     - :class:`SeriesConfig`: ``serial``; ``fork2``, each week on a pool.
     """
 
@@ -221,8 +222,9 @@ class IdentityRuns:
                 campaign.close()
             return IdentityRun(campaign_artefacts(campaign), campaign)
         if isinstance(config, MatrixConfig):
-            if mode == "serial":
-                return IdentityRun(*matrix_artefacts(directory, config, None))
+            if mode in self._WORKERS:
+                workers = dataclasses.replace(config, workers=self._WORKERS[mode])
+                return IdentityRun(*matrix_artefacts(directory, workers, None))
             residency = _track_residency(patch)
             run = IdentityRun(*matrix_artefacts(directory, config, fleet_jobs=int(mode[-1])))
             run.residency = residency()

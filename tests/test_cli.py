@@ -176,7 +176,7 @@ def test_query_reads_the_empty_qa_ledger_of_a_recorded_matrix(tmp_path, capsys):
     """The QA ledger's key may be a matrix id, which ``matrix_runs`` records."""
     conn = connect(tmp_path / "wh.sqlite")
     with conn:
-        conn.execute("INSERT INTO matrix_runs VALUES ('m', '', 0, 0, '', '', 18, 7, 1, 1, '', 4)")
+        conn.execute("INSERT INTO matrix_runs VALUES ('m', '', 0, 0, '', '', 5)")
     conn.close()
     assert main(["query", "qa", "--db", str(tmp_path / "wh.sqlite"), "--campaign", "m"]) == 0
     assert "Warehouse QA ledger" in capsys.readouterr().out

@@ -80,13 +80,29 @@ def test_docs_exist_and_are_linked_from_readme():
         assert name in readme, f"README.md does not link {name}"
 
 
+def _dictionary_sections(doc):
+    """Each ``### `table` …`` section of a data dictionary: its
+    ``| `column` | TYPE |`` rows, in order."""
+    sections, rows = {}, None
+    for line in doc.splitlines():
+        if line.startswith("#"):
+            heading = re.match(r"###+ `(\w+)`", line)
+            rows = sections.setdefault(heading.group(1), []) if heading else None
+        elif rows is not None:
+            cell = re.match(r"\| `(\w+)` \| ([A-Z]+) \|", line)
+            if cell:
+                rows.append(cell.groups())
+    return sections
+
+
 def test_warehouse_doc_matches_schema():
     """docs/WAREHOUSE.md and repro.warehouse.schema must agree, both ways.
 
-    Every ``stg_*``/``mart_*`` table in the schema module has to be
-    documented (backticked) in the data dictionary, and every such
-    name the document mentions has to exist in the schema — so a
-    renamed or dropped table cannot leave the docs silently stale.
+    Every table in the schema module has a section in the data
+    dictionary whose column rows are its columns, in order, with their
+    types, and every section names a table of the schema — so a renamed,
+    added or dropped column cannot leave the docs silently stale.  Every
+    ``stg_*``/``mart_*`` name the prose mentions has to exist too.
     """
     import sys
 
@@ -97,28 +113,17 @@ def test_warehouse_doc_matches_schema():
         sys.path.pop(0)
 
     doc = (REPO_ROOT / "docs" / "WAREHOUSE.md").read_text(encoding="utf-8")
-    documented = set(re.findall(r"`((?:stg|mart)_[a-z0-9_]+)`", doc))
-    in_schema = {name for name in TABLES if name.startswith(("stg_", "mart_"))}
+    schema = {
+        name: [(column.name, column.type) for column in table.columns]
+        for name, table in TABLES.items()
+    }
+    assert _dictionary_sections(doc) == schema
 
-    undocumented = sorted(in_schema - documented)
-    assert not undocumented, f"tables missing from docs/WAREHOUSE.md: {undocumented}"
+    documented = set(re.findall(r"`((?:stg|mart)_[a-z0-9_]+)`", doc))
     # QA check names (e.g. mart_equivalence) share the prefix but are
     # not tables.
-    qa_checks = {"mart_equivalence"}
-    phantom = sorted(documented - in_schema - qa_checks)
+    phantom = sorted(documented - set(TABLES) - {"mart_equivalence"})
     assert not phantom, f"docs/WAREHOUSE.md mentions unknown tables: {phantom}"
-
-    # Every staging column must appear in the data dictionary too.
-    from repro.warehouse.schema import STAGING_TABLES
-
-    missing_columns = []
-    for name in STAGING_TABLES:
-        for column in TABLES[name].columns:
-            if f"`{column.name}`" not in doc:
-                missing_columns.append(f"{name}.{column.name}")
-    assert not missing_columns, (
-        "staging columns missing from docs/WAREHOUSE.md: " + ", ".join(missing_columns)
-    )
 
 
 def test_scenarios_doc_matches_path_profiles():

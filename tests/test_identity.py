@@ -53,6 +53,8 @@ CELLS = {
     },
     "fork2-lossy-edge-flaky-edge": (LOSSY_FLAKY, "fork2"),
     "spawn2-lossy-edge-flaky-edge": (LOSSY_FLAKY, "spawn2"),
+    # A cell's worker count is no fact of the matrix: it leaves no byte.
+    "fork2-matrix": (PROFILE_MATRIX, "fork2"),
     "fleet1-matrix": (PROFILE_MATRIX, "fleet1"),
     "fleet2-matrix": (PROFILE_MATRIX, "fleet2"),
     # Spawned workers rebuild the world, then hold it from cell to cell.
@@ -98,14 +100,17 @@ def test_series_on_two_workers_completes_every_week(identity):
 
 @pytest.mark.parametrize("cell", CELLS)
 def test_the_parent_builds_each_world_once_and_forked_workers_none(identity, cell):
-    """Counts: the parent builds a campaign's or a matrix's world once and
-    a series' once a week (a delta week rebuilds no base-week world);
-    forked workers adopt the worlds it published and only configure
-    them.  A worker cell whose campaign, or any week of whose series,
-    streamed no task to its pool ran serially."""
+    """Counts: the parent builds a campaign's or a fleet matrix's world
+    once, a sequential matrix's once a cell and a series' once a week (a
+    delta week rebuilds no base-week world); forked workers adopt the
+    worlds it published and only configure them.  A worker cell whose
+    campaign, or any week of whose series, streamed no task to its pool
+    ran serially."""
     config, mode = CELLS[cell]
     run = identity.run(config, mode)
     weeks = config.weeks if isinstance(config, SeriesConfig) else (config.week,)
-    assert run.world_builders == (os.getpid(),) * len(weeks)
-    if not isinstance(config, MatrixConfig):
+    sequential = isinstance(config, MatrixConfig) and mode == "fork2"
+    builds = len(config.cells) if sequential else len(weeks)
+    assert run.world_builders == (os.getpid(),) * builds
+    if sequential or not isinstance(config, MatrixConfig):
         assert all(run.pooled_tasks[week] > 0 for week in weeks), run.pooled_tasks

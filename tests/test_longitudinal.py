@@ -5,8 +5,9 @@ The contract under test (docs/LONGITUDINAL.md):
 - a series killed with SIGKILL at any injection point and resumed with
   ``--resume`` reruns only the interrupted week and produces
   **byte-identical** warehouse tables and series metrics document to an
-  uninterrupted run (only ``attempts`` and the delta hit/miss tallies
-  in ``run_weeks`` legitimately differ),
+  uninterrupted run (only ``attempts`` in ``run_weeks`` legitimately
+  differs; a resumed week counts its cached stages' delta hits and
+  misses as a clean run scans them),
 - delta scans are byte-identical to full scans — records, marts and
   timeline rows — with and without ``flaky-edge`` chaos,
 - a week that exhausts its retries is recorded ``failed`` while the
@@ -21,11 +22,13 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import shutil
 import sqlite3
 import subprocess
 import sys
 import threading
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -66,10 +69,9 @@ _SCALE = Scale(addresses=200_000, ases=4_000, domains=200_000)
 _SEED = 23
 _WEEKS = (16, 17, 18)
 
-# Ledger columns that legitimately differ between an interrupted and an
-# uninterrupted series: a resumed week replays cached stages instead of
-# delta-walking them, and each restart bumps the attempt counter.
-_LEDGER_VOLATILE = {"run_weeks": {"attempts", "delta_hits", "delta_misses"}}
+# The ledger column that legitimately differs between an interrupted and
+# an uninterrupted series: each restart bumps the attempt counter.
+_LEDGER_VOLATILE = {"run_weeks": {"attempts"}}
 
 
 def _series_config(cache_dir, weeks=_WEEKS, **overrides):
@@ -149,7 +151,7 @@ def test_series_completes_with_checkpoints(ref):
         assert state.attempts == 1
         assert state.campaign_id
         assert state.error is None
-        assert state.stage_counts and state.stage_counts["dns_records"] > 0
+        assert state.stage_counts and state.stage_counts["dns"] > 0
     conn = connect(db_path)
     try:
         status = conn.execute(
@@ -205,7 +207,7 @@ def test_series_metrics_document_is_deterministic(ref):
         assert doc["counters"][key] == 1
         assert doc["weeks"][str(week)]["status"] == "complete"
     # Attempts and delta tallies are ledger-only: a resumed series
-    # replays cached stages and would legitimately differ there.
+    # restarts a week and would legitimately differ in its attempts.
     assert "attempts" not in text and "delta" not in doc["counters"]
 
 
@@ -355,6 +357,33 @@ def test_sigkill_and_resume_is_byte_identical(ref, cli_cache, tmp_path, point, e
     assert metrics_out.read_text() == render_series_metrics(ref_config, ref_result)
 
 
+def test_a_rerun_over_a_warm_cache_records_the_clean_delta_counts(ref, tmp_path, monkeypatch):
+    """A delta week splits a cached stage's targets as a scan would, so a
+    series re-run over a warm stage cache, on two workers, leaves the
+    clean series' warehouse, hit and miss counts included.  Week 17's
+    cache has lost ``zmap_v4``, which its cached ``qscan_nosni_v4`` is
+    split over: the stage is computed once, not again by the stream."""
+    ref_db, ref_config, _result = ref
+    cache = tmp_path / "cache"
+    shutil.copytree(ref_config.cache_dir, cache)
+    week17 = CampaignStageCache(cache, ref_config.campaign_config(17)).directory
+    (week17 / "zmap_v4.pkl").unlink()
+    installs = Counter()
+    install = Campaign.install_stage
+
+    def counted(campaign, name, *args):
+        installs[campaign.config.week, name] += 1
+        return install(campaign, name, *args)
+
+    monkeypatch.setattr(Campaign, "install_stage", counted)
+    config = dataclasses.replace(ref_config, cache_dir=cache, workers=2)
+    result = _run_series(tmp_path / "wh.sqlite", config)
+    assert result.exit_code == 0
+    assert installs[17, "zmap_v4"] == 1 and max(installs.values()) == 1
+    with connect(tmp_path / "wh.sqlite") as conn, connect(ref_db) as reference:
+        assert list(conn.iterdump()) == list(reference.iterdump())
+
+
 # -- week-level health ---------------------------------------------------------
 
 
@@ -486,14 +515,17 @@ def test_ledger_transitions_and_reset():
     assert ledger.week(17).status == "failed"
 
     # Completion is transactional: it only takes effect with the commit.
+    # A complete week's stage counts are its campaign's load counts.
     with conn:
-        ledger.record_complete(
-            conn, 18, "cafe", {"dns_records": 3}, delta_hits=1, delta_base_week=17
+        conn.execute(
+            "INSERT INTO campaigns (campaign_id, stage_counts_json) VALUES ('cafe', ?)",
+            (json.dumps({"dns": 3}),),
         )
+        ledger.record_complete(conn, 18, "cafe", delta_hits=1, delta_base_week=17)
     state = ledger.week(18)
     assert state.status == "complete"
     assert state.campaign_id == "cafe"
-    assert state.stage_counts == {"dns_records": 3}
+    assert state.stage_counts == {"dns": 3}
     assert (state.delta_hits, state.delta_base_week) == (1, 17)
 
     # Re-opening the same run keeps its rows; reset erases every trace.
@@ -545,7 +577,7 @@ def test_strict_loader_refuses_a_degraded_campaign(world):
     committed = []
     try:
         with pytest.raises(WarehouseQaError):
-            load_campaign(campaign, conn, strict=True, on_commit=lambda c, n: committed.append(n))
+            load_campaign(campaign, conn, strict=True, on_commit=committed.append)
         assert not committed, "on_commit ran for a degraded campaign"
         # The refusal leaves its evidence queryable.
         failures = conn.execute(

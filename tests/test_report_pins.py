@@ -29,14 +29,14 @@ PINNED = {
     "versions": "ea71c9c5a75235f21fe5f51ee69b31d130f1d12f3c376fe0ac2428d2db728aa4",
     "outcomes": "50057ec82f0398fa6cac119bad7187a3401c231767f2e2797267af42d92f928f",
     "qa": "caaa772df4ff34a2ec125a111cef3c32c6bff05cb0ab850ee306947c4d5c1478",
-    "campaigns": "b64527c2523b567908ba81741a7db2436556945ec75c37ba124ea50fddc1dfbb",
-    "runs": "d0924606c1553234d1c5ef65482273381568863b242724c8c420c4d33a300d75",
-    "weeks": "a6ea18b7bc82969ce686a207fb4163b4f3e5eaaa575603cc4374f89a4be9e449",
-    "https-timeline": "9b3b7ef8732634659f2e8612d0bc8178164f10fed3910b83acc9667603750a04",
-    "version-timeline": "c1715851d93d46b96d95e81d98cfbfe1fe2344e1de91baddfd4bcf5bd5f58bbf",
-    "churn": "7bd0dcf117f6bdad56e66690ed4571665ce17c9cfd0e47ceae577fd32c88623c",
-    "matrix": "e5e99b0d457d19ad4cfafc4202f4cefa36b3339da4ceadd392303503b7e3a863",
-    "matrix-cells": "ee410d4f80873cdb860babcf930b43219c4eb74112be4fea911f71983b396abf",
+    "campaigns": "0b85d8c963b6db64052aadcdba20d383f6423c8123ef983742710f2452fc0781",
+    "runs": "8afdbb1cea4f064ae2a12e7398bcd2bc3a5f35a49fc789cb77604cce4a9469c0",
+    "weeks": "64df4f80987668915fe5c8ad5e2958b61f62b137cdfe510c88cb4e23807950e1",
+    "https-timeline": "700b674828fe4703dac38f1df0d55e792588200488d35e56258887a3cc191bea",
+    "version-timeline": "844510d0ed3a6a4221703a6a82a42ee0f9524d8ab1440f68234913a06d1bf5c6",
+    "churn": "cf2d128fa0d0f3b5608fb6e6bc81a0207c5ac50d7d800af77ddb1466dad01547",
+    "matrix": "b0f4f4b822c3e21b6892d085d8202d51cc342bdd66c789493621c85d353ee0fc",
+    "matrix-cells": "f539f0d8c689926e0920e80461e22706a84bddb28d81db40116f5c7cb3efa70e",
 }
 
 PINNED_LIST = "6ae768b5cbeace730253fae66b999152398bae70c3e82d7c81e343a2903682a2"
