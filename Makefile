@@ -3,7 +3,8 @@ export PYTHONPATH := src
 
 .PHONY: test docs-check scanbench-tests shapes scale-sweep bench-smoke bench-profile reach report artefacts interop chaos chaos-smoke conform conform-smoke fuzz-smoke warehouse-smoke longitudinal-smoke matrix-smoke fleet-smoke clean
 
-# chaos-smoke keeps the fault-injection/degradation path exercised,
+# chaos-smoke keeps the fault-injection/degradation path exercised
+# (`repro report` under a fault profile, with retries),
 # fuzz-smoke the wire-format conformance suite, conform-smoke the
 # serial-vs-streaming differential oracle, bench-smoke the
 # pipeline-overlap gate, warehouse-smoke the
@@ -37,7 +38,7 @@ scale-sweep:
 	$(PYTHON) benchmarks/scale_sweep.py
 
 # Reach map, not part of `make test` (a minute or two): the outermost
-# functions in src/ that twenty-seven CLI runs never enter, pool workers
+# functions in src/ that thirty CLI runs never enter, pool workers
 # included, per module.
 reach:
 	$(PYTHON) benchmarks/reach.py
@@ -53,14 +54,16 @@ docs-check:
 scanbench-tests:
 	$(PYTHON) -m pytest -x -q benchmarks/scanbench/tests
 
-# Full chaos campaign under the default fault profile.
+# Full scan report under the default fault profile, with retries.
 chaos:
-	$(PYTHON) -m repro chaos --profile flaky-edge --scale 50000 --seed 7 --retries 3
+	$(PYTHON) -m repro report --fault-profile flaky-edge --scan-retries 3 --scale 50000 \
+		--seed 7 --metrics-out .cache/chaos/metrics.json
 
-# Fast end-to-end chaos smoke on a tiny world (nonzero exit on any
-# total stage failure).
+# Fast end-to-end report under faults on a tiny world (nonzero exit on
+# any total stage failure).
 chaos-smoke:
-	$(PYTHON) -m repro chaos --profile flaky-edge --scale 200000 --seed 23 --retries 2
+	$(PYTHON) -m repro report --fault-profile flaky-edge --scan-retries 2 --scale 200000 \
+		--seed 23 --metrics-out .cache/chaos-smoke/metrics.json
 
 # Full conformance run: golden vectors + fuzzer + differential oracle.
 conform:
@@ -138,21 +141,20 @@ matrix-smoke:
 		--db .cache/matrix-smoke.sqlite
 	$(PYTHON) -m repro query matrix --db .cache/matrix-smoke.sqlite
 
-# Fleet-scheduler smoke: run the same 2x2 grid sequentially, sequentially
+# Fleet-scheduler smoke: run matrix-smoke's 2x2 grid again sequentially
 # on --workers 2, and via --fleet-jobs 2 (shared world snapshot,
 # persistent pool, concurrent cells, ordered commits) into separate
-# warehouses, then require the raw database files to be byte-identical:
-# how a matrix's work is split leaves no byte.
-fleet-smoke:
-	rm -f .cache/fleet-smoke-seq.sqlite .cache/fleet-smoke-workers2.sqlite .cache/fleet-smoke-fleet.sqlite
-	$(PYTHON) -m repro matrix --grid 2x2 --scale 200000 --seed 23 \
-		--db .cache/fleet-smoke-seq.sqlite
+# warehouses, then require the raw database files to be byte-identical
+# to matrix-smoke's sequential one: how a matrix's work is split leaves
+# no byte.
+fleet-smoke: matrix-smoke
+	rm -f .cache/fleet-smoke-workers2.sqlite .cache/fleet-smoke-fleet.sqlite
 	$(PYTHON) -m repro matrix --grid 2x2 --scale 200000 --seed 23 \
 		--db .cache/fleet-smoke-workers2.sqlite --workers 2
 	$(PYTHON) -m repro matrix --grid 2x2 --scale 200000 --seed 23 \
 		--db .cache/fleet-smoke-fleet.sqlite --fleet-jobs 2
-	cmp .cache/fleet-smoke-seq.sqlite .cache/fleet-smoke-workers2.sqlite
-	cmp .cache/fleet-smoke-seq.sqlite .cache/fleet-smoke-fleet.sqlite
+	cmp .cache/matrix-smoke.sqlite .cache/fleet-smoke-workers2.sqlite
+	cmp .cache/matrix-smoke.sqlite .cache/fleet-smoke-fleet.sqlite
 
 # Per-stage cProfile dump (top cumulative functions) for hot-path work.
 bench-profile:

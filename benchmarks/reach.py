@@ -1,6 +1,6 @@
 """Reach map: the outermost functions in ``src/`` no product command enters.
 
-Twenty-seven CLI runs (1:200,000; ``artefacts`` at 1:20,000), each in a child
+Thirty CLI runs (1:200,000; ``artefacts`` at 1:20,000), each in a child
 whose ``sitecustomize`` installs a profile hook at start-up; every process,
 pool workers included, appends each code object it first enters to a
 per-pid file as it goes (workers leave via ``os._exit``).  ``make reach``.
@@ -33,7 +33,9 @@ def runs(tmp: str):
         ["scan", *S, "--output", f"{tmp}/records"],
         ["report", *S, "--trace", f"{tmp}/trace.jsonl"], ["interop"],
         ["artefacts", "--scale", "20000", "--seed", "23"], ["load", *S, *db],
-        ["chaos", "--profile", "flaky-edge", *S, "--retries", "2"],
+        *[["report", "--fault-profile", name, *S, "--scan-retries", "2",
+           "--metrics-out", f"{tmp}/{name}.json"]
+          for name in ("flaky-edge", "rate-limited", "hostile-middlebox", "brownout")],
         ["conform", "--seed", "9000", "--iterations", "200", "--fleet",
          "--metrics-out", f"{tmp}/conform.json"],
         ["bench", "--smoke", "--workers", "2"], ["bench", "--profile", "--scale", "200000", "--top", "5"],

@@ -7,20 +7,17 @@ Subcommands:
 - ``experiment``  — regenerate one paper artefact (T1-T6, F3-F9, A1-A7, E1),
 - ``interop``     — run the client x server x case interop matrix,
 - ``report``      — run a campaign and render the observability scan
-  report (per-stage execution, discovery summary, outcome taxonomy);
-  writes the machine-readable ``metrics.json`` next to the stage
-  cache (or ``--metrics-out``) and, with ``--trace``, a JSONL event
-  trace — see ``docs/OBSERVABILITY.md``,
+  report (per-stage execution and health, discovery summary, outcome
+  taxonomy, verdict); writes ``metrics.json`` next to the stage cache
+  (or ``--metrics-out``) and, with ``--trace``, a JSONL event trace —
+  see ``docs/OBSERVABILITY.md``; ``--fault-profile`` and
+  ``--scan-retries`` run it under faults (``docs/RESILIENCE.md``); exits
+  nonzero only when a stage failed completely,
 - ``artefacts``   — regenerate every table and figure (the
   EXPERIMENTS.md content),
 - ``bench``       — ``--smoke``: the scan-engine smoke gate (parallel
   overhead, pipeline overlap, stage health); ``--profile``: cProfile
   each campaign stage,
-- ``chaos``       — run a campaign under a named fault profile (see
-  ``repro.netsim.faults``) with scanner retries enabled and render the
-  resilience report — stage health, faults injected, retry tallies;
-  exits nonzero only when a stage failed completely (partial results
-  degrade gracefully) — see ``docs/RESILIENCE.md``,
 - ``conform``     — run the wire-format conformance suite: RFC golden
   vectors, the deterministic mutation fuzzer over every parser entry
   point, and the serial-vs-parallel differential oracle; exits nonzero
@@ -75,6 +72,8 @@ from repro.experiments.figures import fig3, fig4, fig5, fig6, fig7, fig8, fig9
 from repro.experiments.tables import table1, table2, table3, table4, table5, table6
 from repro.internet.generator import AddressSpaceExhausted
 from repro.internet.providers import scale_for
+from repro.netsim.faults import PROFILES
+from repro.scanners.retry import RetryPolicy
 from repro.warehouse.queries import REPORTS
 
 __all__ = ["main", "EXPERIMENTS"]
@@ -103,8 +102,12 @@ EXPERIMENTS: Dict[str, Callable] = {
 }
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--week", type=int, default=18, help="calendar week (default 18)")
+def _add_common(
+    parser: argparse.ArgumentParser, week: bool = True, faults: bool = False
+) -> None:
+    """The campaign options; ``faults`` adds the fault profile and scan retries."""
+    if week:
+        parser.add_argument("--week", type=int, default=18, help="calendar week (default 18)")
     parser.add_argument("--seed", type=int, default=0, help="campaign seed")
     parser.add_argument(
         "--scale", type=int, default=1000, help="address scale divisor (default 1000)"
@@ -125,9 +128,27 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="persist completed scan stages under this directory",
     )
+    if faults:
+        parser.add_argument(
+            "--fault-profile",
+            default=None,
+            choices=sorted(PROFILES),
+            help="run under this fault profile (see repro.netsim.faults)",
+        )
+        parser.add_argument(
+            "--scan-retries",
+            type=int,
+            default=1,
+            help="scanner retry attempts per target (default 1: no retries)",
+        )
+
+
+def _scan_retry(args) -> RetryPolicy:
+    return RetryPolicy(attempts=max(1, getattr(args, "scan_retries", 1)))
 
 
 def _campaign(args):
+    # Only ``report`` takes the fault options.
     return get_campaign(
         week=args.week,
         scale=scale_for(args.scale),
@@ -135,6 +156,8 @@ def _campaign(args):
         fast_crypto=not args.real_crypto,
         workers=args.workers,
         cache_dir=args.cache_dir,
+        fault_profile=getattr(args, "fault_profile", None),
+        retry=_scan_retry(args),
     )
 
 
@@ -170,21 +193,15 @@ def _cmd_scan(args) -> int:
 
         directory = Path(args.output)
         directory.mkdir(parents=True, exist_ok=True)
-        written = {
-            "zmap-v4.jsonl": write_jsonl(campaign.zmap_v4, directory / "zmap-v4.jsonl"),
-            "zmap-v6.jsonl": write_jsonl(campaign.zmap_v6, directory / "zmap-v6.jsonl"),
-            "dns.jsonl": write_jsonl(campaign.all_dns_records, directory / "dns.jsonl"),
-            "tls-sni-v4.jsonl": write_jsonl(
-                campaign.goscanner_sni_v4, directory / "tls-sni-v4.jsonl"
-            ),
-            "qscan-nosni-v4.jsonl": write_jsonl(
-                campaign.qscan_nosni_v4, directory / "qscan-nosni-v4.jsonl"
-            ),
-            "qscan-sni-v4.jsonl": write_jsonl(
-                campaign.qscan_sni_v4, directory / "qscan-sni-v4.jsonl"
-            ),
-        }
-        for name, count in written.items():
+        for name, records in (
+            ("zmap-v4.jsonl", campaign.zmap_v4),
+            ("zmap-v6.jsonl", campaign.zmap_v6),
+            ("dns.jsonl", campaign.all_dns_records),
+            ("tls-sni-v4.jsonl", campaign.goscanner_sni_v4),
+            ("qscan-nosni-v4.jsonl", campaign.qscan_nosni_v4),
+            ("qscan-sni-v4.jsonl", campaign.qscan_sni_v4),
+        ):
+            count = write_jsonl(records, directory / name)
             print(f"wrote {count:>7} records to {directory / name}")
     return 1 if campaign.failed_stages() else 0
 
@@ -226,46 +243,11 @@ def _cmd_report(args) -> int:
     total = time.perf_counter() - start
     campaign.close()
     print(build_scan_report(campaign, total_seconds=total))
-    metrics_path = write_metrics_json(
-        campaign, args.metrics_out if args.metrics_out else None
-    )
+    metrics_path = write_metrics_json(campaign, args.metrics_out)
     print(f"\nwrote {metrics_path}")
     if args.trace:
         count = campaign.tracer.dump_jsonl(args.trace)
         print(f"wrote {count} trace events to {args.trace}")
-    return 1 if campaign.failed_stages() else 0
-
-
-def _cmd_chaos(args) -> int:
-    import time
-
-    from repro.experiments.campaign import Campaign, CampaignConfig
-    from repro.netsim.faults import get_profile
-    from repro.observability.report import build_resilience_report, write_metrics_json
-    from repro.scanners.retry import RetryPolicy
-
-    try:
-        profile = get_profile(args.profile)
-    except ValueError as error:
-        print(str(error), file=sys.stderr)
-        return 2
-    config = CampaignConfig(
-        week=args.week,
-        scale=scale_for(args.scale),
-        seed=args.seed,
-        fast_crypto=not args.real_crypto,
-        fault_profile=profile.name,
-        retry=RetryPolicy(attempts=max(1, args.retries)),
-    )
-    campaign = Campaign(config, workers=args.workers, cache_dir=args.cache_dir)
-    start = time.perf_counter()
-    campaign.run_all_stages()
-    total = time.perf_counter() - start
-    campaign.close()
-    print(build_resilience_report(campaign, total_seconds=total))
-    if args.metrics_out:
-        path = write_metrics_json(campaign, args.metrics_out)
-        print(f"\nwrote {path}")
     return 1 if campaign.failed_stages() else 0
 
 
@@ -541,7 +523,6 @@ def _cmd_longitudinal(args) -> int:
 
     from repro.longitudinal import LongitudinalScheduler, SeriesConfig
     from repro.longitudinal.scheduler import render_series_metrics
-    from repro.scanners.retry import RetryPolicy
     from repro.warehouse import connect
 
     try:
@@ -555,12 +536,12 @@ def _cmd_longitudinal(args) -> int:
         seed=args.seed,
         fast_crypto=not args.real_crypto,
         fault_profile=args.fault_profile,
-        scan_retry=RetryPolicy(attempts=max(1, args.scan_retries)),
+        scan_retry=_scan_retry(args),
         week_retry=RetryPolicy(attempts=max(1, args.week_retries)),
         delta=not args.no_delta,
         watchdog_seconds=args.watchdog,
         workers=args.workers,
-        cache_dir=args.cache_dir or ".cache/longitudinal",
+        cache_dir=args.cache_dir,
     )
     conn = connect(args.db)
     try:
@@ -625,7 +606,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "report",
         help="run a campaign and render the observability scan report + metrics.json",
     )
-    _add_common(report_parser)
+    _add_common(report_parser, faults=True)
     report_parser.add_argument(
         "--metrics-out",
         default=None,
@@ -688,27 +669,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="--profile only: functions per stage in the output (default 15)",
     )
     bench_parser.set_defaults(func=_cmd_bench)
-
-    chaos_parser = subparsers.add_parser(
-        "chaos",
-        help="run a campaign under a fault profile, render the resilience report",
-    )
-    _add_common(chaos_parser)
-    chaos_parser.add_argument(
-        "--profile",
-        default="flaky-edge",
-        help="fault profile: flaky-edge, rate-limited, hostile-middlebox, brownout",
-    )
-    chaos_parser.add_argument(
-        "--retries",
-        type=int,
-        default=3,
-        help="scanner retry attempts per target (default 3; 1 disables retries)",
-    )
-    chaos_parser.add_argument(
-        "--metrics-out", default=None, help="also write metrics.json to this path"
-    )
-    chaos_parser.set_defaults(func=_cmd_chaos)
 
     conform_parser = subparsers.add_parser(
         "conform",
@@ -859,27 +819,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         default="5-18",
         help="weeks to run: a range (5-18), a list (5,7,9) or a mix (default 5-18)",
     )
-    longitudinal_parser.add_argument("--seed", type=int, default=0, help="campaign seed")
-    longitudinal_parser.add_argument(
-        "--scale", type=int, default=1000, help="address scale divisor (default 1000)"
-    )
-    longitudinal_parser.add_argument(
-        "--real-crypto",
-        action="store_true",
-        help="use real AES-GCM/X25519 everywhere (slower)",
-    )
-    longitudinal_parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes streaming every week, delta or full (default 1)",
-    )
-    longitudinal_parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="stage-cache directory (default .cache/longitudinal); resume"
-        " replays an interrupted week from here",
-    )
+    _add_common(longitudinal_parser, week=False, faults=True)
+    longitudinal_parser.set_defaults(cache_dir=".cache/longitudinal")
     longitudinal_parser.add_argument(
         "--db",
         default="warehouse.sqlite",
@@ -889,7 +830,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--resume",
         action="store_true",
         help="continue an interrupted run: completed weeks are skipped,"
-        " the interrupted week replays from its stage cache",
+        " the interrupted week replays from its stage cache"
+        " (--cache-dir, default .cache/longitudinal)",
     )
     longitudinal_parser.add_argument(
         "--no-delta",
@@ -908,17 +850,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         type=int,
         default=2,
         help="attempts per week before recording it failed (default 2)",
-    )
-    longitudinal_parser.add_argument(
-        "--scan-retries",
-        type=int,
-        default=1,
-        help="scanner retry attempts per target (default 1: no retries)",
-    )
-    longitudinal_parser.add_argument(
-        "--fault-profile",
-        default=None,
-        help="run every week under this fault profile (see `repro chaos`)",
     )
     longitudinal_parser.add_argument(
         "--metrics-out",

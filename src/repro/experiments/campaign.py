@@ -305,25 +305,35 @@ class Campaign:
 
         The walk up the inputs stops at stages already on the campaign
         or in the stage cache, so a stage streams only when a serial
-        access would compute it.  None when nothing is left to compute.
+        access would compute it.  A delta week's cache hit is the one
+        exception: its split (:meth:`_lacks`) reads its inputs, so the
+        walk goes on to them, and the split waits for the run.  None
+        when nothing is left to compute.
         """
         from repro.parallel.stream import StreamEngine
 
-        pending = self._upstream(names, lambda name: name in BY_NAME and self._lacks(name))
-        # A delta week's cache hit computes the inputs it splits over (_lacks).
-        pending = [name for name in pending if name not in self.__dict__]
-        if not pending:
-            return None
-        engine = StreamEngine(self, pending)
-        engine.run()
+        splits: Dict[str, Dict] = {}
+        kept = self._upstream(
+            names, lambda name: name in BY_NAME and (self._lacks(name, splits) or name in splits)
+        )
+        pending = [name for name in kept if name not in splits]
+        engine = None
+        if pending:
+            engine = StreamEngine(self, pending)
+            engine.run()
+        for name, base in splits.items():
+            stage = BY_NAME[name]
+            self.delta_split(stage, 0, self.stage_items(stage), base)
         return engine
 
-    def _lacks(self, name: str) -> bool:
+    def _lacks(self, name: str, splits: Optional[Dict[str, Dict]] = None) -> bool:
         """Whether a stage is neither on the campaign nor served by the cache.
 
-        A cache hit is installed on the spot.  A delta week first splits
+        A cache hit is installed on the spot.  A delta week also splits
         a hit's targets as a scan would (:meth:`delta_split`), scanning
-        none, so its ``delta.records`` do not depend on the cache.
+        none, so its ``delta.records`` do not depend on the cache: here,
+        or, given ``splits``, once the caller has the inputs (the hit's
+        base records go in ``splits`` by name).
         """
         if name in self.__dict__:
             return False
@@ -333,7 +343,9 @@ class Campaign:
             return True
         stage = BY_NAME.get(name)
         base = None if stage is None else self.base_records(stage)
-        if base is not None:
+        if base is not None and splits is not None:
+            splits[name] = base
+        elif base is not None:
             self.delta_split(stage, 0, self.stage_items(stage), base)
         self.install_stage(name, value, StageHealth(stage=name), "hit", start)
         self.__dict__[name] = value

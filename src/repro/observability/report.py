@@ -5,7 +5,8 @@ renders what an operator of the paper's 14-week measurement would want
 on a dashboard:
 
 - a **per-stage table** — targets attempted, records produced, wall
-  time, stage-cache hit/miss — in canonical execution order,
+  time, stage-cache hit/miss, health status and shards completed — in
+  canonical execution order,
 - the **discovery summary** (paper Table 1: addresses per method),
   reproduced through the existing analysis pipeline so the report can
   never drift from the published artefacts,
@@ -16,7 +17,10 @@ on a dashboard:
 - the **TLS-over-TCP outcome mix** and Alt-Svc yield (feeding Table 1's
   ALT-SVC rows),
 - wire/cache totals: probes sent per family, datagrams per QUIC
-  connection, cache hits/misses.
+  connection, cache hits/misses,
+- under ``--fault-profile`` / ``--scan-retries``, the faulted hosts,
+  the faults injected and the retry/give-up tallies,
+- a closing **verdict** (OK / DEGRADED / FAILED) matching the exit code.
 
 Next to the human-readable text, :func:`metrics_document` produces the
 machine-readable ``metrics.json``: the campaign configuration plus the
@@ -37,52 +41,43 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.tables import render_table
-from repro.experiments.stages import DNS_RECORDS, QSCAN, STAGE_NAMES, STAGES, paper_order
+from repro.experiments.stages import DNS_RECORDS, IPV6_SCAN_INPUT, QSCAN, STAGES, paper_order
 from repro.observability.metrics import parse_metric_key
 from repro.scanners.results import QScanOutcome
 
 __all__ = [
     "build_scan_report",
-    "build_resilience_report",
     "metrics_document",
     "render_metrics_json",
     "write_metrics_json",
-    "default_metrics_path",
     "stage_targets",
 ]
 
 # v2: the config block gained fault_profile and retry.
 METRICS_FORMAT_VERSION = 2
 
+
 def stage_targets(campaign) -> Dict[str, int]:
     """Targets attempted per stage (identical in serial/parallel runs)."""
-    targets = {
-        DNS_RECORDS: sum(
-            len(domains) for domains in campaign.world.input_lists.lists.values()
-        )
-    }
-    for stage in STAGES:
-        targets[stage.name] = campaign.stage_size(stage)
-    return targets
+    listed = sum(len(domains) for domains in campaign.world.input_lists.lists.values())
+    return {DNS_RECORDS: listed, **{stage.name: campaign.stage_size(stage) for stage in STAGES}}
 
 
 def _stage_rows(campaign) -> List[Tuple]:
     targets = stage_targets(campaign)
     rows = []
-    for stage in (DNS_RECORDS,) + STAGE_NAMES:
+    for health in campaign.health_in_order():
+        stage = health.stage
+        if stage == IPV6_SCAN_INPUT and health.status == "success":
+            continue  # the hitlist side of DNS: zmap_v6's targets
         records = campaign.metrics.counter_value("campaign.stage_records", stage=stage)
         gauge = campaign.metrics.get(f"campaign.stage_seconds{{stage={stage}}}")
         seconds = gauge.value if gauge is not None else None
-        hits = campaign.metrics.counter_value(
-            "campaign.stage_cache", result="hit", stage=stage
+        hits, misses = (
+            campaign.metrics.counter_value("campaign.stage_cache", result=result, stage=stage)
+            for result in ("hit", "miss")
         )
-        misses = campaign.metrics.counter_value(
-            "campaign.stage_cache", result="miss", stage=stage
-        )
-        if hits or misses:
-            cache = "hit" if hits else "miss"
-        else:
-            cache = "-"
+        cache = "hit" if hits else "miss" if misses else "-"
         rows.append(
             (
                 stage,
@@ -90,6 +85,8 @@ def _stage_rows(campaign) -> List[Tuple]:
                 records,
                 f"{seconds:.3f}" if seconds is not None else "-",
                 cache,
+                health.status,
+                f"{health.shards - health.shards_failed}/{health.shards}",
             )
         )
     return rows
@@ -151,31 +148,81 @@ def _response_type_rows(campaign) -> List[Tuple[str, int]]:
     return rows
 
 
+def _fault_host_rows(campaign) -> List[Tuple[str, int]]:
+    """Hosts the fault profile assigned, per fault kind."""
+    rows = []
+    for key, gauge in sorted(campaign.metrics.snapshot()["gauges"].items()):
+        name, labels = parse_metric_key(key)
+        if name == "faults.hosts":
+            rows.append((labels.get("fault", "?"), int(gauge)))
+    return rows
+
+
+def _retry_rows(campaign) -> List[Tuple[str, int]]:
+    """Every scanner's ``.retries`` / ``.giveups`` counter."""
+    return [
+        (key, value)
+        for key, value in sorted(campaign.metrics.snapshot()["counters"].items())
+        if parse_metric_key(key)[0].endswith((".retries", ".giveups"))
+    ]
+
+
+def _verdict(campaign) -> str:
+    """The last line of the report; it matches the CLI's exit code."""
+    def named(stages):
+        return ", ".join(
+            f"{stage} ({campaign.stage_health[stage].error})" for stage in stages
+        )
+
+    failed = campaign.failed_stages()
+    degraded = campaign.degraded_stages()
+    if failed:
+        return f"verdict: FAILED — stages with no output: {named(failed)}"
+    if degraded:
+        return f"verdict: DEGRADED — partial stages: {named(degraded)} (campaign completed)"
+    return "verdict: OK — every stage completed"
+
+
 def build_scan_report(campaign, total_seconds: Optional[float] = None) -> str:
     """Render the full human-readable scan report.
 
     Assumes the campaign's stages have already run (e.g. via
     ``campaign.run_all_stages()``); accessing them here would trigger
     the scans anyway, but timing/caching columns are only meaningful
-    for an executed campaign.
+    for an executed campaign.  A campaign under a fault profile or
+    with scanner retries adds the faulted hosts, the faults injected
+    and the retry tallies; every report ends with a one-line verdict
+    matching the CLI exit code (nonzero only on total stage failure).
     """
     from repro.experiments.tables import table1
 
     config = campaign.config
     lines: List[str] = []
-    lines.append(
+    title = (
         f"scan report — week {config.week}, seed {config.seed}, "
         f"scale 1:{config.scale.addresses} (ases 1:{config.scale.ases}, "
         f"domains 1:{config.scale.domains})"
     )
+    if config.fault_profile:
+        title += f", fault profile {config.fault_profile}"
+    if config.retry.enabled:
+        title += f", retry attempts {config.retry.attempts}"
+    lines.append(title)
     if total_seconds is not None:
         lines.append(f"campaign wall time: {total_seconds:.3f}s")
     lines.append("")
 
+    fault_hosts = _fault_host_rows(campaign)
+    if fault_hosts:
+        lines.append(
+            render_table(("fault", "hosts"), fault_hosts, title="faulted hosts by kind")
+        )
+        lines.append("")
+
     # -- per-stage execution --------------------------------------------------
     lines.append(
         render_table(
-            ("stage", "targets", "records", "wall s", "cache"),
+            ("stage", "targets", "records", "wall s", "cache", "status", "shards ok"),
             _stage_rows(campaign),
             title="stage execution (canonical order)",
         )
@@ -191,14 +238,6 @@ def build_scan_report(campaign, total_seconds: Optional[float] = None) -> str:
         if cache.store_failures:
             cache_line += f", {cache.store_failures} store failures"
         lines.append(cache_line)
-    for health in campaign.health_in_order():
-        if health.status == "success":
-            continue
-        lines.append(
-            f"stage health: {health.stage} {health.status} "
-            f"({health.shards_failed}/{health.shards} shards failed): "
-            f"{health.error}"
-        )
     lines.append("")
 
     # -- discovery summary (paper Table 1) ------------------------------------
@@ -227,17 +266,20 @@ def build_scan_report(campaign, total_seconds: Optional[float] = None) -> str:
     )
     lines.append("")
 
-    # -- TLS over TCP ---------------------------------------------------------
-    tls_rows = sorted(_counter_section(campaign, "tls").items())
-    if tls_rows:
-        lines.append(
-            render_table(
-                ("tls counter", "value"),
-                tls_rows,
-                title="stateful TLS-over-TCP (Alt-Svc harvest feeding Table 1)",
-            )
-        )
-        lines.append("")
+    # -- faults, retries (a run without them has no rows), TLS over TCP -------
+    sections = (
+        ("fault counter", sorted(_counter_section(campaign, "faults").items()), "faults injected"),
+        ("retry counter", _retry_rows(campaign), "retries and give-ups"),
+        (
+            "tls counter",
+            sorted(_counter_section(campaign, "tls").items()),
+            "stateful TLS-over-TCP (Alt-Svc harvest feeding Table 1)",
+        ),
+    )
+    for header, rows, title in sections:
+        if rows:
+            lines.append(render_table((header, "value"), rows, title=title))
+            lines.append("")
 
     # -- wire totals ----------------------------------------------------------
     wire_rows = sorted(_counter_section(campaign, "zmap").items())
@@ -267,112 +309,8 @@ def build_scan_report(campaign, total_seconds: Optional[float] = None) -> str:
             f"trace: {len(tracer.events)} events buffered "
             f"(sample rate {tracer.sample_rate}, dropped {tracer.dropped})"
         )
-    return "\n".join(lines)
-
-
-def build_resilience_report(campaign, total_seconds: Optional[float] = None) -> str:
-    """Render the ``repro chaos`` resilience report.
-
-    Summarises how a campaign behaved under an active fault profile:
-    per-stage health (success/degraded/failed), the faults the network
-    actually injected, the scanners' retry/give-up tallies, and the
-    resulting Table-3 outcome mix — ending with a one-line verdict
-    matching the CLI exit code (nonzero only on total stage failure).
-    """
-    config = campaign.config
-    lines: List[str] = []
-    lines.append(
-        f"resilience report — profile {config.fault_profile or 'none'}, "
-        f"week {config.week}, seed {config.seed}, "
-        f"retry attempts {config.retry.attempts}"
-    )
-    if total_seconds is not None:
-        lines.append(f"campaign wall time: {total_seconds:.3f}s")
     lines.append("")
-
-    # -- fault host assignment ------------------------------------------------
-    fault_hosts = []
-    for key, gauge in sorted(campaign.metrics.snapshot()["gauges"].items()):
-        name, labels = parse_metric_key(key)
-        if name == "faults.hosts":
-            fault_hosts.append((labels.get("fault", "?"), int(gauge)))
-    if fault_hosts:
-        lines.append(
-            render_table(
-                ("fault", "hosts"), fault_hosts, title="faulted hosts by kind"
-            )
-        )
-        lines.append("")
-
-    # -- per-stage health -----------------------------------------------------
-    health_rows = []
-    for health in campaign.health_in_order():
-        health_rows.append(
-            (
-                health.stage,
-                health.status,
-                health.records,
-                f"{health.shards - health.shards_failed}/{health.shards}",
-                health.error or "-",
-            )
-        )
-    lines.append(
-        render_table(
-            ("stage", "status", "records", "shards ok", "error"),
-            health_rows,
-            title="stage health",
-        )
-    )
-    lines.append("")
-
-    # -- injected faults ------------------------------------------------------
-    injected = sorted(_counter_section(campaign, "faults").items())
-    if injected:
-        lines.append(
-            render_table(
-                ("fault counter", "value"), injected, title="faults injected"
-            )
-        )
-        lines.append("")
-
-    # -- retries and give-ups -------------------------------------------------
-    retry_rows = []
-    for key, value in sorted(campaign.metrics.snapshot()["counters"].items()):
-        name, _ = parse_metric_key(key)
-        if name.endswith(".retries") or name.endswith(".giveups"):
-            retry_rows.append((key, value))
-    if retry_rows:
-        lines.append(
-            render_table(
-                ("retry counter", "value"), retry_rows, title="retries and give-ups"
-            )
-        )
-        lines.append("")
-
-    # -- outcome mix under faults ---------------------------------------------
-    headers = ("scan", "family", "targets") + tuple(
-        outcome.value for outcome in QScanOutcome
-    )
-    lines.append(
-        render_table(
-            headers,
-            _qscan_outcome_rows(campaign),
-            title="stateful QUIC handshake outcomes (Table 3 taxonomy)",
-        )
-    )
-    lines.append("")
-
-    failed = campaign.failed_stages()
-    degraded = campaign.degraded_stages()
-    if failed:
-        lines.append(f"verdict: FAILED — stages with no output: {', '.join(failed)}")
-    elif degraded:
-        lines.append(
-            f"verdict: DEGRADED — partial stages: {', '.join(degraded)} "
-            "(campaign completed)"
-        )
-    else:
-        lines.append("verdict: OK — every stage completed under the fault profile")
+    lines.append(_verdict(campaign))
     return "\n".join(lines)
 
 
@@ -418,17 +356,16 @@ def render_metrics_json(campaign) -> str:
     return json.dumps(metrics_document(campaign), indent=2, sort_keys=True) + "\n"
 
 
-def default_metrics_path(campaign) -> Path:
-    """Next to the stage cache when there is one, else the working dir."""
-    cache = campaign.stage_cache
-    if cache is not None:
-        return cache.directory / "metrics.json"
-    return Path("metrics.json")
-
-
 def write_metrics_json(campaign, path: Optional[Path] = None) -> Path:
-    """Write ``metrics.json``; returns the path written."""
-    path = Path(path) if path is not None else default_metrics_path(campaign)
+    """Write ``metrics.json``; returns the path written.
+
+    By default next to the stage cache when there is one, else in the
+    working directory.
+    """
+    if path is None:
+        cache = campaign.stage_cache
+        path = "metrics.json" if cache is None else cache.directory / "metrics.json"
+    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(render_metrics_json(campaign))
     return path

@@ -21,7 +21,7 @@ from repro.netsim.topology import Network
 from repro.observability.metrics import get_metrics
 from repro.observability.tracing import get_tracer
 from repro.scanners.results import GoscannerRecord
-from repro.scanners.retry import RetryPolicy
+from repro.scanners.retry import RetryPolicy, retry_target
 from repro.server.tcp443 import LEGACY_TLS12_CIPHER
 from repro.tls.alerts import AlertError
 from repro.tls.engine import TlsClientConfig, TlsClientSession, scanner_tls_kwargs
@@ -86,27 +86,13 @@ class Goscanner:
         start = self._network.now
         with get_tracer().span("tls.handshake", target=str(address)) as span:
             record = self._scan(address, sni, port, self._rng.child(counter))
-            attempts = 1
-            if policy.enabled and record.error in self._RETRYABLE_ERRORS:
-                jitter_rng = self._rng.child(counter, "retry-jitter")
-                while (
-                    attempts < policy.attempts
-                    and record.error in self._RETRYABLE_ERRORS
-                ):
-                    delay = policy.backoff(attempts, jitter_rng)
-                    if not policy.within_deadline(
-                        self._network.now - start + delay
-                    ):
-                        break
-                    self._network.advance_to(self._network.now + delay)
-                    record = self._scan(
-                        address, sni, port, self._rng.child(counter, "retry", attempts)
-                    )
-                    attempts += 1
-                    self._metrics.counter("tls.retries").inc()
-                if record.error in self._RETRYABLE_ERRORS:
-                    self._metrics.counter("tls.giveups").inc()
-            record.attempts = attempts
+            if policy.enabled:
+                record = retry_target(
+                    policy, record, lambda rng, _: self._scan(address, sni, port, rng),
+                    lambda last: last.error in self._RETRYABLE_ERRORS,
+                    self._rng, counter, self._network, start,
+                    self._metrics, "tls",
+                )
             span.tag(outcome=self._outcome(record), sni=record.sni)
         self._observe(record, simulated_seconds=round(self._network.now - start, 9))
         return record

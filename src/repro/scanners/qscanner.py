@@ -36,7 +36,7 @@ from repro.quic.errors import QuicError
 from repro.quic.transport_params import TransportParameters
 from repro.quic.versions import QSCANNER_SUPPORTED, QUIC_V1, alpn_for_version
 from repro.scanners.results import QScanOutcome, QScanRecord, TargetSource, table3_bucket
-from repro.scanners.retry import RetryPolicy
+from repro.scanners.retry import RetryPolicy, retry_target
 from repro.tls.certificates import Certificate
 from repro.tls.engine import TlsClientConfig, scanner_tls_kwargs
 
@@ -44,6 +44,10 @@ __all__ = ["QScanner", "QScannerConfig"]
 
 _REQUEST_STREAM = 0
 _CONTROL_STREAM = 2
+
+
+def _timed_out(record: QScanRecord) -> bool:
+    return record.outcome is QScanOutcome.TIMEOUT
 
 
 @dataclass
@@ -146,34 +150,18 @@ class QScanner:
         with get_tracer().span("quic.handshake", target=str(address)) as span:
             start = self._network.now
             record = self._scan(address, sni, source, port, self._rng.child(counter))
-            attempts = 1
-            if policy.enabled and record.outcome is QScanOutcome.TIMEOUT:
-                jitter_rng = self._rng.child(counter, "retry-jitter")
-                while (
-                    attempts < policy.attempts
-                    and record.outcome is QScanOutcome.TIMEOUT
-                ):
-                    delay = policy.backoff(attempts, jitter_rng)
-                    if not policy.within_deadline(
-                        self._network.now - start + delay
-                    ):
-                        break
-                    self._network.advance_to(self._network.now + delay)
-                    retried = self._scan(
-                        address,
-                        sni,
-                        source,
-                        port,
-                        self._rng.child(counter, "retry", attempts),
-                    )
-                    retried.datagrams_sent += record.datagrams_sent
-                    retried.datagrams_received += record.datagrams_received
-                    record = retried
-                    attempts += 1
-                    self._metrics.counter("quic.retries").inc()
-                if record.outcome is QScanOutcome.TIMEOUT:
-                    self._metrics.counter("quic.giveups").inc()
-            record.attempts = attempts
+            if policy.enabled:
+
+                def attempt(rng, previous):
+                    retried = self._scan(address, sni, source, port, rng)
+                    retried.datagrams_sent += previous.datagrams_sent
+                    retried.datagrams_received += previous.datagrams_received
+                    return retried
+
+                record = retry_target(
+                    policy, record, attempt, _timed_out, self._rng, counter,
+                    self._network, start, self._metrics, "quic",
+                )
             span.tag(
                 outcome=record.outcome.value,
                 sni=record.sni,

@@ -17,16 +17,17 @@ bit-stable.
 
 The default policy (``attempts=1``) disables retries entirely — the
 baseline campaign's records and metrics are unchanged unless a caller
-opts in (e.g. ``repro chaos --retries N``).
+opts in (e.g. ``repro report --scan-retries N``).  The stateful
+scanners share one backoff loop, :func:`retry_target`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import accumulate
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
-__all__ = ["RetryPolicy"]
+__all__ = ["RetryPolicy", "retry_target"]
 
 
 @dataclass(frozen=True)
@@ -81,3 +82,43 @@ class RetryPolicy:
     def within_deadline(self, elapsed: float) -> bool:
         """Whether a target's budget allows spending up to ``elapsed``."""
         return self.deadline is None or elapsed <= self.deadline
+
+
+def retry_target(
+    policy: RetryPolicy,
+    record,
+    attempt: Callable,
+    retryable: Callable[[object], bool],
+    rng,
+    counter: int,
+    network,
+    start: float,
+    metrics,
+    prefix: str,
+):
+    """Retry one stateful target while ``retryable(record)`` holds.
+
+    ``record`` is the first attempt's; ``attempt(rng, previous)`` makes
+    the next one with the target's ``(counter, "retry", n)`` child of
+    ``rng``.  Each backoff delay (jitter from the ``(counter,
+    "retry-jitter")`` child) advances ``network``'s virtual clock,
+    unless it would take the target past the policy's deadline counted
+    from ``start``.  Counts ``<prefix>.retries`` per retry and
+    ``<prefix>.giveups`` for a target still retryable at the end, and
+    returns the last record with its ``attempts``.
+    """
+    attempts = 1
+    if retryable(record):
+        jitter_rng = rng.child(counter, "retry-jitter")
+        while attempts < policy.attempts and retryable(record):
+            delay = policy.backoff(attempts, jitter_rng)
+            if not policy.within_deadline(network.now - start + delay):
+                break
+            network.advance_to(network.now + delay)
+            record = attempt(rng.child(counter, "retry", attempts), record)
+            attempts += 1
+            metrics.counter(f"{prefix}.retries").inc()
+        if retryable(record):
+            metrics.counter(f"{prefix}.giveups").inc()
+    record.attempts = attempts
+    return record

@@ -2,7 +2,8 @@
 stage runs, and the count gates on per-scanner / per-chain handshake
 work, on state left behind by closed connections, on what a stateless
 sweep visits, on the keys a world build generates, on the stream
-runs a series week makes and on the sweep chunks a week plans."""
+runs a series week makes (a delta week short of cached inputs too) and
+on the sweep chunks a week plans."""
 
 import pytest
 
@@ -313,6 +314,54 @@ def test_a_streamed_series_week_is_one_stream_on_one_fork(identity):
     once = {week: 1 for week in SERIES.weeks}
     assert dict(run.stream_runs) == once
     assert dict(run.pool_forks) == once
+
+
+def test_a_delta_week_short_of_cached_inputs_is_still_one_stream(
+    series_ref, tmp_path, monkeypatch
+):
+    """Counts, not timings: week 17's stage cache has lost ``zmap_v4`` and
+    ``syn_v6``, which its cached ``qscan_nosni_v4`` and
+    ``goscanner_nosni_v6`` are split over for their delta counts.  The
+    week streams the two in its one ``StreamEngine.run`` and splits after
+    it; a split that read its inputs on the spot streamed them in a run
+    of their own.  The warehouse, ledger delta columns included, is the
+    clean series'."""
+    import dataclasses
+    import shutil
+    from collections import Counter
+
+    from repro.experiments.stage_cache import CampaignStageCache
+    from repro.longitudinal import LongitudinalScheduler
+    from repro.parallel.stream import StreamEngine
+    from repro.warehouse import connect
+
+    ref_db, ref_config, ref_result = series_ref
+    cache = tmp_path / "cache"
+    shutil.copytree(ref_config.cache_dir, cache)
+    week17 = CampaignStageCache(cache, ref_config.campaign_config(17)).directory
+    for name in ("zmap_v4", "syn_v6"):
+        (week17 / f"{name}.pkl").unlink()
+    runs = Counter()
+    real = StreamEngine.run
+
+    def counted(engine):
+        runs[engine.campaign.config.week] += 1
+        return real(engine)
+
+    monkeypatch.setattr(StreamEngine, "run", counted)
+    config = dataclasses.replace(ref_config, cache_dir=cache, workers=2)
+    conn = connect(tmp_path / "wh.sqlite")
+    try:
+        result = LongitudinalScheduler(config).run(conn)
+    finally:
+        conn.close()
+    assert dict(runs) == {17: 1}
+    delta = [(w.week, w.delta_hits, w.delta_misses, w.delta_base_week) for w in result.weeks]
+    assert delta == [
+        (w.week, w.delta_hits, w.delta_misses, w.delta_base_week) for w in ref_result.weeks
+    ]
+    with connect(tmp_path / "wh.sqlite") as conn, connect(ref_db) as reference:
+        assert list(conn.iterdump()) == list(reference.iterdump())
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 4])

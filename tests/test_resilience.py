@@ -26,11 +26,7 @@ from repro.netsim.faults import (
 )
 from repro.netsim.topology import Network, NetworkConditions
 from repro.observability.metrics import MetricsRegistry, use_metrics
-from repro.observability.report import (
-    build_resilience_report,
-    build_scan_report,
-    render_metrics_json,
-)
+from repro.observability.report import build_scan_report, render_metrics_json
 from repro.quic.versions import QUIC_V1
 from repro.scanners.qscanner import QScanner, QScannerConfig
 from repro.scanners.results import QScanOutcome
@@ -240,11 +236,23 @@ def test_chaos_campaign_completes(chaos_serial):
     assert "faults.hosts" in snapshot
 
 
-def test_resilience_report_renders(chaos_serial):
-    report = build_resilience_report(chaos_serial)
-    assert "resilience report — profile flaky-edge" in report
-    assert "stage health" in report
-    assert "verdict: OK" in report
+def test_scan_report_renders_the_fault_sections(chaos_serial):
+    report = build_scan_report(chaos_serial)
+    assert "fault profile flaky-edge, retry attempts 2" in report.splitlines()[0]
+    for title in ("faulted hosts by kind", "faults injected", "retries and give-ups"):
+        assert title in report
+    assert report.count("Table 3 taxonomy") == 1
+    assert report.endswith("verdict: OK — every stage completed")
+
+
+def test_an_unfaulted_report_has_no_fault_sections(identity):
+    from tests.conftest import BASELINE_CONFIG
+
+    report = build_scan_report(identity.run(BASELINE_CONFIG).subject)
+    assert "fault profile" not in report and "retry attempts" not in report
+    for title in ("faulted hosts by kind", "faults injected", "retries and give-ups"):
+        assert title not in report
+    assert report.endswith("verdict: OK — every stage completed")
 
 
 def test_metrics_document_records_resilience_config(chaos_serial):
@@ -255,17 +263,12 @@ def test_metrics_document_records_resilience_config(chaos_serial):
 
 def _health_listing(campaign):
     """The stages, in the order each report or list names them: the
-    resilience report's stage-health table, the scan report's unhealthy
-    lines, then the failed and degraded lists."""
-    lines = build_resilience_report(campaign).splitlines()
-    first = lines.index("stage health") + 3  # title, header, rule
+    scan report's stage table with its status column, then the failed
+    and degraded lists."""
+    lines = build_scan_report(campaign).splitlines()
+    first = lines.index("stage execution (canonical order)") + 3  # title, header, rule
     return (
-        [line.split()[0] for line in lines[first : lines.index("", first)]],
-        [
-            line.split()[2]
-            for line in build_scan_report(campaign).splitlines()
-            if line.startswith("stage health:")
-        ],
+        [(row.split()[0], row.split()[5]) for row in lines[first : lines.index("", first)]],
         campaign.failed_stages(),
         campaign.degraded_stages(),
     )
@@ -289,7 +292,16 @@ def test_stage_health_prints_in_stage_table_order(identity, monkeypatch):
         monkeypatch.setattr(campaign, "stage_health", dict(reversed(health.items())))
         assert _health_listing(campaign) == listings[-1]
     assert listings[0] == listings[1]
-    assert listings[0] == (list(TRACKED_NAMES), ["zmap_v6", "syn_v4"], ["syn_v4"], ["zmap_v6"])
+    unhealthy = {"zmap_v6": "degraded", "syn_v4": "failed"}
+    assert listings[0] == (
+        [
+            (name, unhealthy.get(name, "success"))
+            for name in TRACKED_NAMES
+            if name != "ipv6_scan_input"
+        ],
+        ["syn_v4"],
+        ["zmap_v6"],
+    )
 
 
 # -- graceful degradation ------------------------------------------------------
@@ -413,35 +425,59 @@ def test_a_store_cut_short_by_a_deadline_leaves_no_temp_file(tmp_path, monkeypat
     assert cache.store_failures == 0
 
 
-# -- chaos CLI -----------------------------------------------------------------
+# -- report CLI under faults ----------------------------------------------------
 
 
-def test_cli_chaos_smoke(capsys):
+def test_cli_report_under_a_fault_profile(tmp_path, capsys):
     from repro.cli import main
 
-    assert (
-        main(
-            [
-                "chaos",
-                "--profile",
-                "flaky-edge",
-                "--scale",
-                "10000",
-                "--seed",
-                "23",
-                "--retries",
-                "2",
-            ]
-        )
-        == 0
-    )
+    metrics = tmp_path / "metrics.json"
+    argv = ["report", "--fault-profile", "flaky-edge", "--scan-retries", "2",
+            "--scale", "10000", "--seed", "23", "--metrics-out", str(metrics)]
+    assert main(argv) == 0
     out = capsys.readouterr().out
-    assert "resilience report — profile flaky-edge" in out
+    assert "fault profile flaky-edge, retry attempts 2" in out
     assert "verdict: OK" in out
+    document = json.loads(metrics.read_text())
+    assert document["config"]["fault_profile"] == "flaky-edge"
+    assert document["config"]["retry"]["attempts"] == 2
 
 
-def test_cli_chaos_rejects_unknown_profile(capsys):
+def test_cli_report_exits_1_when_a_stage_fails(monkeypatch, tmp_path, capsys):
     from repro.cli import main
 
-    assert main(["chaos", "--profile", "bogus"]) == 2
-    assert "unknown fault profile" in capsys.readouterr().err
+    from repro.experiments import campaign as campaign_module
+
+    _boom(monkeypatch)
+    monkeypatch.setattr(campaign_module, "_CAMPAIGNS", {})  # memoise no failed run
+    argv = ["report", "--scale", "100000", "--seed", "31", "--metrics-out",
+            str(tmp_path / "metrics.json")]
+    assert main(argv) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-3] == (
+        "verdict: FAILED — stages with no output: syn_v4"
+        " (RuntimeError: injected stage failure)"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "--metrics-out", "{tmp}/metrics.json"],
+        ["longitudinal", "--weeks", "17-18", "--scale", "200000", "--seed", "23",
+         "--db", "{tmp}/wh.sqlite"],
+    ],
+    ids=["report", "longitudinal"],
+)
+def test_cli_refuses_an_unknown_fault_profile(argv, tmp_path, capsys):
+    """Refused while parsing: exit 2 with the catalogue, nothing written."""
+    from repro.cli import main
+
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    with pytest.raises(SystemExit) as exit_:
+        main([*argv, "--cache-dir", str(tmp_path / "cache"), "--fault-profile", "bogus"])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'bogus'" in err
+    assert all(name in err for name in PROFILES)
+    assert list(tmp_path.iterdir()) == []
